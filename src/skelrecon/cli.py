@@ -140,9 +140,9 @@ def cmd_recong(args) -> int:
     results = {}
     certificates = []
     if k <= 1:
-        system = recong.max_two_system(g, d, classes.nonsimple)
+        system, facets = recong._two_system_facets(g, d, classes.nonsimple)
         certificates.append(f"two-system size {system.size}")
-        results["claims"] = results["truncation"] = recong.reconstruct_one_nonsimple(g, d)
+        results["claims"] = results["truncation"] = facets
     elif k == 2:
         methods = (
             ("claims", "truncation")

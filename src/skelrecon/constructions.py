@@ -194,56 +194,60 @@ class TruncationMap:
     face_was_facet: bool = False
 
 
+def truncation_map(n: int, face, edges, *, face_was_facet: bool = False) -> TruncationMap:
+    """The relabeling for truncating an n-vertex polytope at ``face``.
+
+    The cut edges are the ``edges`` (vertex pairs) with one endpoint in
+    the face.  Surviving vertices keep their relative order; new vertices
+    follow, ordered by their cut edge (x, y) with x in the face.
+    """
+    fset = frozenset(face)
+    cut_edges = []
+    for a, b in edges:
+        if (a in fset) != (b in fset):
+            cut_edges.append((a, b) if a in fset else (b, a))
+    cut_edges.sort()
+    survivors = sorted(set(range(n)) - fset)
+    new_from_edge = {e: len(survivors) + i for i, e in enumerate(cut_edges)}
+    return TruncationMap(
+        face=tuple(sorted(fset)),
+        old_to_new={v: i for i, v in enumerate(survivors)},
+        new_from_edge=new_from_edge,
+        origin={w: x for (x, _), w in new_from_edge.items()},
+        cut_facet=frozenset(new_from_edge.values()),
+        face_was_facet=face_was_facet,
+    )
+
+
 def truncate(lattice: FaceLattice, face) -> tuple[PolytopeSpec, TruncationMap]:
     """Truncate a polytope at a proper face, working on vertex sets only.
 
     The new polytope keeps every vertex outside the face, gains one vertex
     per cut edge (edge with exactly one endpoint in the face), and its
     facets are the cut facet plus each old facet with its face vertices
-    replaced by the new vertices of the cut edges inside it.  Surviving
-    vertices keep their relative order; new vertices follow, ordered by
-    their cut edge (x, y).
+    replaced by the new vertices of the cut edges inside it, labeled as
+    :func:`truncation_map` lays out.
     """
     fset = frozenset(face)
     if fset not in lattice.rank_of or not 0 <= lattice.rank_of[fset] <= lattice.d - 1:
         raise NotAProperFace(f"{tuple(sorted(face))} is not a proper face")
-    cut_edges = []
-    for e in lattice.faces_by_rank[1]:
-        inside = e & fset
-        if len(inside) == 1:
-            (x,) = inside
-            (y,) = e - fset
-            cut_edges.append((x, y))
-    cut_edges.sort()
-    survivors = sorted(set(range(lattice.n)) - fset)
-    old_to_new = {v: i for i, v in enumerate(survivors)}
-    new_from_edge = {}
-    origin = {}
-    for i, (x, y) in enumerate(cut_edges):
-        w = len(survivors) + i
-        new_from_edge[(x, y)] = w
-        origin[w] = x
-    cut_facet = frozenset(new_from_edge.values())
-
-    facets: list[list[int]] = [sorted(cut_facet)]
+    tmap = truncation_map(
+        lattice.n,
+        fset,
+        lattice.faces_by_rank[1],
+        face_was_facet=lattice.rank_of[fset] == lattice.d - 1,
+    )
+    facets: list[list[int]] = [sorted(tmap.cut_facet)]
     for jf in lattice.faces_by_rank[lattice.d - 1]:
         if jf == fset:
             continue
-        new_f = [old_to_new[v] for v in jf - fset]
-        for (x, y), w in new_from_edge.items():
+        new_f = [tmap.old_to_new[v] for v in jf - fset]
+        for (x, y), w in tmap.new_from_edge.items():
             if x in jf and y in jf:
                 new_f.append(w)
         facets.append(sorted(new_f))
-    spec = PolytopeSpec(lattice.d, len(survivors) + len(cut_edges), facets)
-    tmap = TruncationMap(
-        face=tuple(sorted(fset)),
-        old_to_new=old_to_new,
-        new_from_edge=new_from_edge,
-        origin=origin,
-        cut_facet=cut_facet,
-        face_was_facet=lattice.rank_of[fset] == lattice.d - 1,
-    )
-    return spec, tmap
+    n = len(tmap.old_to_new) + len(tmap.new_from_edge)
+    return PolytopeSpec(lattice.d, n, facets), tmap
 
 
 def pullback_facets(facets, tmap: TruncationMap) -> tuple[tuple[int, ...], ...]:

@@ -149,12 +149,6 @@ class Orientation:
         self.indegree = tuple(indeg)
         self.signature = sig
 
-    def head(self, u: int, v: int) -> int:
-        """The endpoint the edge uv points at."""
-        if v not in self.graph.adj[u]:
-            raise ValueError(f"({u},{v}) is not an edge")
-        return v if self.pos[u] < self.pos[v] else u
-
     def in_neighbors(self, v: int) -> list[int]:
         pv = self.pos[v]
         return [w for w in self.graph.adj[v] if self.pos[w] < pv]
@@ -162,16 +156,6 @@ class Orientation:
     def out_neighbors(self, v: int) -> list[int]:
         pv = self.pos[v]
         return [w for w in self.graph.adj[v] if self.pos[w] > pv]
-
-    def indegree_histogram(self, vertices: Optional[Iterable[int]] = None) -> tuple[int, ...]:
-        """h[k] = number of (selected) vertices with indegree k."""
-        vs = range(self.graph.n) if vertices is None else vertices
-        degs = [self.indegree[v] for v in vs]
-        top = max(degs, default=0)
-        h = [0] * (top + 1)
-        for k in degs:
-            h[k] += 1
-        return tuple(h)
 
     def sinks_in(self, vertices: Iterable[int]) -> list[int]:
         """Sinks of the subgraph induced by the given vertex set."""
@@ -193,21 +177,20 @@ def enumerate_acyclic_orientations(
     *,
     first: tuple[int, ...] = (),
     last: tuple[int, ...] = (),
-    bound: Optional[int] = None,
     force: bool = False,
 ) -> Iterator[Orientation]:
     """Yield every acyclic orientation of g exactly once.
 
-    Orientations are generated from vertex total orders and deduplicated by
-    edge-direction signature.  ``first``/``last`` pin vertices to the two
-    ends of every order, which restricts the stream to orientations where
-    those vertices have indegree 0 (resp. outdegree 0); any orientation with
-    such a source (sink) arises from a topological order that starts (ends)
-    with it, so the restricted stream is still complete for that family.
-    Raises TooLarge when the graph exceeds the enumeration bound and force
-    is not set.
+    Directs the edges in ``g.edges`` order, trying a direction only when it
+    closes no cycle by the descendant bitmasks kept per vertex; a partial
+    acyclic orientation always extends, so every branch ends in a distinct
+    leaf.  ``first``/``last`` fix each edge with a pinned end by rank (the
+    ``first`` vertices in order, all others, the ``last`` vertices in
+    order), leaving the orientations with a topological order that starts
+    with ``first`` and ends with ``last``.  Raises TooLarge when the graph
+    exceeds the enumeration bound and force is not set.
     """
-    limit = bound if bound is not None else enumeration_bound()
+    limit = enumeration_bound()
     if g.n > limit and not force:
         raise TooLarge(
             f"{g.n} vertices exceed the enumeration bound {limit}; "
@@ -216,24 +199,39 @@ def enumerate_acyclic_orientations(
     pinned = set(first) | set(last)
     if len(pinned) != len(first) + len(last):
         raise ValueError("first/last vertices must be distinct")
-    middle = [v for v in range(g.n) if v not in pinned]
-    seen: set[int] = set()
-    edges = g.edges
-    pos = [0] * g.n
-    for perm in itertools.permutations(middle):
-        order = first + perm + last
-        for i, v in enumerate(order):
-            pos[v] = i
-        sig = 0
-        for i, (u, v) in enumerate(edges):
-            if pos[u] < pos[v]:
-                sig |= 1 << i
-        if sig in seen:
+    n = g.n
+    rank = dict.fromkeys(range(n), len(first))
+    rank.update((v, i) for i, v in enumerate(first))
+    rank.update((v, n + i) for i, v in enumerate(last))
+
+    def directed(desc: list[int], a: int, b: int) -> list[int]:
+        # Add the arc a -> b: everything reaching a now reaches b's descendants.
+        reach = desc[b]
+        return [m | reach if m >> a & 1 else m for m in desc]
+
+    desc = [1 << v for v in range(n)]
+    free = []
+    for u, v in g.edges:
+        if u in pinned or v in pinned:
+            desc = directed(desc, u, v) if rank[u] < rank[v] else directed(desc, v, u)
+        else:
+            free.append((u, v))
+    stack = [(0, desc)]
+    while stack:
+        i, desc = stack.pop()
+        if i == len(free):
+            # More descendants means earlier in some topological order.
+            order = sorted(range(n), key=[m.bit_count() for m in desc].__getitem__, reverse=True)
+            o = Orientation(g, tuple(order))
+            if predicate is None or predicate(o):
+                yield o
             continue
-        seen.add(sig)
-        o = Orientation(g, order)
-        if predicate is None or predicate(o):
-            yield o
+        u, v = free[i]
+        # Push v -> u first so u -> v is explored first.
+        if not desc[u] >> v & 1:
+            stack.append((i + 1, directed(desc, v, u)))
+        if not desc[v] >> u & 1:
+            stack.append((i + 1, directed(desc, u, v)))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ feasible subgraphs.  A second, independent route truncates the polytope at
 uv (or at u when uv is not an edge), reconstructs the simpler truncated
 polytope, and pulls its facets back.
 
-Everything орientation-swept here is exponential by nature; the guard in
+Everything orientation-swept here is exponential by nature; the guard in
 :mod:`skelrecon.graphs` refuses graphs beyond the enumeration bound.
 """
 
@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .constructions import TruncationMap, pullback_facets
+from .constructions import TruncationMap, pullback_facets, truncation_map
 from .errors import (
     CertificateMismatch,
     EmptyFamily,
@@ -150,20 +150,16 @@ def _max_exact_cover(columns: list, rows: list[list[int]]) -> Optional[list[int]
 
 
 def max_two_system(
-    g: Graph,
-    d: int,
-    nonsimple: Optional[Iterable[int]] = None,
-    *,
-    certify: bool = True,
+    g: Graph, d: int, nonsimple: Optional[Iterable[int]] = None
 ) -> TwoSystem:
     """The maximum family of induced cycles covering each simple-rooted
     2-frame exactly once; for a polytope graph with at most one nonsimple
     vertex these are precisely the 2-face vertex sets.
 
-    With ``certify`` the cover size is checked against the independent
-    minimum of the two-face orientation score (taken over orientations
-    where the nonsimple vertex is a source); a mismatch means the input is
-    not such a polytope graph.
+    The cover size is checked against the independent minimum of the
+    two-face orientation score (taken over orientations where the
+    nonsimple vertex is a source); a mismatch means the input is not such
+    a polytope graph.
     """
     if nonsimple is None:
         nonsimple = classify_vertices(g, d).nonsimple
@@ -202,28 +198,31 @@ def max_two_system(
         cyc, covered = kept[i]
         for fid in covered:
             coverage[frames[fid]] = cyc
-    if certify:
-        target = min_two_face_score(g, sources=nonsimple)
-        if len(sets) != target:
-            raise CertificateMismatch(
-                f"cover size {len(sets)} != orientation minimum {target}"
-            )
+    target = min_two_face_score(g, sources=nonsimple)
+    if len(sets) != target:
+        raise CertificateMismatch(
+            f"cover size {len(sets)} != orientation minimum {target}"
+        )
     return TwoSystem(sets=sets, coverage=coverage)
 
 
-def reconstruct_one_nonsimple(
-    g: Graph, d: int, *, certify: bool = True
-) -> tuple[tuple[int, ...], ...]:
+def _two_system_facets(
+    g: Graph, d: int, nonsimple: Iterable[int]
+) -> tuple[TwoSystem, tuple[tuple[int, ...], ...]]:
+    """The certified 2-system and the facet list it reconstructs."""
+    system = max_two_system(g, d, nonsimple)
+    sk = KSkeleton(k=2, graph=g, faces_by_dim={2: system.sets})
+    return system, recon2.reconstruct(sk, d).facets
+
+
+def reconstruct_one_nonsimple(g: Graph, d: int) -> tuple[tuple[int, ...], ...]:
     """Facet list of a d-polytope graph with at most one nonsimple vertex."""
     classes = classify_vertices(g, d)
     if len(classes.nonsimple) > 1:
         raise ValueError(
             f"expected at most one nonsimple vertex, found {sorted(classes.nonsimple)}"
         )
-    system = max_two_system(g, d, classes.nonsimple, certify=certify)
-    sk = KSkeleton(k=2, graph=g, faces_by_dim={2: system.sets})
-    outcome = recon2.reconstruct(sk, d)
-    return outcome.facets
+    return _two_system_facets(g, d, classes.nonsimple)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -252,21 +251,23 @@ def _sweep(
     collect: Callable[[Orientation], Iterable[frozenset[int]]],
     force: bool = False,
 ) -> tuple[int, tuple[frozenset[int], ...]]:
-    """Two passes over an orientation family: minimum, then minimisers.
+    """The objective minimum over an orientation family and the union of
+    ``collect`` over its minimisers, in one pass.
 
-    Keeps nothing in memory between passes except the minimum itself.
+    Keeps a running minimum and the sets collected from orientations that
+    attain it; a new minimum discards what was collected so far.
     """
     best: Optional[int] = None
+    found: set[frozenset[int]] = set()
     for o in enumerate_acyclic_orientations(g, family, first=first, last=last, force=force):
         val = objective(o)
         if best is None or val < best:
             best = val
+            found.clear()
+        if val == best:
+            found.update(collect(o))
     if best is None:
         raise EmptyFamily("no acyclic orientation satisfies the family constraints")
-    found: set[frozenset[int]] = set()
-    for o in enumerate_acyclic_orientations(g, family, first=first, last=last, force=force):
-        if objective(o) == best:
-            found.update(collect(o))
     return best, tuple(sorted(found, key=lambda s: tuple(sorted(s))))
 
 
@@ -528,7 +529,7 @@ def reconstruct_two_nonsimple(
 # The truncation route
 
 
-def _two_faces_within(g: Graph, d: int, facet, *, certify: bool = True):
+def _two_faces_within(g: Graph, d: int, facet):
     """2-faces inside one facet, via its induced subgraph.
 
     The induced subgraph is the graph of a (d-1)-polytope with at most one
@@ -539,7 +540,7 @@ def _two_faces_within(g: Graph, d: int, facet, *, certify: bool = True):
     if d == 3:
         return [fset]
     sub, back = g.induced(fset)
-    system = max_two_system(sub, d - 1, certify=certify)
+    system = max_two_system(sub, d - 1)
     return [frozenset(back[i] for i in s) for s in system.sets]
 
 
@@ -581,22 +582,12 @@ def _truncated_graph(g: Graph, face: tuple[int, ...], two_faces) -> tuple[Graph,
     becomes a vertex joined to y, and each 2-face contributes the edge
     between the new vertices of its two crossing edges.
     """
-    fset = frozenset(face)
-    cut_edges = sorted(
-        (x, y) for x in fset for y in g.adj[x] if y not in fset
-    )
-    survivors = sorted(set(range(g.n)) - fset)
-    old_to_new = {w: i for i, w in enumerate(survivors)}
-    new_from_edge = {}
-    origin = {}
-    for i, (x, y) in enumerate(cut_edges):
-        w = len(survivors) + i
-        new_from_edge[(x, y)] = w
-        origin[w] = x
+    tmap = truncation_map(g.n, face, g.edges)
+    old_to_new, new_from_edge = tmap.old_to_new, tmap.new_from_edge
     edges = [
         (old_to_new[a], old_to_new[b])
         for a, b in g.edges
-        if a not in fset and b not in fset
+        if a in old_to_new and b in old_to_new
     ]
     for (x, y), w in new_from_edge.items():
         edges.append((w, old_to_new[y]))
@@ -606,14 +597,7 @@ def _truncated_graph(g: Graph, face: tuple[int, ...], two_faces) -> tuple[Graph,
             edges.append((new_from_edge[crossing[0]], new_from_edge[crossing[1]]))
         elif len(crossing) > 2:
             raise ValueError(f"2-face {tuple(sorted(s))} crosses the cut thrice")
-    tmap = TruncationMap(
-        face=tuple(sorted(fset)),
-        old_to_new=old_to_new,
-        new_from_edge=new_from_edge,
-        origin=origin,
-        cut_facet=frozenset(new_from_edge.values()),
-    )
-    return Graph(len(survivors) + len(cut_edges), edges), tmap
+    return Graph(len(old_to_new) + len(new_from_edge), edges), tmap
 
 
 def reconstruct_two_nonsimple_via_truncation(

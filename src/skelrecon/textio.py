@@ -15,13 +15,20 @@ from .graphs import Graph
 from .lattice import KSkeleton, PolytopeSpec
 
 
+#: Fields a line must have, counting its key, for the keys that take fixed ones.
+_MIN_FIELDS = {"d": 2, "vertices": 2, "edge": 3}
+
+
 def _content_lines(text: str) -> list[list[str]]:
     out = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        out.append(line.split())
+        parts = line.split()
+        if len(parts) < _MIN_FIELDS.get(parts[0], 1):
+            raise ValueError(f"too few fields in line: {line}")
+        out.append(parts)
     return out
 
 

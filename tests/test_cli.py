@@ -157,6 +157,23 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert run_cli("lattice", str(tmp_path / "missing.poly")) == 2
 
 
+@pytest.mark.parametrize(
+    "command, text, line",
+    [
+        ("lattice", "d\nvertices 4\nfacet 0 1 2\n", "d"),
+        ("lattice", "d 3\nvertices\nfacet 0 1 2\n", "vertices"),
+        ("recon2", "d 3\nvertices 4\nedge 0\n", "edge 0"),
+        ("recong", "vertices 4\nedge 0\n", "edge 0"),
+    ],
+)
+def test_short_line_exit_code(tmp_path, capsys, command, text, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    extra = ("--dim", "3") if command == "recong" else ()
+    assert run_cli(command, str(bad), *extra) == 2
+    assert f"line: {line}\n" in capsys.readouterr().err
+
+
 def test_verify_small_range(capsys):
     assert run_cli("verify", "--dims", "4,4") == 0
     out = capsys.readouterr().out

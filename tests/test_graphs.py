@@ -26,7 +26,7 @@ from skelrecon import (
 )
 from skelrecon.errors import TooLarge
 
-from conftest import lattice_of
+from conftest import PRISM_OVER_PYRAMID, lattice_of
 from oracles import (
     acyclic_orientation_count,
     brute_force_chordless_cycles,
@@ -83,23 +83,34 @@ def test_complete_graph_orientation_count_is_factorial(m):
     assert count_orientations(complete_graph(m)) == math.factorial(m)
 
 
-def test_no_duplicate_signatures():
-    g = cycle_graph(5)
+@pytest.mark.parametrize(
+    "g",
+    [cycle_graph(5), lattice_of(PRISM_OVER_PYRAMID).graph()],
+    ids=["c5", "prism_over_pyramid"],
+)
+def test_no_duplicate_signatures(g):
     sigs = [o.signature for o in enumerate_acyclic_orientations(g)]
     assert len(sigs) == len(set(sigs)) == acyclic_orientation_count(g)
 
 
-def test_pinned_enumeration_matches_filter():
+@pytest.mark.parametrize(
+    "first, last, predicate",
+    [
+        ((0,), (3,), lambda o: o.indegree[0] == 0 and not o.out_neighbors(3)),
+        ((0, 1), (), lambda o: o.indegree[0] == 0 and o.in_neighbors(1) == [0]),
+        ((0,), (1,), lambda o: o.indegree[0] == 0 and not o.out_neighbors(1)),
+    ],
+    ids=["source_and_sink", "adjacent_firsts", "first_to_last_edge"],
+)
+def test_pinned_enumeration_matches_filter(first, last, predicate):
     g = cycle_graph(5)
     pinned = {
         o.signature
-        for o in enumerate_acyclic_orientations(g, first=(0,), last=(3,))
+        for o in enumerate_acyclic_orientations(g, first=first, last=last)
     }
     filtered = {
         o.signature
-        for o in enumerate_acyclic_orientations(
-            g, lambda o: o.indegree[0] == 0 and not o.out_neighbors(3)
-        )
+        for o in enumerate_acyclic_orientations(g, predicate)
     }
     assert pinned == filtered
 
