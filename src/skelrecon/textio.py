@@ -32,6 +32,13 @@ def _content_lines(text: str) -> list[list[str]]:
     return out
 
 
+def _header(seen: int | None, parts: list[str]) -> int:
+    """The value of a ``d`` or ``vertices`` line, which may appear once."""
+    if seen is not None:
+        raise ValueError(f"repeated header in line: {' '.join(parts)}")
+    return int(parts[1])
+
+
 def format_spec(spec: PolytopeSpec) -> str:
     lines = [f"d {spec.d}", f"vertices {spec.n}"]
     for f in spec.facets:
@@ -45,9 +52,9 @@ def parse_spec(text: str) -> PolytopeSpec:
     for parts in _content_lines(text):
         key = parts[0]
         if key == "d":
-            d = int(parts[1])
+            d = _header(d, parts)
         elif key == "vertices":
-            n = int(parts[1])
+            n = _header(n, parts)
         elif key == "facet":
             facets.append([int(v) for v in parts[1:]])
         else:
@@ -71,22 +78,29 @@ def parse_skeleton(text: str) -> tuple[KSkeleton, int]:
     """Parse a skeleton file; returns (skeleton, polytope dimension)."""
     d = n = None
     edges = []
-    faces: dict[int, list[frozenset[int]]] = {}
+    face_lines: list[tuple[int, list[str]]] = []
     for parts in _content_lines(text):
         key = parts[0]
         if key == "d":
-            d = int(parts[1])
+            d = _header(d, parts)
         elif key == "vertices":
-            n = int(parts[1])
+            n = _header(n, parts)
         elif key == "edge":
             edges.append((int(parts[1]), int(parts[2])))
         elif key.startswith("face"):
-            r = int(key[4:])
-            faces.setdefault(r, []).append(frozenset(int(v) for v in parts[1:]))
+            face_lines.append((int(key[4:]), parts))
         else:
             raise ValueError(f"unexpected line: {' '.join(parts)}")
     if d is None or n is None:
         raise ValueError("missing d or vertices header")
+    faces: dict[int, list[frozenset[int]]] = {}
+    for r, parts in face_lines:
+        vs = [int(v) for v in parts[1:]]
+        if not vs:
+            raise ValueError(f"too few fields in line: {' '.join(parts)}")
+        if min(vs) < 0 or max(vs) >= n:
+            raise ValueError(f"vertex outside 0..{n - 1} in line: {' '.join(parts)}")
+        faces.setdefault(r, []).append(frozenset(vs))
     k = max(faces, default=1)
     faces_by_dim = {
         r: tuple(sorted(fs, key=lambda s: tuple(sorted(s)))) for r, fs in faces.items()
@@ -107,7 +121,7 @@ def parse_edge_list(text: str) -> Graph:
     for parts in _content_lines(text):
         key = parts[0]
         if key == "vertices":
-            n = int(parts[1])
+            n = _header(n, parts)
         elif key == "edge":
             edges.append((int(parts[1]), int(parts[2])))
         else:

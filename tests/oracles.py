@@ -4,7 +4,8 @@ Each oracle takes a different computational route from the code under
 test: faces via Galois-closure of arbitrary subsets instead of pairwise
 intersection closure, acyclic-orientation counts via the chromatic
 polynomial, orientations via raw edge-direction enumeration, chordless
-cycles via full subset scan, connectivity via networkx.
+cycles via full subset scan, connectivity via networkx, facet
+containment via a scan of all ordered pairs.
 """
 
 from __future__ import annotations
@@ -37,6 +38,23 @@ def closed_sets(spec):
                 out.add(s)
     out.add(full)
     return out
+
+
+def facet_containment_error(facets):
+    """The error ``PolytopeSpec`` reports for nested facets, or ``None``.
+
+    Facets are canonicalised as ``PolytopeSpec`` does, then every ordered
+    pair is tested in canonical order; the first hit names the error.
+    """
+    canon = sorted(tuple(sorted(set(f))) for f in facets)
+    sets = [frozenset(f) for f in canon]
+    for i, a in enumerate(sets):
+        for j, b in enumerate(sets):
+            if i != j and a <= b:
+                if a < b:
+                    return f"facet {canon[i]} contained in facet {canon[j]}"
+                return f"duplicate facet {canon[i]}"
+    return None
 
 
 def chromatic_polynomial(g: Graph, x: int) -> int:

@@ -125,21 +125,23 @@ def test_criterion_3_ambiguity_and_parity():
 def test_criterion_4_linear_time_scaling():
     t0 = time.perf_counter()
     sizes = (1024, 2048, 4096, 8192, 16384)
-    medians = []
-    for m in sizes:
-        sk = polygon_prism_skeleton(m)
+    skeletons = [polygon_prism_skeleton(m) for m in sizes]
+    for sk in skeletons:
         reconstruct(sk, 3)  # warm-up
-        times = []
-        gc.disable()
-        try:
-            for _ in range(5):
+    # Each round times every size once, so a change of machine speed that
+    # lasts a few seconds lands on all sizes instead of on one.
+    times = [[] for _ in sizes]
+    gc.disable()
+    try:
+        for _ in range(5):
+            for m, sk, runs in zip(sizes, skeletons, times):
                 start = time.perf_counter()
                 out = reconstruct(sk, 3)
-                times.append(time.perf_counter() - start)
-        finally:
-            gc.enable()
-        assert len(out.facets) == m + 2
-        medians.append(statistics.median(times))
+                runs.append(time.perf_counter() - start)
+                assert len(out.facets) == m + 2
+    finally:
+        gc.enable()
+    medians = [statistics.median(runs) for runs in times]
     ratios = [b / a for a, b in zip(medians, medians[1:])]
     elapsed = time.perf_counter() - t0
     ok = all(1.3 <= r <= 2.7 for r in ratios) and elapsed < 300

@@ -164,6 +164,12 @@ def test_parse_error_exit_code(tmp_path, capsys):
         ("lattice", "d 3\nvertices\nfacet 0 1 2\n", "vertices"),
         ("recon2", "d 3\nvertices 4\nedge 0\n", "edge 0"),
         ("recong", "vertices 4\nedge 0\n", "edge 0"),
+        ("recon2", "d 3\nvertices 4\nedge 0 1\nface2\n", "face2"),
+        ("recon2", "d 3\nvertices 4\nedge 0 1\nface2 0 1 99\n", "face2 0 1 99"),
+        ("recon2", "d 3\nvertices 4\nedge 0 1\nface2 0 1 -3\n", "face2 0 1 -3"),
+        ("lattice", "d 3\nvertices 4\nd 4\nfacet 0 1 2\n", "d 4"),
+        ("recon2", "d 3\nvertices 4\nvertices 5\nedge 0 1\n", "vertices 5"),
+        ("recong", "vertices 4\nedge 0 1\nvertices 5\n", "vertices 5"),
     ],
 )
 def test_short_line_exit_code(tmp_path, capsys, command, text, line):

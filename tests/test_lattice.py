@@ -1,6 +1,10 @@
 import math
+import re
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skelrecon import (
     PolytopeSpec,
@@ -18,7 +22,7 @@ from skelrecon import (
 from skelrecon.errors import DegreeBelowDimension, NotGraded, RankOutOfRange
 
 from conftest import fixture_corpus, lattice_of
-from oracles import closed_sets
+from oracles import closed_sets, facet_containment_error
 
 
 def test_spec_canonicalisation():
@@ -34,6 +38,37 @@ def test_spec_rejects_duplicates_and_containment():
         PolytopeSpec(3, 4, [(0, 1), (0, 1, 2), (1, 2, 3)])
     with pytest.raises(ValueError, match="outside"):
         PolytopeSpec(3, 4, [(0, 1, 7), (1, 2, 3)])
+    with pytest.raises(
+        ValueError, match=re.escape("facet (0, 2) contained in facet (0, 1, 2)")
+    ):
+        PolytopeSpec(3, 4, [(1, 2, 3), (0, 2), (0, 1, 2)])
+    # Apex 4 lies in every facet, so the lookup goes through vertex 1.
+    with pytest.raises(
+        ValueError, match=re.escape("facet (1, 4) contained in facet (0, 1, 4)")
+    ):
+        PolytopeSpec(3, 5, [(0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4), (1, 4)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_containment_check_matches_all_pairs_reference(data):
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    vertex_lists = st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1)
+    facets = data.draw(st.lists(vertex_lists, max_size=10))
+    want = facet_containment_error(facets)
+    if want is None:
+        PolytopeSpec(3, n, facets)
+    else:
+        with pytest.raises(ValueError) as info:
+            PolytopeSpec(3, n, facets)
+        assert str(info.value) == want
+
+
+def test_containment_check_is_linear_on_prisms():
+    facets = polygon_prism(16384).facets
+    start = time.perf_counter()
+    PolytopeSpec(3, 32768, facets)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_simplex3_f_vector():
