@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from . import constructions as cons
 from . import recon2, recong, textio
-from .errors import SkelreconError
+from .errors import SkelreconError, TooLarge
 from .iso import isomorphic
 from .lattice import build_face_lattice, classify_vertices, k_skeleton, validate
 
@@ -62,7 +62,33 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+#: The most vertices ``gen`` builds; ``bench``'s largest prism has 32768.
+MAX_GEN_VERTICES = 1 << 16
+
+
+def _gen_vertex_count(args) -> int:
+    """The vertex count of the polytope ``gen`` builds, found without building it."""
+    d = args.dim
+    count = {
+        "q1": 2 * d,
+        "q2": 2 * d,
+        "simplex": d + 1,
+        # Clipped at 2**64 (hence "at least" below), so that a huge --dim
+        # cannot make a huge int.
+        "cube": 1 << min(max(d, 0), 64),
+        "prism": 2 * args.m,
+        "bipyramid-simplex": d + 2,
+    }[args.family]
+    return count + args.pyramid
+
+
 def _gen_spec(args) -> "cons.PolytopeSpec":
+    count = _gen_vertex_count(args)
+    if count > MAX_GEN_VERTICES:
+        raise TooLarge(
+            f"{args.family} would have at least {count} vertices, "
+            f"above the cap of {MAX_GEN_VERTICES}"
+        )
     fam = args.family
     if fam == "q1":
         spec = cons.q1(args.dim).spec

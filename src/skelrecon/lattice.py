@@ -1,16 +1,16 @@
 """Face lattices from vertex-facet incidences.
 
 A polytope is handed around as a :class:`PolytopeSpec` (dimension, vertex
-count, facet list).  The full face lattice is the closure of the facet sets
-under intersection, ranked by longest containment chains; skeleta,
-f-vectors, and the simple/nonsimple vertex classification are read off the
-lattice.
+count, facet list).  The full face lattice is built top down over vertex
+bitmasks: each face's lower covers are the maximal intersections of it
+with the facets, so every face and cover is found once, and ranks are the
+longest chains of covers.  Skeleta, f-vectors, and the simple/nonsimple
+vertex classification are read off the lattice.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
@@ -139,70 +139,97 @@ class KSkeleton:
         return self.faces_by_dim.get(2, ())
 
 
+def _vertices(mask: int) -> tuple[int, ...]:
+    """The set bits of a vertex bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def build_face_lattice(spec: PolytopeSpec) -> FaceLattice:
-    """Close the facet sets under intersection and rank by longest chains.
+    """All faces and covers, found top down over vertex bitmasks.
 
-    The dimension of a face is the length of the longest containment chain
-    strictly below it, minus one; NotGraded is raised when the resulting
-    ranks are inconsistent with a polytope of the declared dimension.
+    The sweep starts from the full vertex set.  The faces a face F covers
+    are the inclusion-maximal sets among F & H over the facets H not
+    containing F, or the empty face when every facet contains F (Kaibel
+    and Pfetsch, Comput. Geom. 2002); each face found is swept in turn, so
+    the intersection closure and the cover relation come out together.  A
+    face's rank is the length of the longest chain of covers strictly
+    below it, minus one.  NotGraded is raised when the full vertex set
+    does not get rank d, when a facet does not get rank d-1, or when a
+    cover spans more than one rank (the first in rank and then vertex
+    order).
     """
-    full = frozenset(range(spec.n))
-    facet_sets = spec.facet_sets()
-    faces: set[frozenset[int]] = {full, frozenset()}
-    faces.update(facet_sets)
-    frontier = list(facet_sets)
-    while frontier:
-        new: set[frozenset[int]] = set()
-        for f in frontier:
-            for g in facet_sets:
-                h = f & g
-                if h not in faces and h not in new:
-                    new.add(h)
-        faces.update(new)
-        frontier = list(new)
+    facet_masks = [sum(1 << v for v in f) for f in spec.facets]
+    full = (1 << spec.n) - 1
+    # A face's lower covers; a face waiting on the stack maps to [] until
+    # it is swept, and the empty face never is.
+    lower: dict[int, list[int]] = {full: []}
+    stack = [full]
+    while stack:
+        face = stack.pop()
+        meets = {face & h for h in facet_masks}
+        meets.discard(face)
+        covers: list[int] = []
+        # Largest first: a set is maximal iff no maximal set found so far holds it.
+        for m in sorted(meets, key=int.bit_count, reverse=True) or [0]:
+            if all(m & c != m for c in covers):
+                covers.append(m)
+        lower[face] = covers
+        for m in covers:
+            if m not in lower:
+                lower[m] = []
+                if m:
+                    stack.append(m)
 
-    by_size = sorted(faces, key=len)
-    rank_of: dict[frozenset[int], int] = {}
+    by_size = sorted(lower, key=int.bit_count)
+    rank: dict[int, int] = {}
     for f in by_size:
-        below = [rank_of[g] for g in rank_of if g < f]
-        rank_of[f] = max(below, default=-2) + 1 if f else -1
-    if rank_of[full] != spec.d:
+        rank[f] = max(map(rank.__getitem__, lower[f]), default=-2) + 1
+    if rank[full] != spec.d:
         raise NotGraded(
-            f"longest chain gives the full vertex set rank {rank_of[full]}, "
+            f"longest chain gives the full vertex set rank {rank[full]}, "
             f"expected {spec.d}"
         )
-    for f in facet_sets:
-        if rank_of[f] != spec.d - 1:
-            raise NotGraded(f"facet {tuple(sorted(f))} has rank {rank_of[f]}")
+    for f, m in zip(spec.facets, facet_masks):
+        if rank[m] != spec.d - 1:
+            raise NotGraded(f"facet {f} has rank {rank[m]}")
 
-    faces_by_rank: dict[int, tuple[frozenset[int], ...]] = {}
-    for r in range(-1, spec.d + 1):
-        layer = [f for f in faces if rank_of[f] == r]
-        faces_by_rank[r] = tuple(sorted(layer, key=lambda s: tuple(sorted(s))))
+    verts = {f: _vertices(f) for f in by_size}
+    upper: dict[int, list[int]] = {f: [] for f in by_size}
+    for f in by_size:
+        for g in lower[f]:
+            upper[g].append(f)
+    layers: dict[int, list[int]] = {r: [] for r in range(-1, spec.d + 1)}
+    for f in by_size:
+        layers[rank[f]].append(f)
+    for group in (*layers.values(), *upper.values(), *lower.values()):
+        group.sort(key=verts.__getitem__)
+    for layer in layers.values():
+        for f in layer:
+            for h in upper[f]:
+                if rank[h] != rank[f] + 1:
+                    raise NotGraded(
+                        f"{verts[h]} covers {verts[f]} but spans "
+                        f"ranks {rank[f]}..{rank[h]}"
+                    )
 
-    # Upper covers: the minimal faces strictly containing each face.  In a
-    # graded lattice every cover must span exactly one rank.
-    upper: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
-    lower: dict[frozenset[int], list[frozenset[int]]] = {f: [] for f in faces}
-    for f in faces:
-        ups: list[frozenset[int]] = []
-        for h in by_size:
-            if len(h) <= len(f) or not f < h:
-                continue
-            if not any(u < h for u in ups):
-                ups.append(h)
-        for h in ups:
-            if rank_of[h] != rank_of[f] + 1:
-                raise NotGraded(
-                    f"{tuple(sorted(h))} covers {tuple(sorted(f))} but spans "
-                    f"ranks {rank_of[f]}..{rank_of[h]}"
-                )
-            lower[h].append(f)
-        upper[f] = tuple(sorted(ups, key=lambda s: tuple(sorted(s))))
-    lower_t = {
-        f: tuple(sorted(ls, key=lambda s: tuple(sorted(s)))) for f, ls in lower.items()
-    }
-    return FaceLattice(spec.d, spec.n, faces_by_rank, rank_of, upper, lower_t)
+    sets = {f: frozenset(verts[f]) for f in by_size}
+
+    def faces(masks: list[int]) -> tuple[frozenset[int], ...]:
+        return tuple(map(sets.__getitem__, masks))
+
+    return FaceLattice(
+        spec.d,
+        spec.n,
+        {r: faces(layer) for r, layer in layers.items()},
+        {sets[f]: rank[f] for f in by_size},
+        {sets[f]: faces(upper[f]) for f in by_size},
+        {sets[f]: faces(lower[f]) for f in by_size},
+    )
 
 
 def k_skeleton(lattice: FaceLattice, k: int) -> KSkeleton:
@@ -296,23 +323,21 @@ def _check_graded(lattice: FaceLattice) -> CheckResult:
 
 
 def _check_diamond(lattice: FaceLattice) -> CheckResult:
-    # Count intermediates of every rank-2 interval through the middle face.
-    counts: dict[tuple[frozenset, frozenset], int] = {}
-    for g in lattice.rank_of:
-        for f in lattice.lower[g]:
-            for h in lattice.upper[g]:
-                counts[(f, h)] = counts.get((f, h), 0) + 1
+    # The lattice is graded (the build checks), so the faces two ranks above
+    # f are those two covers above it, and each path there passes one
+    # intermediate face.  Intervals are tried in rank and vertex order.
+    upper = lattice.upper
     for r in range(-1, lattice.d - 1):
         for f in lattice.faces_by_rank[r]:
-            for h in lattice.faces_by_rank[r + 2]:
-                if f < h:
-                    c = counts.get((f, h), 0)
-                    if c != 2:
-                        return CheckResult(
-                            "diamond",
-                            False,
-                            f"interval {sorted(f)}..{sorted(h)} has {c} intermediate faces",
-                        )
+            counts = Counter(h for g in upper[f] for h in upper[g])
+            bad = [h for h, c in counts.items() if c != 2]
+            if bad:
+                h = min(bad, key=sorted)
+                return CheckResult(
+                    "diamond",
+                    False,
+                    f"interval {sorted(f)}..{sorted(h)} has {counts[h]} intermediate faces",
+                )
     return CheckResult("diamond", True, "every rank-2 interval has exactly 2 intermediates")
 
 

@@ -5,7 +5,8 @@ so identical inputs always serialise byte-identically.  Lines starting
 with ``#`` are comments.
 
 incidence   ``d <dim>`` / ``vertices <n>`` / one ``facet v1 v2 ...`` per facet
-skeleton    ``d`` / ``vertices`` / ``edge u v`` lines / ``face<r> v1 ...`` lines
+skeleton    ``d`` / ``vertices`` / ``edge u v`` lines / ``face<r> v1 ...`` lines,
+            r in 2..d-1
 edge list   optional ``vertices <n>`` / ``edge u v`` lines
 """
 
@@ -95,6 +96,8 @@ def parse_skeleton(text: str) -> tuple[KSkeleton, int]:
         raise ValueError("missing d or vertices header")
     faces: dict[int, list[frozenset[int]]] = {}
     for r, parts in face_lines:
+        if not 2 <= r <= d - 1:
+            raise ValueError(f"face rank outside 2..{d - 1} in line: {' '.join(parts)}")
         vs = [int(v) for v in parts[1:]]
         if not vs:
             raise ValueError(f"too few fields in line: {' '.join(parts)}")

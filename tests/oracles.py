@@ -5,7 +5,8 @@ test: faces via Galois-closure of arbitrary subsets instead of pairwise
 intersection closure, acyclic-orientation counts via the chromatic
 polynomial, orientations via raw edge-direction enumeration, chordless
 cycles via full subset scan, connectivity via networkx, facet
-containment via a scan of all ordered pairs.
+containment via a scan of all ordered pairs, face lattices via pairwise
+intersection closure ranked by comparing every pair of faces.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from functools import lru_cache
 
 import networkx as nx
 
+from skelrecon.errors import NotGraded
 from skelrecon.graphs import Graph
+from skelrecon.lattice import FaceLattice
 
 
 def closed_sets(spec):
@@ -55,6 +58,78 @@ def facet_containment_error(facets):
                     return f"facet {canon[i]} contained in facet {canon[j]}"
                 return f"duplicate facet {canon[i]}"
     return None
+
+
+def _canon(s):
+    return tuple(sorted(s))
+
+
+def chain_ranked_lattice(spec):
+    """The face lattice by intersection closure and all-pairs comparison.
+
+    Closes the facet sets under pairwise intersection, ranks each face by
+    the longest containment chain below it over every smaller face, and
+    finds each face's upper covers among all larger faces.  Raises the
+    ``NotGraded`` errors ``build_face_lattice`` raises, in the same order;
+    covers are checked in rank and then vertex order.  Quadratic in the
+    face count.
+    """
+    full = frozenset(range(spec.n))
+    facet_sets = spec.facet_sets()
+    faces = {full, frozenset()}
+    faces.update(facet_sets)
+    frontier = list(facet_sets)
+    while frontier:
+        new = set()
+        for f in frontier:
+            for g in facet_sets:
+                h = f & g
+                if h not in faces and h not in new:
+                    new.add(h)
+        faces.update(new)
+        frontier = list(new)
+
+    by_size = sorted(faces, key=len)
+    rank_of = {}
+    for f in by_size:
+        below = [rank_of[g] for g in rank_of if g < f]
+        rank_of[f] = max(below, default=-2) + 1 if f else -1
+    if rank_of[full] != spec.d:
+        raise NotGraded(
+            f"longest chain gives the full vertex set rank {rank_of[full]}, "
+            f"expected {spec.d}"
+        )
+    for f in facet_sets:
+        if rank_of[f] != spec.d - 1:
+            raise NotGraded(f"facet {_canon(f)} has rank {rank_of[f]}")
+
+    faces_by_rank = {
+        r: tuple(sorted((f for f in faces if rank_of[f] == r), key=_canon))
+        for r in range(-1, spec.d + 1)
+    }
+    # Upper covers: the minimal faces strictly containing each face.
+    upper = {}
+    lower = {f: [] for f in faces}
+    for f in faces:
+        ups = []
+        for h in by_size:
+            if len(h) <= len(f) or not f < h:
+                continue
+            if not any(u < h for u in ups):
+                ups.append(h)
+        for h in ups:
+            lower[h].append(f)
+        upper[f] = tuple(sorted(ups, key=_canon))
+    for r in range(-1, spec.d + 1):
+        for f in faces_by_rank[r]:
+            for h in upper[f]:
+                if rank_of[h] != r + 1:
+                    raise NotGraded(
+                        f"{_canon(h)} covers {_canon(f)} but spans "
+                        f"ranks {r}..{rank_of[h]}"
+                    )
+    lower = {f: tuple(sorted(ls, key=_canon)) for f, ls in lower.items()}
+    return FaceLattice(spec.d, spec.n, faces_by_rank, rank_of, upper, lower)
 
 
 def chromatic_polynomial(g: Graph, x: int) -> int:

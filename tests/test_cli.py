@@ -170,6 +170,9 @@ def test_parse_error_exit_code(tmp_path, capsys):
         ("lattice", "d 3\nvertices 4\nd 4\nfacet 0 1 2\n", "d 4"),
         ("recon2", "d 3\nvertices 4\nvertices 5\nedge 0 1\n", "vertices 5"),
         ("recong", "vertices 4\nedge 0 1\nvertices 5\n", "vertices 5"),
+        ("recon2", "d 3\nvertices 4\nedge 0 1\nface7 0 1\n", "face7 0 1"),
+        ("recon2", "d 3\nvertices 4\nedge 0 1\nface1 0 1\n", "face1 0 1"),
+        ("recon2", "d 3\nvertices 4\nedge 0 1\nface-1 0 1\n", "face-1 0 1"),
     ],
 )
 def test_short_line_exit_code(tmp_path, capsys, command, text, line):
@@ -178,6 +181,16 @@ def test_short_line_exit_code(tmp_path, capsys, command, text, line):
     extra = ("--dim", "3") if command == "recong" else ()
     assert run_cli(command, str(bad), *extra) == 2
     assert f"line: {line}\n" in capsys.readouterr().err
+
+
+def test_gen_size_guard(tmp_path, capsys):
+    out = tmp_path / "big.poly"
+    assert run_cli("gen", "--family", "cube", "--dim", "30", "-o", str(out)) == 1
+    assert run_cli("gen", "--family", "prism", "--m", "32768", "--pyramid", "1") == 1
+    err = capsys.readouterr().err
+    assert "1073741824 vertices, above the cap of 65536" in err
+    assert "65537 vertices, above the cap of 65536" in err
+    assert not out.exists()
 
 
 def test_verify_small_range(capsys):
@@ -197,6 +210,16 @@ def test_bench_reports_csv_and_slope(capsys):
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "skelrecon.cli", "gen", "--family", "simplex", "--dim", "3"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert parse_spec(proc.stdout) == simplex(3)
+
+
+def test_python_dash_m_entry_point():
+    proc = subprocess.run(
+        [sys.executable, "-m", "skelrecon", "gen", "--family", "simplex", "--dim", "3"],
         capture_output=True,
         text=True,
     )

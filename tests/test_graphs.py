@@ -26,7 +26,7 @@ from skelrecon import (
 )
 from skelrecon.errors import TooLarge
 
-from conftest import PRISM_OVER_PYRAMID, lattice_of
+from conftest import PRISM_OVER_PYRAMID, fixture_corpus, lattice_of
 from oracles import (
     acyclic_orientation_count,
     brute_force_chordless_cycles,
@@ -223,12 +223,23 @@ def test_k_connected_examples():
 
 def test_k_connected_matches_networkx():
     rng = random.Random(3)
+    graphs = []
     for _ in range(20):
         n = rng.randint(4, 8)
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.55]
-        g = Graph(n, edges)
-        for k in range(1, 5):
-            assert k_connected(g, k) == nx_k_connected(g, k), (edges, k)
+        graphs.append(Graph(n, edges))
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        density = rng.choice((0.3, 0.55, 0.8, 0.95))
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+        graphs.append(Graph(n, edges))
+    # Complete graphs have no cut; n <= k graphs may still have one.
+    graphs += [complete_graph(n) for n in range(1, 9)]
+    graphs += [path_graph(3), cycle_graph(4), cycle_graph(5), Graph(2, []), Graph(1, [])]
+    graphs += [lattice_of(spec).graph() for spec in fixture_corpus().values()]
+    for g in graphs:
+        for k in range(0, 7):
+            assert k_connected(g, k) == nx_k_connected(g, k), (g.n, g.edges, k)
 
 
 def test_induced_cycles_k4():

@@ -22,7 +22,7 @@ from skelrecon import (
 from skelrecon.errors import DegreeBelowDimension, NotGraded, RankOutOfRange
 
 from conftest import fixture_corpus, lattice_of
-from oracles import closed_sets, facet_containment_error
+from oracles import chain_ranked_lattice, closed_sets, facet_containment_error
 
 
 def test_spec_canonicalisation():
@@ -86,7 +86,7 @@ def test_q2_4_has_7_facets():
     assert len(lat.faces_by_rank[3]) == 7
 
 
-@pytest.mark.parametrize("name", ["simplex3", "cube3", "pyr_cube3", "twofold_square"])
+@pytest.mark.parametrize("name", sorted(fixture_corpus()))
 def test_faces_match_closure_oracle(name):
     spec = fixture_corpus()[name]
     lat = build_face_lattice(spec)
@@ -95,12 +95,59 @@ def test_faces_match_closure_oracle(name):
     assert got == want
 
 
+def assert_same_lattice(got, want):
+    assert got.faces_by_rank == want.faces_by_rank
+    assert got.rank_of == want.rank_of
+    assert got.upper == want.upper
+    assert got.lower == want.lower
+
+
+def test_build_matches_chain_ranked_reference_on_fixtures():
+    for name, spec in fixture_corpus().items():
+        assert_same_lattice(build_face_lattice(spec), chain_ranked_lattice(spec))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_build_matches_chain_ranked_reference(data):
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    masks = data.draw(
+        st.lists(st.integers(min_value=1, max_value=(1 << n) - 1), max_size=10)
+    )
+    # Keep the inclusion-maximal sets, so that any draw is a valid spec.
+    facets = {
+        tuple(v for v in range(n) if m >> v & 1)
+        for m in masks
+        if not any(m != w and m & w == m for w in masks)
+    }
+    for d in range(2, 6):
+        spec = PolytopeSpec(d, n, facets)
+        try:
+            want = chain_ranked_lattice(spec)
+        except NotGraded as exc:
+            with pytest.raises(NotGraded) as info:
+                build_face_lattice(spec)
+            assert str(info.value) == str(exc)
+        else:
+            assert_same_lattice(build_face_lattice(spec), want)
+
+
 def test_not_graded_rejected():
     # Facet list of a square cycle declared 3-dimensional: the longest
     # chain tops out one rank short.
     square = PolytopeSpec(3, 4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     with pytest.raises(NotGraded):
         build_face_lattice(square)
+    # Here several covers span two ranks; the first in rank and then
+    # vertex order is the one reported.
+    skewed = PolytopeSpec(
+        4, 7, [(0, 2, 3, 6), (0, 2, 4, 5), (1, 2, 4, 5, 6), (1, 3, 4, 5), (2, 3, 4, 6)]
+    )
+    message = re.escape("(2, 3, 6) covers (3,) but spans ranks 0..2")
+    with pytest.raises(NotGraded, match=message):
+        build_face_lattice(skewed)
+    with pytest.raises(NotGraded, match=message):
+        chain_ranked_lattice(skewed)
 
 
 def test_cube3_skeleton_edges():
@@ -163,6 +210,15 @@ def test_validate_simplex4_all_pass():
 def test_validate_q2_6_all_pass():
     report = validate(build_face_lattice(q2(6).spec))
     assert report.ok
+
+
+def test_validate_cube6_all_pass():
+    start = time.perf_counter()
+    lat = build_face_lattice(cube(6))
+    report = validate(lat)
+    assert time.perf_counter() - start < 30.0
+    assert lat.f_vector == (64, 192, 240, 160, 60, 12)
+    assert [c.passed for c in report.checks] == [True] * 5
 
 
 def test_validate_broken_cube_fails_euler():
