@@ -6,24 +6,23 @@ orientations never mutate after construction.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import EmptyFamily, TooLarge
 
-#: Default cap for exhaustive orientation sweeps (override with force=True
-#: or the SKELRECON_MAX_N environment variable).
+#: Cap for exhaustive orientation sweeps (override with force=True).
 DEFAULT_ENUMERATION_BOUND = 12
 
-_BOUND_ENV = "SKELRECON_MAX_N"
 
-
-def enumeration_bound() -> int:
-    raw = os.environ.get(_BOUND_ENV)
-    if raw is None:
-        return DEFAULT_ENUMERATION_BOUND
-    return int(raw)
+def vertices_of(mask: int) -> tuple[int, ...]:
+    """The set bits of a vertex bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 class Graph:
@@ -124,9 +123,11 @@ class Orientation:
     result is acyclic by construction.  ``signature`` packs one direction
     bit per edge (in ``graph.edges`` order, set when the edge runs from the
     smaller to the larger endpoint) and identifies the orientation.
+    ``anc[x]`` is the bitmask of the vertices with a directed path to x,
+    x included, built in one pass over ``order``.
     """
 
-    __slots__ = ("graph", "order", "pos", "indegree", "signature")
+    __slots__ = ("graph", "order", "pos", "indegree", "signature", "anc")
 
     def __init__(self, graph: Graph, order: tuple[int, ...]):
         if sorted(order) != list(range(graph.n)):
@@ -135,18 +136,25 @@ class Orientation:
         for i, v in enumerate(order):
             pos[v] = i
         indeg = [0] * graph.n
+        anc = [0] * graph.n
+        for v in order:
+            pv = pos[v]
+            mask = 1 << v
+            for w in graph.adj[v]:
+                if pos[w] < pv:
+                    mask |= anc[w]
+                    indeg[v] += 1
+            anc[v] = mask
         sig = 0
         for i, (u, v) in enumerate(graph.edges):
             if pos[u] < pos[v]:
                 sig |= 1 << i
-                indeg[v] += 1
-            else:
-                indeg[u] += 1
         self.graph = graph
         self.order = tuple(order)
         self.pos = tuple(pos)
         self.indegree = tuple(indeg)
         self.signature = sig
+        self.anc = tuple(anc)
 
     def in_neighbors(self, v: int) -> list[int]:
         pv = self.pos[v]
@@ -189,11 +197,10 @@ def enumerate_acyclic_orientations(
     with ``first`` and ends with ``last``.  Raises TooLarge when the graph
     exceeds the enumeration bound and force is not set.
     """
-    limit = enumeration_bound()
-    if g.n > limit and not force:
+    if g.n > DEFAULT_ENUMERATION_BOUND and not force:
         raise TooLarge(
-            f"{g.n} vertices exceed the enumeration bound {limit}; "
-            f"pass force=True or set {_BOUND_ENV}"
+            f"{g.n} vertices exceed the enumeration bound "
+            f"{DEFAULT_ENUMERATION_BOUND}; pass force=True"
         )
     pinned = set(first) | set(last)
     if len(pinned) != len(first) + len(last):
@@ -277,18 +284,9 @@ def ancestors(o: Orientation, x: int) -> frozenset[int]:
     """All vertices with a directed path to x, including x.
 
     The result is an initial set of the orientation, and x is its unique
-    sink.
+    sink.  Decodes ``o.anc[x]``.
     """
-    seen = {x}
-    stack = [x]
-    while stack:
-        v = stack.pop()
-        pv = o.pos[v]
-        for w in o.graph.adj[v]:
-            if o.pos[w] < pv and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
+    return frozenset(vertices_of(o.anc[x]))
 
 
 def _disjoint_paths(g: Graph, s: int, t: int, k: int) -> int:

@@ -9,7 +9,6 @@ most a few dozen vertices, so no canonical-form machinery is needed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from .errors import DegreeBelowDimension, NotGraded, RankOutOfRange
-from .graphs import Graph, k_connected
+from .graphs import Graph, k_connected, vertices_of
 
 
 class PolytopeSpec:
@@ -139,16 +139,6 @@ class KSkeleton:
         return self.faces_by_dim.get(2, ())
 
 
-def _vertices(mask: int) -> tuple[int, ...]:
-    """The set bits of a vertex bitmask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 def build_face_lattice(spec: PolytopeSpec) -> FaceLattice:
     """All faces and covers, found top down over vertex bitmasks.
 
@@ -198,7 +188,7 @@ def build_face_lattice(spec: PolytopeSpec) -> FaceLattice:
         if rank[m] != spec.d - 1:
             raise NotGraded(f"facet {f} has rank {rank[m]}")
 
-    verts = {f: _vertices(f) for f in by_size}
+    verts = {f: vertices_of(f) for f in by_size}
     upper: dict[int, list[int]] = {f: [] for f in by_size}
     for f in by_size:
         for g in lower[f]:

@@ -9,9 +9,12 @@ Two nonsimple vertices u, v: partition the facets into the four families
 (containing u only, v only, neither, both) and recover them in that order
 by sweeping constrained acyclic-orientation families and harvesting, from
 each objective minimiser, the ancestor sets of simple vertices that form
-feasible subgraphs.  A second, independent route truncates the polytope at
-uv (or at u when uv is not an edge), reconstructs the simpler truncated
-polytope, and pulls its facets back.
+feasible subgraphs.  One harvest rule, over the ancestor bitmasks each
+orientation carries, serves every family, and the "neither" and "both"
+sweeps admit exactly the orientations whose harvest is nonempty.  A
+second, independent route truncates the polytope at uv (or at u when uv
+is not an edge), reconstructs the simpler truncated polytope, and pulls
+its facets back.
 
 Everything orientation-swept here is exponential by nature; the guard in
 :mod:`skelrecon.graphs` refuses graphs beyond the enumeration bound.
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .constructions import TruncationMap, pullback_facets, truncation_map
 from .errors import (
@@ -34,12 +37,12 @@ from .errors import (
 from .graphs import (
     Graph,
     Orientation,
-    ancestors,
     enumerate_acyclic_orientations,
     induced_cycles,
     is_feasible,
     min_two_face_score,
     objectives,
+    vertices_of,
 )
 from .lattice import KSkeleton, classify_vertices
 from . import recon2
@@ -229,16 +232,31 @@ def reconstruct_one_nonsimple(g: Graph, d: int) -> tuple[tuple[int, ...], ...]:
 # Orientation sweeps for the four facet families
 
 
-def _feasibility_cache(g: Graph, d: int, simple: frozenset[int]) -> Callable[[frozenset[int]], bool]:
-    cache: dict[frozenset[int], bool] = {}
+def _harvester(
+    g: Graph, d: int, simple: frozenset[int]
+) -> Callable[[Orientation, int, int], Iterator[int]]:
+    """The harvest rule of the family sweeps, with its feasibility cache.
 
-    def check(vertices: frozenset[int]) -> bool:
-        hit = cache.get(vertices)
-        if hit is None:
-            hit = cache[vertices] = is_feasible(g, vertices, d, simple)
-        return hit
+    ``harvest(o, need, avoid)`` yields, for the simple vertices in
+    ascending order, the ancestor masks under o that hold every vertex of
+    the mask ``need``, none of ``avoid``, and induce a feasible subgraph.
+    Feasibility is computed once per mask.
+    """
+    order = sorted(simple)
+    cache: dict[int, bool] = {}
 
-    return check
+    def harvest(o: Orientation, need: int, avoid: int) -> Iterator[int]:
+        for x in order:
+            anc = o.anc[x]
+            if anc & need != need or anc & avoid:
+                continue
+            ok = cache.get(anc)
+            if ok is None:
+                ok = cache[anc] = is_feasible(g, vertices_of(anc), d, simple)
+            if ok:
+                yield anc
+
+    return harvest
 
 
 def _sweep(
@@ -248,17 +266,18 @@ def _sweep(
     last: tuple[int, ...] = (),
     family: Optional[Callable[[Orientation], bool]] = None,
     objective: Callable[[Orientation], int],
-    collect: Callable[[Orientation], Iterable[frozenset[int]]],
+    collect: Callable[[Orientation], Iterable[int]],
     force: bool = False,
-) -> tuple[int, tuple[frozenset[int], ...]]:
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The objective minimum over an orientation family and the union of
     ``collect`` over its minimisers, in one pass.
 
-    Keeps a running minimum and the sets collected from orientations that
-    attain it; a new minimum discards what was collected so far.
+    Keeps a running minimum and the vertex masks collected from
+    orientations that attain it; a new minimum discards what was collected
+    so far.  The masks are returned decoded, as sorted vertex tuples.
     """
     best: Optional[int] = None
-    found: set[frozenset[int]] = set()
+    found: set[int] = set()
     for o in enumerate_acyclic_orientations(g, family, first=first, last=last, force=force):
         val = objective(o)
         if best is None or val < best:
@@ -268,7 +287,7 @@ def _sweep(
             found.update(collect(o))
     if best is None:
         raise EmptyFamily("no acyclic orientation satisfies the family constraints")
-    return best, tuple(sorted(found, key=lambda s: tuple(sorted(s))))
+    return best, tuple(sorted(vertices_of(m) for m in found))
 
 
 def find_facets_avoiding(
@@ -291,52 +310,29 @@ def find_facets_avoiding(
     initial; the minimum is the total facet count and the harvested
     feasible ancestor sets containing both are the shared facets.
     """
-    classes = classify_vertices(g, d)
-    simple = classes.simple
-    feasible = _feasibility_cache(g, d, simple)
-    simple_sorted = sorted(simple)
+    simple = classify_vertices(g, d).simple
+    harvest = _harvester(g, d, simple)
 
     if mode == "v_minus_u":
         u, v = v, u
         mode = "u_minus_v"
 
-    def harvested(o: Orientation, need: frozenset[int], avoid: frozenset[int]):
-        out = []
-        for x in simple_sorted:
-            anc = ancestors(o, x)
-            if need <= anc and not (avoid & anc) and feasible(anc):
-                out.append(anc)
-        return out
-
     if mode == "u_minus_v":
-        need, avoid = frozenset((u,)), frozenset((v,))
-        minimum, found = _sweep(
-            g,
-            first=(u,),
-            last=(v,),
-            objective=lambda o: objectives(o, d, simple).simple_sink_score,
-            collect=lambda o: harvested(o, need, avoid),
-            force=force,
-        )
+        first, last, need, avoid = (u,), (v,), 1 << u, 1 << v
     elif mode == "uv":
-        need, avoid = frozenset((u, v)), frozenset()
-
-        def in_family(o: Orientation) -> bool:
-            return any(
-                need <= anc and feasible(anc)
-                for anc in (ancestors(o, x) for x in simple_sorted)
-            )
-
-        minimum, found = _sweep(
-            g,
-            family=in_family,
-            objective=lambda o: objectives(o, d, simple).simple_sink_score,
-            collect=lambda o: harvested(o, need, avoid),
-            force=force,
-        )
+        first, last, need, avoid = (), (), 1 << u | 1 << v, 0
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return tuple(tuple(sorted(f)) for f in found), minimum
+    minimum, found = _sweep(
+        g,
+        first=first,
+        last=last,
+        family=(lambda o: any(harvest(o, need, avoid))) if mode == "uv" else None,
+        objective=lambda o: objectives(o, d, simple).simple_sink_score,
+        collect=lambda o: harvest(o, need, avoid),
+        force=force,
+    )
+    return found, minimum
 
 
 def count_sink_frames(
@@ -381,35 +377,23 @@ def find_facets_empty(
     """
     if expected == 0:
         return ()
-    classes = classify_vertices(g, d)
-    simple = classes.simple
-    feasible = _feasibility_cache(g, d, simple)
-    simple_sorted = sorted(simple)
+    simple = classify_vertices(g, d).simple
+    harvest = _harvester(g, d, simple)
     u_facets = [f for f in known if u in f and v not in f]
-    both = frozenset((u, v))
-
-    def in_family(o: Orientation) -> bool:
-        return any(
-            not (both & anc) and feasible(anc)
-            for anc in (ancestors(o, x) for x in simple_sorted)
-        )
+    both = 1 << u | 1 << v
 
     def objective(o: Orientation) -> int:
         score = objectives(o, d, simple).simple_sink_score
         return score + count_sink_frames(g, d, u, u_facets, o)
 
-    def collect(o: Orientation):
-        out = []
-        for x in simple_sorted:
-            anc = ancestors(o, x)
-            if not (both & anc) and feasible(anc):
-                out.append(anc)
-        return out
-
-    _, found = _sweep(
-        g, last=(v,), family=in_family, objective=objective, collect=collect, force=force
+    _, out = _sweep(
+        g,
+        last=(v,),
+        family=lambda o: any(harvest(o, 0, both)),
+        objective=objective,
+        collect=lambda o: harvest(o, 0, both),
+        force=force,
     )
-    out = tuple(tuple(sorted(f)) for f in found)
     if len(out) != expected:
         raise InconsistentCounts(
             f"found {len(out)} facets avoiding both, expected {expected}"
@@ -551,18 +535,15 @@ def _uv_two_faces(g: Graph, d: int, u: int, v: int, *, force: bool = False):
     respect to some orientation minimising the kalai score in which u is a
     source and v has indegree 1 (its one in-edge coming along the cycle).
     """
-    cycles = [c for c in induced_cycles(g) if u in c and v in c]
+    cycles = [(c, sum(1 << x for x in c)) for c in induced_cycles(g) if u in c and v in c]
     if not cycles:
         return []
 
-    def initial_cycles(o: Orientation):
+    def initial_cycles(o: Orientation) -> list[int]:
         if o.indegree[v] != 1:
             return []
-        out = []
-        for c in cycles:
-            if all(o.pos[w] > o.pos[x] for x in c for w in g.adj[x] if w not in c):
-                out.append(c)
-        return out
+        # Initial: the members' ancestor masks add up to the cycle's own.
+        return [m for c, m in cycles if all(o.anc[x] | m == m for x in c)]
 
     _, found = _sweep(
         g,
@@ -571,7 +552,7 @@ def _uv_two_faces(g: Graph, d: int, u: int, v: int, *, force: bool = False):
         collect=initial_cycles,
         force=force,
     )
-    return list(found)
+    return [frozenset(c) for c in found]
 
 
 def _truncated_graph(g: Graph, face: tuple[int, ...], two_faces) -> tuple[Graph, TruncationMap]:

@@ -33,11 +33,19 @@ def _content_lines(text: str) -> list[list[str]]:
     return out
 
 
+def _int(field: str, parts: list[str]) -> int:
+    """One integer field of a line; the error names the line."""
+    try:
+        return int(field)
+    except ValueError:
+        raise ValueError(f"non-integer field in line: {' '.join(parts)}") from None
+
+
 def _header(seen: int | None, parts: list[str]) -> int:
     """The value of a ``d`` or ``vertices`` line, which may appear once."""
     if seen is not None:
         raise ValueError(f"repeated header in line: {' '.join(parts)}")
-    return int(parts[1])
+    return _int(parts[1], parts)
 
 
 def format_spec(spec: PolytopeSpec) -> str:
@@ -57,7 +65,7 @@ def parse_spec(text: str) -> PolytopeSpec:
         elif key == "vertices":
             n = _header(n, parts)
         elif key == "facet":
-            facets.append([int(v) for v in parts[1:]])
+            facets.append([_int(v, parts) for v in parts[1:]])
         else:
             raise ValueError(f"unexpected line: {' '.join(parts)}")
     if d is None or n is None:
@@ -87,9 +95,9 @@ def parse_skeleton(text: str) -> tuple[KSkeleton, int]:
         elif key == "vertices":
             n = _header(n, parts)
         elif key == "edge":
-            edges.append((int(parts[1]), int(parts[2])))
+            edges.append((_int(parts[1], parts), _int(parts[2], parts)))
         elif key.startswith("face"):
-            face_lines.append((int(key[4:]), parts))
+            face_lines.append((_int(key[4:], parts), parts))
         else:
             raise ValueError(f"unexpected line: {' '.join(parts)}")
     if d is None or n is None:
@@ -98,7 +106,7 @@ def parse_skeleton(text: str) -> tuple[KSkeleton, int]:
     for r, parts in face_lines:
         if not 2 <= r <= d - 1:
             raise ValueError(f"face rank outside 2..{d - 1} in line: {' '.join(parts)}")
-        vs = [int(v) for v in parts[1:]]
+        vs = [_int(v, parts) for v in parts[1:]]
         if not vs:
             raise ValueError(f"too few fields in line: {' '.join(parts)}")
         if min(vs) < 0 or max(vs) >= n:
@@ -126,7 +134,7 @@ def parse_edge_list(text: str) -> Graph:
         if key == "vertices":
             n = _header(n, parts)
         elif key == "edge":
-            edges.append((int(parts[1]), int(parts[2])))
+            edges.append((_int(parts[1], parts), _int(parts[2], parts)))
         else:
             raise ValueError(f"unexpected line: {' '.join(parts)}")
     if n is None:

@@ -6,7 +6,8 @@ intersection closure, acyclic-orientation counts via the chromatic
 polynomial, orientations via raw edge-direction enumeration, chordless
 cycles via full subset scan, connectivity via networkx, facet
 containment via a scan of all ordered pairs, face lattices via pairwise
-intersection closure ranked by comparing every pair of faces.
+intersection closure ranked by comparing every pair of faces, ancestor
+sets via a walk against the arcs instead of bitmasks kept per orientation.
 """
 
 from __future__ import annotations
@@ -184,6 +185,23 @@ def brute_force_orientations(g: Graph):
         if seen == g.n:
             out.append(dirs)
     return out
+
+
+def reference_ancestors(o, x: int) -> frozenset[int]:
+    """All vertices with a directed path to x under o, including x.
+
+    Walks the in-arcs of the orientation from x with a set-based search.
+    """
+    seen = {x}
+    stack = [x]
+    while stack:
+        v = stack.pop()
+        pv = o.pos[v]
+        for w in o.graph.adj[v]:
+            if o.pos[w] < pv and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return frozenset(seen)
 
 
 def brute_force_chordless_cycles(g: Graph):

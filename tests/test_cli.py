@@ -173,6 +173,11 @@ def test_parse_error_exit_code(tmp_path, capsys):
         ("recon2", "d 3\nvertices 4\nedge 0 1\nface7 0 1\n", "face7 0 1"),
         ("recon2", "d 3\nvertices 4\nedge 0 1\nface1 0 1\n", "face1 0 1"),
         ("recon2", "d 3\nvertices 4\nedge 0 1\nface-1 0 1\n", "face-1 0 1"),
+        ("recon2", "d 3\nvertices 4\nedge 0 1\nfaceX 0 1\n", "faceX 0 1"),
+        ("recon2", "d 3\nvertices 4\nedge 0 1\nface2 0 a\n", "face2 0 a"),
+        ("lattice", "d 3\nvertices 4\nfacet 0 1 b\n", "facet 0 1 b"),
+        ("recong", "vertices 4\nedge 0 x\n", "edge 0 x"),
+        ("lattice", "d three\nvertices 4\nfacet 0 1 2\n", "d three"),
     ],
 )
 def test_short_line_exit_code(tmp_path, capsys, command, text, line):

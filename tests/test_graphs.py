@@ -32,6 +32,7 @@ from oracles import (
     brute_force_chordless_cycles,
     brute_force_orientations,
     nx_k_connected,
+    reference_ancestors,
 )
 
 
@@ -167,15 +168,26 @@ def test_ancestors_of_source_and_sink():
 
 def test_ancestors_form_initial_sets():
     rng = random.Random(7)
+    orientations = []
     for _ in range(25):
         n = rng.randint(3, 7)
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6]
         g = Graph(n, edges)
         order = list(range(n))
         rng.shuffle(order)
-        o = Orientation(g, tuple(order))
-        for x in range(n):
+        orientations.append(Orientation(g, tuple(order)))
+    # Enumerated orientations, unpinned and with first/last pins.
+    for _ in range(12):
+        n = rng.randint(3, 8)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+        g = Graph(n, edges)
+        ends = rng.sample(range(n), 3)
+        for first, last in [((), ()), ((ends[0],), (ends[1],)), (tuple(ends[:2]), (ends[2],))]:
+            orientations += enumerate_acyclic_orientations(g, first=first, last=last)
+    for o in orientations:
+        for x in range(o.graph.n):
             anc = ancestors(o, x)
+            assert anc == reference_ancestors(o, x)
             for v in anc:
                 for w in o.in_neighbors(v):
                     assert w in anc  # no edge enters an ancestor set

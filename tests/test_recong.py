@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -14,6 +15,7 @@ from skelrecon import (
     facet_families,
     find_facets_avoiding,
     find_facets_empty,
+    is_feasible,
     max_two_system,
     min_two_face_score,
     multifold_pyramid,
@@ -26,9 +28,12 @@ from skelrecon import (
     reconstruct_two_nonsimple_via_truncation,
     simplex,
 )
+from skelrecon import recong
 from skelrecon.errors import CertificateMismatch, NoCoverFound, TooLarge
+from skelrecon.graphs import vertices_of
 
 from conftest import PRISM_OVER_PYRAMID, SKEW_SOLID, SPLIT_CUBE, fixture_corpus, lattice_of
+from oracles import reference_ancestors
 
 
 def two_faces_of(lat):
@@ -157,6 +162,34 @@ def test_find_facets_empty_recovers_avoiding_facet():
     assert got == ((0, 1, 2, 3, 5, 6, 7, 8),)
 
 
+def test_harvest_rule_matches_reference():
+    # Unpinned orientations: no pin keeps u or v out of an ancestor set,
+    # so the need and avoid tests do all the filtering.
+    g = build_face_lattice(PRISM_OVER_PYRAMID).graph()
+    simple = classify_vertices(g, 4).simple
+    harvest = recong._harvester(g, 4, simple)
+    rules = [({4}, {9}), ({9}, {4}), ({4, 9}, set()), (set(), {4, 9})]
+    feasible = {}
+    rng = random.Random(2)
+    for _ in range(300):
+        order = list(range(g.n))
+        rng.shuffle(order)
+        o = Orientation(g, tuple(order))
+        for need, avoid in rules:
+            want = set()
+            for x in simple:
+                anc = reference_ancestors(o, x)
+                if need <= anc and not anc & avoid:
+                    if anc not in feasible:
+                        feasible[anc] = is_feasible(g, anc, 4, simple)
+                    if feasible[anc]:
+                        want.add(anc)
+            need_mask = sum(1 << w for w in need)
+            avoid_mask = sum(1 << w for w in avoid)
+            got = {frozenset(vertices_of(m)) for m in harvest(o, need_mask, avoid_mask)}
+            assert got == want
+
+
 def test_count_sink_frames_definition():
     # the simplex facet {0,1,4,5} gives apex 4 exactly d-1 = 3 inside
     # edges (a valid frame); it counts exactly when all three point at 4
@@ -218,13 +251,20 @@ def test_claims_route_requires_d4():
         facet_families(g, 3)
 
 
-def test_two_nonsimple_guards():
+def test_two_nonsimple_guards(monkeypatch):
     g = lattice_of(q1(4).spec).graph()  # three nonsimple vertices
     with pytest.raises(ValueError):
         reconstruct_two_nonsimple(g, 4)
     big = Graph(14, [(i, j) for i in range(14) for j in range(i + 1, 14)])
     with pytest.raises(TooLarge):
         find_facets_avoiding(big, 13, 0, 1, "uv")
+    # force=True is the only override; the environment does not lift the
+    # bound.  An edgeless graph keeps the sweep short if it ever runs.
+    monkeypatch.setenv("SKELRECON_MAX_N", "20")
+    edgeless = Graph(14, [])
+    with pytest.raises(TooLarge, match="14 vertices exceed the enumeration bound 12"):
+        next(enumerate_acyclic_orientations(edgeless))
+    assert next(enumerate_acyclic_orientations(edgeless, force=True)).order == tuple(range(14))
 
 
 # -- the truncation route ------------------------------------------------------
