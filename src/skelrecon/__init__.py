@@ -31,7 +31,6 @@ from .graphs import (
     enumerate_acyclic_orientations,
     induced_cycles,
     is_feasible,
-    is_good,
     k_connected,
     min_two_face_score,
     objectives,

@@ -212,8 +212,7 @@ def cmd_iso(args) -> int:
     if args.rank == "lattice":
         result = isomorphic(la, lb)
     else:
-        k = int(args.rank)
-        result = isomorphic(k_skeleton(la, k), k_skeleton(lb, k))
+        result = isomorphic(k_skeleton(la, args.rank), k_skeleton(lb, args.rank))
     if result.isomorphic:
         sys.stdout.write(
             "isomorphic\nwitness " + " ".join(map(str, result.witness)) + "\n"
@@ -223,16 +222,8 @@ def cmd_iso(args) -> int:
     return 1
 
 
-def _parse_dims(raw: str) -> list[int]:
-    if ".." in raw:
-        lo, hi = raw.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in raw.split(",")]
-
-
 def cmd_verify(args) -> int:
     """Desk-scale verification of the combinatorial claims."""
-    dims = _parse_dims(args.dims)
     failures = 0
 
     def check(name: str, ok: bool):
@@ -241,7 +232,7 @@ def cmd_verify(args) -> int:
         if not ok:
             failures += 1
 
-    for d in dims:
+    for d in args.dims:
         c1, c2 = cons.q1(d), cons.q2(d)
         l1, l2 = build_face_lattice(c1.spec), build_face_lattice(c2.spec)
         n1 = classify_vertices(l1).nonsimple
@@ -319,7 +310,7 @@ def cmd_verify(args) -> int:
         and validate(build_face_lattice(trunc)).ok,
     )
     if args.with_bench:
-        rc = cmd_bench(argparse.Namespace(sizes="1024,2048,4096", repeats=3))
+        rc = cmd_bench(argparse.Namespace(sizes=[1024, 2048, 4096], repeats=3))
         failures += rc
     sys.stdout.write(f"{'OK' if failures == 0 else f'{failures} FAILURES'}\n")
     return 0 if failures == 0 else 1
@@ -327,7 +318,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     """Prism scaling study; reports medians, ratios, and a log-log slope."""
-    sizes = [int(s) for s in args.sizes.split(",")]
+    sizes = args.sizes
     medians = []
     sys.stdout.write("m,median_seconds\n")
     for m in sizes:
@@ -356,6 +347,36 @@ def cmd_bench(args) -> int:
         slope = statistics.mean(math.log2(r) for r in ratios)
         sys.stdout.write(f"# log-log slope estimate: {slope:.3f}\n")
     return 0
+
+
+# Option types: argparse names the option of a rejected value and exits 2.
+def _int(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {raw!r}") from None
+
+
+def _int_list(raw: str) -> list[int]:
+    return [_int(x) for x in raw.split(",")]
+
+
+def _dims(raw: str) -> list[int]:
+    lo, dots, hi = raw.partition("..")
+    dims = list(range(_int(lo), _int(hi) + 1)) if dots else _int_list(raw)
+    if not dims:
+        raise argparse.ArgumentTypeError(f"empty range: {raw!r}")
+    return dims
+
+
+def _positive_int(raw: str) -> int:
+    if _int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"not positive: {raw!r}")
+    return int(raw)
+
+
+def _skeleton_rank(raw: str) -> int | str:
+    return raw if raw == "lattice" else _int(raw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,17 +423,18 @@ def build_parser() -> argparse.ArgumentParser:
     i = sub.add_parser("iso", help="compare two incidence files")
     i.add_argument("a")
     i.add_argument("b")
-    i.add_argument("--rank", required=True, help="skeleton rank, or 'lattice'")
+    i.add_argument("--rank", type=_skeleton_rank, required=True,
+                   help="skeleton rank, or 'lattice'")
     i.set_defaults(fn=cmd_iso)
 
     v = sub.add_parser("verify", help="run the claim suite for a dimension range")
-    v.add_argument("--dims", default="4..6", help="e.g. 4..6 or 4,5")
+    v.add_argument("--dims", type=_dims, default="4..6", help="e.g. 4..6 or 4,5")
     v.add_argument("--with-bench", action="store_true")
     v.set_defaults(fn=cmd_verify)
 
     b = sub.add_parser("bench", help="prism scaling study")
-    b.add_argument("--sizes", default="1024,2048,4096,8192,16384")
-    b.add_argument("--repeats", type=int, default=5)
+    b.add_argument("--sizes", type=_int_list, default="1024,2048,4096,8192,16384")
+    b.add_argument("--repeats", type=_positive_int, default=5)
     b.set_defaults(fn=cmd_bench)
     return p
 

@@ -1,5 +1,6 @@
 """Undirected graphs, acyclic orientations, frames, and orientation objectives.
 
+An acyclic orientation is its ancestor bitmasks, one per vertex.
 Everything here is a pure function over immutable values; graphs and
 orientations never mutate after construction.
 """
@@ -52,9 +53,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
@@ -117,65 +115,21 @@ class Frame:
 
 
 class Orientation:
-    """Acyclic orientation of a graph induced by a total vertex order.
+    """Acyclic orientation of a graph, held as its ancestor bitmasks.
 
-    Every edge is directed from the earlier vertex to the later one, so the
-    result is acyclic by construction.  ``signature`` packs one direction
-    bit per edge (in ``graph.edges`` order, set when the edge runs from the
-    smaller to the larger endpoint) and identifies the orientation.
     ``anc[x]`` is the bitmask of the vertices with a directed path to x,
-    x included, built in one pass over ``order``.
+    x included.  An edge vw runs v -> w exactly when v is in ``anc[w]``,
+    so ``indegree[v]`` counts the neighbours of v inside ``anc[v]``.
     """
 
-    __slots__ = ("graph", "order", "pos", "indegree", "signature", "anc")
+    __slots__ = ("graph", "anc", "indegree")
 
-    def __init__(self, graph: Graph, order: tuple[int, ...]):
-        if sorted(order) != list(range(graph.n)):
-            raise ValueError("order must be a permutation of the vertices")
-        pos = [0] * graph.n
-        for i, v in enumerate(order):
-            pos[v] = i
-        indeg = [0] * graph.n
-        anc = [0] * graph.n
-        for v in order:
-            pv = pos[v]
-            mask = 1 << v
-            for w in graph.adj[v]:
-                if pos[w] < pv:
-                    mask |= anc[w]
-                    indeg[v] += 1
-            anc[v] = mask
-        sig = 0
-        for i, (u, v) in enumerate(graph.edges):
-            if pos[u] < pos[v]:
-                sig |= 1 << i
+    def __init__(self, graph: Graph, anc: Iterable[int]):
         self.graph = graph
-        self.order = tuple(order)
-        self.pos = tuple(pos)
-        self.indegree = tuple(indeg)
-        self.signature = sig
         self.anc = tuple(anc)
-
-    def in_neighbors(self, v: int) -> list[int]:
-        pv = self.pos[v]
-        return [w for w in self.graph.adj[v] if self.pos[w] < pv]
-
-    def out_neighbors(self, v: int) -> list[int]:
-        pv = self.pos[v]
-        return [w for w in self.graph.adj[v] if self.pos[w] > pv]
-
-    def sinks_in(self, vertices: Iterable[int]) -> list[int]:
-        """Sinks of the subgraph induced by the given vertex set."""
-        vset = set(vertices)
-        out = []
-        for v in vset:
-            pv = self.pos[v]
-            if not any(self.pos[w] > pv for w in self.graph.adj[v] if w in vset):
-                out.append(v)
-        return sorted(out)
-
-    def __repr__(self) -> str:
-        return f"Orientation(order={self.order})"
+        self.indegree = tuple(
+            (a & m).bit_count() for a, m in zip(self.anc, graph.masks)
+        )
 
 
 def enumerate_acyclic_orientations(
@@ -188,14 +142,15 @@ def enumerate_acyclic_orientations(
 ) -> Iterator[Orientation]:
     """Yield every acyclic orientation of g exactly once.
 
-    Directs the edges in ``g.edges`` order, trying a direction only when it
-    closes no cycle by the descendant bitmasks kept per vertex; a partial
-    acyclic orientation always extends, so every branch ends in a distinct
-    leaf.  ``first``/``last`` fix each edge with a pinned end by rank (the
-    ``first`` vertices in order, all others, the ``last`` vertices in
-    order), leaving the orientations with a topological order that starts
-    with ``first`` and ends with ``last``.  Raises TooLarge when the graph
-    exceeds the enumeration bound and force is not set.
+    Directs the edges in ``g.edges`` order, keeping the ancestor bitmask of
+    every vertex, and tries the direction v -> u only when u is not already
+    an ancestor of v, so it closes no cycle; a partial acyclic orientation
+    always extends, so every branch ends in a distinct leaf, whose masks
+    are the orientation.  ``first``/``last`` fix each edge with a pinned
+    end by rank (the ``first`` vertices in order, all others, the ``last``
+    vertices in order), leaving the orientations with a topological order
+    that starts with ``first`` and ends with ``last``.  Raises TooLarge
+    when the graph exceeds the enumeration bound and force is not set.
     """
     if g.n > DEFAULT_ENUMERATION_BOUND and not force:
         raise TooLarge(
@@ -210,34 +165,32 @@ def enumerate_acyclic_orientations(
     rank.update((v, i) for i, v in enumerate(first))
     rank.update((v, n + i) for i, v in enumerate(last))
 
-    def directed(desc: list[int], a: int, b: int) -> list[int]:
-        # Add the arc a -> b: everything reaching a now reaches b's descendants.
-        reach = desc[b]
-        return [m | reach if m >> a & 1 else m for m in desc]
+    def directed(anc: list[int], a: int, b: int) -> list[int]:
+        # Add the arc a -> b: everything b reaches is now reached by a's ancestors.
+        reach = anc[a]
+        return [m | reach if m >> b & 1 else m for m in anc]
 
-    desc = [1 << v for v in range(n)]
+    anc = [1 << v for v in range(n)]
     free = []
     for u, v in g.edges:
         if u in pinned or v in pinned:
-            desc = directed(desc, u, v) if rank[u] < rank[v] else directed(desc, v, u)
+            anc = directed(anc, u, v) if rank[u] < rank[v] else directed(anc, v, u)
         else:
             free.append((u, v))
-    stack = [(0, desc)]
+    stack = [(0, anc)]
     while stack:
-        i, desc = stack.pop()
+        i, anc = stack.pop()
         if i == len(free):
-            # More descendants means earlier in some topological order.
-            order = sorted(range(n), key=[m.bit_count() for m in desc].__getitem__, reverse=True)
-            o = Orientation(g, tuple(order))
+            o = Orientation(g, anc)
             if predicate is None or predicate(o):
                 yield o
             continue
         u, v = free[i]
         # Push v -> u first so u -> v is explored first.
-        if not desc[u] >> v & 1:
-            stack.append((i + 1, directed(desc, v, u)))
-        if not desc[v] >> u & 1:
-            stack.append((i + 1, directed(desc, u, v)))
+        if not anc[v] >> u & 1:
+            stack.append((i + 1, directed(anc, v, u)))
+        if not anc[u] >> v & 1:
+            stack.append((i + 1, directed(anc, u, v)))
 
 
 @dataclass(frozen=True)
@@ -270,14 +223,6 @@ def objectives(o: Orientation, d: int, simple: Iterable[int]) -> OrientationScor
         elif k == d:
             sink += d
     return OrientationScores(two_face, kalai, sink)
-
-
-def is_good(o: Orientation, facets: Iterable[Iterable[int]]) -> bool:
-    """True iff every facet-induced subgraph has exactly one sink."""
-    for f in facets:
-        if len(o.sinks_in(f)) != 1:
-            return False
-    return True
 
 
 def ancestors(o: Orientation, x: int) -> frozenset[int]:

@@ -343,15 +343,14 @@ def count_sink_frames(
     A facet contributes a valid frame at u when u has exactly d-1 neighbors
     inside it; it is counted when all of those edges point at u.
     """
-    pos = o.pos
-    pu = pos[u]
+    anc_u = o.anc[u]
     count = 0
     for f in facets:
         fset = set(f)
         inside = [w for w in g.adj[u] if w in fset]
         if len(inside) != d - 1:
             continue
-        if all(pos[w] < pu for w in inside):
+        if all(anc_u >> w & 1 for w in inside):
             count += 1
     return count
 

@@ -7,7 +7,10 @@ polynomial, orientations via raw edge-direction enumeration, chordless
 cycles via full subset scan, connectivity via networkx, facet
 containment via a scan of all ordered pairs, face lattices via pairwise
 intersection closure ranked by comparing every pair of faces, ancestor
-sets via a walk against the arcs instead of bitmasks kept per orientation.
+sets via a walk along the one-step arcs instead of the transitive masks.
+The test-only orientation helpers live here too: ``orientation_from_order``
+(masks by walking an order's arcs, not the enumerator), ``edge_directions``,
+``sinks_in`` and ``is_good``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import lru_cache
 import networkx as nx
 
 from skelrecon.errors import NotGraded
-from skelrecon.graphs import Graph
+from skelrecon.graphs import Graph, Orientation
 from skelrecon.lattice import FaceLattice
 
 
@@ -76,7 +79,7 @@ def chain_ranked_lattice(spec):
     face count.
     """
     full = frozenset(range(spec.n))
-    facet_sets = spec.facet_sets()
+    facet_sets = [frozenset(f) for f in spec.facets]
     faces = {full, frozenset()}
     faces.update(facet_sets)
     frontier = list(facet_sets)
@@ -187,18 +190,51 @@ def brute_force_orientations(g: Graph):
     return out
 
 
+def orientation_from_order(g: Graph, order) -> Orientation:
+    """Every edge directed from its earlier end in order, built by walking
+    the order's arcs instead of by the enumerator."""
+    if sorted(order) != list(range(g.n)):
+        raise ValueError("order must be a permutation of the vertices")
+    pos = {v: i for i, v in enumerate(order)}
+    anc = [1 << v for v in range(g.n)]
+    for v in order:
+        for w in g.adj[v]:
+            if pos[w] < pos[v]:
+                anc[v] |= anc[w]
+    return Orientation(g, anc)
+
+
+def edge_directions(o) -> tuple[bool, ...]:
+    """o as the edge-direction tuple of ``brute_force_orientations``."""
+    return tuple(bool(o.anc[v] >> u & 1) for u, v in o.graph.edges)
+
+
+def sinks_in(o, vertices) -> list[int]:
+    """Sinks of the subgraph induced by the given vertex set, ascending."""
+    vset = set(vertices)
+    return sorted(
+        v for v in vset
+        if not any(o.anc[w] >> v & 1 for w in o.graph.adj[v] if w in vset)
+    )
+
+
+def is_good(o, facets) -> bool:
+    """True iff every facet-induced subgraph has exactly one sink."""
+    return all(len(sinks_in(o, f)) == 1 for f in facets)
+
+
 def reference_ancestors(o, x: int) -> frozenset[int]:
     """All vertices with a directed path to x under o, including x.
 
-    Walks the in-arcs of the orientation from x with a set-based search.
+    Walks back from x along the one-step arcs read off the orientation
+    (w -> v when w is in ``o.anc[v]``) with a set-based search.
     """
     seen = {x}
     stack = [x]
     while stack:
         v = stack.pop()
-        pv = o.pos[v]
         for w in o.graph.adj[v]:
-            if o.pos[w] < pv and w not in seen:
+            if o.anc[v] >> w & 1 and w not in seen:
                 seen.add(w)
                 stack.append(w)
     return frozenset(seen)

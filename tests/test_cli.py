@@ -188,6 +188,29 @@ def test_short_line_exit_code(tmp_path, capsys, command, text, line):
     assert f"line: {line}\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("iso", "{poly}", "{poly}", "--rank", "x"), "--rank"),
+        (("verify", "--dims", "x"), "--dims"),
+        (("verify", "--dims", "5..4"), "--dims"),
+        (("bench", "--sizes", "64,x"), "--sizes"),
+        (("bench", "--repeats", "0"), "--repeats"),
+    ],
+    ids=["iso-rank", "verify-dims", "verify-empty-range", "bench-sizes", "bench-repeats"],
+)
+def test_bad_option_value_exit_code(tmp_path, capsys, argv, option):
+    poly = tmp_path / "simplex.poly"
+    poly.write_text(format_spec(simplex(3)))
+    argv = [str(poly) if a == "{poly}" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert f"argument {option}: " in err
+    assert "OK" not in out
+
+
 def test_gen_size_guard(tmp_path, capsys):
     out = tmp_path / "big.poly"
     assert run_cli("gen", "--family", "cube", "--dim", "30", "-o", str(out)) == 1

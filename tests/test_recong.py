@@ -2,10 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skelrecon import (
     Graph,
-    Orientation,
     build_face_lattice,
     classify_vertices,
     count_sink_frames,
@@ -33,7 +34,7 @@ from skelrecon.errors import CertificateMismatch, NoCoverFound, TooLarge
 from skelrecon.graphs import vertices_of
 
 from conftest import PRISM_OVER_PYRAMID, SKEW_SOLID, SPLIT_CUBE, fixture_corpus, lattice_of
-from oracles import reference_ancestors
+from oracles import orientation_from_order, reference_ancestors
 
 
 def two_faces_of(lat):
@@ -174,7 +175,7 @@ def test_harvest_rule_matches_reference():
     for _ in range(300):
         order = list(range(g.n))
         rng.shuffle(order)
-        o = Orientation(g, tuple(order))
+        o = orientation_from_order(g, order)
         for need, avoid in rules:
             want = set()
             for x in simple:
@@ -195,9 +196,9 @@ def test_count_sink_frames_definition():
     # edges (a valid frame); it counts exactly when all three point at 4
     _, g = square_pyramid_2fold()
     facet = (0, 1, 4, 5)
-    into = Orientation(g, (0, 1, 2, 3, 5, 4))
+    into = orientation_from_order(g, (0, 1, 2, 3, 5, 4))
     assert count_sink_frames(g, 4, 4, [facet], into) == 1
-    outof = Orientation(g, (4, 0, 1, 2, 3, 5))
+    outof = orientation_from_order(g, (4, 0, 1, 2, 3, 5))
     assert count_sink_frames(g, 4, 4, [facet], outof) == 0
     # the square-pyramid facet {0,1,2,3,4} gives apex 4 four inside edges,
     # so it contributes no valid frame and is never counted
@@ -264,7 +265,8 @@ def test_two_nonsimple_guards(monkeypatch):
     edgeless = Graph(14, [])
     with pytest.raises(TooLarge, match="14 vertices exceed the enumeration bound 12"):
         next(enumerate_acyclic_orientations(edgeless))
-    assert next(enumerate_acyclic_orientations(edgeless, force=True)).order == tuple(range(14))
+    o = next(enumerate_acyclic_orientations(edgeless, force=True))
+    assert o.anc == tuple(1 << v for v in range(14))
 
 
 # -- the truncation route ------------------------------------------------------
@@ -326,6 +328,33 @@ def test_truncation_route_nonadjacent_pair_repairs_missing_edge():
     assert len(shared_2faces) == 1  # so exactly one edge needs repair
     got = reconstruct_two_nonsimple_via_truncation(g, 3)
     assert got == lat.facets
+
+
+# Both two-nonsimple routes, each on the inputs it handles quickly.
+_RELABEL_CASES = (
+    ("claims", multifold_pyramid(cube(2), 2), 4),
+    ("truncation", SPLIT_CUBE, 3),
+    ("truncation", SKEW_SOLID, 3),
+)
+
+
+def _two_nonsimple_route(method, g, d):
+    if method == "claims":
+        return facet_families(g, d).all_facets
+    return reconstruct_two_nonsimple_via_truncation(g, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_two_nonsimple_routes_commute_with_relabeling(data):
+    method, spec, d = data.draw(st.sampled_from(_RELABEL_CASES))
+    perm = data.draw(st.permutations(range(spec.n)))
+    g = lattice_of(spec).graph()
+    relabeled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    want = tuple(sorted(
+        tuple(sorted(perm[v] for v in f)) for f in _two_nonsimple_route(method, g, d)
+    ))
+    assert _two_nonsimple_route(method, relabeled, d) == want
 
 
 def test_eq1_breakdown_consistency():
