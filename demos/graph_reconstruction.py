@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Walkthrough: reconstructing facets from the graph alone.
 
-With at most one nonsimple vertex, the 2-faces are the unique maximum
-exact cover of the simple-rooted 2-frames by induced cycles, certified
-against an independent orientation-objective minimum; graph + 2-faces is
-a 2-skeleton, and the frame engine finishes the job.
+With at most one nonsimple vertex, the orientation-objective minimum
+comes first: no exact cover of the simple-rooted 2-frames by induced
+cycles is larger, so the search stops at the first cover of that size,
+which is the unique maximum one and the 2-faces; graph + 2-faces is a
+2-skeleton, and the frame engine finishes the job.
 
 With exactly two nonsimple vertices u, v, facets split into four families
 by which of u, v they contain.  Each family comes out of a constrained

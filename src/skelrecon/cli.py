@@ -361,12 +361,22 @@ def _int_list(raw: str) -> list[int]:
     return [_int(x) for x in raw.split(",")]
 
 
+def _at_least(low: int, values: list[int], raw: str) -> list[int]:
+    if min(values) < low:
+        raise argparse.ArgumentTypeError(f"values must be >= {low}: {raw!r}")
+    return values
+
+
 def _dims(raw: str) -> list[int]:
     lo, dots, hi = raw.partition("..")
     dims = list(range(_int(lo), _int(hi) + 1)) if dots else _int_list(raw)
     if not dims:
         raise argparse.ArgumentTypeError(f"empty range: {raw!r}")
-    return dims
+    return _at_least(4, dims, raw)  # q2 needs d >= 4
+
+
+def _sizes(raw: str) -> list[int]:
+    return _at_least(3, _int_list(raw), raw)  # polygon_prism needs m >= 3
 
 
 def _positive_int(raw: str) -> int:
@@ -433,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=cmd_verify)
 
     b = sub.add_parser("bench", help="prism scaling study")
-    b.add_argument("--sizes", type=_int_list, default="1024,2048,4096,8192,16384")
+    b.add_argument("--sizes", type=_sizes, default="1024,2048,4096,8192,16384")
     b.add_argument("--repeats", type=_positive_int, default=5)
     b.set_defaults(fn=cmd_bench)
     return p

@@ -70,12 +70,8 @@ class NotASkeleton(SkelreconError):
 
 # -- reconstruction from graphs ----------------------------------------------
 
-class NoCoverFound(SkelreconError):
-    """No exact cover of the simple-rooted 2-frames exists."""
-
-
 class CertificateMismatch(SkelreconError):
-    """The cover size disagrees with the orientation-objective minimum."""
+    """No exact 2-frame cover reaches the orientation-objective minimum."""
 
 
 class EmptyFamily(SkelreconError):

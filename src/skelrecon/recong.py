@@ -1,9 +1,10 @@
 """Facet reconstruction from graphs alone.
 
-One nonsimple vertex: recover the 2-faces as the unique maximum exact
-cover of the simple-rooted 2-frames by induced chordless cycles, certify
-its size against an independent orientation-objective minimum, then hand
-graph + 2-faces to the 2-skeleton engine.
+One nonsimple vertex: take the orientation-objective minimum first, then
+recover the 2-faces as an exact cover of the simple-rooted 2-frames by
+induced chordless cycles, stopping at the first cover whose size reaches
+that minimum (no cover is larger); graph + 2-faces go to the 2-skeleton
+engine.
 
 Two nonsimple vertices u, v: partition the facets into the four families
 (containing u only, v only, neither, both) and recover them in that order
@@ -31,7 +32,6 @@ from .errors import (
     CertificateMismatch,
     EmptyFamily,
     InconsistentCounts,
-    NoCoverFound,
     RepairAmbiguous,
 )
 from .graphs import (
@@ -68,42 +68,27 @@ class TwoSystem:
         return len(self.sets)
 
 
-def _simple_two_frames(g: Graph, simple: Iterable[int]) -> list[tuple[int, frozenset[int]]]:
-    frames = []
-    for w in sorted(simple):
-        for a, b in itertools.combinations(g.adj[w], 2):
-            frames.append((w, frozenset((a, b))))
-    return frames
+def _exact_cover_of_size(
+    ncols: int, rows: list[int], target: int
+) -> Optional[list[int]]:
+    """The first exact cover with exactly ``target`` rows, as row indices.
 
-
-def _max_exact_cover(columns: list, rows: list[list[int]]) -> Optional[list[int]]:
-    """Maximum-cardinality exact cover; rows index into columns.
-
-    Backtracking with branch on the uncovered column with the fewest
-    still-usable rows (lowest index on ties), rows tried in input order;
-    prunes dead branches and branches that cannot beat the best cover
-    found so far.  Returns chosen row indices, or None when no exact cover
-    exists.
+    Rows are int column masks.  Backtracking branches on the uncovered
+    column with the fewest still-usable rows (lowest index on ties) and
+    tries rows in input order; it prunes dead branches and branches that
+    cannot reach ``target`` rows.  Returns None when no such cover exists.
     """
-    ncols = len(columns)
-    full = (1 << ncols) - 1
-    row_masks = []
-    for r in rows:
-        m = 0
-        for c in r:
-            m |= 1 << c
-        row_masks.append(m)
-    rows_of_col: list[tuple[tuple[int, int], ...]] = [() for _ in range(ncols)]
-    acc: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
-    for ri, r in enumerate(rows):
-        for c in r:
-            acc[c].append((ri, row_masks[ri]))
-    for c in range(ncols):
-        rows_of_col[c] = tuple(acc[c])
+    rows_of_col: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
+    for ri, m in enumerate(rows):
+        scan = m
+        while scan:
+            bit = scan & -scan
+            scan ^= bit
+            rows_of_col[bit.bit_length() - 1].append((ri, m))
     # An exact cover of R columns spends exactly R column-slots, so the
     # number of additional rows is at most the largest k whose k globally
     # smallest row sizes sum to at most R.
-    sizes = sorted(len(r) for r in rows)
+    sizes = sorted(m.bit_count() for m in rows)
     reachable = [0] * (ncols + 1)
     k = total = 0
     for budget in range(ncols + 1):
@@ -112,21 +97,15 @@ def _max_exact_cover(columns: list, rows: list[list[int]]) -> Optional[list[int]
             k += 1
         reachable[budget] = k
 
-    best: list[Optional[tuple[int, ...]]] = [None]
-    best_count = [-1]
+    chosen: list[int] = []
 
-    def search(uncovered: int, chosen: list[int]):
+    def search(uncovered: int) -> bool:
+        if len(chosen) + reachable[uncovered.bit_count()] < target:
+            return False
         if uncovered == 0:
-            if len(chosen) > best_count[0]:
-                best_count[0] = len(chosen)
-                best[0] = tuple(chosen)
-            return
-        if len(chosen) + reachable[uncovered.bit_count()] <= best_count[0]:
-            return
+            return True
         # Most-constrained uncovered column; forced columns cascade first.
-        branch_col = -1
-        branch_rows = None
-        fewest = None
+        branch: list[tuple[int, int]] = []
         scan = uncovered
         while scan:
             bit = scan & -scan
@@ -136,20 +115,19 @@ def _max_exact_cover(columns: list, rows: list[list[int]]) -> Optional[list[int]
                 (ri, m) for ri, m in rows_of_col[col] if m & uncovered == m
             ]
             if not usable:
-                return
-            if fewest is None or len(usable) < fewest:
-                fewest = len(usable)
-                branch_col = col
-                branch_rows = usable
-                if fewest == 1:
+                return False
+            if not branch or len(usable) < len(branch):
+                branch = usable
+                if len(branch) == 1:
                     break
-        for ri, m in branch_rows:
+        for ri, m in branch:
             chosen.append(ri)
-            search(uncovered & ~m, chosen)
+            if search(uncovered & ~m):
+                return True
             chosen.pop()
+        return False
 
-    search(full, [])
-    return list(best[0]) if best[0] is not None else None
+    return chosen if search((1 << ncols) - 1) else None
 
 
 def max_two_system(
@@ -159,53 +137,51 @@ def max_two_system(
     2-frame exactly once; for a polytope graph with at most one nonsimple
     vertex these are precisely the 2-face vertex sets.
 
-    The cover size is checked against the independent minimum of the
-    two-face orientation score (taken over orientations where the
-    nonsimple vertex is a source); a mismatch means the input is not such
-    a polytope graph.
+    The minimum of the two-face orientation score, over orientations in
+    which the nonsimple vertex is a source, comes first: it bounds every
+    exact cover (weak duality).  Under a minimising orientation each cycle
+    of a cover has a sink; the sink has in-neighbours, so it is not the
+    source and is simple, and its in-pair is a frame that only that cycle
+    covers.  So a cover has at most as many cycles as the score counts
+    in-pairs, which is the minimum.  The search therefore stops at the
+    first cover of exactly that size, which is the maximum cover and the
+    one a full maximisation would return first.  When no cover reaches the
+    minimum the input is not such a polytope graph.
     """
     if nonsimple is None:
         nonsimple = classify_vertices(g, d).nonsimple
     nonsimple = tuple(sorted(nonsimple))
     if len(nonsimple) > 1:
         raise ValueError("max_two_system handles at most one nonsimple vertex")
-    simple = [v for v in range(g.n) if v not in nonsimple]
-    frames = _simple_two_frames(g, simple)
+    target = min_two_face_score(g, sources=nonsimple)
+    frames = [
+        (w, frozenset(pair))
+        for w in range(g.n)
+        if w not in nonsimple
+        for pair in itertools.combinations(g.adj[w], 2)
+    ]
     frame_id = {f: i for i, f in enumerate(frames)}
     cycles = induced_cycles(g)
-    simple_set = set(simple)
-    rows: list[list[int]] = []
-    for cyc in cycles:
-        covered = []
-        ok = True
-        for w in cyc:
-            if w not in simple_set:
-                continue
-            pair = frozenset(x for x in g.adj[w] if x in cyc)
-            fid = frame_id.get((w, pair))
-            if fid is None:
-                ok = False
-                break
-            covered.append(fid)
-        if ok and covered:
-            rows.append(covered)
-        else:
-            rows.append([])
-    kept = [(cyc, r) for cyc, r in zip(cycles, rows) if r]
-    chosen = _max_exact_cover(frames, [r for _, r in kept])
+    # A chordless cycle meets each of its vertices in a frame, and at most
+    # one of its vertices is nonsimple, so no cycle covers an unknown frame
+    # and none covers nothing.
+    covered = [
+        [
+            frame_id[w, frozenset(x for x in g.adj[w] if x in cyc)]
+            for w in cyc
+            if w not in nonsimple
+        ]
+        for cyc in cycles
+    ]
+    rows = [sum(1 << f for f in r) for r in covered]
+    chosen = _exact_cover_of_size(len(frames), rows, target)
     if chosen is None:
-        raise NoCoverFound("the simple-rooted 2-frames admit no exact cover")
-    sets = tuple(sorted((kept[i][0] for i in chosen), key=lambda s: (len(s), tuple(sorted(s)))))
-    coverage = {}
-    for i in chosen:
-        cyc, covered = kept[i]
-        for fid in covered:
-            coverage[frames[fid]] = cyc
-    target = min_two_face_score(g, sources=nonsimple)
-    if len(sets) != target:
         raise CertificateMismatch(
-            f"cover size {len(sets)} != orientation minimum {target}"
+            f"no exact cover of the simple-rooted 2-frames has {target} sets, "
+            "the orientation minimum"
         )
+    sets = tuple(sorted((cycles[i] for i in chosen), key=lambda s: (len(s), tuple(sorted(s)))))
+    coverage = {frames[f]: cycles[i] for i in chosen for f in covered[i]}
     return TwoSystem(sets=sets, coverage=coverage)
 
 

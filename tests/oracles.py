@@ -7,7 +7,9 @@ polynomial, orientations via raw edge-direction enumeration, chordless
 cycles via full subset scan, connectivity via networkx, facet
 containment via a scan of all ordered pairs, face lattices via pairwise
 intersection closure ranked by comparing every pair of faces, ancestor
-sets via a walk along the one-step arcs instead of the transitive masks.
+sets via a walk along the one-step arcs instead of the transitive masks,
+exact covers via a search for the maximum cardinality that does not stop
+at a target size.
 The test-only orientation helpers live here too: ``orientation_from_order``
 (masks by walking an order's arcs, not the enumerator), ``edge_directions``,
 ``sinks_in`` and ``is_good``.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from typing import Optional
 
 import networkx as nx
 
@@ -260,6 +263,80 @@ def brute_force_chordless_cycles(g: Graph):
             if len(comp) == r:
                 out.add(frozenset(sub))
     return out
+
+
+def max_exact_cover(columns: list, rows: list[list[int]]) -> Optional[list[int]]:
+    """Maximum-cardinality exact cover; rows index into columns.
+
+    Backtracking with branch on the uncovered column with the fewest
+    still-usable rows (lowest index on ties), rows tried in input order;
+    prunes dead branches and branches that cannot beat the best cover
+    found so far.  Returns the chosen row indices of the first maximum
+    cover in that order, or None when no exact cover exists.
+    """
+    ncols = len(columns)
+    full = (1 << ncols) - 1
+    row_masks = []
+    for r in rows:
+        m = 0
+        for c in r:
+            m |= 1 << c
+        row_masks.append(m)
+    rows_of_col: list[tuple[tuple[int, int], ...]] = [() for _ in range(ncols)]
+    acc: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
+    for ri, r in enumerate(rows):
+        for c in r:
+            acc[c].append((ri, row_masks[ri]))
+    for c in range(ncols):
+        rows_of_col[c] = tuple(acc[c])
+    # An exact cover of R columns spends exactly R column-slots, so the
+    # number of additional rows is at most the largest k whose k globally
+    # smallest row sizes sum to at most R.
+    sizes = sorted(len(r) for r in rows)
+    reachable = [0] * (ncols + 1)
+    k = total = 0
+    for budget in range(ncols + 1):
+        while k < len(sizes) and total + sizes[k] <= budget:
+            total += sizes[k]
+            k += 1
+        reachable[budget] = k
+
+    best: list[Optional[tuple[int, ...]]] = [None]
+    best_count = [-1]
+
+    def search(uncovered: int, chosen: list[int]):
+        if uncovered == 0:
+            if len(chosen) > best_count[0]:
+                best_count[0] = len(chosen)
+                best[0] = tuple(chosen)
+            return
+        if len(chosen) + reachable[uncovered.bit_count()] <= best_count[0]:
+            return
+        # Most-constrained uncovered column; forced columns cascade first.
+        branch_rows = None
+        fewest = None
+        scan = uncovered
+        while scan:
+            bit = scan & -scan
+            scan ^= bit
+            col = bit.bit_length() - 1
+            usable = [
+                (ri, m) for ri, m in rows_of_col[col] if m & uncovered == m
+            ]
+            if not usable:
+                return
+            if fewest is None or len(usable) < fewest:
+                fewest = len(usable)
+                branch_rows = usable
+                if fewest == 1:
+                    break
+        for ri, m in branch_rows:
+            chosen.append(ri)
+            search(uncovered & ~m, chosen)
+            chosen.pop()
+
+    search(full, [])
+    return list(best[0]) if best[0] is not None else None
 
 
 def nx_graph(g: Graph) -> nx.Graph:

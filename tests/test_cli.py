@@ -196,8 +196,11 @@ def test_short_line_exit_code(tmp_path, capsys, command, text, line):
         (("verify", "--dims", "5..4"), "--dims"),
         (("bench", "--sizes", "64,x"), "--sizes"),
         (("bench", "--repeats", "0"), "--repeats"),
+        (("verify", "--dims", "3"), "--dims"),
+        (("bench", "--sizes", "2", "--repeats", "1"), "--sizes"),
     ],
-    ids=["iso-rank", "verify-dims", "verify-empty-range", "bench-sizes", "bench-repeats"],
+    ids=["iso-rank", "verify-dims", "verify-empty-range", "bench-sizes", "bench-repeats",
+         "verify-dims-below-4", "bench-sizes-below-3"],
 )
 def test_bad_option_value_exit_code(tmp_path, capsys, argv, option):
     poly = tmp_path / "simplex.poly"

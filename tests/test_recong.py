@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from skelrecon import (
     facet_families,
     find_facets_avoiding,
     find_facets_empty,
+    induced_cycles,
     is_feasible,
     max_two_system,
     min_two_face_score,
@@ -30,11 +33,13 @@ from skelrecon import (
     simplex,
 )
 from skelrecon import recong
-from skelrecon.errors import CertificateMismatch, NoCoverFound, TooLarge
+from skelrecon.cli import main
+from skelrecon.errors import CertificateMismatch, TooLarge
 from skelrecon.graphs import vertices_of
+from skelrecon.textio import format_edge_list
 
 from conftest import PRISM_OVER_PYRAMID, SKEW_SOLID, SPLIT_CUBE, fixture_corpus, lattice_of
-from oracles import orientation_from_order, reference_ancestors
+from oracles import max_exact_cover, orientation_from_order, reference_ancestors
 
 
 def two_faces_of(lat):
@@ -91,8 +96,100 @@ def test_certificate_equality(spec):
 def test_certificate_mismatch_on_non_polytope_graph():
     # complete bipartite K33: triangle-free, no exact 2-frame cover at all
     g = Graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
-    with pytest.raises((CertificateMismatch, NoCoverFound)):
+    with pytest.raises(CertificateMismatch):
         max_two_system(g, 3)
+
+
+@lru_cache(maxsize=None)
+def _small_one_nonsimple_fixtures():
+    """(graph, d, nonsimple) of the corpus polytopes with n <= 14 and at
+    most one nonsimple vertex."""
+    out = []
+    for _, spec in sorted(fixture_corpus().items()):
+        lat = lattice_of(spec)
+        nonsimple = tuple(sorted(classify_vertices(lat).nonsimple))
+        if spec.n <= 14 and len(nonsimple) <= 1:
+            out.append((lat.graph(), lat.d, nonsimple))
+    return tuple(out)
+
+
+def _reference_two_system(g, nonsimple):
+    """The first maximum exact cover of the simple-rooted 2-frames, by the
+    reference search: (size, sorted sets, coverage), size -1 if none."""
+    frames = [
+        (w, frozenset(pair))
+        for w in range(g.n)
+        if w not in nonsimple
+        for pair in itertools.combinations(g.adj[w], 2)
+    ]
+    frame_id = {f: i for i, f in enumerate(frames)}
+    cycles = induced_cycles(g)
+    rows = [
+        [frame_id[w, frozenset(x for x in g.adj[w] if x in c)] for w in c if w not in nonsimple]
+        for c in cycles
+    ]
+    chosen = max_exact_cover(frames, rows)
+    if chosen is None:
+        return -1, (), {}
+    sets = tuple(sorted((cycles[i] for i in chosen), key=lambda s: (len(s), tuple(sorted(s)))))
+    return len(chosen), sets, {frames[f]: cycles[i] for i in chosen for f in rows[i]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_two_system_is_the_reference_maximum_cover(data):
+    # Relabeled fixtures go through classify_vertices; one-edge changes of
+    # them (mostly not polytope graphs) and random graphs name their
+    # nonsimple vertex, so they reach the cover search.
+    kind = data.draw(st.sampled_from(("fixture", "one_edge", "random")))
+    if kind == "random":
+        n = data.draw(st.integers(min_value=3, max_value=9))
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)))
+        d = None
+        nonsimple = tuple(data.draw(st.sets(st.integers(0, n - 1), max_size=1)))
+    else:
+        base, d, nonsimple = data.draw(st.sampled_from(_small_one_nonsimple_fixtures()))
+        perm = data.draw(st.permutations(range(base.n)))
+        edges = {tuple(sorted((perm[u], perm[v]))) for u, v in base.edges}
+        nonsimple = tuple(perm[v] for v in nonsimple)
+        if kind == "one_edge":
+            edges ^= {data.draw(st.sampled_from(list(itertools.combinations(range(base.n), 2))))}
+        g = Graph(base.n, edges)
+
+    def two_system():
+        return max_two_system(g, d) if kind == "fixture" else max_two_system(g, d, nonsimple)
+
+    size, sets, coverage = _reference_two_system(g, nonsimple)
+    target = min_two_face_score(g, nonsimple)
+    assert size <= target  # weak duality
+    if size == target:
+        system = two_system()
+        assert system.sets == sets
+        assert system.coverage == coverage
+    else:
+        with pytest.raises(CertificateMismatch, match=f"has {target} sets"):
+            two_system()
+
+
+@lru_cache(maxsize=None)
+def _pyramid_cube5_graph():
+    return lattice_of(pyramid(cube(5))).graph()
+
+
+def test_two_system_refuses_beyond_dp_bound_fast():
+    g = _pyramid_cube5_graph()  # 33 vertices
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="33 vertices exceed the subset-DP bound 22"):
+        max_two_system(g, 6)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_recong_refuses_beyond_dp_bound(tmp_path, capsys):
+    path = tmp_path / "pyr_cube5.edges"
+    path.write_text(format_edge_list(_pyramid_cube5_graph()))
+    assert main(["recong", str(path), "--dim", "6"]) == 1
+    assert "33 vertices exceed the subset-DP bound 22" in capsys.readouterr().err
 
 
 def test_one_nonsimple_rejects_two():
