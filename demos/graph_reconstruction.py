@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Walkthrough: reconstructing facets from the graph alone.
 
-With at most one nonsimple vertex, the orientation-objective minimum
-comes first: no exact cover of the simple-rooted 2-frames by induced
-cycles is larger, so the search stops at the first cover of that size,
-which is the unique maximum one and the 2-faces; graph + 2-faces is a
-2-skeleton, and the frame engine finishes the job.
+With at most one nonsimple vertex, the 2-faces are the maximum exact
+cover of the simple-rooted 2-frames by induced cycles.  No cover is larger
+than the two-face score of an acyclic orientation with the nonsimple
+vertex as a source, so a vertex order whose score equals the size of the
+first cover found certifies it (the subset DP for the orientation
+minimum is only the fallback); graph + 2-faces is a 2-skeleton, and the
+frame engine finishes the job.
 
 With exactly two nonsimple vertices u, v, facets split into four families
 by which of u, v they contain.  Each family comes out of a constrained
@@ -25,6 +27,7 @@ from skelrecon import (
     pyramid,
     reconstruct_one_nonsimple,
     reconstruct_two_nonsimple_via_truncation,
+    two_face_witness,
 )
 
 # -- one nonsimple vertex --------------------------------------------------------
@@ -36,8 +39,16 @@ apex = next(iter(classify_vertices(lat).nonsimple))
 print(f"pyramid over the 3-cube: apex {apex} has degree {g.degree(apex)}")
 
 system = max_two_system(g, 4)
+order = two_face_witness(g, (apex,), [sum(1 << v for v in c) for c in system.sets])
+placed = set()
+score = 0
+for v in order:
+    k = sum(w in placed for w in g.adj[v])
+    score += k * (k - 1) // 2
+    placed.add(v)
 target = min_two_face_score(g, (apex,))
-print(f"maximum 2-system: {system.size} sets; orientation minimum: {target}")
+print(f"maximum 2-system: {system.size} sets; witness order score: {score}; "
+      f"orientation minimum: {target}")
 print("   (12 apex triangles + 6 squares)")
 
 facets = reconstruct_one_nonsimple(g, 4)

@@ -34,6 +34,7 @@ from .graphs import (
     k_connected,
     min_two_face_score,
     objectives,
+    two_face_witness,
 )
 from .iso import IsoResult, isomorphic
 from .lattice import (

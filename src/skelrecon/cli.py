@@ -379,6 +379,10 @@ def _sizes(raw: str) -> list[int]:
     return _at_least(3, _int_list(raw), raw)  # polygon_prism needs m >= 3
 
 
+def _recong_dim(raw: str) -> int:
+    return _at_least(3, [_int(raw)], raw)[0]  # graph reconstruction needs d >= 3
+
+
 def _positive_int(raw: str) -> int:
     if _int(raw) < 1:
         raise argparse.ArgumentTypeError(f"not positive: {raw!r}")
@@ -421,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rg = sub.add_parser("recong", help="reconstruct facets from a graph")
     rg.add_argument("file")
-    rg.add_argument("--dim", type=int, required=True)
+    rg.add_argument("--dim", type=_recong_dim, required=True)
     rg.add_argument("--method", choices=["claims", "truncation", "both"], default="both")
     rg.add_argument("--certificate", action="store_true",
                     help="print objective minima and family counts")

@@ -353,9 +353,67 @@ def induced_cycles(g: Graph) -> list[frozenset[int]]:
     return sorted(found, key=lambda c: (len(c), tuple(sorted(c))))
 
 
+def two_face_witness(
+    g: Graph, sources: tuple[int, ...], cover_masks: list[int]
+) -> Optional[tuple[int, ...]]:
+    """A vertex order whose two-face score equals the number of cover
+    cycles, or None.
+
+    ``cover_masks`` are the vertex bitmasks of chordless cycles.  The
+    order places ``sources`` first, then repeatedly the unplaced vertex
+    with the most placed neighbours (lowest label on ties), refusing a
+    vertex that would be a sink of a cover cycle that still has unplaced
+    vertices, so each cycle gets one sink, its last vertex.  Each vertex
+    is placed once, with no backtracking.  The order, every edge directed
+    from its earlier end, is an acyclic orientation with the sources as
+    sources; it is returned only if its two-face score, the sum of
+    C(indegree, 2), equals the number of cycles, which then certifies
+    that number as :func:`min_two_face_score` for an exact cover of the
+    simple-rooted 2-frames (weak duality, see
+    :func:`skelrecon.recong.max_two_system`).
+    """
+    masks = g.masks
+    # Per vertex: (cycle mask, mask of the vertex's two cycle neighbours).
+    sink_rules: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for c in cover_masks:
+        for v in vertices_of(c):
+            sink_rules[v].append((c, masks[v] & c))
+    order = list(sources)
+    placed = 0
+    for v in order:
+        if masks[v] & placed:
+            return None
+        placed |= 1 << v
+    score = 0
+    unplaced = [v for v in range(g.n) if not placed >> v & 1]
+    while unplaced:
+        best = best_in = -1
+        for v in unplaced:
+            k = (masks[v] & placed).bit_count()
+            if k <= best_in:
+                continue
+            after = placed | 1 << v
+            if any(nb & placed == nb and c & ~after for c, nb in sink_rules[v]):
+                continue
+            best, best_in = v, k
+        if best < 0:
+            return None
+        order.append(best)
+        placed |= 1 << best
+        unplaced.remove(best)
+        score += best_in * (best_in - 1) // 2
+    return tuple(order) if score == len(cover_masks) else None
+
+
 #: Hard cap for the subset DP below; 2**22 table entries is the most we
 #: are willing to allocate.
 _DP_BOUND = 22
+
+
+def check_dp_bound(n: int) -> None:
+    """Raise TooLarge when n vertices exceed the subset-DP bound."""
+    if n > _DP_BOUND:
+        raise TooLarge(f"{n} vertices exceed the subset-DP bound {_DP_BOUND}")
 
 
 def min_two_face_score(g: Graph, sources: tuple[int, ...] = ()) -> int:
@@ -368,8 +426,7 @@ def min_two_face_score(g: Graph, sources: tuple[int, ...] = ()) -> int:
     equals the sweep minimum without enumerating orientations.
     """
     n = g.n
-    if n > _DP_BOUND:
-        raise TooLarge(f"{n} vertices exceed the subset-DP bound {_DP_BOUND}")
+    check_dp_bound(n)
     masks = g.masks
     source_bits = 0
     for u in sources:

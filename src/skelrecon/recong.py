@@ -1,10 +1,13 @@
 """Facet reconstruction from graphs alone.
 
-One nonsimple vertex: take the orientation-objective minimum first, then
-recover the 2-faces as an exact cover of the simple-rooted 2-frames by
-induced chordless cycles, stopping at the first cover whose size reaches
-that minimum (no cover is larger); graph + 2-faces go to the 2-skeleton
-engine.
+One nonsimple vertex: recover the 2-faces as an exact cover of the
+simple-rooted 2-frames by induced chordless cycles, certified maximum by
+an acyclic orientation whose two-face score equals the cover size (no
+cover is larger than any such score).  A greedy vertex order certifies
+the first cover found; when there is no cover or no such order, the
+subset DP computes the orientation minimum (refused above 22 vertices)
+and the search stops at the first cover reaching it.  Graph + 2-faces go
+to the 2-skeleton engine.
 
 Two nonsimple vertices u, v: partition the facets into the four families
 (containing u only, v only, neither, both) and recover them in that order
@@ -37,11 +40,13 @@ from .errors import (
 from .graphs import (
     Graph,
     Orientation,
+    check_dp_bound,
     enumerate_acyclic_orientations,
     induced_cycles,
     is_feasible,
     min_two_face_score,
     objectives,
+    two_face_witness,
     vertices_of,
 )
 from .lattice import KSkeleton, classify_vertices
@@ -71,7 +76,8 @@ class TwoSystem:
 def _exact_cover_of_size(
     ncols: int, rows: list[int], target: int
 ) -> Optional[list[int]]:
-    """The first exact cover with exactly ``target`` rows, as row indices.
+    """The first exact cover with at least ``target`` rows, as row indices;
+    with ``target`` 0 that is the first exact cover.
 
     Rows are int column masks.  Backtracking branches on the uncovered
     column with the fewest still-usable rows (lowest index on ties) and
@@ -137,23 +143,28 @@ def max_two_system(
     2-frame exactly once; for a polytope graph with at most one nonsimple
     vertex these are precisely the 2-face vertex sets.
 
-    The minimum of the two-face orientation score, over orientations in
-    which the nonsimple vertex is a source, comes first: it bounds every
-    exact cover (weak duality).  Under a minimising orientation each cycle
-    of a cover has a sink; the sink has in-neighbours, so it is not the
+    Weak duality bounds every exact cover C by the two-face score of every
+    acyclic orientation in which the nonsimple vertex is a source: each
+    cycle of C has a sink, the sink has in-neighbours, so it is not the
     source and is simple, and its in-pair is a frame that only that cycle
-    covers.  So a cover has at most as many cycles as the score counts
-    in-pairs, which is the minimum.  The search therefore stops at the
-    first cover of exactly that size, which is the maximum cover and the
-    one a full maximisation would return first.  When no cover reaches the
-    minimum the input is not such a polytope graph.
+    covers.  So |C| is at most the minimum score, and an orientation whose
+    score equals |C| proves that |C| is that minimum and C a maximum cover.
+
+    The search therefore takes the first exact cover and asks
+    :func:`two_face_witness` for such an orientation.  Only when there is
+    no cover or no witness does it compute the minimum by the subset DP
+    (:func:`min_two_face_score`) and search for the first cover of that
+    size.  Either way the result is the first maximum cover in search
+    order.  When no cover reaches the minimum the input is not such a
+    polytope graph.  Graphs above the DP bound of 22 vertices are refused
+    first.
     """
     if nonsimple is None:
         nonsimple = classify_vertices(g, d).nonsimple
     nonsimple = tuple(sorted(nonsimple))
     if len(nonsimple) > 1:
         raise ValueError("max_two_system handles at most one nonsimple vertex")
-    target = min_two_face_score(g, sources=nonsimple)
+    check_dp_bound(g.n)
     frames = [
         (w, frozenset(pair))
         for w in range(g.n)
@@ -174,12 +185,17 @@ def max_two_system(
         for cyc in cycles
     ]
     rows = [sum(1 << f for f in r) for r in covered]
-    chosen = _exact_cover_of_size(len(frames), rows, target)
-    if chosen is None:
-        raise CertificateMismatch(
-            f"no exact cover of the simple-rooted 2-frames has {target} sets, "
-            "the orientation minimum"
-        )
+    chosen = _exact_cover_of_size(len(frames), rows, 0)
+    if chosen is None or two_face_witness(
+        g, nonsimple, [sum(1 << v for v in cycles[i]) for i in chosen]
+    ) is None:
+        target = min_two_face_score(g, sources=nonsimple)
+        chosen = _exact_cover_of_size(len(frames), rows, target)
+        if chosen is None:
+            raise CertificateMismatch(
+                f"no exact cover of the simple-rooted 2-frames has {target} sets, "
+                "the orientation minimum"
+            )
     sets = tuple(sorted((cycles[i] for i in chosen), key=lambda s: (len(s), tuple(sorted(s)))))
     coverage = {frames[f]: cycles[i] for i in chosen for f in covered[i]}
     return TwoSystem(sets=sets, coverage=coverage)

@@ -9,7 +9,8 @@ containment via a scan of all ordered pairs, face lattices via pairwise
 intersection closure ranked by comparing every pair of faces, ancestor
 sets via a walk along the one-step arcs instead of the transitive masks,
 exact covers via a search for the maximum cardinality that does not stop
-at a target size.
+at a target size, two-face scores of vertex orders via one pass over the
+edge list.
 The test-only orientation helpers live here too: ``orientation_from_order``
 (masks by walking an order's arcs, not the enumerator), ``edge_directions``,
 ``sinks_in`` and ``is_good``.
@@ -337,6 +338,26 @@ def max_exact_cover(columns: list, rows: list[list[int]]) -> Optional[list[int]]
 
     search(full, [])
     return list(best[0]) if best[0] is not None else None
+
+
+def two_face_score_of_order(n: int, edges, sources, order) -> int:
+    """Sum of C(indegree, 2) with every edge directed from its earlier end
+    in order; one pass over the edges.
+
+    Raises ValueError unless order is a permutation of 0..n-1 that starts
+    with the sources and leaves each of them with indegree 0.
+    """
+    if sorted(order) != list(range(n)):
+        raise ValueError("order must be a permutation of the vertices")
+    if set(order[:len(sources)]) != set(sources):
+        raise ValueError("order must start with the sources")
+    pos = {v: i for i, v in enumerate(order)}
+    indegree = [0] * n
+    for u, v in edges:
+        indegree[v if pos[u] < pos[v] else u] += 1
+    if any(indegree[v] for v in sources):
+        raise ValueError("a source has an in-neighbour")
+    return sum(k * (k - 1) // 2 for k in indegree)
 
 
 def nx_graph(g: Graph) -> nx.Graph:

@@ -198,14 +198,21 @@ def test_short_line_exit_code(tmp_path, capsys, command, text, line):
         (("bench", "--repeats", "0"), "--repeats"),
         (("verify", "--dims", "3"), "--dims"),
         (("bench", "--sizes", "2", "--repeats", "1"), "--sizes"),
+        (("recong", "{edges}", "--dim", "0"), "--dim"),
+        (("recong", "{edges}", "--dim", "1"), "--dim"),
+        (("recong", "{edges}", "--dim", "2"), "--dim"),
     ],
     ids=["iso-rank", "verify-dims", "verify-empty-range", "bench-sizes", "bench-repeats",
-         "verify-dims-below-4", "bench-sizes-below-3"],
+         "verify-dims-below-4", "bench-sizes-below-3",
+         "recong-dim-0", "recong-dim-1", "recong-dim-2"],
 )
 def test_bad_option_value_exit_code(tmp_path, capsys, argv, option):
     poly = tmp_path / "simplex.poly"
     poly.write_text(format_spec(simplex(3)))
-    argv = [str(poly) if a == "{poly}" else a for a in argv]
+    edges = tmp_path / "square.edges"
+    edges.write_text(format_edge_list(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])))
+    files = {"{poly}": str(poly), "{edges}": str(edges)}
+    argv = [files.get(a, a) for a in argv]
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv)
     assert exc.value.code == 2

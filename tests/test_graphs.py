@@ -21,6 +21,7 @@ from skelrecon import (
     objectives,
     q1,
     simplex,
+    two_face_witness,
 )
 from skelrecon.errors import TooLarge
 
@@ -35,6 +36,7 @@ from oracles import (
     orientation_from_order,
     reference_ancestors,
     sinks_in,
+    two_face_score_of_order,
 )
 
 
@@ -320,3 +322,40 @@ def test_min_two_face_score_simplex():
     for d in (3, 4, 5):
         g = complete_graph(d + 1)
         assert min_two_face_score(g) == math.comb(d + 1, 3)
+
+
+def _vertex_mask(vertices):
+    return sum(1 << v for v in vertices)
+
+
+def test_two_face_witness_on_the_cube():
+    lat = lattice_of(cube(3))
+    g = lat.graph()
+    squares = [_vertex_mask(f) for f in lat.faces_by_rank[2]]
+    order = two_face_witness(g, (), squares)
+    assert two_face_score_of_order(g.n, g.edges, (), order) == 6
+    o = orientation_from_order(g, order)
+    assert all(len(sinks_in(o, f)) == 1 for f in lat.faces_by_rank[2])
+    # Every order of the cube has in-pairs, so no order scores 0.
+    assert two_face_witness(g, (), []) is None
+
+
+def test_two_face_witness_gives_each_cycle_one_sink():
+    # K(2,3) with parts {0, 2} and {1, 3, 4}: the 4-cycles 0-1-2-3 and
+    # 0-3-2-4 share the frame (3; 0, 2).  From source 1 the greedy order
+    # 1 0 2 3 4 scores 2, one per cycle, but 3 and 4 are both sinks of the
+    # second cycle; refusing 3 leaves no vertex to place.
+    g = Graph(5, [(a, b) for a in (0, 2) for b in (1, 3, 4)])
+    cycles = [_vertex_mask((0, 1, 2, 3)), _vertex_mask((0, 2, 3, 4))]
+    assert two_face_score_of_order(5, g.edges, (1,), (1, 0, 2, 3, 4)) == 2
+    assert two_face_witness(g, (1,), cycles) is None
+
+
+def test_two_face_witness_keeps_sources_sources():
+    g = complete_graph(4)  # every 3 vertices form a chordless cycle
+    triangles = [_vertex_mask(t) for t in itertools.combinations(range(4), 3)]
+    assert two_face_witness(g, (0, 1), triangles) is None
+    order = two_face_witness(g, (2,), triangles)
+    assert order[0] == 2
+    assert two_face_score_of_order(4, g.edges, (2,), order) == 4 == min_two_face_score(g, (2,))
+

@@ -31,6 +31,7 @@ from skelrecon import (
     reconstruct_two_nonsimple,
     reconstruct_two_nonsimple_via_truncation,
     simplex,
+    two_face_witness,
 )
 from skelrecon import recong
 from skelrecon.cli import main
@@ -39,7 +40,12 @@ from skelrecon.graphs import vertices_of
 from skelrecon.textio import format_edge_list
 
 from conftest import PRISM_OVER_PYRAMID, SKEW_SOLID, SPLIT_CUBE, fixture_corpus, lattice_of
-from oracles import max_exact_cover, orientation_from_order, reference_ancestors
+from oracles import (
+    max_exact_cover,
+    orientation_from_order,
+    reference_ancestors,
+    two_face_score_of_order,
+)
 
 
 def two_faces_of(lat):
@@ -101,21 +107,21 @@ def test_certificate_mismatch_on_non_polytope_graph():
 
 
 @lru_cache(maxsize=None)
-def _small_one_nonsimple_fixtures():
-    """(graph, d, nonsimple) of the corpus polytopes with n <= 14 and at
+def _one_nonsimple_fixtures(max_n=14):
+    """(graph, d, nonsimple) of the corpus polytopes with n <= max_n and at
     most one nonsimple vertex."""
     out = []
     for _, spec in sorted(fixture_corpus().items()):
         lat = lattice_of(spec)
         nonsimple = tuple(sorted(classify_vertices(lat).nonsimple))
-        if spec.n <= 14 and len(nonsimple) <= 1:
+        if spec.n <= max_n and len(nonsimple) <= 1:
             out.append((lat.graph(), lat.d, nonsimple))
     return tuple(out)
 
 
-def _reference_two_system(g, nonsimple):
-    """The first maximum exact cover of the simple-rooted 2-frames, by the
-    reference search: (size, sorted sets, coverage), size -1 if none."""
+def _frame_rows(g, nonsimple):
+    """The simple-rooted 2-frames, the induced cycles, and for each cycle
+    the indices of the frames it covers."""
     frames = [
         (w, frozenset(pair))
         for w in range(g.n)
@@ -128,6 +134,13 @@ def _reference_two_system(g, nonsimple):
         [frame_id[w, frozenset(x for x in g.adj[w] if x in c)] for w in c if w not in nonsimple]
         for c in cycles
     ]
+    return frames, cycles, rows
+
+
+def _reference_two_system(g, nonsimple):
+    """The first maximum exact cover of the simple-rooted 2-frames, by the
+    reference search: (size, sorted sets, coverage), size -1 if none."""
+    frames, cycles, rows = _frame_rows(g, nonsimple)
     chosen = max_exact_cover(frames, rows)
     if chosen is None:
         return -1, (), {}
@@ -149,7 +162,7 @@ def test_two_system_is_the_reference_maximum_cover(data):
         d = None
         nonsimple = tuple(data.draw(st.sets(st.integers(0, n - 1), max_size=1)))
     else:
-        base, d, nonsimple = data.draw(st.sampled_from(_small_one_nonsimple_fixtures()))
+        base, d, nonsimple = data.draw(st.sampled_from(_one_nonsimple_fixtures()))
         perm = data.draw(st.permutations(range(base.n)))
         edges = {tuple(sorted((perm[u], perm[v]))) for u, v in base.edges}
         nonsimple = tuple(perm[v] for v in nonsimple)
@@ -170,6 +183,74 @@ def test_two_system_is_the_reference_maximum_cover(data):
     else:
         with pytest.raises(CertificateMismatch, match=f"has {target} sets"):
             two_system()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_two_face_witness_certifies_the_dp_minimum(data):
+    # Relabeled fixtures and one-edge changes of them.  Both the first
+    # exact cover and the reference maximum cover are offered to the
+    # witness; whatever order it returns must reach the DP minimum.
+    base, _, nonsimple = data.draw(st.sampled_from(_one_nonsimple_fixtures(22)))
+    perm = data.draw(st.permutations(range(base.n)))
+    edges = {tuple(sorted((perm[u], perm[v]))) for u, v in base.edges}
+    nonsimple = tuple(perm[v] for v in nonsimple)
+    if data.draw(st.booleans()):
+        edges ^= {data.draw(st.sampled_from(list(itertools.combinations(range(base.n), 2))))}
+    g = Graph(base.n, edges)
+    frames, cycles, rows = _frame_rows(g, nonsimple)
+    first = recong._exact_cover_of_size(len(frames), [sum(1 << f for f in r) for r in rows], 0)
+    for chosen in (first, max_exact_cover(frames, rows)):
+        if chosen is None:
+            continue
+        order = two_face_witness(g, nonsimple, [sum(1 << v for v in cycles[i]) for i in chosen])
+        if order is not None:
+            score = two_face_score_of_order(g.n, g.edges, nonsimple, order)
+            assert score == len(chosen) == min_two_face_score(g, nonsimple)
+
+
+def test_two_system_witness_skips_the_dp(monkeypatch):
+    def no_dp(*args, **kwargs):
+        raise AssertionError("min_two_face_score was called")
+
+    lat = lattice_of(pyramid(polygon_prism(10)))
+    g = lat.graph()  # 21 vertices: the DP alone takes seconds
+    monkeypatch.setattr(recong, "min_two_face_score", no_dp)
+    start = time.perf_counter()
+    system = max_two_system(g, 4)
+    assert time.perf_counter() - start < 0.1
+    assert set(system.sets) == two_faces_of(lat)
+    rng = random.Random(8)
+    for _, spec in sorted(fixture_corpus().items()):
+        lat = lattice_of(spec)
+        if len(classify_vertices(lat).nonsimple) > 1:
+            continue
+        for _ in range(5):
+            perm = rng.sample(range(spec.n), spec.n)
+            g = Graph(spec.n, [(perm[u], perm[v]) for u, v in lat.graph().edges])
+            system = max_two_system(g, lat.d)
+            assert set(system.sets) == {frozenset(perm[v] for v in f) for f in two_faces_of(lat)}
+
+
+def test_two_system_dp_fallback_is_unchanged(monkeypatch):
+    fixtures = _one_nonsimple_fixtures()
+    expected = [max_two_system(g, d, nonsimple) for g, d, nonsimple in fixtures]
+    dp_calls = []
+
+    def dp(*args, **kwargs):
+        dp_calls.append(args)
+        return min_two_face_score(*args, **kwargs)
+
+    monkeypatch.setattr(recong, "two_face_witness", lambda *args: None)
+    monkeypatch.setattr(recong, "min_two_face_score", dp)
+    for (g, d, nonsimple), system in zip(fixtures, expected):
+        fallback = max_two_system(g, d, nonsimple)
+        assert fallback.sets == system.sets
+        assert fallback.coverage == system.coverage
+    assert len(dp_calls) == len(fixtures)
+    k33 = Graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
+    with pytest.raises(CertificateMismatch, match=f"has {min_two_face_score(k33)} sets"):
+        max_two_system(k33, 3)
 
 
 @lru_cache(maxsize=None)
