@@ -11,9 +11,12 @@ frame engine finishes the job.
 
 With exactly two nonsimple vertices u, v, facets split into four families
 by which of u, v they contain.  Each family comes out of a constrained
-acyclic-orientation sweep: the ancestor sets of simple vertices under the
-objective minimisers are exactly the family's facets.  Truncating at uv
-instead gives an independent second route.
+family of acyclic orientations: the ancestor sets of simple vertices
+under the objective minimisers are exactly the family's facets.  An
+ancestor set is an initial set with a single sink, so the least cost of
+the orientations through it is a subset DP inside it plus one after it,
+and no orientation is enumerated.  Truncating at uv instead gives an
+independent second route.
 """
 
 from skelrecon import (

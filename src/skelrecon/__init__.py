@@ -3,7 +3,7 @@
 Build face lattices from vertex-facet incidences, generate the twin
 counterexample families and the standard fixture polytopes, decide
 isomorphism of skeleta and lattices, and reconstruct facet lists from
-2-skeletons (frame propagation) and from bare graphs (orientation sweeps
+2-skeletons (frame propagation) and from bare graphs (orientation DPs
 plus exact cover), including both two-nonsimple-vertex routes.
 """
 
@@ -26,14 +26,12 @@ from .graphs import (
     Frame,
     Graph,
     Orientation,
-    OrientationScores,
     ancestors,
     enumerate_acyclic_orientations,
     induced_cycles,
     is_feasible,
     k_connected,
     min_two_face_score,
-    objectives,
     two_face_witness,
 )
 from .iso import IsoResult, isomorphic

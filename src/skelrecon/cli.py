@@ -175,8 +175,11 @@ def cmd_recong(args) -> int:
             if args.method == "both"
             else (args.method,)
         )
-        if "claims" in methods:
-            families = recong.facet_families(g, d, force=args.force)
+        families, truncated = recong._two_nonsimple_routes(
+            g, d, claims="claims" in methods, truncation="truncation" in methods,
+            force=args.force,
+        )
+        if families is not None:
             results["claims"] = families.all_facets
             certificates.append(
                 "family counts u/v/neither/both: %d %d %d %d" % families.counts
@@ -185,10 +188,8 @@ def cmd_recong(args) -> int:
             certificates.append(f"minimum avoiding u: {families.min_v}")
             if families.min_both is not None:
                 certificates.append(f"shared-family minimum: {families.min_both}")
-        if "truncation" in methods:
-            results["truncation"] = recong.reconstruct_two_nonsimple_via_truncation(
-                g, d, force=args.force
-            )
+        if truncated is not None:
+            results["truncation"] = truncated
     else:
         raise SkelreconError(
             f"{k} nonsimple vertices: graph reconstruction covers at most 2"
@@ -383,6 +384,18 @@ def _recong_dim(raw: str) -> int:
     return _at_least(3, [_int(raw)], raw)[0]  # graph reconstruction needs d >= 3
 
 
+def _prism_m(raw: str) -> int:
+    return _at_least(3, [_int(raw)], raw)[0]  # polygon_prism needs m >= 3
+
+
+def _pyramid_folds(raw: str) -> int:
+    return _at_least(0, [_int(raw)], raw)[0]  # 0 means no pyramid
+
+
+#: The least ``gen --dim`` of each family that reads it (prism does not).
+_GEN_MIN_DIM = {"q1": 3, "q2": 4, "simplex": 2, "cube": 2, "bipyramid-simplex": 3}
+
+
 def _positive_int(raw: str) -> int:
     if _int(raw) < 1:
         raise argparse.ArgumentTypeError(f"not positive: {raw!r}")
@@ -400,9 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate a fixture incidence file")
     g.add_argument("--family", required=True,
                    choices=["q1", "q2", "simplex", "cube", "prism", "bipyramid-simplex"])
-    g.add_argument("--dim", type=int, default=4)
-    g.add_argument("--m", type=int, default=4, help="polygon size for prism")
-    g.add_argument("--pyramid", type=int, default=0, metavar="T",
+    g.add_argument("--dim", type=_int, default=4)
+    g.add_argument("--m", type=_prism_m, default=4, help="polygon size for prism")
+    g.add_argument("--pyramid", type=_pyramid_folds, default=0, metavar="T",
                    help="wrap the family in a T-fold pyramid")
     g.add_argument("-o", "--output")
     g.set_defaults(fn=cmd_gen)
@@ -430,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     rg.add_argument("--certificate", action="store_true",
                     help="print objective minima and family counts")
     rg.add_argument("--force", action="store_true",
-                    help="override the enumeration size guard")
+                    help="lift the bound of 12 vertices on the family sweeps "
+                         "up to the subset-DP bound of 22")
     rg.add_argument("-o", "--output")
     rg.set_defaults(fn=cmd_recong)
 
@@ -456,6 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.cmd == "gen" and args.dim < _GEN_MIN_DIM.get(args.family, args.dim):
+        parser.error(
+            f"argument --dim: {args.family} needs d >= {_GEN_MIN_DIM[args.family]}: "
+            f"{str(args.dim)!r}"
+        )
     try:
         return args.fn(args)
     except (SkelreconError, ValueError, OSError) as exc:

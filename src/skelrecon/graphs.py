@@ -1,6 +1,8 @@
-"""Undirected graphs, acyclic orientations, frames, and orientation objectives.
+"""Undirected graphs, acyclic orientations, frames, and orientation costs.
 
-An acyclic orientation is its ancestor bitmasks, one per vertex.
+An acyclic orientation is its ancestor bitmasks, one per vertex.  Minima
+of per-vertex orientation costs come from one subset DP over vertex
+orders (:class:`OrderCosts`), not from enumerating orientations.
 Everything here is a pure function over immutable values; graphs and
 orientations never mutate after construction.
 """
@@ -12,7 +14,8 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import EmptyFamily, TooLarge
 
-#: Cap for exhaustive orientation sweeps (override with force=True).
+#: Cap on the vertex count of orientation enumeration and of the facet-
+#: family DPs; force=True lifts it, up to the subset-DP bound.
 DEFAULT_ENUMERATION_BOUND = 12
 
 
@@ -132,6 +135,16 @@ class Orientation:
         )
 
 
+def check_enumeration_bound(n: int, force: bool = False) -> None:
+    """Raise TooLarge when n vertices exceed the enumeration bound and
+    force is not set."""
+    if n > DEFAULT_ENUMERATION_BOUND and not force:
+        raise TooLarge(
+            f"{n} vertices exceed the enumeration bound "
+            f"{DEFAULT_ENUMERATION_BOUND}; pass force=True"
+        )
+
+
 def enumerate_acyclic_orientations(
     g: Graph,
     predicate: Optional[Callable[[Orientation], bool]] = None,
@@ -152,11 +165,7 @@ def enumerate_acyclic_orientations(
     that starts with ``first`` and ends with ``last``.  Raises TooLarge
     when the graph exceeds the enumeration bound and force is not set.
     """
-    if g.n > DEFAULT_ENUMERATION_BOUND and not force:
-        raise TooLarge(
-            f"{g.n} vertices exceed the enumeration bound "
-            f"{DEFAULT_ENUMERATION_BOUND}; pass force=True"
-        )
+    check_enumeration_bound(g.n, force)
     pinned = set(first) | set(last)
     if len(pinned) != len(first) + len(last):
         raise ValueError("first/last vertices must be distinct")
@@ -193,36 +202,14 @@ def enumerate_acyclic_orientations(
             stack.append((i + 1, directed(anc, u, v)))
 
 
-@dataclass(frozen=True)
-class OrientationScores:
-    """The three orientation objectives used by the reconstruction sweeps.
+def simple_sink_term(k: int, d: int) -> int:
+    """A simple vertex's share of the simple-sink score at indegree k.
 
-    two_face_score   sum over all vertices of C(indegree, 2); bounds the
-                     number of 2-faces from above.
-    kalai_score      sum over all vertices of 2**indegree; counts pairs
-                     (face, sink) and is minimised exactly by the good
-                     orientations of a polytope graph.
-    simple_sink_score  h[d-1] + d*h[d] over simple vertices only; counts
-                     pairs (facet, simple sink).
+    Summed over the simple vertices, the score h[d-1] + d*h[d] (h[k] the
+    number of simple vertices of indegree k) counts the pairs (facet,
+    simple sink of the facet) of a polytope graph's orientation.
     """
-
-    two_face_score: int
-    kalai_score: int
-    simple_sink_score: int
-
-
-def objectives(o: Orientation, d: int, simple: Iterable[int]) -> OrientationScores:
-    """Evaluate the sweep objectives for one orientation."""
-    two_face = sum(k * (k - 1) // 2 for k in o.indegree)
-    kalai = sum(1 << k for k in o.indegree)
-    sink = 0
-    for v in simple:
-        k = o.indegree[v]
-        if k == d - 1:
-            sink += 1
-        elif k == d:
-            sink += d
-    return OrientationScores(two_face, kalai, sink)
+    return 1 if k == d - 1 else d if k == d else 0
 
 
 def ancestors(o: Orientation, x: int) -> frozenset[int]:
@@ -300,6 +287,22 @@ def k_connected(g: Graph, k: int) -> bool:
     return True
 
 
+def degrees_fit(g: Graph, a: int, d: int, simple: int) -> bool:
+    """Whether inside the vertex mask ``a`` every vertex of the mask
+    ``simple`` has exactly d-1 neighbours and every other vertex at least
+    d-1."""
+    masks = g.masks
+    scan = a
+    while scan:
+        low = scan & -scan
+        scan ^= low
+        y = low.bit_length() - 1
+        k = (masks[y] & a).bit_count()
+        if k != d - 1 if simple & low else k < d - 1:
+            return False
+    return True
+
+
 def is_feasible(g: Graph, vertices: Iterable[int], d: int, simple: Iterable[int]) -> bool:
     """Whether a vertex set induces a candidate facet graph.
 
@@ -307,18 +310,10 @@ def is_feasible(g: Graph, vertices: Iterable[int], d: int, simple: Iterable[int]
     ambient polytope must have induced degree exactly d-1, and nonsimple
     ones at least d-1.
     """
-    vset = set(vertices)
-    if not vset:
+    a = sum(1 << v for v in set(vertices))
+    if not a or not degrees_fit(g, a, d, sum(1 << v for v in set(simple))):
         return False
-    simple_set = set(simple)
-    for v in vset:
-        dv = sum(1 for w in g.adj[v] if w in vset)
-        if v in simple_set:
-            if dv != d - 1:
-                return False
-        elif dv < d - 1:
-            return False
-    sub, _ = g.induced(vset)
+    sub, _ = g.induced(vertices_of(a))
     return k_connected(sub, d - 1)
 
 
@@ -416,43 +411,130 @@ def check_dp_bound(n: int) -> None:
         raise TooLarge(f"{n} vertices exceed the subset-DP bound {_DP_BOUND}")
 
 
+class OrderCosts:
+    """Least orientation costs by subset DP over vertex orders.
+
+    The cost of an acyclic orientation is the sum, over its vertices y, of
+    ``cost(y, p)``, where p is the bitmask of y's in-neighbours; costs are
+    nonnegative and may be ``inf``.  Every acyclic orientation is induced
+    by some vertex order, each edge directed from its earlier end, and a
+    vertex placed after the set s has in-neighbours N(y) & s, so minima
+    over orientations are minima over orders, and a DP over the set placed
+    so far finds them without enumerating orientations.  The vertices of
+    the masks ``sources`` and ``sinks`` are pinned: a source costs inf
+    unless it has no in-neighbour, a sink unless every neighbour is one.
+    ``cost`` is called once per vertex and in-neighbour mask.
+
+    ``after[s]`` is the least cost of the vertices outside s over the
+    orientations in which s is an initial set (no edge enters s): the
+    least cost of placing the rest after s.  Refuses graphs above the
+    subset-DP bound before allocating the table.
+    """
+
+    def __init__(
+        self,
+        g: Graph,
+        cost: Callable[[int, int], float],
+        *,
+        sources: int = 0,
+        sinks: int = 0,
+    ):
+        check_dp_bound(g.n)
+        self.graph = g
+        self._cost, self._sources, self._sinks = cost, sources, sinks
+        self._memo: list[dict[int, float]] = [{} for _ in range(g.n)]
+        self.after = self.placing_after((1 << g.n) - 1)
+
+    def price(self, y: int, p: int) -> float:
+        """Vertex y's cost with in-neighbour mask p, pins applied; memoised."""
+        c = self._memo[y].get(p)
+        if c is None:
+            if self._sources >> y & 1 and p or self._sinks >> y & 1 and p != self.graph.masks[y]:
+                c = float("inf")
+            else:
+                c = self._cost(y, p)
+            self._memo[y][p] = c
+        return c
+
+    def placing_after(self, within: int):
+        """For every subset s of the mask ``within``, the least cost of
+        placing the rest of ``within`` after s, counting only in-neighbours
+        inside ``within``; a list indexed by s over the whole vertex set,
+        a dict otherwise."""
+        masks, price, memo = self.graph.masks, self.price, self._memo
+        inf = float("inf")
+        table: dict[int, float] | list[float] = (
+            [inf] * (within + 1) if within == (1 << self.graph.n) - 1 else {}
+        )
+        table[within] = 0
+        s = within
+        while s:
+            s = (s - 1) & within
+            best = inf
+            rest = within & ~s
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                tail = table[s | low]
+                if tail < best:  # costs are nonnegative
+                    y = low.bit_length() - 1
+                    p = masks[y] & s
+                    c = memo[y].get(p)
+                    c = tail + (price(y, p) if c is None else c)
+                    if c < best:
+                        best = c
+            table[s] = best
+        return table
+
+    def single_sink(self, a: int, seeds: int) -> float:
+        """Least cost of the vertices of the mask ``a`` over the acyclic
+        orientations of G[a] whose only sink is a vertex of ``seeds``.
+
+        Grows the set backwards from the sink: a vertex joins the grown
+        set t only through a neighbour already in t, its out-neighbour, so
+        every vertex reaches the sink and no other vertex is a sink; its
+        in-neighbours are its neighbours in a outside t.  Conversely every
+        such orientation grows this way, along a reversed topological
+        order.  With a the ancestor set of its sink x and no edge entering
+        a, the least cost of an orientation with ancestor set a at x is
+        this value plus ``after[a]``.
+        """
+        masks, price = self.graph.masks, self.price
+        inf = float("inf")
+        layer: dict[int, float] = {}
+        for x in vertices_of(seeds):
+            c = price(x, masks[x] & a)
+            if c < inf:
+                layer[1 << x] = c
+        for _ in range(a.bit_count() - 1):
+            grown: dict[int, float] = {}
+            for t, base in layer.items():
+                rest = a & ~t
+                scan = rest
+                while scan:
+                    low = scan & -scan
+                    scan ^= low
+                    y = low.bit_length() - 1
+                    if masks[y] & t:
+                        c = base + price(y, masks[y] & rest)
+                        if c < grown.get(t | low, inf):
+                            grown[t | low] = c
+            layer = grown
+        return layer.get(a, inf)
+
+
 def min_two_face_score(g: Graph, sources: tuple[int, ...] = ()) -> int:
     """Minimum of the two-face score over acyclic orientations.
 
     Restricted to orientations where every vertex in ``sources`` has
-    indegree 0.  Computed by a subset DP over vertex-addition orders: when a
-    vertex joins after the set S it acquires indegree |N(v) & S|, and every
-    acyclic orientation is induced by some such order, so the DP minimum
-    equals the sweep minimum without enumerating orientations.
+    indegree 0; the :class:`OrderCosts` DP with cost C(indegree, 2).
     """
-    n = g.n
-    check_dp_bound(n)
-    masks = g.masks
-    source_bits = 0
-    for u in sources:
-        source_bits |= 1 << u
-    c2 = [k * (k - 1) // 2 for k in range(n + 1)]
-    full = (1 << n) - 1
-    inf = float("inf")
-    dp: list[float] = [inf] * (full + 1)
-    dp[0] = 0
-    bits = [1 << v for v in range(n)]
-    for s in range(full + 1):
-        base = dp[s]
-        if base is inf:
-            continue
-        for v in range(n):
-            b = bits[v]
-            if s & b:
-                continue
-            overlap = s & masks[v]
-            if b & source_bits and overlap:
-                continue
-            t = s | b
-            cost = base + c2[overlap.bit_count()]
-            if cost < dp[t]:
-                dp[t] = cost
-    result = dp[full]
-    if result == inf:
+    dp = OrderCosts(
+        g,
+        lambda y, p: p.bit_count() * (p.bit_count() - 1) // 2,
+        sources=sum(1 << u for u in sources),
+    )
+    result = dp.after[0]
+    if result == float("inf"):
         raise EmptyFamily("no acyclic orientation satisfies the source constraints")
     return int(result)

@@ -11,24 +11,30 @@ to the 2-skeleton engine.
 
 Two nonsimple vertices u, v: partition the facets into the four families
 (containing u only, v only, neither, both) and recover them in that order
-by sweeping constrained acyclic-orientation families and harvesting, from
-each objective minimiser, the ancestor sets of simple vertices that form
-feasible subgraphs.  One harvest rule, over the ancestor bitmasks each
-orientation carries, serves every family, and the "neither" and "both"
-sweeps admit exactly the orientations whose harvest is nonempty.  A
-second, independent route truncates the polytope at uv (or at u when uv
-is not an edge), reconstructs the simpler truncated polytope, and pulls
-its facets back.
+from constrained families of acyclic orientations: each family's facets
+are the feasible ancestor sets of simple vertices under the minimisers of
+an objective.  No orientation is enumerated.  Every objective is a sum
+of per-vertex costs of each vertex's in-neighbours, and an ancestor set
+A = anc(x) is exactly an initial set (no edge enters it) whose only sink
+is x.  So the least cost with anc(x) = A splits into an orientation of
+G[A] with x its only sink and an orientation of the rest placed after A,
+each a subset DP over vertex orders (:class:`~skelrecon.graphs.OrderCosts`).
+The split is exact: a vertex of A has all its in-neighbours in A, and a
+vertex placed after A sees exactly its in-neighbours among the vertices
+placed before it, A included.  The family minimum and every set
+attaining it follow without sweeping orientations.  A second, independent route truncates the
+polytope at uv (or at u when uv is not an edge), reconstructs the simpler
+truncated polytope, and pulls its facets back.
 
-Everything orientation-swept here is exponential by nature; the guard in
-:mod:`skelrecon.graphs` refuses graphs beyond the enumeration bound.
+The family DPs hold 2**n table entries: graphs above 12 vertices are
+refused unless forced, and above 22 always (:mod:`skelrecon.graphs`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from .constructions import TruncationMap, pullback_facets, truncation_map
 from .errors import (
@@ -39,13 +45,14 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    Orientation,
+    OrderCosts,
     check_dp_bound,
-    enumerate_acyclic_orientations,
+    check_enumeration_bound,
+    degrees_fit,
     induced_cycles,
     is_feasible,
     min_two_face_score,
-    objectives,
+    simple_sink_term,
     two_face_witness,
     vertices_of,
 )
@@ -221,65 +228,85 @@ def reconstruct_one_nonsimple(g: Graph, d: int) -> tuple[tuple[int, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
-# Orientation sweeps for the four facet families
+# Initial-set sweeps for the four facet families
 
 
-def _harvester(
-    g: Graph, d: int, simple: frozenset[int]
-) -> Callable[[Orientation, int, int], Iterator[int]]:
-    """The harvest rule of the family sweeps, with its feasibility cache.
-
-    ``harvest(o, need, avoid)`` yields, for the simple vertices in
-    ascending order, the ancestor masks under o that hold every vertex of
-    the mask ``need``, none of ``avoid``, and induce a feasible subgraph.
-    Feasibility is computed once per mask.
-    """
-    order = sorted(simple)
-    cache: dict[int, bool] = {}
-
-    def harvest(o: Orientation, need: int, avoid: int) -> Iterator[int]:
-        for x in order:
-            anc = o.anc[x]
-            if anc & need != need or anc & avoid:
-                continue
-            ok = cache.get(anc)
-            if ok is None:
-                ok = cache[anc] = is_feasible(g, vertices_of(anc), d, simple)
-            if ok:
-                yield anc
-
-    return harvest
-
-
-def _sweep(
+def _initial_set_sweep(
     g: Graph,
+    d: int,
+    simple: frozenset[int],
+    cost: Callable[[int, int], int],
+    need: int,
+    avoid: int,
     *,
-    first: tuple[int, ...] = (),
-    last: tuple[int, ...] = (),
-    family: Optional[Callable[[Orientation], bool]] = None,
-    objective: Callable[[Orientation], int],
-    collect: Callable[[Orientation], Iterable[int]],
-    force: bool = False,
+    sources: int = 0,
+    sinks: int = 0,
+    restricted: bool,
+    force: bool,
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The objective minimum over an orientation family and the union of
-    ``collect`` over its minimisers, in one pass.
+    """The minimum of a per-vertex objective over a family of acyclic
+    orientations, and the harvest of its minimisers.
 
-    Keeps a running minimum and the vertex masks collected from
-    orientations that attain it; a new minimum discards what was collected
-    so far.  The masks are returned decoded, as sorted vertex tuples.
+    The candidates are the vertex masks A that hold ``need``, miss
+    ``avoid`` and induce a feasible subgraph; the harvest of an
+    orientation is its candidates among the ancestor sets anc(x) of simple
+    vertices x.  The family is every orientation with the pinned
+    ``sources`` and ``sinks``, or with ``restricted`` only those whose
+    harvest is nonempty.  The result is the family minimum and the union
+    of the harvests of the orientations attaining it.
+
+    Decomposition: A = anc(x) exactly when A is an initial set (no edge
+    enters it) of which x is the only sink, so an orientation with
+    anc(x) = A is an orientation of G[A] with x its only sink, every edge
+    between A and the rest leaving A, and any orientation of the rest.
+    Each vertex's cost depends only on its in-neighbours, which lie on its
+    own side, so the least cost with anc(x) = A for some simple x is
+    m(A) = ``single_sink(A, simple)`` + ``after[A]``
+    (:class:`~skelrecon.graphs.OrderCosts`).  Hence the family minimum is
+    ``after[0]`` for the pinned family and the least m(A) over candidates
+    for the restricted one, and an orientation attaining m(A) is a
+    minimiser exactly when m(A) equals that minimum; a minimiser with
+    anc(x) = A costs at least m(A), so the harvest is the candidates with
+    m(A) equal to the minimum.  Costs are nonnegative, so m(A) >=
+    ``after[A]``: masks are taken in ascending ``after[A]`` and feasibility
+    is computed, once per mask, only when m(A) can still reach the
+    minimum.  Raises EmptyFamily when the family is empty.
     """
-    best: Optional[int] = None
-    found: set[int] = set()
-    for o in enumerate_acyclic_orientations(g, family, first=first, last=last, force=force):
-        val = objective(o)
-        if best is None or val < best:
-            best = val
-            found.clear()
-        if val == best:
-            found.update(collect(o))
-    if best is None:
+    check_enumeration_bound(g.n, force)
+    dp = OrderCosts(g, cost, sources=sources, sinks=sinks)
+    after = dp.after
+    inf = float("inf")
+    best = inf if restricted else after[0]
+    seeds = sum(1 << x for x in simple)
+    free = (1 << g.n) - 1 & ~need & ~avoid
+    candidates = []
+    rest = free
+    while True:
+        a = rest | need
+        base = after[a]
+        if base < inf and base <= best and a & seeds and degrees_fit(g, a, d, seeds):
+            candidates.append((base, a))
+        if not rest:
+            break
+        rest = (rest - 1) & free
+    found: list[int] = []
+    for base, a in sorted(candidates):
+        if base > best:
+            break
+        m = base + dp.single_sink(a, a & seeds)
+        if m == inf or m > best or not is_feasible(g, vertices_of(a), d, simple):
+            continue
+        if m < best:
+            best, found = m, []
+        found.append(a)
+    if best == inf:
         raise EmptyFamily("no acyclic orientation satisfies the family constraints")
-    return best, tuple(sorted(vertices_of(m) for m in found))
+    return int(best), tuple(sorted(vertices_of(a) for a in found))
+
+
+def _simple_sink_cost(d: int, simple: frozenset[int]) -> Callable[[int, int], int]:
+    """The simple-sink score as a per-vertex cost of the in-neighbour mask."""
+    return lambda y, p: simple_sink_term(p.bit_count(), d) if y in simple else 0
 
 
 def find_facets_avoiding(
@@ -293,56 +320,58 @@ def find_facets_avoiding(
 ) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Facets containing exactly one of u, v, or both, plus the minimum.
 
-    mode "u_minus_v": sweep orientations with u a source and v a sink; the
-    minimum of the simple-sink score is the number of facets avoiding v,
-    and the ancestor sets of simple vertices under the minimisers that are
-    feasible, contain u and avoid v are exactly the facets containing u
-    but not v.  mode "v_minus_u" swaps the two.  mode "uv" sweeps the
+    mode "u_minus_v": over the orientations with u a source and v a sink,
+    the minimum of the simple-sink score is the number of facets avoiding
+    v, and the ancestor sets of simple vertices under the minimisers that
+    are feasible, contain u and avoid v are exactly the facets containing
+    u but not v.  mode "v_minus_u" swaps the two.  mode "uv" takes the
     orientations in which some feasible set containing both u and v is
-    initial; the minimum is the total facet count and the harvested
-    feasible ancestor sets containing both are the shared facets.
+    the ancestor set of a simple vertex; the minimum is the total facet
+    count and the harvested feasible ancestor sets containing both are the
+    shared facets.
+
+    No orientation is enumerated (:func:`_initial_set_sweep`): an ancestor
+    set A of x is an initial set whose only sink is x, and the score sums
+    per-vertex terms of each vertex's in-neighbours, which all lie on the
+    vertex's own side of A.  So the least score with A as an ancestor set
+    is exactly a subset DP inside A plus one for the rest placed after A.
     """
     simple = classify_vertices(g, d).simple
-    harvest = _harvester(g, d, simple)
 
     if mode == "v_minus_u":
         u, v = v, u
         mode = "u_minus_v"
 
     if mode == "u_minus_v":
-        first, last, need, avoid = (u,), (v,), 1 << u, 1 << v
+        sources, sinks, need, avoid = 1 << u, 1 << v, 1 << u, 1 << v
     elif mode == "uv":
-        first, last, need, avoid = (), (), 1 << u | 1 << v, 0
+        sources, sinks, need, avoid = 0, 0, 1 << u | 1 << v, 0
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    minimum, found = _sweep(
-        g,
-        first=first,
-        last=last,
-        family=(lambda o: any(harvest(o, need, avoid))) if mode == "uv" else None,
-        objective=lambda o: objectives(o, d, simple).simple_sink_score,
-        collect=lambda o: harvest(o, need, avoid),
-        force=force,
+    minimum, found = _initial_set_sweep(
+        g, d, simple, _simple_sink_cost(d, simple), need, avoid,
+        sources=sources, sinks=sinks, restricted=mode == "uv", force=force,
     )
     return found, minimum
 
 
 def count_sink_frames(
-    g: Graph, d: int, u: int, facets: Iterable[Iterable[int]], o: Orientation
+    g: Graph, d: int, u: int, facets: Iterable[Iterable[int]], pred: int
 ) -> int:
     """Number of valid (d-1)-frames of u, among the given facets, with u a sink.
 
     A facet contributes a valid frame at u when u has exactly d-1 neighbors
-    inside it; it is counted when all of those edges point at u.
+    inside it; it is counted when all of those edges point at u, that is
+    when those neighbours all lie in ``pred``, a bitmask of u's
+    predecessors (its in-neighbours or its ancestors).
     """
-    anc_u = o.anc[u]
     count = 0
     for f in facets:
         fset = set(f)
         inside = [w for w in g.adj[u] if w in fset]
         if len(inside) != d - 1:
             continue
-        if all(anc_u >> w & 1 for w in inside):
+        if all(pred >> w & 1 for w in inside):
             count += 1
     return count
 
@@ -361,29 +390,31 @@ def find_facets_empty(
 
     ``known`` must already hold the facets containing exactly one of u, v;
     ``expected`` is the count implied by the family minima, and 0 returns
-    immediately.  The sweep runs over orientations with v a sink in which
-    some feasible set avoiding both u and v is initial; the objective adds,
-    to the simple-sink score, the number of known u-facets whose frame at
-    u points entirely at u (so u momentarily acts as an extra facet sink).
+    immediately.  The family is the orientations with v a sink in which
+    some feasible set avoiding both u and v is the ancestor set of a
+    simple vertex; the objective adds, to the simple-sink score, the
+    number of known u-facets whose frame at u points entirely at u (so u
+    momentarily acts as an extra facet sink).
+
+    That term depends only on u's in-neighbours, so the objective is still
+    a sum of per-vertex costs, and the initial-set decomposition of
+    :func:`find_facets_avoiding` holds exactly: the least objective with a
+    candidate as an ancestor set is a subset DP inside it plus one after
+    it (:func:`_initial_set_sweep`).
     """
     if expected == 0:
         return ()
     simple = classify_vertices(g, d).simple
-    harvest = _harvester(g, d, simple)
     u_facets = [f for f in known if u in f and v not in f]
-    both = 1 << u | 1 << v
+    sink = _simple_sink_cost(d, simple)
 
-    def objective(o: Orientation) -> int:
-        score = objectives(o, d, simple).simple_sink_score
-        return score + count_sink_frames(g, d, u, u_facets, o)
+    def cost(y: int, p: int) -> int:
+        frames = count_sink_frames(g, d, u, u_facets, p) if y == u else 0
+        return sink(y, p) + frames
 
-    _, out = _sweep(
-        g,
-        last=(v,),
-        family=lambda o: any(harvest(o, 0, both)),
-        objective=objective,
-        collect=lambda o: harvest(o, 0, both),
-        force=force,
+    _, out = _initial_set_sweep(
+        g, d, simple, cost, 0, 1 << u | 1 << v,
+        sinks=1 << v, restricted=True, force=force,
     )
     if len(out) != expected:
         raise InconsistentCounts(
@@ -448,6 +479,58 @@ def _two_nonsimple(g: Graph, d: int) -> tuple[int, int, frozenset[int]]:
     return u, v, classes.simple
 
 
+def _two_nonsimple_routes(
+    g: Graph, d: int, *, claims: bool, truncation: bool, force: bool
+) -> tuple[Optional[FacetFamilies], Optional[tuple[tuple[int, ...], ...]]]:
+    """The claims route's facet families and the truncation route's facet
+    list, each when asked for (None otherwise).
+
+    Both routes start from the u-only and v-only families, so those two
+    sweeps run once.  The claims route runs to the end before the
+    truncation route goes on.
+    """
+    if claims and d < 4:
+        raise ValueError("the family sweeps need d >= 4; use the truncation route")
+    u, v, _ = _two_nonsimple(g, d)
+    u_only, min_u = find_facets_avoiding(g, d, u, v, "u_minus_v", force=force)
+    v_only, min_v = find_facets_avoiding(g, d, u, v, "v_minus_u", force=force)
+    families = None
+    if claims:
+        # min_u counts the facets avoiding v, so the families must close up.
+        expected_empty = min_u - len(u_only)
+        if expected_empty != min_v - len(v_only):
+            raise InconsistentCounts(
+                f"facets avoiding both: {expected_empty} via u, {min_v - len(v_only)} via v"
+            )
+        if expected_empty < 0:
+            raise InconsistentCounts("family minima below family sizes")
+        neither = find_facets_empty(
+            g, d, u, v, u_only + v_only, expected_empty, force=force
+        )
+        both: tuple[tuple[int, ...], ...] = ()
+        min_both: Optional[int] = None
+        if detect_uv_facets(g, d, u_only + v_only + neither):
+            both, min_both = find_facets_avoiding(g, d, u, v, "uv", force=force)
+            total = len(u_only) + len(v_only) + len(neither) + len(both)
+            if min_both != total:
+                raise InconsistentCounts(
+                    f"total facet count {total} != shared-family minimum {min_both}"
+                )
+        families = FacetFamilies(
+            u=u,
+            v=v,
+            u_only=u_only,
+            v_only=v_only,
+            neither=neither,
+            both=both,
+            min_u=min_u,
+            min_v=min_v,
+            min_both=min_both,
+        )
+    facets = _via_truncation(g, d, u, v, u_only, v_only, force) if truncation else None
+    return families, facets
+
+
 def facet_families(g: Graph, d: int, *, force: bool = False) -> FacetFamilies:
     """Recover the four facet families in order: u-only, v-only, neither, both.
 
@@ -455,42 +538,7 @@ def facet_families(g: Graph, d: int, *, force: bool = False) -> FacetFamilies:
     a facet whose unique sink is nonsimple, breaking the family minimum
     (the truncation route has no such restriction).
     """
-    if d < 4:
-        raise ValueError("the family sweeps need d >= 4; use the truncation route")
-    u, v, _ = _two_nonsimple(g, d)
-    u_only, min_u = find_facets_avoiding(g, d, u, v, "u_minus_v", force=force)
-    v_only, min_v = find_facets_avoiding(g, d, u, v, "v_minus_u", force=force)
-    # min_u counts the facets avoiding v, so the families must close up.
-    expected_empty = min_u - len(u_only)
-    if expected_empty != min_v - len(v_only):
-        raise InconsistentCounts(
-            f"facets avoiding both: {expected_empty} via u, {min_v - len(v_only)} via v"
-        )
-    if expected_empty < 0:
-        raise InconsistentCounts("family minima below family sizes")
-    neither = find_facets_empty(
-        g, d, u, v, u_only + v_only, expected_empty, force=force
-    )
-    both: tuple[tuple[int, ...], ...] = ()
-    min_both: Optional[int] = None
-    if detect_uv_facets(g, d, u_only + v_only + neither):
-        both, min_both = find_facets_avoiding(g, d, u, v, "uv", force=force)
-        total = len(u_only) + len(v_only) + len(neither) + len(both)
-        if min_both != total:
-            raise InconsistentCounts(
-                f"total facet count {total} != shared-family minimum {min_both}"
-            )
-    return FacetFamilies(
-        u=u,
-        v=v,
-        u_only=u_only,
-        v_only=v_only,
-        neither=neither,
-        both=both,
-        min_u=min_u,
-        min_v=min_v,
-        min_both=min_both,
-    )
+    return _two_nonsimple_routes(g, d, claims=True, truncation=False, force=force)[0]
 
 
 def reconstruct_two_nonsimple(
@@ -522,28 +570,36 @@ def _two_faces_within(g: Graph, d: int, facet):
 def _uv_two_faces(g: Graph, d: int, u: int, v: int, *, force: bool = False):
     """2-faces containing both u and v when uv is an edge.
 
-    These are the induced cycles through u and v that are initial with
-    respect to some orientation minimising the kalai score in which u is a
-    source and v has indegree 1 (its one in-edge coming along the cycle).
+    These are the induced cycles C through u and v that are initial (no
+    edge enters C) with respect to some orientation minimising the kalai
+    score (the sum of 2**indegree) in which u is a source and v has
+    indegree 1, its one in-edge coming from u along the cycle.  Such an
+    orientation is an orientation of C with u a source and u as v's only
+    in-neighbour, every edge between C and the rest leaving C, and any
+    orientation of the rest with u's pin kept.  Each vertex's cost depends
+    only on its in-neighbours, so its least cost is that of ordering C
+    with u first and v second (both have all their in-neighbours in {u})
+    plus ``after[C]``
+    (:class:`~skelrecon.graphs.OrderCosts`), and C is kept when that sum
+    equals ``after[0]``, the minimum over all orientations with u a
+    source.
     """
-    cycles = [(c, sum(1 << x for x in c)) for c in induced_cycles(g) if u in c and v in c]
+    cycles = [c for c in induced_cycles(g) if u in c and v in c]
     if not cycles:
         return []
-
-    def initial_cycles(o: Orientation) -> list[int]:
-        if o.indegree[v] != 1:
-            return []
-        # Initial: the members' ancestor masks add up to the cycle's own.
-        return [m for c, m in cycles if all(o.anc[x] | m == m for x in c)]
-
-    _, found = _sweep(
-        g,
-        first=(u,),
-        objective=lambda o: objectives(o, d, ()).kalai_score,
-        collect=initial_cycles,
-        force=force,
-    )
-    return [frozenset(c) for c in found]
+    check_enumeration_bound(g.n, force)
+    dp = OrderCosts(g, lambda y, p: 1 << p.bit_count(), sources=1 << u)
+    after = dp.after
+    uv = 1 << u | 1 << v
+    head = dp.price(u, 0) + dp.price(v, 1 << u)
+    found = []
+    for c in cycles:
+        m = sum(1 << x for x in c)
+        base = after[m] + head
+        # Costs are nonnegative, so a base above the minimum needs no DP.
+        if base <= after[0] and base + dp.placing_after(m)[uv] == after[0]:
+            found.append(c)
+    return sorted(found, key=lambda c: tuple(sorted(c)))
 
 
 def _truncated_graph(g: Graph, face: tuple[int, ...], two_faces) -> tuple[Graph, TruncationMap]:
@@ -586,9 +642,11 @@ def reconstruct_two_nonsimple_via_truncation(
     truncated graph, recovered by joining the unique two degree-deficient
     vertices.
     """
-    u, v, _ = _two_nonsimple(g, d)
-    u_only, _ = find_facets_avoiding(g, d, u, v, "u_minus_v", force=force)
-    v_only, _ = find_facets_avoiding(g, d, u, v, "v_minus_u", force=force)
+    return _two_nonsimple_routes(g, d, claims=False, truncation=True, force=force)[1]
+
+
+def _via_truncation(g: Graph, d: int, u: int, v: int, u_only, v_only, force: bool):
+    """The truncation route from the facets containing u only and v only."""
     two_faces_u: set[frozenset[int]] = set()
     for t in u_only:
         two_faces_u.update(s for s in _two_faces_within(g, d, t) if u in s)

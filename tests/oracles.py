@@ -10,23 +10,34 @@ intersection closure ranked by comparing every pair of faces, ancestor
 sets via a walk along the one-step arcs instead of the transitive masks,
 exact covers via a search for the maximum cardinality that does not stop
 at a target size, two-face scores of vertex orders via one pass over the
-edge list.
+edge list, facet-family sweeps via every acyclic orientation of the
+family instead of the subset DP over initial sets.
 The test-only orientation helpers live here too: ``orientation_from_order``
 (masks by walking an order's arcs, not the enumerator), ``edge_directions``,
-``sinks_in`` and ``is_good``.
+``sinks_in``, ``is_good`` and ``objectives``.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import networkx as nx
 
-from skelrecon.errors import NotGraded
-from skelrecon.graphs import Graph, Orientation
-from skelrecon.lattice import FaceLattice
+from skelrecon.errors import EmptyFamily, InconsistentCounts, NotGraded
+from skelrecon.graphs import (
+    Graph,
+    Orientation,
+    enumerate_acyclic_orientations,
+    induced_cycles,
+    is_feasible,
+    simple_sink_term,
+    vertices_of,
+)
+from skelrecon.lattice import FaceLattice, classify_vertices
+from skelrecon.recong import count_sink_frames
 
 
 def closed_sets(spec):
@@ -227,6 +238,32 @@ def is_good(o, facets) -> bool:
     return all(len(sinks_in(o, f)) == 1 for f in facets)
 
 
+@dataclass(frozen=True)
+class OrientationScores:
+    """The three orientation objectives of the reconstruction sweeps.
+
+    two_face_score   sum over all vertices of C(indegree, 2); bounds the
+                     number of 2-faces from above.
+    kalai_score      sum over all vertices of 2**indegree; counts pairs
+                     (face, sink) and is minimised exactly by the good
+                     orientations of a polytope graph.
+    simple_sink_score  h[d-1] + d*h[d] over simple vertices only; counts
+                     pairs (facet, simple sink).
+    """
+
+    two_face_score: int
+    kalai_score: int
+    simple_sink_score: int
+
+
+def objectives(o: Orientation, d: int, simple) -> OrientationScores:
+    """Evaluate the sweep objectives for one orientation, from its indegrees."""
+    two_face = sum(k * (k - 1) // 2 for k in o.indegree)
+    kalai = sum(1 << k for k in o.indegree)
+    sink = sum(simple_sink_term(o.indegree[v], d) for v in simple)
+    return OrientationScores(two_face, kalai, sink)
+
+
 def reference_ancestors(o, x: int) -> frozenset[int]:
     """All vertices with a directed path to x under o, including x.
 
@@ -379,3 +416,128 @@ def nx_k_connected(g: Graph, k: int) -> bool:
     if len(g.edges) == g.n * (g.n - 1) // 2:
         return True
     return nx.node_connectivity(h) >= k
+
+
+# -- facet-family sweeps by enumerating orientations ---------------------------
+
+
+def reference_harvester(g: Graph, d: int, simple):
+    """The harvest rule of the family sweeps, with its feasibility cache.
+
+    ``harvest(o, need, avoid)`` yields, for the simple vertices in
+    ascending order, the ancestor masks under o that hold every vertex of
+    the mask ``need``, none of ``avoid``, and induce a feasible subgraph.
+    """
+    order = sorted(simple)
+    cache: dict[int, bool] = {}
+
+    def harvest(o, need: int, avoid: int):
+        for x in order:
+            anc = o.anc[x]
+            if anc & need != need or anc & avoid:
+                continue
+            ok = cache.get(anc)
+            if ok is None:
+                ok = cache[anc] = is_feasible(g, vertices_of(anc), d, simple)
+            if ok:
+                yield anc
+
+    return harvest
+
+
+def reference_sweep(g, *, first=(), last=(), family=None, objective, collect, force=False):
+    """The objective minimum over an orientation family and the union of
+    ``collect`` over its minimisers, decoded to sorted vertex tuples; one
+    pass over every orientation of the family."""
+    best = None
+    found: set[int] = set()
+    for o in enumerate_acyclic_orientations(g, family, first=first, last=last, force=force):
+        val = objective(o)
+        if best is None or val < best:
+            best = val
+            found.clear()
+        if val == best:
+            found.update(collect(o))
+    if best is None:
+        raise EmptyFamily("no acyclic orientation satisfies the family constraints")
+    return best, tuple(sorted(vertices_of(m) for m in found))
+
+
+def reference_find_facets_avoiding(g, d, u, v, mode, *, force=False):
+    """``find_facets_avoiding`` by sweeping every orientation of the family:
+    u a source and v a sink for "u_minus_v" (u and v swapped for
+    "v_minus_u"), or for "uv" the unpinned orientations with a feasible
+    ancestor set of a simple vertex holding both."""
+    simple = classify_vertices(g, d).simple
+    harvest = reference_harvester(g, d, simple)
+    if mode == "v_minus_u":
+        u, v = v, u
+        mode = "u_minus_v"
+    if mode == "u_minus_v":
+        first, last, need, avoid = (u,), (v,), 1 << u, 1 << v
+    elif mode == "uv":
+        first, last, need, avoid = (), (), 1 << u | 1 << v, 0
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    minimum, found = reference_sweep(
+        g,
+        first=first,
+        last=last,
+        family=(lambda o: any(harvest(o, need, avoid))) if mode == "uv" else None,
+        objective=lambda o: objectives(o, d, simple).simple_sink_score,
+        collect=lambda o: harvest(o, need, avoid),
+        force=force,
+    )
+    return found, minimum
+
+
+def reference_find_facets_empty(g, d, u, v, known, expected, *, force=False):
+    """``find_facets_empty`` by sweeping every orientation with v a sink in
+    which a feasible ancestor set of a simple vertex avoids u and v."""
+    if expected == 0:
+        return ()
+    simple = classify_vertices(g, d).simple
+    harvest = reference_harvester(g, d, simple)
+    u_facets = [f for f in known if u in f and v not in f]
+    both = 1 << u | 1 << v
+
+    def objective(o):
+        score = objectives(o, d, simple).simple_sink_score
+        return score + count_sink_frames(g, d, u, u_facets, o.anc[u])
+
+    _, out = reference_sweep(
+        g,
+        last=(v,),
+        family=lambda o: any(harvest(o, 0, both)),
+        objective=objective,
+        collect=lambda o: harvest(o, 0, both),
+        force=force,
+    )
+    if len(out) != expected:
+        raise InconsistentCounts(
+            f"found {len(out)} facets avoiding both, expected {expected}"
+        )
+    return out
+
+
+def reference_uv_two_faces(g, d, u, v, *, force=False):
+    """The induced cycles through u and v that are initial under some
+    kalai-score minimiser with u a source and v of indegree 1, by sweeping
+    every orientation with u a source."""
+    cycles = [(c, sum(1 << x for x in c)) for c in induced_cycles(g) if u in c and v in c]
+    if not cycles:
+        return []
+
+    def initial_cycles(o):
+        if o.indegree[v] != 1:
+            return []
+        return [m for c, m in cycles if all(o.anc[x] | m == m for x in c)]
+
+    _, found = reference_sweep(
+        g,
+        first=(u,),
+        objective=lambda o: objectives(o, d, ()).kalai_score,
+        collect=initial_cycles,
+        force=force,
+    )
+    return [frozenset(c) for c in found]

@@ -201,10 +201,15 @@ def test_short_line_exit_code(tmp_path, capsys, command, text, line):
         (("recong", "{edges}", "--dim", "0"), "--dim"),
         (("recong", "{edges}", "--dim", "1"), "--dim"),
         (("recong", "{edges}", "--dim", "2"), "--dim"),
+        (("gen", "--family", "cube", "--dim", "0"), "--dim"),
+        (("gen", "--family", "q1", "--dim", "2"), "--dim"),
+        (("gen", "--family", "prism", "--m", "2"), "--m"),
+        (("gen", "--family", "simplex", "--dim", "2", "--pyramid", "-1"), "--pyramid"),
     ],
     ids=["iso-rank", "verify-dims", "verify-empty-range", "bench-sizes", "bench-repeats",
          "verify-dims-below-4", "bench-sizes-below-3",
-         "recong-dim-0", "recong-dim-1", "recong-dim-2"],
+         "recong-dim-0", "recong-dim-1", "recong-dim-2",
+         "gen-cube-dim-0", "gen-q1-dim-2", "gen-prism-m-2", "gen-pyramid-negative"],
 )
 def test_bad_option_value_exit_code(tmp_path, capsys, argv, option):
     poly = tmp_path / "simplex.poly"

@@ -18,7 +18,6 @@ from skelrecon import (
     k_connected,
     k_skeleton,
     min_two_face_score,
-    objectives,
     q1,
     simplex,
     two_face_witness,
@@ -33,6 +32,7 @@ from oracles import (
     edge_directions,
     is_good,
     nx_k_connected,
+    objectives,
     orientation_from_order,
     reference_ancestors,
     sinks_in,

@@ -4,7 +4,7 @@ import time
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from skelrecon import (
@@ -23,7 +23,6 @@ from skelrecon import (
     max_two_system,
     min_two_face_score,
     multifold_pyramid,
-    objectives,
     polygon_prism,
     pyramid,
     q1,
@@ -35,8 +34,8 @@ from skelrecon import (
 )
 from skelrecon import recong
 from skelrecon.cli import main
-from skelrecon.errors import CertificateMismatch, TooLarge
-from skelrecon.graphs import vertices_of
+from skelrecon.errors import CertificateMismatch, EmptyFamily, InconsistentCounts, TooLarge
+from skelrecon.graphs import OrderCosts, vertices_of
 from skelrecon.textio import format_edge_list
 
 from conftest import PRISM_OVER_PYRAMID, SKEW_SOLID, SPLIT_CUBE, fixture_corpus, lattice_of
@@ -44,6 +43,11 @@ from oracles import (
     max_exact_cover,
     orientation_from_order,
     reference_ancestors,
+    reference_find_facets_avoiding,
+    reference_find_facets_empty,
+    reference_harvester,
+    reference_sweep,
+    reference_uv_two_faces,
     two_face_score_of_order,
 )
 
@@ -346,7 +350,7 @@ def test_harvest_rule_matches_reference():
     # so the need and avoid tests do all the filtering.
     g = build_face_lattice(PRISM_OVER_PYRAMID).graph()
     simple = classify_vertices(g, 4).simple
-    harvest = recong._harvester(g, 4, simple)
+    harvest = reference_harvester(g, 4, simple)
     rules = [({4}, {9}), ({9}, {4}), ({4, 9}, set()), (set(), {4, 9})]
     feasible = {}
     rng = random.Random(2)
@@ -369,18 +373,139 @@ def test_harvest_rule_matches_reference():
             assert got == want
 
 
+@lru_cache(maxsize=None)
+def _two_nonsimple_fixtures(max_n=8):
+    """(graph, d, u, v) of the corpus polytopes with n <= max_n and exactly
+    two nonsimple vertices u < v."""
+    out = []
+    for _, spec in sorted(fixture_corpus().items()):
+        lat = lattice_of(spec)
+        nonsimple = sorted(classify_vertices(lat).nonsimple)
+        if spec.n <= max_n and len(nonsimple) == 2:
+            out.append((lat.graph(), lat.d, *nonsimple))
+    return tuple(out)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the typed error it raised."""
+    try:
+        return fn(*args)
+    except (EmptyFamily, InconsistentCounts) as exc:
+        return type(exc), str(exc)
+
+
+def _kind(outcome, facets):
+    if outcome and isinstance(outcome[0], type):
+        return outcome[0].__name__
+    return f"{len(facets)} facets"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_family_sweeps_match_the_reference(data):
+    # Relabeled two-nonsimple fixtures, one-edge changes of them, and
+    # random graphs with any d up to the least degree and any u != v.
+    kind = data.draw(st.sampled_from(("fixture", "one_edge", "random")))
+    if kind == "random":
+        n = data.draw(st.integers(min_value=5, max_value=9))
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), min_size=n, unique=True)))
+        least = min(g.degree(w) for w in range(n))
+        assume(least >= 2)
+        d = data.draw(st.integers(min_value=2, max_value=least))
+        u, v = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    else:
+        base, d, u, v = data.draw(st.sampled_from(_two_nonsimple_fixtures()))
+        perm = data.draw(st.permutations(range(base.n)))
+        edges = {tuple(sorted((perm[a], perm[b]))) for a, b in base.edges}
+        u, v = perm[u], perm[v]
+        if kind == "one_edge":
+            edges ^= {data.draw(st.sampled_from(list(itertools.combinations(range(base.n), 2))))}
+        g = Graph(base.n, edges)
+        assume(min(g.degree(w) for w in range(g.n)) >= d)
+    sweep = data.draw(st.sampled_from(("u_minus_v", "v_minus_u", "uv", "neither", "uv_faces")))
+    if sweep == "uv_faces":
+        assume(g.has_edge(u, v))  # the kalai cycles are asked for only then
+        got = recong._uv_two_faces(g, d, u, v)
+        assert got == reference_uv_two_faces(g, d, u, v)
+        event(f"uv_faces: {len(got)} cycles")
+    elif sweep == "neither":
+        sides = [_outcome(reference_find_facets_avoiding, g, d, u, v, m)
+                 for m in ("u_minus_v", "v_minus_u")]
+        assume(all(isinstance(side[1], int) for side in sides))
+        (u_only, min_u), (v_only, _) = sides
+        expected = data.draw(st.sampled_from(sorted({min_u - len(u_only), 1, 2})))
+        assume(expected >= 0)
+        args = (g, d, u, v, u_only + v_only, expected)
+        got = _outcome(find_facets_empty, *args)
+        assert got == _outcome(reference_find_facets_empty, *args)
+        event(f"neither: {_kind(got, got)}")
+    else:
+        args = (g, d, u, v, sweep)
+        got = _outcome(find_facets_avoiding, *args)
+        assert got == _outcome(reference_find_facets_avoiding, *args)
+        event(f"{sweep}: {_kind(got, got[0])}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_initial_set_sweep_matches_the_reference_on_any_cost(data):
+    # The objectives of the family sweeps leave every candidate the same
+    # inside cost, so arbitrary per-vertex costs also exercise sets whose
+    # inside costs differ.
+    n = data.draw(st.integers(min_value=4, max_value=7))
+    pairs = list(itertools.combinations(range(n), 2))
+    g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), min_size=n, unique=True)))
+    least = min(g.degree(w) for w in range(n))
+    assume(least >= 1)
+    d = data.draw(st.integers(min_value=1, max_value=least))
+    simple = classify_vertices(g, d).simple
+    salt = data.draw(st.integers(0, 2**20))
+
+    def cost(y, p):
+        return random.Random(salt << 32 | y << 24 | p).randrange(4)
+
+    ends = data.draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
+    first, last = tuple(ends[:1]), tuple(ends[1:])
+    need, avoid = (
+        sum(1 << x for x in data.draw(st.sets(st.integers(0, n - 1), max_size=1)))
+        for _ in range(2)
+    )
+    avoid &= ~need
+    restricted = data.draw(st.booleans())
+    harvest = reference_harvester(g, d, simple)
+
+    def sweep():
+        return recong._initial_set_sweep(
+            g, d, simple, cost, need, avoid, sources=sum(1 << x for x in first),
+            sinks=sum(1 << x for x in last), restricted=restricted, force=False,
+        )
+
+    def reference():
+        return reference_sweep(
+            g, first=first, last=last,
+            family=(lambda o: any(harvest(o, need, avoid))) if restricted else None,
+            objective=lambda o: sum(cost(y, o.anc[y] & g.masks[y]) for y in range(n)),
+            collect=lambda o: harvest(o, need, avoid),
+        )
+
+    got = _outcome(sweep)
+    assert got == _outcome(reference)
+    event(f"restricted={restricted}: {_kind(got, got[1])}")
+
+
 def test_count_sink_frames_definition():
     # the simplex facet {0,1,4,5} gives apex 4 exactly d-1 = 3 inside
     # edges (a valid frame); it counts exactly when all three point at 4
     _, g = square_pyramid_2fold()
     facet = (0, 1, 4, 5)
     into = orientation_from_order(g, (0, 1, 2, 3, 5, 4))
-    assert count_sink_frames(g, 4, 4, [facet], into) == 1
+    assert count_sink_frames(g, 4, 4, [facet], into.anc[4]) == 1
     outof = orientation_from_order(g, (4, 0, 1, 2, 3, 5))
-    assert count_sink_frames(g, 4, 4, [facet], outof) == 0
+    assert count_sink_frames(g, 4, 4, [facet], outof.anc[4]) == 0
     # the square-pyramid facet {0,1,2,3,4} gives apex 4 four inside edges,
     # so it contributes no valid frame and is never counted
-    assert count_sink_frames(g, 4, 4, [(0, 1, 2, 3, 4)], into) == 0
+    assert count_sink_frames(g, 4, 4, [(0, 1, 2, 3, 4)], into.anc[4]) == 0
 
 
 def test_detect_uv_facets():
@@ -428,6 +553,36 @@ def test_claims_route_requires_d4():
     g = lattice_of(SPLIT_CUBE).graph()
     with pytest.raises(ValueError, match="d >= 4"):
         facet_families(g, 3)
+
+
+def test_claims_route_at_the_enumeration_bound():
+    # 12 vertices: the subset DP needs no orientation enumeration
+    lat = lattice_of(multifold_pyramid(polygon_prism(5), 2))
+    start = time.perf_counter()
+    families = facet_families(lat.graph(), 5)
+    assert time.perf_counter() - start < 5.0
+    assert families.counts == (1, 1, 0, 7)
+    assert families.min_both == 9
+    assert families.all_facets == lat.facets
+
+
+def test_force_stops_at_the_dp_bound(monkeypatch):
+    g = lattice_of(multifold_pyramid(polygon_prism(11), 2)).graph()  # 24 vertices
+    with pytest.raises(TooLarge, match="24 vertices exceed the enumeration bound 12; pass force=True"):
+        facet_families(g, 5)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a DP table was allocated")
+
+    monkeypatch.setattr(OrderCosts, "placing_after", no_table)
+    for sweep in (
+        lambda: facet_families(g, 5, force=True),
+        lambda: find_facets_avoiding(g, 5, 22, 23, "uv", force=True),
+        lambda: find_facets_empty(g, 5, 22, 23, (), 1, force=True),
+        lambda: reconstruct_two_nonsimple_via_truncation(g, 5, force=True),
+    ):
+        with pytest.raises(TooLarge, match="24 vertices exceed the subset-DP bound 22"):
+            sweep()
 
 
 def test_two_nonsimple_guards(monkeypatch):
