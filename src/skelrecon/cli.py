@@ -402,8 +402,13 @@ def _positive_int(raw: str) -> int:
     return int(raw)
 
 
-def _skeleton_rank(raw: str) -> int | str:
-    return raw if raw == "lattice" else _int(raw)
+def _rank(raw: str) -> int:
+    # Ranks above d-1 depend on the input file: k_skeleton refuses them.
+    return _at_least(1, [_int(raw)], raw)[0]
+
+
+def _rank_or_lattice(raw: str) -> int | str:
+    return raw if raw == "lattice" else _rank(raw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("skeleton", help="extract the k-skeleton")
     s.add_argument("file")
-    s.add_argument("--rank", type=int, required=True)
+    s.add_argument("--rank", type=_rank, required=True)
     s.add_argument("-o", "--output")
     s.set_defaults(fn=cmd_skeleton)
 
@@ -451,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     i = sub.add_parser("iso", help="compare two incidence files")
     i.add_argument("a")
     i.add_argument("b")
-    i.add_argument("--rank", type=_skeleton_rank, required=True,
+    i.add_argument("--rank", type=_rank_or_lattice, required=True,
                    help="skeleton rank, or 'lattice'")
     i.set_defaults(fn=cmd_iso)
 

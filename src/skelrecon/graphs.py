@@ -227,40 +227,61 @@ def _disjoint_paths(g: Graph, s: int, t: int, k: int) -> int:
     Unit-capacity augmenting paths over the split graph, where vertex v
     becomes an arc from node 2v (in) to node 2v+1 (out) and each edge uw
     the arcs 2u+1 -> 2w and 2w+1 -> 2u.  Paths run from s's out node to
-    t's in node; ``flow`` holds the saturated arcs.
+    t's in node, which is never left.  Every other split node carries at
+    most one unit, so the flow is one int per vertex, ``pred[w] = v`` for
+    the saturated arc 2v+1 -> 2w (-1 for none; ``pred[t]`` is never
+    read), plus the set ``first`` of the vertices s sends to.  v's own
+    arc is saturated exactly when ``pred[v]`` is set.
     """
-    flow: set[tuple[int, int]] = set()
+    adj = g.adj
+    pred = [-1] * g.n
+    first: set[int] = set()
     source, sink = 2 * s + 1, 2 * t
     for paths in range(k):
-        parent = {source: source}
-        queue = [source]
+        parent = [-1] * (2 * g.n)
+        parent[source] = source
+        queue = [2 * w for w in adj[s] if w not in first]
+        for b in queue:
+            parent[b] = source
         for a in queue:
+            if parent[sink] >= 0:
+                break
             v = a >> 1
             if a & 1:
-                steps = [2 * w for w in g.adj[v] if (a, 2 * w) not in flow]
-                if (a - 1, a) in flow:
-                    steps.append(a - 1)
+                # Out node: forward over every edge arc, and back over v's
+                # own arc when it carries a path.  v's one saturated edge
+                # arc, if any, leads to the in node this one was reached
+                # from, so it is never taken again.
+                for w in adj[v]:
+                    if parent[2 * w] < 0:
+                        parent[2 * w] = a
+                        queue.append(2 * w)
+                if pred[v] >= 0 and parent[a - 1] < 0:
+                    parent[a - 1] = a
+                    queue.append(a - 1)
             else:
-                steps = [2 * w + 1 for w in g.adj[v] if (2 * w + 1, a) in flow]
-                if (a, a + 1) not in flow:
-                    steps.append(a + 1)
-            for b in steps:
-                if b not in parent:
+                # In node: back over the saturated arc into it, or else
+                # forward over v's own arc.
+                b = 2 * pred[v] + 1 if pred[v] >= 0 else a + 1
+                if parent[b] < 0:
                     parent[b] = a
                     queue.append(b)
-            if sink in parent:
-                break
-        else:
+        if parent[sink] < 0:
             return paths
         b = sink
         while b != source:
             a = parent[b]
-            # The split graph has no antiparallel arcs, so a saturated (b, a)
-            # means this step cancelled flow.
-            if (b, a) in flow:
-                flow.remove((b, a))
-            else:
-                flow.add((a, b))
+            u, w = a >> 1, b >> 1
+            if u != w and a & 1:
+                # Forward over the edge arc u -> w.
+                if u == s:
+                    first.add(w)
+                pred[w] = u
+            elif u != w:
+                # Back over the saturated arc w -> u, which this cancels;
+                # the step into u's in node, walked next, refills pred[u]
+                # unless u's path is cancelled too.
+                pred[u] = -1
             b = a
     return k
 
@@ -269,22 +290,27 @@ def k_connected(g: Graph, k: int) -> bool:
     """True iff no vertex cut of size < k exists.
 
     A complete graph has no cut; a graph with no vertices is not
-    connected.  Even's pair scan (Even and Tarjan, SIAM J. Comput. 1975):
-    a cut S with |S| < k misses one of the first k vertices, and the first
-    vertex i it misses is separated from some later vertex j not adjacent
-    to it, so it suffices that every such pair is joined by k
-    vertex-disjoint paths.
+    connected.  The Esfahanian-Hakimi pair set (Networks 1984): with v a
+    vertex of least degree, a cut S with |S| < k either misses v, and
+    then separates v from a vertex not adjacent to it, or, taken
+    inclusion-minimal, holds v, and then v has neighbours in two
+    components of G - S, which are not adjacent.  So it suffices that v
+    and each non-neighbour, and each non-adjacent pair of v's
+    neighbours, are joined by k vertex-disjoint paths.
     """
     if k <= 0:
         return True
     if g.n == 0:
         return False
     masks = g.masks
-    for i in range(min(k, g.n)):
-        for j in range(i + 1, g.n):
-            if not masks[i] >> j & 1 and _disjoint_paths(g, i, j, k) < k:
-                return False
-    return True
+    v = min(range(g.n), key=g.degree)
+    near = g.adj[v]
+    pairs = [(v, w) for w in range(g.n) if w != v and not masks[v] >> w & 1]
+    pairs += [
+        (a, b) for i, a in enumerate(near) for b in near[i + 1:]
+        if not masks[a] >> b & 1
+    ]
+    return all(_disjoint_paths(g, a, b, k) >= k for a, b in pairs)
 
 
 def degrees_fit(g: Graph, a: int, d: int, simple: int) -> bool:

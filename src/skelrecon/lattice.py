@@ -148,7 +148,9 @@ def build_face_lattice(spec: PolytopeSpec) -> FaceLattice:
     below it, minus one.  NotGraded is raised when the full vertex set
     does not get rank d, when a facet does not get rank d-1, or when a
     cover spans more than one rank (the first in rank and then vertex
-    order).
+    order).  Every face list is in vertex-tuple order: the faces are
+    sorted once, and the layers and both cover lists are filled in that
+    order.
     """
     facet_masks = [sum(1 << v for v in f) for f in spec.facets]
     full = (1 << spec.n) - 1
@@ -163,7 +165,10 @@ def build_face_lattice(spec: PolytopeSpec) -> FaceLattice:
         covers: list[int] = []
         # Largest first: a set is maximal iff no maximal set found so far holds it.
         for m in sorted(meets, key=int.bit_count, reverse=True) or [0]:
-            if all(m & c != m for c in covers):
+            for c in covers:
+                if m & c == m:
+                    break
+            else:
                 covers.append(m)
         lower[face] = covers
         for m in covers:
@@ -186,15 +191,18 @@ def build_face_lattice(spec: PolytopeSpec) -> FaceLattice:
             raise NotGraded(f"facet {f} has rank {rank[m]}")
 
     verts = {f: vertices_of(f) for f in by_size}
+    order = sorted(by_size, key=verts.__getitem__)
+    layers: dict[int, list[int]] = {r: [] for r in range(-1, spec.d + 1)}
     upper: dict[int, list[int]] = {f: [] for f in by_size}
-    for f in by_size:
+    for f in order:
+        layers[rank[f]].append(f)
         for g in lower[f]:
             upper[g].append(f)
-    layers: dict[int, list[int]] = {r: [] for r in range(-1, spec.d + 1)}
-    for f in by_size:
-        layers[rank[f]].append(f)
-    for group in (*layers.values(), *upper.values(), *lower.values()):
-        group.sort(key=verts.__getitem__)
+    # Refill each face's lower covers in order too.
+    lower = {f: [] for f in by_size}
+    for g in order:
+        for f in upper[g]:
+            lower[f].append(g)
     for layer in layers.values():
         for f in layer:
             for h in upper[f]:
@@ -329,16 +337,14 @@ def _check_euler(lattice: FaceLattice) -> CheckResult:
     )
 
 
-def _check_graph_connectivity(lattice: FaceLattice) -> CheckResult:
-    g = lattice.graph()
+def _check_graph_connectivity(lattice: FaceLattice, g: Graph) -> CheckResult:
     ok = k_connected(g, lattice.d)
     return CheckResult(
         "graph_connectivity", ok, f"graph {'is' if ok else 'is not'} {lattice.d}-connected"
     )
 
 
-def _check_facet_connectivity(lattice: FaceLattice) -> CheckResult:
-    g = lattice.graph()
+def _check_facet_connectivity(lattice: FaceLattice, g: Graph) -> CheckResult:
     for f in lattice.faces_by_rank[lattice.d - 1]:
         sub, _ = g.induced(f)
         if not k_connected(sub, lattice.d - 1):
@@ -356,14 +362,16 @@ def validate(lattice: FaceLattice) -> ValidationReport:
     """Run the necessary-condition checks and collect a report.
 
     The graded check scans nothing: build_face_lattice raises NotGraded
-    for any cover that spans more than one rank.
+    for any cover that spans more than one rank.  Both connectivity checks
+    share one graph.
     """
+    g = lattice.graph()
     return ValidationReport(
         (
             CheckResult("graded", True, "every cover spans exactly one rank"),
             _check_diamond(lattice),
             _check_euler(lattice),
-            _check_graph_connectivity(lattice),
-            _check_facet_connectivity(lattice),
+            _check_graph_connectivity(lattice, g),
+            _check_facet_connectivity(lattice, g),
         )
     )

@@ -404,6 +404,11 @@ def nx_graph(g: Graph) -> nx.Graph:
     return h
 
 
+def nx_local_connectivity(g: Graph, s: int, t: int) -> int:
+    """The most internally vertex-disjoint s-t paths, s and t not adjacent."""
+    return nx.algorithms.connectivity.local_node_connectivity(nx_graph(g), s, t)
+
+
 def nx_k_connected(g: Graph, k: int) -> bool:
     """No vertex cut of size below k (complete graphs have no cut at all)."""
     if k <= 0:

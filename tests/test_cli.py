@@ -205,11 +205,15 @@ def test_short_line_exit_code(tmp_path, capsys, command, text, line):
         (("gen", "--family", "q1", "--dim", "2"), "--dim"),
         (("gen", "--family", "prism", "--m", "2"), "--m"),
         (("gen", "--family", "simplex", "--dim", "2", "--pyramid", "-1"), "--pyramid"),
+        (("skeleton", "{poly}", "--rank", "x"), "--rank"),
+        (("skeleton", "{poly}", "--rank", "0"), "--rank"),
+        (("iso", "{poly}", "{poly}", "--rank", "0"), "--rank"),
     ],
     ids=["iso-rank", "verify-dims", "verify-empty-range", "bench-sizes", "bench-repeats",
          "verify-dims-below-4", "bench-sizes-below-3",
          "recong-dim-0", "recong-dim-1", "recong-dim-2",
-         "gen-cube-dim-0", "gen-q1-dim-2", "gen-prism-m-2", "gen-pyramid-negative"],
+         "gen-cube-dim-0", "gen-q1-dim-2", "gen-prism-m-2", "gen-pyramid-negative",
+         "skeleton-rank-x", "skeleton-rank-0", "iso-rank-0"],
 )
 def test_bad_option_value_exit_code(tmp_path, capsys, argv, option):
     poly = tmp_path / "simplex.poly"
@@ -224,6 +228,15 @@ def test_bad_option_value_exit_code(tmp_path, capsys, argv, option):
     out, err = capsys.readouterr()
     assert f"argument {option}: " in err
     assert "OK" not in out
+
+
+def test_rank_options_share_one_message(tmp_path, capsys):
+    poly = tmp_path / "simplex.poly"
+    poly.write_text(format_spec(simplex(3)))
+    for argv in (("skeleton", str(poly)), ("iso", str(poly), str(poly))):
+        with pytest.raises(SystemExit):
+            run_cli(*argv, "--rank", "x")
+        assert "argument --rank: not an integer: 'x'" in capsys.readouterr().err
 
 
 def test_gen_size_guard(tmp_path, capsys):

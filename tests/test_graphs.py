@@ -19,10 +19,12 @@ from skelrecon import (
     k_skeleton,
     min_two_face_score,
     q1,
+    q2,
     simplex,
     two_face_witness,
 )
 from skelrecon.errors import TooLarge
+from skelrecon.graphs import _disjoint_paths
 
 from conftest import PRISM_OVER_PYRAMID, fixture_corpus, lattice_of
 from oracles import (
@@ -32,6 +34,7 @@ from oracles import (
     edge_directions,
     is_good,
     nx_k_connected,
+    nx_local_connectivity,
     objectives,
     orientation_from_order,
     reference_ancestors,
@@ -266,6 +269,57 @@ def test_k_connected_matches_networkx():
     for g in graphs:
         for k in range(0, 7):
             assert k_connected(g, k) == nx_k_connected(g, k), (g.n, g.edges, k)
+    # Polytope graphs relabeled, at the thresholds around their dimension d.
+    for spec in (cube(4), cube(5), q1(6).spec, q2(6).spec):
+        g = lattice_of(spec).graph()
+        for _ in range(3):
+            perm = rng.sample(range(g.n), g.n)
+            h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+            for k in (spec.d - 1, spec.d, spec.d + 1):
+                assert k_connected(h, k) == nx_k_connected(h, k), (spec, perm, k)
+
+
+def test_k_connected_tests_the_neighbour_pairs():
+    # Two K5s joined only through vertex 0, of least degree, with two
+    # neighbours in each: 0 is a cut vertex, yet 0 has 2 disjoint paths
+    # to every vertex not adjacent to it.
+    g = Graph(11, [*itertools.combinations(range(1, 6), 2),
+                   *itertools.combinations(range(6, 11), 2),
+                   (0, 1), (0, 2), (0, 6), (0, 7)])
+    assert k_connected(g, 1)
+    assert not k_connected(g, 2)
+
+
+def test_k_connected_flow_count(monkeypatch):
+    # v of least degree delta: n - delta - 1 non-neighbours plus at most
+    # C(delta, 2) neighbour pairs.
+    g = lattice_of(cube(5)).graph()
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _disjoint_paths(*args)
+
+    monkeypatch.setattr("skelrecon.graphs._disjoint_paths", spy)
+    assert k_connected(g, 5)
+    bound = g.n - 5 - 1 + math.comb(5, 2)
+    assert bound == 36 and len(calls) <= bound
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=10),
+    st.sampled_from((0.3, 0.55, 0.8, 0.95)),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_disjoint_paths_matches_networkx(n, density, seed):
+    rng = random.Random(seed)
+    g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density])
+    for s, t in itertools.permutations(range(n), 2):
+        if not g.has_edge(s, t):
+            paths = nx_local_connectivity(g, s, t)
+            for k in range(1, 7):
+                assert _disjoint_paths(g, s, t, k) == min(k, paths), (g.edges, s, t, k)
 
 
 def test_induced_cycles_k4():

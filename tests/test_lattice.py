@@ -221,6 +221,13 @@ def test_validate_cube6_all_pass():
     assert [c.passed for c in report.checks] == [True] * 5
 
 
+def test_validate_cube7_all_pass():
+    start = time.perf_counter()
+    report = validate(build_face_lattice(cube(7)))
+    assert time.perf_counter() - start < 2.0
+    assert [c.passed for c in report.checks] == [True] * 5
+
+
 def test_validate_broken_cube_fails_euler():
     facets = [f for f in cube(3).facets if f != (4, 5, 6, 7)]
     broken = PolytopeSpec(3, 8, facets)
