@@ -42,7 +42,7 @@ apex = next(iter(classify_vertices(lat).nonsimple))
 print(f"pyramid over the 3-cube: apex {apex} has degree {g.degree(apex)}")
 
 system = max_two_system(g, 4)
-order = two_face_witness(g, (apex,), [sum(1 << v for v in c) for c in system.sets])
+order = two_face_witness(g, (apex,), list(system.sets))  # sets are vertex masks
 placed = set()
 score = 0
 for v in order:

@@ -26,7 +26,6 @@ from .graphs import (
     Frame,
     Graph,
     Orientation,
-    ancestors,
     enumerate_acyclic_orientations,
     induced_cycles,
     is_feasible,

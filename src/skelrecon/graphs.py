@@ -1,6 +1,8 @@
 """Undirected graphs, acyclic orientations, frames, and orientation costs.
 
-An acyclic orientation is its ancestor bitmasks, one per vertex.  Minima
+A vertex set is an int bitmask, bit v for vertex v: adjacency, induced
+cycles, candidate facets and the sets of the DPs alike.  An acyclic
+orientation is its ancestor bitmasks, one per vertex.  Minima
 of per-vertex orientation costs come from one subset DP over vertex
 orders (:class:`OrderCosts`), not from enumerating orientations.
 Everything here is a pure function over immutable values; graphs and
@@ -17,6 +19,14 @@ from .errors import EmptyFamily, TooLarge
 #: Cap on the vertex count of orientation enumeration and of the facet-
 #: family DPs; force=True lifts it, up to the subset-DP bound.
 DEFAULT_ENUMERATION_BOUND = 12
+
+
+def mask_of(vertices: Iterable[int]) -> int:
+    """The vertex bitmask of a set of vertices."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
 
 
 def vertices_of(mask: int) -> tuple[int, ...]:
@@ -64,13 +74,7 @@ class Graph:
     def masks(self) -> tuple[int, ...]:
         """Adjacency bitmasks, one int per vertex (built lazily)."""
         if self._masks is None:
-            out = []
-            for v in range(self.n):
-                m = 0
-                for w in self.adj[v]:
-                    m |= 1 << w
-                out.append(m)
-            self._masks = tuple(out)
+            self._masks = tuple(map(mask_of, self.adj))
         return self._masks
 
     def induced(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
@@ -212,15 +216,6 @@ def simple_sink_term(k: int, d: int) -> int:
     return 1 if k == d - 1 else d if k == d else 0
 
 
-def ancestors(o: Orientation, x: int) -> frozenset[int]:
-    """All vertices with a directed path to x, including x.
-
-    The result is an initial set of the orientation, and x is its unique
-    sink.  Decodes ``o.anc[x]``.
-    """
-    return frozenset(vertices_of(o.anc[x]))
-
-
 def _disjoint_paths(g: Graph, s: int, t: int, k: int) -> int:
     """Internally vertex-disjoint s-t paths in g, counted up to k.
 
@@ -329,49 +324,50 @@ def degrees_fit(g: Graph, a: int, d: int, simple: int) -> bool:
     return True
 
 
-def is_feasible(g: Graph, vertices: Iterable[int], d: int, simple: Iterable[int]) -> bool:
-    """Whether a vertex set induces a candidate facet graph.
+def is_feasible(g: Graph, a: int, d: int, simple: int) -> bool:
+    """Whether the vertex mask ``a`` induces a candidate facet graph.
 
-    The induced subgraph must be (d-1)-connected, simple vertices of the
-    ambient polytope must have induced degree exactly d-1, and nonsimple
-    ones at least d-1.
+    The induced subgraph must be (d-1)-connected, the vertices of the mask
+    ``simple`` (the ambient polytope's simple vertices) must have induced
+    degree exactly d-1, and the others at least d-1.
     """
-    a = sum(1 << v for v in set(vertices))
-    if not a or not degrees_fit(g, a, d, sum(1 << v for v in set(simple))):
+    if not a or not degrees_fit(g, a, d, simple):
         return False
     sub, _ = g.induced(vertices_of(a))
     return k_connected(sub, d - 1)
 
 
-def induced_cycles(g: Graph) -> list[frozenset[int]]:
-    """All vertex sets inducing a single chordless cycle of length >= 3.
+def induced_cycles(g: Graph) -> list[int]:
+    """The vertex masks of all sets inducing a single chordless cycle of
+    length >= 3.
 
     Sorted by (length, sorted vertex tuple) so downstream searches are
     deterministic.
     """
-    adjsets = [set(a) for a in g.adj]
-    found: set[frozenset[int]] = set()
+    masks = g.masks
+    found: set[int] = set()
     for s in range(g.n):
-        # DFS over induced paths starting at s using vertices > s only;
-        # a path closes into a chordless cycle when the tip meets s again.
-        stack: list[tuple[tuple[int, ...], set[int]]] = [
-            ((s, p1), {s, p1}) for p1 in g.adj[s] if p1 > s
-        ]
+        # DFS over induced paths (vertex mask, second vertex, tip) from s
+        # through vertices above s only; a path closes into a chordless
+        # cycle when the tip meets s again.
+        start, above = 1 << s, -2 << s
+        stack = [(start | 1 << p, p, p) for p in vertices_of(masks[s] & above)]
         while stack:
-            path, pset = stack.pop()
-            tip = path[-1]
-            interior = pset - {s, tip}
-            for x in g.adj[tip]:
-                if x <= s or x in pset:
-                    continue
-                if adjsets[x] & interior:
+            path, second, tip = stack.pop()
+            interior = path & ~start & ~(1 << tip)
+            scan = masks[tip] & above & ~path
+            while scan:
+                low = scan & -scan
+                scan ^= low
+                x = low.bit_length() - 1
+                if masks[x] & interior:
                     continue  # chord into the path interior
-                if s in adjsets[x]:
-                    if path[1] < x:
-                        found.add(frozenset(path + (x,)))
+                if masks[x] & start:
+                    if second < x:
+                        found.add(path | low)
                     continue  # extending past x would leave a chord to s
-                stack.append((path + (x,), pset | {x}))
-    return sorted(found, key=lambda c: (len(c), tuple(sorted(c))))
+                stack.append((path | low, second, x))
+    return sorted(found, key=lambda c: (c.bit_count(), vertices_of(c)))
 
 
 def two_face_witness(
@@ -380,25 +376,18 @@ def two_face_witness(
     """A vertex order whose two-face score equals the number of cover
     cycles, or None.
 
-    ``cover_masks`` are the vertex bitmasks of chordless cycles.  The
-    order places ``sources`` first, then repeatedly the unplaced vertex
-    with the most placed neighbours (lowest label on ties), refusing a
-    vertex that would be a sink of a cover cycle that still has unplaced
-    vertices, so each cycle gets one sink, its last vertex.  Each vertex
-    is placed once, with no backtracking.  The order, every edge directed
-    from its earlier end, is an acyclic orientation with the sources as
-    sources; it is returned only if its two-face score, the sum of
-    C(indegree, 2), equals the number of cycles, which then certifies
-    that number as :func:`min_two_face_score` for an exact cover of the
-    simple-rooted 2-frames (weak duality, see
+    The order places ``sources`` first, then repeatedly the unplaced
+    vertex with the most placed neighbours (lowest label on ties), each
+    vertex once, with no backtracking.  Every edge directed from its
+    earlier end, the order is an acyclic orientation with the sources as
+    sources (None when two sources are adjacent).  It is returned only if
+    its two-face score, the sum of C(indegree, 2), equals
+    ``len(cover_masks)``.  For an exact cover of the simple-rooted
+    2-frames by chordless cycles, that check alone certifies the cover
+    size as :func:`min_two_face_score` (weak duality, see
     :func:`skelrecon.recong.max_two_system`).
     """
     masks = g.masks
-    # Per vertex: (cycle mask, mask of the vertex's two cycle neighbours).
-    sink_rules: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for c in cover_masks:
-        for v in vertices_of(c):
-            sink_rules[v].append((c, masks[v] & c))
     order = list(sources)
     placed = 0
     for v in order:
@@ -408,21 +397,12 @@ def two_face_witness(
     score = 0
     unplaced = [v for v in range(g.n) if not placed >> v & 1]
     while unplaced:
-        best = best_in = -1
-        for v in unplaced:
-            k = (masks[v] & placed).bit_count()
-            if k <= best_in:
-                continue
-            after = placed | 1 << v
-            if any(nb & placed == nb and c & ~after for c, nb in sink_rules[v]):
-                continue
-            best, best_in = v, k
-        if best < 0:
-            return None
+        best = max(unplaced, key=lambda v: (masks[v] & placed).bit_count())
+        k = (masks[best] & placed).bit_count()
         order.append(best)
         placed |= 1 << best
         unplaced.remove(best)
-        score += best_in * (best_in - 1) // 2
+        score += k * (k - 1) // 2
     return tuple(order) if score == len(cover_masks) else None
 
 
@@ -558,7 +538,7 @@ def min_two_face_score(g: Graph, sources: tuple[int, ...] = ()) -> int:
     dp = OrderCosts(
         g,
         lambda y, p: p.bit_count() * (p.bit_count() - 1) // 2,
-        sources=sum(1 << u for u in sources),
+        sources=mask_of(sources),
     )
     result = dp.after[0]
     if result == float("inf"):

@@ -86,18 +86,17 @@ class FaceLattice:
 
     Faces are identified with their vertex sets (frozensets); rank -1 is
     the empty face and rank d the whole vertex set.  ``upper[f]`` lists the
-    faces covering f, ``lower[f]`` the faces f covers.
+    faces covering f.
     """
 
-    __slots__ = ("d", "n", "faces_by_rank", "rank_of", "upper", "lower")
+    __slots__ = ("d", "n", "faces_by_rank", "rank_of", "upper")
 
-    def __init__(self, d, n, faces_by_rank, rank_of, upper, lower):
+    def __init__(self, d, n, faces_by_rank, rank_of, upper):
         self.d = d
         self.n = n
         self.faces_by_rank = faces_by_rank
         self.rank_of = rank_of
         self.upper = upper
-        self.lower = lower
 
     @property
     def f_vector(self) -> tuple[int, ...]:
@@ -149,7 +148,7 @@ def build_face_lattice(spec: PolytopeSpec) -> FaceLattice:
     does not get rank d, when a facet does not get rank d-1, or when a
     cover spans more than one rank (the first in rank and then vertex
     order).  Every face list is in vertex-tuple order: the faces are
-    sorted once, and the layers and both cover lists are filled in that
+    sorted once, and the layers and the upper covers are filled in that
     order.
     """
     facet_masks = [sum(1 << v for v in f) for f in spec.facets]
@@ -198,11 +197,6 @@ def build_face_lattice(spec: PolytopeSpec) -> FaceLattice:
         layers[rank[f]].append(f)
         for g in lower[f]:
             upper[g].append(f)
-    # Refill each face's lower covers in order too.
-    lower = {f: [] for f in by_size}
-    for g in order:
-        for f in upper[g]:
-            lower[f].append(g)
     for layer in layers.values():
         for f in layer:
             for h in upper[f]:
@@ -223,7 +217,6 @@ def build_face_lattice(spec: PolytopeSpec) -> FaceLattice:
         {r: faces(layer) for r, layer in layers.items()},
         {sets[f]: rank[f] for f in by_size},
         {sets[f]: faces(upper[f]) for f in by_size},
-        {sets[f]: faces(lower[f]) for f in by_size},
     )
 
 

@@ -27,7 +27,7 @@ from .errors import (
     NonSimpleRoot,
     NotASkeleton,
 )
-from .graphs import Frame, Graph, is_feasible
+from .graphs import Frame, Graph, is_feasible, mask_of
 from .lattice import KSkeleton, classify_vertices
 
 
@@ -319,7 +319,7 @@ def reconstruct(
             for i, a in enumerate(holders):
                 for b in holders[i + 1 :]:
                     if a & b == nonsimple and is_feasible(
-                        graph, a | b, d, fg.simple
+                        graph, mask_of(a | b), d, mask_of(fg.simple)
                     ):
                         pairs.append((a, b))
         if len(pairs) > 1:

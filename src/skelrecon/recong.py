@@ -28,6 +28,10 @@ truncated polytope, and pulls its facets back.
 
 The family DPs hold 2**n table entries: graphs above 12 vertices are
 refused unless forced, and above 22 always (:mod:`skelrecon.graphs`).
+
+Vertex sets are int masks throughout, as in :mod:`skelrecon.graphs`.  They
+are decoded in two places only: the 2-faces handed to the 2-skeleton
+engine become frozensets, and facet lists are sorted vertex tuples.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from typing import Callable, Iterable, Optional
 from .constructions import TruncationMap, pullback_facets, truncation_map
 from .errors import (
     CertificateMismatch,
+    DimensionTooSmall,
     EmptyFamily,
     InconsistentCounts,
     RepairAmbiguous,
@@ -51,6 +56,7 @@ from .graphs import (
     degrees_fit,
     induced_cycles,
     is_feasible,
+    mask_of,
     min_two_face_score,
     simple_sink_term,
     two_face_witness,
@@ -66,14 +72,10 @@ from . import recon2
 
 @dataclass(frozen=True)
 class TwoSystem:
-    """An exact cover of the simple-rooted 2-frames by induced cycles.
+    """An exact cover of the simple-rooted 2-frames by induced cycles,
+    as vertex masks in (length, sorted vertex tuple) order."""
 
-    ``coverage`` maps each frame, keyed as (root, leaf pair), to the set
-    covering it.
-    """
-
-    sets: tuple[frozenset[int], ...]
-    coverage: dict[tuple[int, frozenset[int]], frozenset[int]]
+    sets: tuple[int, ...]
 
     @property
     def size(self) -> int:
@@ -172,40 +174,32 @@ def max_two_system(
     if len(nonsimple) > 1:
         raise ValueError("max_two_system handles at most one nonsimple vertex")
     check_dp_bound(g.n)
-    frames = [
-        (w, frozenset(pair))
-        for w in range(g.n)
-        if w not in nonsimple
-        for pair in itertools.combinations(g.adj[w], 2)
-    ]
-    frame_id = {f: i for i, f in enumerate(frames)}
+    masks = g.masks
+    simple = (1 << g.n) - 1 & ~mask_of(nonsimple)
+    # A frame is keyed by its root and the mask of its two leaves.
+    frame_id: dict[tuple[int, int], int] = {}
+    for w in vertices_of(simple):
+        for a, b in itertools.combinations(g.adj[w], 2):
+            frame_id[w, 1 << a | 1 << b] = len(frame_id)
     cycles = induced_cycles(g)
     # A chordless cycle meets each of its vertices in a frame, and at most
     # one of its vertices is nonsimple, so no cycle covers an unknown frame
     # and none covers nothing.
-    covered = [
-        [
-            frame_id[w, frozenset(x for x in g.adj[w] if x in cyc)]
-            for w in cyc
-            if w not in nonsimple
-        ]
-        for cyc in cycles
+    rows = [
+        mask_of(frame_id[w, masks[w] & c] for w in vertices_of(c & simple))
+        for c in cycles
     ]
-    rows = [sum(1 << f for f in r) for r in covered]
-    chosen = _exact_cover_of_size(len(frames), rows, 0)
-    if chosen is None or two_face_witness(
-        g, nonsimple, [sum(1 << v for v in cycles[i]) for i in chosen]
-    ) is None:
+    chosen = _exact_cover_of_size(len(frame_id), rows, 0)
+    if chosen is None or two_face_witness(g, nonsimple, [cycles[i] for i in chosen]) is None:
         target = min_two_face_score(g, sources=nonsimple)
-        chosen = _exact_cover_of_size(len(frames), rows, target)
+        chosen = _exact_cover_of_size(len(frame_id), rows, target)
         if chosen is None:
             raise CertificateMismatch(
                 f"no exact cover of the simple-rooted 2-frames has {target} sets, "
                 "the orientation minimum"
             )
-    sets = tuple(sorted((cycles[i] for i in chosen), key=lambda s: (len(s), tuple(sorted(s)))))
-    coverage = {frames[f]: cycles[i] for i in chosen for f in covered[i]}
-    return TwoSystem(sets=sets, coverage=coverage)
+    # The cycles are in (length, vertex tuple) order already.
+    return TwoSystem(tuple(cycles[i] for i in sorted(chosen)))
 
 
 def _two_system_facets(
@@ -213,7 +207,8 @@ def _two_system_facets(
 ) -> tuple[TwoSystem, tuple[tuple[int, ...], ...]]:
     """The certified 2-system and the facet list it reconstructs."""
     system = max_two_system(g, d, nonsimple)
-    sk = KSkeleton(k=2, graph=g, faces_by_dim={2: system.sets})
+    faces = tuple(frozenset(vertices_of(s)) for s in system.sets)
+    sk = KSkeleton(k=2, graph=g, faces_by_dim={2: faces})
     return system, recon2.reconstruct(sk, d).facets
 
 
@@ -234,7 +229,7 @@ def reconstruct_one_nonsimple(g: Graph, d: int) -> tuple[tuple[int, ...], ...]:
 def _initial_set_sweep(
     g: Graph,
     d: int,
-    simple: frozenset[int],
+    simple: int,
     cost: Callable[[int, int], int],
     need: int,
     avoid: int,
@@ -249,11 +244,11 @@ def _initial_set_sweep(
 
     The candidates are the vertex masks A that hold ``need``, miss
     ``avoid`` and induce a feasible subgraph; the harvest of an
-    orientation is its candidates among the ancestor sets anc(x) of simple
-    vertices x.  The family is every orientation with the pinned
-    ``sources`` and ``sinks``, or with ``restricted`` only those whose
-    harvest is nonempty.  The result is the family minimum and the union
-    of the harvests of the orientations attaining it.
+    orientation is its candidates among the ancestor sets anc(x) of the
+    vertices x of the mask ``simple``.  The family is every orientation
+    with the pinned ``sources`` and ``sinks``, or with ``restricted`` only
+    those whose harvest is nonempty.  The result is the family minimum and
+    the union of the harvests of the orientations attaining it.
 
     Decomposition: A = anc(x) exactly when A is an initial set (no edge
     enters it) of which x is the only sink, so an orientation with
@@ -277,14 +272,13 @@ def _initial_set_sweep(
     after = dp.after
     inf = float("inf")
     best = inf if restricted else after[0]
-    seeds = sum(1 << x for x in simple)
     free = (1 << g.n) - 1 & ~need & ~avoid
     candidates = []
     rest = free
     while True:
         a = rest | need
         base = after[a]
-        if base < inf and base <= best and a & seeds and degrees_fit(g, a, d, seeds):
+        if base < inf and base <= best and a & simple and degrees_fit(g, a, d, simple):
             candidates.append((base, a))
         if not rest:
             break
@@ -293,8 +287,8 @@ def _initial_set_sweep(
     for base, a in sorted(candidates):
         if base > best:
             break
-        m = base + dp.single_sink(a, a & seeds)
-        if m == inf or m > best or not is_feasible(g, vertices_of(a), d, simple):
+        m = base + dp.single_sink(a, a & simple)
+        if m == inf or m > best or not is_feasible(g, a, d, simple):
             continue
         if m < best:
             best, found = m, []
@@ -304,9 +298,10 @@ def _initial_set_sweep(
     return int(best), tuple(sorted(vertices_of(a) for a in found))
 
 
-def _simple_sink_cost(d: int, simple: frozenset[int]) -> Callable[[int, int], int]:
-    """The simple-sink score as a per-vertex cost of the in-neighbour mask."""
-    return lambda y, p: simple_sink_term(p.bit_count(), d) if y in simple else 0
+def _simple_sink_cost(d: int, simple: int) -> Callable[[int, int], int]:
+    """The simple-sink score as a per-vertex cost of the in-neighbour mask;
+    ``simple`` is the mask of the simple vertices."""
+    return lambda y, p: simple_sink_term(p.bit_count(), d) if simple >> y & 1 else 0
 
 
 def find_facets_avoiding(
@@ -336,7 +331,7 @@ def find_facets_avoiding(
     vertex's own side of A.  So the least score with A as an ancestor set
     is exactly a subset DP inside A plus one for the rest placed after A.
     """
-    simple = classify_vertices(g, d).simple
+    simple = mask_of(classify_vertices(g, d).simple)
 
     if mode == "v_minus_u":
         u, v = v, u
@@ -355,10 +350,9 @@ def find_facets_avoiding(
     return found, minimum
 
 
-def count_sink_frames(
-    g: Graph, d: int, u: int, facets: Iterable[Iterable[int]], pred: int
-) -> int:
-    """Number of valid (d-1)-frames of u, among the given facets, with u a sink.
+def count_sink_frames(g: Graph, d: int, u: int, facets: Iterable[int], pred: int) -> int:
+    """Number of valid (d-1)-frames of u, among the given facet masks, with
+    u a sink.
 
     A facet contributes a valid frame at u when u has exactly d-1 neighbors
     inside it; it is counted when all of those edges point at u, that is
@@ -367,11 +361,8 @@ def count_sink_frames(
     """
     count = 0
     for f in facets:
-        fset = set(f)
-        inside = [w for w in g.adj[u] if w in fset]
-        if len(inside) != d - 1:
-            continue
-        if all(pred >> w & 1 for w in inside):
+        inside = g.masks[u] & f
+        if inside.bit_count() == d - 1 and inside & pred == inside:
             count += 1
     return count
 
@@ -404,8 +395,8 @@ def find_facets_empty(
     """
     if expected == 0:
         return ()
-    simple = classify_vertices(g, d).simple
-    u_facets = [f for f in known if u in f and v not in f]
+    simple = mask_of(classify_vertices(g, d).simple)
+    u_facets = [f for f in map(mask_of, known) if f >> u & 1 and not f >> v & 1]
     sink = _simple_sink_cost(d, simple)
 
     def cost(y: int, p: int) -> int:
@@ -430,20 +421,17 @@ def detect_uv_facets(g: Graph, d: int, known) -> bool:
     every facet contains a simple frame and every simple frame lies in
     exactly one facet.
     """
-    classes = classify_vertices(g, d)
-    footprints: dict[int, set[frozenset[int]]] = {w: set() for w in classes.simple}
-    for f in known:
-        fset = frozenset(f)
-        for w in fset:
-            if w in footprints:
-                footprints[w].add(frozenset(x for x in g.adj[w] if x in fset))
-    for w in sorted(classes.simple):
-        nbrs = g.adj[w]
-        for out in nbrs:
-            frame = frozenset(x for x in nbrs if x != out)
-            if frame not in footprints[w]:
-                return True
-    return False
+    masks = g.masks
+    simple = mask_of(classify_vertices(g, d).simple)
+    # (simple vertex, mask of its neighbours inside a known facet)
+    footprints = {
+        (w, masks[w] & f) for f in map(mask_of, known) for w in vertices_of(f & simple)
+    }
+    return any(
+        (w, masks[w] & ~(1 << out)) not in footprints
+        for w in vertices_of(simple)
+        for out in g.adj[w]
+    )
 
 
 @dataclass(frozen=True)
@@ -469,14 +457,12 @@ class FacetFamilies:
         return (len(self.u_only), len(self.v_only), len(self.neither), len(self.both))
 
 
-def _two_nonsimple(g: Graph, d: int) -> tuple[int, int, frozenset[int]]:
-    classes = classify_vertices(g, d)
-    if len(classes.nonsimple) != 2:
-        raise ValueError(
-            f"expected exactly two nonsimple vertices, found {sorted(classes.nonsimple)}"
-        )
-    u, v = sorted(classes.nonsimple)
-    return u, v, classes.simple
+def _two_nonsimple(g: Graph, d: int) -> tuple[int, int]:
+    nonsimple = sorted(classify_vertices(g, d).nonsimple)
+    if len(nonsimple) != 2:
+        raise ValueError(f"expected exactly two nonsimple vertices, found {nonsimple}")
+    u, v = nonsimple
+    return u, v
 
 
 def _two_nonsimple_routes(
@@ -490,8 +476,8 @@ def _two_nonsimple_routes(
     truncation route goes on.
     """
     if claims and d < 4:
-        raise ValueError("the family sweeps need d >= 4; use the truncation route")
-    u, v, _ = _two_nonsimple(g, d)
+        raise DimensionTooSmall("the family sweeps need d >= 4; use the truncation route")
+    u, v = _two_nonsimple(g, d)
     u_only, min_u = find_facets_avoiding(g, d, u, v, "u_minus_v", force=force)
     v_only, min_v = find_facets_avoiding(g, d, u, v, "v_minus_u", force=force)
     families = None
@@ -552,19 +538,18 @@ def reconstruct_two_nonsimple(
 # The truncation route
 
 
-def _two_faces_within(g: Graph, d: int, facet):
-    """2-faces inside one facet, via its induced subgraph.
+def _two_faces_within(g: Graph, d: int, facet: int) -> list[int]:
+    """2-faces inside one facet mask, via its induced subgraph.
 
     The induced subgraph is the graph of a (d-1)-polytope with at most one
     vertex of degree above d-1, so its 2-faces come from the exact-cover
     pipeline; for d == 3 the facet itself is its only 2-face.
     """
-    fset = frozenset(facet)
     if d == 3:
-        return [fset]
-    sub, back = g.induced(fset)
+        return [facet]
+    sub, back = g.induced(vertices_of(facet))
     system = max_two_system(sub, d - 1)
-    return [frozenset(back[i] for i in s) for s in system.sets]
+    return [mask_of(back[i] for i in vertices_of(s)) for s in system.sets]
 
 
 def _uv_two_faces(g: Graph, d: int, u: int, v: int, *, force: bool = False):
@@ -582,30 +567,29 @@ def _uv_two_faces(g: Graph, d: int, u: int, v: int, *, force: bool = False):
     plus ``after[C]``
     (:class:`~skelrecon.graphs.OrderCosts`), and C is kept when that sum
     equals ``after[0]``, the minimum over all orientations with u a
-    source.
+    source.  Returns cycle masks in vertex-tuple order.
     """
-    cycles = [c for c in induced_cycles(g) if u in c and v in c]
+    uv = 1 << u | 1 << v
+    cycles = [c for c in induced_cycles(g) if c & uv == uv]
     if not cycles:
         return []
     check_enumeration_bound(g.n, force)
     dp = OrderCosts(g, lambda y, p: 1 << p.bit_count(), sources=1 << u)
     after = dp.after
-    uv = 1 << u | 1 << v
     head = dp.price(u, 0) + dp.price(v, 1 << u)
     found = []
     for c in cycles:
-        m = sum(1 << x for x in c)
-        base = after[m] + head
+        base = after[c] + head
         # Costs are nonnegative, so a base above the minimum needs no DP.
-        if base <= after[0] and base + dp.placing_after(m)[uv] == after[0]:
+        if base <= after[0] and base + dp.placing_after(c)[uv] == after[0]:
             found.append(c)
-    return sorted(found, key=lambda c: tuple(sorted(c)))
+    return sorted(found, key=vertices_of)
 
 
 def _truncated_graph(g: Graph, face: tuple[int, ...], two_faces) -> tuple[Graph, TruncationMap]:
     """Graph of the polytope truncated at ``face`` (a vertex or an edge).
 
-    Uses only the graph and the 2-faces meeting the face: surviving
+    Uses only the graph and the 2-face masks meeting the face: surviving
     vertices keep their mutual edges, every cut edge (x in face, y outside)
     becomes a vertex joined to y, and each 2-face contributes the edge
     between the new vertices of its two crossing edges.
@@ -620,11 +604,11 @@ def _truncated_graph(g: Graph, face: tuple[int, ...], two_faces) -> tuple[Graph,
     for (x, y), w in new_from_edge.items():
         edges.append((w, old_to_new[y]))
     for s in two_faces:
-        crossing = sorted((x, y) for x, y in new_from_edge if x in s and y in s)
+        crossing = sorted((x, y) for x, y in new_from_edge if s >> x & 1 and s >> y & 1)
         if len(crossing) == 2:
             edges.append((new_from_edge[crossing[0]], new_from_edge[crossing[1]]))
         elif len(crossing) > 2:
-            raise ValueError(f"2-face {tuple(sorted(s))} crosses the cut thrice")
+            raise ValueError(f"2-face {vertices_of(s)} crosses the cut thrice")
     return Graph(len(old_to_new) + len(new_from_edge), edges), tmap
 
 
@@ -647,12 +631,8 @@ def reconstruct_two_nonsimple_via_truncation(
 
 def _via_truncation(g: Graph, d: int, u: int, v: int, u_only, v_only, force: bool):
     """The truncation route from the facets containing u only and v only."""
-    two_faces_u: set[frozenset[int]] = set()
-    for t in u_only:
-        two_faces_u.update(s for s in _two_faces_within(g, d, t) if u in s)
-    two_faces_v: set[frozenset[int]] = set()
-    for t in v_only:
-        two_faces_v.update(s for s in _two_faces_within(g, d, t) if v in s)
+    two_faces_u = {s for t in u_only for s in _two_faces_within(g, d, mask_of(t)) if s >> u & 1}
+    two_faces_v = {s for t in v_only for s in _two_faces_within(g, d, mask_of(t)) if s >> v & 1}
 
     if g.has_edge(u, v):
         shared = _uv_two_faces(g, d, u, v, force=force)

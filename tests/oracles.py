@@ -33,6 +33,7 @@ from skelrecon.graphs import (
     enumerate_acyclic_orientations,
     induced_cycles,
     is_feasible,
+    mask_of,
     simple_sink_term,
     vertices_of,
 )
@@ -128,7 +129,6 @@ def chain_ranked_lattice(spec):
     }
     # Upper covers: the minimal faces strictly containing each face.
     upper = {}
-    lower = {f: [] for f in faces}
     for f in faces:
         ups = []
         for h in by_size:
@@ -136,8 +136,6 @@ def chain_ranked_lattice(spec):
                 continue
             if not any(u < h for u in ups):
                 ups.append(h)
-        for h in ups:
-            lower[h].append(f)
         upper[f] = tuple(sorted(ups, key=_canon))
     for r in range(-1, spec.d + 1):
         for f in faces_by_rank[r]:
@@ -147,8 +145,7 @@ def chain_ranked_lattice(spec):
                         f"{_canon(h)} covers {_canon(f)} but spans "
                         f"ranks {r}..{rank_of[h]}"
                     )
-    lower = {f: tuple(sorted(ls, key=_canon)) for f, ls in lower.items()}
-    return FaceLattice(spec.d, spec.n, faces_by_rank, rank_of, upper, lower)
+    return FaceLattice(spec.d, spec.n, faces_by_rank, rank_of, upper)
 
 
 def chromatic_polynomial(g: Graph, x: int) -> int:
@@ -434,6 +431,7 @@ def reference_harvester(g: Graph, d: int, simple):
     the mask ``need``, none of ``avoid``, and induce a feasible subgraph.
     """
     order = sorted(simple)
+    simple_mask = mask_of(simple)
     cache: dict[int, bool] = {}
 
     def harvest(o, need: int, avoid: int):
@@ -443,7 +441,7 @@ def reference_harvester(g: Graph, d: int, simple):
                 continue
             ok = cache.get(anc)
             if ok is None:
-                ok = cache[anc] = is_feasible(g, vertices_of(anc), d, simple)
+                ok = cache[anc] = is_feasible(g, anc, d, simple_mask)
             if ok:
                 yield anc
 
@@ -503,7 +501,7 @@ def reference_find_facets_empty(g, d, u, v, known, expected, *, force=False):
         return ()
     simple = classify_vertices(g, d).simple
     harvest = reference_harvester(g, d, simple)
-    u_facets = [f for f in known if u in f and v not in f]
+    u_facets = [mask_of(f) for f in known if u in f and v not in f]
     both = 1 << u | 1 << v
 
     def objective(o):
@@ -528,15 +526,15 @@ def reference_find_facets_empty(g, d, u, v, known, expected, *, force=False):
 def reference_uv_two_faces(g, d, u, v, *, force=False):
     """The induced cycles through u and v that are initial under some
     kalai-score minimiser with u a source and v of indegree 1, by sweeping
-    every orientation with u a source."""
-    cycles = [(c, sum(1 << x for x in c)) for c in induced_cycles(g) if u in c and v in c]
+    every orientation with u a source; vertex masks in vertex-tuple order."""
+    cycles = [c for c in induced_cycles(g) if c >> u & c >> v & 1]
     if not cycles:
         return []
 
     def initial_cycles(o):
         if o.indegree[v] != 1:
             return []
-        return [m for c, m in cycles if all(o.anc[x] | m == m for x in c)]
+        return [c for c in cycles if all(o.anc[x] | c == c for x in vertices_of(c))]
 
     _, found = reference_sweep(
         g,
@@ -545,4 +543,4 @@ def reference_uv_two_faces(g, d, u, v, *, force=False):
         collect=initial_cycles,
         force=force,
     )
-    return [frozenset(c) for c in found]
+    return [mask_of(c) for c in found]

@@ -140,6 +140,21 @@ def test_recong_one_nonsimple(tmp_path):
     assert parse_spec(out.read_text()).facets == lat.facets
 
 
+@pytest.mark.parametrize("method", [(), ("--method", "both"), ("--method", "claims")])
+def test_recong_claims_at_d3_is_a_typed_error(tmp_path, capsys, method):
+    # The skew solid is a 3-polytope with two nonsimple vertices; the input
+    # parses, so the family sweeps' d >= 4 requirement exits 1, not 2.
+    edges = tmp_path / "g.edges"
+    lat = lattice_of(fixture_corpus()["skew_solid"])
+    edges.write_text(format_edge_list(lat.graph()))
+    assert run_cli("recong", str(edges), "--dim", "3", *method) == 1
+    err = capsys.readouterr().err
+    assert err == "error: the family sweeps need d >= 4; use the truncation route\n"
+    out = tmp_path / "out.poly"
+    assert run_cli("recong", str(edges), "--dim", "3", "--method", "truncation", "-o", str(out)) == 0
+    assert parse_spec(out.read_text()).facets == lat.facets
+
+
 def test_iso_exit_codes(tmp_path, capsys):
     a, b = tmp_path / "a.poly", tmp_path / "b.poly"
     run_cli("gen", "--family", "q1", "--dim", "4", "-o", str(a))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from skelrecon import (
     Graph,
-    ancestors,
     build_face_lattice,
     classify_vertices,
     cube,
@@ -24,7 +23,7 @@ from skelrecon import (
     two_face_witness,
 )
 from skelrecon.errors import TooLarge
-from skelrecon.graphs import _disjoint_paths
+from skelrecon.graphs import _disjoint_paths, mask_of, vertices_of
 
 from conftest import PRISM_OVER_PYRAMID, fixture_corpus, lattice_of
 from oracles import (
@@ -178,8 +177,8 @@ def test_kalai_minimisers_of_cube_graph_are_good():
 def test_ancestors_of_source_and_sink():
     g = complete_graph(4)
     o = orientation_from_order(g, (2, 0, 3, 1))
-    assert ancestors(o, 2) == {2}
-    assert ancestors(o, 1) == {0, 1, 2, 3}
+    assert vertices_of(o.anc[2]) == (2,)
+    assert vertices_of(o.anc[1]) == (0, 1, 2, 3)
 
 
 def test_ancestors_form_initial_sets():
@@ -202,7 +201,7 @@ def test_ancestors_form_initial_sets():
             orientations += enumerate_acyclic_orientations(g, first=first, last=last)
     for o in orientations:
         for x in range(o.graph.n):
-            anc = ancestors(o, x)
+            anc = frozenset(vertices_of(o.anc[x]))
             assert anc == reference_ancestors(o, x)
             for v in anc:
                 for w in o.graph.adj[v]:
@@ -214,18 +213,19 @@ def test_ancestors_form_initial_sets():
 def test_feasible_cube4_facets():
     lat = lattice_of(cube(4))
     g = lat.graph()
-    simple = classify_vertices(lat).simple
+    simple = mask_of(classify_vertices(lat).simple)
     for f in lat.facets:
-        assert is_feasible(g, f, 4, simple)
+        assert is_feasible(g, mask_of(f), 4, simple)
     u, v = g.edges[0]
-    assert not is_feasible(g, {u, v}, 4, simple)
+    assert not is_feasible(g, 1 << u | 1 << v, 4, simple)
+    assert not is_feasible(g, 0, 4, simple)
 
 
 def test_feasible_q1_type_a_facet():
     lat = lattice_of(q1(4).spec)
     g = lat.graph()
-    simple = classify_vertices(lat).simple
-    assert is_feasible(g, {0, 2, 4, 6}, 4, simple)
+    simple = mask_of(classify_vertices(lat).simple)
+    assert is_feasible(g, mask_of((0, 2, 4, 6)), 4, simple)
 
 
 @settings(max_examples=30, deadline=None)
@@ -235,10 +235,10 @@ def test_feasibility_is_relabeling_invariant(perm):
     g = lat.graph()
     simple = classify_vertices(lat).simple
     relabeled = Graph(8, [(perm[u], perm[v]) for u, v in g.edges])
-    new_simple = {perm[v] for v in simple}
+    new_simple = mask_of(perm[v] for v in simple)
     for f in lat.facets:
-        image = {perm[v] for v in f}
-        assert is_feasible(g, f, 3, simple) == is_feasible(
+        image = mask_of(perm[v] for v in f)
+        assert is_feasible(g, mask_of(f), 3, mask_of(simple)) == is_feasible(
             relabeled, image, 3, new_simple
         )
 
@@ -324,18 +324,16 @@ def test_disjoint_paths_matches_networkx(n, density, seed):
 
 def test_induced_cycles_k4():
     got = induced_cycles(complete_graph(4))
-    assert sorted(got, key=sorted) == [
-        frozenset(c) for c in itertools.combinations(range(4), 3)
-    ]
+    assert got == [mask_of(c) for c in itertools.combinations(range(4), 3)]
 
 
 def test_induced_cycles_c6():
-    assert induced_cycles(cycle_graph(6)) == [frozenset(range(6))]
+    assert induced_cycles(cycle_graph(6)) == [0b111111]
 
 
 def test_induced_cycles_cube_matches_subset_oracle():
     g = lattice_of(cube(3)).graph()
-    got = set(induced_cycles(g))
+    got = {frozenset(vertices_of(c)) for c in induced_cycles(g)}
     assert got == brute_force_chordless_cycles(g)
     lengths = sorted(len(c) for c in got)
     assert lengths == [4] * 6 + [6] * 4  # six squares, four skew hexagons
@@ -348,7 +346,9 @@ def test_induced_cycles_random_graphs(seed):
     n = rng.randint(4, 7)
     edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
     g = Graph(n, edges)
-    assert set(induced_cycles(g)) == brute_force_chordless_cycles(g)
+    cycles = induced_cycles(g)
+    assert cycles == sorted(cycles, key=lambda c: (c.bit_count(), vertices_of(c)))
+    assert {frozenset(vertices_of(c)) for c in cycles} == brute_force_chordless_cycles(g)
 
 
 def brute_min_two_face_score(g, sources=()):
@@ -378,14 +378,10 @@ def test_min_two_face_score_simplex():
         assert min_two_face_score(g) == math.comb(d + 1, 3)
 
 
-def _vertex_mask(vertices):
-    return sum(1 << v for v in vertices)
-
-
 def test_two_face_witness_on_the_cube():
     lat = lattice_of(cube(3))
     g = lat.graph()
-    squares = [_vertex_mask(f) for f in lat.faces_by_rank[2]]
+    squares = [mask_of(f) for f in lat.faces_by_rank[2]]
     order = two_face_witness(g, (), squares)
     assert two_face_score_of_order(g.n, g.edges, (), order) == 6
     o = orientation_from_order(g, order)
@@ -394,20 +390,23 @@ def test_two_face_witness_on_the_cube():
     assert two_face_witness(g, (), []) is None
 
 
-def test_two_face_witness_gives_each_cycle_one_sink():
+def test_two_face_witness_returns_a_score_equal_to_the_cover_size():
     # K(2,3) with parts {0, 2} and {1, 3, 4}: the 4-cycles 0-1-2-3 and
-    # 0-3-2-4 share the frame (3; 0, 2).  From source 1 the greedy order
-    # 1 0 2 3 4 scores 2, one per cycle, but 3 and 4 are both sinks of the
-    # second cycle; refusing 3 leaves no vertex to place.
+    # 0-3-2-4 share the frame (3; 0, 2), so they are no exact cover, and
+    # 3 and 4 are both sinks of the second one under the greedy order
+    # 1 0 2 3 4.  Only the score is checked: it is 2, one in-pair each at
+    # 3 and 4, so the order comes back for two cycles and not for one.
     g = Graph(5, [(a, b) for a in (0, 2) for b in (1, 3, 4)])
-    cycles = [_vertex_mask((0, 1, 2, 3)), _vertex_mask((0, 2, 3, 4))]
-    assert two_face_score_of_order(5, g.edges, (1,), (1, 0, 2, 3, 4)) == 2
-    assert two_face_witness(g, (1,), cycles) is None
+    cycles = [mask_of((0, 1, 2, 3)), mask_of((0, 2, 3, 4))]
+    order = two_face_witness(g, (1,), cycles)
+    assert order == (1, 0, 2, 3, 4)
+    assert two_face_score_of_order(5, g.edges, (1,), order) == 2 == len(cycles)
+    assert two_face_witness(g, (1,), cycles[:1]) is None
 
 
 def test_two_face_witness_keeps_sources_sources():
     g = complete_graph(4)  # every 3 vertices form a chordless cycle
-    triangles = [_vertex_mask(t) for t in itertools.combinations(range(4), 3)]
+    triangles = [mask_of(t) for t in itertools.combinations(range(4), 3)]
     assert two_face_witness(g, (0, 1), triangles) is None
     order = two_face_witness(g, (2,), triangles)
     assert order[0] == 2

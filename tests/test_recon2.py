@@ -23,6 +23,7 @@ from skelrecon.errors import (
     NonSimpleRoot,
     NotASkeleton,
 )
+from skelrecon.graphs import mask_of, vertices_of
 from skelrecon.lattice import build_face_lattice
 
 from conftest import fixture_corpus, lattice_of
@@ -150,7 +151,7 @@ def test_reported_facets_are_feasible_and_cover_frames_once():
         seen = {}
         for f in facets:
             fset = frozenset(f)
-            assert is_feasible(graph, fset, lat.d, classes.simple)
+            assert is_feasible(graph, mask_of(f), lat.d, mask_of(classes.simple))
             for w in fset & classes.simple:
                 frame = frozenset(x for x in graph.adj[w] if x in fset)
                 assert (w, frame) not in seen
@@ -200,4 +201,4 @@ def test_not_a_skeleton_on_tampered_faces():
 def fixture_hexagons(sk):
     from skelrecon import induced_cycles
 
-    return [c for c in induced_cycles(sk.graph) if len(c) == 6]
+    return [frozenset(vertices_of(c)) for c in induced_cycles(sk.graph) if c.bit_count() == 6]

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -34,8 +35,14 @@ from skelrecon import (
 )
 from skelrecon import recong
 from skelrecon.cli import main
-from skelrecon.errors import CertificateMismatch, EmptyFamily, InconsistentCounts, TooLarge
-from skelrecon.graphs import OrderCosts, vertices_of
+from skelrecon.errors import (
+    CertificateMismatch,
+    DimensionTooSmall,
+    EmptyFamily,
+    InconsistentCounts,
+    TooLarge,
+)
+from skelrecon.graphs import OrderCosts, mask_of, vertices_of
 from skelrecon.textio import format_edge_list
 
 from conftest import PRISM_OVER_PYRAMID, SKEW_SOLID, SPLIT_CUBE, fixture_corpus, lattice_of
@@ -56,19 +63,22 @@ def two_faces_of(lat):
     return set(lat.faces_by_rank[2])
 
 
+def face_sets(system):
+    """The 2-system's vertex masks as a set of frozensets."""
+    return {frozenset(vertices_of(s)) for s in system.sets}
+
+
 def test_two_system_simplex4_is_all_triangles():
     lat = lattice_of(simplex(4))
     system = max_two_system(lat.graph(), 4)
-    assert set(system.sets) == {
-        frozenset(t) for t in itertools.combinations(range(5), 3)
-    }
+    assert system.sets == tuple(mask_of(t) for t in itertools.combinations(range(5), 3))
     assert system.size == 10
 
 
 def test_two_system_cube_is_the_six_squares():
     lat = lattice_of(cube(3))
     system = max_two_system(lat.graph(), 3)
-    assert set(system.sets) == two_faces_of(lat)
+    assert face_sets(system) == two_faces_of(lat)
     assert system.size == 6
 
 
@@ -76,17 +86,7 @@ def test_two_system_pyramid_over_cube():
     lat = lattice_of(pyramid(cube(3)))
     system = max_two_system(lat.graph(), 4)
     assert system.size == 18  # 12 apex triangles + 6 squares
-    assert set(system.sets) == two_faces_of(lat)
-
-
-def test_two_system_coverage_index():
-    lat = lattice_of(cube(3))
-    g = lat.graph()
-    system = max_two_system(g, 3)
-    for w in range(8):
-        for pair in itertools.combinations(g.adj[w], 2):
-            covering = system.coverage[(w, frozenset(pair))]
-            assert {w, *pair} <= covering
+    assert face_sets(system) == two_faces_of(lat)
 
 
 @pytest.mark.parametrize(
@@ -135,7 +135,11 @@ def _frame_rows(g, nonsimple):
     frame_id = {f: i for i, f in enumerate(frames)}
     cycles = induced_cycles(g)
     rows = [
-        [frame_id[w, frozenset(x for x in g.adj[w] if x in c)] for w in c if w not in nonsimple]
+        [
+            frame_id[w, frozenset(x for x in g.adj[w] if c >> x & 1)]
+            for w in vertices_of(c)
+            if w not in nonsimple
+        ]
         for c in cycles
     ]
     return frames, cycles, rows
@@ -143,13 +147,13 @@ def _frame_rows(g, nonsimple):
 
 def _reference_two_system(g, nonsimple):
     """The first maximum exact cover of the simple-rooted 2-frames, by the
-    reference search: (size, sorted sets, coverage), size -1 if none."""
+    reference search: (size, sorted set masks), size -1 if none."""
     frames, cycles, rows = _frame_rows(g, nonsimple)
     chosen = max_exact_cover(frames, rows)
     if chosen is None:
-        return -1, (), {}
-    sets = tuple(sorted((cycles[i] for i in chosen), key=lambda s: (len(s), tuple(sorted(s)))))
-    return len(chosen), sets, {frames[f]: cycles[i] for i in chosen for f in rows[i]}
+        return -1, ()
+    sets = tuple(sorted((cycles[i] for i in chosen), key=lambda s: (s.bit_count(), vertices_of(s))))
+    return len(chosen), sets
 
 
 @settings(max_examples=150, deadline=None)
@@ -177,16 +181,54 @@ def test_two_system_is_the_reference_maximum_cover(data):
     def two_system():
         return max_two_system(g, d) if kind == "fixture" else max_two_system(g, d, nonsimple)
 
-    size, sets, coverage = _reference_two_system(g, nonsimple)
+    size, sets = _reference_two_system(g, nonsimple)
     target = min_two_face_score(g, nonsimple)
     assert size <= target  # weak duality
     if size == target:
-        system = two_system()
-        assert system.sets == sets
-        assert system.coverage == coverage
+        assert two_system().sets == sets
     else:
         with pytest.raises(CertificateMismatch, match=f"has {target} sets"):
             two_system()
+
+
+def _is_chordless_cycle(g, vertices):
+    """Whether the vertex set induces one cycle: at least three vertices,
+    each with two neighbours inside, all reached by walking along them."""
+    inside = {w: [x for x in g.adj[w] if x in vertices] for w in vertices}
+    if len(vertices) < 3 or any(len(nb) != 2 for nb in inside.values()):
+        return False
+    seen, stack = set(), [next(iter(vertices))]
+    while stack:
+        w = stack.pop()
+        if w not in seen:
+            seen.add(w)
+            stack += inside[w]
+    return seen == set(vertices)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_two_system_sets_cover_each_simple_frame_once(data):
+    # Relabeled fixtures.  Read off the sets alone: each induces a
+    # chordless cycle, and each simple-rooted 2-frame (w; a, b) is covered
+    # by exactly one set, the one in which a and b are w's neighbours.
+    base, d, nonsimple = data.draw(st.sampled_from(_one_nonsimple_fixtures()))
+    perm = data.draw(st.permutations(range(base.n)))
+    g = Graph(base.n, [(perm[u], perm[v]) for u, v in base.edges])
+    nonsimple = {perm[v] for v in nonsimple}
+    covered = Counter()
+    for s in max_two_system(g, d).sets:
+        cycle = set(vertices_of(s))
+        assert _is_chordless_cycle(g, cycle)
+        for w in cycle - nonsimple:
+            covered[w, frozenset(x for x in g.adj[w] if x in cycle)] += 1
+    frames = [
+        (w, frozenset(pair))
+        for w in range(g.n)
+        if w not in nonsimple
+        for pair in itertools.combinations(g.adj[w], 2)
+    ]
+    assert covered == Counter(frames)
 
 
 @settings(max_examples=80, deadline=None)
@@ -207,7 +249,7 @@ def test_two_face_witness_certifies_the_dp_minimum(data):
     for chosen in (first, max_exact_cover(frames, rows)):
         if chosen is None:
             continue
-        order = two_face_witness(g, nonsimple, [sum(1 << v for v in cycles[i]) for i in chosen])
+        order = two_face_witness(g, nonsimple, [cycles[i] for i in chosen])
         if order is not None:
             score = two_face_score_of_order(g.n, g.edges, nonsimple, order)
             assert score == len(chosen) == min_two_face_score(g, nonsimple)
@@ -223,7 +265,7 @@ def test_two_system_witness_skips_the_dp(monkeypatch):
     start = time.perf_counter()
     system = max_two_system(g, 4)
     assert time.perf_counter() - start < 0.1
-    assert set(system.sets) == two_faces_of(lat)
+    assert face_sets(system) == two_faces_of(lat)
     rng = random.Random(8)
     for _, spec in sorted(fixture_corpus().items()):
         lat = lattice_of(spec)
@@ -233,7 +275,7 @@ def test_two_system_witness_skips_the_dp(monkeypatch):
             perm = rng.sample(range(spec.n), spec.n)
             g = Graph(spec.n, [(perm[u], perm[v]) for u, v in lat.graph().edges])
             system = max_two_system(g, lat.d)
-            assert set(system.sets) == {frozenset(perm[v] for v in f) for f in two_faces_of(lat)}
+            assert face_sets(system) == {frozenset(perm[v] for v in f) for f in two_faces_of(lat)}
 
 
 def test_two_system_dp_fallback_is_unchanged(monkeypatch):
@@ -250,7 +292,6 @@ def test_two_system_dp_fallback_is_unchanged(monkeypatch):
     for (g, d, nonsimple), system in zip(fixtures, expected):
         fallback = max_two_system(g, d, nonsimple)
         assert fallback.sets == system.sets
-        assert fallback.coverage == system.coverage
     assert len(dp_calls) == len(fixtures)
     k33 = Graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
     with pytest.raises(CertificateMismatch, match=f"has {min_two_face_score(k33)} sets"):
@@ -364,7 +405,7 @@ def test_harvest_rule_matches_reference():
                 anc = reference_ancestors(o, x)
                 if need <= anc and not anc & avoid:
                     if anc not in feasible:
-                        feasible[anc] = is_feasible(g, anc, 4, simple)
+                        feasible[anc] = is_feasible(g, mask_of(anc), 4, mask_of(simple))
                     if feasible[anc]:
                         want.add(anc)
             need_mask = sum(1 << w for w in need)
@@ -477,7 +518,7 @@ def test_initial_set_sweep_matches_the_reference_on_any_cost(data):
 
     def sweep():
         return recong._initial_set_sweep(
-            g, d, simple, cost, need, avoid, sources=sum(1 << x for x in first),
+            g, d, mask_of(simple), cost, need, avoid, sources=sum(1 << x for x in first),
             sinks=sum(1 << x for x in last), restricted=restricted, force=False,
         )
 
@@ -498,14 +539,14 @@ def test_count_sink_frames_definition():
     # the simplex facet {0,1,4,5} gives apex 4 exactly d-1 = 3 inside
     # edges (a valid frame); it counts exactly when all three point at 4
     _, g = square_pyramid_2fold()
-    facet = (0, 1, 4, 5)
+    facet = mask_of((0, 1, 4, 5))
     into = orientation_from_order(g, (0, 1, 2, 3, 5, 4))
     assert count_sink_frames(g, 4, 4, [facet], into.anc[4]) == 1
     outof = orientation_from_order(g, (4, 0, 1, 2, 3, 5))
     assert count_sink_frames(g, 4, 4, [facet], outof.anc[4]) == 0
     # the square-pyramid facet {0,1,2,3,4} gives apex 4 four inside edges,
     # so it contributes no valid frame and is never counted
-    assert count_sink_frames(g, 4, 4, [(0, 1, 2, 3, 4)], into.anc[4]) == 0
+    assert count_sink_frames(g, 4, 4, [mask_of((0, 1, 2, 3, 4))], into.anc[4]) == 0
 
 
 def test_detect_uv_facets():
@@ -551,7 +592,7 @@ def test_claims_route_all_four_families():
 
 def test_claims_route_requires_d4():
     g = lattice_of(SPLIT_CUBE).graph()
-    with pytest.raises(ValueError, match="d >= 4"):
+    with pytest.raises(DimensionTooSmall, match="d >= 4"):
         facet_families(g, 3)
 
 
