@@ -5,9 +5,10 @@ With at most one nonsimple vertex, the 2-faces are the maximum exact
 cover of the simple-rooted 2-frames by induced cycles.  No cover is larger
 than the two-face score of an acyclic orientation with the nonsimple
 vertex as a source, so a vertex order whose score equals the size of the
-first cover found certifies it (the subset DP for the orientation
-minimum is only the fallback); graph + 2-faces is a 2-skeleton, and the
-frame engine finishes the job.
+first cover found certifies it.  That cover is drawn from one shortest
+chordless cycle per frame; all induced cycles and the subset DP for the
+orientation minimum are only the fallback.  Graph + 2-faces is a
+2-skeleton, and the frame engine finishes the job.
 
 With exactly two nonsimple vertices u, v, facets split into four families
 by which of u, v they contain.  Each family comes out of a constrained
@@ -42,7 +43,7 @@ apex = next(iter(classify_vertices(lat).nonsimple))
 print(f"pyramid over the 3-cube: apex {apex} has degree {g.degree(apex)}")
 
 system = max_two_system(g, 4)
-order = two_face_witness(g, (apex,), list(system.sets))  # sets are vertex masks
+order = two_face_witness(g, (apex,), system.size)
 placed = set()
 score = 0
 for v in order:

@@ -370,22 +370,60 @@ def induced_cycles(g: Graph) -> list[int]:
     return sorted(found, key=lambda c: (c.bit_count(), vertices_of(c)))
 
 
+def shortest_frame_cycle(g: Graph, w: int, a: int, b: int) -> Optional[int]:
+    """The vertex mask of a shortest chordless cycle through the path
+    a-w-b, or None when there is none.
+
+    It is w plus a shortest a-b path in G - w - (N(w) minus {a, b}), found
+    by breadth-first search over vertex-mask layers and walked back from b
+    through the lowest-labelled vertex of each layer.  A shortest path is
+    induced and only its ends are neighbours of w, so with w it closes a
+    chordless cycle; conversely every chordless cycle through a-w-b holds
+    such a path, so None means no chordless cycle passes a-w-b.
+    """
+    masks = g.masks
+    if masks[a] >> b & 1:
+        return 1 << w | 1 << a | 1 << b
+    allowed = ~(1 << w | masks[w]) | 1 << b
+    layers = []
+    frontier = seen = 1 << a
+    while not frontier >> b & 1:
+        layers.append(frontier)
+        reach = 0
+        scan = frontier
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            reach |= masks[low.bit_length() - 1]
+        frontier = reach & allowed & ~seen
+        if not frontier:
+            return None
+        seen |= frontier
+    cycle = 1 << w | 1 << a | 1 << b
+    tip = b
+    for layer in reversed(layers[1:]):
+        low = masks[tip] & layer
+        low &= -low
+        cycle |= low
+        tip = low.bit_length() - 1
+    return cycle
+
+
 def two_face_witness(
-    g: Graph, sources: tuple[int, ...], cover_masks: list[int]
+    g: Graph, sources: tuple[int, ...], size: int
 ) -> Optional[tuple[int, ...]]:
-    """A vertex order whose two-face score equals the number of cover
-    cycles, or None.
+    """A vertex order whose two-face score equals ``size``, the number of
+    cycles of a cover, or None.
 
     The order places ``sources`` first, then repeatedly the unplaced
     vertex with the most placed neighbours (lowest label on ties), each
     vertex once, with no backtracking.  Every edge directed from its
     earlier end, the order is an acyclic orientation with the sources as
     sources (None when two sources are adjacent).  It is returned only if
-    its two-face score, the sum of C(indegree, 2), equals
-    ``len(cover_masks)``.  For an exact cover of the simple-rooted
-    2-frames by chordless cycles, that check alone certifies the cover
-    size as :func:`min_two_face_score` (weak duality, see
-    :func:`skelrecon.recong.max_two_system`).
+    its two-face score, the sum of C(indegree, 2), equals ``size``.  For
+    the size of an exact cover of the simple-rooted 2-frames by chordless
+    cycles, that check alone certifies it as :func:`min_two_face_score`
+    (weak duality, see :func:`skelrecon.recong.max_two_system`).
     """
     masks = g.masks
     order = list(sources)
@@ -403,7 +441,7 @@ def two_face_witness(
         placed |= 1 << best
         unplaced.remove(best)
         score += k * (k - 1) // 2
-    return tuple(order) if score == len(cover_masks) else None
+    return tuple(order) if score == size else None
 
 
 #: Hard cap for the subset DP below; 2**22 table entries is the most we

@@ -3,11 +3,15 @@
 One nonsimple vertex: recover the 2-faces as an exact cover of the
 simple-rooted 2-frames by induced chordless cycles, certified maximum by
 an acyclic orientation whose two-face score equals the cover size (no
-cover is larger than any such score).  A greedy vertex order certifies
-the first cover found; when there is no cover or no such order, the
-subset DP computes the orientation minimum (refused above 22 vertices)
-and the search stops at the first cover reaching it.  Graph + 2-faces go
-to the 2-skeleton engine.
+cover is larger than any such score).  A first pass covers by one
+shortest chordless cycle per frame, within a budget of one search node
+per frame plus one, and a greedy vertex order certifies its first
+cover.  When there is no cover, no such order, or the budget runs out,
+the fallback covers by all induced cycles and certifies its first cover
+the same way, and failing that the subset DP computes the orientation
+minimum and the search stops at the first cover reaching it.  Only the
+fallback is refused above 22 vertices.  Graph + 2-faces go to the
+2-skeleton engine.
 
 Two nonsimple vertices u, v: partition the facets into the four families
 (containing u only, v only, neither, both) and recover them in that order
@@ -58,6 +62,7 @@ from .graphs import (
     is_feasible,
     mask_of,
     min_two_face_score,
+    shortest_frame_cycle,
     simple_sink_term,
     two_face_witness,
     vertices_of,
@@ -83,7 +88,7 @@ class TwoSystem:
 
 
 def _exact_cover_of_size(
-    ncols: int, rows: list[int], target: int
+    ncols: int, rows: list[int], target: int, max_nodes: Optional[int] = None
 ) -> Optional[list[int]]:
     """The first exact cover with at least ``target`` rows, as row indices;
     with ``target`` 0 that is the first exact cover.
@@ -91,7 +96,8 @@ def _exact_cover_of_size(
     Rows are int column masks.  Backtracking branches on the uncovered
     column with the fewest still-usable rows (lowest index on ties) and
     tries rows in input order; it prunes dead branches and branches that
-    cannot reach ``target`` rows.  Returns None when no such cover exists.
+    cannot reach ``target`` rows.  Returns None when no such cover exists,
+    or when the search would visit more than ``max_nodes`` nodes.
     """
     rows_of_col: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
     for ri, m in enumerate(rows):
@@ -113,8 +119,14 @@ def _exact_cover_of_size(
         reachable[budget] = k
 
     chosen: list[int] = []
+    nodes = 0
 
     def search(uncovered: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        # Past the budget every node fails at once, so the search unwinds.
+        if max_nodes is not None and nodes > max_nodes:
+            return False
         if len(chosen) + reachable[uncovered.bit_count()] < target:
             return False
         if uncovered == 0:
@@ -145,6 +157,20 @@ def _exact_cover_of_size(
     return chosen if search((1 << ncols) - 1) else None
 
 
+def _cover_rows(
+    g: Graph, frame_id: dict[tuple[int, int], int], simple: int, cycles: list[int]
+) -> list[int]:
+    """Each cycle's row: the mask of the frame ids it covers."""
+    masks = g.masks
+    # A chordless cycle meets each of its vertices in a frame, and at most
+    # one of its vertices is nonsimple, so no cycle covers an unknown frame
+    # and none covers nothing.
+    return [
+        mask_of(frame_id[w, masks[w] & c] for w in vertices_of(c & simple))
+        for c in cycles
+    ]
+
+
 def max_two_system(
     g: Graph, d: int, nonsimple: Optional[Iterable[int]] = None
 ) -> TwoSystem:
@@ -158,47 +184,61 @@ def max_two_system(
     source and is simple, and its in-pair is a frame that only that cycle
     covers.  So |C| is at most the minimum score, and an orientation whose
     score equals |C| proves that |C| is that minimum and C a maximum cover.
+    This holds whichever cycles the cover was drawn from.
 
-    The search therefore takes the first exact cover and asks
-    :func:`two_face_witness` for such an orientation.  Only when there is
-    no cover or no witness does it compute the minimum by the subset DP
-    (:func:`min_two_face_score`) and search for the first cover of that
-    size.  Either way the result is the first maximum cover in search
-    order.  When no cover reaches the minimum the input is not such a
-    polytope graph.  Graphs above the DP bound of 22 vertices are refused
-    first.
+    So the search runs in two passes.  The first draws its rows from one
+    shortest chordless cycle per frame (:func:`shortest_frame_cycle`),
+    deduplicated, takes their first exact cover and asks
+    :func:`two_face_witness` for an order of equal score.  Its cover search
+    may visit one node more than there are frames.  A search that never
+    backtracks visits one node per chosen cycle plus one, and every cycle
+    covers at least two frames, so it needs at most half that budget; the
+    rest is room for backtracking.  Only when there is no cover, no
+    witness, or the budget is spent does the fallback run.  It refuses
+    graphs above the subset-DP bound of 22 vertices (the bound guards the
+    fallback only), takes all induced cycles (:func:`induced_cycles`) as
+    rows, and offers their first cover to the witness; failing that the
+    subset DP computes the minimum (:func:`min_two_face_score`) and the
+    search takes the first cover of that size.  When no cover reaches the
+    minimum the input is not such a polytope graph.
+
+    On such a polytope graph the maximum cover is the 2-faces, so both
+    passes return the same sets.  On other inputs several maximum covers
+    can exist, and the first pass may certify a different one from the
+    one the fallback would find.
     """
     if nonsimple is None:
         nonsimple = classify_vertices(g, d).nonsimple
     nonsimple = tuple(sorted(nonsimple))
     if len(nonsimple) > 1:
         raise ValueError("max_two_system handles at most one nonsimple vertex")
-    check_dp_bound(g.n)
-    masks = g.masks
     simple = (1 << g.n) - 1 & ~mask_of(nonsimple)
     # A frame is keyed by its root and the mask of its two leaves.
     frame_id: dict[tuple[int, int], int] = {}
+    shortest = set()
     for w in vertices_of(simple):
         for a, b in itertools.combinations(g.adj[w], 2):
             frame_id[w, 1 << a | 1 << b] = len(frame_id)
-    cycles = induced_cycles(g)
-    # A chordless cycle meets each of its vertices in a frame, and at most
-    # one of its vertices is nonsimple, so no cycle covers an unknown frame
-    # and none covers nothing.
-    rows = [
-        mask_of(frame_id[w, masks[w] & c] for w in vertices_of(c & simple))
-        for c in cycles
-    ]
-    chosen = _exact_cover_of_size(len(frame_id), rows, 0)
-    if chosen is None or two_face_witness(g, nonsimple, [cycles[i] for i in chosen]) is None:
-        target = min_two_face_score(g, sources=nonsimple)
-        chosen = _exact_cover_of_size(len(frame_id), rows, target)
-        if chosen is None:
-            raise CertificateMismatch(
-                f"no exact cover of the simple-rooted 2-frames has {target} sets, "
-                "the orientation minimum"
-            )
-    # The cycles are in (length, vertex tuple) order already.
+            shortest.add(shortest_frame_cycle(g, w, a, b))
+    shortest.discard(None)
+    ncols = len(frame_id)
+    cycles = sorted(shortest, key=lambda c: (c.bit_count(), vertices_of(c)))
+    rows = _cover_rows(g, frame_id, simple, cycles)
+    chosen = _exact_cover_of_size(ncols, rows, 0, max_nodes=ncols + 1)
+    if chosen is None or two_face_witness(g, nonsimple, len(chosen)) is None:
+        check_dp_bound(g.n)
+        cycles = induced_cycles(g)
+        rows = _cover_rows(g, frame_id, simple, cycles)
+        chosen = _exact_cover_of_size(ncols, rows, 0)
+        if chosen is None or two_face_witness(g, nonsimple, len(chosen)) is None:
+            target = min_two_face_score(g, sources=nonsimple)
+            chosen = _exact_cover_of_size(ncols, rows, target)
+            if chosen is None:
+                raise CertificateMismatch(
+                    f"no exact cover of the simple-rooted 2-frames has {target} sets, "
+                    "the orientation minimum"
+                )
+    # Either row set is in (length, vertex tuple) order already.
     return TwoSystem(tuple(cycles[i] for i in sorted(chosen)))
 
 

@@ -8,6 +8,8 @@ from skelrecon import (
     build_face_lattice,
     cube,
     k_skeleton,
+    multifold_pyramid,
+    polygon_prism,
     pyramid,
     q1,
     simplex,
@@ -129,6 +131,36 @@ def test_recong_both_methods(tmp_path, capsys):
     assert parse_spec(out.read_text()).facets == lat.facets
     banner = capsys.readouterr().out
     assert "family counts" in banner
+
+
+def test_recong_both_methods_on_the_pentagonal_twofold_pyramid(tmp_path, capsys):
+    # 12 vertices; the truncation route cuts the edge between the apexes
+    # and reconstructs a simple polytope on 30 vertices.
+    edges = tmp_path / "g.edges"
+    lat = lattice_of(multifold_pyramid(polygon_prism(5), 2))
+    edges.write_text(format_edge_list(lat.graph()))
+    out = tmp_path / "out.poly"
+    rc = run_cli(
+        "recong", str(edges), "--dim", "5", "--method", "both",
+        "--certificate", "-o", str(out),
+    )
+    assert rc == 0
+    assert parse_spec(out.read_text()).facets == lat.facets
+    both = capsys.readouterr().out.splitlines()
+    assert run_cli("recong", str(edges), "--dim", "5", "--method", "claims", "--certificate") == 0
+    claims = [line for line in capsys.readouterr().out.splitlines() if line.startswith("# ")]
+    assert both == claims
+    assert claims[0] == "# family counts u/v/neither/both: 1 1 0 7"
+
+
+def test_recong_truncation_on_the_square_prism_twofold_pyramid(tmp_path):
+    # 10 vertices; the truncated graph has 24, above the DP bound.
+    edges = tmp_path / "g.edges"
+    lat = lattice_of(multifold_pyramid(polygon_prism(4), 2))
+    edges.write_text(format_edge_list(lat.graph()))
+    out = tmp_path / "out.poly"
+    assert run_cli("recong", str(edges), "--dim", "5", "--method", "truncation", "-o", str(out)) == 0
+    assert parse_spec(out.read_text()).facets == lat.facets
 
 
 def test_recong_one_nonsimple(tmp_path):

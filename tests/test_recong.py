@@ -31,6 +31,7 @@ from skelrecon import (
     reconstruct_two_nonsimple,
     reconstruct_two_nonsimple_via_truncation,
     simplex,
+    truncate,
     two_face_witness,
 )
 from skelrecon import recong
@@ -43,7 +44,7 @@ from skelrecon.errors import (
     TooLarge,
 )
 from skelrecon.graphs import OrderCosts, mask_of, vertices_of
-from skelrecon.textio import format_edge_list
+from skelrecon.textio import format_edge_list, parse_spec
 
 from conftest import PRISM_OVER_PYRAMID, SKEW_SOLID, SPLIT_CUBE, fixture_corpus, lattice_of
 from oracles import (
@@ -249,7 +250,7 @@ def test_two_face_witness_certifies_the_dp_minimum(data):
     for chosen in (first, max_exact_cover(frames, rows)):
         if chosen is None:
             continue
-        order = two_face_witness(g, nonsimple, [cycles[i] for i in chosen])
+        order = two_face_witness(g, nonsimple, len(chosen))
         if order is not None:
             score = two_face_score_of_order(g.n, g.edges, nonsimple, order)
             assert score == len(chosen) == min_two_face_score(g, nonsimple)
@@ -298,24 +299,140 @@ def test_two_system_dp_fallback_is_unchanged(monkeypatch):
         max_two_system(k33, 3)
 
 
+def test_exact_cover_gives_up_past_its_node_budget():
+    # Column 0 goes first: row 1 leaves column 2 uncoverable, so the cover
+    # by rows 2 and 0 takes four nodes, one of them a dead end.
+    rows = [0b010, 0b011, 0b101, 0b110, 0b111]
+    assert recong._exact_cover_of_size(3, rows, 0) == [2, 0]
+    assert recong._exact_cover_of_size(3, rows, 0, max_nodes=4) == [2, 0]
+    assert recong._exact_cover_of_size(3, rows, 0, max_nodes=3) is None
+
+
+def test_two_system_falls_back_when_the_budget_is_spent(monkeypatch):
+    lat = lattice_of(pyramid(cube(3)))  # 8 base vertices of degree 4
+    search = recong._exact_cover_of_size
+    budgets = []
+
+    def spent(ncols, rows, target, max_nodes=None):
+        budgets.append(max_nodes)
+        return None if max_nodes is not None else search(ncols, rows, target)
+
+    monkeypatch.setattr(recong, "_exact_cover_of_size", spent)
+    assert face_sets(max_two_system(lat.graph(), 4)) == two_faces_of(lat)
+    assert budgets == [8 * 6 + 1, None]
+
+
 @lru_cache(maxsize=None)
-def _pyramid_cube5_graph():
-    return lattice_of(pyramid(cube(5))).graph()
+def _first_pass_cases():
+    """(graph, d, nonsimple) of the corpus polytopes with n <= 22 and at
+    most one nonsimple vertex, then of their truncations at vertex 0 and at
+    the nonsimple vertex that stay within those limits."""
+    out = list(_one_nonsimple_fixtures(22))
+    for _, spec in sorted(fixture_corpus().items()):
+        lat = lattice_of(spec)
+        nonsimple = tuple(sorted(classify_vertices(lat).nonsimple))
+        if spec.n > 22 or len(nonsimple) > 1:
+            continue
+        for v in sorted({0, *nonsimple}):
+            cut = lattice_of(truncate(lat, (v,))[0])
+            cut_nonsimple = tuple(sorted(classify_vertices(cut).nonsimple))
+            if cut.n <= 22 and len(cut_nonsimple) <= 1:
+                out.append((cut.graph(), cut.d, cut_nonsimple))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _case_minimum(i):
+    g, _, nonsimple = _first_pass_cases()[i]
+    return min_two_face_score(g, nonsimple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_first_pass_two_system_matches_the_dp_fallback(data):
+    # Relabeled cases, up to the 19-vertex truncated 4-cube.  The fallback
+    # is forced by a witness that always fails, as in
+    # test_two_system_dp_fallback_is_unchanged.  The orientation minimum
+    # does not change under relabeling, so the DP runs once per case.
+    cases = _first_pass_cases()
+    i = data.draw(st.sampled_from(range(len(cases))))
+    base, d, nonsimple = cases[i]
+    perm = data.draw(st.permutations(range(base.n)))
+    g = Graph(base.n, [(perm[u], perm[v]) for u, v in base.edges])
+    nonsimple = tuple(perm[v] for v in nonsimple)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recong, "min_two_face_score", lambda h, sources: _case_minimum(i))
+        first = max_two_system(g, d, nonsimple)
+        mp.setattr(recong, "two_face_witness", lambda *args: None)
+        fallback = max_two_system(g, d, nonsimple)
+    assert first == fallback
+
+
+def test_two_system_on_the_truncated_4_cube_takes_the_dp_fallback(monkeypatch):
+    # cube(4) cut at vertex 0 (19 vertices): the shortest rows cover the
+    # frames, but the greedy witness misses the minimum, so only the DP
+    # fallback certifies the 2-faces.
+    lat = lattice_of(truncate(lattice_of(cube(4)), (0,))[0])
+    dp_calls = []
+
+    def dp(*args, **kwargs):
+        dp_calls.append(args)
+        return min_two_face_score(*args, **kwargs)
+
+    monkeypatch.setattr(recong, "min_two_face_score", dp)
+    system = max_two_system(lat.graph(), 4)
+    assert face_sets(system) == two_faces_of(lat)
+    assert len(dp_calls) == 1
+
+
+def test_two_system_pyramid_over_cube5_needs_no_dp(monkeypatch):
+    def no_dp(*args, **kwargs):
+        raise AssertionError("min_two_face_score was called")
+
+    lat = lattice_of(pyramid(cube(5)))  # 33 vertices, above the DP bound
+    monkeypatch.setattr(recong, "min_two_face_score", no_dp)
+    system = max_two_system(lat.graph(), 6)
+    assert face_sets(system) == two_faces_of(lat)
+    assert reconstruct_one_nonsimple(lat.graph(), 6) == lat.facets
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [cube(6), cube(7), polygon_prism(400), pyramid(polygon_prism(30)), pyramid(cube(5))],
+    ids=["cube6", "cube7", "prism400", "pyr_prism30", "pyr_cube5"],
+)
+def test_recong_beyond_dp_bound(spec, tmp_path, capsys):
+    lat = lattice_of(spec)
+    path = tmp_path / "g.edges"
+    path.write_text(format_edge_list(lat.graph()))
+    start = time.perf_counter()
+    assert main(["recong", str(path), "--dim", str(lat.d), "--certificate"]) == 0
+    assert time.perf_counter() - start < 10.0
+    out = capsys.readouterr().out
+    assert out.startswith(f"# two-system size {len(lat.faces_by_rank[2])}\n")
+    assert parse_spec(out).facets == lat.facets
+
+
+@lru_cache(maxsize=None)
+def _truncated_cube5_graph():
+    return lattice_of(truncate(lattice_of(cube(5)), (0,))[0]).graph()
 
 
 def test_two_system_refuses_beyond_dp_bound_fast():
-    g = _pyramid_cube5_graph()  # 33 vertices
+    # cube(5) cut at vertex 0 (36 vertices): the greedy witness misses the
+    # first pass's cover, and the DP fallback is refused above 22 vertices.
+    g = _truncated_cube5_graph()
     start = time.perf_counter()
-    with pytest.raises(TooLarge, match="33 vertices exceed the subset-DP bound 22"):
-        max_two_system(g, 6)
+    with pytest.raises(TooLarge, match="36 vertices exceed the subset-DP bound 22"):
+        max_two_system(g, 5)
     assert time.perf_counter() - start < 1.0
 
 
 def test_recong_refuses_beyond_dp_bound(tmp_path, capsys):
-    path = tmp_path / "pyr_cube5.edges"
-    path.write_text(format_edge_list(_pyramid_cube5_graph()))
-    assert main(["recong", str(path), "--dim", "6"]) == 1
-    assert "33 vertices exceed the subset-DP bound 22" in capsys.readouterr().err
+    path = tmp_path / "cube5_cut.edges"
+    path.write_text(format_edge_list(_truncated_cube5_graph()))
+    assert main(["recong", str(path), "--dim", "5"]) == 1
+    assert "36 vertices exceed the subset-DP bound 22" in capsys.readouterr().err
 
 
 def test_one_nonsimple_rejects_two():
