@@ -6,11 +6,15 @@ validation report), skeleton (extract rank <= k), recon2 (facets from a
 verify (run the claim suite over a dimension range), bench (prism scaling
 study).  All output is deterministic given inputs and flags; timings are
 the only exception and never interleave with result sections.
+
+``main(argv)`` may be called many times in one process: the parser is
+built on the first call and reused by every later one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import hashlib
 import statistics
@@ -411,7 +415,9 @@ def _rank_or_lattice(raw: str) -> int | str:
     return raw if raw == "lattice" else _rank(raw)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing changes none of its state."""
     p = argparse.ArgumentParser(prog="skelrecon", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 

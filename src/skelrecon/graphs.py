@@ -11,6 +11,7 @@ orientations never mutate after construction.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -423,7 +424,8 @@ def two_face_witness(
     its two-face score, the sum of C(indegree, 2), equals ``size``.  For
     the size of an exact cover of the simple-rooted 2-frames by chordless
     cycles, that check alone certifies it as :func:`min_two_face_score`
-    (weak duality, see :func:`skelrecon.recong.max_two_system`).
+    (weak duality, see :func:`skelrecon.recong.max_two_system`).  A heap
+    of placed-neighbour counts makes each pick O(log n), O(E log n) in all.
     """
     masks = g.masks
     order = list(sources)
@@ -432,15 +434,26 @@ def two_face_witness(
         if masks[v] & placed:
             return None
         placed |= 1 << v
+    # count[v] is minus v's placed-neighbour count, so the heap entries
+    # (count[v], v) pop most neighbours first, lowest label on ties.  A
+    # count only grows, so v's newest entry pops before its stale ones.
+    count = [-(m & placed).bit_count() for m in masks]
+    done = [placed >> v & 1 for v in range(g.n)]
+    heap = [(count[v], v) for v in range(g.n) if not done[v]]
+    heapq.heapify(heap)
+    pop, push, adj = heapq.heappop, heapq.heappush, g.adj
     score = 0
-    unplaced = [v for v in range(g.n) if not placed >> v & 1]
-    while unplaced:
-        best = max(unplaced, key=lambda v: (masks[v] & placed).bit_count())
-        k = (masks[best] & placed).bit_count()
-        order.append(best)
-        placed |= 1 << best
-        unplaced.remove(best)
-        score += k * (k - 1) // 2
+    while heap:
+        k, v = pop(heap)
+        if done[v]:
+            continue
+        done[v] = 1
+        order.append(v)
+        score += k * (k + 1) // 2
+        for w in adj[v]:
+            if not done[w]:
+                count[w] -= 1
+                push(heap, (count[w], w))
     return tuple(order) if score == size else None
 
 

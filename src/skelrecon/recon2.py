@@ -55,48 +55,58 @@ class FrameGraph:
         self.face_cycle: list[dict[int, tuple[int, int]]] = []
         # 2-frame (root, {a, b}) with a < b is keyed as (root*n + a)*n + b.
         self.index: dict[int, int] = {}
+        index = self.index
+        simple = self.simple
+        adj = graph.adj
+        frames_at = [0] * n
         for fi, face in enumerate(self.face_sets):
             cycle: dict[int, tuple[int, int]] = {}
             for v in face:
-                inside = [w for w in graph.adj[v] if w in face]
+                inside = [w for w in adj[v] if w in face]
                 if len(inside) != 2:
                     raise NotASkeleton(
                         f"2-face {tuple(sorted(face))} is not an induced cycle at {v}"
                     )
                 cycle[v] = (inside[0], inside[1])
-            # A 2-regular induced subgraph could still be a union of cycles.
-            seen = {next(iter(face))}
-            todo = [next(iter(face))]
-            while todo:
-                v = todo.pop()
-                for w in cycle[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        todo.append(w)
-            if len(seen) != len(face):
+            # A 2-regular induced subgraph could still be a union of cycles:
+            # walk the cycle through one vertex and count its length.
+            start = next(iter(face))
+            prev, v = start, cycle[start][0]
+            length = 1
+            while v != start:
+                a, b = cycle[v]
+                prev, v = v, (b if a == prev else a)
+                length += 1
+            if length != len(face):
                 raise NotASkeleton(
                     f"2-face {tuple(sorted(face))} is not a single cycle"
                 )
             self.face_cycle.append(cycle)
             for v in face:
-                if v not in self.simple:
+                if v not in simple:
                     continue
                 a, b = cycle[v]
                 key = (v * n + a) * n + b if a < b else (v * n + b) * n + a
-                if key in self.index:
+                if key in index:
                     raise FrameNotInUniqueTwoFace(
                         f"2-frame ({v}, {a}, {b}) lies in more than one 2-face"
                     )
-                self.index[key] = fi
+                index[key] = fi
+                frames_at[v] += 1
         # Every neighbor pair of a simple root must span exactly one 2-face.
-        for v in sorted(self.simple):
-            nbrs = graph.adj[v]
-            for i in range(len(nbrs)):
-                for j in range(i + 1, len(nbrs)):
-                    if (v * n + nbrs[i]) * n + nbrs[j] not in self.index:
-                        raise FrameNotInUniqueTwoFace(
-                            f"2-frame ({v}, {nbrs[i]}, {nbrs[j]}) lies in no 2-face"
-                        )
+        # The keys are distinct, so a root is covered when it holds
+        # C(deg, 2) of them; otherwise scan in order for the first gap.
+        if any(
+            frames_at[v] != len(adj[v]) * (len(adj[v]) - 1) // 2 for v in simple
+        ):
+            for v in sorted(simple):
+                nbrs = adj[v]
+                for i in range(len(nbrs)):
+                    for j in range(i + 1, len(nbrs)):
+                        if (v * n + nbrs[i]) * n + nbrs[j] not in index:
+                            raise FrameNotInUniqueTwoFace(
+                                f"2-frame ({v}, {nbrs[i]}, {nbrs[j]}) lies in no 2-face"
+                            )
 
     @property
     def node_count(self) -> int:
@@ -244,9 +254,13 @@ def _region_vertices(graph: Graph, frames) -> frozenset[int]:
     return frozenset(region)
 
 
-def _check_region(fg: FrameGraph, graph: Graph, d, region, frames):
-    """Cheap per-region consistency: induced degrees and frame coverage."""
-    frame_set = set(frames)
+def _check_region(fg: FrameGraph, graph: Graph, d, region, visited, trace_id):
+    """Cheap per-region consistency: induced degrees and frame coverage.
+
+    ``visited`` maps root*n + excluded to the trace that reached the frame,
+    as :func:`_trace` fills it; the region's frames are those of ``trace_id``.
+    """
+    n = graph.n
     for v in region:
         inside = [w for w in graph.adj[v] if w in region]
         if v in fg.simple:
@@ -256,7 +270,7 @@ def _check_region(fg: FrameGraph, graph: Graph, d, region, frames):
                     f"{tuple(sorted(region))}"
                 )
             outside = [w for w in graph.adj[v] if w not in region]
-            if (v, outside[0]) not in frame_set:
+            if visited.get(v * n + outside[0]) != trace_id:
                 raise NotASkeleton(
                     f"frame at simple vertex {v} missing from its own trace"
                 )
@@ -299,7 +313,7 @@ def reconstruct(
             frames = _trace(fg, graph, root, excluded, visited, trace_id)
             region = _region_vertices(graph, frames)
             if check:
-                _check_region(fg, graph, d, region, frames)
+                _check_region(fg, graph, d, region, visited, trace_id)
             regions.append(region)
     if len(set(regions)) != len(regions):
         raise NotASkeleton("two facet traces produced the same vertex set")

@@ -10,8 +10,9 @@ intersection closure ranked by comparing every pair of faces, ancestor
 sets via a walk along the one-step arcs instead of the transitive masks,
 exact covers via a search for the maximum cardinality that does not stop
 at a target size, two-face scores of vertex orders via one pass over the
-edge list, facet-family sweeps via every acyclic orientation of the
-family instead of the subset DP over initial sets.
+edge list, the greedy two-face order via a scan of all unplaced vertices
+per step instead of a heap, facet-family sweeps via every acyclic
+orientation of the family instead of the subset DP over initial sets.
 The test-only orientation helpers live here too: ``orientation_from_order``
 (masks by walking an order's arcs, not the enumerator), ``edge_directions``,
 ``sinks_in``, ``is_good`` and ``objectives``.
@@ -392,6 +393,28 @@ def two_face_score_of_order(n: int, edges, sources, order) -> int:
     if any(indegree[v] for v in sources):
         raise ValueError("a source has an in-neighbour")
     return sum(k * (k - 1) // 2 for k in indegree)
+
+
+def scan_two_face_order(g: Graph, sources) -> Optional[tuple[int, ...]]:
+    """The greedy order of :func:`skelrecon.graphs.two_face_witness`, by a
+    scan: the sources, then each time the unplaced vertex with the most
+    placed neighbours, lowest label on ties.  None when two sources are
+    adjacent.  Quadratic in n.
+    """
+    masks = g.masks
+    order = list(sources)
+    placed = 0
+    for v in order:
+        if masks[v] & placed:
+            return None
+        placed |= 1 << v
+    unplaced = [v for v in range(g.n) if not placed >> v & 1]
+    while unplaced:
+        best = max(unplaced, key=lambda v: (masks[v] & placed).bit_count())
+        order.append(best)
+        placed |= 1 << best
+        unplaced.remove(best)
+    return tuple(order)
 
 
 def nx_graph(g: Graph) -> nx.Graph:

@@ -1,5 +1,8 @@
+import argparse
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from skelrecon import (
     q1,
     simplex,
 )
+from skelrecon import cli
 from skelrecon.cli import main
 from skelrecon.textio import (
     format_edge_list,
@@ -25,6 +29,8 @@ from skelrecon.textio import (
 )
 
 from conftest import fixture_corpus, lattice_of
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # -- text formats -------------------------------------------------------------
@@ -310,9 +316,67 @@ def test_bench_reports_csv_and_slope(capsys):
     assert "# log-log slope estimate" in out
 
 
+def test_parser_is_built_at_most_once_per_process(monkeypatch, capsys):
+    # Each build adds the subcommands once; parsing never does.
+    builds = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def spy(self, **kwargs):
+        builds.append(self.prog)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", spy)
+    cli.build_parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run_cli("gen", "--family", "simplex", "--dim", "3") == 0
+        with pytest.raises(SystemExit):
+            run_cli("gen", "--family", "nope")
+        assert run_cli("verify", "--dims", "4,4") == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert builds == ["skelrecon"]
+
+
+def _outcomes(calls, capsys):
+    """Exit code, stdout and stderr of each call, in one process."""
+    outcomes = []
+    for argv in calls:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        outcomes.append((code, out, err))
+    return outcomes
+
+
+def test_reused_parser_matches_a_fresh_parser_per_call(tmp_path, monkeypatch, capsys):
+    edges = tmp_path / "g.edges"
+    edges.write_text(format_edge_list(lattice_of(pyramid(cube(3))).graph()))
+    calls = [
+        ("recong", str(edges), "--dim", "4", "--certificate"),
+        ("recong", str(edges), "--dim", "4"),
+        ("gen", "--family", "simplex", "--dim", "3", "--pyramid", "2"),
+        ("gen", "--family", "simplex", "--dim", "3"),
+        ("skeleton", str(edges), "--rank", "x"),
+        ("gen", "--family", "cube", "--dim", "3"),
+        ("verify",),
+        ("verify",),
+    ]
+    reused = _outcomes(calls, capsys)
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 0, 0, 0]
+    assert reused[0][1].startswith("# two-system size ")
+    assert not reused[1][1].startswith("#")
+    assert reused[6] == reused[7]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert _outcomes(calls, capsys) == reused
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "skelrecon.cli", "gen", "--family", "simplex", "--dim", "3"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
     )
@@ -323,6 +387,7 @@ def test_console_entry_point():
 def test_python_dash_m_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "skelrecon", "gen", "--family", "simplex", "--dim", "3"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
     )

@@ -38,6 +38,7 @@ from oracles import (
     objectives,
     orientation_from_order,
     reference_ancestors,
+    scan_two_face_order,
     sinks_in,
     two_face_score_of_order,
 )
@@ -437,6 +438,42 @@ def test_two_face_witness_returns_a_score_equal_to_the_cover_size():
     assert order == (1, 0, 2, 3, 4)
     assert two_face_score_of_order(5, g.edges, (1,), order) == 2 == len(cycles)
     assert two_face_witness(g, (1,), 1) is None
+
+
+def _witness_test_graphs():
+    """Relabeled corpus graphs with all and with the first of their
+    relabeled nonsimple vertices as sources, then prism(400) and cube(7)
+    with none and with one source."""
+    rng = random.Random(13)
+    for name, spec in sorted(fixture_corpus().items()):
+        lat = lattice_of(spec)
+        g = lat.graph()
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        relabeled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        nonsimple = classify_vertices(g, lat.d).nonsimple
+        sources = tuple(sorted(perm[v] for v in nonsimple))
+        yield name, relabeled, sources
+        yield name, relabeled, sources[:1]
+    m = 400
+    prism = Graph(2 * m, [(i, (i + 1) % m) for i in range(m)]
+                  + [(m + i, m + (i + 1) % m) for i in range(m)]
+                  + [(i, m + i) for i in range(m)])
+    hypercube = Graph(128, [(v, v ^ 1 << b) for v in range(128) for b in range(7) if not v >> b & 1])
+    for name, g in (("prism(400)", prism), ("cube(7)", hypercube)):
+        yield name, g, ()
+        yield name, g, (g.n // 3,)
+
+
+def test_two_face_witness_order_matches_the_scan():
+    for name, g, sources in _witness_test_graphs():
+        order = scan_two_face_order(g, sources)
+        if order is None:  # two adjacent sources
+            assert two_face_witness(g, sources, 0) is None, name
+            continue
+        score = two_face_score_of_order(g.n, g.edges, sources, order)
+        assert two_face_witness(g, sources, score) == order, name
+        assert two_face_witness(g, sources, score + 1) is None, name
 
 
 def test_two_face_witness_keeps_sources_sources():

@@ -2,6 +2,7 @@ import pytest
 
 from skelrecon import (
     Frame,
+    Graph,
     KSkeleton,
     build_frame_graph,
     classify_vertices,
@@ -46,6 +47,30 @@ def test_frame_graph_rejects_missing_two_face():
     broken = KSkeleton(k=2, graph=sk.graph, faces_by_dim={2: faces})
     with pytest.raises(FrameNotInUniqueTwoFace):
         build_frame_graph(broken, 3)
+
+
+def test_frame_graph_names_the_first_missing_frame():
+    # Without one square of the cube, the first uncovered frame is rooted
+    # at the square's lowest vertex and spans its two square neighbours.
+    sk = skeleton_of(cube(3))
+    for drop, square in enumerate(sk.faces_by_dim[2]):
+        faces = sk.faces_by_dim[2][:drop] + sk.faces_by_dim[2][drop + 1:]
+        broken = KSkeleton(k=2, graph=sk.graph, faces_by_dim={2: faces})
+        v = min(square)
+        a, b = (w for w in sk.graph.adj[v] if w in square)
+        with pytest.raises(FrameNotInUniqueTwoFace) as exc:
+            build_frame_graph(broken, 3)
+        assert str(exc.value) == f"2-frame ({v}, {a}, {b}) lies in no 2-face"
+
+
+def test_frame_graph_rejects_a_union_of_cycles():
+    # Two triangles with an apex joined to all six: the six base vertices
+    # induce a 2-regular graph that is not one cycle.
+    g = Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)] + [(i, 6) for i in range(6)])
+    broken = KSkeleton(k=2, graph=g, faces_by_dim={2: (frozenset(range(6)),)})
+    with pytest.raises(NotASkeleton) as exc:
+        build_frame_graph(broken, 3)
+    assert str(exc.value) == "2-face (0, 1, 2, 3, 4, 5) is not a single cycle"
 
 
 def test_kaibel_step_on_cube():
