@@ -24,6 +24,14 @@ class DegreeBelowDimension(SkelreconError):
     """Some vertex has degree below the dimension (not a polytope graph)."""
 
 
+class NotAnEdge(SkelreconError):
+    """A rank-1 face has more than two vertices, so there is no graph.
+
+    A graded lattice need not come from a polytope: the rank-1 faces of
+    three triangles glued in a ring are the triangles themselves.
+    """
+
+
 # -- graphs and orientations -----------------------------------------------
 
 class TooLarge(SkelreconError):

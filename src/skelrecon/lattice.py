@@ -2,10 +2,13 @@
 
 A polytope is handed around as a :class:`PolytopeSpec` (dimension, vertex
 count, facet list).  The full face lattice is built top down over vertex
-bitmasks: each face's lower covers are the maximal intersections of it
-with the facets, so every face and cover is found once, and ranks are the
-longest chains of covers.  Skeleta, f-vectors, and the simple/nonsimple
-vertex classification are read off the lattice.
+bitmasks, largest faces first: each face's lower covers are the maximal
+intersections of it with the facets, so every face and cover is found
+once.  Below a face whose covers are its one-vertex-smaller subsets every
+face is a simplex, whose covers and rank (size minus one) need no facet
+scan; the other faces are ranked by their longest chains of covers.
+Skeleta, f-vectors, and the simple/nonsimple vertex classification are
+read off the lattice.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
-from .errors import DegreeBelowDimension, NotGraded, RankOutOfRange
+from .errors import DegreeBelowDimension, NotAnEdge, NotGraded, RankOutOfRange
 from .graphs import Graph, k_connected, vertices_of
 
 
@@ -108,7 +111,14 @@ class FaceLattice:
         return tuple(tuple(sorted(f)) for f in self.faces_by_rank[self.d - 1])
 
     def graph(self) -> Graph:
-        edges = [tuple(sorted(e)) for e in self.faces_by_rank.get(1, ())]
+        """The rank-1 faces as a graph; NotAnEdge names the first non-pair."""
+        edges = self.faces_by_rank.get(1, ())
+        for e in edges:
+            if len(e) != 2:
+                raise NotAnEdge(
+                    f"rank-1 face {tuple(sorted(e))} has {len(e)} vertices, "
+                    "so it is not an edge"
+                )
         return Graph(self.n, edges)
 
     def spec(self) -> PolytopeSpec:
@@ -138,48 +148,81 @@ class KSkeleton:
 def build_face_lattice(spec: PolytopeSpec) -> FaceLattice:
     """All faces and covers, found top down over vertex bitmasks.
 
-    The sweep starts from the full vertex set.  The faces a face F covers
-    are the inclusion-maximal sets among F & H over the facets H not
-    containing F, or the empty face when every facet contains F (Kaibel
-    and Pfetsch, Comput. Geom. 2002); each face found is swept in turn, so
-    the intersection closure and the cover relation come out together.  A
-    face's rank is the length of the longest chain of covers strictly
-    below it, minus one.  NotGraded is raised when the full vertex set
-    does not get rank d, when a facet does not get rank d-1, or when a
-    cover spans more than one rank (the first in rank and then vertex
-    order).  Every face list is in vertex-tuple order: the faces are
+    The sweep starts from the full vertex set and takes the faces found in
+    order of decreasing size.  The faces a face F covers are the
+    inclusion-maximal sets among F & H over the facets H not containing F,
+    or the empty face when every facet contains F (Kaibel and Pfetsch,
+    Comput. Geom. 2002); each face found is swept in turn, so the
+    intersection closure and the cover relation come out together.
+
+    F is Boolean when its lower covers are exactly the |F| sets F - v.
+    The faces are closed under intersection, so every subset of a Boolean
+    F, being an intersection of those covers, is a face, and the interval
+    below F is the Boolean lattice of F's subsets.  This holds for any
+    facet list, polytope or not.  So every face G below a Boolean face is
+    Boolean too: its covers are the sets G - v, taken without a facet
+    scan, and its rank is |G| - 1.  The other faces have as rank the
+    length of the longest chain of covers strictly below them, minus one,
+    found in order of increasing size.
+
+    NotGraded is raised when the full vertex set does not get rank d, when
+    a facet does not get rank d-1, or when a cover spans more than one
+    rank.  A Boolean face's covers never do, and another face's do exactly
+    when its covers' ranks differ; only then are the covers scanned in
+    rank and then vertex order, so that the first offending one is
+    reported.  Every face list is in vertex-tuple order: the faces are
     sorted once, and the layers and the upper covers are filled in that
     order.
     """
+    n = spec.n
     facet_masks = [sum(1 << v for v in f) for f in spec.facets]
-    full = (1 << spec.n) - 1
-    # A face's lower covers; a face waiting on the stack maps to [] until
-    # it is swept, and the empty face never is.
-    lower: dict[int, list[int]] = {full: []}
-    stack = [full]
-    while stack:
-        face = stack.pop()
-        meets = {face & h for h in facet_masks}
-        meets.discard(face)
-        covers: list[int] = []
-        # Largest first: a set is maximal iff no maximal set found so far holds it.
-        for m in sorted(meets, key=int.bit_count, reverse=True) or [0]:
-            for c in covers:
-                if m & c == m:
-                    break
-            else:
-                covers.append(m)
-        lower[face] = covers
-        for m in covers:
-            if m not in lower:
-                lower[m] = []
-                if m:
-                    stack.append(m)
+    full = (1 << n) - 1
+    # Each face found maps to its vertex tuple; a swept face (and the empty
+    # face, which never is) to its lower covers; a Boolean face to its rank
+    # as soon as it is known to be Boolean.
+    verts: dict[int, tuple[int, ...]] = {full: tuple(range(n)), 0: ()}
+    lower: dict[int, list[int]] = {0: []}
+    rank: dict[int, int] = {0: -1}
+    by_size: list[list[int]] = [[] for _ in range(n + 1)]
+    by_size[n].append(full)
+    general: list[int] = []
+    for size in range(n, 0, -1):
+        for face in by_size[size]:
+            if face not in rank:
+                meets = {face & h for h in facet_masks}
+                meets.discard(face)
+                covers: list[int] = []
+                # Largest first: a set is maximal iff no maximal set found
+                # so far holds it.
+                for m in sorted(meets, key=int.bit_count, reverse=True) or [0]:
+                    for c in covers:
+                        if m & c == m:
+                            break
+                    else:
+                        covers.append(m)
+                if len(covers) != size or covers[-1].bit_count() != size - 1:
+                    general.append(face)
+                    lower[face] = covers
+                    for m in covers:
+                        if m not in verts:
+                            verts[m] = vertices_of(m)
+                            by_size[m.bit_count()].append(m)
+                    continue
+                rank[face] = size - 1
+            vs = verts[face]
+            lower[face] = covers = [face ^ (1 << v) for v in vs]
+            for i, m in enumerate(covers):
+                rank[m] = size - 2
+                if m not in verts:
+                    verts[m] = vs[:i] + vs[i + 1 :]
+                    by_size[size - 1].append(m)
 
-    by_size = sorted(lower, key=int.bit_count)
-    rank: dict[int, int] = {}
-    for f in by_size:
-        rank[f] = max(map(rank.__getitem__, lower[f]), default=-2) + 1
+    skewed = False
+    for f in reversed(general):
+        below = [rank[m] for m in lower[f]]
+        top = rank[f] = max(below) + 1
+        if min(below) != top - 1:
+            skewed = True
     if rank[full] != spec.d:
         raise NotGraded(
             f"longest chain gives the full vertex set rank {rank[full]}, "
@@ -189,35 +232,29 @@ def build_face_lattice(spec: PolytopeSpec) -> FaceLattice:
         if rank[m] != spec.d - 1:
             raise NotGraded(f"facet {f} has rank {rank[m]}")
 
-    verts = {f: vertices_of(f) for f in by_size}
-    order = sorted(by_size, key=verts.__getitem__)
-    layers: dict[int, list[int]] = {r: [] for r in range(-1, spec.d + 1)}
-    upper: dict[int, list[int]] = {f: [] for f in by_size}
+    order = sorted(verts, key=verts.__getitem__)
+    layers: dict[int, list[frozenset[int]]] = {r: [] for r in range(-1, spec.d + 1)}
+    rank_of: dict[frozenset[int], int] = {}
+    ups: dict[int, list[frozenset[int]]] = {f: [] for f in order}
+    sets: dict[int, frozenset[int]] = {}
     for f in order:
-        layers[rank[f]].append(f)
-        for g in lower[f]:
-            upper[g].append(f)
-    for layer in layers.values():
-        for f in layer:
-            for h in upper[f]:
-                if rank[h] != rank[f] + 1:
-                    raise NotGraded(
-                        f"{verts[h]} covers {verts[f]} but spans "
-                        f"ranks {rank[f]}..{rank[h]}"
-                    )
-
-    sets = {f: frozenset(verts[f]) for f in by_size}
-
-    def faces(masks: list[int]) -> tuple[frozenset[int], ...]:
-        return tuple(map(sets.__getitem__, masks))
-
-    return FaceLattice(
-        spec.d,
-        spec.n,
-        {r: faces(layer) for r, layer in layers.items()},
-        {sets[f]: rank[f] for f in by_size},
-        {sets[f]: faces(upper[f]) for f in by_size},
-    )
+        s = sets[f] = frozenset(verts[f])
+        r = rank_of[s] = rank[f]
+        layers[r].append(s)
+        for m in lower[f]:
+            ups[m].append(s)
+    faces_by_rank = {r: tuple(layer) for r, layer in layers.items()}
+    upper = {sets[f]: tuple(ups[f]) for f in order}
+    if skewed:
+        for layer in faces_by_rank.values():
+            for f in layer:
+                for h in upper[f]:
+                    if rank_of[h] != rank_of[f] + 1:
+                        raise NotGraded(
+                            f"{tuple(sorted(h))} covers {tuple(sorted(f))} "
+                            f"but spans ranks {rank_of[f]}..{rank_of[h]}"
+                        )
+    return FaceLattice(spec.d, n, faces_by_rank, rank_of, upper)
 
 
 def k_skeleton(lattice: FaceLattice, k: int) -> KSkeleton:

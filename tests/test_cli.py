@@ -203,6 +203,20 @@ def test_iso_exit_codes(tmp_path, capsys):
     assert "obstruction" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [("lattice",), ("skeleton", "--rank", "1")])
+def test_rank_one_face_that_is_not_an_edge(tmp_path, capsys, argv):
+    # Three triangles in a ring, declared 2-dimensional: the lattice is
+    # graded with f-vector 3 3, but its rank-1 faces are the triangles.
+    ring = tmp_path / "ring.poly"
+    ring.write_text("d 2\nvertices 6\nfacet 0 1 2\nfacet 2 3 4\nfacet 4 5 0\n")
+    assert build_face_lattice(parse_spec(ring.read_text())).f_vector == (3, 3)
+    command, *options = argv
+    assert run_cli(command, str(ring), *options) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: rank-1 face (0, 1, 2) has 3 vertices, so it is not an edge\n"
+    assert out == ""
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.poly"
     bad.write_text("nonsense\n")

@@ -1,13 +1,16 @@
 import math
+import random
 import re
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skelrecon import (
+    FaceLattice,
     PolytopeSpec,
+    bipyramid,
     build_face_lattice,
     classify_vertices,
     cube,
@@ -119,6 +122,78 @@ def test_build_matches_chain_ranked_reference(data):
         for m in masks
         if not any(m != w and m & w == m for w in masks)
     }
+    for d in range(2, 6):
+        spec = PolytopeSpec(d, n, facets)
+        try:
+            want = chain_ranked_lattice(spec)
+        except NotGraded as exc:
+            with pytest.raises(NotGraded) as info:
+                build_face_lattice(spec)
+            assert str(info.value) == str(exc)
+        else:
+            assert_same_lattice(build_face_lattice(spec), want)
+
+
+def relabeled_lattice(lat, perm):
+    """The lattice with vertex v renamed perm[v], in vertex-tuple order."""
+
+    def image(f):
+        return frozenset(perm[v] for v in f)
+
+    def ordered(faces):
+        return tuple(sorted(map(image, faces), key=sorted))
+
+    return FaceLattice(
+        lat.d,
+        lat.n,
+        {r: ordered(faces) for r, faces in lat.faces_by_rank.items()},
+        {image(f): r for f, r in lat.rank_of.items()},
+        {image(f): ordered(ups) for f, ups in lat.upper.items()},
+    )
+
+
+BENCHMARK_SIZE_SPECS = {
+    **{f"q1({d})": q1(d).spec for d in range(5, 9)},
+    **{f"q2({d})": q2(d).spec for d in range(5, 9)},
+    "simplex(7)": simplex(7),
+    "cube(5)": cube(5),
+    "pyramid(cube(4))": pyramid(cube(4)),
+    "bipyramid(simplex(3))": bipyramid(simplex(3)),
+    # The full set has as many covers (5) as vertices, but one of them is
+    # the 4-vertex base, so it must not be taken as Boolean.
+    "pyramid(cube(2))": pyramid(cube(2)),
+}
+
+
+@pytest.mark.parametrize("name", list(BENCHMARK_SIZE_SPECS))
+def test_build_matches_chain_ranked_reference_at_benchmark_size(name):
+    spec = BENCHMARK_SIZE_SPECS[name]
+    lat = build_face_lattice(spec)
+    assert_same_lattice(lat, chain_ranked_lattice(spec))
+    perm = random.Random(spec.n).sample(range(spec.n), spec.n)
+    moved = PolytopeSpec(spec.d, spec.n, [[perm[v] for v in f] for f in spec.facets])
+    assert_same_lattice(build_face_lattice(moved), relabeled_lattice(lat, perm))
+
+
+@st.composite
+def small_facet_lists(draw):
+    """A vertex count n <= 9 and inclusion-maximal facets of 1-4 vertices."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    small = st.frozensets(
+        st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=4
+    )
+    drawn = draw(st.lists(small, max_size=12))
+    return n, sorted({tuple(sorted(f)) for f in drawn if not any(f < g for g in drawn)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_facet_lists())
+# With d = 3 the triangle (0, 3, 4) covers the vertex 3 across two ranks.
+@example((6, [(0, 3, 4), (0, 4, 5), (1, 2, 3, 5), (1, 2, 4, 5)]))
+def test_build_matches_chain_ranked_reference_on_small_facets(drawn):
+    # Facets of at most four vertices make most faces simplices, so most
+    # covers are taken by the Boolean rule rather than by a facet scan.
+    n, facets = drawn
     for d in range(2, 6):
         spec = PolytopeSpec(d, n, facets)
         try:
