@@ -3,10 +3,12 @@
 A (d-1)-frame rooted at a simple vertex lies in exactly one facet, and
 knowing the 2-faces lets us hop from such a frame to the frame of the same
 facet at any simple neighbor inside it: the neighbor's frame omits exactly
-the vertex that continues the shared 2-face past the neighbor.  Sweeping
-every simple frame once traces every facet, in time linear in the number
-of vertices (for fixed d), provided each facet keeps at most d-2 nonsimple
-vertices.
+the vertex that continues the shared 2-face past the neighbor.  That move
+is Kaibel's step, and :class:`FrameGraph` stores it as one int map: for
+four consecutive vertices x-w-y-z of a 2-face with w simple, the key of
+(x, w, y) gives z.  Sweeping every simple frame once traces every facet,
+one lookup per move, in time linear in the number of vertices (for fixed
+d), provided each facet keeps at most d-2 nonsimple vertices.
 
 With d-1 nonsimple vertices in total the sweep can leave one genuine
 two-way ambiguity: a pair of traced regions meeting exactly in the
@@ -32,16 +34,18 @@ from .lattice import KSkeleton, classify_vertices
 
 
 class FrameGraph:
-    """Constant-time lookup structure over the simple-rooted 2-frames.
+    """The Kaibel move of every simple-rooted 2-frame, in one int map.
 
-    For every 2-face we keep its boundary cycle as a neighbor-pair map, and
-    for every simple root w with neighbors a, b sharing a 2-face we index
-    that face under (w, a, b).  One lookup plus one cycle step realises the
-    frame move, so a full reconstruction visits each simple (d-1)-frame at
-    constant cost.
+    Let a-w-b be three consecutive vertices of a 2-face, w simple and
+    a < b.  The move from a frame at w that omits a to the frame at b
+    omits the vertex following b on that face, and symmetrically for a.
+    ``step`` maps (a*n + w)*n + b to the vertex following b and
+    (b*n + w)*n + a to the vertex following a, so one lookup realises the
+    frame move and a full reconstruction visits each simple (d-1)-frame
+    at constant cost.
     """
 
-    __slots__ = ("skeleton", "d", "simple", "nonsimple", "face_sets", "face_cycle", "index")
+    __slots__ = ("skeleton", "d", "simple", "nonsimple", "step")
 
     def __init__(self, skeleton: KSkeleton, d: int):
         graph = skeleton.graph
@@ -49,17 +53,12 @@ class FrameGraph:
         classes = classify_vertices(graph, d)
         self.skeleton = skeleton
         self.d = d
-        self.simple = classes.simple
+        self.simple = simple = classes.simple
         self.nonsimple = classes.nonsimple
-        self.face_sets: tuple[frozenset[int], ...] = skeleton.two_faces
-        self.face_cycle: list[dict[int, tuple[int, int]]] = []
-        # 2-frame (root, {a, b}) with a < b is keyed as (root*n + a)*n + b.
-        self.index: dict[int, int] = {}
-        index = self.index
-        simple = self.simple
+        self.step: dict[int, int] = {}
+        step = self.step
         adj = graph.adj
-        frames_at = [0] * n
-        for fi, face in enumerate(self.face_sets):
+        for face in skeleton.two_faces:
             cycle: dict[int, tuple[int, int]] = {}
             for v in face:
                 inside = [w for w in adj[v] if w in face]
@@ -81,61 +80,40 @@ class FrameGraph:
                 raise NotASkeleton(
                     f"2-face {tuple(sorted(face))} is not a single cycle"
                 )
-            self.face_cycle.append(cycle)
-            for v in face:
-                if v not in simple:
+            for w in face:
+                if w not in simple:
                     continue
-                a, b = cycle[v]
-                key = (v * n + a) * n + b if a < b else (v * n + b) * n + a
-                if key in index:
+                a, b = cycle[w]
+                key = (a * n + w) * n + b
+                if key in step:
                     raise FrameNotInUniqueTwoFace(
-                        f"2-frame ({v}, {a}, {b}) lies in more than one 2-face"
+                        f"2-frame ({w}, {a}, {b}) lies in more than one 2-face"
                     )
-                index[key] = fi
-                frames_at[v] += 1
+                x, y = cycle[b]
+                step[key] = y if x == w else x
+                x, y = cycle[a]
+                step[(b * n + w) * n + a] = y if x == w else x
         # Every neighbor pair of a simple root must span exactly one 2-face.
-        # The keys are distinct, so a root is covered when it holds
-        # C(deg, 2) of them; otherwise scan in order for the first gap.
-        if any(
-            frames_at[v] != len(adj[v]) * (len(adj[v]) - 1) // 2 for v in simple
-        ):
+        # The keys are distinct ordered neighbor pairs, so there are twice
+        # as many as simple frames exactly when every frame is covered;
+        # otherwise scan in order for the first gap.
+        if len(step) != sum(len(adj[v]) * (len(adj[v]) - 1) for v in simple):
             for v in sorted(simple):
                 nbrs = adj[v]
                 for i in range(len(nbrs)):
                     for j in range(i + 1, len(nbrs)):
-                        if (v * n + nbrs[i]) * n + nbrs[j] not in index:
+                        if (nbrs[i] * n + v) * n + nbrs[j] not in step:
                             raise FrameNotInUniqueTwoFace(
                                 f"2-frame ({v}, {nbrs[i]}, {nbrs[j]}) lies in no 2-face"
                             )
 
     @property
     def node_count(self) -> int:
-        return len(self.index)
-
-    def face_of(self, root: int, a: int, b: int) -> int:
-        n = self.skeleton.graph.n
-        key = (root * n + a) * n + b if a < b else (root * n + b) * n + a
-        try:
-            return self.index[key]
-        except KeyError:
-            raise FrameNotInUniqueTwoFace(
-                f"2-frame ({root}, {a}, {b}) lies in no 2-face"
-            ) from None
-
-    def continue_past(self, face_id: int, v: int, origin: int) -> int:
-        """The neighbor of v on the face cycle other than origin."""
-        a, b = self.face_cycle[face_id][v]
-        if a == origin:
-            return b
-        if b == origin:
-            return a
-        raise NotASkeleton(
-            f"{origin} is not a cycle neighbor of {v} on face {face_id}"
-        )
+        return len(self.step) // 2
 
 
 def build_frame_graph(sk: KSkeleton, d: int) -> FrameGraph:
-    """Index the simple-rooted 2-frames of a 2-skeleton by containing face."""
+    """The Kaibel move of every simple-rooted 2-frame of a 2-skeleton."""
     return FrameGraph(sk, d)
 
 
@@ -150,7 +128,7 @@ def kaibel_step(
     With u the root, u' the unique neighbor of u outside the frame, and W
     the 2-face containing the 2-frame (u; u', u2), the vertex continuing W
     past u2 is not in the facet; the frame at u2 therefore consists of all
-    other neighbors of u2.
+    other neighbors of u2.  That vertex is ``fg.step[(u'*n + u)*n + u2]``.
     """
     if isinstance(fg, KSkeleton):
         if d is None:
@@ -168,8 +146,12 @@ def kaibel_step(
     if len(outside) != 1:
         raise NotASkeleton(f"frame at {u} does not omit exactly one neighbor")
     u_prime = outside[0]
-    face_id = fg.face_of(u, u_prime, u2)
-    u_hat = fg.continue_past(face_id, u2, u)
+    n = graph.n
+    u_hat = fg.step.get((u_prime * n + u) * n + u2)
+    if u_hat is None:
+        raise FrameNotInUniqueTwoFace(
+            f"2-frame ({u}, {u_prime}, {u2}) lies in no 2-face"
+        )
     return Frame(u2, tuple(w for w in graph.adj[u2] if w != u_hat))
 
 
@@ -204,8 +186,7 @@ def _trace(fg: FrameGraph, graph: Graph, root: int, excluded: int, visited, trac
     ints only.
     """
     n = graph.n
-    index = fg.index
-    cycles = fg.face_cycle
+    step = fg.step
     simple = fg.simple
     adj = graph.adj
     frames = [(root, excluded)]
@@ -215,24 +196,12 @@ def _trace(fg: FrameGraph, graph: Graph, root: int, excluded: int, visited, trac
     push = queue.append
     while queue:
         w, ex = pop()
-        wn = w * n
+        base = (ex * n + w) * n
         for u2 in adj[w]:
             if u2 == ex or u2 not in simple:
                 continue
-            face_id = index.get((wn + ex) * n + u2 if ex < u2 else (wn + u2) * n + ex)
-            if face_id is None:
-                raise FrameNotInUniqueTwoFace(
-                    f"2-frame ({w}, {ex}, {u2}) lies in no 2-face"
-                )
-            a, b = cycles[face_id][u2]
-            if a == w:
-                u_hat = b
-            elif b == w:
-                u_hat = a
-            else:
-                raise NotASkeleton(
-                    f"{w} is not a cycle neighbor of {u2} on face {face_id}"
-                )
+            # w is simple, so FrameGraph's coverage check put this move in.
+            u_hat = step[base + u2]
             code = u2 * n + u_hat
             prev = visited.get(code)
             if prev is None:

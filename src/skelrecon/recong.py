@@ -7,11 +7,10 @@ cover is larger than any such score).  A first pass covers by one
 shortest chordless cycle per frame, within a budget of one search node
 per frame plus one, and a greedy vertex order certifies its first
 cover.  When there is no cover, no such order, or the budget runs out,
-the fallback covers by all induced cycles and certifies its first cover
-the same way, and failing that the subset DP computes the orientation
-minimum and the search stops at the first cover reaching it.  Only the
-fallback is refused above 22 vertices.  Graph + 2-faces go to the
-2-skeleton engine.
+the fallback covers by all induced cycles, the subset DP computes the
+orientation minimum, and the search stops at the first cover reaching
+it.  Only the fallback is refused above 22 vertices.  Graph + 2-faces go
+to the 2-skeleton engine.
 
 Two nonsimple vertices u, v: partition the facets into the four families
 (containing u only, v only, neither, both) and recover them in that order
@@ -197,10 +196,13 @@ def max_two_system(
     witness, or the budget is spent does the fallback run.  It refuses
     graphs above the subset-DP bound of 22 vertices (the bound guards the
     fallback only), takes all induced cycles (:func:`induced_cycles`) as
-    rows, and offers their first cover to the witness; failing that the
-    subset DP computes the minimum (:func:`min_two_face_score`) and the
-    search takes the first cover of that size.  When no cover reaches the
-    minimum the input is not such a polytope graph.
+    rows, lets the subset DP compute the minimum
+    (:func:`min_two_face_score`) and takes the first cover of that size.
+    When no cover reaches the minimum the input is not such a polytope
+    graph.  Offering the fallback's first cover to the witness would add
+    nothing: a cover the greedy order certifies has the minimum's size
+    (weak duality), so when the first cover in search order is certified
+    it is also the first cover the size-pruned search returns.
 
     On such a polytope graph the maximum cover is the 2-faces, so both
     passes return the same sets.  On other inputs several maximum covers
@@ -229,15 +231,13 @@ def max_two_system(
         check_dp_bound(g.n)
         cycles = induced_cycles(g)
         rows = _cover_rows(g, frame_id, simple, cycles)
-        chosen = _exact_cover_of_size(ncols, rows, 0)
-        if chosen is None or two_face_witness(g, nonsimple, len(chosen)) is None:
-            target = min_two_face_score(g, sources=nonsimple)
-            chosen = _exact_cover_of_size(ncols, rows, target)
-            if chosen is None:
-                raise CertificateMismatch(
-                    f"no exact cover of the simple-rooted 2-frames has {target} sets, "
-                    "the orientation minimum"
-                )
+        target = min_two_face_score(g, sources=nonsimple)
+        chosen = _exact_cover_of_size(ncols, rows, target)
+        if chosen is None:
+            raise CertificateMismatch(
+                f"no exact cover of the simple-rooted 2-frames has {target} sets, "
+                "the orientation minimum"
+            )
     # Either row set is in (length, vertex tuple) order already.
     return TwoSystem(tuple(cycles[i] for i in sorted(chosen)))
 

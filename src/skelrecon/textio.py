@@ -48,6 +48,32 @@ def _header(seen: int | None, parts: list[str]) -> int:
     return _int(parts[1], parts)
 
 
+def _vertex_count(seen: int | None, parts: list[str]) -> int:
+    """The value of the ``vertices`` line, which may not be negative."""
+    n = _header(seen, parts)
+    if n < 0:
+        raise ValueError(f"negative vertex count in line: {' '.join(parts)}")
+    return n
+
+
+def _graph(text: str, n: int, edges: list[tuple[int, int]]) -> Graph:
+    """The graph of the ``edge u v`` lines of ``text``.  A loop or an
+    endpoint outside 0..n-1 names its line; the text is scanned again for
+    that line only then, so parsing keeps no line once it is read."""
+    try:
+        return Graph(n, edges)
+    except ValueError:
+        edge_lines = [parts for parts in _content_lines(text) if parts[0] == "edge"]
+        for (u, v), parts in zip(edges, edge_lines):
+            if u == v:
+                raise ValueError(f"loop in line: {' '.join(parts)}") from None
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(
+                    f"vertex outside 0..{n - 1} in line: {' '.join(parts)}"
+                ) from None
+        raise
+
+
 def format_spec(spec: PolytopeSpec) -> str:
     lines = [f"d {spec.d}", f"vertices {spec.n}"]
     for f in spec.facets:
@@ -63,7 +89,7 @@ def parse_spec(text: str) -> PolytopeSpec:
         if key == "d":
             d = _header(d, parts)
         elif key == "vertices":
-            n = _header(n, parts)
+            n = _vertex_count(n, parts)
         elif key == "facet":
             facets.append([_int(v, parts) for v in parts[1:]])
         else:
@@ -93,7 +119,7 @@ def parse_skeleton(text: str) -> tuple[KSkeleton, int]:
         if key == "d":
             d = _header(d, parts)
         elif key == "vertices":
-            n = _header(n, parts)
+            n = _vertex_count(n, parts)
         elif key == "edge":
             edges.append((_int(parts[1], parts), _int(parts[2], parts)))
         elif key.startswith("face"):
@@ -116,7 +142,7 @@ def parse_skeleton(text: str) -> tuple[KSkeleton, int]:
     faces_by_dim = {
         r: tuple(sorted(fs, key=lambda s: tuple(sorted(s)))) for r, fs in faces.items()
     }
-    return KSkeleton(k=k, graph=Graph(n, edges), faces_by_dim=faces_by_dim), d
+    return KSkeleton(k=k, graph=_graph(text, n, edges), faces_by_dim=faces_by_dim), d
 
 
 def format_edge_list(g: Graph) -> str:
@@ -132,11 +158,11 @@ def parse_edge_list(text: str) -> Graph:
     for parts in _content_lines(text):
         key = parts[0]
         if key == "vertices":
-            n = _header(n, parts)
+            n = _vertex_count(n, parts)
         elif key == "edge":
             edges.append((_int(parts[1], parts), _int(parts[2], parts)))
         else:
             raise ValueError(f"unexpected line: {' '.join(parts)}")
     if n is None:
         n = max((max(e) for e in edges), default=-1) + 1
-    return Graph(n, edges)
+    return _graph(text, n, edges)

@@ -12,7 +12,9 @@ exact covers via a search for the maximum cardinality that does not stop
 at a target size, two-face scores of vertex orders via one pass over the
 edge list, the greedy two-face order via a scan of all unplaced vertices
 per step instead of a heap, facet-family sweeps via every acyclic
-orientation of the family instead of the subset DP over initial sets.
+orientation of the family instead of the subset DP over initial sets,
+Kaibel's frame moves via a frame-to-face index and per-face cycle tables
+instead of the one step map.
 The test-only orientation helpers live here too: ``orientation_from_order``
 (masks by walking an order's arcs, not the enumerator), ``edge_directions``,
 ``sinks_in``, ``is_good`` and ``objectives``.
@@ -21,14 +23,23 @@ The test-only orientation helpers live here too: ``orientation_from_order``
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import networkx as nx
 
-from skelrecon.errors import EmptyFamily, InconsistentCounts, NotGraded
+from skelrecon.errors import (
+    EmptyFamily,
+    FrameNotInUniqueTwoFace,
+    InconsistentCounts,
+    NonSimpleRoot,
+    NotASkeleton,
+    NotGraded,
+)
 from skelrecon.graphs import (
+    Frame,
     Graph,
     Orientation,
     enumerate_acyclic_orientations,
@@ -38,7 +49,7 @@ from skelrecon.graphs import (
     simple_sink_term,
     vertices_of,
 )
-from skelrecon.lattice import FaceLattice, classify_vertices
+from skelrecon.lattice import FaceLattice, KSkeleton, classify_vertices
 from skelrecon.recong import count_sink_frames
 
 
@@ -567,3 +578,125 @@ def reference_uv_two_faces(g, d, u, v, *, force=False):
         force=force,
     )
     return [mask_of(c) for c in found]
+
+
+class ReferenceFrameGraph:
+    """Simple-rooted 2-frames indexed by their 2-face, plus each face's
+    boundary cycle as a neighbour-pair map, instead of the step map: the
+    frame move is a face lookup followed by a cycle step."""
+
+    def __init__(self, skeleton: KSkeleton, d: int):
+        graph = skeleton.graph
+        n = graph.n
+        classes = classify_vertices(graph, d)
+        self.skeleton = skeleton
+        self.d = d
+        self.simple = classes.simple
+        self.nonsimple = classes.nonsimple
+        self.face_cycle: list[dict[int, tuple[int, int]]] = []
+        # 2-frame (root, {a, b}) with a < b is keyed as (root*n + a)*n + b.
+        self.index: dict[int, int] = {}
+        adj = graph.adj
+        frames_at = [0] * n
+        for fi, face in enumerate(skeleton.two_faces):
+            cycle: dict[int, tuple[int, int]] = {}
+            for v in face:
+                inside = [w for w in adj[v] if w in face]
+                if len(inside) != 2:
+                    raise NotASkeleton(
+                        f"2-face {tuple(sorted(face))} is not an induced cycle at {v}"
+                    )
+                cycle[v] = (inside[0], inside[1])
+            start = next(iter(face))
+            prev, v = start, cycle[start][0]
+            length = 1
+            while v != start:
+                a, b = cycle[v]
+                prev, v = v, (b if a == prev else a)
+                length += 1
+            if length != len(face):
+                raise NotASkeleton(f"2-face {tuple(sorted(face))} is not a single cycle")
+            self.face_cycle.append(cycle)
+            for v in face:
+                if v not in self.simple:
+                    continue
+                a, b = cycle[v]
+                key = (v * n + a) * n + b if a < b else (v * n + b) * n + a
+                if key in self.index:
+                    raise FrameNotInUniqueTwoFace(
+                        f"2-frame ({v}, {a}, {b}) lies in more than one 2-face"
+                    )
+                self.index[key] = fi
+                frames_at[v] += 1
+        if any(frames_at[v] != len(adj[v]) * (len(adj[v]) - 1) // 2 for v in self.simple):
+            for v in sorted(self.simple):
+                for a, b in itertools.combinations(adj[v], 2):
+                    if (v * n + a) * n + b not in self.index:
+                        raise FrameNotInUniqueTwoFace(
+                            f"2-frame ({v}, {a}, {b}) lies in no 2-face"
+                        )
+
+    @property
+    def node_count(self) -> int:
+        return len(self.index)
+
+    def face_of(self, root: int, a: int, b: int) -> int:
+        n = self.skeleton.graph.n
+        key = (root * n + a) * n + b if a < b else (root * n + b) * n + a
+        try:
+            return self.index[key]
+        except KeyError:
+            raise FrameNotInUniqueTwoFace(
+                f"2-frame ({root}, {a}, {b}) lies in no 2-face"
+            ) from None
+
+    def continue_past(self, face_id: int, v: int, origin: int) -> int:
+        """The neighbour of v on the face cycle other than origin."""
+        a, b = self.face_cycle[face_id][v]
+        if a == origin:
+            return b
+        if b == origin:
+            return a
+        raise NotASkeleton(f"{origin} is not a cycle neighbor of {v} on face {face_id}")
+
+
+def reference_kaibel_step(fg: ReferenceFrameGraph, frame: Frame, u2: int) -> Frame:
+    """Kaibel's move through the face index and the cycle table."""
+    graph = fg.skeleton.graph
+    u = frame.root
+    if u not in fg.simple:
+        raise NonSimpleRoot(f"frame root {u} is not simple")
+    if u2 not in fg.simple:
+        raise NonSimpleRoot(f"target {u2} is not simple")
+    if u2 not in frame.leaves:
+        raise ValueError(f"{u2} is not in the frame at {u}")
+    outside = [w for w in graph.adj[u] if w not in frame.leaves]
+    if len(outside) != 1:
+        raise NotASkeleton(f"frame at {u} does not omit exactly one neighbor")
+    u_hat = fg.continue_past(fg.face_of(u, outside[0], u2), u2, u)
+    return Frame(u2, tuple(w for w in graph.adj[u2] if w != u_hat))
+
+
+def reference_trace(fg: ReferenceFrameGraph, graph: Graph, root, excluded, visited, trace_id):
+    """``recon2._trace`` with each move taken by :func:`reference_kaibel_step`'s
+    lookups; same arguments, same frames, same errors."""
+    n = graph.n
+    frames = [(root, excluded)]
+    visited[root * n + excluded] = trace_id
+    queue = deque(frames)
+    while queue:
+        w, ex = queue.popleft()
+        for u2 in graph.adj[w]:
+            if u2 == ex or u2 not in fg.simple:
+                continue
+            u_hat = fg.continue_past(fg.face_of(w, ex, u2), u2, w)
+            prev = visited.get(u2 * n + u_hat)
+            if prev is None:
+                visited[u2 * n + u_hat] = trace_id
+                frames.append((u2, u_hat))
+                queue.append((u2, u_hat))
+            elif prev != trace_id:
+                raise NotASkeleton(
+                    f"frame ({u2}, {u_hat}) reached from two different facet traces"
+                )
+    return frames

@@ -245,6 +245,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
         ("lattice", "d 3\nvertices 4\nfacet 0 1 b\n", "facet 0 1 b"),
         ("recong", "vertices 4\nedge 0 x\n", "edge 0 x"),
         ("lattice", "d three\nvertices 4\nfacet 0 1 2\n", "d three"),
+        ("recon2", "d 3\nvertices 3\nedge 0 5\n", "edge 0 5"),
+        ("recong", "vertices 3\nedge 0 5\n", "edge 0 5"),
+        ("recon2", "d 3\nvertices 3\nedge 0 -1\n", "edge 0 -1"),
+        ("recong", "edge -1 0\n", "edge -1 0"),
+        ("recon2", "d 3\nvertices 3\nedge 1 1\n", "edge 1 1"),
+        ("recong", "vertices 3\nedge 1 1\n", "edge 1 1"),
+        ("recon2", "d 3\nvertices -2\nedge 0 1\n", "vertices -2"),
+        ("recong", "vertices -2\nedge 0 1\n", "vertices -2"),
+        ("lattice", "d 3\nvertices -2\nfacet 0 1 2\n", "vertices -2"),
     ],
 )
 def test_short_line_exit_code(tmp_path, capsys, command, text, line):

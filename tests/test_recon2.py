@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from skelrecon import (
@@ -7,6 +9,7 @@ from skelrecon import (
     build_frame_graph,
     classify_vertices,
     cube,
+    induced_cycles,
     is_feasible,
     k_skeleton,
     kaibel_step,
@@ -19,6 +22,7 @@ from skelrecon import (
     simplex,
     truncate,
 )
+from skelrecon import recon2
 from skelrecon.errors import (
     FrameNotInUniqueTwoFace,
     NonSimpleRoot,
@@ -28,6 +32,7 @@ from skelrecon.graphs import mask_of, vertices_of
 from skelrecon.lattice import build_face_lattice
 
 from conftest import fixture_corpus, lattice_of
+from oracles import ReferenceFrameGraph, reference_kaibel_step, reference_trace
 
 
 def skeleton_of(spec):
@@ -224,6 +229,74 @@ def test_not_a_skeleton_on_tampered_faces():
 
 
 def fixture_hexagons(sk):
-    from skelrecon import induced_cycles
-
     return [frozenset(vertices_of(c)) for c in induced_cycles(sk.graph) if c.bit_count() == 6]
+
+
+def _outcome(fn, *args, **kwargs):
+    """The value of a call, or the type and text of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _tamperings(sk, rng):
+    """The skeleton and five seeded tamperings of its 2-faces."""
+    faces = list(sk.two_faces)
+    rng.shuffle(faces)
+    i, j = rng.sample(range(len(faces)), 2)
+    others = [
+        frozenset(vertices_of(c)) for c in induced_cycles(sk.graph)
+        if frozenset(vertices_of(c)) not in sk.two_faces
+    ]
+    swapped = faces[:i] + [rng.choice(others) if others else faces[i]] + faces[i + 1:]
+    return {
+        "none": faces,
+        "drop": faces[:i] + faces[i + 1:],
+        "duplicate": faces + [faces[i]],
+        "union": faces[:i] + [faces[i] | faces[j]] + faces[i + 1:],
+        "random_set": faces + [frozenset(rng.sample(range(sk.n), rng.randint(3, sk.n)))],
+        "swap_cycle": swapped,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(fixture_corpus()))
+def test_frame_moves_match_the_face_index_reference(name, monkeypatch):
+    """Relabeled and tampered corpus 2-skeletons: the step map gives the
+    face-index-and-cycle-table reference's outcome, or its error text."""
+    rng = random.Random(f"frame-moves-{name}")
+    lat = lattice_of(fixture_corpus()[name])
+    d = lat.d
+    base = k_skeleton(lat, 2)
+    for _ in range(5):
+        perm = list(range(base.n))
+        rng.shuffle(perm)
+        graph = Graph(base.n, [(perm[u], perm[v]) for u, v in base.graph.edges])
+        relabeled = KSkeleton(
+            k=2, graph=graph,
+            faces_by_dim={2: tuple(frozenset(perm[v] for v in f) for f in base.two_faces)},
+        )
+        for kind, faces in _tamperings(relabeled, rng).items():
+            sk = KSkeleton(k=2, graph=graph, faces_by_dim={2: tuple(faces)})
+            fg = _outcome(build_frame_graph, sk, d)
+            ref = _outcome(ReferenceFrameGraph, sk, d)
+            if isinstance(ref, ReferenceFrameGraph):
+                assert fg.node_count == ref.node_count, kind
+                for u in range(graph.n):
+                    strangers = [v for v in sorted(ref.simple) if v != u and v not in graph.adj[u]]
+                    for ex in graph.adj[u]:
+                        leaves = tuple(w for w in graph.adj[u] if w != ex)
+                        for frame in (Frame(u, leaves), Frame(u, leaves + tuple(strangers[:1]))):
+                            for u2 in frame.leaves:
+                                assert _outcome(kaibel_step, fg, frame, u2) == _outcome(
+                                    reference_kaibel_step, ref, frame, u2
+                                ), (kind, frame, u2)
+            else:
+                assert fg == ref, kind
+            for hint in (None, "even", "odd"):
+                got = _outcome(reconstruct, sk, d, parity_hint=hint)
+                with monkeypatch.context() as m:
+                    m.setattr(recon2, "FrameGraph", ReferenceFrameGraph)
+                    m.setattr(recon2, "_trace", reference_trace)
+                    want = _outcome(reconstruct, sk, d, parity_hint=hint)
+                assert got == want, (kind, hint)
