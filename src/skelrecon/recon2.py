@@ -8,7 +8,10 @@ is Kaibel's step, and :class:`FrameGraph` stores it as one int map: for
 four consecutive vertices x-w-y-z of a 2-face with w simple, the key of
 (x, w, y) gives z.  Sweeping every simple frame once traces every facet,
 one lookup per move, in time linear in the number of vertices (for fixed
-d), provided each facet keeps at most d-2 nonsimple vertices.
+d), provided each facet keeps at most d-2 nonsimple vertices.  One pass
+per facet traces its frames, collects its vertices and checks them: a
+simple vertex's omitted neighbour must lie outside (one set lookup), and
+a nonsimple vertex needs d-1 neighbours inside.
 
 With d-1 nonsimple vertices in total the sweep can leave one genuine
 two-way ambiguity: a pair of traced regions meeting exactly in the
@@ -20,7 +23,6 @@ count picks one.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -29,7 +31,7 @@ from .errors import (
     NonSimpleRoot,
     NotASkeleton,
 )
-from .graphs import Frame, Graph, is_feasible, mask_of
+from .graphs import Frame, is_feasible, mask_of
 from .lattice import KSkeleton, classify_vertices
 
 
@@ -179,26 +181,34 @@ class ReconstructionOutcome:
     ambiguity: Optional[Ambiguity] = None
 
 
-def _trace(fg: FrameGraph, graph: Graph, root: int, excluded: int, visited, trace_id):
-    """Propagate one seed frame; returns the region's (root, excluded) frames.
+def _facet(fg: FrameGraph, root: int, excluded: int, visited, omitted, trace_id, check):
+    """Trace, collect and check the facet of frame (root, excluded) in one
+    pass; returns its vertex set.
 
-    ``visited`` is keyed by root*n + excluded so the hot loop hashes plain
-    ints only.
+    Each frame (w, ex), taken in breadth-first order, adds w and its leaves
+    to the region and sets ``omitted[w] = ex``.  ``visited`` maps each frame,
+    keyed root*n + excluded so the hot loop hashes plain ints only, to the
+    trace that reached it.
     """
+    graph = fg.skeleton.graph
     n = graph.n
     step = fg.step
     simple = fg.simple
     adj = graph.adj
-    frames = [(root, excluded)]
+    region: set[int] = set()
+    add = region.add
     visited[root * n + excluded] = trace_id
-    queue = deque(frames)
-    pop = queue.popleft
-    push = queue.append
-    while queue:
-        w, ex = pop()
+    frames = [(root, excluded)]
+    push = frames.append
+    for w, ex in frames:  # also yields the frames pushed below
+        omitted[w] = ex
+        add(w)
         base = (ex * n + w) * n
         for u2 in adj[w]:
-            if u2 == ex or u2 not in simple:
+            if u2 == ex:
+                continue
+            add(u2)
+            if u2 not in simple:
                 continue
             # w is simple, so FrameGraph's coverage check put this move in.
             u_hat = step[base + u2]
@@ -206,47 +216,33 @@ def _trace(fg: FrameGraph, graph: Graph, root: int, excluded: int, visited, trac
             prev = visited.get(code)
             if prev is None:
                 visited[code] = trace_id
-                frames.append((u2, u_hat))
                 push((u2, u_hat))
             elif prev != trace_id:
                 raise NotASkeleton(
                     f"frame ({u2}, {u_hat}) reached from two different facet traces"
                 )
-    return frames
-
-
-def _region_vertices(graph: Graph, frames) -> frozenset[int]:
-    region: set[int] = set()
-    for w, ex in frames:
-        region.add(w)
-        region.update(v for v in graph.adj[w] if v != ex)
-    return frozenset(region)
-
-
-def _check_region(fg: FrameGraph, graph: Graph, d, region, visited, trace_id):
-    """Cheap per-region consistency: induced degrees and frame coverage.
-
-    ``visited`` maps root*n + excluded to the trace that reached the frame,
-    as :func:`_trace` fills it; the region's frames are those of ``trace_id``.
-    """
-    n = graph.n
-    for v in region:
-        inside = [w for w in graph.adj[v] if w in region]
-        if v in fg.simple:
-            if len(inside) != d - 1:
-                raise NotASkeleton(
-                    f"simple vertex {v} has {len(inside)} neighbors in region "
-                    f"{tuple(sorted(region))}"
-                )
-            outside = [w for w in graph.adj[v] if w not in region]
-            if visited.get(v * n + outside[0]) != trace_id:
-                raise NotASkeleton(
-                    f"frame at simple vertex {v} missing from its own trace"
-                )
-        elif len(inside) < d - 1:
-            raise NotASkeleton(
-                f"nonsimple vertex {v} has {len(inside)} < d-1 neighbors in region"
-            )
+    facet = frozenset(region)
+    if check:
+        # Each simple v in the facet roots a frame of this trace: a simple
+        # leaf's frame is pushed, or this trace reached it already, or the
+        # two-traces error was raised.  That frame's d-1 leaves are inside,
+        # so v has d-1 neighbours inside exactly when the one it omits is
+        # outside, which also makes this the frame omitting that neighbour.
+        for v in facet:
+            if v in simple:
+                if omitted[v] in facet:
+                    inside = sum(w in facet for w in adj[v])
+                    raise NotASkeleton(
+                        f"simple vertex {v} has {inside} neighbors in region "
+                        f"{tuple(sorted(facet))}"
+                    )
+            else:
+                inside = sum(w in facet for w in adj[v])
+                if inside < fg.d - 1:
+                    raise NotASkeleton(
+                        f"nonsimple vertex {v} has {inside} < d-1 neighbors in region"
+                    )
+    return facet
 
 
 def reconstruct(
@@ -261,6 +257,8 @@ def reconstruct(
     With exactly d-1 nonsimple vertices in total, the one recoverable
     ambiguity (see module docstring) is reported with both completions;
     parity_hint ("even"/"odd", the parity of the facet count) resolves it.
+    Each facet is traced, collected and, unless ``check`` is False,
+    checked in one pass, at one set lookup per simple vertex.
     """
     if d < 3:
         raise ValueError("d must be at least 3")
@@ -273,17 +271,15 @@ def reconstruct(
 
     n = graph.n
     visited: dict[int, int] = {}
+    omitted = [0] * n
     regions: list[frozenset[int]] = []
     for root in sorted(fg.simple):
         for excluded in graph.adj[root]:
             if root * n + excluded in visited:
                 continue
-            trace_id = len(regions)
-            frames = _trace(fg, graph, root, excluded, visited, trace_id)
-            region = _region_vertices(graph, frames)
-            if check:
-                _check_region(fg, graph, d, region, visited, trace_id)
-            regions.append(region)
+            regions.append(
+                _facet(fg, root, excluded, visited, omitted, len(regions), check)
+            )
     if len(set(regions)) != len(regions):
         raise NotASkeleton("two facet traces produced the same vertex set")
 
@@ -299,10 +295,11 @@ def reconstruct(
         pairs = []
         if ncomplete:
             holders = [r for r in regions if nonsimple <= r]
+            simple_mask = mask_of(fg.simple)
             for i, a in enumerate(holders):
                 for b in holders[i + 1 :]:
                     if a & b == nonsimple and is_feasible(
-                        graph, mask_of(a | b), d, mask_of(fg.simple)
+                        graph, mask_of(a | b), d, simple_mask
                     ):
                         pairs.append((a, b))
         if len(pairs) > 1:

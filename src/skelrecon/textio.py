@@ -12,6 +12,8 @@ edge list   optional ``vertices <n>`` / ``edge u v`` lines
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .graphs import Graph
 from .lattice import KSkeleton, PolytopeSpec
 
@@ -33,12 +35,16 @@ def _content_lines(text: str) -> list[list[str]]:
     return out
 
 
+def _non_integer(parts: list[str]) -> ValueError:
+    return ValueError(f"non-integer field in line: {' '.join(parts)}")
+
+
 def _int(field: str, parts: list[str]) -> int:
     """One integer field of a line; the error names the line."""
     try:
         return int(field)
     except ValueError:
-        raise ValueError(f"non-integer field in line: {' '.join(parts)}") from None
+        raise _non_integer(parts) from None
 
 
 def _header(seen: int | None, parts: list[str]) -> int:
@@ -121,26 +127,36 @@ def parse_skeleton(text: str) -> tuple[KSkeleton, int]:
         elif key == "vertices":
             n = _vertex_count(n, parts)
         elif key == "edge":
-            edges.append((_int(parts[1], parts), _int(parts[2], parts)))
+            try:
+                edges.append((int(parts[1]), int(parts[2])))
+            except ValueError:
+                raise _non_integer(parts) from None
         elif key.startswith("face"):
             face_lines.append((_int(key[4:], parts), parts))
         else:
             raise ValueError(f"unexpected line: {' '.join(parts)}")
     if d is None or n is None:
         raise ValueError("missing d or vertices header")
-    faces: dict[int, list[frozenset[int]]] = {}
+    # Each face line is converted once, to its sorted vertex list, which is
+    # also the face's sort key; a repeated vertex is dropped from the key.
+    faces: dict[int, list[tuple[list[int], frozenset[int]]]] = {}
     for r, parts in face_lines:
         if not 2 <= r <= d - 1:
             raise ValueError(f"face rank outside 2..{d - 1} in line: {' '.join(parts)}")
-        vs = [_int(v, parts) for v in parts[1:]]
+        try:
+            vs = sorted(map(int, parts[1:]))
+        except ValueError:
+            raise _non_integer(parts) from None
         if not vs:
             raise ValueError(f"too few fields in line: {' '.join(parts)}")
-        if min(vs) < 0 or max(vs) >= n:
+        if vs[0] < 0 or vs[-1] >= n:
             raise ValueError(f"vertex outside 0..{n - 1} in line: {' '.join(parts)}")
-        faces.setdefault(r, []).append(frozenset(vs))
+        face = frozenset(vs)
+        faces.setdefault(r, []).append((vs if len(vs) == len(face) else sorted(face), face))
     k = max(faces, default=1)
     faces_by_dim = {
-        r: tuple(sorted(fs, key=lambda s: tuple(sorted(s)))) for r, fs in faces.items()
+        r: tuple(face for _, face in sorted(fs, key=itemgetter(0)))
+        for r, fs in faces.items()
     }
     return KSkeleton(k=k, graph=_graph(text, n, edges), faces_by_dim=faces_by_dim), d
 
@@ -160,7 +176,10 @@ def parse_edge_list(text: str) -> Graph:
         if key == "vertices":
             n = _vertex_count(n, parts)
         elif key == "edge":
-            edges.append((_int(parts[1], parts), _int(parts[2], parts)))
+            try:
+                edges.append((int(parts[1]), int(parts[2])))
+            except ValueError:
+                raise _non_integer(parts) from None
         else:
             raise ValueError(f"unexpected line: {' '.join(parts)}")
     if n is None:

@@ -14,7 +14,9 @@ edge list, the greedy two-face order via a scan of all unplaced vertices
 per step instead of a heap, facet-family sweeps via every acyclic
 orientation of the family instead of the subset DP over initial sets,
 Kaibel's frame moves via a frame-to-face index and per-face cycle tables
-instead of the one step map.
+instead of the one step map, facet reconstruction via three passes per
+facet (trace, rebuild the vertex set, count every vertex's neighbours
+inside it) instead of one.
 The test-only orientation helpers live here too: ``orientation_from_order``
 (masks by walking an order's arcs, not the enumerator), ``edge_directions``,
 ``sinks_in``, ``is_good`` and ``objectives``.
@@ -50,6 +52,7 @@ from skelrecon.graphs import (
     vertices_of,
 )
 from skelrecon.lattice import FaceLattice, KSkeleton, classify_vertices
+from skelrecon.recon2 import Ambiguity, ReconstructionOutcome
 from skelrecon.recong import count_sink_frames
 
 
@@ -700,3 +703,112 @@ def reference_trace(fg: ReferenceFrameGraph, graph: Graph, root, excluded, visit
                     f"frame ({u2}, {u_hat}) reached from two different facet traces"
                 )
     return frames
+
+
+def _reference_region_vertices(graph: Graph, frames) -> frozenset[int]:
+    region: set[int] = set()
+    for w, ex in frames:
+        region.add(w)
+        region.update(v for v in graph.adj[w] if v != ex)
+    return frozenset(region)
+
+
+def _reference_check_region(fg, graph: Graph, d, region, visited, trace_id):
+    """Induced degrees and frame coverage, counted per vertex of the region;
+    ``visited`` maps root*n + excluded to the trace that reached the frame."""
+    n = graph.n
+    for v in region:
+        inside = [w for w in graph.adj[v] if w in region]
+        if v in fg.simple:
+            if len(inside) != d - 1:
+                raise NotASkeleton(
+                    f"simple vertex {v} has {len(inside)} neighbors in region "
+                    f"{tuple(sorted(region))}"
+                )
+            outside = [w for w in graph.adj[v] if w not in region]
+            if visited.get(v * n + outside[0]) != trace_id:
+                raise NotASkeleton(
+                    f"frame at simple vertex {v} missing from its own trace"
+                )
+        elif len(inside) < d - 1:
+            raise NotASkeleton(
+                f"nonsimple vertex {v} has {len(inside)} < d-1 neighbors in region"
+            )
+
+
+def reference_reconstruct(sk: KSkeleton, d: int, parity_hint=None, check=True):
+    """``recon2.reconstruct`` in three passes per facet on
+    :class:`ReferenceFrameGraph`: trace the frames, rebuild the vertex set
+    from them, then count every vertex's neighbours inside it."""
+    if d < 3:
+        raise ValueError("d must be at least 3")
+    if parity_hint not in (None, "even", "odd"):
+        raise ValueError("parity_hint must be 'even' or 'odd'")
+    graph = sk.graph
+    fg = ReferenceFrameGraph(sk, d)
+    if not fg.simple:
+        raise NotASkeleton("no simple vertex to seed the propagation")
+
+    n = graph.n
+    visited: dict[int, int] = {}
+    regions: list[frozenset[int]] = []
+    for root in sorted(fg.simple):
+        for excluded in graph.adj[root]:
+            if root * n + excluded in visited:
+                continue
+            trace_id = len(regions)
+            frames = reference_trace(fg, graph, root, excluded, visited, trace_id)
+            region = _reference_region_vertices(graph, frames)
+            if check:
+                _reference_check_region(fg, graph, d, region, visited, trace_id)
+            regions.append(region)
+    if len(set(regions)) != len(regions):
+        raise NotASkeleton("two facet traces produced the same vertex set")
+
+    nonsimple = fg.nonsimple
+    ambiguity = None
+    if len(nonsimple) == d - 1:
+        ncomplete = all(
+            graph.has_edge(u, v) for u in nonsimple for v in nonsimple if u < v
+        )
+        pairs = []
+        if ncomplete:
+            holders = [r for r in regions if nonsimple <= r]
+            for i, a in enumerate(holders):
+                for b in holders[i + 1 :]:
+                    if a & b == nonsimple and is_feasible(
+                        graph, mask_of(a | b), d, mask_of(fg.simple)
+                    ):
+                        pairs.append((a, b))
+        if len(pairs) > 1:
+            raise NotASkeleton(
+                "more than one candidate pair meets exactly in the nonsimple set"
+            )
+        if pairs:
+            a, b = pairs[0]
+            merged = a | b
+            split_list = tuple(sorted(tuple(sorted(r)) for r in regions))
+            merged_list = tuple(
+                sorted(
+                    [tuple(sorted(r)) for r in regions if r != a and r != b]
+                    + [tuple(sorted(merged))]
+                )
+            )
+            ambiguity = Ambiguity(
+                region_a=tuple(sorted(a)),
+                region_b=tuple(sorted(b)),
+                merged=tuple(sorted(merged)),
+                completions=(split_list, merged_list),
+            )
+
+    if ambiguity is not None:
+        if parity_hint is None:
+            return ReconstructionOutcome((), "ambiguous", ambiguity)
+        want = 0 if parity_hint == "even" else 1
+        for completion in ambiguity.completions:
+            if len(completion) % 2 == want:
+                return ReconstructionOutcome(completion, "complete", ambiguity)
+        raise NotASkeleton("no completion matches the parity hint")
+
+    facets = tuple(sorted(tuple(sorted(r)) for r in regions))
+    return ReconstructionOutcome(facets, "complete")

@@ -66,6 +66,22 @@ def test_skeleton_round_trip():
     assert back.faces_by_dim == sk.faces_by_dim
 
 
+def test_skeleton_faces_sort_by_their_vertex_sets():
+    # A repeated vertex counts once: {5, 1} sorts after {1, 2, 3}, not
+    # before it as the list 1 1 5 would.
+    text = (
+        "d 4\nvertices 6\nedge 0 1\n"
+        "face2 5 1 1\nface2 3 2 1\nface3 4 0\nface2 0 5\nface2 1 2 3\n"
+    )
+    sk, d = parse_skeleton(text)
+    assert d == 4
+    assert sk.k == 3
+    assert sk.faces_by_dim == {
+        2: (frozenset({0, 5}), frozenset({1, 2, 3}), frozenset({1, 2, 3}), frozenset({1, 5})),
+        3: (frozenset({0, 4}),),
+    }
+
+
 def test_edge_list_round_trip():
     g = lattice_of(cube(3)).graph()
     assert parse_edge_list(format_edge_list(g)) == g

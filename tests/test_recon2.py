@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from skelrecon import (
     kaibel_step,
     multifold_pyramid,
     polygon_prism,
+    polygon_prism_skeleton,
     pyramid,
     q1,
     q2,
@@ -22,7 +24,6 @@ from skelrecon import (
     simplex,
     truncate,
 )
-from skelrecon import recon2
 from skelrecon.errors import (
     FrameNotInUniqueTwoFace,
     NonSimpleRoot,
@@ -32,7 +33,7 @@ from skelrecon.graphs import mask_of, vertices_of
 from skelrecon.lattice import build_face_lattice
 
 from conftest import fixture_corpus, lattice_of
-from oracles import ReferenceFrameGraph, reference_kaibel_step, reference_trace
+from oracles import ReferenceFrameGraph, reference_kaibel_step, reference_reconstruct
 
 
 def skeleton_of(spec):
@@ -261,9 +262,10 @@ def _tamperings(sk, rng):
 
 
 @pytest.mark.parametrize("name", sorted(fixture_corpus()))
-def test_frame_moves_match_the_face_index_reference(name, monkeypatch):
-    """Relabeled and tampered corpus 2-skeletons: the step map gives the
-    face-index-and-cycle-table reference's outcome, or its error text."""
+def test_frame_moves_match_the_face_index_reference(name):
+    """Relabeled and tampered corpus 2-skeletons: the step map and the
+    one-pass facet trace give the outcome of the face-index-and-cycle-table
+    reference and its three-pass reconstruction, or their error text."""
     rng = random.Random(f"frame-moves-{name}")
     lat = lattice_of(fixture_corpus()[name])
     d = lat.d
@@ -295,8 +297,85 @@ def test_frame_moves_match_the_face_index_reference(name, monkeypatch):
                 assert fg == ref, kind
             for hint in (None, "even", "odd"):
                 got = _outcome(reconstruct, sk, d, parity_hint=hint)
-                with monkeypatch.context() as m:
-                    m.setattr(recon2, "FrameGraph", ReferenceFrameGraph)
-                    m.setattr(recon2, "_trace", reference_trace)
-                    want = _outcome(reconstruct, sk, d, parity_hint=hint)
+                want = _outcome(reference_reconstruct, sk, d, parity_hint=hint)
                 assert got == want, (kind, hint)
+            assert _outcome(reconstruct, sk, d, check=False) == _outcome(
+                reference_reconstruct, sk, d, check=False
+            ), kind
+
+
+@pytest.mark.parametrize("m", range(3, 41))
+def test_relabeled_prisms_match_the_three_pass_reference(m):
+    """Relabeled prism 2-skeletons, whole and with two faces merged into
+    one: the one-pass trace gives the reference's outcome or its error."""
+    rng = random.Random(f"prism-{m}")
+    base = polygon_prism_skeleton(m)
+    perm = list(range(base.n))
+    rng.shuffle(perm)
+    graph = Graph(base.n, [(perm[u], perm[v]) for u, v in base.graph.edges])
+    faces = [frozenset(perm[v] for v in f) for f in base.two_faces]
+    rng.shuffle(faces)
+    i, j = rng.sample(range(len(faces)), 2)
+    for kind, tampered in (
+        ("none", faces),
+        ("union", faces[:i] + [faces[i] | faces[j]] + faces[i + 1:]),
+    ):
+        sk = KSkeleton(k=2, graph=graph, faces_by_dim={2: tuple(tampered)})
+        for check in (True, False):
+            got = _outcome(reconstruct, sk, 3, check=check)
+            assert got == _outcome(reference_reconstruct, sk, 3, check=check), (kind, check)
+        if kind == "none":
+            assert len(got.facets) == m + 2
+
+
+def twisted_torus_skeleton(p, q, s):
+    """A fake 4-dimensional 2-skeleton: the p x q torus grid whose last row
+    joins the first shifted by s, with every square, every row cycle and
+    every vertical helix as a 2-face.  Vertex (i, j) is i*q + j.  With
+    s = 0 this is the 2-skeleton of the product of a p-gon and a q-gon."""
+
+    def up(i, j):
+        return (i, j + 1) if j + 1 < q else ((i + s) % p, 0)
+
+    def label(i, j):
+        return (i % p) * q + j
+
+    edges, faces = set(), []
+    for i in range(p):
+        for j in range(q):
+            edges.add(tuple(sorted((label(i, j), label(i + 1, j)))))
+            edges.add(tuple(sorted((label(i, j), label(*up(i, j))))))
+            faces.append(frozenset(
+                {label(i, j), label(i + 1, j), label(*up(i, j)), label(*up(i + 1, j))}
+            ))
+    faces += [frozenset(label(i, j) for i in range(p)) for j in range(q)]
+    for i in range(math.gcd(p, s)):
+        helix, x = [], (i, 0)
+        while not helix or x != (i, 0):
+            helix.append(label(*x))
+            x = up(*x)
+        faces.append(frozenset(helix))
+    return KSkeleton(k=2, graph=Graph(p * q, sorted(edges)), faces_by_dim={2: tuple(faces)})
+
+
+def test_region_check_rejects_a_simple_vertex_with_all_neighbors_inside():
+    """With a shift of 2 on a 4 x 3 torus each vertical helix runs through
+    two columns 2 apart, so a trace of frames that omit a horizontal
+    neighbour covers all four columns: every vertex's omitted neighbour is
+    in its own region.  Every frame lies in one 2-face and every move is
+    defined, so the region check is the first to see it; without the check
+    two such traces end in the same vertex set."""
+    assert len(reconstruct(twisted_torus_skeleton(4, 3, 0), 4).facets) == 7
+    sk = twisted_torus_skeleton(4, 3, 2)
+    assert build_frame_graph(sk, 4).node_count == 12 * 6
+    message = (
+        "simple vertex 0 has 4 neighbors in region "
+        "(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)"
+    )
+    with pytest.raises(NotASkeleton) as err:
+        reconstruct(sk, 4)
+    assert str(err.value) == message
+    assert _outcome(reference_reconstruct, sk, 4) == (NotASkeleton, message)
+    unchecked = (NotASkeleton, "two facet traces produced the same vertex set")
+    assert _outcome(reconstruct, sk, 4, check=False) == unchecked
+    assert _outcome(reference_reconstruct, sk, 4, check=False) == unchecked
