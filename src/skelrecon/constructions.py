@@ -22,7 +22,7 @@ from .errors import (
     InvalidBase,
     NotAProperFace,
 )
-from .graphs import Graph
+from .graphs import Graph, mask_of
 from .lattice import FaceLattice, KSkeleton, PolytopeSpec
 
 
@@ -229,21 +229,23 @@ def truncate(lattice: FaceLattice, face) -> tuple[PolytopeSpec, TruncationMap]:
     :func:`truncation_map` lays out.
     """
     fset = frozenset(face)
-    if fset not in lattice.rank_of or not 0 <= lattice.rank_of[fset] <= lattice.d - 1:
+    fmask = mask_of(fset) if fset.issubset(range(lattice.n)) else -1
+    if not lattice.is_face(fmask) or not 0 <= lattice.rank(fmask) <= lattice.d - 1:
         raise NotAProperFace(f"{tuple(sorted(face))} is not a proper face")
     tmap = truncation_map(
         lattice.n,
         fset,
-        lattice.faces_by_rank[1],
-        face_was_facet=lattice.rank_of[fset] == lattice.d - 1,
+        lattice.layer(1),
+        face_was_facet=lattice.rank(fmask) == lattice.d - 1,
     )
     facets: list[list[int]] = [sorted(tmap.cut_facet)]
-    for jf in lattice.faces_by_rank[lattice.d - 1]:
-        if jf == fset:
+    for jf in lattice.facets:
+        jmask = mask_of(jf)
+        if jmask == fmask:
             continue
-        new_f = [tmap.old_to_new[v] for v in jf - fset]
+        new_f = [tmap.old_to_new[v] for v in jf if not fmask >> v & 1]
         for (x, y), w in tmap.new_from_edge.items():
-            if x in jf and y in jf:
+            if jmask >> x & 1 and jmask >> y & 1:
                 new_f.append(w)
         facets.append(sorted(new_f))
     n = len(tmap.old_to_new) + len(tmap.new_from_edge)

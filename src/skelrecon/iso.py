@@ -33,7 +33,7 @@ class IsoResult:
 def _layers(obj: Union[KSkeleton, FaceLattice]) -> tuple[tuple, int, dict[int, tuple[frozenset, ...]]]:
     """Normalise to (kind tag, n, {rank: faces}) with rank >= 1 layers."""
     if isinstance(obj, FaceLattice):
-        layers = {r: obj.faces_by_rank[r] for r in range(1, obj.d)}
+        layers = {r: obj.faces_of_rank(r) for r in range(1, obj.d)}
         return ("lattice", obj.d), obj.n, layers
     if isinstance(obj, KSkeleton):
         edge_layer = tuple(

@@ -4,21 +4,29 @@ A polytope is handed around as a :class:`PolytopeSpec` (dimension, vertex
 count, facet list).  The full face lattice is built top down over vertex
 bitmasks, largest faces first: each face's lower covers are the maximal
 intersections of it with the facets, so every face and cover is found
-once.  Below a face whose covers are its one-vertex-smaller subsets every
-face is a simplex, whose covers and rank (size minus one) need no facet
-scan; the other faces are ranked by their longest chains of covers.
-Skeleta, f-vectors, and the simple/nonsimple vertex classification are
-read off the lattice.
+once.  A face whose covers are its one-vertex-smaller subsets is Boolean:
+every subset of it is a face, added at once and never swept.
+
+:class:`FaceLattice` keeps int masks only.  Boolean faces are one set;
+their covers (F - v) and ranks (|F| - 1) stay implicit.  The other,
+general faces keep their covers and their ranks, the lengths of their
+longest chains of covers.  Vertex tuples and frozensets are decoded from
+the masks when first read, one rank at a time (``layer``,
+``faces_of_rank``) or all at once (``faces_by_rank``, ``rank_of``,
+``upper``), and cached.  Skeleta, f-vectors, the simple/nonsimple vertex
+classification and the validation checks read the masks and single
+ranks, never the full views.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from .errors import DegreeBelowDimension, NotAnEdge, NotGraded, RankOutOfRange
-from .graphs import Graph, k_connected, vertices_of
+from .graphs import Graph, k_connected, mask_of, vertices_of
 
 
 class PolytopeSpec:
@@ -85,39 +93,121 @@ class PolytopeSpec:
 
 
 class FaceLattice:
-    """All faces of a polytope, by dimension, with cover relations.
+    """All faces of a polytope, by rank, with cover relations, on vertex bitmasks.
 
-    Faces are identified with their vertex sets (frozensets); rank -1 is
-    the empty face and rank d the whole vertex set.  ``upper[f]`` lists the
-    faces covering f.
+    A face is the int mask of its vertex set.  ``boolean`` holds the
+    Boolean faces, those whose lower covers are the sets F - v, one per
+    vertex v of F; their covers and their rank, |F| - 1, stay implicit.
+    The empty face is one of them.  Every other face is general:
+    ``covers`` maps it to its lower covers and ``ranks`` to its rank.
+    Rank -1 is the empty face and rank d the full vertex set.
+
+    The frozenset views are decoded from the masks on first read and
+    cached: ``faces_by_rank`` (ranks -1..d, each in vertex-tuple order),
+    ``rank_of``, and ``upper`` (the faces covering each face, in
+    vertex-tuple order).  ``layer(r)`` and ``faces_of_rank(r)`` decode one
+    rank only; ``f_vector``, ``facets``, ``graph`` and this module's
+    functions use those and the masks, and never build the full views.
     """
 
-    __slots__ = ("d", "n", "faces_by_rank", "rank_of", "upper")
+    __slots__ = (
+        "d", "n", "boolean", "covers", "ranks",
+        "_by_rank", "_layers", "_sets", "_rank_of", "_upper",
+    )
 
-    def __init__(self, d, n, faces_by_rank, rank_of, upper):
+    def __init__(self, d: int, n: int, boolean: set[int],
+                 covers: dict[int, list[int]], ranks: dict[int, int]):
         self.d = d
         self.n = n
-        self.faces_by_rank = faces_by_rank
-        self.rank_of = rank_of
-        self.upper = upper
+        self.boolean = boolean
+        self.covers = covers
+        self.ranks = ranks
+        self._by_rank: Optional[dict[int, list[int]]] = None
+        self._layers: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._sets: dict[int, tuple[frozenset[int], ...]] = {}
+        self._rank_of = self._upper = None
+
+    def is_face(self, mask: int) -> bool:
+        return mask in self.boolean or mask in self.covers
+
+    def rank(self, face: int) -> int:
+        """The rank of a face, given as its mask."""
+        return self.ranks.get(face, face.bit_count() - 1)
+
+    def lower_covers(self, face: int) -> list[int]:
+        """The faces a face covers, as masks."""
+        below = self.covers.get(face)
+        if below is None:
+            below = [face ^ (1 << v) for v in vertices_of(face)]
+        return below
+
+    def masks_of_rank(self, r: int) -> list[int]:
+        """The masks of the rank-r faces, in no particular order."""
+        if self._by_rank is None:
+            by_rank: dict[int, list[int]] = {s: [] for s in range(-1, self.d + 1)}
+            for m in self.boolean:
+                by_rank[m.bit_count() - 1].append(m)
+            for m, s in self.ranks.items():
+                by_rank[s].append(m)
+            self._by_rank = by_rank
+        return self._by_rank[r]
+
+    def layer(self, r: int) -> tuple[tuple[int, ...], ...]:
+        """The rank-r faces as vertex tuples, in order."""
+        got = self._layers.get(r)
+        if got is None:
+            got = self._layers[r] = tuple(sorted(map(vertices_of, self.masks_of_rank(r))))
+        return got
+
+    def faces_of_rank(self, r: int) -> tuple[frozenset[int], ...]:
+        """The rank-r faces as vertex sets, in vertex-tuple order."""
+        got = self._sets.get(r)
+        if got is None:
+            got = self._sets[r] = tuple(map(frozenset, self.layer(r)))
+        return got
+
+    @property
+    def faces_by_rank(self) -> dict[int, tuple[frozenset[int], ...]]:
+        return {r: self.faces_of_rank(r) for r in range(-1, self.d + 1)}
+
+    def _in_order(self) -> list[tuple[tuple[int, ...], int]]:
+        """Every face as (vertex tuple, mask), in vertex-tuple order."""
+        return sorted((vertices_of(m), m) for m in itertools.chain(self.boolean, self.covers))
+
+    @property
+    def rank_of(self) -> dict[frozenset[int], int]:
+        if self._rank_of is None:
+            rank = self.rank
+            self._rank_of = {frozenset(t): rank(m) for t, m in self._in_order()}
+        return self._rank_of
+
+    @property
+    def upper(self) -> dict[frozenset[int], tuple[frozenset[int], ...]]:
+        if self._upper is None:
+            sets = {m: frozenset(t) for t, m in self._in_order()}
+            ups: dict[int, list[frozenset[int]]] = {m: [] for m in sets}
+            for m, s in sets.items():
+                for c in self.lower_covers(m):
+                    ups[c].append(s)
+            self._upper = {s: tuple(ups[m]) for m, s in sets.items()}
+        return self._upper
 
     @property
     def f_vector(self) -> tuple[int, ...]:
         """Counts of proper nonempty faces, ranks 0..d-1."""
-        return tuple(len(self.faces_by_rank[r]) for r in range(self.d))
+        return tuple(len(self.masks_of_rank(r)) for r in range(self.d))
 
     @property
     def facets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(sorted(f)) for f in self.faces_by_rank[self.d - 1])
+        return self.layer(self.d - 1)
 
     def graph(self) -> Graph:
         """The rank-1 faces as a graph; NotAnEdge names the first non-pair."""
-        edges = self.faces_by_rank.get(1, ())
+        edges = self.layer(1)
         for e in edges:
             if len(e) != 2:
                 raise NotAnEdge(
-                    f"rank-1 face {tuple(sorted(e))} has {len(e)} vertices, "
-                    "so it is not an edge"
+                    f"rank-1 face {e} has {len(e)} vertices, so it is not an edge"
                 )
         return Graph(self.n, edges)
 
@@ -159,111 +249,91 @@ def build_face_lattice(spec: PolytopeSpec) -> FaceLattice:
     The faces are closed under intersection, so every subset of a Boolean
     F, being an intersection of those covers, is a face, and the interval
     below F is the Boolean lattice of F's subsets.  This holds for any
-    facet list, polytope or not.  So every face G below a Boolean face is
-    Boolean too: its covers are the sets G - v, taken without a facet
-    scan, and its rank is |G| - 1.  The other faces have as rank the
-    length of the longest chain of covers strictly below them, minus one,
-    found in order of increasing size.
+    facet list, polytope or not.  So when the sweep finds F Boolean, it
+    adds each subset of F to the Boolean faces with one set insert and
+    never sweeps them: their covers (G - v) and ranks (|G| - 1) stay
+    implicit.  Only the other, general faces keep their covers, and get
+    as rank the length of the longest chain of covers strictly below
+    them, minus one, found in order of increasing size.  No vertex tuple
+    or frozenset is built; :class:`FaceLattice` decodes them on demand.
 
     NotGraded is raised when the full vertex set does not get rank d, when
     a facet does not get rank d-1, or when a cover spans more than one
-    rank.  A Boolean face's covers never do, and another face's do exactly
-    when its covers' ranks differ; only then are the covers scanned in
-    rank and then vertex order, so that the first offending one is
-    reported.  Every face list is in vertex-tuple order: the faces are
-    sorted once, and the layers and the upper covers are filled in that
-    order.
+    rank.  A Boolean face's covers never do, and a general face's do
+    exactly when its covers' ranks differ; only then are the covers of
+    the general faces searched for the first offending one in rank and
+    then vertex order of the covered face, then vertex order of the cover.
     """
     n = spec.n
-    facet_masks = [sum(1 << v for v in f) for f in spec.facets]
+    facet_masks = [mask_of(f) for f in spec.facets]
     full = (1 << n) - 1
-    # Each face found maps to its vertex tuple; a swept face (and the empty
-    # face, which never is) to its lower covers; a Boolean face to its rank
-    # as soon as it is known to be Boolean.
-    verts: dict[int, tuple[int, ...]] = {full: tuple(range(n)), 0: ()}
-    lower: dict[int, list[int]] = {0: []}
-    rank: dict[int, int] = {0: -1}
+    boolean = {0}
+    covers: dict[int, list[int]] = {}
     by_size: list[list[int]] = [[] for _ in range(n + 1)]
     by_size[n].append(full)
-    general: list[int] = []
     for size in range(n, 0, -1):
         for face in by_size[size]:
-            if face not in rank:
-                meets = {face & h for h in facet_masks}
-                meets.discard(face)
-                covers: list[int] = []
-                # Largest first: a set is maximal iff no maximal set found
-                # so far holds it.
-                for m in sorted(meets, key=int.bit_count, reverse=True) or [0]:
-                    for c in covers:
-                        if m & c == m:
-                            break
-                    else:
-                        covers.append(m)
-                if len(covers) != size or covers[-1].bit_count() != size - 1:
-                    general.append(face)
-                    lower[face] = covers
-                    for m in covers:
-                        if m not in verts:
-                            verts[m] = vertices_of(m)
-                            by_size[m.bit_count()].append(m)
-                    continue
-                rank[face] = size - 1
-            vs = verts[face]
-            lower[face] = covers = [face ^ (1 << v) for v in vs]
-            for i, m in enumerate(covers):
-                rank[m] = size - 2
-                if m not in verts:
-                    verts[m] = vs[:i] + vs[i + 1 :]
-                    by_size[size - 1].append(m)
+            # A face can be queued more than once, or be found Boolean
+            # after it was queued.
+            if face in boolean or face in covers:
+                continue
+            meets = {face & h for h in facet_masks}
+            meets.discard(face)
+            below: list[int] = []
+            # Largest first: a set is maximal iff no maximal set found so
+            # far holds it.
+            for m in sorted(meets, key=int.bit_count, reverse=True) or [0]:
+                for c in below:
+                    if m & c == m:
+                        break
+                else:
+                    below.append(m)
+            if len(below) == size and below[-1].bit_count() == size - 1:
+                sub = face
+                while sub:
+                    boolean.add(sub)
+                    sub = (sub - 1) & face
+            else:
+                covers[face] = below
+                for m in below:
+                    if m not in boolean:
+                        by_size[m.bit_count()].append(m)
 
+    # The general faces in order of increasing size: each one's general
+    # covers are ranked before it.
+    ranks: dict[int, int] = {}
     skewed = False
-    for f in reversed(general):
-        below = [rank[m] for m in lower[f]]
-        top = rank[f] = max(below) + 1
+    for f in reversed(covers):
+        below = [ranks[m] if m in ranks else m.bit_count() - 1 for m in covers[f]]
+        top = ranks[f] = max(below) + 1
         if min(below) != top - 1:
             skewed = True
-    if rank[full] != spec.d:
+    lattice = FaceLattice(spec.d, n, boolean, covers, ranks)
+    rank = lattice.rank
+    if rank(full) != spec.d:
         raise NotGraded(
-            f"longest chain gives the full vertex set rank {rank[full]}, "
+            f"longest chain gives the full vertex set rank {rank(full)}, "
             f"expected {spec.d}"
         )
     for f, m in zip(spec.facets, facet_masks):
-        if rank[m] != spec.d - 1:
-            raise NotGraded(f"facet {f} has rank {rank[m]}")
-
-    order = sorted(verts, key=verts.__getitem__)
-    layers: dict[int, list[frozenset[int]]] = {r: [] for r in range(-1, spec.d + 1)}
-    rank_of: dict[frozenset[int], int] = {}
-    ups: dict[int, list[frozenset[int]]] = {f: [] for f in order}
-    sets: dict[int, frozenset[int]] = {}
-    for f in order:
-        s = sets[f] = frozenset(verts[f])
-        r = rank_of[s] = rank[f]
-        layers[r].append(s)
-        for m in lower[f]:
-            ups[m].append(s)
-    faces_by_rank = {r: tuple(layer) for r, layer in layers.items()}
-    upper = {sets[f]: tuple(ups[f]) for f in order}
+        if rank(m) != spec.d - 1:
+            raise NotGraded(f"facet {f} has rank {rank(m)}")
     if skewed:
-        for layer in faces_by_rank.values():
-            for f in layer:
-                for h in upper[f]:
-                    if rank_of[h] != rank_of[f] + 1:
-                        raise NotGraded(
-                            f"{tuple(sorted(h))} covers {tuple(sorted(f))} "
-                            f"but spans ranks {rank_of[f]}..{rank_of[h]}"
-                        )
-    return FaceLattice(spec.d, n, faces_by_rank, rank_of, upper)
+        r, low, high, top = min(
+            (rank(m), vertices_of(m), vertices_of(h), ranks[h])
+            for h, below in covers.items()
+            for m in below
+            if rank(m) != ranks[h] - 1
+        )
+        raise NotGraded(f"{high} covers {low} but spans ranks {r}..{top}")
+    return lattice
 
 
 def k_skeleton(lattice: FaceLattice, k: int) -> KSkeleton:
     """Restrict a lattice to the faces of dimension at most k."""
     if not 1 <= k <= lattice.d - 1:
         raise RankOutOfRange(f"k must be in 1..{lattice.d - 1}, got {k}")
-    faces_by_dim = {
-        r: lattice.faces_by_rank[r] for r in range(2, k + 1)
-    }
+    faces_by_dim = {r: lattice.faces_of_rank(r) for r in range(2, k + 1)}
     return KSkeleton(k=k, graph=lattice.graph(), faces_by_dim=faces_by_dim)
 
 
@@ -340,21 +410,43 @@ class ValidationReport:
 
 
 def _check_diamond(lattice: FaceLattice) -> CheckResult:
-    # The lattice is graded (the build checks), so the faces two ranks above
-    # f are those two covers above it, and each path there passes one
-    # intermediate face.  Intervals are tried in rank and vertex order.
-    upper = lattice.upper
-    for r in range(-1, lattice.d - 1):
-        for f in lattice.faces_by_rank[r]:
-            counts = Counter(h for g in upper[f] for h in upper[g])
-            bad = [h for h, c in counts.items() if c != 2]
-            if bad:
-                h = min(bad, key=sorted)
-                return CheckResult(
-                    "diamond",
-                    False,
-                    f"interval {sorted(f)}..{sorted(h)} has {counts[h]} intermediate faces",
-                )
+    # The lattice is graded (the build checks), so the faces two ranks below
+    # a face h are the covers of its covers, and each path there passes one
+    # intermediate face.  Below a Boolean h, h - u - v lies under h - u and
+    # h - v only, so only intervals with a general top are counted.  The
+    # failure reported is the first in rank and vertex order of the bottom
+    # face, then vertex order of the top.
+    covers = lattice.covers
+    # The covers of the Boolean faces met, each written out once: a Boolean
+    # face lies below several general tops.
+    implicit: dict[int, list[int]] = {}
+    first = None
+    for h, below in covers.items():
+        under: list[int] = []
+        for g in below:
+            lower = covers.get(g)
+            if lower is None:
+                lower = implicit.get(g)
+                if lower is None:
+                    lower = implicit[g] = [g ^ (1 << v) for v in vertices_of(g)]
+            under += lower
+        # Sorted, every face appears exactly twice iff the pairs match and
+        # are distinct.
+        under.sort()
+        if under[::2] == under[1::2] and 2 * len(set(under)) == len(under):
+            continue
+        for f, count in Counter(under).items():
+            if count != 2:
+                key = (lattice.rank(f), vertices_of(f), vertices_of(h), count)
+                if first is None or key < first:
+                    first = key
+    if first is not None:
+        _, f, h, count = first
+        return CheckResult(
+            "diamond",
+            False,
+            f"interval {list(f)}..{list(h)} has {count} intermediate faces",
+        )
     return CheckResult("diamond", True, "every rank-2 interval has exactly 2 intermediates")
 
 
@@ -375,13 +467,13 @@ def _check_graph_connectivity(lattice: FaceLattice, g: Graph) -> CheckResult:
 
 
 def _check_facet_connectivity(lattice: FaceLattice, g: Graph) -> CheckResult:
-    for f in lattice.faces_by_rank[lattice.d - 1]:
+    for f in lattice.facets:
         sub, _ = g.induced(f)
         if not k_connected(sub, lattice.d - 1):
             return CheckResult(
                 "facet_connectivity",
                 False,
-                f"facet {tuple(sorted(f))} is not {lattice.d - 1}-connected",
+                f"facet {f} is not {lattice.d - 1}-connected",
             )
     return CheckResult(
         "facet_connectivity", True, f"every facet graph is {lattice.d - 1}-connected"

@@ -181,14 +181,15 @@ class ReconstructionOutcome:
     ambiguity: Optional[Ambiguity] = None
 
 
-def _facet(fg: FrameGraph, root: int, excluded: int, visited, omitted, trace_id, check):
+def _facet(fg: FrameGraph, root: int, excluded: int, visited, omitted, check):
     """Trace, collect and check the facet of frame (root, excluded) in one
     pass; returns its vertex set.
 
     Each frame (w, ex), taken in breadth-first order, adds w and its leaves
-    to the region and sets ``omitted[w] = ex``.  ``visited`` maps each frame,
-    keyed root*n + excluded so the hot loop hashes plain ints only, to the
-    trace that reached it.
+    to the region and sets ``omitted[w] = ex``.  ``visited`` holds every
+    frame traced so far as a key, root*n + excluded, so the hot loop hashes
+    plain ints only; it is a dict rather than a set because a dict of
+    24,576 ints takes 1.25 MB and a set 2 MB.
     """
     graph = fg.skeleton.graph
     n = graph.n
@@ -197,7 +198,7 @@ def _facet(fg: FrameGraph, root: int, excluded: int, visited, omitted, trace_id,
     adj = graph.adj
     region: set[int] = set()
     add = region.add
-    visited[root * n + excluded] = trace_id
+    visited[root * n + excluded] = None
     frames = [(root, excluded)]
     push = frames.append
     for w, ex in frames:  # also yields the frames pushed below
@@ -211,23 +212,25 @@ def _facet(fg: FrameGraph, root: int, excluded: int, visited, omitted, trace_id,
             if u2 not in simple:
                 continue
             # w is simple, so FrameGraph's coverage check put this move in.
+            # Every move is undone by the move back: the 2-face F through
+            # ex-w-u2-u_hat is the only 2-face holding the 2-frame
+            # (u2; u_hat, w), as FrameGraph checked, so the move from
+            # (u2, u_hat) to w follows F back and gives (w, ex).  Each trace
+            # is therefore a whole component of the move graph, disjoint
+            # from earlier traces, and a frame visited already was visited
+            # by this trace.
             u_hat = step[base + u2]
             code = u2 * n + u_hat
-            prev = visited.get(code)
-            if prev is None:
-                visited[code] = trace_id
+            if code not in visited:
+                visited[code] = None
                 push((u2, u_hat))
-            elif prev != trace_id:
-                raise NotASkeleton(
-                    f"frame ({u2}, {u_hat}) reached from two different facet traces"
-                )
     facet = frozenset(region)
     if check:
         # Each simple v in the facet roots a frame of this trace: a simple
-        # leaf's frame is pushed, or this trace reached it already, or the
-        # two-traces error was raised.  That frame's d-1 leaves are inside,
-        # so v has d-1 neighbours inside exactly when the one it omits is
-        # outside, which also makes this the frame omitting that neighbour.
+        # leaf's frame is pushed, or this trace reached it already.  That
+        # frame's d-1 leaves are inside, so v has d-1 neighbours inside
+        # exactly when the one it omits is outside, which also makes this
+        # the frame omitting that neighbour.
         for v in facet:
             if v in simple:
                 if omitted[v] in facet:
@@ -270,16 +273,14 @@ def reconstruct(
         raise NotASkeleton("no simple vertex to seed the propagation")
 
     n = graph.n
-    visited: dict[int, int] = {}
+    visited: dict[int, None] = {}
     omitted = [0] * n
     regions: list[frozenset[int]] = []
     for root in sorted(fg.simple):
         for excluded in graph.adj[root]:
             if root * n + excluded in visited:
                 continue
-            regions.append(
-                _facet(fg, root, excluded, visited, omitted, len(regions), check)
-            )
+            regions.append(_facet(fg, root, excluded, visited, omitted, check))
     if len(set(regions)) != len(regions):
         raise NotASkeleton("two facet traces produced the same vertex set")
 

@@ -6,17 +6,18 @@ intersection closure, acyclic-orientation counts via the chromatic
 polynomial, orientations via raw edge-direction enumeration, chordless
 cycles via full subset scan, connectivity via networkx, facet
 containment via a scan of all ordered pairs, face lattices via pairwise
-intersection closure ranked by comparing every pair of faces, ancestor
-sets via a walk along the one-step arcs instead of the transitive masks,
-exact covers via a search for the maximum cardinality that does not stop
-at a target size, two-face scores of vertex orders via one pass over the
-edge list, the greedy two-face order via a scan of all unplaced vertices
-per step instead of a heap, facet-family sweeps via every acyclic
-orientation of the family instead of the subset DP over initial sets,
-Kaibel's frame moves via a frame-to-face index and per-face cycle tables
-instead of the one step map, facet reconstruction via three passes per
-facet (trace, rebuild the vertex set, count every vertex's neighbours
-inside it) instead of one.
+intersection closure ranked by comparing every pair of faces, the
+diamond check via a containment count over every interval of length
+two, ancestor sets via a walk along the one-step arcs instead of the
+transitive masks, exact covers via a search for the maximum cardinality
+that does not stop at a target size, two-face scores of vertex orders
+via one pass over the edge list, the greedy two-face order via a scan
+of all unplaced vertices per step instead of a heap, facet-family
+sweeps via every acyclic orientation of the family instead of the
+subset DP over initial sets, Kaibel's frame moves via a frame-to-face
+index and per-face cycle tables instead of the one step map, facet
+reconstruction via three passes per facet (trace, rebuild the vertex
+set, count every vertex's neighbours inside it) instead of one.
 The test-only orientation helpers live here too: ``orientation_from_order``
 (masks by walking an order's arcs, not the enumerator), ``edge_directions``,
 ``sinks_in``, ``is_good`` and ``objectives``.
@@ -51,7 +52,7 @@ from skelrecon.graphs import (
     simple_sink_term,
     vertices_of,
 )
-from skelrecon.lattice import FaceLattice, KSkeleton, classify_vertices
+from skelrecon.lattice import CheckResult, KSkeleton, classify_vertices
 from skelrecon.recon2 import Ambiguity, ReconstructionOutcome
 from skelrecon.recong import count_sink_frames
 
@@ -97,6 +98,17 @@ def facet_containment_error(facets):
 
 def _canon(s):
     return tuple(sorted(s))
+
+
+@dataclass(frozen=True)
+class ReferenceLattice:
+    """The frozenset views a ``FaceLattice`` decodes, built directly."""
+
+    d: int
+    n: int
+    faces_by_rank: dict
+    rank_of: dict
+    upper: dict
 
 
 def chain_ranked_lattice(spec):
@@ -160,7 +172,29 @@ def chain_ranked_lattice(spec):
                         f"{_canon(h)} covers {_canon(f)} but spans "
                         f"ranks {r}..{rank_of[h]}"
                     )
-    return FaceLattice(spec.d, spec.n, faces_by_rank, rank_of, upper)
+    return ReferenceLattice(spec.d, spec.n, faces_by_rank, rank_of, upper)
+
+
+def reference_diamond(lattice):
+    """The diamond check over every interval of length two, as ``validate`` reports it.
+
+    ``lattice`` needs ``d`` and ``faces_by_rank`` only.  Each pair f < h two ranks apart counts the faces g with f < g < h by
+    containment, over all faces; the first pair in rank and vertex order of
+    f, then vertex order of h, whose count is not 2 is the failure.
+    """
+    for r in range(-1, lattice.d - 1):
+        middle = lattice.faces_by_rank[r + 1]
+        for f in lattice.faces_by_rank[r]:
+            for h in lattice.faces_by_rank[r + 2]:
+                if f < h:
+                    count = sum(1 for g in middle if f < g < h)
+                    if count != 2:
+                        return CheckResult(
+                            "diamond",
+                            False,
+                            f"interval {sorted(f)}..{sorted(h)} has {count} intermediate faces",
+                        )
+    return CheckResult("diamond", True, "every rank-2 interval has exactly 2 intermediates")
 
 
 def chromatic_polynomial(g: Graph, x: int) -> int:

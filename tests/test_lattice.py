@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skelrecon import (
-    FaceLattice,
     PolytopeSpec,
     bipyramid,
     build_face_lattice,
@@ -22,10 +21,17 @@ from skelrecon import (
     simplex,
     validate,
 )
-from skelrecon.errors import DegreeBelowDimension, NotGraded, RankOutOfRange
+from skelrecon.errors import DegreeBelowDimension, NotAnEdge, NotGraded, RankOutOfRange
+from skelrecon.lattice import CheckResult, _check_diamond
 
 from conftest import fixture_corpus, lattice_of
-from oracles import chain_ranked_lattice, closed_sets, facet_containment_error
+from oracles import (
+    ReferenceLattice,
+    chain_ranked_lattice,
+    closed_sets,
+    facet_containment_error,
+    reference_diamond,
+)
 
 
 def test_spec_canonicalisation():
@@ -109,11 +115,11 @@ def test_build_matches_chain_ranked_reference_on_fixtures():
         assert_same_lattice(build_face_lattice(spec), chain_ranked_lattice(spec))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_build_matches_chain_ranked_reference(data):
-    n = data.draw(st.integers(min_value=1, max_value=8))
-    masks = data.draw(
+@st.composite
+def facet_lists(draw):
+    """A vertex count n <= 8 and up to 10 inclusion-maximal facets."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    masks = draw(
         st.lists(st.integers(min_value=1, max_value=(1 << n) - 1), max_size=10)
     )
     # Keep the inclusion-maximal sets, so that any draw is a valid spec.
@@ -122,6 +128,13 @@ def test_build_matches_chain_ranked_reference(data):
         for m in masks
         if not any(m != w and m & w == m for w in masks)
     }
+    return n, facets
+
+
+@settings(max_examples=300, deadline=None)
+@given(facet_lists())
+def test_build_matches_chain_ranked_reference(drawn):
+    n, facets = drawn
     for d in range(2, 6):
         spec = PolytopeSpec(d, n, facets)
         try:
@@ -134,6 +147,40 @@ def test_build_matches_chain_ranked_reference(data):
             assert_same_lattice(build_face_lattice(spec), want)
 
 
+@settings(max_examples=300, deadline=None)
+@given(facet_lists())
+# Two triangles sharing vertex 0, as a polygon: 0 lies on four edges, so
+# its interval below the full set has 4 intermediates, and the sorted
+# covers of covers pair up although the count is not 2.
+@example((5, {(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)}))
+def test_diamond_check_matches_the_all_intervals_reference(drawn):
+    n, facets = drawn
+    for d in range(2, 6):
+        spec = PolytopeSpec(d, n, facets)
+        try:
+            want = reference_diamond(chain_ranked_lattice(spec))
+        except NotGraded:
+            continue
+        lattice = build_face_lattice(spec)
+        try:
+            got = validate(lattice)["diamond"]
+        except NotAnEdge:
+            # validate reads the graph first; the check itself still runs.
+            got = _check_diamond(lattice)
+        assert got == want
+
+
+def test_diamond_check_names_the_first_bad_interval():
+    # K4 less the edge 23, declared a polygon: graded, but vertices 0 and 1
+    # lie on three edges each; vertex 0 comes first.
+    fan = PolytopeSpec(2, 4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    report = validate(build_face_lattice(fan))
+    want = "interval [0]..[0, 1, 2, 3] has 3 intermediate faces"
+    assert report["diamond"] == CheckResult("diamond", False, want)
+    assert reference_diamond(chain_ranked_lattice(fan)).detail == want
+    assert not report.ok
+
+
 def relabeled_lattice(lat, perm):
     """The lattice with vertex v renamed perm[v], in vertex-tuple order."""
 
@@ -143,7 +190,7 @@ def relabeled_lattice(lat, perm):
     def ordered(faces):
         return tuple(sorted(map(image, faces), key=sorted))
 
-    return FaceLattice(
+    return ReferenceLattice(
         lat.d,
         lat.n,
         {r: ordered(faces) for r, faces in lat.faces_by_rank.items()},
