@@ -214,10 +214,7 @@ def cmd_recong(args) -> int:
 def cmd_iso(args) -> int:
     la = build_face_lattice(textio.parse_spec(_read(args.a)))
     lb = build_face_lattice(textio.parse_spec(_read(args.b)))
-    if args.rank == "lattice":
-        result = isomorphic(la, lb)
-    else:
-        result = isomorphic(k_skeleton(la, args.rank), k_skeleton(lb, args.rank))
+    result = isomorphic(la, lb, rank=None if args.rank == "lattice" else args.rank)
     if result.isomorphic:
         sys.stdout.write(
             "isomorphic\nwitness " + " ".join(map(str, result.witness)) + "\n"
@@ -253,8 +250,8 @@ def cmd_verify(args) -> int:
             f"d={d} twins have d-1 nonsimple vertices",
             len(n1) == d - 1 and len(n2) == d - 1 and n1 == c1.x_set,
         )
-        low = isomorphic(k_skeleton(l1, d - 3), k_skeleton(l2, d - 3))
-        mid = isomorphic(k_skeleton(l1, d - 2), k_skeleton(l2, d - 2))
+        low = isomorphic(l1, l2, rank=d - 3)
+        mid = isomorphic(l1, l2, rank=d - 2)
         lat = isomorphic(l1, l2)
         check(f"d={d} (d-3)-skeleta isomorphic", low.isomorphic)
         check(
@@ -301,7 +298,7 @@ def cmd_verify(args) -> int:
     )
     bp = build_face_lattice(cons.bipyramid(cons.simplex(3)))
     pb = build_face_lattice(cons.pyramid(cons.bipyramid(cons.simplex(2))))
-    gi = isomorphic(k_skeleton(bp, 1), k_skeleton(pb, 1))
+    gi = isomorphic(bp, pb, rank=1)
     li = isomorphic(bp, pb)
     check(
         "negative control: 4 nonsimple vertices, same graph, different lattices",

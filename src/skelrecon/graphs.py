@@ -228,12 +228,21 @@ def _disjoint_paths(g: Graph, s: int, t: int, k: int) -> int:
     the saturated arc 2v+1 -> 2w (-1 for none; ``pred[t]`` is never
     read), plus the set ``first`` of the vertices s sends to.  v's own
     arc is saturated exactly when ``pred[v]`` is set.
+
+    The flow starts from the two-edge paths s-w-t through up to k common
+    neighbours w, and augments only for the rest.  Augmenting from any
+    feasible flow reaches a maximum one, and no augmenting path cancels
+    a seeded path: w's out node is reachable only back from t's in node,
+    which the search never leaves.  So the count stays exact.
     """
     adj = g.adj
     pred = [-1] * g.n
-    first: set[int] = set()
+    seeds = vertices_of(g.masks[s] & g.masks[t])[:k]
+    for w in seeds:
+        pred[w] = s
+    first = set(seeds)
     source, sink = 2 * s + 1, 2 * t
-    for paths in range(k):
+    for paths in range(len(seeds), k):
         parent = [-1] * (2 * g.n)
         parent[source] = source
         queue = [2 * w for w in adj[s] if w not in first]
@@ -292,7 +301,9 @@ def k_connected(g: Graph, k: int) -> bool:
     inclusion-minimal, holds v, and then v has neighbours in two
     components of G - S, which are not adjacent.  So it suffices that v
     and each non-neighbour, and each non-adjacent pair of v's
-    neighbours, are joined by k vertex-disjoint paths.
+    neighbours, are joined by k vertex-disjoint paths.  Each pair's flow
+    starts from the paths through its common neighbours, which an
+    augmenting path never cancels, so every count is exact.
     """
     if k <= 0:
         return True

@@ -1,10 +1,14 @@
 """Exact isomorphism of graphs, k-skeletons, and face lattices.
 
-A skeleton or lattice is treated as a ranked family of vertex sets; an
-isomorphism is a vertex bijection carrying every layer onto the matching
-layer.  The decision procedure is exact backtracking over vertex classes
-refined by degree and face-membership profiles; instances here have at
-most a few dozen vertices, so no canonical-form machinery is needed.
+A skeleton or lattice is treated as a ranked family of vertex sets, each
+an int bitmask as in the lattice; an isomorphism is a vertex bijection
+carrying every layer onto the matching layer.  Face counts, size
+multisets and the identity map are decided on the masks alone; vertices
+are decoded only for the profiles and the witness search, which few
+pairs reach.  The decision procedure is exact backtracking over vertex
+classes refined by degree and face-membership profiles; instances here
+have at most a few dozen vertices, so no canonical-form machinery is
+needed.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import KindMismatch
-from .lattice import FaceLattice, KSkeleton
+from .graphs import mask_of, vertices_of
+from .lattice import FaceLattice, KSkeleton, require_edges
 
 
 @dataclass(frozen=True)
@@ -30,62 +35,91 @@ class IsoResult:
     obstruction: Optional[str] = None
 
 
-def _layers(obj: Union[KSkeleton, FaceLattice]) -> tuple[tuple, int, dict[int, tuple[frozenset, ...]]]:
-    """Normalise to (kind tag, n, {rank: faces}) with rank >= 1 layers."""
+def _layers(
+    obj: Union[KSkeleton, FaceLattice], rank: Optional[int]
+) -> tuple[tuple, int, dict[int, list[int]]]:
+    """Normalise to (kind tag, n, {rank: face masks}) with rank >= 1 layers.
+
+    With ``rank`` set, a lattice gives the layers of its rank-skeleton,
+    with k_skeleton's errors.
+    """
     if isinstance(obj, FaceLattice):
-        layers = {r: obj.faces_of_rank(r) for r in range(1, obj.d)}
+        if rank is not None:
+            return ("skeleton", rank), obj.n, obj.skeleton_masks(rank)
+        layers = {r: obj.masks_of_rank(r) for r in range(1, obj.d)}
         return ("lattice", obj.d), obj.n, layers
     if isinstance(obj, KSkeleton):
-        edge_layer = tuple(
-            sorted((frozenset(e) for e in obj.graph.edges), key=lambda s: tuple(sorted(s)))
-        )
-        layers = {1: edge_layer}
+        layers = {1: [(1 << u) | (1 << v) for u, v in obj.graph.edges]}
         for r, fs in obj.faces_by_dim.items():
-            layers[r] = fs
+            layers[r] = list(map(mask_of, fs))
         return ("skeleton", obj.k), obj.graph.n, layers
     raise KindMismatch(f"cannot compare objects of type {type(obj).__name__}")
 
 
-def _profiles(n: int, layers: dict[int, tuple[frozenset, ...]], rounds: int = 3) -> list:
+def _adjacency(n: int, edges: list[int]) -> list[int]:
+    """Neighbour masks of the rank-1 layer; NotAnEdge names a non-pair."""
+    adj = [0] * n
+    for e in require_edges(edges):
+        low = e & -e
+        high = e ^ low
+        adj[low.bit_length() - 1] |= high
+        adj[high.bit_length() - 1] |= low
+    return adj
+
+
+def _profiles(n: int, layers: dict[int, list[tuple[int, ...]]], adj: list[int],
+              rounds: int = 3) -> list:
     """Per-vertex colors refined by layer membership and adjacency."""
     member: dict[int, list[list[int]]] = {}
     for r, faces in layers.items():
         per = [[] for _ in range(n)]
         for f in faces:
+            size = len(f)
             for v in f:
-                per[v].append(len(f))
+                per[v].append(size)
         member[r] = [tuple(sorted(s)) for s in per]
     colors = [
         tuple((r, member[r][v]) for r in sorted(member)) for v in range(n)
     ]
-    edges = layers.get(1, ())
-    adj = [[] for _ in range(n)]
-    for e in edges:
-        u, v = sorted(e)
-        adj[u].append(v)
-        adj[v].append(u)
+    near = [vertices_of(m) for m in adj]
     for _ in range(rounds):
         palette = {c: i for i, c in enumerate(sorted(set(colors)))}
         coded = [palette[c] for c in colors]
         colors = [
-            (coded[v], tuple(sorted(coded[w] for w in adj[v]))) for v in range(n)
+            (coded[v], tuple(sorted(coded[w] for w in near[v]))) for v in range(n)
         ]
     return colors
 
 
-def _verified(layers_a, layers_b, mapping: tuple[int, ...]) -> bool:
-    """Re-check that the mapping carries every layer onto its counterpart."""
-    for r, faces in layers_a.items():
-        image = {frozenset(mapping[v] for v in f) for f in faces}
-        if image != set(layers_b[r]):
+def _verified(faces_a, masks_b, mapping: tuple[int, ...]) -> bool:
+    """Re-check that the mapping carries every layer of vertex tuples onto
+    its counterpart, a set of masks."""
+    bit = [1 << w for w in mapping]
+    for r, faces in faces_a.items():
+        image = set()
+        for f in faces:
+            m = 0
+            for v in f:
+                m |= bit[v]
+            image.add(m)
+        if image != masks_b[r]:
             return False
     return True
 
 
-def isomorphic(a: Union[KSkeleton, FaceLattice], b: Union[KSkeleton, FaceLattice]) -> IsoResult:
-    """Decide isomorphism exactly; returns a verified witness or an obstruction."""
-    kind_a, n_a, layers_a = _layers(a)
-    kind_b, n_b, layers_b = _layers(b)
+def isomorphic(
+    a: Union[KSkeleton, FaceLattice],
+    b: Union[KSkeleton, FaceLattice],
+    rank: Optional[int] = None,
+) -> IsoResult:
+    """Decide isomorphism exactly; returns a verified witness or an obstruction.
+
+    ``rank=k`` compares each lattice by its faces of rank 1..k, exactly as
+    ``k_skeleton(lattice, k)`` would be compared, errors included; a
+    KSkeleton argument is compared as it is.
+    """
+    kind_a, n_a, layers_a = _layers(a, rank)
+    kind_b, n_b, layers_b = _layers(b, rank)
     if kind_a != kind_b:
         raise KindMismatch(f"cannot compare {kind_a} with {kind_b}")
     if n_a != n_b:
@@ -97,18 +131,23 @@ def isomorphic(a: Union[KSkeleton, FaceLattice], b: Union[KSkeleton, FaceLattice
         cb = len(layers_b[r])
         if ca != cb:
             return IsoResult(False, obstruction=f"rank {r} face counts {ca} != {cb}")
-        sa = sorted(len(f) for f in layers_a[r])
-        sb = sorted(len(f) for f in layers_b[r])
+        sa = sorted(f.bit_count() for f in layers_a[r])
+        sb = sorted(f.bit_count() for f in layers_b[r])
         if sa != sb:
             return IsoResult(False, obstruction=f"rank {r} face sizes differ")
 
     n = n_a
-    identity = tuple(range(n))
-    if _verified(layers_a, layers_b, identity):
-        return IsoResult(True, witness=identity)
+    masks_b = {r: set(faces) for r, faces in layers_b.items()}
+    if all(set(faces) == masks_b[r] for r, faces in layers_a.items()):
+        return IsoResult(True, witness=tuple(range(n)))
 
-    prof_a = _profiles(n, layers_a)
-    prof_b = _profiles(n, layers_b)
+    adj_a = _adjacency(n, layers_a.get(1, []))
+    adj_b = _adjacency(n, layers_b.get(1, []))
+    # Decode each face once, for the profiles and the witness checks.
+    faces_a = {r: list(map(vertices_of, faces)) for r, faces in layers_a.items()}
+    faces_b = {r: list(map(vertices_of, faces)) for r, faces in layers_b.items()}
+    prof_a = _profiles(n, faces_a, adj_a)
+    prof_b = _profiles(n, faces_b, adj_b)
     if sorted(prof_a) != sorted(prof_b):
         return IsoResult(False, obstruction="vertex profile multisets differ")
 
@@ -116,27 +155,17 @@ def isomorphic(a: Union[KSkeleton, FaceLattice], b: Union[KSkeleton, FaceLattice
         v: [w for w in range(n) if prof_b[w] == prof_a[v]] for v in range(n)
     }
     order = sorted(range(n), key=lambda v: (len(candidates[v]), v))
-    edges_a = [set() for _ in range(n)]
-    for e in layers_a.get(1, ()):
-        u, v = sorted(e)
-        edges_a[u].add(v)
-        edges_a[v].add(u)
-    edges_b = [set() for _ in range(n)]
-    for e in layers_b.get(1, ()):
-        u, v = sorted(e)
-        edges_b[u].add(v)
-        edges_b[v].add(u)
 
     # Every layer bijection restricts to a graph isomorphism, so enumerate
     # those within the refined classes and keep the first one that carries
     # all higher layers as well.
-    for perm in _graph_isomorphisms(n, edges_a, edges_b, candidates, order):
-        if _verified(layers_a, layers_b, perm):
+    for perm in _graph_isomorphisms(n, adj_a, adj_b, candidates, order):
+        if _verified(faces_a, masks_b, perm):
             return IsoResult(True, witness=perm)
     return IsoResult(False, obstruction="search exhausted")
 
 
-def _graph_isomorphisms(n, edges_a, edges_b, candidates, order):
+def _graph_isomorphisms(n, adj_a, adj_b, candidates, order):
     """All graph isomorphisms within the refined classes (backtracking)."""
     mapping: dict[int, int] = {}
     used: set[int] = set()
@@ -149,7 +178,7 @@ def _graph_isomorphisms(n, edges_a, edges_b, candidates, order):
         for w in candidates[v]:
             if w in used:
                 continue
-            if any((v2 in edges_a[v]) != (w2 in edges_b[w]) for v2, w2 in mapping.items()):
+            if any((adj_a[v] >> v2 & 1) != (adj_b[w] >> w2 & 1) for v2, w2 in mapping.items()):
                 continue
             mapping[v] = w
             used.add(w)

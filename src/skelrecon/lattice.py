@@ -203,13 +203,19 @@ class FaceLattice:
 
     def graph(self) -> Graph:
         """The rank-1 faces as a graph; NotAnEdge names the first non-pair."""
-        edges = self.layer(1)
-        for e in edges:
-            if len(e) != 2:
-                raise NotAnEdge(
-                    f"rank-1 face {e} has {len(e)} vertices, so it is not an edge"
-                )
-        return Graph(self.n, edges)
+        return Graph(self.n, map(vertices_of, require_edges(self.masks_of_rank(1))))
+
+    def skeleton_masks(self, k: int) -> dict[int, list[int]]:
+        """The masks of the faces of rank 1..k, the layers of the k-skeleton.
+
+        RankOutOfRange unless 1 <= k <= d-1, then NotAnEdge as in graph().
+        """
+        if not 1 <= k <= self.d - 1:
+            raise RankOutOfRange(f"k must be in 1..{self.d - 1}, got {k}")
+        layers = {1: require_edges(self.masks_of_rank(1))}
+        for r in range(2, k + 1):
+            layers[r] = self.masks_of_rank(r)
+        return layers
 
     def spec(self) -> PolytopeSpec:
         return PolytopeSpec(self.d, self.n, self.facets)
@@ -329,12 +335,23 @@ def build_face_lattice(spec: PolytopeSpec) -> FaceLattice:
     return lattice
 
 
+def require_edges(faces: list[int]) -> list[int]:
+    """Rank-1 face masks, unchanged when each is a vertex pair.
+
+    Otherwise NotAnEdge names the first other face in vertex order.
+    """
+    bad = [vertices_of(m) for m in faces if m.bit_count() != 2]
+    if bad:
+        e = min(bad)
+        raise NotAnEdge(f"rank-1 face {e} has {len(e)} vertices, so it is not an edge")
+    return faces
+
+
 def k_skeleton(lattice: FaceLattice, k: int) -> KSkeleton:
     """Restrict a lattice to the faces of dimension at most k."""
-    if not 1 <= k <= lattice.d - 1:
-        raise RankOutOfRange(f"k must be in 1..{lattice.d - 1}, got {k}")
+    edges = lattice.skeleton_masks(k)[1]
     faces_by_dim = {r: lattice.faces_of_rank(r) for r in range(2, k + 1)}
-    return KSkeleton(k=k, graph=lattice.graph(), faces_by_dim=faces_by_dim)
+    return KSkeleton(k=k, graph=Graph(lattice.n, map(vertices_of, edges)), faces_by_dim=faces_by_dim)
 
 
 @dataclass(frozen=True)

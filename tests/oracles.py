@@ -17,7 +17,9 @@ sweeps via every acyclic orientation of the family instead of the
 subset DP over initial sets, Kaibel's frame moves via a frame-to-face
 index and per-face cycle tables instead of the one step map, facet
 reconstruction via three passes per facet (trace, rebuild the vertex
-set, count every vertex's neighbours inside it) instead of one.
+set, count every vertex's neighbours inside it) instead of one,
+isomorphism via frozenset layers decoded from every face instead of
+int masks.
 The test-only orientation helpers live here too: ``orientation_from_order``
 (masks by walking an order's arcs, not the enumerator), ``edge_directions``,
 ``sinks_in``, ``is_good`` and ``objectives``.
@@ -37,6 +39,7 @@ from skelrecon.errors import (
     EmptyFamily,
     FrameNotInUniqueTwoFace,
     InconsistentCounts,
+    KindMismatch,
     NonSimpleRoot,
     NotASkeleton,
     NotGraded,
@@ -52,7 +55,8 @@ from skelrecon.graphs import (
     simple_sink_term,
     vertices_of,
 )
-from skelrecon.lattice import CheckResult, KSkeleton, classify_vertices
+from skelrecon.iso import IsoResult
+from skelrecon.lattice import CheckResult, FaceLattice, KSkeleton, classify_vertices
 from skelrecon.recon2 import Ambiguity, ReconstructionOutcome
 from skelrecon.recong import count_sink_frames
 
@@ -473,7 +477,7 @@ def nx_graph(g: Graph) -> nx.Graph:
 
 
 def nx_local_connectivity(g: Graph, s: int, t: int) -> int:
-    """The most internally vertex-disjoint s-t paths, s and t not adjacent."""
+    """The most internally vertex-disjoint s-t paths; an edge st is one of them."""
     return nx.algorithms.connectivity.local_node_connectivity(nx_graph(g), s, t)
 
 
@@ -846,3 +850,113 @@ def reference_reconstruct(sk: KSkeleton, d: int, parity_hint=None, check=True):
 
     facets = tuple(sorted(tuple(sorted(r)) for r in regions))
     return ReconstructionOutcome(facets, "complete")
+
+
+# -- isomorphism on frozenset layers -------------------------------------------
+
+
+def _reference_layers(obj):
+    """(kind tag, n, {rank: frozenset faces}) with rank >= 1 layers."""
+    if isinstance(obj, FaceLattice):
+        layers = {r: obj.faces_of_rank(r) for r in range(1, obj.d)}
+        return ("lattice", obj.d), obj.n, layers
+    if isinstance(obj, KSkeleton):
+        edge_layer = tuple(
+            sorted((frozenset(e) for e in obj.graph.edges), key=lambda s: tuple(sorted(s)))
+        )
+        layers = {1: edge_layer}
+        for r, fs in obj.faces_by_dim.items():
+            layers[r] = fs
+        return ("skeleton", obj.k), obj.graph.n, layers
+    raise KindMismatch(f"cannot compare objects of type {type(obj).__name__}")
+
+
+def _reference_profiles(n, layers, rounds=3):
+    member = {}
+    for r, faces in layers.items():
+        per = [[] for _ in range(n)]
+        for f in faces:
+            for v in f:
+                per[v].append(len(f))
+        member[r] = [tuple(sorted(s)) for s in per]
+    colors = [tuple((r, member[r][v]) for r in sorted(member)) for v in range(n)]
+    adj = [[] for _ in range(n)]
+    for e in layers.get(1, ()):
+        u, v = sorted(e)
+        adj[u].append(v)
+        adj[v].append(u)
+    for _ in range(rounds):
+        palette = {c: i for i, c in enumerate(sorted(set(colors)))}
+        coded = [palette[c] for c in colors]
+        colors = [(coded[v], tuple(sorted(coded[w] for w in adj[v]))) for v in range(n)]
+    return colors
+
+
+def _reference_verified(layers_a, layers_b, mapping):
+    for r, faces in layers_a.items():
+        if {frozenset(mapping[v] for v in f) for f in faces} != set(layers_b[r]):
+            return False
+    return True
+
+
+def _reference_graph_isomorphisms(n, edges_a, edges_b, candidates, order):
+    mapping = {}
+    used = set()
+
+    def extend(i):
+        if i == n:
+            yield tuple(mapping[v] for v in range(n))
+            return
+        v = order[i]
+        for w in candidates[v]:
+            if w in used:
+                continue
+            if any((v2 in edges_a[v]) != (w2 in edges_b[w]) for v2, w2 in mapping.items()):
+                continue
+            mapping[v] = w
+            used.add(w)
+            yield from extend(i + 1)
+            del mapping[v]
+            used.discard(w)
+
+    yield from extend(0)
+
+
+def reference_isomorphic(a, b) -> IsoResult:
+    """The same decision on frozenset layers: every face is decoded to a
+    vertex set before the counts, sizes and identity are compared."""
+    kind_a, n_a, layers_a = _reference_layers(a)
+    kind_b, n_b, layers_b = _reference_layers(b)
+    if kind_a != kind_b:
+        raise KindMismatch(f"cannot compare {kind_a} with {kind_b}")
+    if n_a != n_b:
+        return IsoResult(False, obstruction=f"vertex counts {n_a} != {n_b}")
+    if set(layers_a) != set(layers_b):
+        return IsoResult(False, obstruction="different face ranks present")
+    for r in sorted(layers_a):
+        ca, cb = len(layers_a[r]), len(layers_b[r])
+        if ca != cb:
+            return IsoResult(False, obstruction=f"rank {r} face counts {ca} != {cb}")
+        if sorted(len(f) for f in layers_a[r]) != sorted(len(f) for f in layers_b[r]):
+            return IsoResult(False, obstruction=f"rank {r} face sizes differ")
+    n = n_a
+    identity = tuple(range(n))
+    if _reference_verified(layers_a, layers_b, identity):
+        return IsoResult(True, witness=identity)
+    prof_a = _reference_profiles(n, layers_a)
+    prof_b = _reference_profiles(n, layers_b)
+    if sorted(prof_a) != sorted(prof_b):
+        return IsoResult(False, obstruction="vertex profile multisets differ")
+    candidates = {v: [w for w in range(n) if prof_b[w] == prof_a[v]] for v in range(n)}
+    order = sorted(range(n), key=lambda v: (len(candidates[v]), v))
+    edges_a = [set() for _ in range(n)]
+    edges_b = [set() for _ in range(n)]
+    for edges, layers in ((edges_a, layers_a), (edges_b, layers_b)):
+        for e in layers.get(1, ()):
+            u, v = sorted(e)
+            edges[u].add(v)
+            edges[v].add(u)
+    for perm in _reference_graph_isomorphisms(n, edges_a, edges_b, candidates, order):
+        if _reference_verified(layers_a, layers_b, perm):
+            return IsoResult(True, witness=perm)
+    return IsoResult(False, obstruction="search exhausted")

@@ -233,6 +233,20 @@ def test_rank_one_face_that_is_not_an_edge(tmp_path, capsys, argv):
     assert out == ""
 
 
+def test_iso_lattice_names_a_rank_one_face_that_is_not_an_edge(tmp_path, capsys):
+    # The ring against itself matches by the identity and never reads its
+    # edges; against a relabeled copy the profiles need them.
+    ring, other = tmp_path / "ring.poly", tmp_path / "other.poly"
+    ring.write_text("d 2\nvertices 6\nfacet 0 1 2\nfacet 2 3 4\nfacet 4 5 0\n")
+    other.write_text("d 2\nvertices 6\nfacet 0 1 2\nfacet 2 3 4\nfacet 4 5 1\n")
+    assert run_cli("iso", str(ring), str(ring), "--rank", "lattice") == 0
+    assert capsys.readouterr().out == "isomorphic\nwitness 0 1 2 3 4 5\n"
+    assert run_cli("iso", str(ring), str(other), "--rank", "lattice") == 1
+    out, err = capsys.readouterr()
+    assert err == "error: rank-1 face (0, 1, 2) has 3 vertices, so it is not an edge\n"
+    assert out == ""
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.poly"
     bad.write_text("nonsense\n")

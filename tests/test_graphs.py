@@ -324,6 +324,51 @@ def test_disjoint_paths_matches_networkx(n, density, seed):
                 assert _disjoint_paths(g, s, t, k) == min(k, paths), (g.edges, s, t, k)
 
 
+def test_seeded_flow_stops_at_k_below_the_common_neighbour_count():
+    # K_{2,5}: the two hubs 0 and 1 share all five other vertices.
+    g = Graph(7, [(h, w) for h in (0, 1) for w in range(2, 7)])
+    assert (g.masks[0] & g.masks[1]).bit_count() == 5
+    assert nx_local_connectivity(g, 0, 1) == 5
+    for k in range(1, 8):
+        assert _disjoint_paths(g, 0, 1, k) == min(k, 5)
+
+
+def test_seeded_flow_counts_a_direct_edge_once():
+    # s = 0 and t = 1 adjacent, with common neighbours 2 and 3 and a
+    # longer path 0-4-5-1.
+    g = Graph(6, [(0, 1), (0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 5), (5, 1)])
+    assert nx_local_connectivity(g, 0, 1) == 4
+    for k in range(1, 7):
+        assert _disjoint_paths(g, 0, 1, k) == _disjoint_paths(g, 1, 0, k) == min(k, 4)
+
+
+def test_seeded_flow_on_complete_graphs():
+    for n in range(2, 8):
+        g = complete_graph(n)
+        for s, t in itertools.permutations(range(n), 2):
+            paths = nx_local_connectivity(g, s, t)
+            assert paths == n - 1
+            for k in range(1, n + 2):
+                assert _disjoint_paths(g, s, t, k) == min(k, paths), (n, s, t, k)
+
+
+def test_flow_without_common_neighbours_matches_networkx():
+    # No seed applies: antipodes of even cycles and of cube graphs, the
+    # ends of a path, and pairs in different components.
+    graphs = [cycle_graph(6), cycle_graph(8), path_graph(5), Graph(4, [(0, 1), (2, 3)])]
+    graphs += [lattice_of(cube(d)).graph() for d in (3, 4)]
+    seen = 0
+    for g in graphs:
+        for s, t in itertools.permutations(range(g.n), 2):
+            if g.masks[s] & g.masks[t] or g.has_edge(s, t):
+                continue
+            seen += 1
+            paths = nx_local_connectivity(g, s, t)
+            for k in range(1, 6):
+                assert _disjoint_paths(g, s, t, k) == min(k, paths), (g.edges, s, t, k)
+    assert seen > 100
+
+
 def test_induced_cycles_k4():
     got = induced_cycles(complete_graph(4))
     assert got == [mask_of(c) for c in itertools.combinations(range(4), 3)]

@@ -10,9 +10,11 @@ from skelrecon import (
     q1,
     q2,
 )
-from skelrecon.errors import KindMismatch
+from skelrecon.errors import KindMismatch, NotAnEdge, RankOutOfRange
+from skelrecon.textio import format_skeleton, parse_skeleton, parse_spec
 
 from conftest import fixture_corpus, lattice_of
+from oracles import reference_isomorphic
 
 
 def relabeled(spec, perm):
@@ -99,3 +101,115 @@ def test_kind_mismatch():
         isomorphic(lat, k_skeleton(lat, 1))
     with pytest.raises(KindMismatch):
         isomorphic(k_skeleton(lat, 1), k_skeleton(lat, 2))
+
+
+def shuffled(spec, seed):
+    return relabeled(spec, random.Random(seed).sample(range(spec.n), spec.n))
+
+
+def outcome(call):
+    """The result of a call, or the type and text of the error it raised."""
+    try:
+        return call()
+    except (KindMismatch, NotAnEdge, RankOutOfRange) as e:
+        return type(e), str(e)
+
+
+def test_masks_match_the_frozenset_reference_on_the_corpus():
+    corpus = list(fixture_corpus().values())
+    for spec in corpus:
+        la = lattice_of(spec)
+        for seed in range(5):
+            lb = build_face_lattice(shuffled(spec, seed))
+            assert isomorphic(la, lb) == reference_isomorphic(la, lb)
+            for k in range(1, spec.d):
+                got = isomorphic(la, lb, rank=k)
+                assert got == reference_isomorphic(k_skeleton(la, k), k_skeleton(lb, k))
+                assert got == isomorphic(k_skeleton(la, k), k_skeleton(lb, k))
+    # Pairs of different polytopes with as many vertices, which may stop
+    # at any obstruction.
+    for i, spec in enumerate(corpus):
+        for other in corpus[i + 1:]:
+            if (other.d, other.n) == (spec.d, spec.n):
+                la, lb = lattice_of(spec), build_face_lattice(shuffled(other, 3))
+                assert isomorphic(la, lb) == reference_isomorphic(la, lb)
+                for k in range(1, spec.d):
+                    assert isomorphic(la, lb, rank=k) == reference_isomorphic(
+                        k_skeleton(la, k), k_skeleton(lb, k)
+                    )
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
+def test_masks_match_the_frozenset_reference_on_the_twins(d):
+    l1 = build_face_lattice(q1(d).spec)
+    for lb in (build_face_lattice(q2(d).spec), build_face_lattice(shuffled(q2(d).spec, d)),
+               build_face_lattice(shuffled(q1(d).spec, d))):
+        assert isomorphic(l1, lb) == reference_isomorphic(l1, lb)
+        for k in range(1, d):
+            got = isomorphic(l1, lb, rank=k)
+            assert got == reference_isomorphic(k_skeleton(l1, k), k_skeleton(lb, k))
+            assert got == isomorphic(k_skeleton(l1, k), k_skeleton(lb, k))
+
+
+def test_masks_match_the_frozenset_reference_on_parsed_skeletons():
+    for d, k in ((4, 1), (5, 2), (5, 3), (6, 3)):
+        l1 = build_face_lattice(q1(d).spec)
+        texts = [format_skeleton(k_skeleton(lat, k), d) for lat in (
+            l1, build_face_lattice(q2(d).spec), build_face_lattice(shuffled(q2(d).spec, 1)),
+            build_face_lattice(shuffled(q1(d).spec, 2)),
+        )]
+        parsed = [parse_skeleton(t)[0] for t in texts]
+        for a in parsed:
+            for b in parsed:
+                assert isomorphic(a, b) == reference_isomorphic(a, b)
+
+
+RING = "d 2\nvertices 6\nfacet 0 1 2\nfacet 2 3 4\nfacet 4 5 0\n"
+
+
+def test_rank_keyword_matches_the_skeleton_form_errors_included():
+    q2_5 = build_face_lattice(shuffled(q2(5).spec, 52))
+    q1_4 = build_face_lattice(shuffled(q1(4).spec, 41))
+    ring = build_face_lattice(parse_spec(RING))
+    cases = [(q2_5, q1_4, k) for k in (0, 1, 2, 3, 4, 5)]
+    cases += [(q1_4, q2_5, 4), (ring, q1_4, 1), (q1_4, ring, 1), (ring, q1_4, 2),
+              (q1_4, ring, 3), (ring, ring, 1)]
+    for a, b, k in cases:
+        assert outcome(lambda: isomorphic(a, b, rank=k)) == outcome(
+            lambda: isomorphic(k_skeleton(a, k), k_skeleton(b, k))
+        ), (a, b, k)
+    assert outcome(lambda: isomorphic(q2_5, q1_4, rank=4)) == (
+        RankOutOfRange, "k must be in 1..3, got 4"
+    )
+    # A's errors come before b's: its rank, then its edges.
+    assert outcome(lambda: isomorphic(ring, q1_4, rank=2)) == (
+        RankOutOfRange, "k must be in 1..1, got 2"
+    )
+    assert outcome(lambda: isomorphic(q1_4, ring, rank=1)) == (
+        NotAnEdge, "rank-1 face (0, 1, 2) has 3 vertices, so it is not an edge"
+    )
+    # A skeleton argument is compared as it is.
+    sk = k_skeleton(q1_4, 1)
+    assert isomorphic(q2_5, sk, rank=1) == isomorphic(k_skeleton(q2_5, 1), sk)
+    with pytest.raises(KindMismatch):
+        isomorphic(q2_5, sk, rank=2)
+    with pytest.raises(KindMismatch):
+        isomorphic(q2_5, sk)
+
+
+def test_lattice_with_non_edges_is_refused_only_when_edges_are_compared():
+    ring = build_face_lattice(parse_spec(RING))
+    assert isomorphic(ring, ring).witness == tuple(range(6))
+    other = build_face_lattice(relabeled(parse_spec(RING), [1, 0, 2, 3, 4, 5]))
+    with pytest.raises(NotAnEdge, match=r"rank-1 face \(0, 1, 2\) has 3 vertices"):
+        isomorphic(ring, other)
+
+
+def test_the_named_non_edge_is_the_first_in_vertex_order():
+    # The lattice keeps (2, 3, 4) ahead of (0, 1, 3) among its rank-1 masks.
+    ring = build_face_lattice(PolytopeSpec(2, 6, [(0, 1, 3), (2, 3, 4), (4, 5, 0)]))
+    other = build_face_lattice(PolytopeSpec(2, 6, [(0, 1, 2), (2, 3, 4), (4, 5, 0)]))
+    text = "rank-1 face (0, 1, 3) has 3 vertices, so it is not an edge"
+    for call in (ring.graph, lambda: k_skeleton(ring, 1), lambda: isomorphic(ring, other),
+                 lambda: isomorphic(ring, other, rank=1)):
+        assert outcome(call) == (NotAnEdge, text)
