@@ -148,11 +148,11 @@ def cmd_recon2(args) -> int:
         sys.stdout.write("# ambiguous: two completions, pass --parity to choose\n")
         for tag, completion in zip(("even", "odd"), _by_parity(amb.completions)):
             sys.stdout.write(f"# completion parity={tag} facets={len(completion)}\n")
-            for f in completion:
-                sys.stdout.write("facet " + " ".join(map(str, f)) + "\n")
+            sys.stdout.write(textio.facet_lines(completion))
         return 1
-    spec = cons.PolytopeSpec(d, sk.graph.n, outcome.facets)
-    _emit(textio.format_spec(spec), args.output)
+    # reconstruct's checks already give every PolytopeSpec invariant (see
+    # its docstring), so the facets are written as they are.
+    _emit(textio.format_facets(d, sk.graph.n, outcome.facets), args.output)
     return 0
 
 

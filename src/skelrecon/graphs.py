@@ -226,8 +226,11 @@ def _disjoint_paths(g: Graph, s: int, t: int, k: int) -> int:
     t's in node, which is never left.  Every other split node carries at
     most one unit, so the flow is one int per vertex, ``pred[w] = v`` for
     the saturated arc 2v+1 -> 2w (-1 for none; ``pred[t]`` is never
-    read), plus the set ``first`` of the vertices s sends to.  v's own
-    arc is saturated exactly when ``pred[v]`` is set.
+    read), plus one flag for the edge s-t.  v's own arc is saturated
+    exactly when ``pred[v]`` is set, and s sends to w != t exactly when
+    ``pred[w] == s``: no search enters s's out node again, so an arc out
+    of s is never cancelled.  Only the edge s-t needs the flag, so that
+    it is counted once.
 
     The flow starts from the two-edge paths s-w-t through up to k common
     neighbours w, and augments only for the rest.  Augmenting from any
@@ -240,12 +243,12 @@ def _disjoint_paths(g: Graph, s: int, t: int, k: int) -> int:
     seeds = vertices_of(g.masks[s] & g.masks[t])[:k]
     for w in seeds:
         pred[w] = s
-    first = set(seeds)
+    direct = False  # whether the edge s-t carries a path
     source, sink = 2 * s + 1, 2 * t
     for paths in range(len(seeds), k):
         parent = [-1] * (2 * g.n)
         parent[source] = source
-        queue = [2 * w for w in adj[s] if w not in first]
+        queue = [2 * w for w in adj[s] if not (direct if w == t else pred[w] == s)]
         for b in queue:
             parent[b] = source
         for a in queue:
@@ -279,8 +282,8 @@ def _disjoint_paths(g: Graph, s: int, t: int, k: int) -> int:
             u, w = a >> 1, b >> 1
             if u != w and a & 1:
                 # Forward over the edge arc u -> w.
-                if u == s:
-                    first.add(w)
+                if w == t and u == s:
+                    direct = True
                 pred[w] = u
             elif u != w:
                 # Back over the saturated arc w -> u, which this cancels;

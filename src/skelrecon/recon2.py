@@ -262,6 +262,28 @@ def reconstruct(
     parity_hint ("even"/"odd", the parity of the facet count) resolves it.
     Each facet is traced, collected and, unless ``check`` is False,
     checked in one pass, at one set lookup per simple vertex.
+
+    With ``check`` the facet lists returned (``facets``, and both
+    completions of an ambiguity) already hold every invariant of
+    ``lattice.PolytopeSpec``, so callers need not build one to check them:
+
+    * No traced region contains another.  Say r1 is inside r2 and not
+      equal to it, and let (w, x) be the frame r1's trace started from, w
+      simple.  The d-1 neighbours of w other than x lie in r1, so in r2.
+      r2's trace also holds a frame of w, and the check put the neighbour
+      that frame omits outside r2; that neighbour can only be x.  So both
+      traces hold the frame (w, x), yet traces are disjoint components of
+      the move graph (see ``_facet``).
+    * The merged completion a | b contains no other region r (nor does any
+      region contain it, since it contains a).  r's root w is simple, so
+      it lies in a or in b outside N, say in a.  Its frame in r is not its
+      frame in a, or r would be a, so the neighbour of w that a omits is
+      among the leaves of its frame in r, inside a | b and so in b.  Then
+      w has d neighbours in a | b, which ``degrees_fit`` in
+      :func:`is_feasible` refused when the pair was found.
+    * Two traces with the same vertex set raise.  Every region holds
+      vertices of 0..n-1 (n >= 1, as there is a simple vertex), d >= 3,
+      and the lists are sorted tuples in sorted order.
     """
     if d < 3:
         raise ValueError("d must be at least 3")

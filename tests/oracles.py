@@ -19,7 +19,8 @@ index and per-face cycle tables instead of the one step map, facet
 reconstruction via three passes per facet (trace, rebuild the vertex
 set, count every vertex's neighbours inside it) instead of one,
 isomorphism via frozenset layers decoded from every face instead of
-int masks.
+int masks, text files via a first pass that checks every line's field
+count before any line is read instead of one streaming pass.
 The test-only orientation helpers live here too: ``orientation_from_order``
 (masks by walking an order's arcs, not the enumerator), ``edge_directions``,
 ``sinks_in``, ``is_good`` and ``objectives``.
@@ -56,7 +57,13 @@ from skelrecon.graphs import (
     vertices_of,
 )
 from skelrecon.iso import IsoResult
-from skelrecon.lattice import CheckResult, FaceLattice, KSkeleton, classify_vertices
+from skelrecon.lattice import (
+    CheckResult,
+    FaceLattice,
+    KSkeleton,
+    PolytopeSpec,
+    classify_vertices,
+)
 from skelrecon.recon2 import Ambiguity, ReconstructionOutcome
 from skelrecon.recong import count_sink_frames
 
@@ -960,3 +967,75 @@ def reference_isomorphic(a, b) -> IsoResult:
         if _reference_verified(layers_a, layers_b, perm):
             return IsoResult(True, witness=perm)
     return IsoResult(False, obstruction="search exhausted")
+
+
+def reference_parse(fmt: str, text: str):
+    """``text`` read as an incidence ("spec"), skeleton or edge list
+    ("edges") file in separate passes: every line is split and its field
+    count checked before any is read, then the lines are read in order,
+    then the face lines are checked, then the edges."""
+    rows = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) < {"d": 2, "vertices": 2, "edge": 3}.get(parts[0], 1):
+            raise ValueError(f"too few fields in line: {line}")
+        rows.append(parts)
+
+    def bad(what, parts):
+        return ValueError(f"{what} in line: {' '.join(parts)}")
+
+    def num(field, parts):
+        try:
+            return int(field)
+        except ValueError:
+            raise bad("non-integer field", parts) from None
+
+    headers = ("vertices",) if fmt == "edges" else ("d", "vertices")
+    head, edges, facets, faces = {}, [], [], []
+    for parts in rows:
+        key = parts[0]
+        if key in headers:
+            if key in head:
+                raise bad("repeated header", parts)
+            head[key] = num(parts[1], parts)
+            if key == "vertices" and head[key] < 0:
+                raise bad("negative vertex count", parts)
+        elif key == "edge" and fmt != "spec":
+            edges.append((num(parts[1], parts), num(parts[2], parts), parts))
+        elif key == "facet" and fmt == "spec":
+            facets.append([num(v, parts) for v in parts[1:]])
+        elif key.startswith("face") and fmt == "skeleton":
+            faces.append((num(key[4:], parts), parts))
+        else:
+            raise ValueError(f"unexpected line: {' '.join(parts)}")
+    if fmt == "edges":
+        n = head.get("vertices", max((max(u, v) for u, v, _ in edges), default=-1) + 1)
+    elif len(head) < 2:
+        raise ValueError("missing d or vertices header")
+    else:
+        d, n = head["d"], head["vertices"]
+    if fmt == "spec":
+        return PolytopeSpec(d, n, facets)
+    by_rank: dict[int, list[frozenset[int]]] = {}
+    for r, parts in faces:
+        if not 2 <= r <= d - 1:
+            raise bad(f"face rank outside 2..{d - 1}", parts)
+        face = frozenset(num(v, parts) for v in parts[1:])
+        if not face:
+            raise bad("too few fields", parts)
+        if min(face) < 0 or max(face) >= n:
+            raise bad(f"vertex outside 0..{n - 1}", parts)
+        by_rank.setdefault(r, []).append(face)
+    for u, v, parts in edges:
+        if u == v:
+            raise bad("loop", parts)
+        if not (0 <= u < n and 0 <= v < n):
+            raise bad(f"vertex outside 0..{n - 1}", parts)
+    graph = Graph(n, [(u, v) for u, v, _ in edges])
+    if fmt == "edges":
+        return graph
+    faces_by_dim = {r: tuple(sorted(fs, key=sorted)) for r, fs in by_rank.items()}
+    return KSkeleton(k=max(by_rank, default=1), graph=graph, faces_by_dim=faces_by_dim), d

@@ -85,15 +85,16 @@ def golden_calls() -> list[tuple[str, ...]]:
     return calls
 
 
-def run_calls(directory: Path, capsys) -> list[dict]:
-    """Exit code, stdout and stderr of every call, run inside ``directory``."""
-    for name, text in golden_inputs().items():
+def run_calls(directory: Path, capsys, inputs=None, calls=None) -> list[dict]:
+    """Exit code, stdout and stderr of every call, run inside ``directory``;
+    the lattice commands' inputs and calls unless others are given."""
+    for name, text in (inputs or golden_inputs()).items():
         (directory / name).write_text(text)
     cwd = os.getcwd()
     os.chdir(directory)
     try:
         outcomes = []
-        for argv in golden_calls():
+        for argv in calls or golden_calls():
             code = main(list(argv))
             out, err = capsys.readouterr()
             outcomes.append({"argv": list(argv), "code": code, "stdout": out, "stderr": err})
@@ -102,8 +103,8 @@ def run_calls(directory: Path, capsys) -> list[dict]:
         os.chdir(cwd)
 
 
-def _assert_golden(outcomes):
-    want = json.loads(GOLDEN.read_text())
+def _assert_golden(outcomes, golden=GOLDEN):
+    want = json.loads(golden.read_text())
     assert [o["argv"] for o in outcomes] == [w["argv"] for w in want]
     for got, expected in zip(outcomes, want):
         assert got == expected, " ".join(got["argv"])

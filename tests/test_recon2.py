@@ -7,6 +7,8 @@ from skelrecon import (
     Frame,
     Graph,
     KSkeleton,
+    PolytopeSpec,
+    ReconstructionOutcome,
     build_frame_graph,
     classify_vertices,
     cube,
@@ -261,15 +263,9 @@ def _tamperings(sk, rng):
     }
 
 
-@pytest.mark.parametrize("name", sorted(fixture_corpus()))
-def test_frame_moves_match_the_face_index_reference(name):
-    """Relabeled and tampered corpus 2-skeletons: the step map and the
-    one-pass facet trace give the outcome of the face-index-and-cycle-table
-    reference and its three-pass reconstruction, or their error text."""
-    rng = random.Random(f"frame-moves-{name}")
-    lat = lattice_of(fixture_corpus()[name])
-    d = lat.d
-    base = k_skeleton(lat, 2)
+def _tampered_relabelings(base, rng):
+    """(kind, skeleton) for five relabelings of ``base`` and the seeded
+    tamperings of each."""
     for _ in range(5):
         perm = list(range(base.n))
         rng.shuffle(perm)
@@ -279,29 +275,64 @@ def test_frame_moves_match_the_face_index_reference(name):
             faces_by_dim={2: tuple(frozenset(perm[v] for v in f) for f in base.two_faces)},
         )
         for kind, faces in _tamperings(relabeled, rng).items():
-            sk = KSkeleton(k=2, graph=graph, faces_by_dim={2: tuple(faces)})
-            fg = _outcome(build_frame_graph, sk, d)
-            ref = _outcome(ReferenceFrameGraph, sk, d)
-            if isinstance(ref, ReferenceFrameGraph):
-                assert fg.node_count == ref.node_count, kind
-                for u in range(graph.n):
-                    strangers = [v for v in sorted(ref.simple) if v != u and v not in graph.adj[u]]
-                    for ex in graph.adj[u]:
-                        leaves = tuple(w for w in graph.adj[u] if w != ex)
-                        for frame in (Frame(u, leaves), Frame(u, leaves + tuple(strangers[:1]))):
-                            for u2 in frame.leaves:
-                                assert _outcome(kaibel_step, fg, frame, u2) == _outcome(
-                                    reference_kaibel_step, ref, frame, u2
-                                ), (kind, frame, u2)
-            else:
-                assert fg == ref, kind
-            for hint in (None, "even", "odd"):
-                got = _outcome(reconstruct, sk, d, parity_hint=hint)
-                want = _outcome(reference_reconstruct, sk, d, parity_hint=hint)
-                assert got == want, (kind, hint)
-            assert _outcome(reconstruct, sk, d, check=False) == _outcome(
-                reference_reconstruct, sk, d, check=False
-            ), kind
+            yield kind, KSkeleton(k=2, graph=graph, faces_by_dim={2: tuple(faces)})
+
+
+@pytest.mark.parametrize("name", sorted(fixture_corpus()))
+def test_frame_moves_match_the_face_index_reference(name):
+    """Relabeled and tampered corpus 2-skeletons: the step map and the
+    one-pass facet trace give the outcome of the face-index-and-cycle-table
+    reference and its three-pass reconstruction, or their error text."""
+    rng = random.Random(f"frame-moves-{name}")
+    lat = lattice_of(fixture_corpus()[name])
+    d = lat.d
+    for kind, sk in _tampered_relabelings(k_skeleton(lat, 2), rng):
+        graph = sk.graph
+        fg = _outcome(build_frame_graph, sk, d)
+        ref = _outcome(ReferenceFrameGraph, sk, d)
+        if isinstance(ref, ReferenceFrameGraph):
+            assert fg.node_count == ref.node_count, kind
+            for u in range(graph.n):
+                strangers = [v for v in sorted(ref.simple) if v != u and v not in graph.adj[u]]
+                for ex in graph.adj[u]:
+                    leaves = tuple(w for w in graph.adj[u] if w != ex)
+                    for frame in (Frame(u, leaves), Frame(u, leaves + tuple(strangers[:1]))):
+                        for u2 in frame.leaves:
+                            assert _outcome(kaibel_step, fg, frame, u2) == _outcome(
+                                reference_kaibel_step, ref, frame, u2
+                            ), (kind, frame, u2)
+        else:
+            assert fg == ref, kind
+        for hint in (None, "even", "odd"):
+            got = _outcome(reconstruct, sk, d, parity_hint=hint)
+            want = _outcome(reference_reconstruct, sk, d, parity_hint=hint)
+            assert got == want, (kind, hint)
+        assert _outcome(reconstruct, sk, d, check=False) == _outcome(
+            reference_reconstruct, sk, d, check=False
+        ), kind
+
+
+@pytest.mark.parametrize("name", sorted(fixture_corpus()))
+def test_checked_facets_hold_every_spec_invariant(name):
+    """Each facet list reconstruct returns, and both completions of an
+    ambiguity, is already what PolytopeSpec would make of it, on the
+    corpus, its relabelings and their tamperings: its checks imply
+    PolytopeSpec's, so the CLI need not run them again."""
+    rng = random.Random(f"frame-moves-{name}")
+    lat = lattice_of(fixture_corpus()[name])
+    d = lat.d
+    lists = 0
+    for kind, sk in _tampered_relabelings(k_skeleton(lat, 2), rng):
+        for hint in (None, "even", "odd"):
+            out = _outcome(reconstruct, sk, d, parity_hint=hint)
+            if not isinstance(out, ReconstructionOutcome):
+                continue
+            completions = out.ambiguity.completions if out.ambiguity else ()
+            for facets in (out.facets, *completions):
+                if facets:
+                    assert PolytopeSpec(d, sk.n, facets).facets == facets, (kind, hint)
+                    lists += 1
+    assert lists or name == "skew_solid"
 
 
 @pytest.mark.parametrize("m", range(3, 41))
