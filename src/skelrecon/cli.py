@@ -20,37 +20,12 @@ import hashlib
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import constructions as cons
 from . import recon2, recong, textio
 from .errors import SkelreconError, TooLarge
 from .iso import isomorphic
 from .lattice import build_face_lattice, classify_vertices, k_skeleton, validate
-
-
-@dataclass
-class RunReport:
-    """Command echo, input digests, and output sections of one run."""
-
-    command: str
-    digests: dict[str, str] = field(default_factory=dict)
-    sections: list[tuple[str, str]] = field(default_factory=list)
-
-    def add_input(self, name: str, text: str):
-        self.digests[name] = hashlib.sha256(text.encode()).hexdigest()[:16]
-
-    def add(self, title: str, body: str):
-        self.sections.append((title, body))
-
-    def render(self) -> str:
-        lines = [f"# command: {self.command}"]
-        for name, digest in sorted(self.digests.items()):
-            lines.append(f"# input {name} sha256/16 {digest}")
-        for title, body in self.sections:
-            lines.append(f"# {title}")
-            lines.append(body.rstrip("\n"))
-        return "\n".join(lines) + "\n"
 
 
 def _read(path: str) -> str:
@@ -120,15 +95,19 @@ def cmd_gen(args) -> int:
 
 
 def cmd_lattice(args) -> int:
+    """The input's digest, the f-vector and the validation report."""
     text = _read(args.file)
-    spec = textio.parse_spec(text)
-    lattice = build_face_lattice(spec)
-    report = RunReport(command="lattice")
-    report.add_input(args.file, text)
-    report.add("f-vector (ranks 0..d-1)", " ".join(map(str, lattice.f_vector)))
+    lattice = build_face_lattice(textio.parse_spec(text))
     vr = validate(lattice)
-    report.add("validation", vr.summary())
-    sys.stdout.write(report.render())
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    sys.stdout.write(
+        "# command: lattice\n"
+        f"# input {args.file} sha256/16 {digest}\n"
+        "# f-vector (ranks 0..d-1)\n"
+        f"{' '.join(map(str, lattice.f_vector))}\n"
+        "# validation\n"
+        f"{vr.summary()}\n"
+    )
     return 0 if vr.ok else 1
 
 
@@ -311,9 +290,6 @@ def cmd_verify(args) -> int:
         cons.pullback_facets(trunc.facets, tmap) == lat_c.facets
         and validate(build_face_lattice(trunc)).ok,
     )
-    if args.with_bench:
-        rc = cmd_bench(argparse.Namespace(sizes=[1024, 2048, 4096], repeats=3))
-        failures += rc
     sys.stdout.write(f"{'OK' if failures == 0 else f'{failures} FAILURES'}\n")
     return 0 if failures == 0 else 1
 
@@ -465,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the claim suite for a dimension range")
     v.add_argument("--dims", type=_dims, default="4..6", help="e.g. 4..6 or 4,5")
-    v.add_argument("--with-bench", action="store_true")
     v.set_defaults(fn=cmd_verify)
 
     b = sub.add_parser("bench", help="prism scaling study")

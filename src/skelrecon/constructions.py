@@ -22,7 +22,7 @@ from .errors import (
     InvalidBase,
     NotAProperFace,
 )
-from .graphs import Graph, mask_of
+from .graphs import Graph, mask_of, vertices_of
 from .lattice import FaceLattice, KSkeleton, PolytopeSpec
 
 
@@ -239,11 +239,10 @@ def truncate(lattice: FaceLattice, face) -> tuple[PolytopeSpec, TruncationMap]:
         face_was_facet=lattice.rank(fmask) == lattice.d - 1,
     )
     facets: list[list[int]] = [sorted(tmap.cut_facet)]
-    for jf in lattice.facets:
-        jmask = mask_of(jf)
+    for jmask in lattice.masks_of_rank(lattice.d - 1):
         if jmask == fmask:
             continue
-        new_f = [tmap.old_to_new[v] for v in jf if not fmask >> v & 1]
+        new_f = [tmap.old_to_new[v] for v in vertices_of(jmask & ~fmask)]
         for (x, y), w in tmap.new_from_edge.items():
             if jmask >> x & 1 and jmask >> y & 1:
                 new_f.append(w)

@@ -117,10 +117,6 @@ class Frame:
     def __post_init__(self):
         object.__setattr__(self, "leaves", tuple(sorted(self.leaves)))
 
-    @property
-    def k(self) -> int:
-        return len(self.leaves)
-
 
 class Orientation:
     """Acyclic orientation of a graph, held as its ancestor bitmasks.

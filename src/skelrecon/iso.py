@@ -67,9 +67,8 @@ def _adjacency(n: int, edges: list[int]) -> list[int]:
     return adj
 
 
-def _profiles(n: int, layers: dict[int, list[tuple[int, ...]]], adj: list[int],
-              rounds: int = 3) -> list:
-    """Per-vertex colors refined by layer membership and adjacency."""
+def _profiles(n: int, layers: dict[int, list[tuple[int, ...]]], adj: list[int]) -> list:
+    """Per-vertex colors refined by layer membership and adjacency, in three rounds."""
     member: dict[int, list[list[int]]] = {}
     for r, faces in layers.items():
         per = [[] for _ in range(n)]
@@ -82,7 +81,7 @@ def _profiles(n: int, layers: dict[int, list[tuple[int, ...]]], adj: list[int],
         tuple((r, member[r][v]) for r in sorted(member)) for v in range(n)
     ]
     near = [vertices_of(m) for m in adj]
-    for _ in range(rounds):
+    for _ in range(3):
         palette = {c: i for i, c in enumerate(sorted(set(colors)))}
         coded = [palette[c] for c in colors]
         colors = [

@@ -10,17 +10,15 @@ every subset of it is a face, added at once and never swept.
 :class:`FaceLattice` keeps int masks only.  Boolean faces are one set;
 their covers (F - v) and ranks (|F| - 1) stay implicit.  The other,
 general faces keep their covers and their ranks, the lengths of their
-longest chains of covers.  Vertex tuples and frozensets are decoded from
-the masks when first read, one rank at a time (``layer``,
-``faces_of_rank``) or all at once (``faces_by_rank``, ``rank_of``,
-``upper``), and cached.  Skeleta, f-vectors, the simple/nonsimple vertex
-classification and the validation checks read the masks and single
-ranks, never the full views.
+longest chains of covers.  ``layer`` is the one decoder from masks to
+vertex tuples, one rank at a time, cached; the frozenset views
+``faces_by_rank`` and ``rank_of`` are built from it.  Skeleta, f-vectors,
+the simple/nonsimple vertex classification and the validation checks read
+the masks and single layers, never the full views.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
@@ -102,18 +100,14 @@ class FaceLattice:
     ``covers`` maps it to its lower covers and ``ranks`` to its rank.
     Rank -1 is the empty face and rank d the full vertex set.
 
-    The frozenset views are decoded from the masks on first read and
-    cached: ``faces_by_rank`` (ranks -1..d, each in vertex-tuple order),
-    ``rank_of``, and ``upper`` (the faces covering each face, in
-    vertex-tuple order).  ``layer(r)`` and ``faces_of_rank(r)`` decode one
-    rank only; ``f_vector``, ``facets``, ``graph`` and this module's
-    functions use those and the masks, and never build the full views.
+    ``layer(r)`` decodes the rank-r faces to vertex tuples, once per rank.
+    The frozenset views ``faces_by_rank`` (ranks -1..d, each in
+    vertex-tuple order) and ``rank_of`` are built from the layers on each
+    read, for library callers; ``f_vector``, ``facets``, ``graph`` and this
+    module's functions use the masks and single layers only.
     """
 
-    __slots__ = (
-        "d", "n", "boolean", "covers", "ranks",
-        "_by_rank", "_layers", "_sets", "_rank_of", "_upper",
-    )
+    __slots__ = ("d", "n", "boolean", "covers", "ranks", "_by_rank", "_layers")
 
     def __init__(self, d: int, n: int, boolean: set[int],
                  covers: dict[int, list[int]], ranks: dict[int, int]):
@@ -124,8 +118,6 @@ class FaceLattice:
         self.ranks = ranks
         self._by_rank: Optional[dict[int, list[int]]] = None
         self._layers: dict[int, tuple[tuple[int, ...], ...]] = {}
-        self._sets: dict[int, tuple[frozenset[int], ...]] = {}
-        self._rank_of = self._upper = None
 
     def is_face(self, mask: int) -> bool:
         return mask in self.boolean or mask in self.covers
@@ -159,38 +151,13 @@ class FaceLattice:
             got = self._layers[r] = tuple(sorted(map(vertices_of, self.masks_of_rank(r))))
         return got
 
-    def faces_of_rank(self, r: int) -> tuple[frozenset[int], ...]:
-        """The rank-r faces as vertex sets, in vertex-tuple order."""
-        got = self._sets.get(r)
-        if got is None:
-            got = self._sets[r] = tuple(map(frozenset, self.layer(r)))
-        return got
-
     @property
     def faces_by_rank(self) -> dict[int, tuple[frozenset[int], ...]]:
-        return {r: self.faces_of_rank(r) for r in range(-1, self.d + 1)}
-
-    def _in_order(self) -> list[tuple[tuple[int, ...], int]]:
-        """Every face as (vertex tuple, mask), in vertex-tuple order."""
-        return sorted((vertices_of(m), m) for m in itertools.chain(self.boolean, self.covers))
+        return {r: tuple(map(frozenset, self.layer(r))) for r in range(-1, self.d + 1)}
 
     @property
     def rank_of(self) -> dict[frozenset[int], int]:
-        if self._rank_of is None:
-            rank = self.rank
-            self._rank_of = {frozenset(t): rank(m) for t, m in self._in_order()}
-        return self._rank_of
-
-    @property
-    def upper(self) -> dict[frozenset[int], tuple[frozenset[int], ...]]:
-        if self._upper is None:
-            sets = {m: frozenset(t) for t, m in self._in_order()}
-            ups: dict[int, list[frozenset[int]]] = {m: [] for m in sets}
-            for m, s in sets.items():
-                for c in self.lower_covers(m):
-                    ups[c].append(s)
-            self._upper = {s: tuple(ups[m]) for m, s in sets.items()}
-        return self._upper
+        return {frozenset(f): r for r in range(-1, self.d + 1) for f in self.layer(r)}
 
     @property
     def f_vector(self) -> tuple[int, ...]:
@@ -216,9 +183,6 @@ class FaceLattice:
         for r in range(2, k + 1):
             layers[r] = self.masks_of_rank(r)
         return layers
-
-    def spec(self) -> PolytopeSpec:
-        return PolytopeSpec(self.d, self.n, self.facets)
 
     def __repr__(self) -> str:
         return f"FaceLattice(d={self.d}, n={self.n}, f={self.f_vector})"
@@ -350,7 +314,7 @@ def require_edges(faces: list[int]) -> list[int]:
 def k_skeleton(lattice: FaceLattice, k: int) -> KSkeleton:
     """Restrict a lattice to the faces of dimension at most k."""
     edges = lattice.skeleton_masks(k)[1]
-    faces_by_dim = {r: lattice.faces_of_rank(r) for r in range(2, k + 1)}
+    faces_by_dim = {r: tuple(map(frozenset, lattice.layer(r))) for r in range(2, k + 1)}
     return KSkeleton(k=k, graph=Graph(lattice.n, map(vertices_of, edges)), faces_by_dim=faces_by_dim)
 
 
@@ -361,19 +325,14 @@ class VertexClasses:
     degrees: dict[int, int]
 
 
-def classify_vertices(
-    obj: Union[PolytopeSpec, FaceLattice, Graph], d: Optional[int] = None
-) -> VertexClasses:
+def classify_vertices(obj: Union[FaceLattice, Graph], d: Optional[int] = None) -> VertexClasses:
     """Partition vertices into simple (degree d) and nonsimple (degree > d).
 
-    Accepts a spec or lattice (dimension taken from the object) or a bare
-    graph plus d.  Raises DegreeBelowDimension when some vertex has fewer
-    than d incident edges, which rules out a polytope graph.
+    Accepts a lattice (dimension taken from it) or a bare graph plus d.
+    Raises DegreeBelowDimension when some vertex has fewer than d incident
+    edges, which rules out a polytope graph.
     """
-    if isinstance(obj, PolytopeSpec):
-        lattice = build_face_lattice(obj)
-        graph, dim = lattice.graph(), lattice.d
-    elif isinstance(obj, FaceLattice):
+    if isinstance(obj, FaceLattice):
         graph, dim = obj.graph(), obj.d
     else:
         if d is None:

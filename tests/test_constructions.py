@@ -172,7 +172,7 @@ def test_truncation_keeps_old_simple_degrees_and_new_degrees():
     for (x, y), w in tmap.new_from_edge.items():
         assert degrees[w] == lat.d
     for old, new in tmap.old_to_new.items():
-        assert degrees[new] == lattice_of(lat.spec()).graph().degree(old)
+        assert degrees[new] == lat.graph().degree(old)
 
 
 def test_pullback_round_trip_cube_vertex():

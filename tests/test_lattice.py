@@ -22,6 +22,7 @@ from skelrecon import (
     validate,
 )
 from skelrecon.errors import DegreeBelowDimension, NotAnEdge, NotGraded, RankOutOfRange
+from skelrecon.graphs import vertices_of
 from skelrecon.lattice import CheckResult, _check_diamond
 
 from conftest import fixture_corpus, lattice_of
@@ -104,10 +105,19 @@ def test_faces_match_closure_oracle(name):
     assert got == want
 
 
+def lower_cover_sets(lat):
+    """Each face of a FaceLattice, and its lower covers, as frozensets."""
+    return {
+        frozenset(vertices_of(m)): frozenset(frozenset(vertices_of(c)) for c in lat.lower_covers(m))
+        for r in range(-1, lat.d + 1)
+        for m in lat.masks_of_rank(r)
+    }
+
+
 def assert_same_lattice(got, want):
     assert got.faces_by_rank == want.faces_by_rank
     assert got.rank_of == want.rank_of
-    assert got.upper == want.upper
+    assert lower_cover_sets(got) == want.lower
 
 
 def test_build_matches_chain_ranked_reference_on_fixtures():
@@ -195,7 +205,7 @@ def relabeled_lattice(lat, perm):
         lat.n,
         {r: ordered(faces) for r, faces in lat.faces_by_rank.items()},
         {image(f): r for f, r in lat.rank_of.items()},
-        {image(f): ordered(ups) for f, ups in lat.upper.items()},
+        {image(f): frozenset(map(image, below)) for f, below in lower_cover_sets(lat).items()},
     )
 
 
@@ -295,7 +305,8 @@ def test_top_skeleton_round_trips_to_facets():
 
 def test_lattice_spec_round_trip():
     for spec in fixture_corpus().values():
-        assert lattice_of(spec).spec() == spec
+        lat = lattice_of(spec)
+        assert PolytopeSpec(lat.d, lat.n, lat.facets) == spec
 
 
 def test_classify_cube4_all_simple():

@@ -91,11 +91,6 @@ def test_kaibel_step_on_cube():
     assert out == Frame(1, (0, 3))
 
 
-def test_kaibel_step_accepts_bare_skeleton():
-    out = kaibel_step(skeleton_of(cube(3)), Frame(0, (1, 2)), 1, d=3)
-    assert out == Frame(1, (0, 3))
-
-
 def test_kaibel_step_simplex():
     # frames of a simplex facet omit exactly the opposite vertex
     sk = skeleton_of(simplex(4))
