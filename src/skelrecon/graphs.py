@@ -86,10 +86,12 @@ class Graph:
         """
         order = tuple(sorted(set(vertices)))
         back = {w: i for i, w in enumerate(order)}
+        adj = self.adj
         edges = [
-            (back[u], back[v])
-            for u, v in self.edges
-            if u in back and v in back
+            (i, back[v])
+            for i, u in enumerate(order)
+            for v in adj[u]
+            if v > u and v in back
         ]
         return Graph(len(order), edges), order
 

@@ -4,14 +4,16 @@ A (d-1)-frame rooted at a simple vertex lies in exactly one facet, and
 knowing the 2-faces lets us hop from such a frame to the frame of the same
 facet at any simple neighbor inside it: the neighbor's frame omits exactly
 the vertex that continues the shared 2-face past the neighbor.  That move
-is Kaibel's step, and :class:`FrameGraph` stores it as one int map: for
-four consecutive vertices x-w-y-z of a 2-face with w simple, the key of
-(x, w, y) gives z.  Sweeping every simple frame once traces every facet,
-one lookup per move, in time linear in the number of vertices (for fixed
-d), provided each facet keeps at most d-2 nonsimple vertices.  One pass
-per facet traces its frames, collects its vertices and checks them: a
-simple vertex's omitted neighbour must lie outside (one set lookup), and
-a nonsimple vertex needs d-1 neighbours inside.
+is Kaibel's step, and :class:`FrameGraph` stores it in one byte per frame
+and neighbour slot: for four consecutive vertices x-w-y-z of a 2-face
+with w simple, the entry for w's frame omitting x and for y's slot among
+w's neighbours gives z's slot among y's.  Sweeping every simple frame
+once traces every facet, one lookup per move, in time linear in the
+number of vertices (for fixed d), provided each facet keeps at most d-2
+nonsimple vertices.  One pass per facet traces its frames, collects its
+vertices and checks them: a simple vertex's omitted neighbour must lie
+outside (one set lookup), and a nonsimple vertex needs d-1 neighbours
+inside.
 
 With d-1 nonsimple vertices in total the sweep can leave one genuine
 two-way ambiguity: a pair of traced regions meeting exactly in the
@@ -23,6 +25,8 @@ count picks one.
 
 from __future__ import annotations
 
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,46 +40,70 @@ from .lattice import KSkeleton, classify_vertices
 
 
 class FrameGraph:
-    """The Kaibel move of every simple-rooted 2-frame, in one int map.
+    """The Kaibel move of every simple-rooted 2-frame, one byte per slot.
 
-    Let a-w-b be three consecutive vertices of a 2-face, w simple and
-    a < b.  The move from a frame at w that omits a to the frame at b
-    omits the vertex following b on that face, and symmetrically for a.
-    ``step`` maps (a*n + w)*n + b to the vertex following b and
-    (b*n + w)*n + a to the vertex following a, so one lookup realises the
-    frame move and a full reconstruction visits each simple (d-1)-frame
-    at constant cost.
+    A simple vertex w has exactly d neighbours ``adj[w]``, and its frame
+    that omits ``adj[w][i]`` has the code w*d + i.  Let a-w-b be three
+    consecutive vertices of a 2-face, a = adj[w][i] and b = adj[w][j].
+    The move from the frame at w that omits a to the frame at b omits the
+    vertex following b on that face, and ``step[(w*d + i)*d + j]`` is that
+    vertex's index in ``adj[b]``, or d when b is nonsimple and roots no
+    frame; symmetrically for a.  So one lookup realises the frame move and
+    a full reconstruction visits each simple (d-1)-frame at constant cost.
+    Slots no 2-face fills hold 255, or 65535 in the two-byte table that
+    d >= 255 needs.  Every vertex has at least d neighbours, so n*d <= 2E
+    for E edges: the table holds at most 2d slots per edge.  It is only
+    built when the 2-faces hold as many vertices as there are simple
+    frames, which every input that passes needs.
     """
 
-    __slots__ = ("skeleton", "d", "simple", "nonsimple", "step")
+    __slots__ = ("skeleton", "d", "simple", "nonsimple", "step", "node_count")
 
     def __init__(self, skeleton: KSkeleton, d: int):
         graph = skeleton.graph
-        n = graph.n
         classes = classify_vertices(graph, d)
         self.skeleton = skeleton
         self.d = d
         self.simple = simple = classes.simple
         self.nonsimple = classes.nonsimple
-        self.step: dict[int, int] = {}
-        step = self.step
+        self.node_count = len(simple) * d * (d - 1) // 2
+        # d >= 65535 would take over 2**31 edges (every vertex has d
+        # neighbours or more), so two bytes always hold d and the sentinel.
+        empty = 255 if d < 255 else 65535
+        if sum(map(len, skeleton.two_faces)) < self.node_count:
+            # A simple vertex of a face covers one frame, so these faces
+            # leave a frame uncovered and the build fails: a dict keeps
+            # the moves it finds to the size of the input.
+            step = defaultdict(lambda: empty)
+        else:
+            table = bytearray(b"\xff") if d < 255 else array("H", [empty])
+            step = table * (graph.n * d * d)
+        self.step = step
         adj = graph.adj
+        frames = 0
         for face in skeleton.two_faces:
-            cycle: dict[int, tuple[int, int]] = {}
+            # cycle[v]: v's two neighbours on the face and, for simple v,
+            # their slots in adj[v]; d marks a nonsimple v.
+            cycle: dict[int, tuple[int, int, int, int]] = {}
             for v in face:
-                inside = [w for w in adj[v] if w in face]
+                nbrs = adj[v]
+                inside = [w for w in nbrs if w in face]
                 if len(inside) != 2:
                     raise NotASkeleton(
                         f"2-face {tuple(sorted(face))} is not an induced cycle at {v}"
                     )
-                cycle[v] = (inside[0], inside[1])
+                a, b = inside
+                if v in simple:
+                    cycle[v] = (a, b, nbrs.index(a), nbrs.index(b))
+                else:
+                    cycle[v] = (a, b, d, d)
             # A 2-regular induced subgraph could still be a union of cycles:
             # walk the cycle through one vertex and count its length.
             start = next(iter(face))
             prev, v = start, cycle[start][0]
             length = 1
             while v != start:
-                a, b = cycle[v]
+                a, b, _, _ = cycle[v]
                 prev, v = v, (b if a == prev else a)
                 length += 1
             if length != len(face):
@@ -83,35 +111,31 @@ class FrameGraph:
                     f"2-face {tuple(sorted(face))} is not a single cycle"
                 )
             for w in face:
-                if w not in simple:
+                a, b, i, j = cycle[w]
+                if i == d:
                     continue
-                a, b = cycle[w]
-                key = (a * n + w) * n + b
-                if key in step:
+                key = (w * d + i) * d + j
+                if step[key] != empty:
                     raise FrameNotInUniqueTwoFace(
                         f"2-frame ({w}, {a}, {b}) lies in more than one 2-face"
                     )
-                x, y = cycle[b]
-                step[key] = y if x == w else x
-                x, y = cycle[a]
-                step[(b * n + w) * n + a] = y if x == w else x
-        # Every neighbor pair of a simple root must span exactly one 2-face.
-        # The keys are distinct ordered neighbor pairs, so there are twice
-        # as many as simple frames exactly when every frame is covered;
-        # otherwise scan in order for the first gap.
-        if len(step) != sum(len(adj[v]) * (len(adj[v]) - 1) for v in simple):
+                frames += 1
+                x, _, p, q = cycle[b]
+                step[key] = q if x == w else p
+                x, _, p, q = cycle[a]
+                step[(w * d + j) * d + i] = q if x == w else p
+        # Every neighbour pair of a simple root must span exactly one 2-face.
+        # No pair is counted twice, so the count falls short exactly when a
+        # frame is not covered; then scan in order for the first gap.
+        if frames != self.node_count:
             for v in sorted(simple):
                 nbrs = adj[v]
-                for i in range(len(nbrs)):
-                    for j in range(i + 1, len(nbrs)):
-                        if (nbrs[i] * n + v) * n + nbrs[j] not in step:
+                for i in range(d):
+                    for j in range(i + 1, d):
+                        if step[(v * d + i) * d + j] == empty:
                             raise FrameNotInUniqueTwoFace(
                                 f"2-frame ({v}, {nbrs[i]}, {nbrs[j]}) lies in no 2-face"
                             )
-
-    @property
-    def node_count(self) -> int:
-        return len(self.step) // 2
 
 
 def build_frame_graph(sk: KSkeleton, d: int) -> FrameGraph:
@@ -125,7 +149,7 @@ def kaibel_step(fg: FrameGraph, frame: Frame, u2: int) -> Frame:
     With u the root, u' the unique neighbor of u outside the frame, and W
     the 2-face containing the 2-frame (u; u', u2), the vertex continuing W
     past u2 is not in the facet; the frame at u2 therefore consists of all
-    other neighbors of u2.  That vertex is ``fg.step[(u'*n + u)*n + u2]``.
+    other neighbors of u2.  ``fg.step`` gives that vertex's slot at u2.
     """
     graph = fg.skeleton.graph
     u = frame.root
@@ -139,13 +163,16 @@ def kaibel_step(fg: FrameGraph, frame: Frame, u2: int) -> Frame:
     if len(outside) != 1:
         raise NotASkeleton(f"frame at {u} does not omit exactly one neighbor")
     u_prime = outside[0]
-    n = graph.n
-    u_hat = fg.step.get((u_prime * n + u) * n + u2)
-    if u_hat is None:
+    nbrs = graph.adj[u]
+    # FrameGraph covered every pair of u's neighbours, so only a leaf that
+    # is no neighbour of u has no move.
+    if u2 not in nbrs:
         raise FrameNotInUniqueTwoFace(
             f"2-frame ({u}, {u_prime}, {u2}) lies in no 2-face"
         )
-    return Frame(u2, tuple(w for w in graph.adj[u2] if w != u_hat))
+    d = fg.d
+    k = fg.step[(u * d + nbrs.index(u_prime)) * d + nbrs.index(u2)]
+    return Frame(u2, graph.adj[u2][:k] + graph.adj[u2][k + 1 :])
 
 
 @dataclass(frozen=True)
@@ -172,49 +199,46 @@ class ReconstructionOutcome:
     ambiguity: Optional[Ambiguity] = None
 
 
-def _facet(fg: FrameGraph, root: int, excluded: int, visited, omitted, check):
-    """Trace, collect and check the facet of frame (root, excluded) in one
-    pass; returns its vertex set.
+def _facet(fg: FrameGraph, root: int, slot: int, visited, omitted, check):
+    """Trace, collect and check the facet of the frame at ``root`` that
+    omits ``adj[root][slot]``, in one pass; returns its vertex set.
 
-    Each frame (w, ex), taken in breadth-first order, adds w and its leaves
-    to the region and sets ``omitted[w] = ex``.  ``visited`` holds every
-    frame traced so far as a key, root*n + excluded, so the hot loop hashes
-    plain ints only; it is a dict rather than a set because a dict of
-    24,576 ints takes 1.25 MB and a set 2 MB.
+    Each frame (w, ex), w's frame omitting its neighbour in slot ex, taken
+    in breadth-first order, adds w and its leaves to the region and sets
+    ``omitted[w]`` to the omitted neighbour.  ``visited`` holds a byte per
+    frame code w*d + ex, so each move is two indexings on small ints.
     """
-    graph = fg.skeleton.graph
-    n = graph.n
+    adj = fg.skeleton.graph.adj
+    d = fg.d
     step = fg.step
     simple = fg.simple
-    adj = graph.adj
     region: set[int] = set()
     add = region.add
-    visited[root * n + excluded] = None
-    frames = [(root, excluded)]
+    visited[root * d + slot] = 1
+    frames = [(root, slot)]
     push = frames.append
     for w, ex in frames:  # also yields the frames pushed below
-        omitted[w] = ex
+        nbrs = adj[w]
+        omitted[w] = nbrs[ex]
         add(w)
-        base = (ex * n + w) * n
-        for u2 in adj[w]:
-            if u2 == ex:
+        base = (w * d + ex) * d
+        for j in range(d):
+            if j == ex:
                 continue
+            u2 = nbrs[j]
             add(u2)
-            if u2 not in simple:
-                continue
-            # w is simple, so FrameGraph's coverage check put this move in.
-            # Every move is undone by the move back: the 2-face F through
-            # ex-w-u2-u_hat is the only 2-face holding the 2-frame
-            # (u2; u_hat, w), as FrameGraph checked, so the move from
-            # (u2, u_hat) to w follows F back and gives (w, ex).  Each trace
-            # is therefore a whole component of the move graph, disjoint
-            # from earlier traces, and a frame visited already was visited
-            # by this trace.
-            u_hat = step[base + u2]
-            code = u2 * n + u_hat
-            if code not in visited:
-                visited[code] = None
-                push((u2, u_hat))
+            # w is simple, so FrameGraph's coverage check put this move in;
+            # k == d marks a nonsimple u2, which roots no frame.  Every move
+            # is undone by the move back: the 2-face F through ex-w-u2-u_hat
+            # is the only 2-face holding the 2-frame (u2; u_hat, w), as
+            # FrameGraph checked, so the move from (u2, u_hat) to w follows
+            # F back and gives (w, ex).  Each trace is therefore a whole
+            # component of the move graph, disjoint from earlier traces, and
+            # a frame visited already was visited by this trace.
+            k = step[base + j]
+            if k != d and not visited[u2 * d + k]:
+                visited[u2 * d + k] = 1
+                push((u2, k))
     facet = frozenset(region)
     if check:
         # Each simple v in the facet roots a frame of this trace: a simple
@@ -285,15 +309,14 @@ def reconstruct(
     if not fg.simple:
         raise NotASkeleton("no simple vertex to seed the propagation")
 
-    n = graph.n
-    visited: dict[int, None] = {}
-    omitted = [0] * n
+    visited = bytearray(graph.n * d)
+    omitted = [0] * graph.n
     regions: list[frozenset[int]] = []
     for root in sorted(fg.simple):
-        for excluded in graph.adj[root]:
-            if root * n + excluded in visited:
+        for slot in range(d):
+            if visited[root * d + slot]:
                 continue
-            regions.append(_facet(fg, root, excluded, visited, omitted, check))
+            regions.append(_facet(fg, root, slot, visited, omitted, check))
     if len(set(regions)) != len(regions):
         raise NotASkeleton("two facet traces produced the same vertex set")
 

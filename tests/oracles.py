@@ -14,8 +14,10 @@ that does not stop at a target size, two-face scores of vertex orders
 via one pass over the edge list, the greedy two-face order via a scan
 of all unplaced vertices per step instead of a heap, facet-family
 sweeps via every acyclic orientation of the family instead of the
-subset DP over initial sets, Kaibel's frame moves via a frame-to-face
-index and per-face cycle tables instead of the one step map, facet
+subset DP over initial sets, induced subgraphs via a scan of every edge
+instead of the chosen vertices' adjacency lists, Kaibel's frame moves via
+a frame-to-face index and per-face cycle tables instead of the one step
+map, facet
 reconstruction via three passes per facet (trace, rebuild the vertex
 set, count every vertex's neighbours inside it) instead of one,
 isomorphism via frozenset layers decoded from every face instead of
@@ -342,6 +344,14 @@ def reference_ancestors(o, x: int) -> frozenset[int]:
                 seen.add(w)
                 stack.append(w)
     return frozenset(seen)
+
+
+def reference_induced(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
+    """``Graph.induced`` by a scan of every edge of ``g``."""
+    order = tuple(sorted(set(vertices)))
+    back = {w: i for i, w in enumerate(order)}
+    edges = [(back[u], back[v]) for u, v in g.edges if u in back and v in back]
+    return Graph(len(order), edges), order
 
 
 def brute_force_chordless_cycles(g: Graph):

@@ -2,6 +2,7 @@ import argparse
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,21 @@ def test_recon2_ambiguous_exit_code(tmp_path, capsys):
     assert "ambiguous" in out
     assert run_cli("recon2", str(skel), "--parity", "even", "-o", str(tmp_path / "r.poly")) == 0
     assert parse_spec((tmp_path / "r.poly").read_text()) == q1(5).spec
+
+
+def test_recon2_on_a_dense_skeleton_without_faces(tmp_path, capsys):
+    """The edges of K_200 as a 199-dimensional 2-skeleton with no 2-face:
+    every vertex is simple, with 199 * 198 / 2 frames to cover, and the run
+    ends quickly in the typed error for the first uncovered frame."""
+    n = 200
+    lines = [f"d {n - 1}", f"vertices {n}"]
+    lines += [f"edge {u} {v}" for u in range(n) for v in range(u + 1, n)]
+    skel = tmp_path / "k200.skel"
+    skel.write_text("\n".join(lines) + "\n")
+    start = time.perf_counter()
+    assert run_cli("recon2", str(skel)) == 1
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().err == "error: 2-frame (0, 1, 2) lies in no 2-face\n"
 
 
 def test_recong_both_methods(tmp_path, capsys):

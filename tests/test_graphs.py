@@ -38,6 +38,7 @@ from oracles import (
     objectives,
     orientation_from_order,
     reference_ancestors,
+    reference_induced,
     scan_two_face_order,
     sinks_in,
     two_face_score_of_order,
@@ -367,6 +368,17 @@ def test_flow_without_common_neighbours_matches_networkx():
             for k in range(1, 6):
                 assert _disjoint_paths(g, s, t, k) == min(k, paths), (g.edges, s, t, k)
     assert seen > 100
+
+
+def test_induced_subgraph_matches_the_edge_scan():
+    rng = random.Random("induced")
+    for _ in range(200):
+        n = rng.randint(1, 24)
+        density = rng.random()
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density])
+        for _ in range(5):
+            chosen = rng.sample(range(n), rng.randint(0, n)) * rng.randint(1, 2)
+            assert g.induced(chosen) == reference_induced(g, chosen), (g.edges, chosen)
 
 
 def test_induced_cycles_k4():

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -33,6 +35,7 @@ from skelrecon.errors import (
 )
 from skelrecon.graphs import mask_of, vertices_of
 from skelrecon.lattice import build_face_lattice
+from skelrecon.textio import format_skeleton, parse_skeleton
 
 from conftest import fixture_corpus, lattice_of
 from oracles import ReferenceFrameGraph, reference_kaibel_step, reference_reconstruct
@@ -79,6 +82,46 @@ def test_frame_graph_rejects_a_union_of_cycles():
     with pytest.raises(NotASkeleton) as exc:
         build_frame_graph(broken, 3)
     assert str(exc.value) == "2-face (0, 1, 2, 3, 4, 5) is not a single cycle"
+
+
+def test_frame_graph_with_d_above_a_byte():
+    """From d = 255 on, the mark d for a move into a nonsimple vertex no
+    longer fits beside the byte sentinel, so the table takes two bytes a
+    slot.  The 2-skeleton: 0 joined to 1..255 and K_257 on 1..257, with
+    d = 255, so 0 is the one simple vertex.  Its triangle with 1 and 2
+    leaves most of 0's frames uncovered.  Two copies of it put the mark in
+    both of 0's covered slots and must be seen as two 2-faces through one
+    frame; copies of the whole vertex set (no induced cycle) make the
+    faces large enough for the table to be built."""
+    n, d = 258, 255
+    edges = [(0, v) for v in range(1, d + 1)] + list(itertools.combinations(range(1, n), 2))
+    graph = Graph(n, edges)
+    triangle = frozenset({0, 1, 2})
+    padding = (frozenset(range(n)),) * (d * (d - 1) // 2 // n + 1)
+    for faces, message in (
+        ((triangle,), "2-frame (0, 1, 3) lies in no 2-face"),
+        ((triangle, triangle) + padding, "2-frame (0, 1, 2) lies in more than one 2-face"),
+    ):
+        sk = KSkeleton(k=2, graph=graph, faces_by_dim={2: faces})
+        assert _outcome(build_frame_graph, sk, d) == (FrameNotInUniqueTwoFace, message)
+        assert _outcome(ReferenceFrameGraph, sk, d) == (FrameNotInUniqueTwoFace, message)
+
+
+def test_frame_graph_builds_no_table_for_faces_too_few_to_cover_it():
+    """K_200 with d = 199 and one triangle: the faces hold 3 vertices for
+    200 * C(199, 2) frames, so the build must fail, and it fails without
+    allocating the 200 * 199 * 199 byte table (7.9 MB)."""
+    n = 200
+    graph = Graph(n, itertools.combinations(range(n), 2))
+    sk = KSkeleton(k=2, graph=graph, faces_by_dim={2: (frozenset({0, 1, 2}),)})
+    tracemalloc.start()
+    try:
+        got = _outcome(build_frame_graph, sk, n - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (FrameNotInUniqueTwoFace, "2-frame (0, 1, 3) lies in no 2-face")
+    assert peak < 1e6, peak
 
 
 def test_kaibel_step_on_cube():
@@ -330,28 +373,72 @@ def test_checked_facets_hold_every_spec_invariant(name):
     assert lists or name == "skew_solid"
 
 
-@pytest.mark.parametrize("m", range(3, 41))
-def test_relabeled_prisms_match_the_three_pass_reference(m):
-    """Relabeled prism 2-skeletons, whole and with two faces merged into
-    one: the one-pass trace gives the reference's outcome or its error."""
-    rng = random.Random(f"prism-{m}")
-    base = polygon_prism_skeleton(m)
+def _relabeled_outcomes_match_the_reference(base, d, seed):
+    """A seeded relabeling of the 2-skeleton ``base``, whole, with two faces
+    merged into one and with one face dropped: the one-pass trace gives the
+    reference's outcome or its error, with and without the checks.
+    Returns the outcome on the whole relabeled skeleton."""
+    rng = random.Random(seed)
     perm = list(range(base.n))
     rng.shuffle(perm)
     graph = Graph(base.n, [(perm[u], perm[v]) for u, v in base.graph.edges])
     faces = [frozenset(perm[v] for v in f) for f in base.two_faces]
     rng.shuffle(faces)
     i, j = rng.sample(range(len(faces)), 2)
+    outcomes = {}
     for kind, tampered in (
         ("none", faces),
         ("union", faces[:i] + [faces[i] | faces[j]] + faces[i + 1:]),
+        ("drop", faces[:i] + faces[i + 1:]),
     ):
         sk = KSkeleton(k=2, graph=graph, faces_by_dim={2: tuple(tampered)})
         for check in (True, False):
-            got = _outcome(reconstruct, sk, 3, check=check)
-            assert got == _outcome(reference_reconstruct, sk, 3, check=check), (kind, check)
-        if kind == "none":
-            assert len(got.facets) == m + 2
+            got = _outcome(reconstruct, sk, d, check=check)
+            assert got == _outcome(reference_reconstruct, sk, d, check=check), (kind, check)
+            outcomes[kind] = got
+    return outcomes["none"]
+
+
+@pytest.mark.parametrize("m", range(3, 41))
+def test_relabeled_prisms_match_the_three_pass_reference(m):
+    """Relabeled prism 2-skeletons, whole and tampered."""
+    got = _relabeled_outcomes_match_the_reference(polygon_prism_skeleton(m), 3, f"prism-{m}")
+    assert len(got.facets) == m + 2
+
+
+@pytest.mark.parametrize("m", range(3, 31))
+def test_relabeled_prism_pyramids_match_the_three_pass_reference(m):
+    """Relabeled 2-skeletons of pyramid(prism(m)), whole and tampered.  The
+    apex is the one nonsimple vertex, with 2m neighbours, so the moves into
+    it sit among slots of simple vertices next to its long adjacency list."""
+    base = k_skeleton(build_face_lattice(pyramid(polygon_prism(m))), 2)
+    got = _relabeled_outcomes_match_the_reference(base, 4, f"prism-pyramid-{m}")
+    assert len(got.facets) == m + 3
+
+
+def test_reconstruct_peak_memory_on_the_m4096_prism():
+    """Under tracemalloc, reconstruct on the relabeled m = 4096 prism
+    2-skeleton peaks below 9.5 MB, the parsed skeleton it reads (3.9 MB)
+    included.  The move table and the visited frames take one byte per
+    slot; with an int-keyed dict entry per move they peaked at 13.1 MB."""
+    rng = random.Random("prism-memory")
+    base = polygon_prism_skeleton(4096)
+    perm = list(range(base.n))
+    rng.shuffle(perm)
+    graph = Graph(base.n, [(perm[u], perm[v]) for u, v in base.graph.edges])
+    faces = tuple(frozenset(perm[v] for v in f) for f in base.two_faces)
+    text = format_skeleton(KSkeleton(k=2, graph=graph, faces_by_dim={2: faces}), 3)
+    del base, graph, faces
+    tracemalloc.start()
+    try:
+        sk, d = parse_skeleton(text)
+        tracemalloc.reset_peak()
+        out = reconstruct(sk, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out.facets) == 4098
+    assert peak < 9.5e6, peak
 
 
 def twisted_torus_skeleton(p, q, s):
