@@ -51,10 +51,11 @@ class FrameGraph:
     frame; symmetrically for a.  So one lookup realises the frame move and
     a full reconstruction visits each simple (d-1)-frame at constant cost.
     Slots no 2-face fills hold 255, or 65535 in the two-byte table that
-    d >= 255 needs.  Every vertex has at least d neighbours, so n*d <= 2E
-    for E edges: the table holds at most 2d slots per edge.  It is only
-    built when the 2-faces hold as many vertices as there are simple
-    frames, which every input that passes needs.
+    d >= 255 needs.  The n*d*d slots are only allocated when the 2-face
+    lines hold n*C(d,2) vertex entries or more, as a d-polytope's do (each
+    vertex lies in at least C(d,2) 2-faces); so the table takes at most
+    three slots per face entry.  Other inputs keep their moves in a dict,
+    which grows with the face lines alone.
     """
 
     __slots__ = ("skeleton", "d", "simple", "nonsimple", "step", "node_count")
@@ -70,14 +71,11 @@ class FrameGraph:
         # d >= 65535 would take over 2**31 edges (every vertex has d
         # neighbours or more), so two bytes always hold d and the sentinel.
         empty = 255 if d < 255 else 65535
-        if sum(map(len, skeleton.two_faces)) < self.node_count:
-            # A simple vertex of a face covers one frame, so these faces
-            # leave a frame uncovered and the build fails: a dict keeps
-            # the moves it finds to the size of the input.
-            step = defaultdict(lambda: empty)
-        else:
+        if 2 * sum(map(len, skeleton.two_faces)) >= graph.n * d * (d - 1):
             table = bytearray(b"\xff") if d < 255 else array("H", [empty])
             step = table * (graph.n * d * d)
+        else:
+            step = defaultdict(lambda: empty)
         self.step = step
         adj = graph.adj
         frames = 0

@@ -91,13 +91,13 @@ def test_frame_graph_with_d_above_a_byte():
     d = 255, so 0 is the one simple vertex.  Its triangle with 1 and 2
     leaves most of 0's frames uncovered.  Two copies of it put the mark in
     both of 0's covered slots and must be seen as two 2-faces through one
-    frame; copies of the whole vertex set (no induced cycle) make the
-    faces large enough for the table to be built."""
+    frame; C(d, 2) copies of the whole vertex set (no induced cycle, never
+    reached) give the n*C(d, 2) face entries the table is built for."""
     n, d = 258, 255
     edges = [(0, v) for v in range(1, d + 1)] + list(itertools.combinations(range(1, n), 2))
     graph = Graph(n, edges)
     triangle = frozenset({0, 1, 2})
-    padding = (frozenset(range(n)),) * (d * (d - 1) // 2 // n + 1)
+    padding = (frozenset(range(n)),) * (d * (d - 1) // 2)
     for faces, message in (
         ((triangle,), "2-frame (0, 1, 3) lies in no 2-face"),
         ((triangle, triangle) + padding, "2-frame (0, 1, 2) lies in more than one 2-face"),
@@ -122,6 +122,45 @@ def test_frame_graph_builds_no_table_for_faces_too_few_to_cover_it():
         tracemalloc.stop()
     assert got == (FrameNotInUniqueTwoFace, "2-frame (0, 1, 3) lies in no 2-face")
     assert peak < 1e6, peak
+
+
+def test_reconstruct_builds_no_table_without_simple_vertices():
+    """K_200 with d = 198 and no faces: every vertex has 199 > d
+    neighbours, so no frame needs covering, and reconstruct ends in the
+    typed error without allocating the 200 * 198 * 198 byte table
+    (7.8 MB) that the n*d*d slots would take."""
+    n = 200
+    graph = Graph(n, itertools.combinations(range(n), 2))
+    sk = KSkeleton(k=2, graph=graph, faces_by_dim={2: ()})
+    tracemalloc.start()
+    try:
+        got = _outcome(reconstruct, sk, n - 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (NotASkeleton, "no simple vertex to seed the propagation")
+    assert peak < 1e6, peak
+
+
+def test_frame_moves_kept_in_a_dict_match_the_reference():
+    """K_12 less the edge 0-1, d = 10, with every triangle through 0 or 1
+    as a 2-face: 0 and 1 are the simple vertices and all their frames are
+    covered, but the 270 face entries are fewer than n*C(d, 2) = 540, so
+    the moves go into a dict.  The build passes, and reconstruct, whole
+    and tampered, gives the reference's outcome or its error."""
+    n, d = 12, 10
+    graph = Graph(n, [e for e in itertools.combinations(range(n), 2) if e != (0, 1)])
+    faces = tuple(
+        frozenset({v, a, b}) for v in (0, 1) for a, b in itertools.combinations(range(2, n), 2)
+    )
+    sk = KSkeleton(k=2, graph=graph, faces_by_dim={2: faces})
+    assert isinstance(build_frame_graph(sk, d).step, dict)
+    for kind, tampered in _tamperings(sk, random.Random("dict-moves")).items():
+        tsk = KSkeleton(k=2, graph=graph, faces_by_dim={2: tuple(tampered)})
+        for check in (True, False):
+            got = _outcome(reconstruct, tsk, d, check=check)
+            assert got == _outcome(reference_reconstruct, tsk, d, check=check), (kind, check)
+    assert len(reconstruct(sk, d).facets) == 2 * (n - 2)
 
 
 def test_kaibel_step_on_cube():
