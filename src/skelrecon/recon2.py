@@ -84,17 +84,27 @@ class FrameGraph:
             # their slots in adj[v]; d marks a nonsimple v.
             cycle: dict[int, tuple[int, int, int, int]] = {}
             for v in face:
+                # The slots of v's two neighbours on the face; j < 0 when
+                # v has not exactly two.
                 nbrs = adj[v]
-                inside = [w for w in nbrs if w in face]
-                if len(inside) != 2:
+                i = j = -1
+                for slot, w in enumerate(nbrs):
+                    if w in face:
+                        if i < 0:
+                            i = slot
+                        elif j < 0:
+                            j = slot
+                        else:
+                            j = -1
+                            break
+                if j < 0:
                     raise NotASkeleton(
                         f"2-face {tuple(sorted(face))} is not an induced cycle at {v}"
                     )
-                a, b = inside
                 if v in simple:
-                    cycle[v] = (a, b, nbrs.index(a), nbrs.index(b))
+                    cycle[v] = (nbrs[i], nbrs[j], i, j)
                 else:
-                    cycle[v] = (a, b, d, d)
+                    cycle[v] = (nbrs[i], nbrs[j], d, d)
             # A 2-regular induced subgraph could still be a union of cycles:
             # walk the cycle through one vertex and count its length.
             start = next(iter(face))
@@ -108,8 +118,8 @@ class FrameGraph:
                 raise NotASkeleton(
                     f"2-face {tuple(sorted(face))} is not a single cycle"
                 )
-            for w in face:
-                a, b, i, j = cycle[w]
+            # cycle lists the face's vertices in the face's own order.
+            for w, (a, b, i, j) in cycle.items():
                 if i == d:
                     continue
                 key = (w * d + i) * d + j
@@ -202,9 +212,10 @@ def _facet(fg: FrameGraph, root: int, slot: int, visited, omitted, check):
     omits ``adj[root][slot]``, in one pass; returns its vertex set.
 
     Each frame (w, ex), w's frame omitting its neighbour in slot ex, taken
-    in breadth-first order, adds w and its leaves to the region and sets
-    ``omitted[w]`` to the omitted neighbour.  ``visited`` holds a byte per
-    frame code w*d + ex, so each move is two indexings on small ints.
+    in breadth-first order, adds w to the region and sets ``omitted[w]``
+    to the omitted neighbour.  Of w's leaves only the nonsimple ones are
+    added: a simple leaf roots a frame of this trace (see below) and is
+    added as its root.  ``visited`` holds a byte per frame code w*d + ex.
     """
     adj = fg.skeleton.graph.adj
     d = fg.d
@@ -223,18 +234,20 @@ def _facet(fg: FrameGraph, root: int, slot: int, visited, omitted, check):
         for j in range(d):
             if j == ex:
                 continue
-            u2 = nbrs[j]
-            add(u2)
             # w is simple, so FrameGraph's coverage check put this move in;
-            # k == d marks a nonsimple u2, which roots no frame.  Every move
-            # is undone by the move back: the 2-face F through ex-w-u2-u_hat
-            # is the only 2-face holding the 2-frame (u2; u_hat, w), as
-            # FrameGraph checked, so the move from (u2, u_hat) to w follows
-            # F back and gives (w, ex).  Each trace is therefore a whole
-            # component of the move graph, disjoint from earlier traces, and
-            # a frame visited already was visited by this trace.
+            # k == d marks a nonsimple leaf, which roots no frame.  Every
+            # move is undone by the move back: the 2-face F through
+            # ex-w-u2-u_hat is the only 2-face holding the 2-frame
+            # (u2; u_hat, w), as FrameGraph checked, so the move from
+            # (u2, u_hat) to w follows F back and gives (w, ex).  Each trace
+            # is therefore a whole component of the move graph, disjoint
+            # from earlier traces, and a simple u2's frame, pushed now or
+            # visited already, is a frame of this trace.
+            u2 = nbrs[j]
             k = step[base + j]
-            if k != d and not visited[u2 * d + k]:
+            if k == d:
+                add(u2)
+            elif not visited[u2 * d + k]:
                 visited[u2 * d + k] = 1
                 push((u2, k))
     facet = frozenset(region)
@@ -274,7 +287,8 @@ def reconstruct(
     ambiguity (see module docstring) is reported with both completions;
     parity_hint ("even"/"odd", the parity of the facet count) resolves it.
     Each facet is traced, collected and, unless ``check`` is False,
-    checked in one pass, at one set lookup per simple vertex.
+    checked in one pass: collecting it costs one set add per frame and one
+    per nonsimple leaf, and checking it one set lookup per simple vertex.
 
     With ``check`` the facet lists returned (``facets``, and both
     completions of an ambiguity) already hold every invariant of

@@ -79,13 +79,6 @@ def _vertex_count(seen: int | None, parts: list[str]) -> int:
     return n
 
 
-def _edge(parts: list[str]) -> tuple[int, int]:
-    try:
-        return int(parts[1]), int(parts[2])
-    except ValueError:
-        raise _non_integer(parts) from None
-
-
 def _misfit(text: str, n: int, d: int | None = None) -> ValueError | None:
     """The error of the first line of ``text`` that does not fit n vertices:
     first the ``face<r>`` lines in order, whose ranks must lie in 2..d-1
@@ -191,7 +184,10 @@ def parse_skeleton(text: str) -> tuple[KSkeleton, int]:
     for parts in _fields(text):
         key = parts[0]
         if key == "edge":
-            edges.append(_edge(parts))
+            try:
+                edges.append((int(parts[1]), int(parts[2])))
+            except ValueError:
+                raise _non_integer(parts) from None
         elif key.startswith("face"):
             r = _int(key[4:], parts)
             try:
@@ -235,7 +231,10 @@ def parse_edge_list(text: str) -> Graph:
     for parts in _fields(text):
         key = parts[0]
         if key == "edge":
-            edges.append(_edge(parts))
+            try:
+                edges.append((int(parts[1]), int(parts[2])))
+            except ValueError:
+                raise _non_integer(parts) from None
         elif key == "vertices":
             n = _vertex_count(n, parts)
         else:

@@ -14,7 +14,9 @@ that does not stop at a target size, two-face scores of vertex orders
 via one pass over the edge list, the greedy two-face order via a scan
 of all unplaced vertices per step instead of a heap, facet-family
 sweeps via every acyclic orientation of the family instead of the
-subset DP over initial sets, induced subgraphs via a scan of every edge
+subset DP over initial sets, graphs via a sorted canonical edge set
+that the adjacency lists are read from instead of one neighbour set per
+vertex, induced subgraphs via a scan of every edge
 instead of the chosen vertices' adjacency lists, Kaibel's frame moves via
 a frame-to-face index and per-face cycle tables instead of the one step
 map, facet
@@ -344,6 +346,32 @@ def reference_ancestors(o, x: int) -> frozenset[int]:
                 seen.add(w)
                 stack.append(w)
     return frozenset(seen)
+
+
+@dataclass(frozen=True)
+class ReferenceGraph:
+    n: int
+    edges: tuple[tuple[int, int], ...]
+    adj: tuple[tuple[int, ...], ...]
+
+
+def reference_graph(n: int, edges) -> ReferenceGraph:
+    """``Graph(n, edges)`` by sorting the canonical edge set first and
+    deriving the adjacency lists from it, raising on the first loop or
+    out-of-range endpoint in input order."""
+    canon = set()
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) outside 0..{n - 1}")
+        canon.add((u, v) if u < v else (v, u))
+    sorted_edges = tuple(sorted(canon))
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in sorted_edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return ReferenceGraph(n, sorted_edges, tuple(tuple(sorted(a)) for a in adj))
 
 
 def reference_induced(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:

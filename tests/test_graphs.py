@@ -38,6 +38,7 @@ from oracles import (
     objectives,
     orientation_from_order,
     reference_ancestors,
+    reference_graph,
     reference_induced,
     scan_two_face_order,
     sinks_in,
@@ -353,6 +354,23 @@ def test_seeded_flow_on_complete_graphs():
                 assert _disjoint_paths(g, s, t, k) == min(k, paths), (n, s, t, k)
 
 
+def test_flow_clears_a_vertex_its_augmenting_path_empties():
+    # From s = 15 to t = 4 the augmenting paths are 15-9-10-3-4, then
+    # 15-16-17-3 which walks back over 10-3, 10's own arc and 9-10 and
+    # leaves by 9-8-0-1-4, emptying 10, then 15-14-13-12-11-10-3 back over
+    # 17-3 and on by 17-18-2-7-6-5-4 through the emptied 10.  Had the
+    # cancel step left 10's stale pred in place, the third search would
+    # turn back at 10 and stop at two paths.
+    g = Graph(19, [
+        (0, 1), (0, 8), (1, 4), (2, 7), (2, 18), (3, 4), (3, 10), (3, 17),
+        (4, 5), (5, 6), (6, 7), (8, 9), (9, 10), (9, 15), (10, 11), (11, 12),
+        (12, 13), (13, 14), (14, 15), (15, 16), (16, 17), (17, 18),
+    ])
+    assert nx_local_connectivity(g, 15, 4) == 3
+    for k in range(1, 5):
+        assert _disjoint_paths(g, 15, 4, k) == min(k, 3)
+
+
 def test_flow_without_common_neighbours_matches_networkx():
     # No seed applies: antipodes of even cycles and of cube graphs, the
     # ends of a path, and pairs in different components.
@@ -379,6 +397,61 @@ def test_induced_subgraph_matches_the_edge_scan():
         for _ in range(5):
             chosen = rng.sample(range(n), rng.randint(0, n)) * rng.randint(1, 2)
             assert g.induced(chosen) == reference_induced(g, chosen), (g.edges, chosen)
+
+
+@st.composite
+def messy_edge_lists(draw):
+    """n and an edge list with duplicates, reversed pairs and, sometimes,
+    loops or endpoints outside 0..n-1 at random places."""
+    n = draw(st.integers(0, 8))
+    edges = []
+    if n > 1:
+        vertex = st.integers(0, n - 1)
+        edge = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+        edges = draw(st.lists(edge, min_size=1, max_size=16))
+        edges += draw(st.lists(st.sampled_from(edges), max_size=4))
+        edges += [(v, u) for u, v in draw(st.lists(st.sampled_from(edges), max_size=4))]
+    edges = list(draw(st.permutations(edges)))
+    anywhere = st.integers(-2, n + 2)
+    bad = st.one_of(
+        anywhere.map(lambda v: (v, v)),
+        st.tuples(anywhere, st.sampled_from([-1, n, n + 2])),
+        st.tuples(st.sampled_from([-2, n + 1]), anywhere),
+    )
+    for e in draw(st.lists(bad, max_size=2)) if draw(st.booleans()) else ():
+        edges.insert(draw(st.integers(0, len(edges))), e)
+    return n, edges
+
+
+def _graph_or_error(build, n, edges):
+    try:
+        return build(n, edges)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(messy_edge_lists(), st.data())
+def test_graph_matches_reference_constructor(case, data):
+    n, edges = case
+    got = _graph_or_error(Graph, n, iter(edges))
+    ref = _graph_or_error(reference_graph, n, edges)
+    if isinstance(ref, str):
+        assert got == ref
+        return
+    assert (got.n, got.adj) == (ref.n, ref.adj)
+    assert hash(got) == hash((ref.n, ref.edges))
+    assert got.edges == ref.edges
+    # A shuffled, partly reversed copy with up to two edges dropped.
+    other = [
+        (v, u) if flip else (u, v)
+        for (u, v), flip in zip(
+            data.draw(st.permutations(edges)),
+            data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges))),
+        )
+    ][data.draw(st.integers(0, min(2, len(edges)))):]
+    assert (Graph(n, other) == got) == (reference_graph(n, other).edges == ref.edges)
+    assert Graph(n + 1, edges) != got
 
 
 def test_induced_cycles_k4():
