@@ -338,15 +338,21 @@ def classify_vertices(obj: Union[FaceLattice, Graph], d: Optional[int] = None) -
         if d is None:
             raise ValueError("d is required when classifying a bare graph")
         graph, dim = obj, d
-    degrees = {v: graph.degree(v) for v in range(graph.n)}
-    bad = [v for v, deg in degrees.items() if deg < dim]
-    if bad:
-        raise DegreeBelowDimension(
-            f"vertices {bad} have degree below d={dim}"
-        )
-    simple = frozenset(v for v, deg in degrees.items() if deg == dim)
-    nonsimple = frozenset(v for v, deg in degrees.items() if deg > dim)
-    return VertexClasses(simple, nonsimple, degrees)
+    degrees = list(map(len, graph.adj))
+    vertices = range(graph.n)
+    # Most graphs here are simple polytope graphs, and the count runs at C
+    # speed.
+    if degrees.count(dim) == graph.n:
+        simple, nonsimple = frozenset(vertices), frozenset()
+    else:
+        bad = [v for v in vertices if degrees[v] < dim]
+        if bad:
+            raise DegreeBelowDimension(
+                f"vertices {bad} have degree below d={dim}"
+            )
+        nonsimple = frozenset(v for v in vertices if degrees[v] > dim)
+        simple = frozenset(vertices).difference(nonsimple)
+    return VertexClasses(simple, nonsimple, dict(enumerate(degrees)))
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,10 @@ attaining it follow without sweeping orientations.  A second, independent route 
 polytope at uv (or at u when uv is not an edge), reconstructs the simpler
 truncated polytope, and pulls its facets back.
 
-The family DPs hold 2**n table entries: graphs above 12 vertices are
-refused unless forced, and above 22 always (:mod:`skelrecon.graphs`).
+The family DPs allocate a table of 2**n slots, and fill fewer when
+vertices are pinned (:class:`~skelrecon.graphs.OrderCosts`): graphs above
+12 vertices are refused unless forced, and above 22 always
+(:mod:`skelrecon.graphs`).
 
 Vertex sets are int masks throughout, as in :mod:`skelrecon.graphs`.  They
 are decoded in two places only: the 2-faces handed to the 2-skeleton
@@ -296,28 +298,36 @@ def _initial_set_sweep(
     between A and the rest leaving A, and any orientation of the rest.
     Each vertex's cost depends only on its in-neighbours, which lie on its
     own side, so the least cost with anc(x) = A for some simple x is
-    m(A) = ``single_sink(A, simple)`` + ``after[A]``
-    (:class:`~skelrecon.graphs.OrderCosts`).  Hence the family minimum is
-    ``after[0]`` for the pinned family and the least m(A) over candidates
-    for the restricted one, and an orientation attaining m(A) is a
-    minimiser exactly when m(A) equals that minimum; a minimiser with
-    anc(x) = A costs at least m(A), so the harvest is the candidates with
-    m(A) equal to the minimum.  Costs are nonnegative, so m(A) >=
-    ``after[A]``: masks are taken in ascending ``after[A]`` and feasibility
-    is computed, once per mask, only when m(A) can still reach the
-    minimum.  Raises EmptyFamily when the family is empty.
+    m(A) = ``single_sink(A, simple)`` + after(A), where after(A) is the
+    least cost of placing the rest after A
+    (:class:`~skelrecon.graphs.OrderCosts`): one index of its table
+    ``after`` when A holds every pinned source and no pinned sink, as
+    every candidate of the family sweeps does, and
+    :meth:`~skelrecon.graphs.OrderCosts.least_after` otherwise.  Hence the
+    family minimum is after(0) for the pinned family and the least m(A)
+    over candidates for the restricted one, and an orientation attaining
+    m(A) is a minimiser exactly when m(A) equals that minimum; a minimiser
+    with anc(x) = A costs at least m(A), so the harvest is the candidates
+    with m(A) equal to the minimum.  Costs are nonnegative, so m(A) >=
+    after(A): masks are taken in ascending after(A) and feasibility is
+    computed, once per mask, only when m(A) can still reach the minimum.
+    Raises EmptyFamily when the family is empty.
     """
     check_enumeration_bound(g.n, force)
     dp = OrderCosts(g, cost, sources=sources, sinks=sinks)
     after = dp.after
     inf = float("inf")
-    best = inf if restricted else after[0]
+    best = inf if restricted else dp.least_after(0)
+    pinned_sinks = sinks & ~sources
     free = (1 << g.n) - 1 & ~need & ~avoid
     candidates = []
     rest = free
     while True:
         a = rest | need
-        base = after[a]
+        if a & sources == sources and not a & pinned_sinks:
+            base = after[a]
+        else:
+            base = dp.least_after(a)
         if base < inf and base <= best and a & simple and degrees_fit(g, a, d, simple):
             candidates.append((base, a))
         if not rest:
@@ -604,24 +614,27 @@ def _uv_two_faces(g: Graph, d: int, u: int, v: int):
     orientation of the rest with u's pin kept.  Each vertex's cost depends
     only on its in-neighbours, so its least cost is that of ordering C
     with u first and v second (both have all their in-neighbours in {u})
-    plus ``after[C]``
+    plus ``after[C]``, the least cost of placing the rest after C
     (:class:`~skelrecon.graphs.OrderCosts`), and C is kept when that sum
-    equals ``after[0]``, the minimum over all orientations with u a
-    source.  Returns cycle masks in vertex-tuple order.  The family sweeps
-    that run before it have already checked g against the enumeration bound.
+    equals the minimum over all orientations with u a source, read once
+    before the cycles as ``least_after(0)``.  C and {u, v} hold the pinned
+    source u, so ``after[C]`` and each per-cycle table's entry for {u, v}
+    are single table reads.  Returns cycle masks in vertex-tuple order.
+    The family sweeps that run before it have already checked g against
+    the enumeration bound.
     """
     uv = 1 << u | 1 << v
     cycles = [c for c in induced_cycles(g) if c & uv == uv]
     if not cycles:
         return []
     dp = OrderCosts(g, lambda y, p: 1 << p.bit_count(), sources=1 << u)
-    after = dp.after
+    after, least = dp.after, dp.least_after(0)
     head = dp.price(u, 0) + dp.price(v, 1 << u)
     found = []
     for c in cycles:
         base = after[c] + head
         # Costs are nonnegative, so a base above the minimum needs no DP.
-        if base <= after[0] and base + dp.placing_after(c)[uv] == after[0]:
+        if base <= least and base + dp.placing_after(c)[uv] == least:
             found.append(c)
     return sorted(found, key=vertices_of)
 

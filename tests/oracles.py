@@ -14,7 +14,9 @@ that does not stop at a target size, two-face scores of vertex orders
 via one pass over the edge list, the greedy two-face order via a scan
 of all unplaced vertices per step instead of a heap, facet-family
 sweeps via every acyclic orientation of the family instead of the
-subset DP over initial sets, graphs via a sorted canonical edge set
+subset DP over initial sets, least placement costs via a subset DP that
+tables every set, pinned vertices included, instead of only the sets
+that hold every pin, graphs via a sorted canonical edge set
 that the adjacency lists are read from instead of one neighbour set per
 vertex, induced subgraphs via a scan of every edge
 instead of the chosen vertices' adjacency lists, Kaibel's frame moves via
@@ -518,6 +520,35 @@ def scan_two_face_order(g: Graph, sources) -> Optional[tuple[int, ...]]:
         placed |= 1 << best
         unplaced.remove(best)
     return tuple(order)
+
+
+def reference_placing_after(dp, within: int):
+    """For every subset s of the mask ``within``, the least cost of
+    placing the rest of ``within`` after s, with ``dp``'s costs and pins
+    (:class:`skelrecon.graphs.OrderCosts`): a list indexed by s over the
+    whole vertex set, a dict otherwise.  Every subset is tabled, pinned
+    vertices are placed like any other, and the vertices of s are never
+    priced."""
+    masks, price = dp.graph.masks, dp.price
+    inf = float("inf")
+    table = [inf] * (within + 1) if within == (1 << dp.graph.n) - 1 else {}
+    table[within] = 0
+    s = within
+    while s:
+        s = (s - 1) & within
+        best = inf
+        rest = within & ~s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            tail = table[s | low]
+            if tail < best:
+                y = low.bit_length() - 1
+                c = tail + price(y, masks[y] & s)
+                if c < best:
+                    best = c
+        table[s] = best
+    return table
 
 
 def nx_graph(g: Graph) -> nx.Graph:

@@ -24,7 +24,13 @@ from skelrecon import (
     two_face_witness,
 )
 from skelrecon.errors import TooLarge
-from skelrecon.graphs import _disjoint_paths, mask_of, shortest_frame_cycle, vertices_of
+from skelrecon.graphs import (
+    OrderCosts,
+    _disjoint_paths,
+    mask_of,
+    shortest_frame_cycle,
+    vertices_of,
+)
 
 from conftest import PRISM_OVER_PYRAMID, fixture_corpus, lattice_of
 from oracles import (
@@ -40,6 +46,7 @@ from oracles import (
     reference_ancestors,
     reference_graph,
     reference_induced,
+    reference_placing_after,
     scan_two_face_order,
     sinks_in,
     two_face_score_of_order,
@@ -535,6 +542,46 @@ def test_min_two_face_score_matches_enumeration():
         g = Graph(n, edges)
         assert min_two_face_score(g) == brute_min_two_face_score(g)
         assert min_two_face_score(g, (0,)) == brute_min_two_face_score(g, (0,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_placing_after_matches_the_full_table(data):
+    # Pins may be adjacent, and a vertex may be pinned both ways.
+    n = data.draw(st.integers(min_value=1, max_value=9))
+    pairs = list(itertools.combinations(range(n), 2))
+    g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    salt = data.draw(st.integers(0, 2**20))
+
+    def cost(y, p):
+        c = random.Random(salt << 32 | y << 24 | p).randrange(5)
+        return math.inf if c == 4 else c
+
+    sources, sinks = (
+        mask_of(data.draw(st.sets(st.integers(0, n - 1), max_size=3))) for _ in range(2)
+    )
+    full = (1 << n) - 1
+    within = data.draw(st.one_of(st.just(full), st.integers(0, full)))
+    dp = OrderCosts(g, cost, sources=sources, sinks=sinks)
+    reference = reference_placing_after(dp, within)
+    table = dp.placing_after(within)
+    assert table == dp.after if within == full else isinstance(table, dict)
+    pinned_sinks = sinks & within & ~sources
+    s = within
+    while True:
+        # s cannot come first while a pinned sink in it has a neighbour outside it.
+        if any(g.masks[q] & ~s for q in vertices_of(pinned_sinks & s)):
+            want = math.inf
+        else:
+            want = reference[s]
+        assert dp.least_after(s, table, within) == want
+        if within == full:
+            assert dp.least_after(s) == want
+        if s & sources & within == sources & within and not s & pinned_sinks:
+            assert table[s] == want
+        if not s:
+            break
+        s = (s - 1) & within
 
 
 def test_min_two_face_score_simplex():
