@@ -505,29 +505,25 @@ class OrderCosts:
     unless it has no in-neighbour, a sink unless every neighbour is one.
     ``cost`` is called once per vertex and in-neighbour mask.
 
-    ``least_after(s)`` is the least cost of the vertices outside s over
-    the orientations in which s is an initial set (no edge enters s): the
-    least cost of placing the rest after s.  When s holds every pinned
-    source and no pinned sink it is the single read ``after[s]``.
-    Refuses graphs above the subset-DP bound before allocating the table.
+    ``after[s]``, for a set s that holds every pinned source and no
+    pinned sink, is the least cost of the vertices outside s over the
+    orientations in which s is an initial set (no edge enters s): the
+    least cost of placing the rest after s.  ``least`` is the least cost
+    over every orientation that respects the pins.  Refuses graphs above
+    the subset-DP bound before allocating the table.
 
     Pinned vertices are not tabled.  A source has no in-neighbour, so
     moving it to the front of an order of finite cost changes no vertex's
     in-neighbour mask; a sink has no out-neighbour, so moving it to the
-    back changes none.  So the rest is placed after s in three runs: the
-    unplaced sources, each priced against s and the sources; the unpinned
-    vertices, none of which has a sink for an in-neighbour; the unplaced
+    back changes none.  So the rest is placed after s in two runs: the
+    unpinned vertices, none of which has a sink for an in-neighbour; the
     sinks, each priced against all its neighbours but the sinks.  The DP
     runs over the 2**(n - pins) sets that hold every pinned vertex and
     prices only the unpinned vertices (a vertex pinned both ways counts as
     a source).  With pinned sinks it also writes each value plus the
     sinks' prices at the same set without the sinks, where ``after[s]``
-    reads it.  :meth:`least_after` derives every other set in O(pins).
-
-    One reading differs from placing the rest after s with s unpriced: a
-    set holding a pinned sink with a neighbour outside it reads inf, as no
-    orientation that respects the pin has that set as an initial set.  No
-    caller can tell, since :meth:`single_sink` prices that sink inf too.
+    reads it.  ``least`` is ``after`` at the sources plus each source
+    priced against the sources.
     """
 
     def __init__(
@@ -542,7 +538,10 @@ class OrderCosts:
         self.graph = g
         self._cost, self._sources, self._sinks = cost, sources, sinks
         self._memo: list[dict[int, float]] = [{} for _ in range(g.n)]
-        self.after = self.placing_after((1 << g.n) - 1)
+        self.after = self.placing_after()
+        self.least = self.after[sources] + sum(
+            self.price(x, g.masks[x] & sources) for x in vertices_of(sources)
+        )
 
     def price(self, y: int, p: int) -> float:
         """Vertex y's cost with in-neighbour mask p, pins applied; memoised."""
@@ -555,31 +554,22 @@ class OrderCosts:
             self._memo[y][p] = c
         return c
 
-    def _pins(self, within: int) -> tuple[int, int]:
-        """The pinned sources and sinks inside ``within``."""
-        sources = self._sources & within
-        return sources, self._sinks & within & ~sources
-
-    def placing_after(self, within: int):
-        """The table of :meth:`least_after` for the vertices of the mask
-        ``within``, counting only in-neighbours inside it: a list over the
-        whole vertex set, a dict otherwise.  Its entry at a set s that
-        holds every pinned source and no pinned sink of ``within`` is the
-        least cost of placing the rest of ``within`` after s; its other
-        entries are read only by :meth:`least_after`."""
+    def placing_after(self) -> list[float]:
+        """The table :attr:`after`: a list over every vertex set, filled
+        at the sets that hold every pinned source and no pinned sink."""
         price, memo = self.price, self._memo
         inf = float("inf")
-        sources, sinks = self._pins(within)
+        full = (1 << self.graph.n) - 1
+        sources = self._sources
+        sinks = self._sinks & ~sources
         pinned = sources | sinks
-        free = within & ~pinned
+        free = full & ~pinned
         masks = [m & ~sinks for m in self.graph.masks]
-        last = sum(price(q, masks[q] & within) for q in vertices_of(sinks))
-        table: dict[int, float] | list[float] = (
-            [inf] * (within + 1) if within == (1 << self.graph.n) - 1 else {}
-        )
-        table[within] = 0
+        last = sum(price(q, masks[q]) for q in vertices_of(sinks))
+        table = [inf] * (full + 1)
+        table[full] = 0
         if sinks:
-            table[within ^ sinks] = last
+            table[full ^ sinks] = last
         s = free
         while s:
             s = (s - 1) & free
@@ -601,24 +591,6 @@ class OrderCosts:
             if sinks:
                 table[placed ^ sinks] = best + last
         return table
-
-    def least_after(self, s: int, table=None, within: Optional[int] = None) -> float:
-        """The least cost of placing the rest of ``within`` after its
-        subset s, from ``table``, which is ``placing_after(within)``; by
-        default :attr:`after` and the whole vertex set."""
-        if table is None:
-            table, within = self.after, (1 << self.graph.n) - 1
-        masks, price = self.graph.masks, self.price
-        sources, sinks = self._pins(within)
-        if any(masks[q] & ~s for q in vertices_of(sinks & s)):
-            return float("inf")
-        placed = s | sources
-        c = table[placed | sinks]
-        for x in vertices_of(sources & ~s):
-            c += price(x, masks[x] & placed)
-        for q in vertices_of(sinks & ~s):
-            c += price(q, masks[q] & within & ~sinks)
-        return c
 
     def single_sink(self, a: int, seeds: int) -> float:
         """Least cost of the vertices of the mask ``a`` over the acyclic
@@ -668,7 +640,7 @@ def min_two_face_score(g: Graph, sources: tuple[int, ...] = ()) -> int:
         lambda y, p: p.bit_count() * (p.bit_count() - 1) // 2,
         sources=mask_of(sources),
     )
-    result = dp.least_after(0)
+    result = dp.least
     if result == float("inf"):
         raise EmptyFamily("no acyclic orientation satisfies the source constraints")
     return int(result)

@@ -29,10 +29,12 @@ attaining it follow without sweeping orientations.  A second, independent route 
 polytope at uv (or at u when uv is not an edge), reconstructs the simpler
 truncated polytope, and pulls its facets back.
 
-The family DPs allocate a table of 2**n slots, and fill fewer when
-vertices are pinned (:class:`~skelrecon.graphs.OrderCosts`): graphs above
-12 vertices are refused unless forced, and above 22 always
-(:mod:`skelrecon.graphs`).
+Each family DP allocates one table of 2**n slots over the whole vertex
+set, and fills fewer when vertices are pinned
+(:class:`~skelrecon.graphs.OrderCosts`); the 2-faces through uv need no
+table per cycle, as each chordless cycle's own cost is 2|C| + 1 in
+closed form.  Graphs above 12 vertices are refused unless forced, and
+above 22 always (:mod:`skelrecon.graphs`).
 
 Vertex sets are int masks throughout, as in :mod:`skelrecon.graphs`.  They
 are decoded in two places only: the 2-faces handed to the 2-skeleton
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .constructions import TruncationMap, pullback_facets, truncation_map
 from .errors import (
@@ -119,43 +121,55 @@ def _exact_cover_of_size(
             k += 1
         reachable[budget] = k
 
-    chosen: list[int] = []
-    nodes = 0
-
-    def search(uncovered: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        # Past the budget every node fails at once, so the search unwinds.
-        if max_nodes is not None and nodes > max_nodes:
-            return False
-        if len(chosen) + reachable[uncovered.bit_count()] < target:
-            return False
-        if uncovered == 0:
-            return True
+    def branch(uncovered: int) -> list[tuple[int, int]]:
         # Most-constrained uncovered column; forced columns cascade first.
-        branch: list[tuple[int, int]] = []
+        # A column with no usable row makes the node a dead end.
+        best: list[tuple[int, int]] = []
         scan = uncovered
         while scan:
             bit = scan & -scan
             scan ^= bit
-            col = bit.bit_length() - 1
             usable = [
-                (ri, m) for ri, m in rows_of_col[col] if m & uncovered == m
+                (ri, m) for ri, m in rows_of_col[bit.bit_length() - 1]
+                if m & uncovered == m
             ]
             if not usable:
-                return False
-            if not branch or len(usable) < len(branch):
-                branch = usable
-                if len(branch) == 1:
+                return []
+            if not best or len(usable) < len(best):
+                best = usable
+                if len(best) == 1:
                     break
-        for ri, m in branch:
-            chosen.append(ri)
-            if search(uncovered & ~m):
-                return True
-            chosen.pop()
-        return False
+        return best
 
-    return chosen if search((1 << ncols) - 1) else None
+    # Depth-first with an explicit stack, so deep covers cannot overflow
+    # the interpreter's recursion limit.  open_nodes[i] is the i-th node on
+    # the current path: its uncovered columns and its untried rows;
+    # chosen[i] is the row taken out of it.
+    chosen: list[int] = []
+    open_nodes: list[tuple[int, Iterator[tuple[int, int]]]] = []
+    uncovered = (1 << ncols) - 1
+    nodes = 0
+    while True:
+        nodes += 1
+        # Past the budget every further node would fail at once.
+        if max_nodes is not None and nodes > max_nodes:
+            return None
+        if len(chosen) + reachable[uncovered.bit_count()] >= target:
+            if uncovered == 0:
+                return chosen
+            open_nodes.append((uncovered, iter(branch(uncovered))))
+        # Backtrack to the deepest node with a row left to try.
+        while open_nodes:
+            top, untried = open_nodes[-1]
+            ri, m = next(untried, (-1, 0))
+            if ri >= 0:
+                break
+            open_nodes.pop()
+        else:
+            return None
+        del chosen[len(open_nodes) - 1:]
+        chosen.append(ri)
+        uncovered = top & ~m
 
 
 def _cover_rows(
@@ -299,16 +313,16 @@ def _initial_set_sweep(
     Each vertex's cost depends only on its in-neighbours, which lie on its
     own side, so the least cost with anc(x) = A for some simple x is
     m(A) = ``single_sink(A, simple)`` + after(A), where after(A) is the
-    least cost of placing the rest after A
-    (:class:`~skelrecon.graphs.OrderCosts`): one index of its table
-    ``after`` when A holds every pinned source and no pinned sink, as
-    every candidate of the family sweeps does, and
-    :meth:`~skelrecon.graphs.OrderCosts.least_after` otherwise.  Hence the
-    family minimum is after(0) for the pinned family and the least m(A)
-    over candidates for the restricted one, and an orientation attaining
-    m(A) is a minimiser exactly when m(A) equals that minimum; a minimiser
-    with anc(x) = A costs at least m(A), so the harvest is the candidates
-    with m(A) equal to the minimum.  Costs are nonnegative, so m(A) >=
+    least cost of placing the rest after A, one index of the table
+    ``after`` of :class:`~skelrecon.graphs.OrderCosts`.  That table holds
+    only the sets with every pinned source and no pinned sink, so the
+    precondition is that every pinned source lies in ``need`` and every
+    other pinned sink in ``avoid``, as in all the family sweeps.  Hence
+    the family minimum is the DP's ``least`` for the pinned family and the
+    least m(A) over candidates for the restricted one, and an orientation
+    attaining m(A) is a minimiser exactly when m(A) equals that minimum; a
+    minimiser with anc(x) = A costs at least m(A), so the harvest is the
+    candidates with m(A) equal to the minimum.  Costs are nonnegative, so m(A) >=
     after(A): masks are taken in ascending after(A) and feasibility is
     computed, once per mask, only when m(A) can still reach the minimum.
     Raises EmptyFamily when the family is empty.
@@ -317,17 +331,13 @@ def _initial_set_sweep(
     dp = OrderCosts(g, cost, sources=sources, sinks=sinks)
     after = dp.after
     inf = float("inf")
-    best = inf if restricted else dp.least_after(0)
-    pinned_sinks = sinks & ~sources
+    best = inf if restricted else dp.least
     free = (1 << g.n) - 1 & ~need & ~avoid
     candidates = []
     rest = free
     while True:
         a = rest | need
-        if a & sources == sources and not a & pinned_sinks:
-            base = after[a]
-        else:
-            base = dp.least_after(a)
+        base = after[a]
         if base < inf and base <= best and a & simple and degrees_fit(g, a, d, simple):
             candidates.append((base, a))
         if not rest:
@@ -612,30 +622,29 @@ def _uv_two_faces(g: Graph, d: int, u: int, v: int):
     orientation is an orientation of C with u a source and u as v's only
     in-neighbour, every edge between C and the rest leaving C, and any
     orientation of the rest with u's pin kept.  Each vertex's cost depends
-    only on its in-neighbours, so its least cost is that of ordering C
-    with u first and v second (both have all their in-neighbours in {u})
+    only on its in-neighbours, so its least cost is the least cost of C
     plus ``after[C]``, the least cost of placing the rest after C
-    (:class:`~skelrecon.graphs.OrderCosts`), and C is kept when that sum
-    equals the minimum over all orientations with u a source, read once
-    before the cycles as ``least_after(0)``.  C and {u, v} hold the pinned
-    source u, so ``after[C]`` and each per-cycle table's entry for {u, v}
-    are single table reads.  Returns cycle masks in vertex-tuple order.
-    The family sweeps that run before it have already checked g against
-    the enumeration bound.
+    (:class:`~skelrecon.graphs.OrderCosts`, one table with u a source;
+    C holds u, so ``after[C]`` is one read).
+
+    The least cost of C needs no DP.  C is chordless, so its vertices'
+    in-neighbours are cycle neighbours.  u costs 1 and v costs 2, and the
+    other |C| - 1 cycle edges all enter the |C| - 2 other vertices, each
+    at most twice.  As 2**k is convex, their sum is least with one vertex
+    at indegree 2 and the rest at 1, which directing the path between v
+    and u from both ends toward one vertex attains.  So C costs
+    1 + 2 + 4 + 2(|C| - 3) = 2|C| + 1, and C is kept exactly when
+    ``after[C] + 2|C| + 1`` equals the DP's ``least``, the minimum over
+    all orientations with u a source.  Returns cycle masks in
+    vertex-tuple order.  The family sweeps that run before it have
+    already checked g against the enumeration bound.
     """
     uv = 1 << u | 1 << v
     cycles = [c for c in induced_cycles(g) if c & uv == uv]
     if not cycles:
         return []
     dp = OrderCosts(g, lambda y, p: 1 << p.bit_count(), sources=1 << u)
-    after, least = dp.after, dp.least_after(0)
-    head = dp.price(u, 0) + dp.price(v, 1 << u)
-    found = []
-    for c in cycles:
-        base = after[c] + head
-        # Costs are nonnegative, so a base above the minimum needs no DP.
-        if base <= least and base + dp.placing_after(c)[uv] == least:
-            found.append(c)
+    found = [c for c in cycles if dp.after[c] + 2 * c.bit_count() + 1 == dp.least]
     return sorted(found, key=vertices_of)
 
 

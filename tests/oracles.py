@@ -10,7 +10,8 @@ intersection closure ranked by comparing every pair of faces, the
 diamond check via a containment count over every interval of length
 two, ancestor sets via a walk along the one-step arcs instead of the
 transitive masks, exact covers via a search for the maximum cardinality
-that does not stop at a target size, two-face scores of vertex orders
+that does not stop at a target size, first exact covers of a size via
+recursion instead of an explicit stack, two-face scores of vertex orders
 via one pass over the edge list, the greedy two-face order via a scan
 of all unplaced vertices per step instead of a heap, facet-family
 sweeps via every acyclic orientation of the family instead of the
@@ -478,6 +479,57 @@ def max_exact_cover(columns: list, rows: list[list[int]]) -> Optional[list[int]]
 
     search(full, [])
     return list(best[0]) if best[0] is not None else None
+
+
+def reference_exact_cover_of_size(
+    ncols: int, rows: list[int], target: int, max_nodes: Optional[int] = None
+) -> tuple[Optional[list[int]], int]:
+    """:func:`skelrecon.recong._exact_cover_of_size` by recursion, one call
+    per search node, plus the number of nodes the search visited.  Past
+    the budget every node fails at once, so the search unwinds.  Deep
+    covers exceed the interpreter's recursion limit."""
+    rows_of_col: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
+    for ri, m in enumerate(rows):
+        for col in vertices_of(m):
+            rows_of_col[col].append((ri, m))
+    sizes = sorted(m.bit_count() for m in rows)
+    reachable = [0] * (ncols + 1)
+    k = total = 0
+    for budget in range(ncols + 1):
+        while k < len(sizes) and total + sizes[k] <= budget:
+            total += sizes[k]
+            k += 1
+        reachable[budget] = k
+    chosen: list[int] = []
+    nodes = 0
+
+    def search(uncovered: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            return False
+        if len(chosen) + reachable[uncovered.bit_count()] < target:
+            return False
+        if uncovered == 0:
+            return True
+        branch: list[tuple[int, int]] = []
+        for col in vertices_of(uncovered):
+            usable = [(ri, m) for ri, m in rows_of_col[col] if m & uncovered == m]
+            if not usable:
+                return False
+            if not branch or len(usable) < len(branch):
+                branch = usable
+                if len(branch) == 1:
+                    break
+        for ri, m in branch:
+            chosen.append(ri)
+            if search(uncovered & ~m):
+                return True
+            chosen.pop()
+        return False
+
+    found = search((1 << ncols) - 1)
+    return (chosen if found else None), nodes
 
 
 def two_face_score_of_order(n: int, edges, sources, order) -> int:

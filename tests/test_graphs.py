@@ -561,27 +561,15 @@ def test_placing_after_matches_the_full_table(data):
         mask_of(data.draw(st.sets(st.integers(0, n - 1), max_size=3))) for _ in range(2)
     )
     full = (1 << n) - 1
-    within = data.draw(st.one_of(st.just(full), st.integers(0, full)))
     dp = OrderCosts(g, cost, sources=sources, sinks=sinks)
-    reference = reference_placing_after(dp, within)
-    table = dp.placing_after(within)
-    assert table == dp.after if within == full else isinstance(table, dict)
-    pinned_sinks = sinks & within & ~sources
-    s = within
-    while True:
-        # s cannot come first while a pinned sink in it has a neighbour outside it.
-        if any(g.masks[q] & ~s for q in vertices_of(pinned_sinks & s)):
-            want = math.inf
-        else:
-            want = reference[s]
-        assert dp.least_after(s, table, within) == want
-        if within == full:
-            assert dp.least_after(s) == want
-        if s & sources & within == sources & within and not s & pinned_sinks:
-            assert table[s] == want
-        if not s:
-            break
-        s = (s - 1) & within
+    reference = reference_placing_after(dp, full)
+    assert dp.least == reference[0]
+    # The table is read only at the sets with every pinned source and no
+    # pinned sink.
+    pinned_sinks = sinks & ~sources
+    for s in range(full + 1):
+        if s & sources == sources and not s & pinned_sinks:
+            assert dp.after[s] == reference[s]
 
 
 def test_min_two_face_score_simplex():

@@ -44,16 +44,18 @@ from skelrecon.errors import (
     TooLarge,
 )
 from skelrecon.graphs import OrderCosts, mask_of, vertices_of
-from skelrecon.textio import format_edge_list, parse_spec
+from skelrecon.textio import format_edge_list, format_spec, parse_spec
 
 from conftest import PRISM_OVER_PYRAMID, SKEW_SOLID, SPLIT_CUBE, fixture_corpus, lattice_of
 from oracles import (
     max_exact_cover,
     orientation_from_order,
     reference_ancestors,
+    reference_exact_cover_of_size,
     reference_find_facets_avoiding,
     reference_find_facets_empty,
     reference_harvester,
+    reference_placing_after,
     reference_sweep,
     reference_uv_two_faces,
     two_face_score_of_order,
@@ -306,6 +308,37 @@ def test_exact_cover_gives_up_past_its_node_budget():
     assert recong._exact_cover_of_size(3, rows, 0) == [2, 0]
     assert recong._exact_cover_of_size(3, rows, 0, max_nodes=4) == [2, 0]
     assert recong._exact_cover_of_size(3, rows, 0, max_nodes=3) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_exact_cover_matches_the_recursive_search_under_every_budget(data):
+    # Rows are a random partition of the columns plus random extra rows,
+    # shuffled, so that exact covers exist often but not always.
+    ncols = data.draw(st.integers(min_value=0, max_value=8))
+    blocks = data.draw(st.lists(st.integers(0, 3), min_size=ncols, max_size=ncols))
+    rows = [m for m in (mask_of(c for c in range(ncols) if blocks[c] == b) for b in range(4)) if m]
+    if ncols:
+        rows += data.draw(st.lists(st.integers(1, (1 << ncols) - 1), max_size=10))
+        rows = data.draw(st.permutations(rows))
+    target = data.draw(st.integers(min_value=0, max_value=ncols))
+    want, nodes = reference_exact_cover_of_size(ncols, rows, target)
+    assert recong._exact_cover_of_size(ncols, rows, target) == want
+    for budget in range(1, nodes + 1):
+        got = recong._exact_cover_of_size(ncols, rows, target, max_nodes=budget)
+        assert got == reference_exact_cover_of_size(ncols, rows, target, budget)[0]
+    assert got == want
+    event(f"cover found: {want is not None}")
+
+
+def test_recong_reconstructs_cube8_from_its_graph(tmp_path, capsys):
+    # 1792 squares: the first cover takes one search node per square,
+    # deeper than the interpreter's recursion limit.
+    g = Graph(256, [(x, x | 1 << i) for x in range(256) for i in range(8) if not x >> i & 1])
+    path = tmp_path / "cube8.edges"
+    path.write_text(format_edge_list(g))
+    assert main(["recong", str(path), "--dim", "8"]) == 0
+    assert capsys.readouterr().out == format_spec(cube(8))
 
 
 def test_two_system_falls_back_when_the_budget_is_spent(monkeypatch):
@@ -629,7 +662,10 @@ def test_initial_set_sweep_matches_the_reference_on_any_cost(data):
         sum(1 << x for x in data.draw(st.sets(st.integers(0, n - 1), max_size=1)))
         for _ in range(2)
     )
-    avoid &= ~need
+    # The sweep's precondition: the pinned source in need, the pinned sink
+    # in avoid.
+    need = need & ~mask_of(last) | mask_of(first)
+    avoid = avoid & ~need | mask_of(last)
     restricted = data.draw(st.booleans())
     harvest = reference_harvester(g, d, simple)
 
@@ -650,6 +686,24 @@ def test_initial_set_sweep_matches_the_reference_on_any_cost(data):
     got = _outcome(sweep)
     assert got == _outcome(reference)
     event(f"restricted={restricted}: {_kind(got, got[1])}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_uv_cycle_cost_is_the_closed_form(data):
+    # _uv_two_faces prices each chordless cycle C through the edge uv at
+    # 2|C| + 1 without a DP: u costs 1, v costs 2, and the rest of C,
+    # placed after {u, v} by the reference DP over C, costs 2|C| - 2.
+    n = data.draw(st.integers(min_value=3, max_value=9))
+    pairs = list(itertools.combinations(range(n), 2))
+    g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)))
+    u, v = data.draw(st.permutations(data.draw(st.sampled_from(g.edges))))
+    uv = 1 << u | 1 << v
+    dp = OrderCosts(g, lambda y, p: 1 << p.bit_count(), sources=1 << u)
+    cycles = [c for c in induced_cycles(g) if c & uv == uv]
+    for c in cycles:
+        assert reference_placing_after(dp, c)[uv] == 2 * c.bit_count() - 2
+    event(f"{len(cycles)} cycles through uv")
 
 
 def test_count_sink_frames_definition():
