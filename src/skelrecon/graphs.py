@@ -93,18 +93,20 @@ class Graph:
         """Induced subgraph on the given vertices.
 
         Returns the relabeled graph together with the tuple mapping new
-        vertex ids back to original ids.
+        vertex ids back to original ids.  New ids follow the sorted
+        original ids, a monotone relabeling, so each ``adj[u]`` kept
+        inside the set and relabeled is already sorted and free of
+        repeats: the adjacency is built as it stands, with no edge list.
         """
         order = tuple(sorted(set(vertices)))
         back = {w: i for i, w in enumerate(order)}
         adj = self.adj
-        edges = [
-            (i, back[v])
-            for i, u in enumerate(order)
-            for v in adj[u]
-            if v > u and v in back
-        ]
-        return Graph(len(order), edges), order
+        sub = Graph.__new__(Graph)
+        sub.n = len(order)
+        sub.adj = tuple([tuple([back[v] for v in adj[u] if v in back]) for u in order])
+        sub._edges = None
+        sub._masks = None
+        return sub, order
 
     def __eq__(self, other) -> bool:
         return (
@@ -238,23 +240,47 @@ def _disjoint_paths(g: Graph, s: int, t: int, k: int) -> int:
     read), plus one flag for the edge s-t.  v's own arc is saturated
     exactly when ``pred[v]`` is set, and s sends to w != t exactly when
     ``pred[w] == s``: no search enters s's out node again, so an arc out
-    of s is never cancelled.  Only the edge s-t needs the flag, so that
-    it is counted once.
+    of s is never cancelled, which no simple augmenting path needs.  Only
+    the edge s-t needs the flag, so that it is counted once.
 
-    The flow starts from the two-edge paths s-w-t through up to k common
-    neighbours w, and augments only for the rest.  Augmenting from any
-    feasible flow reaches a maximum one, and no augmenting path cancels
-    a seeded path: w's out node is reachable only back from t's in node,
-    which the search never leaves.  So the count stays exact.
+    The flow is seeded before any search: first the two-edge paths s-w-t
+    through up to k common neighbours w, then, greedily in the order of
+    a, three-edge paths s-a-b-t through vertices no seeded path holds
+    yet, b the least of ``masks[a] & masks[t]`` outside them, stored as
+    ``pred[a] = s`` and ``pred[b] = a``.  Augmenting paths cover only
+    the rest.  The seeds are vertex-disjoint paths, a feasible flow, and
+    augmenting from any feasible flow reaches a maximum one, so the
+    count stays exact.  A greedy 3-path can block a better pair of
+    paths; an augmenting path then reroutes it, back over its arc a -> b
+    as over any saturated arc.
     """
     adj = g.adj
+    masks = g.masks
     pred = [-1] * g.n
-    seeds = vertices_of(g.masks[s] & g.masks[t])[:k]
+    common = masks[s] & masks[t]
+    seeds = vertices_of(common)[:k]
     for w in seeds:
         pred[w] = s
+    paths = len(seeds)
+    # A common neighbour outside the seeds means paths == k.  No b is a
+    # neighbour of s (it would be a common one), so ``scan`` never holds a
+    # vertex taken as a b.
+    used = common | 1 << s | 1 << t
+    scan = masks[s] & ~used
+    while scan and paths < k:
+        low = scan & -scan
+        scan ^= low
+        a = low.bit_length() - 1
+        ends = masks[a] & masks[t] & ~used
+        if ends:
+            end = ends & -ends
+            pred[a] = s
+            pred[end.bit_length() - 1] = a
+            used |= low | end
+            paths += 1
     direct = False  # whether the edge s-t carries a path
     source, sink = 2 * s + 1, 2 * t
-    for paths in range(len(seeds), k):
+    for paths in range(paths, k):
         parent = [-1] * (2 * g.n)
         parent[source] = source
         queue = [2 * w for w in adj[s] if not (direct if w == t else pred[w] == s)]
@@ -314,8 +340,9 @@ def k_connected(g: Graph, k: int) -> bool:
     components of G - S, which are not adjacent.  So it suffices that v
     and each non-neighbour, and each non-adjacent pair of v's
     neighbours, are joined by k vertex-disjoint paths.  Each pair's flow
-    starts from the paths through its common neighbours, which an
-    augmenting path never cancels, so every count is exact.
+    is seeded with disjoint 2- and 3-paths (see ``_disjoint_paths``), a
+    feasible flow, and augmented to a maximum from there, so every count
+    is exact.
     """
     if k <= 0:
         return True

@@ -130,7 +130,7 @@ class FaceLattice:
         """The faces a face covers, as masks."""
         below = self.covers.get(face)
         if below is None:
-            below = [face ^ (1 << v) for v in vertices_of(face)]
+            below = boolean_covers(face)
         return below
 
     def masks_of_rank(self, r: int) -> list[int]:
@@ -299,6 +299,18 @@ def build_face_lattice(spec: PolytopeSpec) -> FaceLattice:
     return lattice
 
 
+def boolean_covers(face: int) -> list[int]:
+    """The masks F - v of a Boolean face F, v ascending: each low bit of F
+    stripped in turn, with no vertex decoded."""
+    below = []
+    rest = face
+    while rest:
+        low = rest & -rest
+        below.append(face ^ low)
+        rest ^= low
+    return below
+
+
 def require_edges(faces: list[int]) -> list[int]:
     """Rank-1 face masks, unchanged when each is a vertex pair.
 
@@ -400,7 +412,8 @@ def _check_diamond(lattice: FaceLattice) -> CheckResult:
     # face, then vertex order of the top.
     covers = lattice.covers
     # The covers of the Boolean faces met, each written out once: a Boolean
-    # face lies below several general tops.
+    # face lies below several general tops.  boolean_covers strips g's bits
+    # straight off the mask, never decoding g to vertices.
     implicit: dict[int, list[int]] = {}
     first = None
     for h, below in covers.items():
@@ -410,7 +423,7 @@ def _check_diamond(lattice: FaceLattice) -> CheckResult:
             if lower is None:
                 lower = implicit.get(g)
                 if lower is None:
-                    lower = implicit[g] = [g ^ (1 << v) for v in vertices_of(g)]
+                    lower = implicit[g] = boolean_covers(g)
             under += lower
         # Sorted, every face appears exactly twice iff the pairs match and
         # are distinct.

@@ -2,10 +2,11 @@
 
 ``lattice``, ``skeleton`` and ``iso`` run on relabeled twins, three more
 polytopes, two inputs that fail a validation check, and inputs that end
-in ``NotGraded`` or ``NotAnEdge``.  The
-outputs in ``golden/cli_lattice.json`` were recorded when every face,
-cover and rank was still stored as a frozenset; regenerate them (only
-when an output is meant to change) with
+in ``NotGraded`` or ``NotAnEdge``; ``lattice`` alone runs on q1(8),
+q2(8) and cube(6).  The outputs in ``golden/cli_lattice.json`` were
+recorded when every face, cover and rank was still stored as a
+frozenset, and the last three before the flows were seeded with
+3-paths; regenerate them (only when an output is meant to change) with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -43,6 +44,10 @@ def golden_inputs() -> dict[str, str]:
                        ("pyrcube4", pyramid(cube(4)))):
         files[f"{name}_a.poly"] = _relabeled(spec, spec.n)
         files[f"{name}_b.poly"] = _relabeled(spec, spec.n + 1)
+    # ``lattice`` alone at the sizes where validate costs most.
+    files["q1_8.poly"] = _relabeled(q1(8).spec, 81)
+    files["q2_8.poly"] = _relabeled(q2(8).spec, 82)
+    files["cube6.poly"] = _relabeled(cube(6), 64)
     # Covers spanning two ranks; the first is "(2, 3, 6) covers (3,)".
     files["skewed.poly"] = format_spec(PolytopeSpec(
         4, 7, [(0, 2, 3, 6), (0, 2, 4, 5), (1, 2, 4, 5, 6), (1, 3, 4, 5), (2, 3, 4, 6)]
@@ -82,6 +87,8 @@ def golden_calls() -> list[tuple[str, ...]]:
         calls.append(("lattice", f"{name}.poly"))
         calls.append(("skeleton", f"{name}.poly", "--rank", "1"))
         calls.append(("iso", f"{name}.poly", f"{name}.poly", "--rank", "lattice"))
+    for name in ("q1_8", "q2_8", "cube6"):
+        calls.append(("lattice", f"{name}.poly"))
     return calls
 
 

@@ -281,7 +281,7 @@ def test_k_connected_matches_networkx():
         for k in range(0, 7):
             assert k_connected(g, k) == nx_k_connected(g, k), (g.n, g.edges, k)
     # Polytope graphs relabeled, at the thresholds around their dimension d.
-    for spec in (cube(4), cube(5), q1(6).spec, q2(6).spec):
+    for spec in (cube(4), cube(5), q1(6).spec, q2(6).spec, polygon_prism(6), q1(8).spec):
         g = lattice_of(spec).graph()
         for _ in range(3):
             perm = rng.sample(range(g.n), g.n)
@@ -376,6 +376,17 @@ def test_flow_clears_a_vertex_its_augmenting_path_empties():
     assert nx_local_connectivity(g, 15, 4) == 3
     for k in range(1, 5):
         assert _disjoint_paths(g, 15, 4, k) == min(k, 3)
+
+
+def test_flow_reroutes_a_greedy_three_path_seed():
+    # 0 and 5 share no neighbour.  The first 3-path seed is 0-1-3-5, and
+    # then 2's one way on, 3, is taken: the second path, 0-2-3-5 beside
+    # 0-1-4-5, exists only once an augmenting path cancels 1 -> 3.
+    g = Graph(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 5), (4, 5)])
+    assert not g.masks[0] & g.masks[5]
+    assert nx_local_connectivity(g, 0, 5) == 2
+    for k in range(1, 5):
+        assert _disjoint_paths(g, 0, 5, k) == min(k, 2)
 
 
 def test_flow_without_common_neighbours_matches_networkx():

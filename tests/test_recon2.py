@@ -389,17 +389,52 @@ def test_frame_moves_match_the_face_index_reference(name):
         ), kind
 
 
-@pytest.mark.parametrize("name", sorted(fixture_corpus()))
+# A 2-system on 7 vertices, d = 4, that is no polytope's: every
+# neighbour pair of the simple vertices 1, 4 and 6 spans exactly one of
+# the chordless cycles below, so the frame moves are all defined, yet two
+# traced regions lie inside others.  1's frame omitting 6 has only
+# nonsimple leaves and traces {0, 1, 3, 5} alone, while the trace through
+# 1's frame omitting 5 takes 5 back in as a leaf of 4's frame omitting 2
+# and reaches 6.  Unchecked, the regions are (0, 1, 2, 4, 5, 6),
+# (0, 1, 3, 4, 5, 6), (0, 1, 3, 5), (0, 2, 4, 5), (1, 2, 3, 5, 6) and
+# (2, 3, 4, 5, 6).
+NESTED_TRACES = KSkeleton(
+    k=2,
+    graph=Graph(7, [
+        (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 3), (1, 5), (1, 6),
+        (2, 3), (2, 4), (2, 5), (2, 6), (3, 5), (3, 6), (4, 5), (4, 6),
+    ]),
+    faces_by_dim={2: tuple(map(frozenset, [
+        (2, 4, 6), (2, 4, 5), (0, 1, 3), (0, 2, 4), (2, 3, 6), (1, 3, 6),
+        (0, 1, 5), (0, 4, 5), (1, 3, 5), (0, 1, 4, 6), (3, 4, 5, 6), (1, 2, 5, 6),
+    ]))},
+)
+
+
+def test_region_check_refuses_nested_traces():
+    unchecked = reconstruct(NESTED_TRACES, 4, check=False).facets
+    assert (0, 1, 3, 5) in unchecked and (0, 1, 3, 4, 5, 6) in unchecked
+    with pytest.raises(ValueError, match=r"facet \(0, 1, 3, 5\) contained in"):
+        PolytopeSpec(4, 7, unchecked)
+    with pytest.raises(NotASkeleton, match="simple vertex 4 has 4 neighbors"):
+        reconstruct(NESTED_TRACES, 4)
+
+
+@pytest.mark.parametrize("name", [*sorted(fixture_corpus()), "nested_traces"])
 def test_checked_facets_hold_every_spec_invariant(name):
     """Each facet list reconstruct returns, and both completions of an
     ambiguity, is already what PolytopeSpec would make of it, on the
-    corpus, its relabelings and their tamperings: its checks imply
-    PolytopeSpec's, so the CLI need not run them again."""
+    corpus, NESTED_TRACES, their relabelings and their tamperings: its
+    checks imply PolytopeSpec's, so the CLI need not run them again.
+    Without the region check NESTED_TRACES gives nested regions."""
     rng = random.Random(f"frame-moves-{name}")
-    lat = lattice_of(fixture_corpus()[name])
-    d = lat.d
+    if name == "nested_traces":
+        base, d = NESTED_TRACES, 4
+    else:
+        lat = lattice_of(fixture_corpus()[name])
+        base, d = k_skeleton(lat, 2), lat.d
     lists = 0
-    for kind, sk in _tampered_relabelings(k_skeleton(lat, 2), rng):
+    for kind, sk in _tampered_relabelings(base, rng):
         for hint in (None, "even", "odd"):
             out = _outcome(reconstruct, sk, d, parity_hint=hint)
             if not isinstance(out, ReconstructionOutcome):
@@ -409,7 +444,7 @@ def test_checked_facets_hold_every_spec_invariant(name):
                 if facets:
                     assert PolytopeSpec(d, sk.n, facets).facets == facets, (kind, hint)
                     lists += 1
-    assert lists or name == "skew_solid"
+    assert lists or name in ("skew_solid", "nested_traces")
 
 
 def _relabeled_outcomes_match_the_reference(base, d, seed):
