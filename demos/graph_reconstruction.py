@@ -18,19 +18,21 @@ ancestor set is an initial set with a single sink, so the least cost of
 the orientations through it is a subset DP inside it plus one after it,
 and no orientation is enumerated.  Truncating at uv instead gives an
 independent second route.
+
+``recong.reconstruct`` is the one entry point: it picks the route from
+the number of nonsimple vertices and, with two, runs both routes by
+default and checks that they agree.
 """
 
 from skelrecon import (
     build_face_lattice,
     classify_vertices,
     cube,
-    facet_families,
     max_two_system,
     min_two_face_score,
     multifold_pyramid,
     pyramid,
-    reconstruct_one_nonsimple,
-    reconstruct_two_nonsimple_via_truncation,
+    recong,
     two_face_witness,
 )
 
@@ -55,8 +57,9 @@ print(f"maximum 2-system: {system.size} sets; witness order score: {score}; "
       f"orientation minimum: {target}")
 print("   (12 apex triangles + 6 squares)")
 
-facets = reconstruct_one_nonsimple(g, 4)
-print(f"reconstructed {len(facets)} facets, oracle match: {facets == lat.facets}")
+result = recong.reconstruct(g, 4)
+print(f"certificate: {result.certificate[0]}")
+print(f"reconstructed {len(result.facets)} facets, oracle match: {result.facets == lat.facets}")
 print()
 
 # -- two nonsimple vertices -------------------------------------------------------
@@ -64,12 +67,10 @@ print()
 spec = multifold_pyramid(cube(2), 2)  # two stacked apexes over a square
 lat = build_face_lattice(spec)
 g = lat.graph()
-families = facet_families(g, 4)
+result = recong.reconstruct(g, 4)  # both routes; they must agree
+families = result.families
 print(f"2-fold pyramid over a square: apexes {families.u}, {families.v}")
 print(f"family sizes (u only, v only, neither, both): {families.counts}")
 print(f"minimum avoiding v: {families.min_u} = facets not containing v")
 print(f"shared-family minimum: {families.min_both} = total facet count")
-claims = families.all_facets
-truncation = reconstruct_two_nonsimple_via_truncation(g, 4)
-print(f"claims route matches oracle:     {claims == lat.facets}")
-print(f"truncation route matches oracle: {truncation == lat.facets}")
+print(f"claims and truncation routes agree, oracle match: {result.facets == lat.facets}")

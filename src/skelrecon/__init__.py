@@ -55,6 +55,7 @@ from .recon2 import (
 )
 from .recong import (
     FacetFamilies,
+    GraphReconstruction,
     TwoSystem,
     count_sink_frames,
     detect_uv_facets,

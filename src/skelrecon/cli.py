@@ -143,49 +143,10 @@ def _by_parity(completions):
 
 def cmd_recong(args) -> int:
     g = textio.parse_edge_list(_read(args.file))
-    d = args.dim
-    classes = classify_vertices(g, d)
-    k = len(classes.nonsimple)
-    results = {}
-    certificates = []
-    if k <= 1:
-        system, facets = recong._two_system_facets(g, d, classes.nonsimple)
-        certificates.append(f"two-system size {system.size}")
-        results["claims"] = results["truncation"] = facets
-    elif k == 2:
-        methods = (
-            ("claims", "truncation")
-            if args.method == "both"
-            else (args.method,)
-        )
-        families, truncated = recong._two_nonsimple_routes(
-            g, d, claims="claims" in methods, truncation="truncation" in methods,
-            force=args.force,
-        )
-        if families is not None:
-            results["claims"] = families.all_facets
-            certificates.append(
-                "family counts u/v/neither/both: %d %d %d %d" % families.counts
-            )
-            certificates.append(f"minimum avoiding v: {families.min_u}")
-            certificates.append(f"minimum avoiding u: {families.min_v}")
-            if families.min_both is not None:
-                certificates.append(f"shared-family minimum: {families.min_both}")
-        if truncated is not None:
-            results["truncation"] = truncated
-    else:
-        raise SkelreconError(
-            f"{k} nonsimple vertices: graph reconstruction covers at most 2"
-        )
-    distinct = {facets for facets in results.values()}
-    if len(distinct) > 1:
-        sys.stderr.write("methods disagree\n")
-        return 1
-    facets = distinct.pop()
+    result = recong.reconstruct(g, args.dim, args.method, force=args.force)
     if args.certificate:
-        for line in certificates:
-            sys.stdout.write(f"# {line}\n")
-    spec = cons.PolytopeSpec(d, g.n, facets)
+        sys.stdout.write("".join(f"# {line}\n" for line in result.certificate))
+    spec = cons.PolytopeSpec(args.dim, g.n, result.facets)
     _emit(textio.format_spec(spec), args.output)
     return 0
 
@@ -264,16 +225,13 @@ def cmd_verify(args) -> int:
     lat_p = build_face_lattice(cons.pyramid(cons.cube(3)))
     check(
         "graph reconstruction, one nonsimple vertex (pyramid over the 3-cube)",
-        recong.reconstruct_one_nonsimple(lat_p.graph(), 4) == lat_p.facets,
+        recong.reconstruct(lat_p.graph(), 4).facets == lat_p.facets,
     )
-    two = cons.multifold_pyramid(cons.cube(2), 2)
-    lat_t = build_face_lattice(two)
-    g = lat_t.graph()
-    claims = recong.reconstruct_two_nonsimple(g, 4)
-    truncation = recong.reconstruct_two_nonsimple_via_truncation(g, 4)
+    # "both" raises MethodsDisagree unless the two routes agree.
+    lat_t = build_face_lattice(cons.multifold_pyramid(cons.cube(2), 2))
     check(
         "graph reconstruction, two nonsimple vertices (both methods agree)",
-        claims == lat_t.facets and truncation == lat_t.facets,
+        recong.reconstruct(lat_t.graph(), 4).facets == lat_t.facets,
     )
     bp = build_face_lattice(cons.bipyramid(cons.simplex(3)))
     pb = build_face_lattice(cons.pyramid(cons.bipyramid(cons.simplex(2))))

@@ -92,3 +92,11 @@ class InconsistentCounts(SkelreconError):
 
 class RepairAmbiguous(SkelreconError):
     """More than two degree-deficient vertices appeared after truncation."""
+
+
+class TooManyNonsimple(SkelreconError):
+    """A graph has more nonsimple vertices than its route handles."""
+
+
+class MethodsDisagree(SkelreconError):
+    """The claims and truncation routes returned different facet lists."""

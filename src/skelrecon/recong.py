@@ -1,5 +1,9 @@
 """Facet reconstruction from graphs alone.
 
+The entry point is :func:`reconstruct`: it picks the route below from the
+number of nonsimple vertices (at most two) and returns the facets with the
+certificate of the route taken (:class:`GraphReconstruction`).
+
 One nonsimple vertex: recover the 2-faces as an exact cover of the
 simple-rooted 2-frames by induced chordless cycles, certified maximum by
 an acyclic orientation whose two-face score equals the cover size (no
@@ -53,7 +57,9 @@ from .errors import (
     DimensionTooSmall,
     EmptyFamily,
     InconsistentCounts,
+    MethodsDisagree,
     RepairAmbiguous,
+    TooManyNonsimple,
 )
 from .graphs import (
     Graph,
@@ -258,24 +264,17 @@ def max_two_system(
     return TwoSystem(tuple(cycles[i] for i in sorted(chosen)))
 
 
-def _two_system_facets(
-    g: Graph, d: int, nonsimple: Iterable[int]
-) -> tuple[TwoSystem, tuple[tuple[int, ...], ...]]:
-    """The certified 2-system and the facet list it reconstructs."""
-    system = max_two_system(g, d, nonsimple)
-    faces = tuple(frozenset(vertices_of(s)) for s in system.sets)
-    sk = KSkeleton(k=2, graph=g, faces_by_dim={2: faces})
-    return system, recon2.reconstruct(sk, d).facets
+def _expect(g: Graph, d: int, counts: tuple[int, ...], expected: str) -> None:
+    """ValueError unless g has a nonsimple-vertex count in ``counts``."""
+    nonsimple = sorted(classify_vertices(g, d).nonsimple)
+    if len(nonsimple) not in counts:
+        raise ValueError(f"expected {expected}, found {nonsimple}")
 
 
 def reconstruct_one_nonsimple(g: Graph, d: int) -> tuple[tuple[int, ...], ...]:
     """Facet list of a d-polytope graph with at most one nonsimple vertex."""
-    classes = classify_vertices(g, d)
-    if len(classes.nonsimple) > 1:
-        raise ValueError(
-            f"expected at most one nonsimple vertex, found {sorted(classes.nonsimple)}"
-        )
-    return _two_system_facets(g, d, classes.nonsimple)[1]
+    _expect(g, d, (0, 1), "at most one nonsimple vertex")
+    return reconstruct(g, d).facets
 
 
 # ---------------------------------------------------------------------------
@@ -517,66 +516,6 @@ class FacetFamilies:
         return (len(self.u_only), len(self.v_only), len(self.neither), len(self.both))
 
 
-def _two_nonsimple(g: Graph, d: int) -> tuple[int, int]:
-    nonsimple = sorted(classify_vertices(g, d).nonsimple)
-    if len(nonsimple) != 2:
-        raise ValueError(f"expected exactly two nonsimple vertices, found {nonsimple}")
-    u, v = nonsimple
-    return u, v
-
-
-def _two_nonsimple_routes(
-    g: Graph, d: int, *, claims: bool, truncation: bool, force: bool
-) -> tuple[Optional[FacetFamilies], Optional[tuple[tuple[int, ...], ...]]]:
-    """The claims route's facet families and the truncation route's facet
-    list, each when asked for (None otherwise).
-
-    Both routes start from the u-only and v-only families, so those two
-    sweeps run once.  The claims route runs to the end before the
-    truncation route goes on.
-    """
-    if claims and d < 4:
-        raise DimensionTooSmall("the family sweeps need d >= 4; use the truncation route")
-    u, v = _two_nonsimple(g, d)
-    u_only, min_u = find_facets_avoiding(g, d, u, v, "u_minus_v", force=force)
-    v_only, min_v = find_facets_avoiding(g, d, u, v, "v_minus_u", force=force)
-    families = None
-    if claims:
-        # min_u counts the facets avoiding v, so the families must close up.
-        expected_empty = min_u - len(u_only)
-        if expected_empty != min_v - len(v_only):
-            raise InconsistentCounts(
-                f"facets avoiding both: {expected_empty} via u, {min_v - len(v_only)} via v"
-            )
-        if expected_empty < 0:
-            raise InconsistentCounts("family minima below family sizes")
-        neither = find_facets_empty(
-            g, d, u, v, u_only + v_only, expected_empty, force=force
-        )
-        both: tuple[tuple[int, ...], ...] = ()
-        min_both: Optional[int] = None
-        if detect_uv_facets(g, d, u_only + v_only + neither):
-            both, min_both = find_facets_avoiding(g, d, u, v, "uv", force=force)
-            total = len(u_only) + len(v_only) + len(neither) + len(both)
-            if min_both != total:
-                raise InconsistentCounts(
-                    f"total facet count {total} != shared-family minimum {min_both}"
-                )
-        families = FacetFamilies(
-            u=u,
-            v=v,
-            u_only=u_only,
-            v_only=v_only,
-            neither=neither,
-            both=both,
-            min_u=min_u,
-            min_v=min_v,
-            min_both=min_both,
-        )
-    facets = _via_truncation(g, d, u, v, u_only, v_only) if truncation else None
-    return families, facets
-
-
 def facet_families(g: Graph, d: int, *, force: bool = False) -> FacetFamilies:
     """Recover the four facet families in order: u-only, v-only, neither, both.
 
@@ -584,7 +523,8 @@ def facet_families(g: Graph, d: int, *, force: bool = False) -> FacetFamilies:
     a facet whose unique sink is nonsimple, breaking the family minimum
     (the truncation route has no such restriction).
     """
-    return _two_nonsimple_routes(g, d, claims=True, truncation=False, force=force)[0]
+    _expect(g, d, (2,), "exactly two nonsimple vertices")
+    return reconstruct(g, d, "claims", force=force).families
 
 
 def reconstruct_two_nonsimple(
@@ -688,7 +628,8 @@ def reconstruct_two_nonsimple_via_truncation(
     truncated graph, recovered by joining the unique two degree-deficient
     vertices.
     """
-    return _two_nonsimple_routes(g, d, claims=False, truncation=True, force=force)[1]
+    _expect(g, d, (2,), "exactly two nonsimple vertices")
+    return reconstruct(g, d, "truncation", force=force).facets
 
 
 def _via_truncation(g: Graph, d: int, u: int, v: int, u_only, v_only):
@@ -713,4 +654,90 @@ def _via_truncation(g: Graph, d: int, u: int, v: int, u_only, v_only):
             truncated = Graph(
                 truncated.n, list(truncated.edges) + [tuple(deficient)]
             )
-    return pullback_facets(reconstruct_one_nonsimple(truncated, d), tmap)
+    # A polytope's truncated graph has at most one nonsimple vertex; others
+    # are refused here, so reconstruct never comes back to this route.
+    k = len(classify_vertices(truncated, d).nonsimple)
+    if k > 1:
+        raise TooManyNonsimple(f"the truncated graph has {k} nonsimple vertices, not at most 1")
+    return pullback_facets(reconstruct(truncated, d).facets, tmap)
+
+
+# ---------------------------------------------------------------------------
+# The entry point
+
+
+@dataclass(frozen=True)
+class GraphReconstruction:
+    """The facets :func:`reconstruct` recovers, as sorted vertex tuples, and
+    the certificate lines of the route taken: the 2-system size, or the
+    claims route's family counts and minima (none for the truncation route
+    alone).  ``families`` is set when the claims route ran."""
+
+    facets: tuple[tuple[int, ...], ...]
+    certificate: tuple[str, ...]
+    families: Optional[FacetFamilies] = None
+
+
+def reconstruct(
+    g: Graph, d: int, method: str = "both", *, force: bool = False
+) -> GraphReconstruction:
+    """Facets of a d-polytope graph with at most two nonsimple vertices.
+
+    With at most one, the certified maximum 2-system goes to the 2-skeleton
+    engine whatever ``method``.  With two, ``method`` is "claims" (the four
+    facet families, d >= 4), "truncation" or "both", which raises
+    MethodsDisagree unless the two agree.  Both routes start from the
+    u-only and v-only sweeps, which run once.  ``force`` lifts the family
+    sweeps' bound of 12 vertices up to the subset-DP bound of 22.
+    """
+    if method not in ("claims", "truncation", "both"):
+        raise ValueError(f"unknown method {method!r}")
+    nonsimple = sorted(classify_vertices(g, d).nonsimple)
+    if len(nonsimple) <= 1:
+        system = max_two_system(g, d, nonsimple)
+        faces = tuple(frozenset(vertices_of(s)) for s in system.sets)
+        facets = recon2.reconstruct(KSkeleton(k=2, graph=g, faces_by_dim={2: faces}), d).facets
+        return GraphReconstruction(facets, (f"two-system size {system.size}",))
+    if len(nonsimple) > 2:
+        raise TooManyNonsimple(
+            f"{len(nonsimple)} nonsimple vertices: graph reconstruction covers at most 2"
+        )
+    if method != "truncation" and d < 4:
+        raise DimensionTooSmall("the family sweeps need d >= 4; use the truncation route")
+    u, v = nonsimple
+    u_only, min_u = find_facets_avoiding(g, d, u, v, "u_minus_v", force=force)
+    v_only, min_v = find_facets_avoiding(g, d, u, v, "v_minus_u", force=force)
+    families = facets = None
+    certificate: tuple[str, ...] = ()
+    if method != "truncation":
+        # min_u counts the facets avoiding v, so the families must close up.
+        expected_empty = min_u - len(u_only)
+        if expected_empty != min_v - len(v_only):
+            raise InconsistentCounts(
+                f"facets avoiding both: {expected_empty} via u, {min_v - len(v_only)} via v"
+            )
+        if expected_empty < 0:
+            raise InconsistentCounts("family minima below family sizes")
+        neither = find_facets_empty(g, d, u, v, u_only + v_only, expected_empty, force=force)
+        both: tuple[tuple[int, ...], ...] = ()
+        min_both: Optional[int] = None
+        if detect_uv_facets(g, d, u_only + v_only + neither):
+            both, min_both = find_facets_avoiding(g, d, u, v, "uv", force=force)
+            total = len(u_only) + len(v_only) + len(neither) + len(both)
+            if min_both != total:
+                raise InconsistentCounts(
+                    f"total facet count {total} != shared-family minimum {min_both}"
+                )
+        families = FacetFamilies(u, v, u_only, v_only, neither, both, min_u, min_v, min_both)
+        facets = families.all_facets
+        certificate = (
+            "family counts u/v/neither/both: %d %d %d %d" % families.counts,
+            f"minimum avoiding v: {min_u}",
+            f"minimum avoiding u: {min_v}",
+        ) + ((f"shared-family minimum: {min_both}",) if min_both is not None else ())
+    if method != "claims":
+        truncated = _via_truncation(g, d, u, v, u_only, v_only)
+        if facets is not None and truncated != facets:
+            raise MethodsDisagree("methods disagree")
+        facets = truncated
+    return GraphReconstruction(facets, certificate, families)

@@ -10,6 +10,7 @@ from functools import lru_cache
 import pytest
 
 from skelrecon import (
+    Graph,
     PolytopeSpec,
     bipyramid,
     build_face_lattice,
@@ -74,6 +75,15 @@ PRISM_OVER_PYRAMID = PolytopeSpec(
         (2, 3, 4, 7, 8, 9),
         (0, 3, 4, 5, 8, 9),
     ],
+)
+
+
+# K3,3 with parts {0, 1, 4} and {2, 3, 5}, plus the edge 2-5.  It is not
+# planar, so it is no 3-polytope graph, yet it is 3-connected and 2 and 5
+# are its only vertices of degree 4.  Truncated at the edge 2-5 it has six
+# nonsimple vertices, so the truncation route must refuse it.
+K33_PLUS_EDGE = Graph(
+    6, [(0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 5), (2, 4), (2, 5), (3, 4), (4, 5)]
 )
 
 

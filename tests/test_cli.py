@@ -1,8 +1,10 @@
 import argparse
+import ast
 import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,7 @@ from skelrecon import (
     q1,
     simplex,
 )
-from skelrecon import cli
+from skelrecon import cli, recong
 from skelrecon.cli import main
 from skelrecon.textio import (
     format_edge_list,
@@ -29,7 +31,7 @@ from skelrecon.textio import (
     parse_spec,
 )
 
-from conftest import fixture_corpus, lattice_of
+from conftest import K33_PLUS_EDGE, fixture_corpus, lattice_of
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -223,6 +225,93 @@ def test_recong_claims_at_d3_is_a_typed_error(tmp_path, capsys, method):
     out = tmp_path / "out.poly"
     assert run_cli("recong", str(edges), "--dim", "3", "--method", "truncation", "-o", str(out)) == 0
     assert parse_spec(out.read_text()).facets == lat.facets
+
+
+def test_recong_truncation_refuses_many_nonsimple_vertices_after_the_cut(tmp_path, capsys):
+    # The input is well formed, so the refusal is a typed error (exit 1)
+    # that names the truncated graph, not a malformed-input error (exit 2).
+    edges = tmp_path / "g.edges"
+    edges.write_text(format_edge_list(K33_PLUS_EDGE))
+    assert run_cli("recong", str(edges), "--dim", "3", "--method", "truncation") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the truncated graph has 6 nonsimple vertices, not at most 1\n"
+    assert "Traceback" not in err
+
+
+def test_recong_reports_disagreeing_methods(tmp_path, capsys, monkeypatch):
+    pullback = recong.pullback_facets
+    monkeypatch.setattr(recong, "pullback_facets", lambda *args: pullback(*args)[1:])
+    edges = tmp_path / "g.edges"
+    edges.write_text(format_edge_list(lattice_of(fixture_corpus()["twofold_square"]).graph()))
+    rc = run_cli("recong", str(edges), "--dim", "4", "--method", "both", "--certificate")
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "methods disagree" in err
+
+
+def _count_sweeps(monkeypatch) -> Counter:
+    """Count find_facets_avoiding calls by mode and max_two_system calls."""
+    calls = Counter()
+    sweep, two_system = recong.find_facets_avoiding, recong.max_two_system
+
+    def counted_sweep(*args, **kwargs):
+        calls[args[4] if len(args) > 4 else kwargs["mode"]] += 1
+        return sweep(*args, **kwargs)
+
+    def counted_two_system(*args, **kwargs):
+        calls["max_two_system"] += 1
+        return two_system(*args, **kwargs)
+
+    monkeypatch.setattr(recong, "find_facets_avoiding", counted_sweep)
+    monkeypatch.setattr(recong, "max_two_system", counted_two_system)
+    return calls
+
+
+@pytest.mark.parametrize("name,d", [("twofold_square", 4), ("twofold_triprism", 5)])
+def test_recong_both_methods_share_the_one_vertex_sweeps(tmp_path, monkeypatch, name, d):
+    edges = tmp_path / "g.edges"
+    edges.write_text(format_edge_list(lattice_of(fixture_corpus()[name]).graph()))
+    calls = _count_sweeps(monkeypatch)
+    assert run_cli("recong", str(edges), "--dim", str(d), "--method", "both") == 0
+    assert calls["u_minus_v"] == calls["v_minus_u"] == 1
+
+
+@pytest.mark.parametrize("name,d", [("cube3", 3), ("pyr_cube3", 4), ("pyr_prism4", 4)])
+def test_recong_one_nonsimple_computes_the_two_system_once(tmp_path, monkeypatch, name, d):
+    edges = tmp_path / "g.edges"
+    edges.write_text(format_edge_list(lattice_of(fixture_corpus()[name]).graph()))
+    calls = _count_sweeps(monkeypatch)
+    for method in ("claims", "truncation", "both"):
+        calls.clear()
+        assert run_cli("recong", str(edges), "--dim", str(d), "--method", method) == 0
+        assert calls == {"max_two_system": 1}
+
+
+def test_verify_runs_each_family_sweep_at_most_once(monkeypatch, capsys):
+    calls = _count_sweeps(monkeypatch)
+    assert run_cli("verify", "--dims", "4") == 0
+    assert calls["u_minus_v"] == calls["v_minus_u"] == 1
+    assert calls["uv"] <= 1
+
+
+def test_cli_reads_no_private_name_of_a_skelrecon_module():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    package = [node for node in imports if node.level == 1]
+    modules = {a.asname or a.name for node in package if node.module is None for a in node.names}
+    assert {"cons", "recon2", "recong", "textio"} <= modules
+    private = [a.name for node in package for a in node.names if a.name.startswith("_")]
+    private += [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and node.attr.startswith("_")
+    ]
+    assert private == []
 
 
 def test_iso_exit_codes(tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from skelrecon import (
     Graph,
+    GraphReconstruction,
     build_face_lattice,
     classify_vertices,
     count_sink_frames,
@@ -42,11 +43,19 @@ from skelrecon.errors import (
     EmptyFamily,
     InconsistentCounts,
     TooLarge,
+    TooManyNonsimple,
 )
 from skelrecon.graphs import OrderCosts, mask_of, vertices_of
 from skelrecon.textio import format_edge_list, format_spec, parse_spec
 
-from conftest import PRISM_OVER_PYRAMID, SKEW_SOLID, SPLIT_CUBE, fixture_corpus, lattice_of
+from conftest import (
+    K33_PLUS_EDGE,
+    PRISM_OVER_PYRAMID,
+    SKEW_SOLID,
+    SPLIT_CUBE,
+    fixture_corpus,
+    lattice_of,
+)
 from oracles import (
     max_exact_cover,
     orientation_from_order,
@@ -845,6 +854,41 @@ def test_cross_method_agreement():
             == reconstruct_two_nonsimple_via_truncation(g, d)
             == lat.facets
         )
+
+
+def test_reconstruct_picks_the_route_from_the_nonsimple_count():
+    lat = lattice_of(pyramid(cube(3)))
+    for method in ("claims", "truncation", "both"):
+        assert recong.reconstruct(lat.graph(), 4, method) == GraphReconstruction(
+            lat.facets, ("two-system size 18",)
+        )
+    lat = lattice_of(multifold_pyramid(cube(2), 2))
+    g = lat.graph()
+    both = recong.reconstruct(g, 4)
+    assert both == recong.reconstruct(g, 4, "claims")
+    assert both.facets == lat.facets
+    assert both.families == facet_families(g, 4)
+    assert both.certificate == (
+        "family counts u/v/neither/both: 1 1 0 4",
+        "minimum avoiding v: 1",
+        "minimum avoiding u: 1",
+        "shared-family minimum: 6",
+    )
+    assert recong.reconstruct(g, 4, "truncation") == GraphReconstruction(lat.facets, ())
+    with pytest.raises(ValueError, match="unknown method 'claim'"):
+        recong.reconstruct(g, 4, "claim")
+    bipyr = lattice_of(fixture_corpus()["bipyr_simplex3"]).graph()
+    with pytest.raises(TooManyNonsimple, match="^4 nonsimple vertices: graph reconstruction"):
+        recong.reconstruct(bipyr, 4)
+
+
+def test_truncation_route_refuses_a_truncated_graph_with_many_nonsimple_vertices():
+    # K3,3 plus an edge is no polytope graph; the route counts the
+    # nonsimple vertices of its truncated graph before reconstructing it.
+    with pytest.raises(TooManyNonsimple, match="truncated graph has 6 nonsimple"):
+        recong.reconstruct(K33_PLUS_EDGE, 3, "truncation")
+    with pytest.raises(TooManyNonsimple):
+        reconstruct_two_nonsimple_via_truncation(K33_PLUS_EDGE, 3)
 
 
 def test_corpus_search_finds_nonadjacent_pair():
