@@ -20,6 +20,7 @@ import hashlib
 import statistics
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from . import constructions as cons
 from . import recon2, recong, textio
@@ -45,44 +46,37 @@ def _emit(text: str, out: str | None):
 MAX_GEN_VERTICES = 1 << 16
 
 
-def _gen_vertex_count(args) -> int:
-    """The vertex count of the polytope ``gen`` builds, found without building it."""
-    d = args.dim
-    count = {
-        "q1": 2 * d,
-        "q2": 2 * d,
-        "simplex": d + 1,
-        # Clipped at 2**64 (hence "at least" below), so that a huge --dim
-        # cannot make a huge int.
-        "cube": 1 << min(max(d, 0), 64),
-        "prism": 2 * args.m,
-        "bipyramid-simplex": d + 2,
-    }[args.family]
-    return count + args.pyramid
+class _Family(NamedTuple):
+    """A ``gen`` family: the least ``--dim`` it reads (None if it reads
+    ``--m``), its vertex count found without building it, and its builder."""
+
+    least_dim: int | None
+    vertex_count: Callable[[argparse.Namespace], int]
+    build: Callable[[argparse.Namespace], cons.PolytopeSpec]
+
+
+_GEN_FAMILIES = {
+    "q1": _Family(3, lambda a: 2 * a.dim, lambda a: cons.q1(a.dim).spec),
+    "q2": (_Q2 := _Family(4, lambda a: 2 * a.dim, lambda a: cons.q2(a.dim).spec)),
+    "simplex": _Family(2, lambda a: a.dim + 1, lambda a: cons.simplex(a.dim)),
+    # Clipped at 2**64 (hence "at least" below): a huge --dim makes no huge int.
+    "cube": _Family(2, lambda a: 1 << min(a.dim, 64), lambda a: cons.cube(a.dim)),
+    "prism": _Family(None, lambda a: 2 * a.m, lambda a: cons.polygon_prism(a.m)),
+    "bipyramid-simplex": _Family(
+        3, lambda a: a.dim + 2, lambda a: cons.bipyramid(cons.simplex(a.dim - 1))
+    ),
+}
 
 
 def _gen_spec(args) -> "cons.PolytopeSpec":
-    count = _gen_vertex_count(args)
+    family = _GEN_FAMILIES[args.family]
+    count = family.vertex_count(args) + args.pyramid
     if count > MAX_GEN_VERTICES:
         raise TooLarge(
             f"{args.family} would have at least {count} vertices, "
             f"above the cap of {MAX_GEN_VERTICES}"
         )
-    fam = args.family
-    if fam == "q1":
-        spec = cons.q1(args.dim).spec
-    elif fam == "q2":
-        spec = cons.q2(args.dim).spec
-    elif fam == "simplex":
-        spec = cons.simplex(args.dim)
-    elif fam == "cube":
-        spec = cons.cube(args.dim)
-    elif fam == "prism":
-        spec = cons.polygon_prism(args.m)
-    elif fam == "bipyramid-simplex":
-        spec = cons.bipyramid(cons.simplex(args.dim - 1))
-    else:
-        raise SkelreconError(f"unknown family {fam}")
+    spec = family.build(args)
     if args.pyramid:
         spec = cons.multifold_pyramid(spec, args.pyramid)
     return spec
@@ -202,14 +196,11 @@ def cmd_verify(args) -> int:
         if d >= 5:
             same = k_skeleton(l2, 2).faces_by_dim == sk.faces_by_dim
             out = recon2.reconstruct(sk, d)
-            pick1 = recon2.reconstruct(sk, d, parity_hint="even")
-            pick2 = recon2.reconstruct(sk, d, parity_hint="odd")
             check(
                 f"d={d} shared 2-skeleton is ambiguous, parity resolves",
                 same
                 and out.status == "ambiguous"
-                and pick1.facets == l1.facets
-                and pick2.facets == l2.facets,
+                and _by_parity(out.ambiguity.completions) == (l1.facets, l2.facets),
             )
         for spec, label in (
             (cons.simplex(d), f"simplex({d})"),
@@ -308,7 +299,7 @@ def _dims(raw: str) -> list[int]:
     dims = list(range(_int(lo), _int(hi) + 1)) if dots else _int_list(raw)
     if not dims:
         raise argparse.ArgumentTypeError(f"empty range: {raw!r}")
-    return _at_least(4, dims, raw)  # q2 needs d >= 4
+    return _at_least(_Q2.least_dim, dims, raw)  # verify builds q2(d)
 
 
 def _sizes(raw: str) -> list[int]:
@@ -325,10 +316,6 @@ def _prism_m(raw: str) -> int:
 
 def _pyramid_folds(raw: str) -> int:
     return _at_least(0, [_int(raw)], raw)[0]  # 0 means no pyramid
-
-
-#: The least ``gen --dim`` of each family that reads it (prism does not).
-_GEN_MIN_DIM = {"q1": 3, "q2": 4, "simplex": 2, "cube": 2, "bipyramid-simplex": 3}
 
 
 def _positive_int(raw: str) -> int:
@@ -353,8 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     g = sub.add_parser("gen", help="generate a fixture incidence file")
-    g.add_argument("--family", required=True,
-                   choices=["q1", "q2", "simplex", "cube", "prism", "bipyramid-simplex"])
+    g.add_argument("--family", required=True, choices=list(_GEN_FAMILIES))
     g.add_argument("--dim", type=_int, default=4)
     g.add_argument("--m", type=_prism_m, default=4, help="polygon size for prism")
     g.add_argument("--pyramid", type=_pyramid_folds, default=0, metavar="T",
@@ -411,11 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cmd == "gen" and args.dim < _GEN_MIN_DIM.get(args.family, args.dim):
-        parser.error(
-            f"argument --dim: {args.family} needs d >= {_GEN_MIN_DIM[args.family]}: "
-            f"{str(args.dim)!r}"
-        )
+    if args.cmd == "gen":
+        least = _GEN_FAMILIES[args.family].least_dim
+        if least is not None and args.dim < least:
+            parser.error(f"argument --dim: {args.family} needs d >= {least}: {str(args.dim)!r}")
     try:
         return args.fn(args)
     except (SkelreconError, ValueError, OSError) as exc:

@@ -376,10 +376,9 @@ def reconstruct(
         if parity_hint is None:
             return ReconstructionOutcome((), "ambiguous", ambiguity)
         want = 0 if parity_hint == "even" else 1
-        for completion in ambiguity.completions:
-            if len(completion) % 2 == want:
-                return ReconstructionOutcome(completion, "complete", ambiguity)
-        raise NotASkeleton("no completion matches the parity hint")
+        # a | b replaces the two regions a and b, so the completions differ in parity.
+        completion = next(c for c in ambiguity.completions if len(c) % 2 == want)
+        return ReconstructionOutcome(completion, "complete", ambiguity)
 
     facets = tuple(sorted(tuple(sorted(r)) for r in regions))
     return ReconstructionOutcome(facets, "complete")

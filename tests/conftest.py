@@ -78,6 +78,38 @@ PRISM_OVER_PYRAMID = PolytopeSpec(
 )
 
 
+# The square antiprism: squares 0123 and 4567 joined by a band of eight
+# triangles.
+SQUARE_ANTIPRISM = PolytopeSpec(
+    3,
+    8,
+    [
+        (0, 1, 2, 3),
+        (4, 5, 6, 7),
+        (0, 1, 4),
+        (1, 4, 5),
+        (1, 2, 5),
+        (2, 5, 6),
+        (2, 3, 6),
+        (3, 6, 7),
+        (0, 3, 7),
+        (0, 4, 7),
+    ],
+)
+
+
+@lru_cache(maxsize=None)
+def truncated_antiprism():
+    """The square antiprism truncated at the square 4567, then at the
+    vertices 1 and 3: 18 vertices.  Its only nonsimple vertices, the
+    antiprism's 0 and 2, are not adjacent and share what is left of the
+    square 0123."""
+    spec, _ = truncate(build_face_lattice(SQUARE_ANTIPRISM), (4, 5, 6, 7))
+    spec, tmap = truncate(build_face_lattice(spec), (1,))
+    spec, _ = truncate(build_face_lattice(spec), (tmap.old_to_new[3],))
+    return spec
+
+
 # K3,3 with parts {0, 1, 4} and {2, 3, 5}, plus the edge 2-5.  It is not
 # planar, so it is no 3-polytope graph, yet it is 3-connected and 2 and 5
 # are its only vertices of degree 4.  Truncated at the edge 2-5 it has six

@@ -6,6 +6,7 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -465,6 +466,16 @@ def test_verify_small_range(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.strip().endswith("OK")
+
+
+def test_verify_counts_a_failed_check(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "validate", lambda lattice: SimpleNamespace(ok=False))
+    assert run_cli("verify", "--dims", "4") == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if not line.startswith("PASS")] == [
+        "FAIL  truncation round trip at a cube vertex",
+        "1 FAILURES",
+    ]
 
 
 def test_bench_reports_csv_and_slope(capsys):

@@ -55,6 +55,7 @@ from conftest import (
     SPLIT_CUBE,
     fixture_corpus,
     lattice_of,
+    truncated_antiprism,
 )
 from oracles import (
     max_exact_cover,
@@ -882,6 +883,34 @@ def test_reconstruct_picks_the_route_from_the_nonsimple_count():
         recong.reconstruct(bipyr, 4)
 
 
+@pytest.mark.parametrize(
+    "shift,message",
+    [
+        ({"u_minus_v": 1}, "facets avoiding both: 1 via u, 0 via v"),
+        ({"u_minus_v": -1, "v_minus_u": -1}, "family minima below family sizes"),
+        ({"uv": 1}, "total facet count 6 != shared-family minimum 7"),
+    ],
+    ids=("minima-do-not-close-up", "minima-below-sizes", "shared-minimum-off"),
+)
+def test_claims_route_refuses_inconsistent_minima(tmp_path, capsys, monkeypatch, shift, message):
+    # Each sweep mode's minimum is moved by ``shift``; the facets stay.
+    sweep = recong.find_facets_avoiding
+
+    def shifted(g, d, u, v, mode, **kwargs):
+        facets, least = sweep(g, d, u, v, mode, **kwargs)
+        return facets, least + shift.get(mode, 0)
+
+    monkeypatch.setattr(recong, "find_facets_avoiding", shifted)
+    g = lattice_of(fixture_corpus()["twofold_square"]).graph()
+    with pytest.raises(InconsistentCounts) as caught:
+        recong.reconstruct(g, 4, "claims")
+    assert str(caught.value) == message
+    edges = tmp_path / "g.edges"
+    edges.write_text(format_edge_list(g))
+    assert main(["recong", str(edges), "--dim", "4"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_truncation_route_refuses_a_truncated_graph_with_many_nonsimple_vertices():
     # K3,3 plus an edge is no polytope graph; the route counts the
     # nonsimple vertices of its truncated graph before reconstructing it.
@@ -917,6 +946,42 @@ def test_truncation_route_nonadjacent_pair_repairs_missing_edge():
     assert len(shared_2faces) == 1  # so exactly one edge needs repair
     got = reconstruct_two_nonsimple_via_truncation(g, 3)
     assert got == lat.facets
+
+
+def test_truncation_route_joins_the_two_deficient_vertices(tmp_path, capsys, monkeypatch):
+    # Truncating at u cuts the one 2-face through both u and v without
+    # knowing it, so that face's new edge is missing, and the route adds
+    # it between the two vertices of degree d-1 the cut leaves.
+    spec = truncated_antiprism()
+    lat = lattice_of(spec)
+    g = lat.graph()
+    u, v = sorted(classify_vertices(lat).nonsimple)
+    assert spec.n == 18 and not g.has_edge(u, v)
+    assert sum({u, v} <= f for f in lat.faces_by_rank[2]) == 1
+    cut, reconstructed = [], []
+    truncated_graph, reconstruct = recong._truncated_graph, recong.reconstruct
+
+    def cut_spy(*args):
+        truncated, tmap = truncated_graph(*args)
+        cut.append(truncated)
+        return truncated, tmap
+
+    def reconstruct_spy(graph, *args, **kwargs):
+        reconstructed.append(graph)
+        return reconstruct(graph, *args, **kwargs)
+
+    monkeypatch.setattr(recong, "_truncated_graph", cut_spy)
+    monkeypatch.setattr(recong, "reconstruct", reconstruct_spy)
+    edges = tmp_path / "g.edges"
+    edges.write_text(format_edge_list(g))
+    argv = ["recong", str(edges), "--dim", "3", "--method", "truncation", "--force"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == format_spec(spec)
+    # the outer call, then the repaired truncated graph
+    (truncated,), (_, repaired) = cut, reconstructed
+    (added,) = set(repaired.edges) - set(truncated.edges)
+    assert len(repaired.edges) == len(truncated.edges) + 1
+    assert [truncated.degree(w) for w in added] == [2, 2]
 
 
 # Both two-nonsimple routes, each on the inputs it handles quickly.
