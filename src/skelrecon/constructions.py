@@ -135,10 +135,7 @@ def polygon_prism_skeleton(m: int) -> KSkeleton:
         edges.append((i, j))
         edges.append((m + i, m + j))
         edges.append((i, m + i))
-    faces = tuple(
-        sorted((frozenset(f) for f in spec.facets), key=lambda s: tuple(sorted(s)))
-    )
-    return KSkeleton(k=2, graph=Graph(2 * m, edges), faces_by_dim={2: faces})
+    return KSkeleton(k=2, graph=Graph(2 * m, edges), faces_by_dim={2: spec.facets})
 
 
 def pyramid(base: PolytopeSpec) -> PolytopeSpec:

@@ -545,11 +545,10 @@ class OrderCosts:
     back changes none.  So the rest is placed after s in two runs: the
     unpinned vertices, none of which has a sink for an in-neighbour; the
     sinks, each priced against all its neighbours but the sinks.  The DP
-    runs over the 2**(n - pins) sets that hold every pinned vertex and
+    runs over the 2**(n - pins) sets s, writing each once, seeded at the
+    set of every source and unpinned vertex with the sinks' prices, and
     prices only the unpinned vertices (a vertex pinned both ways counts as
-    a source).  With pinned sinks it also writes each value plus the
-    sinks' prices at the same set without the sinks, where ``after[s]``
-    reads it.  ``least`` is ``after`` at the sources plus each source
+    a source).  ``least`` is ``after`` at the sources plus each source
     priced against the sources.
     """
 
@@ -584,23 +583,18 @@ class OrderCosts:
     def placing_after(self) -> list[float]:
         """The table :attr:`after`: a list over every vertex set, filled
         at the sets that hold every pinned source and no pinned sink."""
-        price, memo = self.price, self._memo
+        price, memo, masks = self.price, self._memo, self.graph.masks
         inf = float("inf")
         full = (1 << self.graph.n) - 1
         sources = self._sources
         sinks = self._sinks & ~sources
-        pinned = sources | sinks
-        free = full & ~pinned
-        masks = [m & ~sinks for m in self.graph.masks]
-        last = sum(price(q, masks[q]) for q in vertices_of(sinks))
+        free = full & ~sources & ~sinks
         table = [inf] * (full + 1)
-        table[full] = 0
-        if sinks:
-            table[full ^ sinks] = last
+        table[free | sources] = sum(price(q, masks[q] & ~sinks) for q in vertices_of(sinks))
         s = free
         while s:
             s = (s - 1) & free
-            placed = s | pinned
+            placed = s | sources
             best = inf
             rest = free ^ s
             while rest:
@@ -615,8 +609,6 @@ class OrderCosts:
                     if c < best:
                         best = c
             table[placed] = best
-            if sinks:
-                table[placed ^ sinks] = best + last
         return table
 
     def single_sink(self, a: int, seeds: int) -> float:

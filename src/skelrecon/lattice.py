@@ -11,10 +11,12 @@ every subset of it is a face, added at once and never swept.
 their covers (F - v) and ranks (|F| - 1) stay implicit.  The other,
 general faces keep their covers and their ranks, the lengths of their
 longest chains of covers.  ``layer`` is the one decoder from masks to
-vertex tuples, one rank at a time, cached; the frozenset views
-``faces_by_rank`` and ``rank_of`` are built from it.  Skeleta, f-vectors,
-the simple/nonsimple vertex classification and the validation checks read
-the masks and single layers, never the full views.
+vertex tuples, one rank at a time, cached; the views ``faces_by_rank``
+and ``rank_of`` and every :class:`KSkeleton` are built from it.  Outside
+the algorithms (this store, recong, iso) a face is its sorted vertex
+tuple, and a list of faces is in lexicographic order.  Skeleta,
+f-vectors, the simple/nonsimple vertex classification and the validation
+checks read the masks and single layers, never the full views.
 """
 
 from __future__ import annotations
@@ -100,11 +102,12 @@ class FaceLattice:
     ``covers`` maps it to its lower covers and ``ranks`` to its rank.
     Rank -1 is the empty face and rank d the full vertex set.
 
-    ``layer(r)`` decodes the rank-r faces to vertex tuples, once per rank.
-    The frozenset views ``faces_by_rank`` (ranks -1..d, each in
-    vertex-tuple order) and ``rank_of`` are built from the layers on each
-    read, for library callers; ``f_vector``, ``facets``, ``graph`` and this
-    module's functions use the masks and single layers only.
+    ``layer(r)`` decodes the rank-r faces to sorted vertex tuples, in
+    lexicographic order, once per rank.  The views ``faces_by_rank``
+    (ranks -1..d, each a layer) and ``rank_of`` (keyed by the same tuples)
+    are built from the layers on each read, for library callers;
+    ``f_vector``, ``facets``, ``graph`` and this module's functions use the
+    masks and single layers only.
     """
 
     __slots__ = ("d", "n", "boolean", "covers", "ranks", "_by_rank", "_layers")
@@ -152,12 +155,12 @@ class FaceLattice:
         return got
 
     @property
-    def faces_by_rank(self) -> dict[int, tuple[frozenset[int], ...]]:
-        return {r: tuple(map(frozenset, self.layer(r))) for r in range(-1, self.d + 1)}
+    def faces_by_rank(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        return {r: self.layer(r) for r in range(-1, self.d + 1)}
 
     @property
-    def rank_of(self) -> dict[frozenset[int], int]:
-        return {frozenset(f): r for r in range(-1, self.d + 1) for f in self.layer(r)}
+    def rank_of(self) -> dict[tuple[int, ...], int]:
+        return {f: r for r in range(-1, self.d + 1) for f in self.layer(r)}
 
     @property
     def f_vector(self) -> tuple[int, ...]:
@@ -190,18 +193,23 @@ class FaceLattice:
 
 @dataclass(frozen=True)
 class KSkeleton:
-    """A graph together with all faces of dimension 2..k."""
+    """A graph together with all faces of dimension 2..k.
+
+    ``faces_by_dim[r]`` holds the r-faces as sorted vertex tuples, in
+    lexicographic order, as ``FaceLattice.layer`` and the text formats
+    give them.
+    """
 
     k: int
     graph: Graph
-    faces_by_dim: dict[int, tuple[frozenset[int], ...]] = field(default_factory=dict)
+    faces_by_dim: dict[int, tuple[tuple[int, ...], ...]] = field(default_factory=dict)
 
     @property
     def n(self) -> int:
         return self.graph.n
 
     @property
-    def two_faces(self) -> tuple[frozenset[int], ...]:
+    def two_faces(self) -> tuple[tuple[int, ...], ...]:
         return self.faces_by_dim.get(2, ())
 
 
@@ -225,7 +233,7 @@ def build_face_lattice(spec: PolytopeSpec) -> FaceLattice:
     implicit.  Only the other, general faces keep their covers, and get
     as rank the length of the longest chain of covers strictly below
     them, minus one, found in order of increasing size.  No vertex tuple
-    or frozenset is built; :class:`FaceLattice` decodes them on demand.
+    is built; :class:`FaceLattice` decodes them on demand.
 
     NotGraded is raised when the full vertex set does not get rank d, when
     a facet does not get rank d-1, or when a cover spans more than one
@@ -326,7 +334,7 @@ def require_edges(faces: list[int]) -> list[int]:
 def k_skeleton(lattice: FaceLattice, k: int) -> KSkeleton:
     """Restrict a lattice to the faces of dimension at most k."""
     edges = lattice.skeleton_masks(k)[1]
-    faces_by_dim = {r: tuple(map(frozenset, lattice.layer(r))) for r in range(2, k + 1)}
+    faces_by_dim = {r: lattice.layer(r) for r in range(2, k + 1)}
     return KSkeleton(k=k, graph=Graph(lattice.n, map(vertices_of, edges)), faces_by_dim=faces_by_dim)
 
 

@@ -80,6 +80,9 @@ class FrameGraph:
         adj = graph.adj
         frames = 0
         for face in skeleton.two_faces:
+            # One set per face for the membership tests: a polygon cap of
+            # a prism holds thousands of vertices.
+            members = set(face)
             # cycle[v]: v's two neighbours on the face and, for simple v,
             # their slots in adj[v]; d marks a nonsimple v.
             cycle: dict[int, tuple[int, int, int, int]] = {}
@@ -89,7 +92,7 @@ class FrameGraph:
                 nbrs = adj[v]
                 i = j = -1
                 for slot, w in enumerate(nbrs):
-                    if w in face:
+                    if w in members:
                         if i < 0:
                             i = slot
                         elif j < 0:

@@ -41,8 +41,9 @@ closed form.  Graphs above 12 vertices are refused unless forced, and
 above 22 always (:mod:`skelrecon.graphs`).
 
 Vertex sets are int masks throughout, as in :mod:`skelrecon.graphs`.  They
-are decoded in two places only: the 2-faces handed to the 2-skeleton
-engine become frozensets, and facet lists are sorted vertex tuples.
+are decoded only where they leave the module, to sorted vertex tuples in
+lexicographic order: the 2-faces handed to the 2-skeleton engine, and
+facet lists.
 """
 
 from __future__ import annotations
@@ -695,7 +696,7 @@ def reconstruct(
     nonsimple = sorted(classify_vertices(g, d).nonsimple)
     if len(nonsimple) <= 1:
         system = max_two_system(g, d, nonsimple)
-        faces = tuple(frozenset(vertices_of(s)) for s in system.sets)
+        faces = tuple(sorted(map(vertices_of, system.sets)))
         facets = recon2.reconstruct(KSkeleton(k=2, graph=g, faces_by_dim={2: faces}), d).facets
         return GraphReconstruction(facets, (f"two-system size {system.size}",))
     if len(nonsimple) > 2:

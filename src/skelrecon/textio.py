@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterable, Iterator
-from operator import itemgetter
 
 from .graphs import Graph
 from .lattice import KSkeleton, PolytopeSpec
@@ -167,7 +166,7 @@ def format_skeleton(sk: KSkeleton, d: int) -> str:
         lines.append(f"edge {u} {v}")
     for r in sorted(sk.faces_by_dim):
         for f in sk.faces_by_dim[r]:
-            lines.append(f"face{r} " + " ".join(str(v) for v in sorted(f)))
+            lines.append(f"face{r} " + " ".join(map(str, f)))
     return "\n".join(lines) + "\n"
 
 
@@ -176,11 +175,12 @@ def parse_skeleton(text: str) -> tuple[KSkeleton, int]:
     """Parse a skeleton file; returns (skeleton, polytope dimension)."""
     d = n = None
     edges = []
-    # Each face line is converted once, to its rank and sorted vertex list
-    # (None when a vertex is not an integer); the list is also the face's
-    # sort key.  Faces are checked after every line is read, as they need
-    # the headers, and so every line's own errors come first.
-    face_lines: list[tuple[int, list[int] | None]] = []
+    # Each face line is converted once, to its rank and its face: the
+    # sorted tuple of its vertices, a repeated one dropped (None when a
+    # vertex is not an integer).  Faces are checked after every line is
+    # read, as they need the headers, and so every line's own errors come
+    # first.
+    face_lines: list[tuple[int, tuple[int, ...] | None]] = []
     for parts in _fields(text):
         key = parts[0]
         if key == "edge":
@@ -191,7 +191,7 @@ def parse_skeleton(text: str) -> tuple[KSkeleton, int]:
         elif key.startswith("face"):
             r = _int(key[4:], parts)
             try:
-                face_lines.append((r, sorted(map(int, parts[1:]))))
+                face_lines.append((r, tuple(sorted(set(map(int, parts[1:]))))))
             except ValueError:
                 face_lines.append((r, None))
         elif key == "d":
@@ -202,18 +202,13 @@ def parse_skeleton(text: str) -> tuple[KSkeleton, int]:
             raise ValueError(f"unexpected line: {' '.join(parts)}")
     if d is None or n is None:
         raise ValueError("missing d or vertices header")
-    faces: dict[int, list[tuple[list[int], frozenset[int]]]] = {}
+    faces: dict[int, list[tuple[int, ...]]] = {}
     for r, vs in face_lines:
         if not (2 <= r < d and vs and vs[0] >= 0 and vs[-1] < n):
             raise _misfit(text, n, d)
-        # A repeated vertex is dropped from the sort key.
-        face = frozenset(vs)
-        faces.setdefault(r, []).append((vs if len(vs) == len(face) else sorted(face), face))
+        faces.setdefault(r, []).append(vs)
     k = max(faces, default=1)
-    faces_by_dim = {
-        r: tuple(face for _, face in sorted(fs, key=itemgetter(0)))
-        for r, fs in faces.items()
-    }
+    faces_by_dim = {r: tuple(sorted(fs)) for r, fs in faces.items()}
     return KSkeleton(k=k, graph=_graph(text, n, edges), faces_by_dim=faces_by_dim), d
 
 

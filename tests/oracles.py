@@ -993,7 +993,7 @@ def _reference_layers(obj):
     """(kind tag, n, {rank: frozenset faces}) with rank >= 1 layers."""
     if isinstance(obj, FaceLattice):
         faces_by_rank = obj.faces_by_rank
-        layers = {r: faces_by_rank[r] for r in range(1, obj.d)}
+        layers = {r: tuple(map(frozenset, faces_by_rank[r])) for r in range(1, obj.d)}
         return ("lattice", obj.d), obj.n, layers
     if isinstance(obj, KSkeleton):
         edge_layer = tuple(
@@ -1001,7 +1001,7 @@ def _reference_layers(obj):
         )
         layers = {1: edge_layer}
         for r, fs in obj.faces_by_dim.items():
-            layers[r] = fs
+            layers[r] = tuple(map(frozenset, fs))
         return ("skeleton", obj.k), obj.graph.n, layers
     raise KindMismatch(f"cannot compare objects of type {type(obj).__name__}")
 

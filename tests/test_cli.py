@@ -81,8 +81,8 @@ def test_skeleton_faces_sort_by_their_vertex_sets():
     assert d == 4
     assert sk.k == 3
     assert sk.faces_by_dim == {
-        2: (frozenset({0, 5}), frozenset({1, 2, 3}), frozenset({1, 2, 3}), frozenset({1, 5})),
-        3: (frozenset({0, 4}),),
+        2: ((0, 5), (1, 2, 3), (1, 2, 3), (1, 5)),
+        3: ((0, 4),),
     }
 
 

@@ -21,9 +21,12 @@ from skelrecon import (
     simplex,
     validate,
 )
+from skelrecon import recon2, recong
+from skelrecon.constructions import polygon_prism_skeleton
 from skelrecon.errors import DegreeBelowDimension, NotAnEdge, NotGraded, RankOutOfRange
 from skelrecon.graphs import vertices_of
 from skelrecon.lattice import CheckResult, _check_diamond
+from skelrecon.textio import parse_skeleton
 
 from conftest import fixture_corpus, lattice_of
 from oracles import (
@@ -101,7 +104,7 @@ def test_faces_match_closure_oracle(name):
     spec = fixture_corpus()[name]
     lat = build_face_lattice(spec)
     got = {f for faces in lat.faces_by_rank.values() for f in faces}
-    want = closed_sets(spec) | {frozenset()}
+    want = {tuple(sorted(f)) for f in closed_sets(spec) | {frozenset()}}
     assert got == want
 
 
@@ -115,8 +118,11 @@ def lower_cover_sets(lat):
 
 
 def assert_same_lattice(got, want):
-    assert got.faces_by_rank == want.faces_by_rank
-    assert got.rank_of == want.rank_of
+    # The views hold sorted vertex tuples, the reference frozensets.
+    assert got.faces_by_rank == {
+        r: tuple(tuple(sorted(f)) for f in faces) for r, faces in want.faces_by_rank.items()
+    }
+    assert got.rank_of == {tuple(sorted(f)): r for f, r in want.rank_of.items()}
     assert lower_cover_sets(got) == want.lower
 
 
@@ -301,6 +307,47 @@ def test_top_skeleton_round_trips_to_facets():
         sk = k_skeleton(lat, lat.d - 1)
         top = tuple(tuple(sorted(f)) for f in sk.faces_by_dim[lat.d - 1])
         assert tuple(sorted(top)) == spec.facets
+
+
+def test_every_skeleton_producer_hands_over_sorted_tuples_in_order(monkeypatch):
+    """A face crosses module boundaries as its sorted vertex tuple, and a
+    rank's faces come in lexicographic order: from the parser, the lattice,
+    the direct prism build and recong's hand-off to recon2 alike."""
+
+    def assert_tuple_faces(sk):
+        for faces in sk.faces_by_dim.values():
+            assert type(faces) is tuple and list(faces) == sorted(faces)
+            for f in faces:
+                assert type(f) is tuple and list(f) == sorted(set(f))
+
+    text = "d 4\nvertices 6\nedge 0 1\nface2 5 1 1\nface2 3 2 1\nface3 4 0\nface2 0 5\n"
+    sk, _ = parse_skeleton(text)
+    assert_tuple_faces(sk)
+    assert sk.faces_by_dim == {2: ((0, 5), (1, 2, 3), (1, 5)), 3: ((0, 4),)}
+    for spec in fixture_corpus().values():
+        lat = lattice_of(spec)
+        for k in range(1, spec.d):
+            assert_tuple_faces(k_skeleton(lat, k))
+    prism = polygon_prism_skeleton(7)
+    assert_tuple_faces(prism)
+    assert prism.two_faces == polygon_prism(7).facets
+
+    handed = []
+    engine = recon2.reconstruct
+
+    def spy(sk, d, *args, **kwargs):
+        handed.append(sk)
+        return engine(sk, d, *args, **kwargs)
+
+    monkeypatch.setattr(recon2, "reconstruct", spy)
+    # The 2-system lists its cycles by length first; the pyramid's
+    # triangles come before its squares there, and after (0, 1, 2, 3) here.
+    for name in ("cube3", "pyr_cube3", "prism_over_pyramid"):
+        lat = lattice_of(fixture_corpus()[name])
+        assert recong.reconstruct(lat.graph(), lat.d).facets == lat.facets
+    assert len(handed) == 3
+    for sk in handed:
+        assert_tuple_faces(sk)
 
 
 def test_lattice_spec_round_trip():

@@ -492,10 +492,11 @@ def test_relabeled_prism_pyramids_match_the_three_pass_reference(m):
 
 def test_reconstruct_peak_memory_on_the_m4096_prism():
     """Under tracemalloc, reconstruct on the relabeled m = 4096 prism
-    2-skeleton peaks below 9.5 MB, the parsed skeleton it reads (3.1 MB)
-    included; measured 5.8-5.9 MB on CPython 3.10-3.13, and 6.6-6.7 MB
-    while ``Graph`` kept a sorted edge tuple beside ``adj``.  The move
-    table and the visited frames take one byte per slot; with an
+    2-skeleton peaks below 9.5 MB, the parsed skeleton it reads (2.2 MB)
+    included; measured 5.0 MB on CPython 3.11 with faces as vertex tuples,
+    5.8-5.9 MB on CPython 3.10-3.13 while they were frozensets, and
+    6.6-6.7 MB while ``Graph`` kept a sorted edge tuple beside ``adj``.
+    The move table and the visited frames take one byte per slot; with an
     int-keyed dict entry per move they peaked at 13.1 MB."""
     rng = random.Random("prism-memory")
     base = polygon_prism_skeleton(4096)

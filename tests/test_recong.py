@@ -77,8 +77,8 @@ def two_faces_of(lat):
 
 
 def face_sets(system):
-    """The 2-system's vertex masks as a set of frozensets."""
-    return {frozenset(vertices_of(s)) for s in system.sets}
+    """The 2-system's vertex masks as a set of sorted vertex tuples."""
+    return set(map(vertices_of, system.sets))
 
 
 def test_two_system_simplex4_is_all_triangles():
@@ -288,7 +288,7 @@ def test_two_system_witness_skips_the_dp(monkeypatch):
             perm = rng.sample(range(spec.n), spec.n)
             g = Graph(spec.n, [(perm[u], perm[v]) for u, v in lat.graph().edges])
             system = max_two_system(g, lat.d)
-            assert face_sets(system) == {frozenset(perm[v] for v in f) for f in two_faces_of(lat)}
+            assert face_sets(system) == {tuple(sorted(perm[v] for v in f)) for f in two_faces_of(lat)}
 
 
 def test_two_system_dp_fallback_is_unchanged(monkeypatch):
@@ -942,7 +942,7 @@ def test_truncation_route_nonadjacent_pair_repairs_missing_edge():
     g = lat.graph()
     u, v = sorted(classify_vertices(lat).nonsimple)
     assert not g.has_edge(u, v)
-    shared_2faces = [f for f in lat.faces_by_rank[2] if {u, v} <= f]
+    shared_2faces = [f for f in lat.faces_by_rank[2] if {u, v}.issubset(f)]
     assert len(shared_2faces) == 1  # so exactly one edge needs repair
     got = reconstruct_two_nonsimple_via_truncation(g, 3)
     assert got == lat.facets
@@ -957,7 +957,7 @@ def test_truncation_route_joins_the_two_deficient_vertices(tmp_path, capsys, mon
     g = lat.graph()
     u, v = sorted(classify_vertices(lat).nonsimple)
     assert spec.n == 18 and not g.has_edge(u, v)
-    assert sum({u, v} <= f for f in lat.faces_by_rank[2]) == 1
+    assert sum({u, v}.issubset(f) for f in lat.faces_by_rank[2]) == 1
     cut, reconstructed = [], []
     truncated_graph, reconstruct = recong._truncated_graph, recong.reconstruct
 

@@ -53,12 +53,14 @@ def skeletons(draw):
 
 
 def _shape(value):
-    """A comparable form of a parse result; Graph compares by identity."""
+    """A comparable form of a parse result; Graph compares by identity, and
+    each face, whatever its type, becomes its sorted vertex tuple."""
     if isinstance(value, Graph):
         return "graph", value.n, value.edges
     if isinstance(value, tuple):
         sk, d = value
-        return "skeleton", d, sk.k, _shape(sk.graph), sk.faces_by_dim
+        faces = {r: tuple(tuple(sorted(f)) for f in fs) for r, fs in sk.faces_by_dim.items()}
+        return "skeleton", d, sk.k, _shape(sk.graph), faces
     return value
 
 
