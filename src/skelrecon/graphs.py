@@ -421,43 +421,50 @@ def induced_cycles(g: Graph) -> list[int]:
     return sorted(found, key=lambda c: (c.bit_count(), vertices_of(c)))
 
 
-def shortest_frame_cycle(g: Graph, w: int, a: int, b: int) -> Optional[int]:
-    """The vertex mask of a shortest chordless cycle through the path
-    a-w-b, or None when there is none.
+def shortest_frame_cycle(g: Graph, w: int, a: int, b: int) -> Optional[tuple[int, ...]]:
+    """A shortest chordless cycle through the path a-w-b, as its vertices
+    in the order they lie on it, from w and a to b; None when there is
+    none.
 
     It is w plus a shortest a-b path in G - w - (N(w) minus {a, b}), found
-    by breadth-first search over vertex-mask layers and walked back from b
-    through the lowest-labelled vertex of each layer.  A shortest path is
-    induced and only its ends are neighbours of w, so with w it closes a
-    chordless cycle; conversely every chordless cycle through a-w-b holds
-    such a path, so None means no chordless cycle passes a-w-b.
+    by breadth-first search over ``g.adj`` and walked back from b through
+    the lowest-labelled neighbour in each layer.  The search keeps each
+    vertex it reaches in one dict, with its layer (-1 for w and w's other
+    neighbours, which it never enters), and stops at the first layer that
+    holds a neighbour of b, so it costs in proportion to the vertices it
+    reaches and their degrees, not to n; a triangle needs no search.  A
+    shortest path is induced and only its ends are neighbours of w, so
+    with w it closes a chordless cycle; conversely every chordless cycle
+    through a-w-b holds such a path, so None means no chordless cycle
+    passes a-w-b.
     """
-    masks = g.masks
-    if masks[a] >> b & 1:
-        return 1 << w | 1 << a | 1 << b
-    allowed = ~(1 << w | masks[w]) | 1 << b
-    layers = []
-    frontier = seen = 1 << a
-    while not frontier >> b & 1:
-        layers.append(frontier)
-        reach = 0
-        scan = frontier
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            reach |= masks[low.bit_length() - 1]
-        frontier = reach & allowed & ~seen
-        if not frontier:
+    adj = g.adj
+    if b in adj[a]:
+        return (w, a, b)
+    layer = dict.fromkeys(adj[w], -1)
+    layer[w] = -1
+    layer[a] = 0
+    del layer[b]
+    near = set(adj[b])
+    frontier = [a]
+    depth = 0
+    # b is one layer past the first layer that holds a neighbour of b, so
+    # the search never enters b itself.
+    while near.isdisjoint(frontier):
+        depth += 1
+        reached = []
+        for v in frontier:
+            for x in adj[v]:
+                if x not in layer:
+                    layer[x] = depth
+                    reached.append(x)
+        if not reached:
             return None
-        seen |= frontier
-    cycle = 1 << w | 1 << a | 1 << b
-    tip = b
-    for layer in reversed(layers[1:]):
-        low = masks[tip] & layer
-        low &= -low
-        cycle |= low
-        tip = low.bit_length() - 1
-    return cycle
+        frontier = reached
+    path = [b]
+    for k in range(depth, 0, -1):
+        path.append(next(y for y in adj[path[-1]] if layer.get(y) == k))
+    return (w, a, *reversed(path))
 
 
 def two_face_witness(
@@ -475,23 +482,25 @@ def two_face_witness(
     the size of an exact cover of the simple-rooted 2-frames by chordless
     cycles, that check alone certifies it as :func:`min_two_face_score`
     (weak duality, see :func:`skelrecon.recong.max_two_system`).  A heap
-    of placed-neighbour counts makes each pick O(log n), O(E log n) in all.
+    of placed-neighbour counts, kept over ``g.adj``, makes each pick
+    O(log n), O(E log n) in all.
     """
-    masks = g.masks
+    adj = g.adj
     order = list(sources)
-    placed = 0
-    for v in order:
-        if masks[v] & placed:
-            return None
-        placed |= 1 << v
     # count[v] is minus v's placed-neighbour count, so the heap entries
     # (count[v], v) pop most neighbours first, lowest label on ties.  A
     # count only grows, so v's newest entry pops before its stale ones.
-    count = [-(m & placed).bit_count() for m in masks]
-    done = [placed >> v & 1 for v in range(g.n)]
+    count = [0] * g.n
+    done = bytearray(g.n)
+    for v in order:
+        for x in adj[v]:
+            if done[x]:
+                return None
+            count[x] -= 1
+        done[v] = 1
     heap = [(count[v], v) for v in range(g.n) if not done[v]]
     heapq.heapify(heap)
-    pop, push, adj = heapq.heappop, heapq.heappush, g.adj
+    pop, push = heapq.heappop, heapq.heappush
     score = 0
     while heap:
         k, v = pop(heap)

@@ -49,6 +49,7 @@ facet lists.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -88,9 +89,9 @@ from . import recon2
 @dataclass(frozen=True)
 class TwoSystem:
     """An exact cover of the simple-rooted 2-frames by induced cycles,
-    as vertex masks in (length, sorted vertex tuple) order."""
+    as sorted vertex tuples in (length, vertex tuple) order."""
 
-    sets: tuple[int, ...]
+    sets: tuple[tuple[int, ...], ...]
 
     @property
     def size(self) -> int:
@@ -98,99 +99,147 @@ class TwoSystem:
 
 
 def _exact_cover_of_size(
-    ncols: int, rows: list[int], target: int, max_nodes: Optional[int] = None
+    ncols: int, rows: list[tuple[int, ...]], target: int, max_nodes: Optional[int] = None
 ) -> Optional[list[int]]:
     """The first exact cover with at least ``target`` rows, as row indices;
     with ``target`` 0 that is the first exact cover.
 
-    Rows are int column masks.  Backtracking branches on the uncovered
-    column with the fewest still-usable rows (lowest index on ties) and
-    tries rows in input order; it prunes dead branches and branches that
-    cannot reach ``target`` rows.  Returns None when no such cover exists,
-    or when the search would visit more than ``max_nodes`` nodes.
+    Rows are tuples of distinct column ids.  Backtracking branches on the
+    uncovered column with the fewest still-usable rows (lowest index on
+    ties) and tries rows in input order; it prunes dead branches and
+    branches that cannot reach ``target`` rows.  Returns None when no such
+    cover exists, or when the search would visit more than ``max_nodes``
+    nodes.
+
+    The state is sparse, as in Knuth's Dancing Links (arXiv cs/0011047)
+    without the linked lists: one byte per column for "uncovered", one per
+    row for "usable" (every column of it uncovered), and per column its
+    count of usable rows.  Taking a row covers its columns and makes every
+    usable row through them unusable, lowering the counts of their
+    columns; an undo log of those rows puts it all back on backtracking.
+    So a step costs the rows it touches, never a pass over all columns.
+    The branch column is found by a scan from the node's lowest uncovered
+    column that stops at the first count below two: no column below the
+    parent's lowest is uncovered in the child.
     """
-    rows_of_col: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
-    for ri, m in enumerate(rows):
-        scan = m
-        while scan:
-            bit = scan & -scan
-            scan ^= bit
-            rows_of_col[bit.bit_length() - 1].append((ri, m))
+    rows_of_col: list[list[int]] = [[] for _ in range(ncols)]
+    for ri, row in enumerate(rows):
+        for col in row:
+            rows_of_col[col].append(ri)
+    count = list(map(len, rows_of_col))
+    usable = bytearray(b"\x01") * len(rows)
+    uncovered = bytearray(b"\x01") * ncols
+    left = ncols
     # An exact cover of R columns spends exactly R column-slots, so the
     # number of additional rows is at most the largest k whose k globally
-    # smallest row sizes sum to at most R.
-    sizes = sorted(m.bit_count() for m in rows)
-    reachable = [0] * (ncols + 1)
-    k = total = 0
-    for budget in range(ncols + 1):
-        while k < len(sizes) and total + sizes[k] <= budget:
-            total += sizes[k]
-            k += 1
-        reachable[budget] = k
+    # smallest row sizes sum to at most R: one less than the number of
+    # these prefix sums up to R.
+    spent = list(itertools.accumulate(sorted(map(len, rows)), initial=0))
 
-    def branch(uncovered: int) -> list[tuple[int, int]]:
-        # Most-constrained uncovered column; forced columns cascade first.
-        # A column with no usable row makes the node a dead end.
-        best: list[tuple[int, int]] = []
-        scan = uncovered
-        while scan:
-            bit = scan & -scan
-            scan ^= bit
-            usable = [
-                (ri, m) for ri, m in rows_of_col[bit.bit_length() - 1]
-                if m & uncovered == m
-            ]
-            if not usable:
-                return []
-            if not best or len(usable) < len(best):
-                best = usable
-                if len(best) == 1:
-                    break
-        return best
+    def branch(col: int) -> list[int]:
+        # Most-constrained uncovered column from col, the lowest uncovered
+        # one; forced columns cascade first.  A column with no usable row
+        # makes the node a dead end.
+        best = col
+        while col >= 0:
+            k = count[col]
+            if k <= 1:
+                if not k:
+                    return []
+                best = col
+                break
+            if k < count[best]:
+                best = col
+            col = uncovered.find(1, col + 1)
+        return [ri for ri in rows_of_col[best] if usable[ri]]
 
     # Depth-first with an explicit stack, so deep covers cannot overflow
     # the interpreter's recursion limit.  open_nodes[i] is the i-th node on
-    # the current path: its uncovered columns and its untried rows;
-    # chosen[i] is the row taken out of it.
+    # the current path: its untried rows and its lowest uncovered column;
+    # chosen[i] is the row taken out of it, and unusable[marks[i]:] starts
+    # with the rows that taking it made unusable.
     chosen: list[int] = []
-    open_nodes: list[tuple[int, Iterator[tuple[int, int]]]] = []
-    uncovered = (1 << ncols) - 1
-    nodes = 0
+    open_nodes: list[tuple[Iterator[int], int]] = []
+    unusable: list[int] = []
+    marks: list[int] = []
+    low = nodes = 0
     while True:
         nodes += 1
         # Past the budget every further node would fail at once.
         if max_nodes is not None and nodes > max_nodes:
             return None
-        if len(chosen) + reachable[uncovered.bit_count()] >= target:
-            if uncovered == 0:
+        if len(chosen) + bisect_right(spent, left) > target:
+            if not left:
                 return chosen
-            open_nodes.append((uncovered, iter(branch(uncovered))))
-        # Backtrack to the deepest node with a row left to try.
+            low = uncovered.find(1, low)
+            open_nodes.append((iter(branch(low)), low))
+        # Backtrack to the deepest node with a row left to try, undoing the
+        # row taken out of each node left behind.
         while open_nodes:
-            top, untried = open_nodes[-1]
-            ri, m = next(untried, (-1, 0))
+            untried, low = open_nodes[-1]
+            if len(chosen) == len(open_nodes):
+                start = marks.pop()
+                for ri in unusable[start:]:
+                    usable[ri] = 1
+                    for col in rows[ri]:
+                        count[col] += 1
+                del unusable[start:]
+                row = rows[chosen.pop()]
+                for col in row:
+                    uncovered[col] = 1
+                left += len(row)
+            ri = next(untried, -1)
             if ri >= 0:
                 break
             open_nodes.pop()
         else:
             return None
-        del chosen[len(open_nodes) - 1:]
         chosen.append(ri)
-        uncovered = top & ~m
+        marks.append(len(unusable))
+        row = rows[ri]
+        for col in row:
+            uncovered[col] = 0
+            for rj in rows_of_col[col]:
+                if usable[rj]:
+                    usable[rj] = 0
+                    unusable.append(rj)
+                    for c in rows[rj]:
+                        count[c] -= 1
+        left -= len(row)
 
 
-def _cover_rows(
-    g: Graph, frame_id: dict[tuple[int, int], int], simple: int, cycles: list[int]
-) -> list[int]:
-    """Each cycle's row: the mask of the frame ids it covers."""
-    masks = g.masks
-    # A chordless cycle meets each of its vertices in a frame, and at most
-    # one of its vertices is nonsimple, so no cycle covers an unknown frame
-    # and none covers nothing.
-    return [
-        mask_of(frame_id[w, masks[w] & c] for w in vertices_of(c & simple))
-        for c in cycles
-    ]
+def _cover_row(adj, first: list[int], cycle: tuple[int, ...]) -> tuple[int, ...]:
+    """The ids of the frames a chordless cycle covers, one per simple vertex
+    of it; the cycle's vertices come in the order they lie on it.
+
+    The frame (w; adj[w][i], adj[w][j]), i < j, has the id ``first[w]``
+    plus the rank of the slot pair (i, j) among the pairs of w's slots in
+    lexicographic order; ``first`` is -1 at the nonsimple vertex.  A
+    chordless cycle meets each of its vertices in a frame, and at most one
+    of its vertices is nonsimple, so no cycle covers an unknown frame and
+    none covers nothing.
+    """
+    row = []
+    p, w = cycle[-2], cycle[-1]
+    for q in cycle:
+        if first[w] >= 0:
+            nbrs = adj[w]
+            i, j = sorted((nbrs.index(p), nbrs.index(q)))
+            row.append(first[w] + i * (2 * len(nbrs) - i - 1) // 2 + j - i - 1)
+        p, w = w, q
+    return tuple(row)
+
+
+def _cycle_order(adj, vertices: tuple[int, ...]) -> tuple[int, ...]:
+    """The vertices of a chordless cycle in the order they lie on it."""
+    members = set(vertices)
+    order = [vertices[0]]
+    prev = -1
+    for _ in range(len(vertices) - 1):
+        here = order[-1]
+        order.append(next(x for x in adj[here] if x in members and x != prev))
+        prev = here
+    return tuple(order)
 
 
 def max_two_system(
@@ -208,24 +257,30 @@ def max_two_system(
     score equals |C| proves that |C| is that minimum and C a maximum cover.
     This holds whichever cycles the cover was drawn from.
 
-    So the search runs in two passes.  The first draws its rows from one
-    shortest chordless cycle per frame (:func:`shortest_frame_cycle`),
-    deduplicated, takes their first exact cover and asks
-    :func:`two_face_witness` for an order of equal score.  Its cover search
-    may visit one node more than there are frames.  A search that never
-    backtracks visits one node per chosen cycle plus one, and every cycle
-    covers at least two frames, so it needs at most half that budget; the
-    rest is room for backtracking.  Only when there is no cover, no
-    witness, or the budget is spent does the fallback run.  It refuses
-    graphs above the subset-DP bound of 22 vertices (the bound guards the
-    fallback only), takes all induced cycles (:func:`induced_cycles`) as
-    rows, lets the subset DP compute the minimum
-    (:func:`min_two_face_score`) and takes the first cover of that size.
-    When no cover reaches the minimum the input is not such a polytope
-    graph.  Offering the fallback's first cover to the witness would add
-    nothing: a cover the greedy order certifies has the minimum's size
-    (weak duality), so when the first cover in search order is certified
-    it is also the first cover the size-pruned search returns.
+    So the search runs in two passes.  The first walks the frames in id
+    order (see :func:`_cover_row`) and, for each frame that no cycle found
+    so far covers, adds the shortest chordless cycle through it
+    (:func:`shortest_frame_cycle`), if any; one flag per frame id marks the
+    frames the found cycles cover.  A frame's cycle passes through that
+    frame, so no cycle is found twice, and the frames of a face share one
+    search.  The cycles, in (length, vertex tuple) order, are the rows of
+    the first exact cover, and :func:`two_face_witness` is asked for an
+    order of equal score.  Its cover search may visit one node more than
+    there are frames.  A search that never backtracks visits one node per
+    chosen cycle plus one, and every cycle covers at least two frames, so
+    it needs at most half that budget; the rest is room for backtracking.
+    Only when there is no cover, no witness, or the budget is spent does
+    the fallback run.  It refuses graphs above the subset-DP bound of 22
+    vertices (the bound guards the fallback only), takes all induced
+    cycles (:func:`induced_cycles`) as rows, lets the subset DP compute
+    the minimum (:func:`min_two_face_score`) and takes the first cover of
+    that size.  When no cover reaches the minimum the input is not such a
+    polytope graph.  Offering the fallback's first cover to the witness
+    would add nothing: a cover the greedy order certifies has the
+    minimum's size (weak duality), so when the first cover in search order
+    is certified it is also the first cover the size-pruned search
+    returns.  The first pass reads only the adjacency lists, never the
+    vertex bitmasks of ``Graph.masks``.
 
     On such a polytope graph the maximum cover is the 2-faces, so both
     passes return the same sets.  On other inputs several maximum covers
@@ -237,23 +292,38 @@ def max_two_system(
     nonsimple = tuple(sorted(nonsimple))
     if len(nonsimple) > 1:
         raise ValueError("max_two_system handles at most one nonsimple vertex")
-    simple = (1 << g.n) - 1 & ~mask_of(nonsimple)
-    # A frame is keyed by its root and the mask of its two leaves.
-    frame_id: dict[tuple[int, int], int] = {}
-    shortest = set()
-    for w in vertices_of(simple):
-        for a, b in itertools.combinations(g.adj[w], 2):
-            frame_id[w, 1 << a | 1 << b] = len(frame_id)
-            shortest.add(shortest_frame_cycle(g, w, a, b))
-    shortest.discard(None)
-    ncols = len(frame_id)
-    cycles = sorted(shortest, key=lambda c: (c.bit_count(), vertices_of(c)))
-    rows = _cover_rows(g, frame_id, simple, cycles)
+    adj = g.adj
+    first = [-1] * g.n
+    ncols = 0
+    for w in range(g.n):
+        if w not in nonsimple:
+            first[w] = ncols
+            ncols += len(adj[w]) * (len(adj[w]) - 1) // 2
+    covered = bytearray(ncols)
+    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    for w in range(g.n):
+        frame = first[w]
+        if frame < 0:
+            continue
+        nbrs = adj[w]
+        for i, a in enumerate(nbrs):
+            for b in nbrs[i + 1:]:
+                if not covered[frame]:
+                    cycle = shortest_frame_cycle(g, w, a, b)
+                    if cycle is not None:
+                        row = _cover_row(adj, first, cycle)
+                        for col in row:
+                            covered[col] = 1
+                        found.append((tuple(sorted(cycle)), row))
+                frame += 1
+    found.sort(key=lambda cr: (len(cr[0]), cr[0]))
+    cycles = [cycle for cycle, _ in found]
+    rows = [row for _, row in found]
     chosen = _exact_cover_of_size(ncols, rows, 0, max_nodes=ncols + 1)
     if chosen is None or two_face_witness(g, nonsimple, len(chosen)) is None:
         check_dp_bound(g.n)
-        cycles = induced_cycles(g)
-        rows = _cover_rows(g, frame_id, simple, cycles)
+        cycles = [vertices_of(c) for c in induced_cycles(g)]
+        rows = [_cover_row(adj, first, _cycle_order(adj, c)) for c in cycles]
         target = min_two_face_score(g, sources=nonsimple)
         chosen = _exact_cover_of_size(ncols, rows, target)
         if chosen is None:
@@ -550,7 +620,7 @@ def _two_faces_within(g: Graph, d: int, facet: int) -> list[int]:
         return [facet]
     sub, back = g.induced(vertices_of(facet))
     system = max_two_system(sub, d - 1)
-    return [mask_of(back[i] for i in vertices_of(s)) for s in system.sets]
+    return [mask_of(back[i] for i in s) for s in system.sets]
 
 
 def _uv_two_faces(g: Graph, d: int, u: int, v: int):
@@ -696,7 +766,7 @@ def reconstruct(
     nonsimple = sorted(classify_vertices(g, d).nonsimple)
     if len(nonsimple) <= 1:
         system = max_two_system(g, d, nonsimple)
-        faces = tuple(sorted(map(vertices_of, system.sets)))
+        faces = tuple(sorted(system.sets))
         facets = recon2.reconstruct(KSkeleton(k=2, graph=g, faces_by_dim={2: faces}), d).facets
         return GraphReconstruction(facets, (f"two-system size {system.size}",))
     if len(nonsimple) > 2:

@@ -5,6 +5,8 @@ reconstruction result is compared against; it never goes through the
 reconstruction code paths.
 """
 
+import statistics
+import time
 from functools import lru_cache
 
 import pytest
@@ -176,3 +178,18 @@ def corpus():
 def assert_valid(spec):
     report = validate(lattice_of(spec))
     assert report.ok, report.summary()
+
+
+def pace() -> float:
+    """The machine's current speed: the median time of three runs of a
+    fixed pure-Python loop of tuple, set and dict work that never touches
+    skelrecon."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        seen: dict = {}
+        for i in range(3000):
+            t = (i % 97, i % 89)
+            seen[t] = seen.get(t, 0) + len(frozenset(t))
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)

@@ -11,7 +11,9 @@ diamond check via a containment count over every interval of length
 two, ancestor sets via a walk along the one-step arcs instead of the
 transitive masks, exact covers via a search for the maximum cardinality
 that does not stop at a target size, first exact covers of a size via
-recursion instead of an explicit stack, two-face scores of vertex orders
+recursion instead of an explicit stack and via int column masks instead
+of per-column counts with an undo log, shortest frame cycles via
+breadth-first search over n-bit mask layers instead of adjacency lists, two-face scores of vertex orders
 via one pass over the edge list, the greedy two-face order via a scan
 of all unplaced vertices per step instead of a heap, facet-family
 sweeps via every acyclic orientation of the family instead of the
@@ -39,7 +41,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Iterator, Optional
 
 import networkx as nx
 
@@ -530,6 +532,93 @@ def reference_exact_cover_of_size(
 
     found = search((1 << ncols) - 1)
     return (chosen if found else None), nodes
+
+
+def dense_exact_cover_of_size(
+    ncols: int, rows: list[int], target: int, max_nodes: Optional[int] = None
+) -> Optional[list[int]]:
+    """:func:`skelrecon.recong._exact_cover_of_size` on int column masks:
+    each row a mask over all columns, and each node of its explicit stack
+    keeps the mask of its uncovered columns, so its memory grows with rows
+    times columns.  The branch rule, node count and pruning are the same."""
+    rows_of_col: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
+    for ri, m in enumerate(rows):
+        for col in vertices_of(m):
+            rows_of_col[col].append((ri, m))
+    sizes = sorted(m.bit_count() for m in rows)
+    reachable = [0] * (ncols + 1)
+    k = total = 0
+    for budget in range(ncols + 1):
+        while k < len(sizes) and total + sizes[k] <= budget:
+            total += sizes[k]
+            k += 1
+        reachable[budget] = k
+
+    def branch(uncovered: int) -> list[tuple[int, int]]:
+        best: list[tuple[int, int]] = []
+        for col in vertices_of(uncovered):
+            usable = [(ri, m) for ri, m in rows_of_col[col] if m & uncovered == m]
+            if not usable:
+                return []
+            if not best or len(usable) < len(best):
+                best = usable
+                if len(best) == 1:
+                    break
+        return best
+
+    chosen: list[int] = []
+    open_nodes: list[tuple[int, Iterator[tuple[int, int]]]] = []
+    uncovered = (1 << ncols) - 1
+    nodes = 0
+    while True:
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            return None
+        if len(chosen) + reachable[uncovered.bit_count()] >= target:
+            if uncovered == 0:
+                return chosen
+            open_nodes.append((uncovered, iter(branch(uncovered))))
+        while open_nodes:
+            top, untried = open_nodes[-1]
+            ri, m = next(untried, (-1, 0))
+            if ri >= 0:
+                break
+            open_nodes.pop()
+        else:
+            return None
+        del chosen[len(open_nodes) - 1:]
+        chosen.append(ri)
+        uncovered = top & ~m
+
+
+def mask_shortest_frame_cycle(g: Graph, w: int, a: int, b: int) -> Optional[int]:
+    """:func:`skelrecon.graphs.shortest_frame_cycle` as a vertex mask, by
+    breadth-first search over whole layers of ``Graph.masks`` (n-bit ints)
+    instead of adjacency lists, walked back from b through the
+    lowest-labelled vertex of each layer."""
+    masks = g.masks
+    if masks[a] >> b & 1:
+        return 1 << w | 1 << a | 1 << b
+    allowed = ~(1 << w | masks[w]) | 1 << b
+    layers = []
+    frontier = seen = 1 << a
+    while not frontier >> b & 1:
+        layers.append(frontier)
+        reach = 0
+        for v in vertices_of(frontier):
+            reach |= masks[v]
+        frontier = reach & allowed & ~seen
+        if not frontier:
+            return None
+        seen |= frontier
+    cycle = 1 << w | 1 << a | 1 << b
+    tip = b
+    for layer in reversed(layers[1:]):
+        low = masks[tip] & layer
+        low &= -low
+        cycle |= low
+        tip = low.bit_length() - 1
+    return cycle
 
 
 def two_face_score_of_order(n: int, edges, sources, order) -> int:

@@ -35,7 +35,7 @@ from skelrecon import (
     validate,
 )
 
-from conftest import lattice_of, truncation_pairs
+from conftest import lattice_of, pace, truncation_pairs
 
 
 def verdict(num, ok, text, started):
@@ -122,21 +122,6 @@ def test_criterion_3_ambiguity_and_parity():
     verdict(3, ok, "shared q(5) 2-skeleton ambiguous; parity hints pick each twin", t0)
 
 
-def _pace() -> float:
-    """The machine's current speed: the median time of three runs of a
-    fixed pure-Python loop of tuple, set and dict work that never touches
-    skelrecon."""
-    times = []
-    for _ in range(3):
-        start = time.perf_counter()
-        seen: dict = {}
-        for i in range(3000):
-            t = (i % 97, i % 89)
-            seen[t] = seen.get(t, 0) + len(frozenset(t))
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
-
-
 def test_criterion_4_linear_time_scaling():
     t0 = time.perf_counter()
     sizes = (1024, 2048, 4096, 8192, 16384)
@@ -150,15 +135,15 @@ def test_criterion_4_linear_time_scaling():
     times = [[] for _ in sizes]
     gc.disable()
     try:
-        pace = _pace()
+        before = pace()
         for _ in range(5):
             for m, sk, runs in zip(sizes, skeletons, times):
                 start = time.perf_counter()
                 out = reconstruct(sk, 3)
                 wall = time.perf_counter() - start
-                after = _pace()
-                runs.append(wall / (pace + after))
-                pace = after
+                after = pace()
+                runs.append(wall / (before + after))
+                before = after
                 assert len(out.facets) == m + 2
     finally:
         gc.enable()

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ from skelrecon.graphs import (
 from conftest import PRISM_OVER_PYRAMID, fixture_corpus, lattice_of
 from oracles import (
     acyclic_orientation_count,
+    mask_shortest_frame_cycle,
     brute_force_chordless_cycles,
     brute_force_orientations,
     edge_directions,
@@ -516,6 +518,7 @@ def test_shortest_frame_cycle_is_a_shortest_chordless_cycle_through_the_frame(se
             leaves = 1 << a | 1 << b
             through = [c for c in cycles if c >> w & 1 and g.masks[w] & c == leaves]
             got = shortest_frame_cycle(g, w, a, b)
+            got = None if got is None else mask_of(got)
             if through:
                 assert got in through
                 assert got.bit_count() == min(c.bit_count() for c in through)
@@ -532,7 +535,45 @@ def test_shortest_frame_cycle_gives_the_prism_faces():
     for w in range(g.n):
         for a, b in itertools.combinations(g.adj[w], 2):
             frame = 1 << w | 1 << a | 1 << b
-            assert [shortest_frame_cycle(g, w, a, b)] == [f for f in faces if f & frame == frame]
+            assert [mask_of(shortest_frame_cycle(g, w, a, b))] == [
+                f for f in faces if f & frame == frame
+            ]
+
+
+def _frames(g):
+    return [(w, a, b) for w in range(g.n) for a, b in itertools.combinations(g.adj[w], 2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_shortest_frame_cycle_is_the_mask_search_cycle(data):
+    # Every frame of a random graph (n <= 12) or of a relabeled corpus
+    # graph: the same cycle as the layer search over n-bit masks, ties
+    # broken alike, or None with it; its vertices come in cycle order,
+    # from w and a to b.
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(min_value=3, max_value=12))
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)))
+    else:
+        name = data.draw(st.sampled_from(sorted(_corpus_graphs())))
+        base = _corpus_graphs()[name]
+        perm = data.draw(st.permutations(range(base.n)))
+        g = Graph(base.n, [(perm[u], perm[v]) for u, v in base.edges])
+    for w, a, b in _frames(g):
+        got = shortest_frame_cycle(g, w, a, b)
+        want = mask_shortest_frame_cycle(g, w, a, b)
+        if want is None:
+            assert got is None
+        else:
+            assert mask_of(got) == want
+            assert got[:2] == (w, a) and got[-1] == b
+            assert all(got[i - 1] in g.adj[v] for i, v in enumerate(got))
+
+
+@lru_cache(maxsize=None)
+def _corpus_graphs():
+    return {name: lattice_of(spec).graph() for name, spec in fixture_corpus().items()}
 
 
 def brute_min_two_face_score(g, sources=()):

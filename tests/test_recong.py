@@ -1,6 +1,9 @@
+import gc
 import itertools
 import random
+import statistics
 import time
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 
@@ -26,6 +29,7 @@ from skelrecon import (
     min_two_face_score,
     multifold_pyramid,
     polygon_prism,
+    polygon_prism_skeleton,
     pyramid,
     q1,
     reconstruct_one_nonsimple,
@@ -55,9 +59,11 @@ from conftest import (
     SPLIT_CUBE,
     fixture_corpus,
     lattice_of,
+    pace,
     truncated_antiprism,
 )
 from oracles import (
+    dense_exact_cover_of_size,
     max_exact_cover,
     orientation_from_order,
     reference_ancestors,
@@ -77,14 +83,14 @@ def two_faces_of(lat):
 
 
 def face_sets(system):
-    """The 2-system's vertex masks as a set of sorted vertex tuples."""
-    return set(map(vertices_of, system.sets))
+    """The 2-system's sorted vertex tuples as a set."""
+    return set(system.sets)
 
 
 def test_two_system_simplex4_is_all_triangles():
     lat = lattice_of(simplex(4))
     system = max_two_system(lat.graph(), 4)
-    assert system.sets == tuple(mask_of(t) for t in itertools.combinations(range(5), 3))
+    assert system.sets == tuple(itertools.combinations(range(5), 3))
     assert system.size == 10
 
 
@@ -160,12 +166,13 @@ def _frame_rows(g, nonsimple):
 
 def _reference_two_system(g, nonsimple):
     """The first maximum exact cover of the simple-rooted 2-frames, by the
-    reference search: (size, sorted set masks), size -1 if none."""
+    reference search: (size, sorted vertex tuples in (length, tuple)
+    order), size -1 if none."""
     frames, cycles, rows = _frame_rows(g, nonsimple)
     chosen = max_exact_cover(frames, rows)
     if chosen is None:
         return -1, ()
-    sets = tuple(sorted((cycles[i] for i in chosen), key=lambda s: (s.bit_count(), vertices_of(s))))
+    sets = tuple(sorted((vertices_of(cycles[i]) for i in chosen), key=lambda s: (len(s), s)))
     return len(chosen), sets
 
 
@@ -231,7 +238,7 @@ def test_two_system_sets_cover_each_simple_frame_once(data):
     nonsimple = {perm[v] for v in nonsimple}
     covered = Counter()
     for s in max_two_system(g, d).sets:
-        cycle = set(vertices_of(s))
+        cycle = set(s)
         assert _is_chordless_cycle(g, cycle)
         for w in cycle - nonsimple:
             covered[w, frozenset(x for x in g.adj[w] if x in cycle)] += 1
@@ -258,7 +265,7 @@ def test_two_face_witness_certifies_the_dp_minimum(data):
         edges ^= {data.draw(st.sampled_from(list(itertools.combinations(range(base.n), 2))))}
     g = Graph(base.n, edges)
     frames, cycles, rows = _frame_rows(g, nonsimple)
-    first = recong._exact_cover_of_size(len(frames), [sum(1 << f for f in r) for r in rows], 0)
+    first = recong._exact_cover_of_size(len(frames), rows, 0)
     for chosen in (first, max_exact_cover(frames, rows)):
         if chosen is None:
             continue
@@ -314,7 +321,7 @@ def test_two_system_dp_fallback_is_unchanged(monkeypatch):
 def test_exact_cover_gives_up_past_its_node_budget():
     # Column 0 goes first: row 1 leaves column 2 uncoverable, so the cover
     # by rows 2 and 0 takes four nodes, one of them a dead end.
-    rows = [0b010, 0b011, 0b101, 0b110, 0b111]
+    rows = [(1,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
     assert recong._exact_cover_of_size(3, rows, 0) == [2, 0]
     assert recong._exact_cover_of_size(3, rows, 0, max_nodes=4) == [2, 0]
     assert recong._exact_cover_of_size(3, rows, 0, max_nodes=3) is None
@@ -332,23 +339,82 @@ def test_exact_cover_matches_the_recursive_search_under_every_budget(data):
         rows += data.draw(st.lists(st.integers(1, (1 << ncols) - 1), max_size=10))
         rows = data.draw(st.permutations(rows))
     target = data.draw(st.integers(min_value=0, max_value=ncols))
+    # The search takes each row as its column ids; both oracles take masks.
+    sparse = [vertices_of(m) for m in rows]
     want, nodes = reference_exact_cover_of_size(ncols, rows, target)
-    assert recong._exact_cover_of_size(ncols, rows, target) == want
+    assert recong._exact_cover_of_size(ncols, sparse, target) == want
     for budget in range(1, nodes + 1):
-        got = recong._exact_cover_of_size(ncols, rows, target, max_nodes=budget)
+        got = recong._exact_cover_of_size(ncols, sparse, target, max_nodes=budget)
         assert got == reference_exact_cover_of_size(ncols, rows, target, budget)[0]
+        assert got == dense_exact_cover_of_size(ncols, rows, target, budget)
     assert got == want
     event(f"cover found: {want is not None}")
+
+
+def _cube_graph(d):
+    n = 1 << d
+    return Graph(n, [(x, x | 1 << i) for x in range(n) for i in range(d) if not x >> i & 1])
 
 
 def test_recong_reconstructs_cube8_from_its_graph(tmp_path, capsys):
     # 1792 squares: the first cover takes one search node per square,
     # deeper than the interpreter's recursion limit.
-    g = Graph(256, [(x, x | 1 << i) for x in range(256) for i in range(8) if not x >> i & 1])
+    g = _cube_graph(8)
     path = tmp_path / "cube8.edges"
     path.write_text(format_edge_list(g))
     assert main(["recong", str(path), "--dim", "8"]) == 0
     assert capsys.readouterr().out == format_spec(cube(8))
+
+
+def test_recong_scales_linearly_on_prisms():
+    # Criterion 4's method on graphs alone: each round times every size
+    # once, each wall time is divided by the pace just before and just
+    # after it, the collector is off, and there are no retries.
+    sizes = (1024, 2048, 4096, 8192)
+    graphs = [polygon_prism_skeleton(m).graph for m in sizes]
+    expected = [polygon_prism(m).facets for m in sizes]
+    for g in graphs:
+        recong.reconstruct(g, 3)  # warm-up
+    times = [[] for _ in sizes]
+    gc.disable()
+    try:
+        before = pace()
+        for _ in range(5):
+            for g, want, runs in zip(graphs, expected, times):
+                start = time.perf_counter()
+                out = recong.reconstruct(g, 3)
+                wall = time.perf_counter() - start
+                after = pace()
+                runs.append(wall / (before + after))
+                before = after
+                assert out.facets == want
+    finally:
+        gc.enable()
+    medians = [statistics.median(runs) for runs in times]
+    ratios = [b / a for a, b in zip(medians, medians[1:])]
+    assert all(1.3 <= r <= 2.7 for r in ratios), ratios
+
+
+def test_recong_reads_no_adjacency_masks():
+    # Graph.masks holds one n-bit int per vertex, O(n^2) bits on a prism.
+    g = polygon_prism_skeleton(300).graph
+    assert recong.reconstruct(g, 3).facets == polygon_prism(300).facets
+    assert g._masks is None
+
+
+def test_two_system_memory_on_cube10():
+    # 46,080 frame columns and 11,520 squares.  A cover that keeps each row,
+    # and each level of its stack, as a mask over all frame columns peaks
+    # at 139 MB traced here.
+    g = _cube_graph(10)
+    tracemalloc.start()
+    try:
+        system = max_two_system(g, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.size == 11_520
+    assert peak < 40e6, peak
 
 
 def test_two_system_falls_back_when_the_budget_is_spent(monkeypatch):
