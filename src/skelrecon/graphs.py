@@ -1,7 +1,11 @@
 """Undirected graphs, acyclic orientations, frames, and orientation costs.
 
 A vertex set is an int bitmask, bit v for vertex v: adjacency, induced
-cycles, candidate facets and the sets of the DPs alike.  An acyclic
+cycles, candidate facets and the sets of the DPs alike.  The two helpers
+of recong's first pass, :func:`shortest_frame_cycle` and
+:func:`two_face_witness`, are the exception: they read only the
+adjacency lists, so that pass never builds ``Graph.masks``, one n-bit
+int per vertex.  An acyclic
 orientation is its ancestor bitmasks, one per vertex.  Minima
 of per-vertex orientation costs come from one subset DP over vertex
 orders (:class:`OrderCosts`), not from enumerating orientations.

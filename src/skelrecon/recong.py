@@ -7,14 +7,19 @@ certificate of the route taken (:class:`GraphReconstruction`).
 One nonsimple vertex: recover the 2-faces as an exact cover of the
 simple-rooted 2-frames by induced chordless cycles, certified maximum by
 an acyclic orientation whose two-face score equals the cover size (no
-cover is larger than any such score).  A first pass covers by one
-shortest chordless cycle per frame, within a budget of one search node
-per frame plus one, and a greedy vertex order certifies its first
-cover.  When there is no cover, no such order, or the budget runs out,
-the fallback covers by all induced cycles, the subset DP computes the
-orientation minimum, and the search stops at the first cover reaching
-it.  Only the fallback is refused above 22 vertices.  Graph + 2-faces go
-to the 2-skeleton engine.
+cover is larger than any such score).  A first pass runs one
+breadth-first search over the adjacency lists for each frame that no
+cycle found so far covers, so the frames of a face share one search,
+and covers by the shortest chordless cycles found, within a budget of
+one search node per frame plus one; a greedy vertex order certifies its
+first cover.  The cover search is sparse: per column a count of usable
+rows, kept up to date with an undo log.  So on a polytope graph the
+first pass costs about linear time and memory in the input.  When there
+is no cover, no such order, or the budget runs out, the fallback covers
+by all induced cycles, the subset DP computes the orientation minimum,
+and the search stops at the first cover reaching it.  Only the fallback
+is refused above 22 vertices.  Graph + 2-faces go to the 2-skeleton
+engine.
 
 Two nonsimple vertices u, v: partition the facets into the four families
 (containing u only, v only, neither, both) and recover them in that order
@@ -40,10 +45,13 @@ table per cycle, as each chordless cycle's own cost is 2|C| + 1 in
 closed form.  Graphs above 12 vertices are refused unless forced, and
 above 22 always (:mod:`skelrecon.graphs`).
 
-Vertex sets are int masks throughout, as in :mod:`skelrecon.graphs`.  They
-are decoded only where they leave the module, to sorted vertex tuples in
-lexicographic order: the 2-faces handed to the 2-skeleton engine, and
-facet lists.
+The first pass works on adjacency lists, frame ids and vertex tuples,
+and reads no n-bit vertex mask, as a mask per vertex would take O(n^2)
+bits on a sparse graph.  The fallback, the family sweeps and the
+truncation route keep vertex sets as int masks, as in
+:mod:`skelrecon.graphs`.  What leaves the module is sorted vertex
+tuples: the 2-systems (:class:`TwoSystem`), the 2-faces handed to the
+2-skeleton engine, and facet lists, each list in lexicographic order.
 """
 
 from __future__ import annotations
@@ -117,10 +125,10 @@ def _exact_cover_of_size(
     count of usable rows.  Taking a row covers its columns and makes every
     usable row through them unusable, lowering the counts of their
     columns; an undo log of those rows puts it all back on backtracking.
-    So a step costs the rows it touches, never a pass over all columns.
-    The branch column is found by a scan from the node's lowest uncovered
-    column that stops at the first count below two: no column below the
-    parent's lowest is uncovered in the child.
+    So taking or giving back a row costs the rows it touches, not a pass
+    over all columns.  The branch column is found by a scan from the
+    node's lowest uncovered column that stops at the first count below
+    two: no column below the parent's lowest is uncovered in the child.
     """
     rows_of_col: list[list[int]] = [[] for _ in range(ncols)]
     for ri, row in enumerate(rows):

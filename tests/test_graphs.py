@@ -36,11 +36,11 @@ from skelrecon.graphs import (
 from conftest import PRISM_OVER_PYRAMID, fixture_corpus, lattice_of
 from oracles import (
     acyclic_orientation_count,
-    mask_shortest_frame_cycle,
     brute_force_chordless_cycles,
     brute_force_orientations,
     edge_directions,
     is_good,
+    mask_shortest_frame_cycle,
     nx_k_connected,
     nx_local_connectivity,
     objectives,
@@ -540,8 +540,9 @@ def test_shortest_frame_cycle_gives_the_prism_faces():
             ]
 
 
-def _frames(g):
-    return [(w, a, b) for w in range(g.n) for a, b in itertools.combinations(g.adj[w], 2)]
+@lru_cache(maxsize=None)
+def _corpus_graphs():
+    return {name: lattice_of(spec).graph() for name, spec in fixture_corpus().items()}
 
 
 @settings(max_examples=100, deadline=None)
@@ -560,20 +561,16 @@ def test_shortest_frame_cycle_is_the_mask_search_cycle(data):
         base = _corpus_graphs()[name]
         perm = data.draw(st.permutations(range(base.n)))
         g = Graph(base.n, [(perm[u], perm[v]) for u, v in base.edges])
-    for w, a, b in _frames(g):
-        got = shortest_frame_cycle(g, w, a, b)
-        want = mask_shortest_frame_cycle(g, w, a, b)
-        if want is None:
-            assert got is None
-        else:
-            assert mask_of(got) == want
-            assert got[:2] == (w, a) and got[-1] == b
-            assert all(got[i - 1] in g.adj[v] for i, v in enumerate(got))
-
-
-@lru_cache(maxsize=None)
-def _corpus_graphs():
-    return {name: lattice_of(spec).graph() for name, spec in fixture_corpus().items()}
+    for w in range(g.n):
+        for a, b in itertools.combinations(g.adj[w], 2):
+            got = shortest_frame_cycle(g, w, a, b)
+            want = mask_shortest_frame_cycle(g, w, a, b)
+            if want is None:
+                assert got is None
+            else:
+                assert mask_of(got) == want
+                assert got[:2] == (w, a) and got[-1] == b
+                assert all(got[i - 1] in g.adj[v] for i, v in enumerate(got))
 
 
 def brute_min_two_face_score(g, sources=()):
