@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import EmptyFamily, TooLarge
@@ -545,11 +546,15 @@ class OrderCosts:
     unless it has no in-neighbour, a sink unless every neighbour is one.
     ``cost`` is called once per vertex and in-neighbour mask.
 
-    ``after[s]``, for a set s that holds every pinned source and no
-    pinned sink, is the least cost of the vertices outside s over the
-    orientations in which s is an initial set (no edge enters s): the
-    least cost of placing the rest after s.  ``least`` is the least cost
-    over every orientation that respects the pins.  Refuses graphs above
+    ``after[s]``, for a set s that holds every pinned source, every vertex
+    of the mask ``holding`` and no pinned sink, is the least cost of the
+    vertices outside s over the orientations in which s is an initial set
+    (no edge enters s): the least cost of placing the rest after s.
+    ``holding`` may hold no pinned sink; a caller that reads ``after``
+    only at supersets of it passes it, and the table fills only those.
+    ``least`` is the least cost over every orientation that respects the
+    pins, computed when first read; it reads ``after`` at the sources, so
+    it needs ``holding`` to add no vertex to them.  Refuses graphs above
     the subset-DP bound before allocating the table.
 
     Pinned vertices are not tabled.  A source has no in-neighbour, so
@@ -558,10 +563,11 @@ class OrderCosts:
     back changes none.  So the rest is placed after s in two runs: the
     unpinned vertices, none of which has a sink for an in-neighbour; the
     sinks, each priced against all its neighbours but the sinks.  The DP
-    runs over the 2**(n - pins) sets s, writing each once, seeded at the
-    set of every source and unpinned vertex with the sinks' prices, and
-    prices only the unpinned vertices (a vertex pinned both ways counts as
-    a source).  ``least`` is ``after`` at the sources plus each source
+    runs over the 2**(n - pins - held) sets s that hold the sources and
+    ``holding``, writing each once, seeded at the set of every vertex but
+    the sinks with the sinks' prices, and prices only the unpinned
+    vertices outside ``holding`` (a vertex pinned both ways counts as a
+    source).  ``least`` is ``after`` at the sources plus each source
     priced against the sources.
     """
 
@@ -572,14 +578,21 @@ class OrderCosts:
         *,
         sources: int = 0,
         sinks: int = 0,
+        holding: int = 0,
     ):
         check_dp_bound(g.n)
         self.graph = g
         self._cost, self._sources, self._sinks = cost, sources, sinks
+        self._holding = holding
         self._memo: list[dict[int, float]] = [{} for _ in range(g.n)]
         self.after = self.placing_after()
-        self.least = self.after[sources] + sum(
-            self.price(x, g.masks[x] & sources) for x in vertices_of(sources)
+
+    @cached_property
+    def least(self) -> float:
+        """The least cost over every orientation that respects the pins."""
+        sources, masks = self._sources, self.graph.masks
+        return self.after[sources] + sum(
+            self.price(x, masks[x] & sources) for x in vertices_of(sources)
         )
 
     def price(self, y: int, p: int) -> float:
@@ -595,19 +608,20 @@ class OrderCosts:
 
     def placing_after(self) -> list[float]:
         """The table :attr:`after`: a list over every vertex set, filled
-        at the sets that hold every pinned source and no pinned sink."""
+        at the sets that hold every pinned source and every vertex of
+        ``holding``, and no pinned sink."""
         price, memo, masks = self.price, self._memo, self.graph.masks
         inf = float("inf")
         full = (1 << self.graph.n) - 1
-        sources = self._sources
-        sinks = self._sinks & ~sources
-        free = full & ~sources & ~sinks
+        sinks = self._sinks & ~self._sources
+        held = self._sources | self._holding
+        free = full & ~held & ~sinks
         table = [inf] * (full + 1)
-        table[free | sources] = sum(price(q, masks[q] & ~sinks) for q in vertices_of(sinks))
+        table[free | held] = sum(price(q, masks[q] & ~sinks) for q in vertices_of(sinks))
         s = free
         while s:
             s = (s - 1) & free
-            placed = s | sources
+            placed = s | held
             best = inf
             rest = free ^ s
             while rest:

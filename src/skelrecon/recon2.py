@@ -56,9 +56,23 @@ class FrameGraph:
     vertex lies in at least C(d,2) 2-faces); so the table takes at most
     three slots per face entry.  Other inputs keep their moves in a dict,
     which grows with the face lines alone.
+
+    The build keeps flat per-vertex scratch, allocated once and reused by
+    every face: a stamp ``mark[v]``, the index of the last face through v,
+    so that w lies on the current face exactly when its stamp is that
+    index; and v's two neighbours on the current face with their slots in
+    ``adj[v]`` (d for a nonsimple v).  A simple vertex finds its face
+    neighbours by stamp among its d neighbours, so each (vertex, face)
+    pair costs O(d).  A nonsimple vertex scans whichever side is smaller:
+    its neighbours by stamp, or the face against its neighbour set; so it
+    costs O(min(deg, |F|)).  The neighbour sets, ``neighbour_sets``, are
+    built on first use and only for nonsimple vertices; :func:`_facet`
+    shares them.
     """
 
-    __slots__ = ("skeleton", "d", "simple", "nonsimple", "step", "node_count")
+    __slots__ = (
+        "skeleton", "d", "simple", "nonsimple", "step", "node_count", "neighbour_sets"
+    )
 
     def __init__(self, skeleton: KSkeleton, d: int):
         graph = skeleton.graph
@@ -71,76 +85,110 @@ class FrameGraph:
         # d >= 65535 would take over 2**31 edges (every vertex has d
         # neighbours or more), so two bytes always hold d and the sentinel.
         empty = 255 if d < 255 else 65535
-        if 2 * sum(map(len, skeleton.two_faces)) >= graph.n * d * (d - 1):
+        faces = skeleton.two_faces
+        n = graph.n
+        if 2 * sum(map(len, faces)) >= n * d * (d - 1):
             table = bytearray(b"\xff") if d < 255 else array("H", [empty])
-            step = table * (graph.n * d * d)
+            step = table * (n * d * d)
         else:
             step = defaultdict(lambda: empty)
         self.step = step
+        self.neighbour_sets: dict[int, frozenset[int]] = {}
+        nsets = self.neighbour_sets
         adj = graph.adj
+        # The scratch: on the current face v's two neighbours are first[v]
+        # and second[v], at slots slot1[v] < slot2[v] of adj[v] when v is
+        # simple; d marks a nonsimple v.
+        degree = list(map(len, adj))
+        mark = [-1] * n
+        first = [0] * n
+        second = [0] * n
+        slot1 = [0] * n
+        slot2 = [0] * n
         frames = 0
-        for face in skeleton.two_faces:
-            # One set per face for the membership tests: a polygon cap of
-            # a prism holds thousands of vertices.
-            members = set(face)
-            # cycle[v]: v's two neighbours on the face and, for simple v,
-            # their slots in adj[v]; d marks a nonsimple v.
-            cycle: dict[int, tuple[int, int, int, int]] = {}
+        for fi, face in enumerate(faces):
             for v in face:
-                # The slots of v's two neighbours on the face; j < 0 when
-                # v has not exactly two.
+                mark[v] = fi
+            size = len(face)
+            for v in face:
                 nbrs = adj[v]
-                i = j = -1
-                for slot, w in enumerate(nbrs):
-                    if w in members:
-                        if i < 0:
-                            i = slot
-                        elif j < 0:
-                            j = slot
-                        else:
-                            j = -1
-                            break
-                if j < 0:
+                deg = degree[v]
+                # v's two neighbours on the face, a and b; b is None when v
+                # has fewer or more, and that raises below.
+                a = b = None
+                if deg == d or deg <= size:
+                    # By stamp, in slot order.
+                    for slot, w in enumerate(nbrs):
+                        if mark[w] == fi:
+                            if a is None:
+                                a, i = w, slot
+                            elif b is None:
+                                b, j = w, slot
+                            else:
+                                b = None
+                                break
+                    if deg != d:
+                        i = j = d
+                else:
+                    # A nonsimple v with more neighbours than the face has
+                    # vertices.  A repeated face vertex counts once, as it
+                    # does by stamp.
+                    nset = nsets.get(v)
+                    if nset is None:
+                        nset = nsets[v] = frozenset(nbrs)
+                    for w in face:
+                        if w in nset and w != a and w != b:
+                            if a is None:
+                                a = w
+                            elif b is None:
+                                b = w
+                            else:
+                                b = None
+                                break
+                    i = j = d
+                if b is None:
                     raise NotASkeleton(
                         f"2-face {tuple(sorted(face))} is not an induced cycle at {v}"
                     )
-                if v in simple:
-                    cycle[v] = (nbrs[i], nbrs[j], i, j)
-                else:
-                    cycle[v] = (nbrs[i], nbrs[j], d, d)
+                first[v] = a
+                second[v] = b
+                slot1[v] = i
+                slot2[v] = j
             # A 2-regular induced subgraph could still be a union of cycles:
             # walk the cycle through one vertex and count its length.
             start = next(iter(face))
-            prev, v = start, cycle[start][0]
+            prev, v = start, first[start]
             length = 1
             while v != start:
-                a, b, _, _ = cycle[v]
-                prev, v = v, (b if a == prev else a)
+                a = first[v]
+                prev, v = v, (second[v] if a == prev else a)
                 length += 1
-            if length != len(face):
+            if length != size:
                 raise NotASkeleton(
                     f"2-face {tuple(sorted(face))} is not a single cycle"
                 )
-            # cycle lists the face's vertices in the face's own order.
-            for w, (a, b, i, j) in cycle.items():
+            for w in face:
+                i = slot1[w]
                 if i == d:
                     continue
+                j = slot2[w]
                 key = (w * d + i) * d + j
                 if step[key] != empty:
                     raise FrameNotInUniqueTwoFace(
-                        f"2-frame ({w}, {a}, {b}) lies in more than one 2-face"
+                        f"2-frame ({w}, {first[w]}, {second[w]}) lies in more than one 2-face"
                     )
                 frames += 1
-                x, _, p, q = cycle[b]
-                step[key] = q if x == w else p
-                x, _, p, q = cycle[a]
-                step[(w * d + j) * d + i] = q if x == w else p
+                b = second[w]
+                step[key] = slot2[b] if first[b] == w else slot1[b]
+                a = first[w]
+                step[(w * d + j) * d + i] = slot2[a] if first[a] == w else slot1[a]
         # Every neighbour pair of a simple root must span exactly one 2-face.
         # No pair is counted twice, so the count falls short exactly when a
         # frame is not covered; then scan in order for the first gap.
         if frames != self.node_count:
-            for v in sorted(simple):
-                nbrs = adj[v]
+            for v, nbrs in enumerate(adj):
+                if len(nbrs) != d:
+                    continue
                 for i in range(d):
                     for j in range(i + 1, d):
                         if step[(v * d + i) * d + j] == empty:
@@ -210,7 +258,7 @@ class ReconstructionOutcome:
     ambiguity: Optional[Ambiguity] = None
 
 
-def _facet(fg: FrameGraph, root: int, slot: int, visited, omitted, check):
+def _facet(fg: FrameGraph, root: int, slot: int, visited, omitted, others, check):
     """Trace, collect and check the facet of the frame at ``root`` that
     omits ``adj[root][slot]``, in one pass; returns its vertex set.
 
@@ -218,12 +266,15 @@ def _facet(fg: FrameGraph, root: int, slot: int, visited, omitted, check):
     in breadth-first order, adds w to the region and sets ``omitted[w]``
     to the omitted neighbour.  Of w's leaves only the nonsimple ones are
     added: a simple leaf roots a frame of this trace (see below) and is
-    added as its root.  ``visited`` holds a byte per frame code w*d + ex.
+    added as its root.  The scratch is flat and shared by every trace:
+    ``visited`` holds a byte per frame code w*d + ex, ``omitted`` is -1 at
+    each nonsimple vertex, and ``others[ex]`` is the tuple of the d-1
+    slots other than ex, so each move costs one lookup.  The check costs
+    O(1) per simple vertex and O(min(deg, |F|)) per nonsimple one.
     """
     adj = fg.skeleton.graph.adj
     d = fg.d
     step = fg.step
-    simple = fg.simple
     region: set[int] = set()
     add = region.add
     visited[root * d + slot] = 1
@@ -234,9 +285,7 @@ def _facet(fg: FrameGraph, root: int, slot: int, visited, omitted, check):
         omitted[w] = nbrs[ex]
         add(w)
         base = (w * d + ex) * d
-        for j in range(d):
-            if j == ex:
-                continue
+        for j in others[ex]:
             # w is simple, so FrameGraph's coverage check put this move in;
             # k == d marks a nonsimple leaf, which roots no frame.  Every
             # move is undone by the move back: the 2-face F through
@@ -255,26 +304,56 @@ def _facet(fg: FrameGraph, root: int, slot: int, visited, omitted, check):
                 push((u2, k))
     facet = frozenset(region)
     if check:
-        # Each simple v in the facet roots a frame of this trace: a simple
-        # leaf's frame is pushed, or this trace reached it already.  That
+        # Each simple v in the facet roots a frame of this trace, which set
+        # omitted[v]: a simple leaf's frame is pushed, or this trace
+        # reached it already.  That
         # frame's d-1 leaves are inside, so v has d-1 neighbours inside
         # exactly when the one it omits is outside, which also makes this
-        # the frame omitting that neighbour.
+        # the frame omitting that neighbour.  A nonsimple v's neighbours
+        # inside are its neighbour set met with the facet, an intersection
+        # that walks the smaller of the two.
+        nsets = fg.neighbour_sets
         for v in facet:
-            if v in simple:
-                if omitted[v] in facet:
+            x = omitted[v]
+            if x >= 0:
+                if x in facet:
                     inside = sum(w in facet for w in adj[v])
                     raise NotASkeleton(
                         f"simple vertex {v} has {inside} neighbors in region "
                         f"{tuple(sorted(facet))}"
                     )
             else:
-                inside = sum(w in facet for w in adj[v])
-                if inside < fg.d - 1:
+                nset = nsets.get(v)
+                if nset is None:
+                    nset = nsets[v] = frozenset(adj[v])
+                inside = len(nset & facet)
+                if inside < d - 1:
                     raise NotASkeleton(
                         f"nonsimple vertex {v} has {inside} < d-1 neighbors in region"
                     )
     return facet
+
+
+def _regions(fg: FrameGraph, check: bool) -> list[frozenset[int]]:
+    """The vertex set of every facet trace, each checked unless ``check``
+    is False, in the order of the frame codes the traces start from."""
+    d = fg.d
+    n = fg.skeleton.graph.n
+    # A nonsimple vertex roots no frame: its codes count as visited, so
+    # each next unvisited code is the next frame to trace from.
+    visited = bytearray(n * d)
+    taken = b"\x01" * d
+    for v in fg.nonsimple:
+        visited[v * d : v * d + d] = taken
+    omitted = [-1] * n
+    others = [(*range(ex), *range(ex + 1, d)) for ex in range(d)]
+    regions = []
+    code = visited.find(0)
+    while code >= 0:
+        root, slot = divmod(code, d)
+        regions.append(_facet(fg, root, slot, visited, omitted, others, check))
+        code = visited.find(0, code + 1)
+    return regions
 
 
 def reconstruct(
@@ -291,7 +370,12 @@ def reconstruct(
     parity_hint ("even"/"odd", the parity of the facet count) resolves it.
     Each facet is traced, collected and, unless ``check`` is False,
     checked in one pass: collecting it costs one set add per frame and one
-    per nonsimple leaf, and checking it one set lookup per simple vertex.
+    per nonsimple leaf, and checking it one set lookup per simple vertex
+    and one set intersection per nonsimple vertex.  When each facet keeps
+    at most d-2 nonsimple vertices, so does each 2-face, and with the
+    costs of :class:`FrameGraph` the whole run takes time linear in the
+    size of the 2-face lines for fixed d, whatever the degrees of the
+    nonsimple vertices.
 
     With ``check`` the facet lists returned (``facets``, and both
     completions of an ambiguity) already hold every invariant of
@@ -324,14 +408,7 @@ def reconstruct(
     if not fg.simple:
         raise NotASkeleton("no simple vertex to seed the propagation")
 
-    visited = bytearray(graph.n * d)
-    omitted = [0] * graph.n
-    regions: list[frozenset[int]] = []
-    for root in sorted(fg.simple):
-        for slot in range(d):
-            if visited[root * d + slot]:
-                continue
-            regions.append(_facet(fg, root, slot, visited, omitted, check))
+    regions = _regions(fg, check)
     if len(set(regions)) != len(regions):
         raise NotASkeleton("two facet traces produced the same vertex set")
 

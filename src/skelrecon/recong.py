@@ -393,7 +393,8 @@ def _initial_set_sweep(
     m(A) = ``single_sink(A, simple)`` + after(A), where after(A) is the
     least cost of placing the rest after A, one index of the table
     ``after`` of :class:`~skelrecon.graphs.OrderCosts`.  That table holds
-    only the sets with every pinned source and no pinned sink, so the
+    only the sets with every pinned source and no pinned sink, and in the
+    restricted sweep only those holding ``need`` as well, so the
     precondition is that every pinned source lies in ``need`` and every
     other pinned sink in ``avoid``, as in all the family sweeps.  Hence
     the family minimum is the DP's ``least`` for the pinned family and the
@@ -406,7 +407,12 @@ def _initial_set_sweep(
     Raises EmptyFamily when the family is empty.
     """
     check_enumeration_bound(g.n, force)
-    dp = OrderCosts(g, cost, sources=sources, sinks=sinks)
+    # The restricted family reads only supersets of need, so its table
+    # holds only those; the pinned family's minimum, ``least``, reads the
+    # table at the sources.
+    dp = OrderCosts(
+        g, cost, sources=sources, sinks=sinks, holding=need if restricted else 0
+    )
     after = dp.after
     inf = float("inf")
     best = inf if restricted else dp.least

@@ -181,24 +181,32 @@ def parse_skeleton(text: str) -> tuple[KSkeleton, int]:
     # read, as they need the headers, and so every line's own errors come
     # first.
     face_lines: list[tuple[int, tuple[int, ...] | None]] = []
-    for parts in _fields(text):
+    add_edge = edges.append
+    add_face = face_lines.append
+    # The rank of each distinct face<r> key, read once.
+    ranks: dict[str, int] = {}
+    for parts in map(str.split, text.splitlines()):
+        if not parts:
+            continue
         key = parts[0]
         if key == "edge":
             try:
-                edges.append((int(parts[1]), int(parts[2])))
+                add_edge((int(parts[1]), int(parts[2])))
             except ValueError:
                 raise _non_integer(parts) from None
         elif key.startswith("face"):
-            r = _int(key[4:], parts)
+            r = ranks.get(key)
+            if r is None:
+                r = ranks[key] = _int(key[4:], parts)
             try:
-                face_lines.append((r, tuple(sorted(set(map(int, parts[1:]))))))
+                add_face((r, tuple(sorted(set(map(int, parts[1:]))))))
             except ValueError:
-                face_lines.append((r, None))
+                add_face((r, None))
         elif key == "d":
             d = _header(d, parts)
         elif key == "vertices":
             n = _vertex_count(n, parts)
-        else:
+        elif key[0] != "#":  # no key above starts with "#"
             raise ValueError(f"unexpected line: {' '.join(parts)}")
     if d is None or n is None:
         raise ValueError("missing d or vertices header")

@@ -13,6 +13,7 @@ import pytest
 
 from skelrecon import (
     Graph,
+    KSkeleton,
     PolytopeSpec,
     bipyramid,
     build_face_lattice,
@@ -20,6 +21,7 @@ from skelrecon import (
     cube,
     multifold_pyramid,
     polygon_prism,
+    polygon_prism_skeleton,
     pyramid,
     q1,
     q2,
@@ -193,3 +195,15 @@ def pace() -> float:
             seen[t] = seen.get(t, 0) + len(frozenset(t))
         times.append(time.perf_counter() - start)
     return statistics.median(times)
+
+
+def prism_pyramid_skeleton(m: int) -> KSkeleton:
+    """The 2-skeleton of pyramid(polygon_prism(m)), d = 4, built directly:
+    the prism's 2-faces and a triangle over each prism edge with the apex
+    2m, the one nonsimple vertex, of degree 2m."""
+    base = polygon_prism_skeleton(m)
+    apex = base.n
+    edges = base.graph.edges
+    graph = Graph(apex + 1, [*edges, *((v, apex) for v in range(apex))])
+    faces = (*base.two_faces, *((u, v, apex) for u, v in edges))
+    return KSkeleton(k=2, graph=graph, faces_by_dim={2: tuple(sorted(faces))})

@@ -29,7 +29,10 @@ reconstruction via three passes per facet (trace, rebuild the vertex
 set, count every vertex's neighbours inside it) instead of one,
 isomorphism via frozenset layers decoded from every face instead of
 int masks, text files via a first pass that checks every line's field
-count before any line is read instead of one streaming pass.
+count before any line is read instead of one streaming pass, the frame
+moves via a set and a cycle dict per 2-face and whole-adjacency scans at
+nonsimple vertices instead of per-vertex scratch, and skeleton files via
+a line generator instead of an inline loop.
 The test-only orientation helpers live here too: ``orientation_from_order``
 (masks by walking an order's arcs, not the enumerator), ``edge_directions``,
 ``sinks_in``, ``is_good`` and ``objectives``.
@@ -38,7 +41,8 @@ The test-only orientation helpers live here too: ``orientation_from_order``
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from array import array
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -75,6 +79,16 @@ from skelrecon.lattice import (
 )
 from skelrecon.recon2 import Ambiguity, ReconstructionOutcome
 from skelrecon.recong import count_sink_frames
+from skelrecon.textio import (
+    _fields,
+    _graph,
+    _header,
+    _int,
+    _misfit,
+    _non_integer,
+    _short_lines_first,
+    _vertex_count,
+)
 
 
 def closed_sets(spec):
@@ -1073,6 +1087,193 @@ def reference_reconstruct(sk: KSkeleton, d: int, parity_hint=None, check=True):
 
     facets = tuple(sorted(tuple(sorted(r)) for r in regions))
     return ReconstructionOutcome(facets, "complete")
+
+
+# -- frame moves and facet traces over per-face sets; per-line skeleton parse --
+
+
+class PerFaceSetFrameGraph:
+    """``recon2.FrameGraph`` built with a set of each face's vertices for
+    the membership tests and a dict of 4-tuples for its cycle, scanning a
+    nonsimple vertex's whole adjacency for every face through it, instead
+    of per-vertex scratch with a stamp per vertex.  Same ``step`` table or
+    dict, same ``node_count``, same errors."""
+
+    def __init__(self, skeleton: KSkeleton, d: int):
+        graph = skeleton.graph
+        classes = classify_vertices(graph, d)
+        self.skeleton = skeleton
+        self.d = d
+        self.simple = simple = classes.simple
+        self.nonsimple = classes.nonsimple
+        self.node_count = len(simple) * d * (d - 1) // 2
+        empty = 255 if d < 255 else 65535
+        if 2 * sum(map(len, skeleton.two_faces)) >= graph.n * d * (d - 1):
+            table = bytearray(b"\xff") if d < 255 else array("H", [empty])
+            step = table * (graph.n * d * d)
+        else:
+            step = defaultdict(lambda: empty)
+        self.step = step
+        adj = graph.adj
+        frames = 0
+        for face in skeleton.two_faces:
+            members = set(face)
+            # cycle[v]: v's two neighbours on the face and, for simple v,
+            # their slots in adj[v]; d marks a nonsimple v.
+            cycle: dict[int, tuple[int, int, int, int]] = {}
+            for v in face:
+                nbrs = adj[v]
+                i = j = -1
+                for slot, w in enumerate(nbrs):
+                    if w in members:
+                        if i < 0:
+                            i = slot
+                        elif j < 0:
+                            j = slot
+                        else:
+                            j = -1
+                            break
+                if j < 0:
+                    raise NotASkeleton(
+                        f"2-face {tuple(sorted(face))} is not an induced cycle at {v}"
+                    )
+                if v in simple:
+                    cycle[v] = (nbrs[i], nbrs[j], i, j)
+                else:
+                    cycle[v] = (nbrs[i], nbrs[j], d, d)
+            start = next(iter(face))
+            prev, v = start, cycle[start][0]
+            length = 1
+            while v != start:
+                a, b, _, _ = cycle[v]
+                prev, v = v, (b if a == prev else a)
+                length += 1
+            if length != len(face):
+                raise NotASkeleton(f"2-face {tuple(sorted(face))} is not a single cycle")
+            for w, (a, b, i, j) in cycle.items():
+                if i == d:
+                    continue
+                key = (w * d + i) * d + j
+                if step[key] != empty:
+                    raise FrameNotInUniqueTwoFace(
+                        f"2-frame ({w}, {a}, {b}) lies in more than one 2-face"
+                    )
+                frames += 1
+                x, _, p, q = cycle[b]
+                step[key] = q if x == w else p
+                x, _, p, q = cycle[a]
+                step[(w * d + j) * d + i] = q if x == w else p
+        if frames != self.node_count:
+            for v in sorted(simple):
+                nbrs = adj[v]
+                for i in range(d):
+                    for j in range(i + 1, d):
+                        if step[(v * d + i) * d + j] == empty:
+                            raise FrameNotInUniqueTwoFace(
+                                f"2-frame ({v}, {nbrs[i]}, {nbrs[j]}) lies in no 2-face"
+                            )
+
+
+def per_face_set_facet(fg: PerFaceSetFrameGraph, root: int, slot: int, visited, omitted, check):
+    """``recon2._facet`` testing ``j == ex`` for every slot, simplicity by
+    set membership, and a nonsimple vertex by counting its whole
+    adjacency inside the facet."""
+    adj = fg.skeleton.graph.adj
+    d = fg.d
+    step = fg.step
+    simple = fg.simple
+    region: set[int] = set()
+    add = region.add
+    visited[root * d + slot] = 1
+    frames = [(root, slot)]
+    push = frames.append
+    for w, ex in frames:
+        nbrs = adj[w]
+        omitted[w] = nbrs[ex]
+        add(w)
+        base = (w * d + ex) * d
+        for j in range(d):
+            if j == ex:
+                continue
+            u2 = nbrs[j]
+            k = step[base + j]
+            if k == d:
+                add(u2)
+            elif not visited[u2 * d + k]:
+                visited[u2 * d + k] = 1
+                push((u2, k))
+    facet = frozenset(region)
+    if check:
+        for v in facet:
+            if v in simple:
+                if omitted[v] in facet:
+                    inside = sum(w in facet for w in adj[v])
+                    raise NotASkeleton(
+                        f"simple vertex {v} has {inside} neighbors in region "
+                        f"{tuple(sorted(facet))}"
+                    )
+            else:
+                inside = sum(w in facet for w in adj[v])
+                if inside < fg.d - 1:
+                    raise NotASkeleton(
+                        f"nonsimple vertex {v} has {inside} < d-1 neighbors in region"
+                    )
+    return facet
+
+
+def per_face_set_regions(fg: PerFaceSetFrameGraph, check: bool) -> list[frozenset[int]]:
+    """``recon2._regions`` seeded from the sorted simple vertices, each
+    frame code tested in turn, with :func:`per_face_set_facet`."""
+    d = fg.d
+    n = fg.skeleton.graph.n
+    visited = bytearray(n * d)
+    omitted = [0] * n
+    regions = []
+    for root in sorted(fg.simple):
+        for slot in range(d):
+            if visited[root * d + slot]:
+                continue
+            regions.append(per_face_set_facet(fg, root, slot, visited, omitted, check))
+    return regions
+
+
+@_short_lines_first
+def per_line_parse_skeleton(text: str) -> tuple[KSkeleton, int]:
+    """``textio.parse_skeleton`` reading the lines through the ``_fields``
+    generator and each face line's rank afresh, instead of inline with
+    the ranks memoised."""
+    d = n = None
+    edges = []
+    face_lines: list[tuple[int, tuple[int, ...] | None]] = []
+    for parts in _fields(text):
+        key = parts[0]
+        if key == "edge":
+            try:
+                edges.append((int(parts[1]), int(parts[2])))
+            except ValueError:
+                raise _non_integer(parts) from None
+        elif key.startswith("face"):
+            r = _int(key[4:], parts)
+            try:
+                face_lines.append((r, tuple(sorted(set(map(int, parts[1:]))))))
+            except ValueError:
+                face_lines.append((r, None))
+        elif key == "d":
+            d = _header(d, parts)
+        elif key == "vertices":
+            n = _vertex_count(n, parts)
+        else:
+            raise ValueError(f"unexpected line: {' '.join(parts)}")
+    if d is None or n is None:
+        raise ValueError("missing d or vertices header")
+    faces: dict[int, list[tuple[int, ...]]] = {}
+    for r, vs in face_lines:
+        if not (2 <= r < d and vs and vs[0] >= 0 and vs[-1] < n):
+            raise _misfit(text, n, d)
+        faces.setdefault(r, []).append(vs)
+    k = max(faces, default=1)
+    faces_by_dim = {r: tuple(sorted(fs)) for r, fs in faces.items()}
+    return KSkeleton(k=k, graph=_graph(text, n, edges), faces_by_dim=faces_by_dim), d
 
 
 # -- isomorphism on frozenset layers -------------------------------------------

@@ -606,18 +606,22 @@ def test_placing_after_matches_the_full_table(data):
         c = random.Random(salt << 32 | y << 24 | p).randrange(5)
         return math.inf if c == 4 else c
 
-    sources, sinks = (
-        mask_of(data.draw(st.sets(st.integers(0, n - 1), max_size=3))) for _ in range(2)
+    sources, sinks, holding = (
+        mask_of(data.draw(st.sets(st.integers(0, n - 1), max_size=3))) for _ in range(3)
     )
     full = (1 << n) - 1
-    dp = OrderCosts(g, cost, sources=sources, sinks=sinks)
-    reference = reference_placing_after(dp, full)
-    assert dp.least == reference[0]
-    # The table is read only at the sets with every pinned source and no
-    # pinned sink.
     pinned_sinks = sinks & ~sources
+    # holding may hold no pinned sink.
+    holding &= ~pinned_sinks
+    dp = OrderCosts(g, cost, sources=sources, sinks=sinks, holding=holding)
+    reference = reference_placing_after(dp, full)
+    if holding & ~sources == 0:
+        assert dp.least == reference[0]
+    # The table is read only at the sets with every pinned source, every
+    # held vertex and no pinned sink.
+    held = sources | holding
     for s in range(full + 1):
-        if s & sources == sources and not s & pinned_sinks:
+        if s & held == held and not s & pinned_sinks:
             assert dp.after[s] == reference[s]
 
 

@@ -1,9 +1,14 @@
+import gc
 import itertools
 import math
 import random
+import statistics
+import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skelrecon import (
     Frame,
@@ -35,10 +40,18 @@ from skelrecon.errors import (
 )
 from skelrecon.graphs import mask_of, vertices_of
 from skelrecon.lattice import build_face_lattice
+from skelrecon.recon2 import _regions
 from skelrecon.textio import format_skeleton, parse_skeleton
 
-from conftest import fixture_corpus, lattice_of
-from oracles import ReferenceFrameGraph, reference_kaibel_step, reference_reconstruct
+from conftest import fixture_corpus, lattice_of, pace, prism_pyramid_skeleton
+from oracles import (
+    PerFaceSetFrameGraph,
+    ReferenceFrameGraph,
+    per_face_set_regions,
+    per_line_parse_skeleton,
+    reference_kaibel_step,
+    reference_reconstruct,
+)
 
 
 def skeleton_of(spec):
@@ -320,15 +333,17 @@ def _outcome(fn, *args, **kwargs):
         return type(exc), str(exc)
 
 
-def _tamperings(sk, rng):
-    """The skeleton and five seeded tamperings of its 2-faces."""
+def _tamperings(sk, rng, swap=True):
+    """The skeleton and five seeded tamperings of its 2-faces; without
+    ``swap``, no chordless cycle is listed and "swap_cycle" is the
+    skeleton itself."""
     faces = list(sk.two_faces)
     rng.shuffle(faces)
     i, j = rng.sample(range(len(faces)), 2)
     others = [
         frozenset(vertices_of(c)) for c in induced_cycles(sk.graph)
         if frozenset(vertices_of(c)) not in sk.two_faces
-    ]
+    ] if swap else []
     swapped = faces[:i] + [rng.choice(others) if others else faces[i]] + faces[i + 1:]
     return {
         "none": faces,
@@ -340,19 +355,25 @@ def _tamperings(sk, rng):
     }
 
 
+def _relabeling(base, rng):
+    """``base`` with its vertices relabeled by a seeded permutation, its
+    faces as frozensets."""
+    perm = list(range(base.n))
+    rng.shuffle(perm)
+    graph = Graph(base.n, [(perm[u], perm[v]) for u, v in base.graph.edges])
+    return KSkeleton(
+        k=2, graph=graph,
+        faces_by_dim={2: tuple(frozenset(perm[v] for v in f) for f in base.two_faces)},
+    )
+
+
 def _tampered_relabelings(base, rng):
     """(kind, skeleton) for five relabelings of ``base`` and the seeded
     tamperings of each."""
     for _ in range(5):
-        perm = list(range(base.n))
-        rng.shuffle(perm)
-        graph = Graph(base.n, [(perm[u], perm[v]) for u, v in base.graph.edges])
-        relabeled = KSkeleton(
-            k=2, graph=graph,
-            faces_by_dim={2: tuple(frozenset(perm[v] for v in f) for f in base.two_faces)},
-        )
+        relabeled = _relabeling(base, rng)
         for kind, faces in _tamperings(relabeled, rng).items():
-            yield kind, KSkeleton(k=2, graph=graph, faces_by_dim={2: tuple(faces)})
+            yield kind, KSkeleton(k=2, graph=relabeled.graph, faces_by_dim={2: tuple(faces)})
 
 
 @pytest.mark.parametrize("name", sorted(fixture_corpus()))
@@ -493,8 +514,10 @@ def test_relabeled_prism_pyramids_match_the_three_pass_reference(m):
 def test_reconstruct_peak_memory_on_the_m4096_prism():
     """Under tracemalloc, reconstruct on the relabeled m = 4096 prism
     2-skeleton peaks below 9.5 MB, the parsed skeleton it reads (2.2 MB)
-    included; measured 5.0 MB on CPython 3.11 with faces as vertex tuples,
-    5.8-5.9 MB on CPython 3.10-3.13 while they were frozensets, and
+    included.  Measured on CPython 3.11: 5.00 MB with the build's flat
+    per-vertex scratch (five lists of n entries), 4.97 MB with the set
+    and cycle dict per face it replaced, both with faces as vertex
+    tuples; 5.8-5.9 MB on CPython 3.10-3.13 while they were frozensets, and
     6.6-6.7 MB while ``Graph`` kept a sorted edge tuple beside ``adj``.
     The move table and the visited frames take one byte per slot; with an
     int-keyed dict entry per move they peaked at 13.1 MB."""
@@ -569,3 +592,121 @@ def test_region_check_rejects_a_simple_vertex_with_all_neighbors_inside():
     unchecked = (NotASkeleton, "two facet traces produced the same vertex set")
     assert _outcome(reconstruct, sk, 4, check=False) == unchecked
     assert _outcome(reference_reconstruct, sk, 4, check=False) == unchecked
+
+
+def _tampered_text(text, rng):
+    """``text`` with one seeded edit of one line, or none: a field dropped
+    or made non-integer, a comment or a repeated header put in, a face
+    rank raised, a loop or a vertex out of range added."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    parts = lines[i].split()
+    edit = rng.choice(["none", "drop", "word", "comment", "header", "rank", "loop", "outside"])
+    if edit == "drop":
+        lines[i] = " ".join(parts[:-1])
+    elif edit == "word":
+        parts[rng.randrange(len(parts))] = "x"
+        lines[i] = " ".join(parts)
+    elif edit == "comment":
+        lines.insert(i, "# " + lines[i])
+    elif edit == "header":
+        lines.insert(i, lines[rng.randrange(2)])
+    elif edit == "rank":
+        lines.insert(i, "face9 0 1 2")
+    elif edit == "loop":
+        lines.insert(i, "edge 1 1")
+    elif edit == "outside":
+        lines.insert(i, f"face2 0 1 {len(lines)}")
+    return "\n".join(lines) + "\n"
+
+
+def _parsed(text, parse):
+    sk, d = parse(text)
+    return sk.graph.adj, sk.faces_by_dim, sk.k, d
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_scratch_build_trace_and_parse_match_the_per_face_sets(data):
+    """Relabeled 2-skeletons of prism(m), m <= 64, of pyramid(prism(m)),
+    m <= 32, and of the corpus, each whole, with a seeded tampering of its
+    faces or with one face listing a vertex twice: the build with
+    per-vertex scratch gives the step table (or the dict's items) of the
+    build with a set and a cycle dict per face, or its error text; the
+    traces give the same regions in the same order, or the same error;
+    and the inline parse of the skeleton's text, with one seeded line
+    edit, gives the per-line parse's result or error."""
+    family = data.draw(st.sampled_from(["prism", "pyramid", "corpus"]))
+    if family == "prism":
+        base, d = polygon_prism_skeleton(data.draw(st.integers(3, 64))), 3
+    elif family == "pyramid":
+        base, d = prism_pyramid_skeleton(data.draw(st.integers(3, 32))), 4
+    else:
+        lat = lattice_of(fixture_corpus()[data.draw(st.sampled_from(sorted(fixture_corpus())))])
+        base, d = k_skeleton(lat, 2), lat.d
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    relabeled = _relabeling(base, rng)
+    tamperings = _tamperings(relabeled, rng, swap=family == "corpus")
+    # A face listed with one vertex twice.
+    faces = list(relabeled.two_faces)
+    i = rng.randrange(len(faces))
+    faces[i] = (*faces[i], rng.choice(sorted(faces[i])))
+    tamperings["repeat"] = faces
+    kind = data.draw(st.sampled_from(sorted(tamperings)))
+    sk = KSkeleton(k=2, graph=relabeled.graph, faces_by_dim={2: tuple(tamperings[kind])})
+    got = _outcome(build_frame_graph, sk, d)
+    want = _outcome(PerFaceSetFrameGraph, sk, d)
+    if isinstance(want, PerFaceSetFrameGraph):
+        assert got.node_count == want.node_count
+        assert type(got.step) is type(want.step)
+        if isinstance(want.step, dict):
+            assert got.step.items() == want.step.items()
+        else:
+            assert got.step == want.step
+        for check in (True, False):
+            assert _outcome(_regions, got, check) == _outcome(per_face_set_regions, want, check)
+    else:
+        assert got == want
+    text = _tampered_text(format_skeleton(sk, d), rng)
+    assert _outcome(_parsed, text, parse_skeleton) == _outcome(_parsed, text, per_line_parse_skeleton)
+
+
+def test_prism_pyramid_skeleton_is_the_lattice_one():
+    for m in (3, 4, 7):
+        sk = prism_pyramid_skeleton(m)
+        lat = k_skeleton(lattice_of(pyramid(polygon_prism(m))), 2)
+        assert (sk.graph, sk.faces_by_dim) == (lat.graph, lat.faces_by_dim)
+
+
+def test_reconstruct_is_linear_at_a_nonsimple_apex():
+    """Relabeled 2-skeletons of pyramid(prism(m)), m = 256..2048, d = 4:
+    the apex, the one nonsimple vertex, has 2m neighbours, lies in 3m
+    triangles and in m + 2 facets.  Each (vertex, face) pair and each
+    nonsimple vertex of a facet costs O(min(deg, |F|)), so reconstruct is
+    linear in m, and each doubling of m must scale its pace-scaled median
+    time by 1.3 to 2.7, as acceptance criterion 4 asks of prisms.
+    Scanning the apex's whole adjacency for each face and facet through it
+    made the ratios 3.4-4.0."""
+    sizes = (256, 512, 1024, 2048)
+    rng = random.Random("apex-scaling")
+    skeletons = [_relabeling(prism_pyramid_skeleton(m), rng) for m in sizes]
+    for sk in skeletons:
+        reconstruct(sk, 4)  # warm-up
+    times = [[] for _ in sizes]
+    gc.disable()
+    try:
+        before = pace()
+        for _ in range(5):
+            for m, sk, runs in zip(sizes, skeletons, times):
+                start = time.perf_counter()
+                out = reconstruct(sk, 4)
+                wall = time.perf_counter() - start
+                after = pace()
+                runs.append(wall / (before + after))
+                before = after
+                assert len(out.facets) == m + 3
+    finally:
+        gc.enable()
+    medians = [statistics.median(runs) for runs in times]
+    ratios = [b / a for a, b in zip(medians, medians[1:])]
+    assert all(1.3 <= r <= 2.7 for r in ratios), ratios
