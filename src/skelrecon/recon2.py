@@ -306,12 +306,12 @@ def _facet(fg: FrameGraph, root: int, slot: int, visited, omitted, others, check
     if check:
         # Each simple v in the facet roots a frame of this trace, which set
         # omitted[v]: a simple leaf's frame is pushed, or this trace
-        # reached it already.  That
-        # frame's d-1 leaves are inside, so v has d-1 neighbours inside
-        # exactly when the one it omits is outside, which also makes this
-        # the frame omitting that neighbour.  A nonsimple v's neighbours
-        # inside are its neighbour set met with the facet, an intersection
-        # that walks the smaller of the two.
+        # reached it already.  That frame's d-1 leaves are inside, so v
+        # has d-1 neighbours inside exactly when the one it omits is
+        # outside, which also makes this the frame omitting that
+        # neighbour.  A nonsimple v's neighbours inside are its neighbour
+        # set met with the facet, an intersection that walks the smaller
+        # of the two.
         nsets = fg.neighbour_sets
         for v in facet:
             x = omitted[v]
