@@ -306,16 +306,9 @@ def _sizes(raw: str) -> list[int]:
     return _at_least(3, _int_list(raw), raw)  # polygon_prism needs m >= 3
 
 
-def _recong_dim(raw: str) -> int:
-    return _at_least(3, [_int(raw)], raw)[0]  # graph reconstruction needs d >= 3
-
-
-def _prism_m(raw: str) -> int:
-    return _at_least(3, [_int(raw)], raw)[0]  # polygon_prism needs m >= 3
-
-
-def _pyramid_folds(raw: str) -> int:
-    return _at_least(0, [_int(raw)], raw)[0]  # 0 means no pyramid
+def _int_at_least(low: int):
+    """The option type of one integer of at least ``low``."""
+    return lambda raw: _at_least(low, [_int(raw)], raw)[0]
 
 
 def _positive_int(raw: str) -> int:
@@ -324,9 +317,8 @@ def _positive_int(raw: str) -> int:
     return int(raw)
 
 
-def _rank(raw: str) -> int:
-    # Ranks above d-1 depend on the input file: k_skeleton refuses them.
-    return _at_least(1, [_int(raw)], raw)[0]
+# Ranks above d-1 depend on the input file: k_skeleton refuses them.
+_rank = _int_at_least(1)
 
 
 def _rank_or_lattice(raw: str) -> int | str:
@@ -342,8 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate a fixture incidence file")
     g.add_argument("--family", required=True, choices=list(_GEN_FAMILIES))
     g.add_argument("--dim", type=_int, default=4)
-    g.add_argument("--m", type=_prism_m, default=4, help="polygon size for prism")
-    g.add_argument("--pyramid", type=_pyramid_folds, default=0, metavar="T",
+    g.add_argument("--m", type=_int_at_least(3), default=4,  # polygon_prism needs m >= 3
+                   help="polygon size for prism")
+    g.add_argument("--pyramid", type=_int_at_least(0), default=0, metavar="T",
                    help="wrap the family in a T-fold pyramid")
     g.add_argument("-o", "--output")
     g.set_defaults(fn=cmd_gen)
@@ -366,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     rg = sub.add_parser("recong", help="reconstruct facets from a graph")
     rg.add_argument("file")
-    rg.add_argument("--dim", type=_recong_dim, required=True)
+    # graph reconstruction needs d >= 3
+    rg.add_argument("--dim", type=_int_at_least(3), required=True)
     rg.add_argument("--method", choices=["claims", "truncation", "both"], default="both")
     rg.add_argument("--certificate", action="store_true",
                     help="print objective minima and family counts")

@@ -165,24 +165,30 @@ def isomorphic(
 
 
 def _graph_isomorphisms(n, adj_a, adj_b, candidates, order):
-    """All graph isomorphisms within the refined classes (backtracking)."""
+    """All graph isomorphisms within the refined classes, by backtracking
+    over an explicit stack of candidate iterators, one per mapped vertex,
+    so the depth is not bounded by the recursion limit.  The identity map
+    settles n = 0 before any search."""
     mapping: dict[int, int] = {}
     used: set[int] = set()
-
-    def extend(i: int):
-        if i == n:
-            yield tuple(mapping[v] for v in range(n))
-            return
+    stack = [iter(candidates[order[0]])]
+    while stack:
+        i = len(stack) - 1
         v = order[i]
-        for w in candidates[v]:
+        if v in mapping:  # back at v: undo its last choice
+            used.discard(mapping.pop(v))
+        for w in stack[i]:
             if w in used:
                 continue
             if any((adj_a[v] >> v2 & 1) != (adj_b[w] >> w2 & 1) for v2, w2 in mapping.items()):
                 continue
             mapping[v] = w
             used.add(w)
-            yield from extend(i + 1)
-            del mapping[v]
-            used.discard(w)
-
-    yield from extend(0)
+            break
+        else:
+            stack.pop()
+            continue
+        if i + 1 < n:
+            stack.append(iter(candidates[order[i + 1]]))
+        else:
+            yield tuple(mapping[u] for u in range(n))

@@ -21,8 +21,10 @@ checks read the masks and single layers, never the full views.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import eq
 from typing import Iterable, Optional, Union
 
 from .errors import DegreeBelowDimension, NotAnEdge, NotGraded, RankOutOfRange
@@ -433,12 +435,14 @@ def _check_diamond(lattice: FaceLattice) -> CheckResult:
                 if lower is None:
                     lower = implicit[g] = boolean_covers(g)
             under += lower
-        # Sorted, every face appears exactly twice iff the pairs match and
-        # are distinct.
+        # Sorted, each face's run is its count of intermediates: all are 2
+        # iff the pairs match and no pair's second face equals the next
+        # pair's first.
         under.sort()
-        if under[::2] == under[1::2] and 2 * len(set(under)) == len(under):
+        if under[::2] == under[1::2] and not any(map(eq, under[1::2], under[2::2])):
             continue
-        for f, count in Counter(under).items():
+        for f, run in groupby(under):
+            count = len(list(run))
             if count != 2:
                 key = (lattice.rank(f), vertices_of(f), vertices_of(h), count)
                 if first is None or key < first:

@@ -123,6 +123,16 @@ K33_PLUS_EDGE = Graph(
 )
 
 
+# K2,4 with parts {0, 1} and {2, 3, 4, 5}, plus the edges 2-3 and 4-5.
+# Removing 0 and 1 cuts it in two, so it is no 3-polytope graph, yet every
+# vertex has degree at least 3 and 0 and 1, not adjacent, are its only
+# vertices of degree 4.  Truncated at 0 it has four vertices of degree 2,
+# not the 0 or 2 a polytope leaves, so the missing edge cannot be repaired.
+K24_PLUS_MATCHING = Graph(
+    6, [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (4, 5)]
+)
+
+
 @lru_cache(maxsize=None)
 def lattice_of(spec):
     return build_face_lattice(spec)

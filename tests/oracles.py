@@ -31,8 +31,7 @@ isomorphism via frozenset layers decoded from every face instead of
 int masks, text files via a first pass that checks every line's field
 count before any line is read instead of one streaming pass, the frame
 moves via a set and a cycle dict per 2-face and whole-adjacency scans at
-nonsimple vertices instead of per-vertex scratch, and skeleton files via
-a line generator instead of an inline loop.
+nonsimple vertices instead of per-vertex scratch.
 The test-only orientation helpers live here too: ``orientation_from_order``
 (masks by walking an order's arcs, not the enumerator), ``edge_directions``,
 ``sinks_in``, ``is_good`` and ``objectives``.
@@ -79,16 +78,6 @@ from skelrecon.lattice import (
 )
 from skelrecon.recon2 import Ambiguity, ReconstructionOutcome
 from skelrecon.recong import count_sink_frames
-from skelrecon.textio import (
-    _fields,
-    _graph,
-    _header,
-    _int,
-    _misfit,
-    _non_integer,
-    _short_lines_first,
-    _vertex_count,
-)
 
 
 def closed_sets(spec):
@@ -1089,7 +1078,7 @@ def reference_reconstruct(sk: KSkeleton, d: int, parity_hint=None, check=True):
     return ReconstructionOutcome(facets, "complete")
 
 
-# -- frame moves and facet traces over per-face sets; per-line skeleton parse --
+# -- frame moves and facet traces over per-face sets ----------------------------
 
 
 class PerFaceSetFrameGraph:
@@ -1235,45 +1224,6 @@ def per_face_set_regions(fg: PerFaceSetFrameGraph, check: bool) -> list[frozense
                 continue
             regions.append(per_face_set_facet(fg, root, slot, visited, omitted, check))
     return regions
-
-
-@_short_lines_first
-def per_line_parse_skeleton(text: str) -> tuple[KSkeleton, int]:
-    """``textio.parse_skeleton`` reading the lines through the ``_fields``
-    generator and each face line's rank afresh, instead of inline with
-    the ranks memoised."""
-    d = n = None
-    edges = []
-    face_lines: list[tuple[int, tuple[int, ...] | None]] = []
-    for parts in _fields(text):
-        key = parts[0]
-        if key == "edge":
-            try:
-                edges.append((int(parts[1]), int(parts[2])))
-            except ValueError:
-                raise _non_integer(parts) from None
-        elif key.startswith("face"):
-            r = _int(key[4:], parts)
-            try:
-                face_lines.append((r, tuple(sorted(set(map(int, parts[1:]))))))
-            except ValueError:
-                face_lines.append((r, None))
-        elif key == "d":
-            d = _header(d, parts)
-        elif key == "vertices":
-            n = _vertex_count(n, parts)
-        else:
-            raise ValueError(f"unexpected line: {' '.join(parts)}")
-    if d is None or n is None:
-        raise ValueError("missing d or vertices header")
-    faces: dict[int, list[tuple[int, ...]]] = {}
-    for r, vs in face_lines:
-        if not (2 <= r < d and vs and vs[0] >= 0 and vs[-1] < n):
-            raise _misfit(text, n, d)
-        faces.setdefault(r, []).append(vs)
-    k = max(faces, default=1)
-    faces_by_dim = {r: tuple(sorted(fs)) for r, fs in faces.items()}
-    return KSkeleton(k=k, graph=_graph(text, n, edges), faces_by_dim=faces_by_dim), d
 
 
 # -- isomorphism on frozenset layers -------------------------------------------

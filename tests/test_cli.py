@@ -23,6 +23,7 @@ from skelrecon import (
 )
 from skelrecon import cli, recong
 from skelrecon.cli import main
+from skelrecon.errors import RepairAmbiguous
 from skelrecon.textio import (
     format_edge_list,
     format_skeleton,
@@ -32,7 +33,7 @@ from skelrecon.textio import (
     parse_spec,
 )
 
-from conftest import K33_PLUS_EDGE, fixture_corpus, lattice_of
+from conftest import K24_PLUS_MATCHING, K33_PLUS_EDGE, fixture_corpus, lattice_of
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -238,6 +239,17 @@ def test_recong_truncation_refuses_many_nonsimple_vertices_after_the_cut(tmp_pat
     assert out == ""
     assert err == "error: the truncated graph has 6 nonsimple vertices, not at most 1\n"
     assert "Traceback" not in err
+
+
+def test_recong_truncation_refuses_an_ambiguous_repair(tmp_path, capsys):
+    edges = tmp_path / "g.edges"
+    edges.write_text(format_edge_list(K24_PLUS_MATCHING))
+    assert run_cli("recong", str(edges), "--dim", "3", "--method", "truncation") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: 4 vertices of degree d-1 after truncation\n"
+    with pytest.raises(RepairAmbiguous):
+        recong.reconstruct(K24_PLUS_MATCHING, 3, "truncation")
 
 
 def test_recong_reports_disagreeing_methods(tmp_path, capsys, monkeypatch):

@@ -22,6 +22,7 @@ from skelrecon import (
 from skelrecon.errors import (
     CutFacetMissing,
     DimensionTooSmall,
+    InvalidBase,
     NotAProperFace,
 )
 
@@ -95,6 +96,13 @@ def test_dimension_guards():
         q1(2)
     with pytest.raises(DimensionTooSmall):
         q2(3)
+
+
+def test_base_guards():
+    with pytest.raises(InvalidBase, match="polygon_prism needs m >= 3"):
+        polygon_prism(2)
+    with pytest.raises(InvalidBase, match="t must be at least 1"):
+        multifold_pyramid(simplex(3), 0)
 
 
 def test_pyramid_over_simplex_is_simplex():

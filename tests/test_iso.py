@@ -1,10 +1,12 @@
 import random
+import sys
 
 import pytest
 
 from skelrecon import (
     PolytopeSpec,
     build_face_lattice,
+    cube,
     isomorphic,
     k_skeleton,
     q1,
@@ -105,6 +107,23 @@ def test_kind_mismatch():
 
 def shuffled(spec, seed):
     return relabeled(spec, random.Random(seed).sample(range(spec.n), spec.n))
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    """The witness search maps one vertex of relabeled cube(7) per level,
+    128 levels deep: a search with a frame per level ends in RecursionError
+    under a recursion limit below the vertex count."""
+    a = lattice_of(cube(7))
+    b = build_face_lattice(shuffled(cube(7), 7))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        r = isomorphic(a, b, rank=1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert r.isomorphic and r.witness != tuple(range(128))
+    edges_b = set(k_skeleton(b, 1).graph.edges)
+    assert {tuple(sorted((r.witness[u], r.witness[v]))) for u, v in k_skeleton(a, 1).graph.edges} == edges_b
 
 
 def outcome(call):

@@ -48,8 +48,8 @@ from oracles import (
     PerFaceSetFrameGraph,
     ReferenceFrameGraph,
     per_face_set_regions,
-    per_line_parse_skeleton,
     reference_kaibel_step,
+    reference_parse,
     reference_reconstruct,
 )
 
@@ -621,8 +621,11 @@ def _tampered_text(text, rng):
 
 
 def _parsed(text, parse):
+    """The parse of ``text``, each face as its sorted vertex tuple (the
+    reference parser's faces are frozensets)."""
     sk, d = parse(text)
-    return sk.graph.adj, sk.faces_by_dim, sk.k, d
+    faces = {r: tuple(tuple(sorted(f)) for f in fs) for r, fs in sk.faces_by_dim.items()}
+    return sk.graph.adj, faces, sk.k, d
 
 
 @settings(max_examples=150, deadline=None)
@@ -634,8 +637,9 @@ def test_scratch_build_trace_and_parse_match_the_per_face_sets(data):
     per-vertex scratch gives the step table (or the dict's items) of the
     build with a set and a cycle dict per face, or its error text; the
     traces give the same regions in the same order, or the same error;
-    and the inline parse of the skeleton's text, with one seeded line
-    edit, gives the per-line parse's result or error."""
+    and the parse of the skeleton's text, with one seeded line edit,
+    gives the result or error of the reference parser, which checks every
+    line before it reads any."""
     family = data.draw(st.sampled_from(["prism", "pyramid", "corpus"]))
     if family == "prism":
         base, d = polygon_prism_skeleton(data.draw(st.integers(3, 64))), 3
@@ -668,7 +672,8 @@ def test_scratch_build_trace_and_parse_match_the_per_face_sets(data):
     else:
         assert got == want
     text = _tampered_text(format_skeleton(sk, d), rng)
-    assert _outcome(_parsed, text, parse_skeleton) == _outcome(_parsed, text, per_line_parse_skeleton)
+    reference = _outcome(_parsed, text, lambda t: reference_parse("skeleton", t))
+    assert _outcome(_parsed, text, parse_skeleton) == reference
 
 
 def test_prism_pyramid_skeleton_is_the_lattice_one():

@@ -90,7 +90,7 @@ KEYS = {
     "spec": ["facet"] * 5 + ["d", "vertices", "edge", "face2"],
     "skeleton": ["edge"] * 3 + ["face2"] * 3 + ["face3", "face1", "faceX", "facet", "d",
                                                 "vertices"],
-    "edges": ["edge"] * 5 + ["vertices", "d"],
+    "edges": ["edge"] * 5 + ["vertices", "d", "facet", "face2"],
 }
 NUMBER = st.integers(-1, 5).map(str)
 FIELD = st.one_of(*[NUMBER] * 20, st.sampled_from(["a", "#", "1_0"]))
