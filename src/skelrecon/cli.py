@@ -121,7 +121,7 @@ def cmd_recon2(args) -> int:
         sys.stdout.write("# ambiguous: two completions, pass --parity to choose\n")
         for tag, completion in zip(("even", "odd"), _by_parity(amb.completions)):
             sys.stdout.write(f"# completion parity={tag} facets={len(completion)}\n")
-            sys.stdout.write(textio.facet_lines(completion))
+            sys.stdout.write(textio.facet_lines(sk.graph.n, completion))
         return 1
     # reconstruct's checks already give every PolytopeSpec invariant (see
     # its docstring), so the facets are written as they are.
@@ -311,12 +311,6 @@ def _int_at_least(low: int):
     return lambda raw: _at_least(low, [_int(raw)], raw)[0]
 
 
-def _positive_int(raw: str) -> int:
-    if _int(raw) < 1:
-        raise argparse.ArgumentTypeError(f"not positive: {raw!r}")
-    return int(raw)
-
-
 # Ranks above d-1 depend on the input file: k_skeleton refuses them.
 _rank = _int_at_least(1)
 
@@ -383,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="prism scaling study")
     b.add_argument("--sizes", type=_sizes, default="1024,2048,4096,8192,16384")
-    b.add_argument("--repeats", type=_positive_int, default=5)
+    b.add_argument("--repeats", type=_int_at_least(1), default=5)
     b.set_defaults(fn=cmd_bench)
     return p
 

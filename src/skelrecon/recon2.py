@@ -11,9 +11,9 @@ w's neighbours gives z's slot among y's.  Sweeping every simple frame
 once traces every facet, one lookup per move, in time linear in the
 number of vertices (for fixed d), provided each facet keeps at most d-2
 nonsimple vertices.  One pass per facet traces its frames, collects its
-vertices and checks them: a simple vertex's omitted neighbour must lie
-outside (one set lookup), and a nonsimple vertex needs d-1 neighbours
-inside.
+vertices in a list guarded by a per-vertex stamp and checks them: a
+simple vertex's omitted neighbour must lie outside (one stamp read), and
+a nonsimple vertex needs d-1 neighbours inside.
 
 With d-1 nonsimple vertices in total the sweep can leave one genuine
 two-way ambiguity: a pair of traced regions meeting exactly in the
@@ -28,7 +28,7 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .errors import (
     FrameNotInUniqueTwoFace,
@@ -67,7 +67,11 @@ class FrameGraph:
     its neighbours by stamp, or the face against its neighbour set; so it
     costs O(min(deg, |F|)).  The neighbour sets, ``neighbour_sets``, are
     built on first use and only for nonsimple vertices; :func:`_facet`
-    shares them.
+    shares them.  Then one walk around the face's cycle counts its length
+    and writes the two moves of each simple vertex on it, so each face is
+    walked once.  A frame that an earlier face took is noted on the way
+    and raises only after the length check, naming the first such vertex
+    in the face's own order.
     """
 
     __slots__ = (
@@ -105,7 +109,8 @@ class FrameGraph:
         second = [0] * n
         slot1 = [0] * n
         slot2 = [0] * n
-        frames = 0
+        taken: list[int] = []  # the current face's simple vertices whose frame was taken
+        frames = 0  # the simple (vertex, face) pairs, each one frame written
         for fi, face in enumerate(faces):
             for v in face:
                 mark[v] = fi
@@ -118,17 +123,20 @@ class FrameGraph:
                 a = b = None
                 if deg == d or deg <= size:
                     # By stamp, in slot order.
-                    for slot, w in enumerate(nbrs):
+                    for w in nbrs:
                         if mark[w] == fi:
                             if a is None:
-                                a, i = w, slot
+                                a = w
                             elif b is None:
-                                b, j = w, slot
+                                b = w
                             else:
                                 b = None
                                 break
                     if deg != d:
                         i = j = d
+                    elif b is not None:
+                        i = nbrs.index(a)
+                        j = nbrs.index(b)
                 else:
                     # A nonsimple v with more neighbours than the face has
                     # vertices.  A repeated face vertex counts once, as it
@@ -155,33 +163,41 @@ class FrameGraph:
                 slot1[v] = i
                 slot2[v] = j
             # A 2-regular induced subgraph could still be a union of cycles:
-            # walk the cycle through one vertex and count its length.
-            start = next(iter(face))
-            prev, v = start, first[start]
-            length = 1
-            while v != start:
+            # walk the cycle through one vertex, counting its length and
+            # writing the moves of each simple vertex on the way.  A frame
+            # that an earlier face took is only noted, as the length check
+            # comes first; a face that raises leaves its writes unused.
+            start = v = next(iter(face))
+            prev = second[start]
+            length = 0
+            while True:
                 a = first[v]
-                prev, v = v, (second[v] if a == prev else a)
+                b = second[v]
+                i = slot1[v]
+                if i != d:
+                    j = slot2[v]
+                    key = (v * d + i) * d + j
+                    if step[key] != empty:
+                        taken.append(v)
+                    step[key] = slot2[b] if first[b] == v else slot1[b]
+                    step[(v * d + j) * d + i] = slot2[a] if first[a] == v else slot1[a]
+                else:
+                    frames -= 1  # a nonsimple vertex roots no frame
                 length += 1
+                prev, v = v, (b if a == prev else a)
+                if v == start:
+                    break
             if length != size:
                 raise NotASkeleton(
                     f"2-face {tuple(sorted(face))} is not a single cycle"
                 )
-            for w in face:
-                i = slot1[w]
-                if i == d:
-                    continue
-                j = slot2[w]
-                key = (w * d + i) * d + j
-                if step[key] != empty:
-                    raise FrameNotInUniqueTwoFace(
-                        f"2-frame ({w}, {first[w]}, {second[w]}) lies in more than one 2-face"
-                    )
-                frames += 1
-                b = second[w]
-                step[key] = slot2[b] if first[b] == w else slot1[b]
-                a = first[w]
-                step[(w * d + j) * d + i] = slot2[a] if first[a] == w else slot1[a]
+            if taken:
+                # The error names the first such vertex in the face's order.
+                w = next(w for w in face if w in taken)
+                raise FrameNotInUniqueTwoFace(
+                    f"2-frame ({w}, {first[w]}, {second[w]}) lies in more than one 2-face"
+                )
+            frames += length
         # Every neighbour pair of a simple root must span exactly one 2-face.
         # No pair is counted twice, so the count falls short exactly when a
         # frame is not covered; then scan in order for the first gap.
@@ -258,32 +274,41 @@ class ReconstructionOutcome:
     ambiguity: Optional[Ambiguity] = None
 
 
-def _facet(fg: FrameGraph, root: int, slot: int, visited, omitted, others, check):
+def _facet(fg: FrameGraph, root: int, slot: int, t: int, scratch, check) -> tuple[int, ...]:
     """Trace, collect and check the facet of the frame at ``root`` that
-    omits ``adj[root][slot]``, in one pass; returns its vertex set.
+    omits ``adj[root][slot]``, the trace of index ``t``, in one pass;
+    returns its sorted vertex tuple.
 
     Each frame (w, ex), w's frame omitting its neighbour in slot ex, taken
-    in breadth-first order, adds w to the region and sets ``omitted[w]``
-    to the omitted neighbour.  Of w's leaves only the nonsimple ones are
+    in breadth-first order, adds w to the facet and sets ``omitted[w]`` to
+    the omitted neighbour.  Of w's leaves only the nonsimple ones are
     added: a simple leaf roots a frame of this trace (see below) and is
-    added as its root.  The scratch is flat and shared by every trace:
-    ``visited`` holds a byte per frame code w*d + ex, ``omitted`` is -1 at
-    each nonsimple vertex, and ``others[ex]`` is the tuple of the d-1
-    slots other than ex, so each move costs one lookup.  The check costs
-    O(1) per simple vertex and O(min(deg, |F|)) per nonsimple one.
+    added as its root.  A vertex joins the list ``members`` once, guarded
+    by its stamp: ``stamp[v] == t`` exactly when v is in this facet, so
+    the check reads one stamp per simple vertex.  The scratch is flat and
+    shared by every trace: ``visited`` holds a byte per frame code
+    w*d + ex, ``omitted`` is -1 at each nonsimple vertex, ``stamp`` holds
+    the index of the last trace through each vertex, and ``others[ex]`` is
+    the tuple of the d-1 slots other than ex, so each move costs one
+    lookup.  The check costs O(1) per simple vertex and O(min(deg, |F|))
+    per nonsimple one; only a facet with a nonsimple vertex is made a
+    frozenset, for that check.
     """
     adj = fg.skeleton.graph.adj
     d = fg.d
     step = fg.step
-    region: set[int] = set()
-    add = region.add
+    visited, omitted, stamp, others = scratch
+    members: list[int] = []
+    put = members.append
     visited[root * d + slot] = 1
     frames = [(root, slot)]
     push = frames.append
     for w, ex in frames:  # also yields the frames pushed below
         nbrs = adj[w]
         omitted[w] = nbrs[ex]
-        add(w)
+        if stamp[w] != t:  # else w roots two frames here, which the check refuses
+            stamp[w] = t
+            put(w)
         base = (w * d + ex) * d
         for j in others[ex]:
             # w is simple, so FrameGraph's coverage check put this move in;
@@ -298,12 +323,14 @@ def _facet(fg: FrameGraph, root: int, slot: int, visited, omitted, others, check
             u2 = nbrs[j]
             k = step[base + j]
             if k == d:
-                add(u2)
-            elif not visited[u2 * d + k]:
-                visited[u2 * d + k] = 1
+                if stamp[u2] != t:
+                    stamp[u2] = t
+                    put(u2)
+            elif not visited[code := u2 * d + k]:
+                visited[code] = 1
                 push((u2, k))
-    facet = frozenset(region)
     if check:
+        nsets = fg.neighbour_sets
         # Each simple v in the facet roots a frame of this trace, which set
         # omitted[v]: a simple leaf's frame is pushed, or this trace
         # reached it already.  That frame's d-1 leaves are inside, so v
@@ -312,31 +339,54 @@ def _facet(fg: FrameGraph, root: int, slot: int, visited, omitted, others, check
         # neighbour.  A nonsimple v's neighbours inside are its neighbour
         # set met with the facet, an intersection that walks the smaller
         # of the two.
-        nsets = fg.neighbour_sets
-        for v in facet:
+        facet = None
+        for v in members:
             x = omitted[v]
             if x >= 0:
-                if x in facet:
-                    inside = sum(w in facet for w in adj[v])
-                    raise NotASkeleton(
-                        f"simple vertex {v} has {inside} neighbors in region "
-                        f"{tuple(sorted(facet))}"
-                    )
+                if stamp[x] == t:
+                    _refuse(fg, members, omitted)
             else:
+                if facet is None:
+                    facet = frozenset(members)
                 nset = nsets.get(v)
                 if nset is None:
                     nset = nsets[v] = frozenset(adj[v])
-                inside = len(nset & facet)
-                if inside < d - 1:
-                    raise NotASkeleton(
-                        f"nonsimple vertex {v} has {inside} < d-1 neighbors in region"
-                    )
-    return facet
+                if len(nset & facet) < d - 1:
+                    _refuse(fg, members, omitted)
+    members.sort()
+    return tuple(members)
 
 
-def _regions(fg: FrameGraph, check: bool) -> list[frozenset[int]]:
-    """The vertex set of every facet trace, each checked unless ``check``
-    is False, in the order of the frame codes the traces start from."""
+def _refuse(fg: FrameGraph, members: list[int], omitted) -> NoReturn:
+    """Raise the region check's error for the facet in ``members``, a
+    failure :func:`_facet` found.  The error names the first vertex that
+    fails in the iteration order of ``frozenset(set(members))``, a set
+    filled in trace order and then frozen; the error texts the tests pin
+    name that vertex, and ``frozenset(members)`` may order it otherwise."""
+    adj = fg.skeleton.graph.adj
+    facet = frozenset(set(members))
+    for v in facet:
+        x = omitted[v]
+        if x >= 0:
+            if x in facet:
+                inside = sum(w in facet for w in adj[v])
+                raise NotASkeleton(
+                    f"simple vertex {v} has {inside} neighbors in region "
+                    f"{tuple(sorted(facet))}"
+                )
+        else:
+            inside = len(fg.neighbour_sets.get(v, frozenset(adj[v])) & facet)
+            if inside < fg.d - 1:
+                raise NotASkeleton(
+                    f"nonsimple vertex {v} has {inside} < d-1 neighbors in region"
+                )
+    raise AssertionError("no vertex of the facet fails the region check")
+
+
+def _regions(fg: FrameGraph, check: bool) -> list[tuple[int, ...]]:
+    """The sorted vertex tuple of every facet trace, each checked unless
+    ``check`` is False, in the order of the frame codes the traces start
+    from."""
     d = fg.d
     n = fg.skeleton.graph.n
     # A nonsimple vertex roots no frame: its codes count as visited, so
@@ -345,13 +395,13 @@ def _regions(fg: FrameGraph, check: bool) -> list[frozenset[int]]:
     taken = b"\x01" * d
     for v in fg.nonsimple:
         visited[v * d : v * d + d] = taken
-    omitted = [-1] * n
     others = [(*range(ex), *range(ex + 1, d)) for ex in range(d)]
+    scratch = (visited, [-1] * n, [-1] * n, others)
     regions = []
     code = visited.find(0)
     while code >= 0:
         root, slot = divmod(code, d)
-        regions.append(_facet(fg, root, slot, visited, omitted, others, check))
+        regions.append(_facet(fg, root, slot, len(regions), scratch, check))
         code = visited.find(0, code + 1)
     return regions
 
@@ -369,9 +419,12 @@ def reconstruct(
     ambiguity (see module docstring) is reported with both completions;
     parity_hint ("even"/"odd", the parity of the facet count) resolves it.
     Each facet is traced, collected and, unless ``check`` is False,
-    checked in one pass: collecting it costs one set add per frame and one
-    per nonsimple leaf, and checking it one set lookup per simple vertex
-    and one set intersection per nonsimple vertex.  When each facet keeps
+    checked in one pass: collecting it costs one stamp test per frame and
+    one per nonsimple leaf, and checking it one stamp read per simple
+    vertex and one set intersection per nonsimple vertex.  Each trace
+    gives its facet's sorted tuple; the tuples are checked for repeats
+    and sorted once here, and only the ambiguity test below, with d-1
+    nonsimple vertices, turns the regions it tests into frozensets.  When each facet keeps
     at most d-2 nonsimple vertices, so does each 2-face, and with the
     costs of :class:`FrameGraph` the whole run takes time linear in the
     size of the 2-face lines for fixed d, whatever the degrees of the
@@ -411,6 +464,9 @@ def reconstruct(
     regions = _regions(fg, check)
     if len(set(regions)) != len(regions):
         raise NotASkeleton("two facet traces produced the same vertex set")
+    # Sorting the list in trace order is quicker than sorting the set: the
+    # traces start from frame codes in increasing order.
+    facets = tuple(sorted(regions))
 
     nonsimple = fg.nonsimple
     ambiguity = None
@@ -423,7 +479,7 @@ def reconstruct(
         )
         pairs = []
         if ncomplete:
-            holders = [r for r in regions if nonsimple <= r]
+            holders = [r for r in map(frozenset, regions) if nonsimple <= r]
             simple_mask = mask_of(fg.simple)
             for i, a in enumerate(holders):
                 for b in holders[i + 1 :]:
@@ -436,20 +492,14 @@ def reconstruct(
                 "more than one candidate pair meets exactly in the nonsimple set"
             )
         if pairs:
-            a, b = pairs[0]
-            merged = a | b
-            split_list = tuple(sorted(tuple(sorted(r)) for r in regions))
-            merged_list = tuple(
-                sorted(
-                    [tuple(sorted(r)) for r in regions if r != a and r != b]
-                    + [tuple(sorted(merged))]
-                )
-            )
+            a, b = (tuple(sorted(r)) for r in pairs[0])
+            merged = tuple(sorted({*a, *b}))
+            merged_list = tuple(sorted([r for r in facets if r != a and r != b] + [merged]))
             ambiguity = Ambiguity(
-                region_a=tuple(sorted(a)),
-                region_b=tuple(sorted(b)),
-                merged=tuple(sorted(merged)),
-                completions=(split_list, merged_list),
+                region_a=a,
+                region_b=b,
+                merged=merged,
+                completions=(facets, merged_list),
             )
 
     if ambiguity is not None:
@@ -460,5 +510,4 @@ def reconstruct(
         completion = next(c for c in ambiguity.completions if len(c) % 2 == want)
         return ReconstructionOutcome(completion, "complete", ambiguity)
 
-    facets = tuple(sorted(tuple(sorted(r)) for r in regions))
     return ReconstructionOutcome(facets, "complete")

@@ -161,16 +161,30 @@ def _read(fmt: str, text: str):
     return d, n, facets, graph, faces
 
 
-def facet_lines(facets: Iterable[Iterable[int]]) -> str:
-    """One ``facet v1 v2 ...`` line per facet, in the order given."""
-    return "".join(f"facet {' '.join(map(str, f))}\n" for f in facets)
+def _labels(n: int):
+    """The text of each vertex label 0..n-1 by lookup: the writers render
+    each label once per call, into this table of n strings, rather than
+    once per incidence.  Every label written must lie in 0..n-1."""
+    return list(map(str, range(n))).__getitem__
+
+
+def _edge_lines(g: Graph, label) -> str:
+    return "".join([f"edge {label(u)} {label(v)}\n" for u, v in g.edges])
+
+
+def facet_lines(n: int, facets: Iterable[Iterable[int]]) -> str:
+    """One ``facet v1 v2 ...`` line per facet over the vertices 0..n-1, in
+    the order given, each label rendered once."""
+    label = _labels(n)
+    return "".join([f"facet {' '.join(map(label, f))}\n" for f in facets])
 
 
 def format_facets(d: int, n: int, facets: Iterable[Iterable[int]]) -> str:
     """The incidence text of a facet list that is already canonical: sorted
     vertex tuples in lexicographic order, as :class:`PolytopeSpec` keeps
-    them and ``recon2.reconstruct`` returns them."""
-    return f"d {d}\nvertices {n}\n" + facet_lines(facets)
+    them and ``recon2.reconstruct`` returns them.  Each label is rendered
+    once, from a table of n strings."""
+    return f"d {d}\nvertices {n}\n" + facet_lines(n, facets)
 
 
 def format_spec(spec: PolytopeSpec) -> str:
@@ -183,13 +197,12 @@ def parse_spec(text: str) -> PolytopeSpec:
 
 
 def format_skeleton(sk: KSkeleton, d: int) -> str:
-    lines = [f"d {d}", f"vertices {sk.graph.n}"]
-    for u, v in sk.graph.edges:
-        lines.append(f"edge {u} {v}")
+    n = sk.graph.n
+    label = _labels(n)
+    parts = [f"d {d}\nvertices {n}\n", _edge_lines(sk.graph, label)]
     for r in sorted(sk.faces_by_dim):
-        for f in sk.faces_by_dim[r]:
-            lines.append(f"face{r} " + " ".join(map(str, f)))
-    return "\n".join(lines) + "\n"
+        parts += [f"face{r} {' '.join(map(label, f))}\n" for f in sk.faces_by_dim[r]]
+    return "".join(parts)
 
 
 def parse_skeleton(text: str) -> tuple[KSkeleton, int]:
@@ -200,10 +213,7 @@ def parse_skeleton(text: str) -> tuple[KSkeleton, int]:
 
 
 def format_edge_list(g: Graph) -> str:
-    lines = [f"vertices {g.n}"]
-    for u, v in g.edges:
-        lines.append(f"edge {u} {v}")
-    return "\n".join(lines) + "\n"
+    return f"vertices {g.n}\n" + _edge_lines(g, _labels(g.n))
 
 
 def parse_edge_list(text: str) -> Graph:

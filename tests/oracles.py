@@ -31,7 +31,8 @@ isomorphism via frozenset layers decoded from every face instead of
 int masks, text files via a first pass that checks every line's field
 count before any line is read instead of one streaming pass, the frame
 moves via a set and a cycle dict per 2-face and whole-adjacency scans at
-nonsimple vertices instead of per-vertex scratch.
+nonsimple vertices instead of per-vertex scratch, text written with one
+``str`` call per incidence instead of a table of labels per call.
 The test-only orientation helpers live here too: ``orientation_from_order``
 (masks by walking an order's arcs, not the enumerator), ``edge_directions``,
 ``sinks_in``, ``is_good`` and ``objectives``.
@@ -1224,6 +1225,35 @@ def per_face_set_regions(fg: PerFaceSetFrameGraph, check: bool) -> list[frozense
                 continue
             regions.append(per_face_set_facet(fg, root, slot, visited, omitted, check))
     return regions
+
+
+# -- text writers rendering each label per incidence --------------------------
+
+
+def per_incidence_format_facets(d: int, n: int, facets) -> str:
+    """``textio.format_facets`` with an f-string per line."""
+    return f"d {d}\nvertices {n}\n" + "".join(
+        f"facet {' '.join(map(str, f))}\n" for f in facets
+    )
+
+
+def per_incidence_format_skeleton(sk: KSkeleton, d: int) -> str:
+    """``textio.format_skeleton`` with an f-string per line."""
+    lines = [f"d {d}", f"vertices {sk.graph.n}"]
+    for u, v in sk.graph.edges:
+        lines.append(f"edge {u} {v}")
+    for r in sorted(sk.faces_by_dim):
+        for f in sk.faces_by_dim[r]:
+            lines.append(f"face{r} " + " ".join(map(str, f)))
+    return "\n".join(lines) + "\n"
+
+
+def per_incidence_format_edge_list(g: Graph) -> str:
+    """``textio.format_edge_list`` with an f-string per line."""
+    lines = [f"vertices {g.n}"]
+    for u, v in g.edges:
+        lines.append(f"edge {u} {v}")
+    return "\n".join(lines) + "\n"
 
 
 # -- isomorphism on frozenset layers -------------------------------------------

@@ -97,6 +97,24 @@ def test_frame_graph_rejects_a_union_of_cycles():
     assert str(exc.value) == "2-face (0, 1, 2, 3, 4, 5) is not a single cycle"
 
 
+def test_frame_graph_names_the_first_taken_frame_in_face_order():
+    """The hexagonal prism with top t0..t5 and bottom b0..b5, relabeled,
+    lists the top, the square t5-t0-b0-b5 and then the induced 8-cycle
+    t0 t1 t2 t3 b3 b4 b5 b0.  The top already took the cycle's frames at
+    t1 and t2, and the square its frame at b0.  The walk around the cycle
+    starts at t0, the face's first vertex, and meets t1 or b0 first, but
+    the error names t2, the first of the three in the face's order."""
+    t = [0, 7, 1, 2, 3, 4]  # the labels of t0..t5
+    b = [9, 5, 6, 8, 10, 11]  # and of b0..b5
+    edges = [(t[i], t[i - 1]) for i in range(6)] + [(b[i], b[i - 1]) for i in range(6)]
+    graph = Graph(12, edges + list(zip(t, b)))
+    faces = [t, [t[5], t[0], b[0], b[5]], t[:4] + [b[3], b[4], b[5], b[0]]]
+    sk = KSkeleton(k=2, graph=graph, faces_by_dim={2: tuple(tuple(sorted(f)) for f in faces)})
+    message = "2-frame (1, 2, 7) lies in more than one 2-face"
+    assert _outcome(build_frame_graph, sk, 3) == (FrameNotInUniqueTwoFace, message)
+    assert _outcome(PerFaceSetFrameGraph, sk, 3) == (FrameNotInUniqueTwoFace, message)
+
+
 def test_frame_graph_with_d_above_a_byte():
     """From d = 255 on, the mark d for a move into a nonsimple vertex no
     longer fits beside the byte sentinel, so the table takes two bytes a
@@ -514,8 +532,11 @@ def test_relabeled_prism_pyramids_match_the_three_pass_reference(m):
 def test_reconstruct_peak_memory_on_the_m4096_prism():
     """Under tracemalloc, reconstruct on the relabeled m = 4096 prism
     2-skeleton peaks below 9.5 MB, the parsed skeleton it reads (2.2 MB)
-    included.  Measured on CPython 3.11: 5.00 MB with the build's flat
-    per-vertex scratch (five lists of n entries), 4.97 MB with the set
+    included.  Measured on CPython 3.10-3.13: 3.98-4.01 MB with each
+    facet collected in a list under a per-vertex stamp and returned as a
+    sorted tuple, 4.96-5.00 MB with a set and a frozenset per facet.
+    Earlier, on CPython 3.11: 5.00 MB with the build's flat per-vertex
+    scratch (five lists of n entries), 4.97 MB with the set
     and cycle dict per face it replaced, both with faces as vertex
     tuples; 5.8-5.9 MB on CPython 3.10-3.13 while they were frozensets, and
     6.6-6.7 MB while ``Graph`` kept a sorted edge tuple beside ``adj``.
@@ -628,6 +649,12 @@ def _parsed(text, parse):
     return sk.graph.adj, faces, sk.k, d
 
 
+def _sorted_regions(regions, fg, check):
+    """The regions ``regions(fg, check)`` traces, each as its sorted
+    vertex tuple, in trace order."""
+    return [tuple(sorted(r)) for r in regions(fg, check)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_scratch_build_trace_and_parse_match_the_per_face_sets(data):
@@ -668,7 +695,8 @@ def test_scratch_build_trace_and_parse_match_the_per_face_sets(data):
         else:
             assert got.step == want.step
         for check in (True, False):
-            assert _outcome(_regions, got, check) == _outcome(per_face_set_regions, want, check)
+            got_regions = _outcome(_sorted_regions, _regions, got, check)
+            assert got_regions == _outcome(_sorted_regions, per_face_set_regions, want, check)
     else:
         assert got == want
     text = _tampered_text(format_skeleton(sk, d), rng)

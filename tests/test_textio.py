@@ -19,7 +19,12 @@ from skelrecon.textio import (
     parse_spec,
 )
 
-from oracles import reference_parse
+from oracles import (
+    per_incidence_format_edge_list,
+    per_incidence_format_facets,
+    per_incidence_format_skeleton,
+    reference_parse,
+)
 
 PARSERS = {"spec": parse_spec, "skeleton": parse_skeleton, "edges": parse_edge_list}
 
@@ -83,6 +88,34 @@ def test_skeleton_round_trip(pair):
 @given(graphs())
 def test_edge_list_round_trip(g):
     assert _shape(parse_edge_list(format_edge_list(g))) == _shape(g)
+
+
+@st.composite
+def labelled_skeletons(draw):
+    """A skeleton on up to 300 vertices, so labels have one to three
+    digits, with up to 20 edges and a few faces of ranks 2..d-1, each
+    a tuple of labels in any order."""
+    n = draw(st.integers(1, 300))
+    vertex = st.integers(0, n - 1)
+    pairs = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+    graph = Graph(n, draw(st.lists(pairs, max_size=20)))
+    d = draw(st.integers(2, 6))
+    faces = st.lists(st.lists(vertex, min_size=1, max_size=8).map(tuple), max_size=5)
+    faces_by_dim = {r: tuple(draw(faces)) for r in range(2, d)}
+    return KSkeleton(k=max(faces_by_dim, default=1), graph=graph, faces_by_dim=faces_by_dim), d
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_skeletons())
+def test_writers_give_the_bytes_of_the_per_incidence_writers(pair):
+    """The writers render each label once per call, into a table; they
+    write what one ``str`` call per incidence writes."""
+    sk, d = pair
+    n = sk.graph.n
+    facets = sk.faces_by_dim.get(2, ())
+    assert format_facets(d, n, facets) == per_incidence_format_facets(d, n, facets)
+    assert format_skeleton(sk, d) == per_incidence_format_skeleton(sk, d)
+    assert format_edge_list(sk.graph) == per_incidence_format_edge_list(sk.graph)
 
 
 #: Each format's keys, common ones repeated, plus keys of other formats.
