@@ -38,6 +38,21 @@ class LabeledConstruction:
     x_set: frozenset[int]
 
 
+def _twin(d: int, caps: list[set[int]]) -> LabeledConstruction:
+    """The twin on labels 0..2d-1 whose facets are the 2d-2 that q1(d) and
+    q2(d) share plus cap | X for each cap in ``caps``, X = {2,4,...,2(d-1)}."""
+    x = set(range(2, 2 * d, 2))
+    facets = [cap | x for cap in caps]
+    for k in range(1, d):
+        facets.append({0} | {2 * i + 1 for i in range(k)} | (x - {2 * k}))
+    for k in range(1, d - 1):
+        facets.append(
+            {2 * d - 1} | {2 * i + 1 for i in range(k - 1, d - 1)} | (x - {2 * k})
+        )
+    facets.append({2 * d - 3, 2 * d - 1} | (x - {2 * (d - 1)}))
+    return LabeledConstruction(PolytopeSpec(d, 2 * d, facets), frozenset(x))
+
+
 def q1(d: int) -> LabeledConstruction:
     """First twin: 2d vertices, 2d facets, nonsimple set {2,4,...,2d-2}.
 
@@ -51,17 +66,7 @@ def q1(d: int) -> LabeledConstruction:
     """
     if d < 3:
         raise DimensionTooSmall("q1 needs d >= 3")
-    x = set(range(2, 2 * d, 2))
-    facets = [{0} | x]
-    for k in range(1, d):
-        facets.append({0} | {2 * i + 1 for i in range(k)} | (x - {2 * k}))
-    for k in range(1, d - 1):
-        facets.append(
-            {2 * d - 1} | {2 * i + 1 for i in range(k - 1, d - 1)} | (x - {2 * k})
-        )
-    facets.append({2 * d - 3, 2 * d - 1} | (x - {2 * (d - 1)}))
-    facets.append({2 * d - 1} | x)
-    return LabeledConstruction(PolytopeSpec(d, 2 * d, facets), frozenset(x))
+    return _twin(d, [{0}, {2 * d - 1}])
 
 
 def q2(d: int) -> LabeledConstruction:
@@ -73,16 +78,7 @@ def q2(d: int) -> LabeledConstruction:
     """
     if d < 4:
         raise DimensionTooSmall("q2 needs d >= 4")
-    x = set(range(2, 2 * d, 2))
-    facets = [{0, 2 * d - 1} | x]
-    for k in range(1, d):
-        facets.append({0} | {2 * i + 1 for i in range(k)} | (x - {2 * k}))
-    for k in range(1, d - 1):
-        facets.append(
-            {2 * d - 1} | {2 * i + 1 for i in range(k - 1, d - 1)} | (x - {2 * k})
-        )
-    facets.append({2 * d - 3, 2 * d - 1} | (x - {2 * (d - 1)}))
-    return LabeledConstruction(PolytopeSpec(d, 2 * d, facets), frozenset(x))
+    return _twin(d, [{0, 2 * d - 1}])
 
 
 def simplex(d: int) -> PolytopeSpec:

@@ -35,7 +35,8 @@ class NotAnEdge(SkelreconError):
 # -- graphs and orientations -----------------------------------------------
 
 class TooLarge(SkelreconError):
-    """The instance exceeds the exhaustive-enumeration size guard."""
+    """The instance exceeds a size guard: the subset-DP bound, the bound
+    of recong's two-nonsimple route, or ``gen``'s vertex cap."""
 
 
 # -- constructions ----------------------------------------------------------

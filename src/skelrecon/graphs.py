@@ -22,8 +22,9 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import EmptyFamily, TooLarge
 
-#: Cap on the vertex count of orientation enumeration and of the facet-
-#: family DPs; force=True lifts it, up to the subset-DP bound.
+#: Cap on the vertex count of orientation enumeration and of recong's
+#: two-nonsimple route, which checks it once, before its first sweep; the
+#: sweeps themselves know only the subset-DP bound.  force=True lifts it.
 DEFAULT_ENUMERATION_BOUND = 12
 
 

@@ -6,9 +6,9 @@ carrying every layer onto the matching layer.  Face counts, size
 multisets and the identity map are decided on the masks alone; vertices
 are decoded only for the profiles and the witness search, which few
 pairs reach.  The decision procedure is exact backtracking over vertex
-classes refined by degree and face-membership profiles; instances here
-have at most a few dozen vertices, so no canonical-form machinery is
-needed.
+classes refined by degree and face-membership profiles, on an explicit
+stack: a relabeled cube(10), 1,024 vertices, runs in CI, but relabeled
+prisms still take exponential time (ROADMAP item 12).
 """
 
 from __future__ import annotations

@@ -42,8 +42,9 @@ Each family DP allocates one table of 2**n slots over the whole vertex
 set, and fills fewer when vertices are pinned
 (:class:`~skelrecon.graphs.OrderCosts`); the 2-faces through uv need no
 table per cycle, as each chordless cycle's own cost is 2|C| + 1 in
-closed form.  Graphs above 12 vertices are refused unless forced, and
-above 22 always (:mod:`skelrecon.graphs`).
+closed form.  :func:`reconstruct` checks the route's bound of 12
+vertices once (``force`` lifts it); each table checks only the subset-DP
+bound of 22 (:mod:`skelrecon.graphs`).
 
 The first pass works on adjacency lists, frame ids and vertex tuples,
 and reads no n-bit vertex mask, as a mask per vertex would take O(n^2)
@@ -371,7 +372,6 @@ def _initial_set_sweep(
     sources: int = 0,
     sinks: int = 0,
     restricted: bool,
-    force: bool,
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The minimum of a per-vertex objective over a family of acyclic
     orientations, and the harvest of its minimisers.
@@ -406,7 +406,6 @@ def _initial_set_sweep(
     computed, once per mask, only when m(A) can still reach the minimum.
     Raises EmptyFamily when the family is empty.
     """
-    check_enumeration_bound(g.n, force)
     # The restricted family reads only supersets of need, so its table
     # holds only those; the pinned family's minimum, ``least``, reads the
     # table at the sources.
@@ -449,13 +448,7 @@ def _simple_sink_cost(d: int, simple: int) -> Callable[[int, int], int]:
 
 
 def find_facets_avoiding(
-    g: Graph,
-    d: int,
-    u: int,
-    v: int,
-    mode: str,
-    *,
-    force: bool = False,
+    g: Graph, d: int, u: int, v: int, mode: str
 ) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Facets containing exactly one of u, v, or both, plus the minimum.
 
@@ -489,7 +482,7 @@ def find_facets_avoiding(
         raise ValueError(f"unknown mode {mode!r}")
     minimum, found = _initial_set_sweep(
         g, d, simple, _simple_sink_cost(d, simple), need, avoid,
-        sources=sources, sinks=sinks, restricted=mode == "uv", force=force,
+        sources=sources, sinks=sinks, restricted=mode == "uv",
     )
     return found, minimum
 
@@ -512,14 +505,7 @@ def count_sink_frames(g: Graph, d: int, u: int, facets: Iterable[int], pred: int
 
 
 def find_facets_empty(
-    g: Graph,
-    d: int,
-    u: int,
-    v: int,
-    known,
-    expected: int,
-    *,
-    force: bool = False,
+    g: Graph, d: int, u: int, v: int, known, expected: int
 ) -> tuple[tuple[int, ...], ...]:
     """Facets containing neither u nor v.
 
@@ -549,7 +535,7 @@ def find_facets_empty(
 
     _, out = _initial_set_sweep(
         g, d, simple, cost, 0, 1 << u | 1 << v,
-        sinks=1 << v, restricted=True, force=force,
+        sinks=1 << v, restricted=True,
     )
     if len(out) != expected:
         raise InconsistentCounts(
@@ -661,8 +647,8 @@ def _uv_two_faces(g: Graph, d: int, u: int, v: int):
     1 + 2 + 4 + 2(|C| - 3) = 2|C| + 1, and C is kept exactly when
     ``after[C] + 2|C| + 1`` equals the DP's ``least``, the minimum over
     all orientations with u a source.  Returns cycle masks in
-    vertex-tuple order.  The family sweeps that run before it have
-    already checked g against the enumeration bound.
+    vertex-tuple order.  Its table checks only the subset-DP bound, as
+    :func:`reconstruct` checks the route's bound once.
     """
     uv = 1 << u | 1 << v
     cycles = [c for c in induced_cycles(g) if c & uv == uv]
@@ -690,12 +676,12 @@ def _truncated_graph(g: Graph, face: tuple[int, ...], two_faces) -> tuple[Graph,
     ]
     for (x, y), w in new_from_edge.items():
         edges.append((w, old_to_new[y]))
+    # Every mask here is a chordless cycle, so one that meets the face
+    # crosses the cut in exactly two edges.
     for s in two_faces:
         crossing = sorted((x, y) for x, y in new_from_edge if s >> x & 1 and s >> y & 1)
-        if len(crossing) == 2:
+        if crossing:
             edges.append((new_from_edge[crossing[0]], new_from_edge[crossing[1]]))
-        elif len(crossing) > 2:
-            raise ValueError(f"2-face {vertices_of(s)} crosses the cut thrice")
     return Graph(len(old_to_new) + len(new_from_edge), edges), tmap
 
 
@@ -772,8 +758,9 @@ def reconstruct(
     engine whatever ``method``.  With two, ``method`` is "claims" (the four
     facet families, d >= 4), "truncation" or "both", which raises
     MethodsDisagree unless the two agree.  Both routes start from the
-    u-only and v-only sweeps, which run once.  ``force`` lifts the family
-    sweeps' bound of 12 vertices up to the subset-DP bound of 22.
+    u-only and v-only sweeps, which run once.  Before them the route's
+    bound of 12 vertices is checked once (``force`` lifts it); below it
+    each table checks only the subset-DP bound of 22.
     """
     if method not in ("claims", "truncation", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -789,9 +776,10 @@ def reconstruct(
         )
     if method != "truncation" and d < 4:
         raise DimensionTooSmall("the family sweeps need d >= 4; use the truncation route")
+    check_enumeration_bound(g.n, force)
     u, v = nonsimple
-    u_only, min_u = find_facets_avoiding(g, d, u, v, "u_minus_v", force=force)
-    v_only, min_v = find_facets_avoiding(g, d, u, v, "v_minus_u", force=force)
+    u_only, min_u = find_facets_avoiding(g, d, u, v, "u_minus_v")
+    v_only, min_v = find_facets_avoiding(g, d, u, v, "v_minus_u")
     families = facets = None
     certificate: tuple[str, ...] = ()
     if method != "truncation":
@@ -803,11 +791,11 @@ def reconstruct(
             )
         if expected_empty < 0:
             raise InconsistentCounts("family minima below family sizes")
-        neither = find_facets_empty(g, d, u, v, u_only + v_only, expected_empty, force=force)
+        neither = find_facets_empty(g, d, u, v, u_only + v_only, expected_empty)
         both: tuple[tuple[int, ...], ...] = ()
         min_both: Optional[int] = None
         if detect_uv_facets(g, d, u_only + v_only + neither):
-            both, min_both = find_facets_avoiding(g, d, u, v, "uv", force=force)
+            both, min_both = find_facets_avoiding(g, d, u, v, "uv")
             total = len(u_only) + len(v_only) + len(neither) + len(both)
             if min_both != total:
                 raise InconsistentCounts(

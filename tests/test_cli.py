@@ -370,6 +370,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("nonsense\n")
     assert run_cli("lattice", str(bad)) == 2
     assert run_cli("lattice", str(tmp_path / "missing.poly")) == 2
+    # Lines that parse, with values the incidence refuses.
+    for text, message in (
+        ("d 1\nvertices 3\nfacet 0 1\n", "dimension must be at least 2"),
+        ("d 3\nvertices 4\nfacet\nfacet 0 1 2\n", "empty facet"),
+    ):
+        bad.write_text(text)
+        capsys.readouterr()
+        assert run_cli("lattice", str(bad)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ import sys
 import pytest
 
 from skelrecon import (
+    Graph,
+    KSkeleton,
     PolytopeSpec,
     build_face_lattice,
     cube,
@@ -12,6 +14,7 @@ from skelrecon import (
     q1,
     q2,
 )
+from skelrecon import iso
 from skelrecon.errors import KindMismatch, NotAnEdge, RankOutOfRange
 from skelrecon.textio import format_skeleton, parse_skeleton, parse_spec
 
@@ -232,3 +235,42 @@ def test_the_named_non_edge_is_the_first_in_vertex_order():
     for call in (ring.graph, lambda: k_skeleton(ring, 1), lambda: isomorphic(ring, other),
                  lambda: isomorphic(ring, other, rank=1)):
         assert outcome(call) == (NotAnEdge, text)
+
+
+EXHAUSTED = ("search exhausted", False)
+
+
+def _verdict(result):
+    return result.obstruction, result.isomorphic
+
+
+def test_search_exhausted_when_the_profiles_cannot_tell():
+    # Both graphs are 3-regular on six vertices, so counts, sizes and the
+    # refined profiles agree; only the search finds that K3,3, which has no
+    # triangle, is not the triangular prism's graph.
+    k33 = KSkeleton(k=1, graph=Graph(6, [(i, j) for i in range(3) for j in range(3, 6)]))
+    prism = KSkeleton(k=1, graph=Graph(
+        6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+    ))
+    assert _verdict(isomorphic(k33, prism)) == EXHAUSTED
+    assert _verdict(reference_isomorphic(k33, prism)) == EXHAUSTED
+
+
+def test_a_graph_isomorphism_that_misses_the_two_faces_is_rejected(monkeypatch):
+    # One graph, two pairs of triangles with the same profiles: the search
+    # finds a graph isomorphism, the 2-faces refute it, and nothing else
+    # is left to try.
+    g = Graph(7, [(0, 1), (0, 3), (0, 4), (0, 6), (1, 3), (1, 5), (2, 3), (2, 5),
+                  (3, 6), (4, 6), (5, 6)])
+    a = KSkeleton(k=2, graph=g, faces_by_dim={2: ((0, 3, 6), (0, 4, 6))})
+    b = KSkeleton(k=2, graph=g, faces_by_dim={2: ((0, 1, 3), (0, 4, 6))})
+    real, verdicts = iso._verified, []
+
+    def verified(*args):
+        verdicts.append(real(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(iso, "_verified", verified)
+    assert _verdict(isomorphic(a, b)) == EXHAUSTED
+    assert False in verdicts
+    assert _verdict(reference_isomorphic(a, b)) == EXHAUSTED

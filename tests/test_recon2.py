@@ -615,6 +615,21 @@ def test_region_check_rejects_a_simple_vertex_with_all_neighbors_inside():
     assert _outcome(reference_reconstruct, sk, 4, check=False) == unchecked
 
 
+def test_two_tetrahedra_on_an_edge_give_more_than_one_candidate_pair():
+    """The 2-skeletons of two tetrahedra glued along the edge 01, at d = 3:
+    0 and 1 are the d - 1 nonsimple vertices, and each triangle through
+    both pairs with either such triangle of the other tetrahedron into a
+    feasible quadrilateral, so four pairs meet exactly in {0, 1}."""
+    edges = [(0, 1), *((x, y) for x in (0, 1) for y in range(2, 6)), (2, 3), (4, 5)]
+    faces = tuple(sorted(
+        f for t in ((0, 1, 2, 3), (0, 1, 4, 5)) for f in itertools.combinations(t, 3)
+    ))
+    sk = KSkeleton(k=2, graph=Graph(6, edges), faces_by_dim={2: faces})
+    message = "more than one candidate pair meets exactly in the nonsimple set"
+    assert _outcome(reconstruct, sk, 3) == (NotASkeleton, message)
+    assert _outcome(reference_reconstruct, sk, 3) == (NotASkeleton, message)
+
+
 def _tampered_text(text, rng):
     """``text`` with one seeded edit of one line, or none: a field dropped
     or made non-integer, a comment or a repeated header put in, a face

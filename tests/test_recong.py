@@ -748,7 +748,7 @@ def test_initial_set_sweep_matches_the_reference_on_any_cost(data):
     def sweep():
         return recong._initial_set_sweep(
             g, d, mask_of(simple), cost, need, avoid, sources=sum(1 << x for x in first),
-            sinks=sum(1 << x for x in last), restricted=restricted, force=False,
+            sinks=sum(1 << x for x in last), restricted=restricted,
         )
 
     def reference():
@@ -780,6 +780,15 @@ def test_uv_cycle_cost_is_the_closed_form(data):
     for c in cycles:
         assert reference_placing_after(dp, c)[uv] == 2 * c.bit_count() - 2
     event(f"{len(cycles)} cycles through uv")
+
+
+def test_uv_two_faces_through_a_bridge_are_none():
+    # Two K5 joined by the edge uv: no cycle runs through a bridge, so no
+    # 2-face holds both u and v.
+    k5 = list(itertools.combinations(range(5), 2))
+    g = Graph(10, k5 + [(a + 5, b + 5) for a, b in k5] + [(4, 5)])
+    assert recong._uv_two_faces(g, 4, 4, 5) == []
+    assert reference_uv_two_faces(g, 4, 4, 5) == []
 
 
 def test_count_sink_frames_definition():
@@ -865,8 +874,8 @@ def test_force_stops_at_the_dp_bound(monkeypatch):
     monkeypatch.setattr(OrderCosts, "placing_after", no_table)
     for sweep in (
         lambda: facet_families(g, 5, force=True),
-        lambda: find_facets_avoiding(g, 5, 22, 23, "uv", force=True),
-        lambda: find_facets_empty(g, 5, 22, 23, (), 1, force=True),
+        lambda: find_facets_avoiding(g, 5, 22, 23, "uv"),
+        lambda: find_facets_empty(g, 5, 22, 23, (), 1),
         lambda: reconstruct_two_nonsimple_via_truncation(g, 5, force=True),
     ):
         with pytest.raises(TooLarge, match="24 vertices exceed the subset-DP bound 22"):
@@ -877,9 +886,12 @@ def test_two_nonsimple_guards(monkeypatch):
     g = lattice_of(q1(4).spec).graph()  # three nonsimple vertices
     with pytest.raises(ValueError):
         reconstruct_two_nonsimple(g, 4)
+    # The route checks the enumeration bound once, in reconstruct; a sweep
+    # knows only the subset-DP bound, so on K14, the 13-simplex's graph,
+    # the shared family is the 12 facets through 0 and 1 of all 14.
     big = Graph(14, [(i, j) for i in range(14) for j in range(i + 1, 14)])
-    with pytest.raises(TooLarge):
-        find_facets_avoiding(big, 13, 0, 1, "uv")
+    shared = tuple(sorted(tuple(w for w in range(14) if w != x) for x in range(2, 14)))
+    assert find_facets_avoiding(big, 13, 0, 1, "uv") == (shared, 14)
     # force=True is the only override; the environment does not lift the
     # bound.  An edgeless graph keeps the sweep short if it ever runs.
     monkeypatch.setenv("SKELRECON_MAX_N", "20")
