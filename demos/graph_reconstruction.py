@@ -45,7 +45,7 @@ apex = next(iter(classify_vertices(lat).nonsimple))
 print(f"pyramid over the 3-cube: apex {apex} has degree {g.degree(apex)}")
 
 system = max_two_system(g, 4)
-order = two_face_witness(g, (apex,), system.size)
+order = two_face_witness(g, (apex,), len(system))
 placed = set()
 score = 0
 for v in order:
@@ -53,7 +53,7 @@ for v in order:
     score += k * (k - 1) // 2
     placed.add(v)
 target = min_two_face_score(g, (apex,))
-print(f"maximum 2-system: {system.size} sets; witness order score: {score}; "
+print(f"maximum 2-system: {len(system)} sets; witness order score: {score}; "
       f"orientation minimum: {target}")
 print("   (12 apex triangles + 6 squares)")
 

@@ -56,7 +56,6 @@ from .recon2 import (
 from .recong import (
     FacetFamilies,
     GraphReconstruction,
-    TwoSystem,
     count_sink_frames,
     detect_uv_facets,
     facet_families,

@@ -140,8 +140,8 @@ def cmd_recong(args) -> int:
     result = recong.reconstruct(g, args.dim, args.method, force=args.force)
     if args.certificate:
         sys.stdout.write("".join(f"# {line}\n" for line in result.certificate))
-    spec = cons.PolytopeSpec(args.dim, g.n, result.facets)
-    _emit(textio.format_spec(spec), args.output)
+    # Every PolytopeSpec invariant holds already (see reconstruct).
+    _emit(textio.format_facets(args.dim, g.n, result.facets), args.output)
     return 0
 
 

@@ -422,25 +422,26 @@ def reconstruct(
     checked in one pass: collecting it costs one stamp test per frame and
     one per nonsimple leaf, and checking it one stamp read per simple
     vertex and one set intersection per nonsimple vertex.  Each trace
-    gives its facet's sorted tuple; the tuples are checked for repeats
-    and sorted once here, and only the ambiguity test below, with d-1
-    nonsimple vertices, turns the regions it tests into frozensets.  When each facet keeps
-    at most d-2 nonsimple vertices, so does each 2-face, and with the
-    costs of :class:`FrameGraph` the whole run takes time linear in the
-    size of the 2-face lines for fixed d, whatever the degrees of the
-    nonsimple vertices.
+    gives its facet's sorted tuple; the tuples are sorted once here, and
+    only the ambiguity test below, with d-1 nonsimple vertices, turns the
+    regions it tests into frozensets.  When each facet keeps at most d-2
+    nonsimple vertices, so does each 2-face, and with the costs of
+    :class:`FrameGraph` the whole run takes time linear in the size of the
+    2-face lines for fixed d, whatever the degrees of the nonsimple
+    vertices.
 
     With ``check`` the facet lists returned (``facets``, and both
     completions of an ambiguity) already hold every invariant of
     ``lattice.PolytopeSpec``, so callers need not build one to check them:
 
-    * No traced region contains another.  Say r1 is inside r2 and not
-      equal to it, and let (w, x) be the frame r1's trace started from, w
-      simple.  The d-1 neighbours of w other than x lie in r1, so in r2.
-      r2's trace also holds a frame of w, and the check put the neighbour
-      that frame omits outside r2; that neighbour can only be x.  So both
-      traces hold the frame (w, x), yet traces are disjoint components of
-      the move graph (see ``_facet``).
+    * No traced region contains another, nor has the same vertex set.
+      Say r1 is inside r2, equal to it or not, and let (w, x) be the frame
+      r1's trace started from, w simple.  The d-1 neighbours of w other
+      than x lie in r1, so in r2.  r2's trace also holds a frame of w, and
+      the check put the neighbour that frame omits outside r2; that
+      neighbour can only be x.  So both traces hold the frame (w, x), yet
+      traces are disjoint components of the move graph (see ``_facet``).
+      So only without ``check`` are the traces tested for repeats.
     * The merged completion a | b contains no other region r (nor does any
       region contain it, since it contains a).  r's root w is simple, so
       it lies in a or in b outside N, say in a.  Its frame in r is not its
@@ -448,9 +449,8 @@ def reconstruct(
       among the leaves of its frame in r, inside a | b and so in b.  Then
       w has d neighbours in a | b, which ``degrees_fit`` in
       :func:`is_feasible` refused when the pair was found.
-    * Two traces with the same vertex set raise.  Every region holds
-      vertices of 0..n-1 (n >= 1, as there is a simple vertex), d >= 3,
-      and the lists are sorted tuples in sorted order.
+    * Every region holds vertices of 0..n-1 (n >= 1, as there is a simple
+      vertex), d >= 3, and the lists are sorted tuples in sorted order.
     """
     if d < 3:
         raise ValueError("d must be at least 3")
@@ -462,7 +462,7 @@ def reconstruct(
         raise NotASkeleton("no simple vertex to seed the propagation")
 
     regions = _regions(fg, check)
-    if len(set(regions)) != len(regions):
+    if not check and len(set(regions)) != len(regions):
         raise NotASkeleton("two facet traces produced the same vertex set")
     # Sorting the list in trace order is quicker than sorting the set: the
     # traces start from frame codes in increasing order.

@@ -51,8 +51,9 @@ and reads no n-bit vertex mask, as a mask per vertex would take O(n^2)
 bits on a sparse graph.  The fallback, the family sweeps and the
 truncation route keep vertex sets as int masks, as in
 :mod:`skelrecon.graphs`.  What leaves the module is sorted vertex
-tuples: the 2-systems (:class:`TwoSystem`), the 2-faces handed to the
-2-skeleton engine, and facet lists, each list in lexicographic order.
+tuples in lexicographic order: the 2-system (:func:`max_two_system`),
+handed to the 2-skeleton engine as it is, and facet lists that hold every
+``lattice.PolytopeSpec`` invariant (:func:`reconstruct`).
 """
 
 from __future__ import annotations
@@ -87,24 +88,12 @@ from .graphs import (
     two_face_witness,
     vertices_of,
 )
-from .lattice import KSkeleton, classify_vertices
+from .lattice import KSkeleton, PolytopeSpec, classify_vertices
 from . import recon2
 
 
 # ---------------------------------------------------------------------------
 # 2-systems by exact cover
-
-
-@dataclass(frozen=True)
-class TwoSystem:
-    """An exact cover of the simple-rooted 2-frames by induced cycles,
-    as sorted vertex tuples in (length, vertex tuple) order."""
-
-    sets: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.sets)
 
 
 def _exact_cover_of_size(
@@ -219,44 +208,32 @@ def _exact_cover_of_size(
 
 def _cover_row(adj, first: list[int], cycle: tuple[int, ...]) -> tuple[int, ...]:
     """The ids of the frames a chordless cycle covers, one per simple vertex
-    of it; the cycle's vertices come in the order they lie on it.
+    of it; the cycle's vertices may come in any order.
 
     The frame (w; adj[w][i], adj[w][j]), i < j, has the id ``first[w]``
     plus the rank of the slot pair (i, j) among the pairs of w's slots in
     lexicographic order; ``first`` is -1 at the nonsimple vertex.  A
-    chordless cycle meets each of its vertices in a frame, and at most one
-    of its vertices is nonsimple, so no cycle covers an unknown frame and
-    none covers nothing.
+    chordless cycle meets each of its vertices in a frame (its only two
+    neighbours on the cycle), and at most one of them is nonsimple, so no
+    cycle covers an unknown frame and none covers nothing.
     """
+    members = set(cycle)
     row = []
-    p, w = cycle[-2], cycle[-1]
-    for q in cycle:
+    for w in cycle:
         if first[w] >= 0:
             nbrs = adj[w]
-            i, j = sorted((nbrs.index(p), nbrs.index(q)))
+            i, j = [k for k, x in enumerate(nbrs) if x in members]
             row.append(first[w] + i * (2 * len(nbrs) - i - 1) // 2 + j - i - 1)
-        p, w = w, q
     return tuple(row)
-
-
-def _cycle_order(adj, vertices: tuple[int, ...]) -> tuple[int, ...]:
-    """The vertices of a chordless cycle in the order they lie on it."""
-    members = set(vertices)
-    order = [vertices[0]]
-    prev = -1
-    for _ in range(len(vertices) - 1):
-        here = order[-1]
-        order.append(next(x for x in adj[here] if x in members and x != prev))
-        prev = here
-    return tuple(order)
 
 
 def max_two_system(
     g: Graph, d: int, nonsimple: Optional[Iterable[int]] = None
-) -> TwoSystem:
+) -> tuple[tuple[int, ...], ...]:
     """The maximum family of induced cycles covering each simple-rooted
-    2-frame exactly once; for a polytope graph with at most one nonsimple
-    vertex these are precisely the 2-face vertex sets.
+    2-frame exactly once, as sorted vertex tuples in lexicographic order
+    (the form of ``KSkeleton.faces_by_dim``); for a polytope graph with at
+    most one nonsimple vertex these are precisely the 2-faces.
 
     Weak duality bounds every exact cover C by the two-face score of every
     acyclic orientation in which the nonsimple vertex is a source: each
@@ -332,7 +309,7 @@ def max_two_system(
     if chosen is None or two_face_witness(g, nonsimple, len(chosen)) is None:
         check_dp_bound(g.n)
         cycles = [vertices_of(c) for c in induced_cycles(g)]
-        rows = [_cover_row(adj, first, _cycle_order(adj, c)) for c in cycles]
+        rows = [_cover_row(adj, first, c) for c in cycles]
         target = min_two_face_score(g, sources=nonsimple)
         chosen = _exact_cover_of_size(ncols, rows, target)
         if chosen is None:
@@ -340,8 +317,7 @@ def max_two_system(
                 f"no exact cover of the simple-rooted 2-frames has {target} sets, "
                 "the orientation minimum"
             )
-    # Either row set is in (length, vertex tuple) order already.
-    return TwoSystem(tuple(cycles[i] for i in sorted(chosen)))
+    return tuple(sorted(cycles[i] for i in chosen))
 
 
 def _expect(g: Graph, d: int, counts: tuple[int, ...], expected: str) -> None:
@@ -619,8 +595,7 @@ def _two_faces_within(g: Graph, d: int, facet: int) -> list[int]:
     if d == 3:
         return [facet]
     sub, back = g.induced(vertices_of(facet))
-    system = max_two_system(sub, d - 1)
-    return [mask_of(back[i] for i in s) for s in system.sets]
+    return [mask_of(back[i] for i in s) for s in max_two_system(sub, d - 1)]
 
 
 def _uv_two_faces(g: Graph, d: int, u: int, v: int):
@@ -739,10 +714,11 @@ def _via_truncation(g: Graph, d: int, u: int, v: int, u_only, v_only):
 
 @dataclass(frozen=True)
 class GraphReconstruction:
-    """The facets :func:`reconstruct` recovers, as sorted vertex tuples, and
-    the certificate lines of the route taken: the 2-system size, or the
-    claims route's family counts and minima (none for the truncation route
-    alone).  ``families`` is set when the claims route ran."""
+    """The facets :func:`reconstruct` recovers, as sorted vertex tuples in
+    lexicographic order holding every ``lattice.PolytopeSpec`` invariant,
+    and the certificate lines of the route taken: the 2-system size, or
+    the claims route's family counts and minima (none for the truncation
+    route alone).  ``families`` is set when the claims route ran."""
 
     facets: tuple[tuple[int, ...], ...]
     certificate: tuple[str, ...]
@@ -761,15 +737,30 @@ def reconstruct(
     u-only and v-only sweeps, which run once.  Before them the route's
     bound of 12 vertices is checked once (``force`` lifts it); below it
     each table checks only the subset-DP bound of 22.
+
+    The facets hold every ``lattice.PolytopeSpec`` invariant (nonempty
+    sorted tuples over 0..n-1 in lexicographic order, none inside or equal
+    to another), so callers write them as they are.  With at most one
+    nonsimple vertex ``recon2.reconstruct``'s check gives them, and no
+    ambiguity, which needs d - 1 >= 2 nonsimple vertices.  The claims
+    route's families are sorted, distinct and told apart by u and v, and
+    no feasible set A holding a simple vertex lies strictly inside another
+    one, B: a simple vertex of A has d - 1 neighbours in A and d - 1 in B,
+    so no edge joins it to B - A, and A's at most two nonsimple vertices
+    would separate A's simple vertices from B - A in G[B], which is
+    (d - 1)-connected with d - 1 >= 3.  No such argument covers the
+    truncation route's pull-back on graphs that are no polytope graphs,
+    so "truncation" alone passes its list through ``PolytopeSpec``, which
+    raises ValueError on nested facets; with "both" the list must equal
+    the claims route's.
     """
     if method not in ("claims", "truncation", "both"):
         raise ValueError(f"unknown method {method!r}")
     nonsimple = sorted(classify_vertices(g, d).nonsimple)
     if len(nonsimple) <= 1:
-        system = max_two_system(g, d, nonsimple)
-        faces = tuple(sorted(system.sets))
+        faces = max_two_system(g, d, nonsimple)
         facets = recon2.reconstruct(KSkeleton(k=2, graph=g, faces_by_dim={2: faces}), d).facets
-        return GraphReconstruction(facets, (f"two-system size {system.size}",))
+        return GraphReconstruction(facets, (f"two-system size {len(faces)}",))
     if len(nonsimple) > 2:
         raise TooManyNonsimple(
             f"{len(nonsimple)} nonsimple vertices: graph reconstruction covers at most 2"
@@ -810,7 +801,8 @@ def reconstruct(
         ) + ((f"shared-family minimum: {min_both}",) if min_both is not None else ())
     if method != "claims":
         truncated = _via_truncation(g, d, u, v, u_only, v_only)
-        if facets is not None and truncated != facets:
+        if facets is None:
+            facets = PolytopeSpec(d, g.n, truncated).facets
+        elif truncated != facets:
             raise MethodsDisagree("methods disagree")
-        facets = truncated
     return GraphReconstruction(facets, certificate, families)

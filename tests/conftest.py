@@ -5,6 +5,7 @@ reconstruction result is compared against; it never goes through the
 reconstruction code paths.
 """
 
+import itertools
 import statistics
 import time
 from functools import lru_cache
@@ -131,6 +132,41 @@ K33_PLUS_EDGE = Graph(
 K24_PLUS_MATCHING = Graph(
     6, [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (4, 5)]
 )
+
+
+def cyclic(n: int, d: int) -> PolytopeSpec:
+    """The cyclic polytope C(n, d), 2 <= d < n, from Gale's evenness
+    condition: a d-subset of 0..n-1 is a facet when every block of
+    consecutive members holding neither 0 nor n-1 has even length (Gale
+    1963; Ziegler, *Lectures on Polytopes*, Thm 0.7).  So a facet is a
+    first block 0..a-1, a last block n-b..n-1, a gap after the one and
+    before the other, and (d-a-b)/2 disjoint pairs {p, p+1} between the
+    gaps; each such pattern is one facet, and no other d-subset is
+    visited."""
+    facets = []
+    for a in range(d + 1):
+        for b in range(d - a + 1):
+            k, odd = divmod(d - a - b, 2)
+            if odd:
+                continue
+            ends = [*range(a), *range(n - b, n)]
+            # The i-th pair starts at a + 1 + c[i] + i, so pairs neither
+            # overlap nor reach the gap at n - b - 1.
+            for c in itertools.combinations(range(n - a - b - 2 - k), k):
+                starts = [a + 1 + ci + i for i, ci in enumerate(c)]
+                facets.append(ends + starts + [p + 1 for p in starts])
+    return PolytopeSpec(d, n, facets)
+
+
+def dual(spec: PolytopeSpec) -> PolytopeSpec:
+    """The polar dual of a polytope by transposed incidences: vertex j is
+    facet j of ``spec``, and facet v holds the facets through vertex v
+    (Ziegler, *Lectures on Polytopes*, ch. 2)."""
+    holders: list[list[int]] = [[] for _ in range(spec.n)]
+    for j, f in enumerate(spec.facets):
+        for v in f:
+            holders[v].append(j)
+    return PolytopeSpec(spec.d, len(spec.facets), holders)
 
 
 @lru_cache(maxsize=None)

@@ -32,7 +32,9 @@ int masks, text files via a first pass that checks every line's field
 count before any line is read instead of one streaming pass, the frame
 moves via a set and a cycle dict per 2-face and whole-adjacency scans at
 nonsimple vertices instead of per-vertex scratch, text written with one
-``str`` call per incidence instead of a table of labels per call.
+``str`` call per incidence instead of a table of labels per call, the
+frames a chordless cycle covers via a walk of the cycle in the order its
+vertices lie on it instead of a membership test per neighbour.
 The test-only orientation helpers live here too: ``orientation_from_order``
 (masks by walking an order's arcs, not the enumerator), ``edge_directions``,
 ``sinks_in``, ``is_good`` and ``objectives``.
@@ -623,6 +625,34 @@ def mask_shortest_frame_cycle(g: Graph, w: int, a: int, b: int) -> Optional[int]
         cycle |= low
         tip = low.bit_length() - 1
     return cycle
+
+
+def ordered_cover_row(adj, first: list[int], cycle: tuple[int, ...]) -> tuple[int, ...]:
+    """:func:`skelrecon.recong._cover_row` for a cycle whose vertices come
+    in the order they lie on it: each vertex's two cycle neighbours are the
+    ones before and after it, found in its adjacency list by index."""
+    row = []
+    p, w = cycle[-2], cycle[-1]
+    for q in cycle:
+        if first[w] >= 0:
+            nbrs = adj[w]
+            i, j = sorted((nbrs.index(p), nbrs.index(q)))
+            row.append(first[w] + i * (2 * len(nbrs) - i - 1) // 2 + j - i - 1)
+        p, w = w, q
+    return tuple(row)
+
+
+def cycle_order(adj, vertices: tuple[int, ...]) -> tuple[int, ...]:
+    """The vertices of a chordless cycle in the order they lie on it, from
+    the first one given."""
+    members = set(vertices)
+    order = [vertices[0]]
+    prev = -1
+    for _ in range(len(vertices) - 1):
+        here = order[-1]
+        order.append(next(x for x in adj[here] if x in members and x != prev))
+        prev = here
+    return tuple(order)
 
 
 def two_face_score_of_order(n: int, edges, sources, order) -> int:

@@ -1,7 +1,9 @@
+import itertools
 import math
 import random
 import re
 import time
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +30,7 @@ from skelrecon.graphs import vertices_of
 from skelrecon.lattice import CheckResult, _check_diamond
 from skelrecon.textio import parse_skeleton
 
-from conftest import fixture_corpus, lattice_of
+from conftest import cyclic, dual, fixture_corpus, lattice_of
 from oracles import (
     ReferenceLattice,
     chain_ranked_lattice,
@@ -312,13 +314,17 @@ def test_top_skeleton_round_trips_to_facets():
 def test_every_skeleton_producer_hands_over_sorted_tuples_in_order(monkeypatch):
     """A face crosses module boundaries as its sorted vertex tuple, and a
     rank's faces come in lexicographic order: from the parser, the lattice,
-    the direct prism build and recong's hand-off to recon2 alike."""
+    the direct prism build, recong's 2-systems and its hand-off to recon2
+    alike."""
+
+    def assert_tuple_layer(faces):
+        assert type(faces) is tuple and list(faces) == sorted(faces)
+        for f in faces:
+            assert type(f) is tuple and list(f) == sorted(set(f))
 
     def assert_tuple_faces(sk):
         for faces in sk.faces_by_dim.values():
-            assert type(faces) is tuple and list(faces) == sorted(faces)
-            for f in faces:
-                assert type(f) is tuple and list(f) == sorted(set(f))
+            assert_tuple_layer(faces)
 
     text = "d 4\nvertices 6\nedge 0 1\nface2 5 1 1\nface2 3 2 1\nface3 4 0\nface2 0 5\n"
     sk, _ = parse_skeleton(text)
@@ -333,21 +339,29 @@ def test_every_skeleton_producer_hands_over_sorted_tuples_in_order(monkeypatch):
     assert prism.two_faces == polygon_prism(7).facets
 
     handed = []
-    engine = recon2.reconstruct
+    returned = []
+    engine, two_system = recon2.reconstruct, recong.max_two_system
 
     def spy(sk, d, *args, **kwargs):
-        handed.append(sk)
+        handed.append((sk, returned[-1]))
         return engine(sk, d, *args, **kwargs)
 
+    def spy_two_system(*args, **kwargs):
+        returned.append(two_system(*args, **kwargs))
+        return returned[-1]
+
     monkeypatch.setattr(recon2, "reconstruct", spy)
-    # The 2-system lists its cycles by length first; the pyramid's
-    # triangles come before its squares there, and after (0, 1, 2, 3) here.
+    monkeypatch.setattr(recong, "max_two_system", spy_two_system)
     for name in ("cube3", "pyr_cube3", "prism_over_pyramid"):
         lat = lattice_of(fixture_corpus()[name])
         assert recong.reconstruct(lat.graph(), lat.d).facets == lat.facets
+    for faces in returned:
+        assert_tuple_layer(faces)
     assert len(handed) == 3
-    for sk in handed:
+    for sk, last_two_system in handed:
         assert_tuple_faces(sk)
+        # The 2-system goes to the 2-skeleton engine as it was returned.
+        assert sk.faces_by_dim[2] is last_two_system
 
 
 def test_lattice_spec_round_trip():
@@ -441,3 +455,64 @@ def test_vertex_facet_coverage_on_fixtures():
             for v in f:
                 counts[v] += 1
         assert all(c >= spec.d for c in counts.values())
+
+
+def test_cyclic_polytopes_follow_gale_evenness():
+    """``cyclic`` builds its facets from the evenness structure; here every
+    d-subset is filtered by the condition itself, and the facet counts
+    match the closed forms n/(n-k) C(n-k, k) for d = 2k and
+    2 C(n-k-1, k) for d = 2k + 1 (Ziegler, Lectures on Polytopes, 0.7)."""
+    for n in range(3, 11):
+        for d in range(2, n):
+            gale = []
+            for s in itertools.combinations(range(n), d):
+                gaps = [x for x in range(n) if x not in s]
+                if all(sum(a < x < b for x in s) % 2 == 0 for a, b in zip(gaps, gaps[1:])):
+                    gale.append(s)
+            assert cyclic(n, d).facets == tuple(gale), (n, d)
+    for n, d in ((50, 4), (30, 5), (20, 6), (15, 7)):
+        k = d // 2
+        count = n * math.comb(n - k, k) // (n - k) if d % 2 == 0 else 2 * math.comb(n - k - 1, k)
+        assert len(cyclic(n, d).facets) == count
+    for spec in (cyclic(8, 4), dual(cyclic(8, 4)), cyclic(9, 5), dual(cyclic(9, 5))):
+        assert validate(build_face_lattice(spec)).ok
+
+
+@lru_cache(maxsize=None)
+def _duality_cases():
+    """The corpus, the twins, prisms, cubes, and cyclic polytopes with
+    their duals; C(50, 4)* has 1,175 vertices."""
+    specs = dict(fixture_corpus())
+    for d in (5, 6):
+        specs[f"q1_{d}"], specs[f"q2_{d}"] = q1(d).spec, q2(d).spec
+    specs.update({f"prism{m}": polygon_prism(m) for m in (3, 4, 7, 64)})
+    specs.update({f"cube{d}": cube(d) for d in (2, 5, 7)})
+    for n, d in ((6, 3), (7, 4), (9, 5), (10, 6), (12, 4), (50, 4)):
+        specs[f"C({n},{d})"] = cyclic(n, d)
+        specs[f"C({n},{d})*"] = dual(cyclic(n, d))
+    return specs
+
+
+@pytest.mark.parametrize("name", sorted(_duality_cases()))
+def test_the_dual_lattice_is_the_lattice_upside_down(name):
+    """A face F of rank r maps to the facets holding it, and these images
+    are exactly the faces of rank d - 1 - r of the dual's lattice, ranks
+    -1 and d included.  The map is one to one and reverses inclusion, so
+    the two lattices are each other upside down."""
+    spec = _duality_cases()[name]
+    lat, dual_lat = build_face_lattice(spec), build_face_lattice(dual(spec))
+    holders = [0] * spec.n
+    for j, f in enumerate(spec.facets):
+        for v in f:
+            holders[v] |= 1 << j
+    every = (1 << len(spec.facets)) - 1
+    for r in range(-1, spec.d + 1):
+        faces = lat.masks_of_rank(r)
+        image = set()
+        for face in faces:
+            held = every
+            for v in vertices_of(face):
+                held &= holders[v]
+            image.add(held)
+        assert len(image) == len(faces)
+        assert image == set(dual_lat.masks_of_rank(spec.d - 1 - r)), r

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from skelrecon import (
     Graph,
     GraphReconstruction,
+    PolytopeSpec,
     build_face_lattice,
     classify_vertices,
     count_sink_frames,
@@ -46,6 +47,7 @@ from skelrecon.errors import (
     DimensionTooSmall,
     EmptyFamily,
     InconsistentCounts,
+    SkelreconError,
     TooLarge,
     TooManyNonsimple,
 )
@@ -57,14 +59,18 @@ from conftest import (
     PRISM_OVER_PYRAMID,
     SKEW_SOLID,
     SPLIT_CUBE,
+    cyclic,
+    dual,
     fixture_corpus,
     lattice_of,
     pace,
     truncated_antiprism,
 )
 from oracles import (
+    cycle_order,
     dense_exact_cover_of_size,
     max_exact_cover,
+    ordered_cover_row,
     orientation_from_order,
     reference_ancestors,
     reference_exact_cover_of_size,
@@ -84,27 +90,27 @@ def two_faces_of(lat):
 
 def face_sets(system):
     """The 2-system's sorted vertex tuples as a set."""
-    return set(system.sets)
+    return set(system)
 
 
 def test_two_system_simplex4_is_all_triangles():
     lat = lattice_of(simplex(4))
     system = max_two_system(lat.graph(), 4)
-    assert system.sets == tuple(itertools.combinations(range(5), 3))
-    assert system.size == 10
+    assert system == tuple(itertools.combinations(range(5), 3))
+    assert len(system) == 10
 
 
 def test_two_system_cube_is_the_six_squares():
     lat = lattice_of(cube(3))
     system = max_two_system(lat.graph(), 3)
     assert face_sets(system) == two_faces_of(lat)
-    assert system.size == 6
+    assert len(system) == 6
 
 
 def test_two_system_pyramid_over_cube():
     lat = lattice_of(pyramid(cube(3)))
     system = max_two_system(lat.graph(), 4)
-    assert system.size == 18  # 12 apex triangles + 6 squares
+    assert len(system) == 18  # 12 apex triangles + 6 squares
     assert face_sets(system) == two_faces_of(lat)
 
 
@@ -118,8 +124,8 @@ def test_certificate_equality(spec):
     g = lat.graph()
     nonsimple = classify_vertices(lat).nonsimple
     system = max_two_system(g, lat.d, nonsimple)
-    assert system.size == min_two_face_score(g, tuple(sorted(nonsimple)))
-    assert system.size == len(lat.faces_by_rank[2])
+    assert len(system) == min_two_face_score(g, tuple(sorted(nonsimple)))
+    assert len(system) == len(lat.faces_by_rank[2])
 
 
 def test_certificate_mismatch_on_non_polytope_graph():
@@ -166,13 +172,13 @@ def _frame_rows(g, nonsimple):
 
 def _reference_two_system(g, nonsimple):
     """The first maximum exact cover of the simple-rooted 2-frames, by the
-    reference search: (size, sorted vertex tuples in (length, tuple)
-    order), size -1 if none."""
+    reference search: (size, sorted vertex tuples in lexicographic order),
+    size -1 if none."""
     frames, cycles, rows = _frame_rows(g, nonsimple)
     chosen = max_exact_cover(frames, rows)
     if chosen is None:
         return -1, ()
-    sets = tuple(sorted((vertices_of(cycles[i]) for i in chosen), key=lambda s: (len(s), s)))
+    sets = tuple(sorted(vertices_of(cycles[i]) for i in chosen))
     return len(chosen), sets
 
 
@@ -205,7 +211,7 @@ def test_two_system_is_the_reference_maximum_cover(data):
     target = min_two_face_score(g, nonsimple)
     assert size <= target  # weak duality
     if size == target:
-        assert two_system().sets == sets
+        assert two_system() == sets
     else:
         with pytest.raises(CertificateMismatch, match=f"has {target} sets"):
             two_system()
@@ -237,7 +243,7 @@ def test_two_system_sets_cover_each_simple_frame_once(data):
     g = Graph(base.n, [(perm[u], perm[v]) for u, v in base.edges])
     nonsimple = {perm[v] for v in nonsimple}
     covered = Counter()
-    for s in max_two_system(g, d).sets:
+    for s in max_two_system(g, d):
         cycle = set(s)
         assert _is_chordless_cycle(g, cycle)
         for w in cycle - nonsimple:
@@ -311,11 +317,40 @@ def test_two_system_dp_fallback_is_unchanged(monkeypatch):
     monkeypatch.setattr(recong, "min_two_face_score", dp)
     for (g, d, nonsimple), system in zip(fixtures, expected):
         fallback = max_two_system(g, d, nonsimple)
-        assert fallback.sets == system.sets
+        assert fallback == system
     assert len(dp_calls) == len(fixtures)
     k33 = Graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
     with pytest.raises(CertificateMismatch, match=f"has {min_two_face_score(k33)} sets"):
         max_two_system(k33, 3)
+
+
+def test_cover_row_reads_a_cycle_in_any_order():
+    """The frames a 2-face covers do not depend on the order its vertices
+    come in: for every rotation and reflection of each corpus 2-face, and
+    for shuffles of it, _cover_row gives the frame set of a walk along the
+    cycle (the oracle), one frame per simple vertex."""
+    rng = random.Random(34)
+    for _, spec in sorted(fixture_corpus().items()):
+        lat = lattice_of(spec)
+        g = lat.graph()
+        nonsimple = classify_vertices(lat).nonsimple
+        first, ncols = [-1] * g.n, 0
+        for w in range(g.n):
+            if w not in nonsimple:
+                first[w] = ncols
+                ncols += g.degree(w) * (g.degree(w) - 1) // 2
+        for face in lat.faces_by_rank[2]:
+            walk = cycle_order(g.adj, face)
+            want = ordered_cover_row(g.adj, first, walk)
+            assert len(want) == len(set(want)) == len(set(face) - nonsimple)
+            walks = [walk[i:] + walk[:i] for i in range(len(walk))]
+            walks += [w[::-1] for w in walks]
+            for order in walks:
+                assert set(ordered_cover_row(g.adj, first, order)) == set(want)
+                assert set(recong._cover_row(g.adj, first, order)) == set(want)
+            for _ in range(len(face)):
+                shuffled = tuple(rng.sample(face, len(face)))
+                assert set(recong._cover_row(g.adj, first, shuffled)) == set(want)
 
 
 def test_exact_cover_gives_up_past_its_node_budget():
@@ -413,7 +448,7 @@ def test_two_system_memory_on_cube10():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert system.size == 11_520
+    assert len(system) == 11_520
     assert peak < 40e6, peak
 
 
@@ -1087,6 +1122,62 @@ def test_two_nonsimple_routes_commute_with_relabeling(data):
         tuple(sorted(perm[v] for v in f)) for f in _two_nonsimple_route(method, g, d)
     ))
     assert _two_nonsimple_route(method, relabeled, d) == want
+
+
+@lru_cache(maxsize=None)
+def _at_most_two_nonsimple():
+    """The corpus polytopes with at most two nonsimple vertices."""
+    return tuple(
+        spec for _, spec in sorted(fixture_corpus().items())
+        if len(classify_vertices(lattice_of(spec)).nonsimple) <= 2
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reconstruct_hands_back_facets_polytope_spec_keeps_as_they_are(data):
+    # Relabeled corpus graphs, one-edge changes of them, random graphs and
+    # K33_PLUS_EDGE, under every method: whatever facet list a route
+    # returns is already canonical, as the CLI writes it without a check.
+    kind = data.draw(st.sampled_from(("corpus", "one_edge", "random", "k33")))
+    if kind == "random":
+        n = data.draw(st.integers(min_value=5, max_value=9))
+        pairs = list(itertools.combinations(range(n), 2))
+        g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), min_size=n, max_size=2 * n, unique=True)))
+        d = data.draw(st.integers(min_value=3, max_value=4))
+    elif kind == "k33":
+        g, d = K33_PLUS_EDGE, 3
+    else:
+        spec = data.draw(st.sampled_from(_at_most_two_nonsimple()))
+        perm = data.draw(st.permutations(range(spec.n)))
+        edges = {tuple(sorted((perm[u], perm[v]))) for u, v in lattice_of(spec).graph().edges}
+        if kind == "one_edge":
+            edges ^= {data.draw(st.sampled_from(list(itertools.combinations(range(spec.n), 2))))}
+        g, d = Graph(spec.n, edges), spec.d
+    method = data.draw(st.sampled_from(("claims", "truncation", "both")))
+    try:
+        facets = recong.reconstruct(g, d, method).facets
+    except (SkelreconError, ValueError) as exc:
+        event(f"{kind}: {type(exc).__name__}")
+        return
+    event(f"{kind}: facets, {len(classify_vertices(g, d).nonsimple)} nonsimple, {method}")
+    assert PolytopeSpec(d, g.n, facets).facets == facets
+
+
+@pytest.mark.parametrize("n", range(8, 12))
+def test_recong_on_relabeled_duals_of_cyclic_4_polytopes(n):
+    """C(n, 4)* is simple, with n(n - 3)/2 vertices and 2-faces of sizes 3,
+    4 and n - 2.  Under one fixed relabeling each gives back its facets.
+    Other relabelings of C(11, 4)* are refused (TooLarge), at this
+    version and the one before: the first pass misses a long 2-face and
+    the fallback refuses 44 vertices (ROADMAP item 13)."""
+    spec = dual(cyclic(n, 4))
+    perm = random.Random(n).sample(range(spec.n), spec.n)
+    lat = lattice_of(PolytopeSpec(4, spec.n, [[perm[v] for v in f] for f in spec.facets]))
+    assert max(map(len, lat.faces_by_rank[2])) == n - 2
+    result = recong.reconstruct(lat.graph(), 4)
+    assert result.facets == lat.facets
+    assert result.certificate == (f"two-system size {len(lat.faces_by_rank[2])}",)
 
 
 def test_eq1_breakdown_consistency():
