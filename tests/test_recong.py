@@ -1135,7 +1135,7 @@ def _at_most_two_nonsimple():
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_reconstruct_hands_back_facets_polytope_spec_keeps_as_they_are(data):
+def test_reconstruct_facets_are_canonical(data):
     # Relabeled corpus graphs, one-edge changes of them, random graphs and
     # K33_PLUS_EDGE, under every method: whatever facet list a route
     # returns is already canonical, as the CLI writes it without a check.
@@ -1168,9 +1168,9 @@ def test_reconstruct_hands_back_facets_polytope_spec_keeps_as_they_are(data):
 def test_recong_on_relabeled_duals_of_cyclic_4_polytopes(n):
     """C(n, 4)* is simple, with n(n - 3)/2 vertices and 2-faces of sizes 3,
     4 and n - 2.  Under one fixed relabeling each gives back its facets.
-    Other relabelings of C(11, 4)* are refused (TooLarge), at this
-    version and the one before: the first pass misses a long 2-face and
-    the fallback refuses 44 vertices (ROADMAP item 13)."""
+    Some other relabelings of C(11, 4)* are still refused (TooLarge): the
+    first pass misses a long 2-face and the fallback refuses 44 vertices
+    (ROADMAP item 13)."""
     spec = dual(cyclic(n, 4))
     perm = random.Random(n).sample(range(spec.n), spec.n)
     lat = lattice_of(PolytopeSpec(4, spec.n, [[perm[v] for v in f] for f in spec.facets]))
