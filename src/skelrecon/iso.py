@@ -5,10 +5,13 @@ an int bitmask as in the lattice; an isomorphism is a vertex bijection
 carrying every layer onto the matching layer.  Face counts, size
 multisets and the identity map are decided on the masks alone; vertices
 are decoded only for the profiles and the witness search, which few
-pairs reach.  The decision procedure is exact backtracking over vertex
-classes refined by degree and face-membership profiles, on an explicit
-stack: a relabeled cube(10), 1,024 vertices, runs in CI, but relabeled
-prisms still take exponential time (ROADMAP item 12).
+pairs reach.  Those read neighbours from the argument's own graph (a
+lattice's ``graph()``, a skeleton's ``graph``): the profiles its
+adjacency lists, the search its masks.  The decision procedure is exact
+backtracking over vertex classes refined by degree and face-membership
+profiles, on an explicit stack: a relabeled cube(10), 1,024 vertices,
+runs in CI, but relabeled prisms still take exponential time (ROADMAP
+item 12).
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import KindMismatch
-from .graphs import mask_of, vertices_of
-from .lattice import FaceLattice, KSkeleton, require_edges
+from .graphs import Graph, mask_of, vertices_of
+from .lattice import FaceLattice, KSkeleton
 
 
 @dataclass(frozen=True)
@@ -56,18 +59,13 @@ def _layers(
     raise KindMismatch(f"cannot compare objects of type {type(obj).__name__}")
 
 
-def _adjacency(n: int, edges: list[int]) -> list[int]:
-    """Neighbour masks of the rank-1 layer; NotAnEdge names a non-pair."""
-    adj = [0] * n
-    for e in require_edges(edges):
-        low = e & -e
-        high = e ^ low
-        adj[low.bit_length() - 1] |= high
-        adj[high.bit_length() - 1] |= low
-    return adj
+def _graph(obj: Union[KSkeleton, FaceLattice]) -> Graph:
+    """The graph of a skeleton or lattice; NotAnEdge names a rank-1 face
+    of a lattice that is not a vertex pair."""
+    return obj.graph() if isinstance(obj, FaceLattice) else obj.graph
 
 
-def _profiles(n: int, layers: dict[int, list[tuple[int, ...]]], adj: list[int]) -> list:
+def _profiles(n: int, layers: dict[int, list[tuple[int, ...]]], graph: Graph) -> list:
     """Per-vertex colors refined by layer membership and adjacency, in three rounds."""
     member: dict[int, list[list[int]]] = {}
     for r, faces in layers.items():
@@ -80,7 +78,7 @@ def _profiles(n: int, layers: dict[int, list[tuple[int, ...]]], adj: list[int]) 
     colors = [
         tuple((r, member[r][v]) for r in sorted(member)) for v in range(n)
     ]
-    near = [vertices_of(m) for m in adj]
+    near = graph.adj
     for _ in range(3):
         palette = {c: i for i, c in enumerate(sorted(set(colors)))}
         coded = [palette[c] for c in colors]
@@ -140,13 +138,13 @@ def isomorphic(
     if all(set(faces) == masks_b[r] for r, faces in layers_a.items()):
         return IsoResult(True, witness=tuple(range(n)))
 
-    adj_a = _adjacency(n, layers_a.get(1, []))
-    adj_b = _adjacency(n, layers_b.get(1, []))
+    graph_a = _graph(a)
+    graph_b = _graph(b)
     # Decode each face once, for the profiles and the witness checks.
     faces_a = {r: list(map(vertices_of, faces)) for r, faces in layers_a.items()}
     faces_b = {r: list(map(vertices_of, faces)) for r, faces in layers_b.items()}
-    prof_a = _profiles(n, faces_a, adj_a)
-    prof_b = _profiles(n, faces_b, adj_b)
+    prof_a = _profiles(n, faces_a, graph_a)
+    prof_b = _profiles(n, faces_b, graph_b)
     if sorted(prof_a) != sorted(prof_b):
         return IsoResult(False, obstruction="vertex profile multisets differ")
 
@@ -158,7 +156,7 @@ def isomorphic(
     # Every layer bijection restricts to a graph isomorphism, so enumerate
     # those within the refined classes and keep the first one that carries
     # all higher layers as well.
-    for perm in _graph_isomorphisms(n, adj_a, adj_b, candidates, order):
+    for perm in _graph_isomorphisms(n, graph_a.masks, graph_b.masks, candidates, order):
         if _verified(faces_a, masks_b, perm):
             return IsoResult(True, witness=perm)
     return IsoResult(False, obstruction="search exhausted")

@@ -28,7 +28,7 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import NoReturn, Optional
+from typing import Optional
 
 from .errors import (
     FrameNotInUniqueTwoFace,
@@ -290,9 +290,11 @@ def _facet(fg: FrameGraph, root: int, slot: int, t: int, scratch, check) -> tupl
     w*d + ex, ``omitted`` is -1 at each nonsimple vertex, ``stamp`` holds
     the index of the last trace through each vertex, and ``others[ex]`` is
     the tuple of the d-1 slots other than ex, so each move costs one
-    lookup.  The check costs O(1) per simple vertex and O(min(deg, |F|))
-    per nonsimple one; only a facet with a nonsimple vertex is made a
-    frozenset, for that check.
+    lookup.  The list is sorted before the check, which goes through it in
+    ascending order and raises at the first vertex that fails.  The check
+    costs O(1) per simple vertex and O(min(deg, |F|)) per nonsimple one;
+    only a facet with a nonsimple vertex is made a frozenset, for that
+    check.
     """
     adj = fg.skeleton.graph.adj
     d = fg.d
@@ -329,6 +331,7 @@ def _facet(fg: FrameGraph, root: int, slot: int, t: int, scratch, check) -> tupl
             elif not visited[code := u2 * d + k]:
                 visited[code] = 1
                 push((u2, k))
+    members.sort()
     if check:
         nsets = fg.neighbour_sets
         # Each simple v in the facet roots a frame of this trace, which set
@@ -344,43 +347,23 @@ def _facet(fg: FrameGraph, root: int, slot: int, t: int, scratch, check) -> tupl
             x = omitted[v]
             if x >= 0:
                 if stamp[x] == t:
-                    _refuse(fg, members, omitted)
+                    inside = sum(stamp[w] == t for w in adj[v])
+                    raise NotASkeleton(
+                        f"simple vertex {v} has {inside} neighbors in region "
+                        f"{tuple(members)}"
+                    )
             else:
                 if facet is None:
                     facet = frozenset(members)
                 nset = nsets.get(v)
                 if nset is None:
                     nset = nsets[v] = frozenset(adj[v])
-                if len(nset & facet) < d - 1:
-                    _refuse(fg, members, omitted)
-    members.sort()
+                inside = len(nset & facet)
+                if inside < d - 1:
+                    raise NotASkeleton(
+                        f"nonsimple vertex {v} has {inside} < d-1 neighbors in region"
+                    )
     return tuple(members)
-
-
-def _refuse(fg: FrameGraph, members: list[int], omitted) -> NoReturn:
-    """Raise the region check's error for the facet in ``members``, a
-    failure :func:`_facet` found.  The error names the first vertex that
-    fails in the iteration order of ``frozenset(set(members))``, a set
-    filled in trace order and then frozen; the error texts the tests pin
-    name that vertex, and ``frozenset(members)`` may order it otherwise."""
-    adj = fg.skeleton.graph.adj
-    facet = frozenset(set(members))
-    for v in facet:
-        x = omitted[v]
-        if x >= 0:
-            if x in facet:
-                inside = sum(w in facet for w in adj[v])
-                raise NotASkeleton(
-                    f"simple vertex {v} has {inside} neighbors in region "
-                    f"{tuple(sorted(facet))}"
-                )
-        else:
-            inside = len(fg.neighbour_sets.get(v, frozenset(adj[v])) & facet)
-            if inside < fg.d - 1:
-                raise NotASkeleton(
-                    f"nonsimple vertex {v} has {inside} < d-1 neighbors in region"
-                )
-    raise AssertionError("no vertex of the facet fails the region check")
 
 
 def _regions(fg: FrameGraph, check: bool) -> list[tuple[int, ...]]:
@@ -421,8 +404,10 @@ def reconstruct(
     Each facet is traced, collected and, unless ``check`` is False,
     checked in one pass: collecting it costs one stamp test per frame and
     one per nonsimple leaf, and checking it one stamp read per simple
-    vertex and one set intersection per nonsimple vertex.  Each trace
-    gives its facet's sorted tuple; the tuples are sorted once here, and
+    vertex and one set intersection per nonsimple vertex.  A facet that
+    fails the check raises ``NotASkeleton`` naming its least failing
+    vertex, and the first facet traced that fails is the one named.  Each
+    trace gives its facet's sorted tuple; the tuples are sorted once here, and
     only the ambiguity test below, with d-1 nonsimple vertices, turns the
     regions it tests into frozensets.  When each facet keeps at most d-2
     nonsimple vertices, so does each 2-face, and with the costs of

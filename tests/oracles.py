@@ -1012,7 +1012,7 @@ def _reference_check_region(fg, graph: Graph, d, region, visited, trace_id):
     """Induced degrees and frame coverage, counted per vertex of the region;
     ``visited`` maps root*n + excluded to the trace that reached the frame."""
     n = graph.n
-    for v in region:
+    for v in sorted(region):
         inside = [w for w in graph.adj[v] if w in region]
         if v in fg.simple:
             if len(inside) != d - 1:
@@ -1224,7 +1224,7 @@ def per_face_set_facet(fg: PerFaceSetFrameGraph, root: int, slot: int, visited, 
                 push((u2, k))
     facet = frozenset(region)
     if check:
-        for v in facet:
+        for v in sorted(facet):
             if v in simple:
                 if omitted[v] in facet:
                     inside = sum(w in facet for w in adj[v])

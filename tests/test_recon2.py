@@ -615,6 +615,33 @@ def test_region_check_rejects_a_simple_vertex_with_all_neighbors_inside():
     assert _outcome(reference_reconstruct, sk, 4, check=False) == unchecked
 
 
+def test_region_check_names_the_least_failing_vertex():
+    """The shifted torus beside two cube(4) 2-skeletons, relabeled: every
+    vertex of the torus fails the region check, and the error names the
+    least of them, 2, whatever order the trace puts them in (on CPython a
+    set of this region iterates from 32)."""
+    parts = [twisted_torus_skeleton(4, 3, 2)] + [k_skeleton(build_face_lattice(cube(4)), 2)] * 2
+    edges, faces, offset = [], [], 0
+    for part in parts:
+        edges += [(u + offset, v + offset) for u, v in part.graph.edges]
+        faces += [[v + offset for v in f] for f in part.two_faces]
+        offset += part.graph.n
+    assert offset == 44
+    perm = list(range(44))
+    random.Random(1).shuffle(perm)
+    sk = KSkeleton(
+        k=2,
+        graph=Graph(44, [(perm[u], perm[v]) for u, v in edges]),
+        faces_by_dim={2: tuple(tuple(sorted(perm[v] for v in f)) for f in faces)},
+    )
+    message = (
+        "simple vertex 2 has 4 neighbors in region "
+        "(2, 5, 9, 11, 17, 20, 27, 29, 32, 33, 41, 42)"
+    )
+    assert _outcome(reconstruct, sk, 4) == (NotASkeleton, message)
+    assert _outcome(reference_reconstruct, sk, 4) == (NotASkeleton, message)
+
+
 def test_two_tetrahedra_on_an_edge_give_more_than_one_candidate_pair():
     """The 2-skeletons of two tetrahedra glued along the edge 01, at d = 3:
     0 and 1 are the d - 1 nonsimple vertices, and each triangle through

@@ -1180,6 +1180,53 @@ def test_recong_on_relabeled_duals_of_cyclic_4_polytopes(n):
     assert result.certificate == (f"two-system size {len(lat.faces_by_rank[2])}",)
 
 
+@pytest.mark.parametrize(
+    "seed",
+    [
+        pytest.param(
+            s,
+            marks=pytest.mark.xfail(
+                raises=TooLarge,
+                strict=True,
+                reason="ROADMAP item 13: the first pass misses a long 2-face and the "
+                "fallback refuses 44 vertices",
+            ),
+        )
+        if s in (2, 6, 9)
+        else s
+        for s in range(10)
+    ],
+)
+def test_recong_on_relabelings_of_the_dual_of_cyclic_11_4(seed):
+    """C(11, 4)* (44 vertices, simple, 9-gon 2-faces) under ten seeded
+    relabelings: each gives back its facets."""
+    spec = dual(cyclic(11, 4))
+    perm = random.Random(seed).sample(range(spec.n), spec.n)
+    lat = lattice_of(PolytopeSpec(4, spec.n, [[perm[v] for v in f] for f in spec.facets]))
+    assert recong.reconstruct(lat.graph(), 4).facets == lat.facets
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="ROADMAP item 2: the truncation route returns facets that are "
+    "not the graph's own",
+)
+def test_truncation_route_answers_only_with_the_graphs_own_edges():
+    """An 11-vertex graph that is not 3-connected, so no 3-polytope graph
+    (Balinski), with two non-adjacent nonsimple vertices: the truncation
+    route must refuse it or return facets whose lattice has exactly its
+    edges as rank-1 faces."""
+    pairs = "0-3 0-6 0-7 0-8 1-2 1-5 1-6 1-8 1-10 2-4 2-9 3-6 3-7 4-5 4-9 5-9 7-10 8-10"
+    g = Graph(11, [tuple(map(int, p.split("-"))) for p in pairs.split()])
+    try:
+        facets = recong.reconstruct(g, 3, "truncation").facets
+    except SkelreconError:
+        return
+    lat = lattice_of(PolytopeSpec(3, g.n, facets))
+    assert sorted(map(vertices_of, lat.masks_of_rank(1))) == list(g.edges)
+
+
 def test_eq1_breakdown_consistency():
     for spec, d in [
         (multifold_pyramid(cube(2), 2), 4),
