@@ -169,45 +169,54 @@ def multifold_pyramid(base: PolytopeSpec, t: int) -> PolytopeSpec:
 
 @dataclass(frozen=True)
 class TruncationMap:
-    """Bookkeeping for one truncation.
+    """The labeling of one truncation, kept once for every caller.
 
-    ``new_from_edge`` maps each cut edge (x inside the face, y outside) to
-    the id of the vertex that replaces it; ``origin`` maps that id back to
-    x, ``old_to_new`` relabels the surviving vertices.  ``cut_facet`` is
-    the facet carved out by the cut, i.e. all the new vertices.  When the
-    truncated face was itself a facet it disappears from the new facet
-    list, so the pullback must restore it; ``face_was_facet`` records that.
+    ``old_to_new`` relabels the surviving vertices, in their relative
+    order; ``new_from_edge`` maps each cut edge (x inside the face, y
+    outside) to the vertex that replaces it, with ids ascending in cut-edge
+    order after the survivors.  When the truncated face was itself a facet
+    it disappears from the new facet list, so the pullback must restore
+    it; ``face_was_facet`` records that.  The rest is read off these.
     """
 
     face: tuple[int, ...]
     old_to_new: dict[int, int]
     new_from_edge: dict[tuple[int, int], int]
-    origin: dict[int, int]
-    cut_facet: frozenset[int]
     face_was_facet: bool = False
 
+    @property
+    def n(self) -> int:
+        """The vertex count after the cut."""
+        return len(self.old_to_new) + len(self.new_from_edge)
 
-def truncation_map(n: int, face, edges, *, face_was_facet: bool = False) -> TruncationMap:
-    """The relabeling for truncating an n-vertex polytope at ``face``.
+    @property
+    def cut_facet(self) -> frozenset[int]:
+        """The facet carved out by the cut: all the new vertices."""
+        return frozenset(self.new_from_edge.values())
+
+    def cut_vertices(self, mask: int) -> list[int]:
+        """The new vertices, ascending, of the cut edges inside a vertex mask."""
+        return [w for (x, y), w in self.new_from_edge.items() if mask >> x & 1 and mask >> y & 1]
+
+
+def truncation_map(n: int, fmask: int, edges, *, face_was_facet: bool = False) -> TruncationMap:
+    """The labeling for truncating an n-vertex polytope at the face whose
+    vertex mask is ``fmask``.
 
     The cut edges are the ``edges`` (vertex pairs) with one endpoint in
     the face.  Surviving vertices keep their relative order; new vertices
     follow, ordered by their cut edge (x, y) with x in the face.
     """
-    fset = frozenset(face)
-    cut_edges = []
-    for a, b in edges:
-        if (a in fset) != (b in fset):
-            cut_edges.append((a, b) if a in fset else (b, a))
-    cut_edges.sort()
-    survivors = sorted(set(range(n)) - fset)
-    new_from_edge = {e: len(survivors) + i for i, e in enumerate(cut_edges)}
+    cut_edges = sorted(
+        (a, b) if fmask >> a & 1 else (b, a)
+        for a, b in edges
+        if (fmask >> a ^ fmask >> b) & 1
+    )
+    survivors = [v for v in range(n) if not fmask >> v & 1]
     return TruncationMap(
-        face=tuple(sorted(fset)),
+        face=vertices_of(fmask),
         old_to_new={v: i for i, v in enumerate(survivors)},
-        new_from_edge=new_from_edge,
-        origin={w: x for (x, _), w in new_from_edge.items()},
-        cut_facet=frozenset(new_from_edge.values()),
+        new_from_edge={e: len(survivors) + i for i, e in enumerate(cut_edges)},
         face_was_facet=face_was_facet,
     )
 
@@ -227,46 +236,33 @@ def truncate(lattice: FaceLattice, face) -> tuple[PolytopeSpec, TruncationMap]:
         raise NotAProperFace(f"{tuple(sorted(face))} is not a proper face")
     tmap = truncation_map(
         lattice.n,
-        fset,
+        fmask,
         lattice.layer(1),
         face_was_facet=lattice.rank(fmask) == lattice.d - 1,
     )
-    facets: list[list[int]] = [sorted(tmap.cut_facet)]
+    facets = [tmap.cut_facet]
     for jmask in lattice.masks_of_rank(lattice.d - 1):
-        if jmask == fmask:
-            continue
-        new_f = [tmap.old_to_new[v] for v in vertices_of(jmask & ~fmask)]
-        for (x, y), w in tmap.new_from_edge.items():
-            if jmask >> x & 1 and jmask >> y & 1:
-                new_f.append(w)
-        facets.append(sorted(new_f))
-    n = len(tmap.old_to_new) + len(tmap.new_from_edge)
-    return PolytopeSpec(lattice.d, n, facets), tmap
+        if jmask != fmask:
+            survivors = [tmap.old_to_new[v] for v in vertices_of(jmask & ~fmask)]
+            facets.append(survivors + tmap.cut_vertices(jmask))
+    return PolytopeSpec(lattice.d, tmap.n, facets), tmap
 
 
 def pullback_facets(facets, tmap: TruncationMap) -> tuple[tuple[int, ...], ...]:
     """Invert a truncation on a facet list.
 
-    Drops the cut facet, replaces every new vertex by the face vertex its
-    cut edge starts at, and restores the original labels; the result is
-    the facet list of the untruncated polytope (with the truncated face
-    itself put back when it was a facet).
+    Drops the cut facet and maps every other label back through one table:
+    a survivor to its old label, a new vertex to the face vertex its cut
+    edge starts at.  The result is the facet list of the untruncated
+    polytope (with the truncated face itself put back when it was a facet).
     """
+    cut_facet = tmap.cut_facet
     facet_sets = [frozenset(f) for f in facets]
-    if tmap.cut_facet not in facet_sets:
+    if cut_facet not in facet_sets:
         raise CutFacetMissing("input lacks the cut facet (all new vertices)")
-    new_to_old = {w: v for v, w in tmap.old_to_new.items()}
-    out = set()
-    for f in facet_sets:
-        if f == tmap.cut_facet:
-            continue
-        old = set()
-        for w in f:
-            if w in tmap.origin:
-                old.add(tmap.origin[w])
-            else:
-                old.add(new_to_old[w])
-        out.add(tuple(sorted(old)))
+    back = {w: v for v, w in tmap.old_to_new.items()}
+    back.update((w, x) for (x, _), w in tmap.new_from_edge.items())
+    out = {tuple(sorted({back[w] for w in f})) for f in facet_sets if f != cut_facet}
     if tmap.face_was_facet:
         out.add(tmap.face)
     return tuple(sorted(out))

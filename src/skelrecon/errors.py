@@ -101,3 +101,7 @@ class TooManyNonsimple(SkelreconError):
 
 class MethodsDisagree(SkelreconError):
     """The claims and truncation routes returned different facet lists."""
+
+
+class GraphMismatch(SkelreconError):
+    """The graph of the facets found is not the input graph."""

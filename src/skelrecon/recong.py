@@ -36,7 +36,8 @@ vertex placed after A sees exactly its in-neighbours among the vertices
 placed before it, A included.  The family minimum and every set
 attaining it follow without sweeping orientations.  A second, independent route truncates the
 polytope at uv (or at u when uv is not an edge), reconstructs the simpler
-truncated polytope, and pulls its facets back.
+truncated polytope, and pulls its facets back.  Whichever route answers,
+the face lattice of its facets must have the input as its graph.
 
 Each family DP allocates one table of 2**n slots over the whole vertex
 set, and fills fewer when vertices are pinned
@@ -68,6 +69,7 @@ from .errors import (
     CertificateMismatch,
     DimensionTooSmall,
     EmptyFamily,
+    GraphMismatch,
     InconsistentCounts,
     MethodsDisagree,
     RepairAmbiguous,
@@ -88,7 +90,7 @@ from .graphs import (
     two_face_witness,
     vertices_of,
 )
-from .lattice import KSkeleton, PolytopeSpec, classify_vertices
+from .lattice import KSkeleton, PolytopeSpec, build_face_lattice, classify_vertices
 from . import recon2
 
 
@@ -640,24 +642,24 @@ def _truncated_graph(g: Graph, face: tuple[int, ...], two_faces) -> tuple[Graph,
     Uses only the graph and the 2-face masks meeting the face: surviving
     vertices keep their mutual edges, every cut edge (x in face, y outside)
     becomes a vertex joined to y, and each 2-face contributes the edge
-    between the new vertices of its two crossing edges.
+    between the new vertices of its two crossing edges.  The labels are
+    :func:`~skelrecon.constructions.truncate`'s, from the same map.
     """
-    tmap = truncation_map(g.n, face, g.edges)
-    old_to_new, new_from_edge = tmap.old_to_new, tmap.new_from_edge
+    tmap = truncation_map(g.n, mask_of(face), g.edges)
+    old_to_new = tmap.old_to_new
     edges = [
         (old_to_new[a], old_to_new[b])
         for a, b in g.edges
         if a in old_to_new and b in old_to_new
     ]
-    for (x, y), w in new_from_edge.items():
-        edges.append((w, old_to_new[y]))
+    edges += [(w, old_to_new[y]) for (_, y), w in tmap.new_from_edge.items()]
     # Every mask here is a chordless cycle, so one that meets the face
     # crosses the cut in exactly two edges.
     for s in two_faces:
-        crossing = sorted((x, y) for x, y in new_from_edge if s >> x & 1 and s >> y & 1)
+        crossing = tmap.cut_vertices(s)
         if crossing:
-            edges.append((new_from_edge[crossing[0]], new_from_edge[crossing[1]]))
-    return Graph(len(old_to_new) + len(new_from_edge), edges), tmap
+            edges.append((crossing[0], crossing[1]))
+    return Graph(tmap.n, edges), tmap
 
 
 def reconstruct_two_nonsimple_via_truncation(
@@ -742,17 +744,13 @@ def reconstruct(
     sorted tuples over 0..n-1 in lexicographic order, none inside or equal
     to another), so callers write them as they are.  With at most one
     nonsimple vertex ``recon2.reconstruct``'s check gives them, and no
-    ambiguity, which needs d - 1 >= 2 nonsimple vertices.  The claims
-    route's families are sorted, distinct and told apart by u and v, and
-    no feasible set A holding a simple vertex lies strictly inside another
-    one, B: a simple vertex of A has d - 1 neighbours in A and d - 1 in B,
-    so no edge joins it to B - A, and A's at most two nonsimple vertices
-    would separate A's simple vertices from B - A in G[B], which is
-    (d - 1)-connected with d - 1 >= 3.  No such argument covers the
-    truncation route's pull-back on graphs that are no polytope graphs,
-    so "truncation" alone passes its list through ``PolytopeSpec``, which
-    raises ValueError on nested facets; with "both" the list must equal
-    the claims route's.
+    ambiguity, which needs d - 1 >= 2 nonsimple vertices.  With two, every
+    method's answer passes through ``PolytopeSpec`` (ValueError on nested
+    facets) and its face lattice must have the input as its graph: the
+    lattice's own errors pass through, and GraphMismatch names the first
+    edge, in vertex order, that only one of the two graphs has.  So no
+    answer leaves whose edges are not the input's, polytope graph or not;
+    the route's bound keeps the lattice small.
     """
     if method not in ("claims", "truncation", "both"):
         raise ValueError(f"unknown method {method!r}")
@@ -802,7 +800,19 @@ def reconstruct(
     if method != "claims":
         truncated = _via_truncation(g, d, u, v, u_only, v_only)
         if facets is None:
-            facets = PolytopeSpec(d, g.n, truncated).facets
+            facets = truncated
         elif truncated != facets:
             raise MethodsDisagree("methods disagree")
-    return GraphReconstruction(facets, certificate, families)
+    spec = PolytopeSpec(d, g.n, facets)
+    _require_graph(g, build_face_lattice(spec).graph())
+    return GraphReconstruction(spec.facets, certificate, families)
+
+
+def _require_graph(g: Graph, found: Graph) -> None:
+    """GraphMismatch unless ``found`` has exactly the edges of ``g``; it
+    names the first edge, in vertex order, that only one of them has."""
+    if found.edges != g.edges:
+        edge = min(set(g.edges) ^ set(found.edges))
+        if g.has_edge(*edge):
+            raise GraphMismatch(f"the facets found have no edge {edge}, which the graph has")
+        raise GraphMismatch(f"the facets found have an edge {edge}, which the graph lacks")

@@ -13,6 +13,7 @@ from skelrecon import (
     k_skeleton,
     q1,
     q2,
+    simplex,
 )
 from skelrecon import iso
 from skelrecon.errors import KindMismatch, NotAnEdge, RankOutOfRange
@@ -274,3 +275,18 @@ def test_a_graph_isomorphism_that_misses_the_two_faces_is_rejected(monkeypatch):
     assert _verdict(isomorphic(a, b)) == EXHAUSTED
     assert False in verdicts
     assert _verdict(reference_isomorphic(a, b)) == EXHAUSTED
+
+
+def test_a_missing_face_rank_is_an_obstruction():
+    """The 3-skeleton of the 4-simplex against the same graph with only its
+    3-faces, built directly and read from text without the face2 lines."""
+    sk = k_skeleton(build_face_lattice(simplex(4)), 3)
+    direct = KSkeleton(k=3, graph=sk.graph, faces_by_dim={3: sk.faces_by_dim[3]})
+    lines = format_skeleton(sk, 4).splitlines(keepends=True)
+    parsed, d = parse_skeleton("".join(x for x in lines if not x.startswith("face2 ")))
+    assert (d, sorted(parsed.faces_by_dim)) == (4, [3])
+    for other in (direct, parsed):
+        for decide in (isomorphic, reference_isomorphic):
+            result = decide(sk, other)
+            assert not result.isomorphic
+            assert result.obstruction == "different face ranks present"

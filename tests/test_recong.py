@@ -26,6 +26,7 @@ from skelrecon import (
     find_facets_empty,
     induced_cycles,
     is_feasible,
+    k_connected,
     max_two_system,
     min_two_face_score,
     multifold_pyramid,
@@ -46,6 +47,7 @@ from skelrecon.errors import (
     CertificateMismatch,
     DimensionTooSmall,
     EmptyFamily,
+    GraphMismatch,
     InconsistentCounts,
     SkelreconError,
     TooLarge,
@@ -65,6 +67,7 @@ from conftest import (
     lattice_of,
     pace,
     truncated_antiprism,
+    truncation_pairs,
 )
 from oracles import (
     cycle_order,
@@ -1206,12 +1209,6 @@ def test_recong_on_relabelings_of_the_dual_of_cyclic_11_4(seed):
     assert recong.reconstruct(lat.graph(), 4).facets == lat.facets
 
 
-@pytest.mark.xfail(
-    raises=AssertionError,
-    strict=True,
-    reason="ROADMAP item 2: the truncation route returns facets that are "
-    "not the graph's own",
-)
 def test_truncation_route_answers_only_with_the_graphs_own_edges():
     """An 11-vertex graph that is not 3-connected, so no 3-polytope graph
     (Balinski), with two non-adjacent nonsimple vertices: the truncation
@@ -1225,6 +1222,102 @@ def test_truncation_route_answers_only_with_the_graphs_own_edges():
         return
     lat = lattice_of(PolytopeSpec(3, g.n, facets))
     assert sorted(map(vertices_of, lat.masks_of_rank(1))) == list(g.edges)
+
+
+# 4-connected, with two adjacent nonsimple vertices 6 and 7 of degree 5.
+EIGHT_VERTEX_GRAPH = Graph(8, [
+    tuple(map(int, p.split("-")))
+    for p in "0-2 0-3 0-4 0-7 1-2 1-4 1-5 1-6 2-3 2-7 3-6 3-7 4-5 4-6 5-6 5-7 6-7".split()
+])
+
+
+@pytest.mark.parametrize("method", ["claims", "truncation", "both"])
+def test_two_nonsimple_answer_without_the_graphs_edge_is_refused(method):
+    """Every method finds six facets here whose face lattice has no edge
+    6-7, so each must refuse the graph and name that edge."""
+    g = EIGHT_VERTEX_GRAPH
+    assert classify_vertices(g, 4).nonsimple == {6, 7}
+    assert k_connected(g, 4)
+    with pytest.raises(GraphMismatch) as info:
+        recong.reconstruct(g, 4, method)
+    assert str(info.value) == "the facets found have no edge (6, 7), which the graph has"
+
+
+def test_graph_mismatch_names_the_first_edge_only_one_graph_has():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(GraphMismatch, match=r"^the facets found have an edge \(0, 3\), which the graph lacks$"):
+        recong._require_graph(g, Graph(4, [(0, 1), (0, 3), (1, 2), (2, 3)]))
+    with pytest.raises(GraphMismatch, match=r"^the facets found have no edge \(1, 2\), which the graph has$"):
+        recong._require_graph(g, Graph(4, [(0, 1), (1, 3), (2, 3)]))
+    recong._require_graph(g, Graph(4, [(2, 3), (0, 1), (1, 2)]))
+
+
+def _graph_with_degrees(rng, degrees):
+    """A random simple graph with the given degrees, or None when the
+    greedy pairing gets stuck: the vertex with the most free stubs joins
+    that many others with free stubs, drawn at random."""
+    n = len(degrees)
+    free = list(degrees)
+    nbrs = [set() for _ in range(n)]
+    while any(free):
+        x = max(range(n), key=lambda w: (free[w], rng.random()))
+        options = [y for y in range(n) if y != x and free[y] and y not in nbrs[x]]
+        if len(options) < free[x]:
+            return None
+        for y in rng.sample(options, free[x]):
+            nbrs[x].add(y)
+            nbrs[y].add(x)
+            free[y] -= 1
+        free[x] = 0
+    return Graph(n, [(a, b) for a in range(n) for b in nbrs[a] if a < b])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_two_nonsimple_answers_have_the_inputs_graph(data):
+    """Random graphs on at most 11 vertices with exactly two nonsimple
+    vertices, whose degrees exceed d by at most 2 (which keeps the
+    truncation route's fallback small): whatever facets a method answers
+    with, their face lattice has the input as its graph."""
+    d = data.draw(st.sampled_from((3, 4)))
+    n = data.draw(st.integers(min_value=d + 2, max_value=11))
+    # The degree sum must be even; at n = d + 2 both excesses are 1.
+    excess = [e for e in ((1, 1), (1, 2), (2, 1), (2, 2))
+              if (d * n + sum(e)) % 2 == 0 and max(e) <= n - 1 - d]
+    assume(excess)
+    du, dv = data.draw(st.sampled_from(excess))
+    g = _graph_with_degrees(data.draw(st.randoms(use_true_random=False)), [d + du, d + dv] + [d] * (n - 2))
+    assume(g is not None)
+    assert len(classify_vertices(g, d).nonsimple) == 2
+    for method in ("claims", "truncation", "both"):
+        try:
+            facets = recong.reconstruct(g, d, method).facets
+        except (SkelreconError, ValueError) as exc:
+            event(f"{method}: {type(exc).__name__}")
+            continue
+        event(f"{method}: facets")
+        assert lattice_of(PolytopeSpec(d, g.n, facets)).graph().edges == g.edges
+
+
+@pytest.mark.parametrize(
+    "case",
+    [c for c in truncation_pairs() if len(c[1]) <= 2],
+    ids=lambda c: f"{c[0]!r}@{c[1]}",
+)
+def test_graph_truncation_shares_the_lattice_truncations_labeling(case):
+    """The truncation route's graph, built from the graph and the 2-faces
+    meeting the face, is the graph of the facet truncation, under the same
+    labels."""
+    spec, face = case
+    lat = lattice_of(spec)
+    fmask = mask_of(face)
+    meeting = [s for s in lat.masks_of_rank(2) if s & fmask]
+    truncated, tmap = recong._truncated_graph(lat.graph(), face, meeting)
+    out, want = truncate(lat, face)
+    assert truncated.edges == build_face_lattice(out).graph().edges
+    assert (tmap.face, tmap.old_to_new, tmap.new_from_edge) == (
+        want.face, want.old_to_new, want.new_from_edge
+    )
 
 
 def test_eq1_breakdown_consistency():
