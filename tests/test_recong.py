@@ -1245,10 +1245,12 @@ def test_two_nonsimple_answer_without_the_graphs_edge_is_refused(method):
 
 def test_graph_mismatch_names_the_first_edge_only_one_graph_has():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    with pytest.raises(GraphMismatch, match=r"^the facets found have an edge \(0, 3\), which the graph lacks$"):
+    with pytest.raises(GraphMismatch) as info:
         recong._require_graph(g, Graph(4, [(0, 1), (0, 3), (1, 2), (2, 3)]))
-    with pytest.raises(GraphMismatch, match=r"^the facets found have no edge \(1, 2\), which the graph has$"):
+    assert str(info.value) == "the facets found have an edge (0, 3), which the graph lacks"
+    with pytest.raises(GraphMismatch) as info:
         recong._require_graph(g, Graph(4, [(0, 1), (1, 3), (2, 3)]))
+    assert str(info.value) == "the facets found have no edge (1, 2), which the graph has"
     recong._require_graph(g, Graph(4, [(2, 3), (0, 1), (1, 2)]))
 
 
@@ -1286,7 +1288,8 @@ def test_two_nonsimple_answers_have_the_inputs_graph(data):
               if (d * n + sum(e)) % 2 == 0 and max(e) <= n - 1 - d]
     assume(excess)
     du, dv = data.draw(st.sampled_from(excess))
-    g = _graph_with_degrees(data.draw(st.randoms(use_true_random=False)), [d + du, d + dv] + [d] * (n - 2))
+    rng = data.draw(st.randoms(use_true_random=False))
+    g = _graph_with_degrees(rng, [d + du, d + dv] + [d] * (n - 2))
     assume(g is not None)
     assert len(classify_vertices(g, d).nonsimple) == 2
     for method in ("claims", "truncation", "both"):
@@ -1296,7 +1299,7 @@ def test_two_nonsimple_answers_have_the_inputs_graph(data):
             event(f"{method}: {type(exc).__name__}")
             continue
         event(f"{method}: facets")
-        assert lattice_of(PolytopeSpec(d, g.n, facets)).graph().edges == g.edges
+        assert build_face_lattice(PolytopeSpec(d, g.n, facets)).graph().edges == g.edges
 
 
 @pytest.mark.parametrize(
