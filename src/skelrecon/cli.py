@@ -6,6 +6,9 @@ validation report), skeleton (extract rank <= k), recon2 (facets from a
 verify (run the claim suite over a dimension range), bench (prism scaling
 study).  All output is deterministic given inputs and flags; timings are
 the only exception and never interleave with result sections.
+A module that one subcommand alone needs is imported by that subcommand:
+only ``lattice`` loads ``hashlib`` (and with it OpenSSL) for its digest of
+the file's bytes, and only ``bench`` loads ``statistics``.
 
 ``main(argv)`` may be called many times in one process: the parser is
 built on the first call and reused by every later one.
@@ -15,11 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import gc
-import hashlib
-import statistics
 import sys
-import time
 from typing import Callable, NamedTuple
 
 from . import constructions as cons
@@ -30,7 +29,9 @@ from .lattice import build_face_lattice, classify_vertices, k_skeleton, validate
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    # newline="" keeps the file's line endings, so the text encodes back to
+    # the file's bytes; the parsers' str.splitlines reads "\r\n" as one break.
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         return fh.read()
 
 
@@ -90,6 +91,8 @@ def cmd_gen(args) -> int:
 
 def cmd_lattice(args) -> int:
     """The input's digest, the f-vector and the validation report."""
+    import hashlib
+
     text = _read(args.file)
     lattice = build_face_lattice(textio.parse_spec(text))
     vr = validate(lattice)
@@ -245,6 +248,11 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     """Prism scaling study; reports medians, ratios, and a log-log slope."""
+    import gc
+    import math
+    import statistics
+    import time
+
     sizes = args.sizes
     medians = []
     sys.stdout.write("m,median_seconds\n")
@@ -265,8 +273,6 @@ def cmd_bench(args) -> int:
         med = statistics.median(times)
         medians.append(med)
         sys.stdout.write(f"{m},{med:.6f}\n")
-    import math
-
     ratios = [b / a for a, b in zip(medians, medians[1:])]
     for (m, r) in zip(sizes[1:], ratios):
         sys.stdout.write(f"# ratio at m={m}: {r:.2f}\n")

@@ -123,6 +123,24 @@ def test_lattice_report(tmp_path, capsys):
     assert "PASS  euler" in out
 
 
+def test_lattice_digest_is_of_the_file_bytes(tmp_path, capsys):
+    # The first 16 hex digits of sha256sum's digest of each file: the
+    # CRLF copy parses as the LF original does, but its bytes differ.
+    text = "d 3\nvertices 4\nfacet 0 1 2\nfacet 0 1 3\nfacet 0 2 3\nfacet 1 2 3\n"
+    reports = {}
+    for name, digest, newline in (
+        ("lf.poly", "093bc4d9ffa5b438", "\n"),
+        ("crlf.poly", "dd9792c5abfa3260", "\r\n"),
+    ):
+        path = tmp_path / name
+        path.write_bytes(text.replace("\n", newline).encode())
+        assert run_cli("lattice", str(path)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == f"# input {path} sha256/16 {digest}"
+        reports[name] = lines[2:]
+    assert reports["crlf.poly"] == reports["lf.poly"]
+
+
 def test_skeleton_then_recon2_round_trip(tmp_path, capsys):
     poly = tmp_path / "pc.poly"
     skel = tmp_path / "pc.skel"
@@ -561,6 +579,79 @@ def test_reused_parser_matches_a_fresh_parser_per_call(tmp_path, monkeypatch, ca
     assert reused[6] == reused[7]
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     assert _outcomes(calls, capsys) == reused
+
+
+# Run by a fresh interpreter (pytest's own process may hold hashlib
+# already), in the directory argv[1]: every subcommand but lattice and
+# bench, then bench, then lattice.  It writes the exit codes and, after
+# each of the three stages, which of hashlib, _hashlib and statistics
+# are loaded.
+_IMPORTS_SCRIPT = r"""
+import os
+import sys
+from skelrecon.cli import main
+
+os.chdir(sys.argv[1])
+codes, loaded = [], {}
+
+
+def run(*argv):
+    codes.append(main(list(argv)))
+
+
+def edges(name):
+    run("skeleton", f"{name}.poly", "--rank", "1", "-o", f"{name}.skel1")
+    with open(f"{name}.skel1") as fh:
+        lines = [line for line in fh if not line.startswith("d ")]
+    with open(f"{name}.edges", "w") as fh:
+        fh.writelines(lines)
+    return f"{name}.edges"
+
+
+def stage(name):
+    loaded[name] = [m for m in ("hashlib", "_hashlib", "statistics") if m in sys.modules]
+
+
+run("gen", "--family", "cube", "--dim", "3", "--pyramid", "1", "-o", "pc.poly")
+run("skeleton", "pc.poly", "--rank", "2", "-o", "pc.skel")
+run("recon2", "pc.skel", "-o", "pc.back")
+run("gen", "--family", "q1", "--dim", "5", "-o", "q1.poly")
+run("skeleton", "q1.poly", "--rank", "2", "-o", "q1.skel")
+run("recon2", "q1.skel")
+run("recong", edges("pc"), "--dim", "4", "--certificate", "-o", "pc.g")
+run("gen", "--family", "cube", "--dim", "2", "--pyramid", "2", "-o", "sq.poly")
+run("recong", edges("sq"), "--dim", "4", "-o", "sq.g")
+run("iso", "pc.poly", "pc.back", "--rank", "lattice")
+run("verify", "--dims", "4..4")
+with open("bad.skel", "w") as fh:
+    fh.write("nonsense\n")
+run("recon2", "bad.skel")
+stage("others")
+run("bench", "--sizes", "64,128", "--repeats", "1")
+stage("bench")
+run("lattice", "pc.poly")
+stage("lattice")
+with open("result", "w") as fh:
+    fh.write(repr((codes, loaded)))
+"""
+
+
+def test_only_lattice_loads_hashlib_and_only_bench_statistics(tmp_path):
+    # -S: no site-packages .pth file imports anything first.
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _IMPORTS_SCRIPT, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = ast.literal_eval((tmp_path / "result").read_text())
+    # recon2 on q1(5) is ambiguous; the last recon2 reads a bad file.
+    assert codes == [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0]
+    assert proc.stderr.splitlines() == ["error: unexpected line: nonsense"]
+    assert loaded["others"] == []
+    assert "statistics" in loaded["bench"]
+    assert "hashlib" in loaded["lattice"]
 
 
 def test_console_entry_point():

@@ -13,6 +13,7 @@ frozenset, and the last three before the flows were seeded with
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -119,6 +120,27 @@ def _assert_golden(outcomes, golden=GOLDEN):
 
 def test_lattice_commands_match_the_recorded_outputs(tmp_path, capsys):
     _assert_golden(run_calls(tmp_path, capsys))
+
+
+def test_crlf_inputs_change_only_the_lattice_digest(tmp_path, capsys):
+    # Every input with CRLF line endings: each call prints its golden
+    # output and error, but for the digest, which is of the file's bytes.
+    inputs = {name: text.replace("\n", "\r\n") for name, text in golden_inputs().items()}
+    want = json.loads(GOLDEN.read_text())
+    outcomes = run_calls(tmp_path, capsys, inputs=inputs)
+    assert [o["argv"] for o in outcomes] == [w["argv"] for w in want]
+    for got, expected in zip(outcomes, want):
+        command, name = expected["argv"][:2]
+        if command == "lattice" and expected["stdout"]:  # not an error
+            data = (tmp_path / name).read_bytes()
+            assert b"\r\n" in data
+            lf, crlf = (
+                f"# input {name} sha256/16 {hashlib.sha256(raw).hexdigest()[:16]}\n"
+                for raw in (data.replace(b"\r\n", b"\n"), data)
+            )
+            assert lf in expected["stdout"] and lf != crlf
+            expected["stdout"] = expected["stdout"].replace(lf, crlf)
+        assert got == expected, " ".join(got["argv"])
 
 
 def test_lattice_commands_never_decode_the_full_views(tmp_path, capsys, monkeypatch):

@@ -164,4 +164,7 @@ def _outcome(parse, text):
 def test_line_soup_parses_or_raises_value_error(case):
     # Any other exception escapes _outcome and fails the test.
     fmt, text = case
-    assert _outcome(PARSERS[fmt], text) == _outcome(lambda t: reference_parse(fmt, t), text)
+    got = _outcome(PARSERS[fmt], text)
+    assert got == _outcome(lambda t: reference_parse(fmt, t), text)
+    # The CLI reads files with their line endings kept: CRLF reads as LF.
+    assert _outcome(PARSERS[fmt], text.replace("\n", "\r\n")) == got
