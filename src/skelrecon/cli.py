@@ -6,9 +6,10 @@ validation report), skeleton (extract rank <= k), recon2 (facets from a
 verify (run the claim suite over a dimension range), bench (prism scaling
 study).  All output is deterministic given inputs and flags; timings are
 the only exception and never interleave with result sections.
-A module that one subcommand alone needs is imported by that subcommand:
-only ``lattice`` loads ``hashlib`` (and with it OpenSSL) for its digest of
-the file's bytes, and only ``bench`` loads ``statistics``.
+A module that one subcommand alone needs is imported by that subcommand,
+and no subcommand loads OpenSSL: ``lattice`` takes its digest of the file's
+bytes from CPython's built-in SHA-256, with ``hashlib`` as the fallback, and
+only ``bench`` loads ``statistics``.
 
 ``main(argv)`` may be called many times in one process: the parser is
 built on the first call and reused by every later one.
@@ -91,12 +92,21 @@ def cmd_gen(args) -> int:
 
 def cmd_lattice(args) -> int:
     """The input's digest, the f-vector and the validation report."""
-    import hashlib
+    # hashlib loads OpenSSL, which is heavy: try CPython's lean built-in
+    # first, by the name its version ships (a failed import is not cached,
+    # so trying the other name first would search sys.path on every call)
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
     text = _read(args.file)
     lattice = build_face_lattice(textio.parse_spec(text))
     vr = validate(lattice)
-    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    digest = sha256(text.encode()).hexdigest()[:16]
     sys.stdout.write(
         "# command: lattice\n"
         f"# input {args.file} sha256/16 {digest}\n"

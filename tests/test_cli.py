@@ -123,22 +123,44 @@ def test_lattice_report(tmp_path, capsys):
     assert "PASS  euler" in out
 
 
+# A tetrahedron with LF and with CRLF line endings, each with the first 16
+# hex digits of sha256sum's digest of its file: the CRLF copy parses as the
+# LF original does, but its bytes differ.
+TETRAHEDRON = "d 3\nvertices 4\nfacet 0 1 2\nfacet 0 1 3\nfacet 0 2 3\nfacet 1 2 3\n"
+TETRAHEDRON_FILES = (
+    ("lf.poly", "093bc4d9ffa5b438", "\n"),
+    ("crlf.poly", "dd9792c5abfa3260", "\r\n"),
+)
+
+
 def test_lattice_digest_is_of_the_file_bytes(tmp_path, capsys):
-    # The first 16 hex digits of sha256sum's digest of each file: the
-    # CRLF copy parses as the LF original does, but its bytes differ.
-    text = "d 3\nvertices 4\nfacet 0 1 2\nfacet 0 1 3\nfacet 0 2 3\nfacet 1 2 3\n"
     reports = {}
-    for name, digest, newline in (
-        ("lf.poly", "093bc4d9ffa5b438", "\n"),
-        ("crlf.poly", "dd9792c5abfa3260", "\r\n"),
-    ):
+    for name, digest, newline in TETRAHEDRON_FILES:
         path = tmp_path / name
-        path.write_bytes(text.replace("\n", newline).encode())
+        path.write_bytes(TETRAHEDRON.replace("\n", newline).encode())
         assert run_cli("lattice", str(path)) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == f"# input {path} sha256/16 {digest}"
         reports[name] = lines[2:]
     assert reports["crlf.poly"] == reports["lf.poly"]
+
+
+def test_a_repeated_lattice_call_searches_for_no_module(tmp_path, monkeypatch):
+    # A failed import is not cached in sys.modules: trying a SHA-256 module
+    # this interpreter lacks would search sys.path on every call.
+    path = tmp_path / "s.poly"
+    path.write_text(format_spec(simplex(3)))
+    assert run_cli("lattice", str(path)) == 0
+    searched = []
+
+    class Recorder:
+        @staticmethod
+        def find_spec(name, path=None, target=None):
+            searched.append(name)
+
+    monkeypatch.setattr(sys, "meta_path", [Recorder, *sys.meta_path])
+    assert run_cli("lattice", str(path)) == 0
+    assert searched == []
 
 
 def test_skeleton_then_recon2_round_trip(tmp_path, capsys):
@@ -584,8 +606,9 @@ def test_reused_parser_matches_a_fresh_parser_per_call(tmp_path, monkeypatch, ca
 # Run by a fresh interpreter (pytest's own process may hold hashlib
 # already), in the directory argv[1]: every subcommand but lattice and
 # bench, then bench, then lattice.  It writes the exit codes and, after
-# each of the three stages, which of hashlib, _hashlib and statistics
-# are loaded.
+# each of the three stages, which of hashlib, _hashlib, CPython's built-in
+# SHA-256 modules (_sha2 from 3.12, _sha256 before) and statistics are
+# loaded.
 _IMPORTS_SCRIPT = r"""
 import os
 import sys
@@ -609,7 +632,9 @@ def edges(name):
 
 
 def stage(name):
-    loaded[name] = [m for m in ("hashlib", "_hashlib", "statistics") if m in sys.modules]
+    loaded[name] = [
+        m for m in ("hashlib", "_hashlib", "_sha2", "_sha256", "statistics") if m in sys.modules
+    ]
 
 
 run("gen", "--family", "cube", "--dim", "3", "--pyramid", "1", "-o", "pc.poly")
@@ -636,7 +661,7 @@ with open("result", "w") as fh:
 """
 
 
-def test_only_lattice_loads_hashlib_and_only_bench_statistics(tmp_path):
+def test_no_subcommand_loads_openssl_and_only_bench_statistics(tmp_path):
     # -S: no site-packages .pth file imports anything first.
     proc = subprocess.run(
         [sys.executable, "-S", "-c", _IMPORTS_SCRIPT, str(tmp_path)],
@@ -651,7 +676,44 @@ def test_only_lattice_loads_hashlib_and_only_bench_statistics(tmp_path):
     assert proc.stderr.splitlines() == ["error: unexpected line: nonsense"]
     assert loaded["others"] == []
     assert "statistics" in loaded["bench"]
-    assert "hashlib" in loaded["lattice"]
+    # lattice's digest comes from a built-in module, never from hashlib.
+    # (On 3.12, statistics imports random, which loads _sha2 itself.)
+    assert not {"hashlib", "_hashlib"} & {*loaded["bench"], *loaded["lattice"]}
+    assert {"_sha2", "_sha256"} & {*loaded["lattice"]}
+
+
+# Run by a fresh interpreter in the directory argv[1], with CPython's
+# built-in SHA-256 modules blocked, as on an interpreter built without
+# them: lattice on each file named after it, then whether hashlib loaded.
+_FALLBACK_SCRIPT = r"""
+import os
+import sys
+
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from skelrecon.cli import main
+
+os.chdir(sys.argv[1])
+codes = [main(["lattice", name]) for name in sys.argv[2:]]
+print(codes, "hashlib" in sys.modules)
+"""
+
+
+def test_lattice_digest_falls_back_to_hashlib(tmp_path):
+    for name, _, newline in TETRAHEDRON_FILES:
+        (tmp_path / name).write_bytes(TETRAHEDRON.replace("\n", newline).encode())
+    names = [name for name, _, _ in TETRAHEDRON_FILES]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _FALLBACK_SCRIPT, str(tmp_path), *names],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line for line in lines if line.startswith("# input ")] == [
+        f"# input {name} sha256/16 {digest}" for name, digest, _ in TETRAHEDRON_FILES
+    ]
+    assert lines[-1] == "[0, 0] True"
 
 
 def test_console_entry_point():
