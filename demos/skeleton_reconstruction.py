@@ -13,12 +13,10 @@ by the parity of the facet count.
 """
 
 from skelrecon import (
-    Frame,
     build_face_lattice,
     build_frame_graph,
     cube,
     k_skeleton,
-    kaibel_step,
     pyramid,
     q1,
     reconstruct,
@@ -29,9 +27,13 @@ from skelrecon import (
 lat = build_face_lattice(cube(3))
 sk = k_skeleton(lat, 2)
 fg = build_frame_graph(sk, 3)
-frame = Frame(0, (1, 2))  # the facet with third coordinate fixed
-step = kaibel_step(fg, frame, 1)
-print(f"cube: frame {frame} hops to {step}")
+adj, d = sk.graph.adj, fg.d
+# The frame at w omitting its i-th neighbour is the code w*d + i, and the
+# move to its j-th neighbour y is step[(w*d + i)*d + j], the slot in adj[y]
+# of the vertex the frame at y omits.
+w, x, y = 0, 4, 1  # 0's frame {1, 2}: the facet with third coordinate fixed
+k = fg.step[(w * d + adj[w].index(x)) * d + adj[w].index(y)]
+print(f"cube: the frame at {w} omitting {x} hops to the frame at {y} omitting {adj[y][k]}")
 print(f"frame-graph nodes: {fg.node_count} (8 vertices, 3 pairs each)")
 print()
 

@@ -37,7 +37,8 @@ print()
 
 n1 = classify_vertices(l1)
 print(f"nonsimple vertices of q1({d}): {sorted(n1.nonsimple)} (the labeled set X)")
-print(f"degrees: { {v: n1.degrees[v] for v in sorted(n1.degrees)} }")
+g1 = l1.graph()
+print(f"degrees: { {v: g1.degree(v) for v in range(g1.n)} }")
 print()
 
 for k in range(1, d):

@@ -23,7 +23,6 @@ from .constructions import (
     truncate,
 )
 from .graphs import (
-    Frame,
     Graph,
     Orientation,
     enumerate_acyclic_orientations,
@@ -50,7 +49,6 @@ from .recon2 import (
     FrameGraph,
     ReconstructionOutcome,
     build_frame_graph,
-    kaibel_step,
     reconstruct,
 )
 from .recong import (

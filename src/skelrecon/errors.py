@@ -69,10 +69,6 @@ class FrameNotInUniqueTwoFace(SkelreconError):
     """A 2-frame rooted at a simple vertex is not in exactly one 2-face."""
 
 
-class NonSimpleRoot(SkelreconError):
-    """A frame-propagation step was rooted at a nonsimple vertex."""
-
-
 class NotASkeleton(SkelreconError):
     """Frame propagation produced inconsistent facet membership."""
 

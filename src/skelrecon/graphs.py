@@ -16,7 +16,6 @@ orientations never mutate after construction.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -126,17 +125,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={sum(map(len, self.adj)) // 2})"
-
-
-@dataclass(frozen=True)
-class Frame:
-    """A k-frame: a root vertex together with k of its neighbors."""
-
-    root: int
-    leaves: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "leaves", tuple(sorted(self.leaves)))
 
 
 class Orientation:

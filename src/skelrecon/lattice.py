@@ -344,7 +344,6 @@ def k_skeleton(lattice: FaceLattice, k: int) -> KSkeleton:
 class VertexClasses:
     simple: frozenset[int]
     nonsimple: frozenset[int]
-    degrees: dict[int, int]
 
 
 def classify_vertices(obj: Union[FaceLattice, Graph], d: Optional[int] = None) -> VertexClasses:
@@ -374,7 +373,7 @@ def classify_vertices(obj: Union[FaceLattice, Graph], d: Optional[int] = None) -
             )
         nonsimple = frozenset(v for v in vertices if degrees[v] > dim)
         simple = frozenset(vertices).difference(nonsimple)
-    return VertexClasses(simple, nonsimple, dict(enumerate(degrees)))
+    return VertexClasses(simple, nonsimple)
 
 
 @dataclass(frozen=True)

@@ -30,12 +30,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (
-    FrameNotInUniqueTwoFace,
-    NonSimpleRoot,
-    NotASkeleton,
-)
-from .graphs import Frame, is_feasible, mask_of
+from .errors import FrameNotInUniqueTwoFace, NotASkeleton
+from .graphs import is_feasible, mask_of
 from .lattice import KSkeleton, classify_vertices
 
 
@@ -216,38 +212,6 @@ class FrameGraph:
 def build_frame_graph(sk: KSkeleton, d: int) -> FrameGraph:
     """The Kaibel move of every simple-rooted 2-frame of a 2-skeleton."""
     return FrameGraph(sk, d)
-
-
-def kaibel_step(fg: FrameGraph, frame: Frame, u2: int) -> Frame:
-    """Move a facet-defining frame from its root to a simple member u2.
-
-    With u the root, u' the unique neighbor of u outside the frame, and W
-    the 2-face containing the 2-frame (u; u', u2), the vertex continuing W
-    past u2 is not in the facet; the frame at u2 therefore consists of all
-    other neighbors of u2.  ``fg.step`` gives that vertex's slot at u2.
-    """
-    graph = fg.skeleton.graph
-    u = frame.root
-    if u not in fg.simple:
-        raise NonSimpleRoot(f"frame root {u} is not simple")
-    if u2 not in fg.simple:
-        raise NonSimpleRoot(f"target {u2} is not simple")
-    if u2 not in frame.leaves:
-        raise ValueError(f"{u2} is not in the frame at {u}")
-    outside = [w for w in graph.adj[u] if w not in frame.leaves]
-    if len(outside) != 1:
-        raise NotASkeleton(f"frame at {u} does not omit exactly one neighbor")
-    u_prime = outside[0]
-    nbrs = graph.adj[u]
-    # FrameGraph covered every pair of u's neighbours, so only a leaf that
-    # is no neighbour of u has no move.
-    if u2 not in nbrs:
-        raise FrameNotInUniqueTwoFace(
-            f"2-frame ({u}, {u_prime}, {u2}) lies in no 2-face"
-        )
-    d = fg.d
-    k = fg.step[(u * d + nbrs.index(u_prime)) * d + nbrs.index(u2)]
-    return Frame(u2, graph.adj[u2][:k] + graph.adj[u2][k + 1 :])
 
 
 @dataclass(frozen=True)

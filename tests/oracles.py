@@ -56,12 +56,10 @@ from skelrecon.errors import (
     FrameNotInUniqueTwoFace,
     InconsistentCounts,
     KindMismatch,
-    NonSimpleRoot,
     NotASkeleton,
     NotGraded,
 )
 from skelrecon.graphs import (
-    Frame,
     Graph,
     Orientation,
     enumerate_acyclic_orientations,
@@ -958,21 +956,11 @@ class ReferenceFrameGraph:
         raise NotASkeleton(f"{origin} is not a cycle neighbor of {v} on face {face_id}")
 
 
-def reference_kaibel_step(fg: ReferenceFrameGraph, frame: Frame, u2: int) -> Frame:
-    """Kaibel's move through the face index and the cycle table."""
-    graph = fg.skeleton.graph
-    u = frame.root
-    if u not in fg.simple:
-        raise NonSimpleRoot(f"frame root {u} is not simple")
-    if u2 not in fg.simple:
-        raise NonSimpleRoot(f"target {u2} is not simple")
-    if u2 not in frame.leaves:
-        raise ValueError(f"{u2} is not in the frame at {u}")
-    outside = [w for w in graph.adj[u] if w not in frame.leaves]
-    if len(outside) != 1:
-        raise NotASkeleton(f"frame at {u} does not omit exactly one neighbor")
-    u_hat = fg.continue_past(fg.face_of(u, outside[0], u2), u2, u)
-    return Frame(u2, tuple(w for w in graph.adj[u2] if w != u_hat))
+def reference_kaibel_step(fg: ReferenceFrameGraph, u: int, ex: int, u2: int) -> int:
+    """Kaibel's move through the face index and the cycle table: the
+    neighbour of u2 that its frame omits after the move from u's frame
+    omitting ex."""
+    return fg.continue_past(fg.face_of(u, ex, u2), u2, u)
 
 
 def reference_trace(fg: ReferenceFrameGraph, graph: Graph, root, excluded, visited, trace_id):
@@ -987,7 +975,7 @@ def reference_trace(fg: ReferenceFrameGraph, graph: Graph, root, excluded, visit
         for u2 in graph.adj[w]:
             if u2 == ex or u2 not in fg.simple:
                 continue
-            u_hat = fg.continue_past(fg.face_of(w, ex, u2), u2, w)
+            u_hat = reference_kaibel_step(fg, w, ex, u2)
             prev = visited.get(u2 * n + u_hat)
             if prev is None:
                 visited[u2 * n + u_hat] = trace_id

@@ -175,12 +175,11 @@ def test_truncation_keeps_old_simple_degrees_and_new_degrees():
     # every new vertex whose outside endpoint is simple gets degree d
     lat = lattice_of(multifold_pyramid(cube(2), 2))
     spec, tmap = truncate(lat, (4, 5))  # the apex edge
-    new_lat = build_face_lattice(spec)
-    degrees = classify_vertices(new_lat).degrees
+    new_graph = build_face_lattice(spec).graph()
     for (x, y), w in tmap.new_from_edge.items():
-        assert degrees[w] == lat.d
+        assert new_graph.degree(w) == lat.d
     for old, new in tmap.old_to_new.items():
-        assert degrees[new] == lat.graph().degree(old)
+        assert new_graph.degree(new) == lat.graph().degree(old)
 
 
 def test_pullback_round_trip_cube_vertex():

@@ -371,9 +371,10 @@ def test_lattice_spec_round_trip():
 
 
 def test_classify_cube4_all_simple():
-    classes = classify_vertices(lattice_of(cube(4)))
-    assert classes.nonsimple == frozenset()
-    assert all(deg == 4 for deg in classes.degrees.values())
+    lat = lattice_of(cube(4))
+    assert classify_vertices(lat).nonsimple == frozenset()
+    graph = lat.graph()
+    assert all(graph.degree(v) == 4 for v in range(graph.n))
 
 
 def test_classify_q1_4():
@@ -383,9 +384,9 @@ def test_classify_q1_4():
 
 
 def test_classify_pyramid_over_cube():
-    classes = classify_vertices(lattice_of(pyramid(cube(3))))
-    assert classes.nonsimple == frozenset({8})
-    assert classes.degrees[8] == 8
+    lat = lattice_of(pyramid(cube(3)))
+    assert classify_vertices(lat).nonsimple == frozenset({8})
+    assert lat.graph().degree(8) == 8
 
 
 def test_classify_rejects_low_degree():

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skelrecon import (
-    Frame,
     Graph,
     KSkeleton,
     PolytopeSpec,
@@ -22,7 +21,6 @@ from skelrecon import (
     induced_cycles,
     is_feasible,
     k_skeleton,
-    kaibel_step,
     multifold_pyramid,
     polygon_prism,
     polygon_prism_skeleton,
@@ -33,11 +31,7 @@ from skelrecon import (
     simplex,
     truncate,
 )
-from skelrecon.errors import (
-    FrameNotInUniqueTwoFace,
-    NonSimpleRoot,
-    NotASkeleton,
-)
+from skelrecon.errors import FrameNotInUniqueTwoFace, NotASkeleton
 from skelrecon.graphs import mask_of, vertices_of
 from skelrecon.lattice import build_face_lattice
 from skelrecon.recon2 import _regions
@@ -177,8 +171,9 @@ def test_frame_moves_kept_in_a_dict_match_the_reference():
     """K_12 less the edge 0-1, d = 10, with every triangle through 0 or 1
     as a 2-face: 0 and 1 are the simple vertices and all their frames are
     covered, but the 270 face entries are fewer than n*C(d, 2) = 540, so
-    the moves go into a dict.  The build passes, and reconstruct, whole
-    and tampered, gives the reference's outcome or its error."""
+    the moves go into a dict.  The build passes, and the moves and
+    reconstruct, whole and tampered, give the reference's outcome or its
+    error."""
     n, d = 12, 10
     graph = Graph(n, [e for e in itertools.combinations(range(n), 2) if e != (0, 1)])
     faces = tuple(
@@ -188,66 +183,45 @@ def test_frame_moves_kept_in_a_dict_match_the_reference():
     assert isinstance(build_frame_graph(sk, d).step, dict)
     for kind, tampered in _tamperings(sk, random.Random("dict-moves")).items():
         tsk = KSkeleton(k=2, graph=graph, faces_by_dim={2: tuple(tampered)})
+        _assert_moves_match_the_reference(tsk, d, kind)
         for check in (True, False):
             got = _outcome(reconstruct, tsk, d, check=check)
             assert got == _outcome(reference_reconstruct, tsk, d, check=check), (kind, check)
     assert len(reconstruct(sk, d).facets) == 2 * (n - 2)
 
 
-def test_kaibel_step_on_cube():
-    # with binary labels: u=000, frame {001, 010} (facet bit2=0), step to
-    # u2=001; the 2-face through 000-100 and 000-001 is {000,001,100,101},
-    # so the continuation past 001 is 101 and the new frame omits it
-    sk = skeleton_of(cube(3))
-    fg = build_frame_graph(sk, 3)
-    out = kaibel_step(fg, Frame(0, (1, 2)), 1)
-    assert out == Frame(1, (0, 3))
+def _omitted_after_move(fg, w, x, y):
+    """The neighbour of y that its frame omits after the move from w's
+    frame omitting x, read off ``fg.step``; None when y is nonsimple."""
+    adj, d = fg.skeleton.graph.adj, fg.d
+    k = fg.step[(w * d + adj[w].index(x)) * d + adj[w].index(y)]
+    return None if k == d else adj[y][k]
 
 
-def test_kaibel_step_simplex():
-    # frames of a simplex facet omit exactly the opposite vertex
-    sk = skeleton_of(simplex(4))
-    fg = build_frame_graph(sk, 4)
-    out = kaibel_step(fg, Frame(0, (1, 2, 3)), 1)
-    assert out == Frame(1, (0, 2, 3))
-
-
-def test_kaibel_step_inside_q1_facet():
-    # propagation along the simple edge 0-1 inside the facet {0,1,2,3,4,5}
-    lat = lattice_of(q1(4).spec)
-    fg = build_frame_graph(k_skeleton(lat, 2), 4)
-    frame0 = Frame(0, tuple(w for w in lat.graph().adj[0] if w != 6))
-    assert frozenset(frame0.leaves) | {0} <= frozenset((0, 1, 2, 3, 4, 5))
-    out = kaibel_step(fg, frame0, 1)
-    assert {out.root, *out.leaves} <= {0, 1, 2, 3, 4, 5}
+def test_frame_move_on_cube():
+    # with binary labels: 000's frame {001, 010} omits 100 (facet bit2=0);
+    # the 2-face through 000-100 and 000-001 is {000,001,100,101}, so the
+    # continuation past 001 is 101 and the frame at 001 omits it
+    fg = build_frame_graph(skeleton_of(cube(3)), 3)
+    assert _omitted_after_move(fg, 0, 4, 1) == 5
 
 
 def test_kaibel_excluded_vertex_not_in_facet():
-    # the vertex the step excludes never belongs to the facet being traced
-    for name in ("cube3", "pyr_cube3", "q1_4"):
+    # the vertex a move's new frame omits never belongs to the facet being
+    # traced; in a simplex that is the vertex opposite the facet
+    for name in ("cube3", "pyr_cube3", "q1_4", "simplex4"):
         spec = fixture_corpus()[name]
         lat = lattice_of(spec)
         graph = lat.graph()
         fg = build_frame_graph(k_skeleton(lat, 2), lat.d)
-        classes = classify_vertices(lat)
         for facet in lat.faces_by_rank[lat.d - 1]:
-            roots = [v for v in facet if v in classes.simple]
-            for u in roots:
-                frame = Frame(u, tuple(w for w in graph.adj[u] if w in facet))
-                for u2 in frame.leaves:
-                    if u2 not in classes.simple:
-                        continue
-                    stepped = kaibel_step(fg, frame, u2)
-                    (excluded,) = set(graph.adj[u2]) - set(stepped.leaves)
-                    assert excluded not in facet
-
-
-def test_kaibel_step_rejects_nonsimple_root():
-    lat = lattice_of(pyramid(cube(3)))
-    fg = build_frame_graph(k_skeleton(lat, 2), 4)
-    apex = 8
-    with pytest.raises(NonSimpleRoot):
-        kaibel_step(fg, Frame(apex, (0, 1, 2)), 0)
+            for u in facet:
+                if u not in fg.simple:
+                    continue
+                (x,) = (w for w in graph.adj[u] if w not in facet)
+                for u2 in graph.adj[u]:
+                    if u2 != x and u2 in fg.simple:
+                        assert _omitted_after_move(fg, u, x, u2) not in facet
 
 
 RECON_FIXTURES = [
@@ -394,6 +368,31 @@ def _tampered_relabelings(base, rng):
             yield kind, KSkeleton(k=2, graph=relabeled.graph, faces_by_dim={2: tuple(faces)})
 
 
+def _assert_moves_match_the_reference(sk, d, kind):
+    """The step map builds exactly when the face-index reference does, or
+    fails with its error; and then, for each simple u, slot i of the
+    omitted neighbour and other slot j, its entry is d at a nonsimple
+    adj[u][j] and otherwise the slot of the vertex that continues their
+    2-face past adj[u][j]."""
+    fg = _outcome(build_frame_graph, sk, d)
+    ref = _outcome(ReferenceFrameGraph, sk, d)
+    if not isinstance(ref, ReferenceFrameGraph):
+        assert fg == ref, kind
+        return
+    assert fg.node_count == ref.node_count, kind
+    adj, step = sk.graph.adj, fg.step
+    for u in sorted(ref.simple):
+        nbrs = adj[u]
+        for i, j in itertools.permutations(range(d), 2):
+            k = step[(u * d + i) * d + j]
+            u2 = nbrs[j]
+            if u2 in ref.nonsimple:
+                assert k == d, (kind, u, i, j)
+            else:
+                want = reference_kaibel_step(ref, u, nbrs[i], u2)
+                assert adj[u2][k] == want, (kind, u, i, j)
+
+
 @pytest.mark.parametrize("name", sorted(fixture_corpus()))
 def test_frame_moves_match_the_face_index_reference(name):
     """Relabeled and tampered corpus 2-skeletons: the step map and the
@@ -403,22 +402,7 @@ def test_frame_moves_match_the_face_index_reference(name):
     lat = lattice_of(fixture_corpus()[name])
     d = lat.d
     for kind, sk in _tampered_relabelings(k_skeleton(lat, 2), rng):
-        graph = sk.graph
-        fg = _outcome(build_frame_graph, sk, d)
-        ref = _outcome(ReferenceFrameGraph, sk, d)
-        if isinstance(ref, ReferenceFrameGraph):
-            assert fg.node_count == ref.node_count, kind
-            for u in range(graph.n):
-                strangers = [v for v in sorted(ref.simple) if v != u and v not in graph.adj[u]]
-                for ex in graph.adj[u]:
-                    leaves = tuple(w for w in graph.adj[u] if w != ex)
-                    for frame in (Frame(u, leaves), Frame(u, leaves + tuple(strangers[:1]))):
-                        for u2 in frame.leaves:
-                            assert _outcome(kaibel_step, fg, frame, u2) == _outcome(
-                                reference_kaibel_step, ref, frame, u2
-                            ), (kind, frame, u2)
-        else:
-            assert fg == ref, kind
+        _assert_moves_match_the_reference(sk, d, kind)
         for hint in (None, "even", "odd"):
             got = _outcome(reconstruct, sk, d, parity_hint=hint)
             want = _outcome(reference_reconstruct, sk, d, parity_hint=hint)

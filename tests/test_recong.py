@@ -1168,6 +1168,15 @@ def test_reconstruct_facets_are_canonical(data):
     assert PolytopeSpec(d, g.n, facets).facets == facets
 
 
+def _relabeled(spec, seed):
+    """``spec`` with its vertices relabeled by the permutation that
+    ``seed`` draws; seed None keeps the labels."""
+    if seed is None:
+        return spec
+    perm = random.Random(seed).sample(range(spec.n), spec.n)
+    return PolytopeSpec(spec.d, spec.n, [[perm[v] for v in f] for f in spec.facets])
+
+
 @pytest.mark.parametrize("n", range(8, 12))
 def test_recong_on_relabeled_duals_of_cyclic_4_polytopes(n):
     """C(n, 4)* is simple, with n(n - 3)/2 vertices and 2-faces of sizes 3,
@@ -1175,9 +1184,7 @@ def test_recong_on_relabeled_duals_of_cyclic_4_polytopes(n):
     Some other relabelings of C(11, 4)* are still refused (TooLarge): the
     first pass misses a long 2-face and the fallback refuses 44 vertices
     (ROADMAP item 13)."""
-    spec = dual(cyclic(n, 4))
-    perm = random.Random(n).sample(range(spec.n), spec.n)
-    lat = lattice_of(PolytopeSpec(4, spec.n, [[perm[v] for v in f] for f in spec.facets]))
+    lat = lattice_of(_relabeled(dual(cyclic(n, 4)), n))
     assert max(map(len, lat.faces_by_rank[2])) == n - 2
     result = recong.reconstruct(lat.graph(), 4)
     assert result.facets == lat.facets
@@ -1204,10 +1211,48 @@ def test_recong_on_relabeled_duals_of_cyclic_4_polytopes(n):
 def test_recong_on_relabelings_of_the_dual_of_cyclic_11_4(seed):
     """C(11, 4)* (44 vertices, simple, 9-gon 2-faces) under ten seeded
     relabelings: each gives back its facets."""
-    spec = dual(cyclic(11, 4))
-    perm = random.Random(seed).sample(range(spec.n), spec.n)
-    lat = lattice_of(PolytopeSpec(4, spec.n, [[perm[v] for v in f] for f in spec.facets]))
+    lat = lattice_of(_relabeled(dual(cyclic(11, 4)), seed))
     assert recong.reconstruct(lat.graph(), 4).facets == lat.facets
+
+
+@pytest.mark.xfail(
+    raises=TooLarge,
+    strict=True,
+    reason="ROADMAP item 13: the first pass misses a long 2-face and the "
+    "fallback refuses 54 to 170 vertices",
+)
+@pytest.mark.parametrize("seed", [None, 0], ids=["identity", "seed0"])
+@pytest.mark.parametrize(
+    "name", ["C12_4", "C20_4", "C12_5", "C12_6", "pyramid_C12_4"]
+)
+def test_recong_on_duals_of_cyclic_polytopes_with_long_two_faces(name, seed):
+    """C(12, 4)*, C(20, 4)*, C(12, 5)*, C(12, 6)* and the pyramid over
+    C(12, 4)*, as labeled and under one seeded relabeling: each gives back
+    its facets.  recon2 rebuilds them all from their 2-skeletons."""
+    base = {
+        "C12_4": lambda: dual(cyclic(12, 4)),
+        "C20_4": lambda: dual(cyclic(20, 4)),
+        "C12_5": lambda: dual(cyclic(12, 5)),
+        "C12_6": lambda: dual(cyclic(12, 6)),
+        "pyramid_C12_4": lambda: pyramid(dual(cyclic(12, 4))),
+    }[name]()
+    lat = lattice_of(_relabeled(base, seed))
+    assert recong.reconstruct(lat.graph(), lat.d).facets == lat.facets
+
+
+@pytest.mark.xfail(
+    raises=TooLarge,
+    strict=True,
+    reason="ROADMAP item 13: the truncated simple polytope's 48 vertices lose "
+    "their 8-gons from the first pass's rows",
+)
+def test_forced_recong_on_the_twofold_pyramid_over_prism_8():
+    """The twofold pyramid over prism(8), d = 5, with its two apexes as the
+    nonsimple vertices: forced past the bound of 12, the default method
+    gives back its facets."""
+    lat = lattice_of(multifold_pyramid(polygon_prism(8), 2))
+    assert lat.d == 5
+    assert recong.reconstruct(lat.graph(), 5, force=True).facets == lat.facets
 
 
 def test_truncation_route_answers_only_with_the_graphs_own_edges():
