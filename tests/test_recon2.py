@@ -206,6 +206,38 @@ def test_frame_move_on_cube():
     assert _omitted_after_move(fg, 0, 4, 1) == 5
 
 
+def test_frame_move_simplex():
+    # frames of a simplex facet omit exactly the opposite vertex
+    fg = build_frame_graph(skeleton_of(simplex(4)), 4)
+    assert _omitted_after_move(fg, 0, 4, 1) == 4
+
+
+def test_frame_move_inside_q1_facet():
+    # the move along the simple edge 0-1 stays inside the facet
+    # {0,1,2,3,4,5}: 0's frame omits 6, and so must 1's omit a vertex
+    # outside the facet
+    lat = lattice_of(q1(4).spec)
+    fg = build_frame_graph(k_skeleton(lat, 2), 4)
+    assert {0, 1} <= fg.simple
+    assert set(lat.graph().adj[0]) - {6} <= {1, 2, 3, 4, 5}
+    assert _omitted_after_move(fg, 0, 6, 1) not in {0, 1, 2, 3, 4, 5}
+
+
+def test_frame_move_toward_nonsimple_vertex():
+    # a move into the apex of a pyramid over the cube has no frame to land
+    # on: its entry is the sentinel d, from every simple base vertex
+    lat = lattice_of(pyramid(cube(3)))
+    fg = build_frame_graph(k_skeleton(lat, 2), 4)
+    apex = 8
+    assert apex not in fg.simple
+    adj = lat.graph().adj
+    for u in range(8):
+        assert u in fg.simple
+        for x in adj[u]:
+            if x != apex:
+                assert _omitted_after_move(fg, u, x, apex) is None
+
+
 def test_kaibel_excluded_vertex_not_in_facet():
     # the vertex a move's new frame omits never belongs to the facet being
     # traced; in a simplex that is the vertex opposite the facet
