@@ -3,13 +3,11 @@
 Subcommands: gen (emit fixture incidences), lattice (f-vector and
 validation report), skeleton (extract rank <= k), recon2 (facets from a
 2-skeleton), recong (facets from a graph), iso (compare two incidences),
-verify (run the claim suite over a dimension range), bench (prism scaling
-study).  All output is deterministic given inputs and flags; timings are
-the only exception and never interleave with result sections.
+verify (run the claim suite over a dimension range).  All output is
+deterministic given inputs and flags.
 A module that one subcommand alone needs is imported by that subcommand,
 and no subcommand loads OpenSSL: ``lattice`` takes its digest of the file's
-bytes from CPython's built-in SHA-256, with ``hashlib`` as the fallback, and
-only ``bench`` loads ``statistics``.
+bytes from CPython's built-in SHA-256, with ``hashlib`` as the fallback.
 
 ``main(argv)`` may be called many times in one process: the parser is
 built on the first call and reused by every later one.
@@ -44,7 +42,7 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-#: The most vertices ``gen`` builds; ``bench``'s largest prism has 32768.
+#: The most vertices ``gen`` builds.
 MAX_GEN_VERTICES = 1 << 16
 
 
@@ -256,42 +254,6 @@ def cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def cmd_bench(args) -> int:
-    """Prism scaling study; reports medians, ratios, and a log-log slope."""
-    import gc
-    import math
-    import statistics
-    import time
-
-    sizes = args.sizes
-    medians = []
-    sys.stdout.write("m,median_seconds\n")
-    for m in sizes:
-        sk = cons.polygon_prism_skeleton(m)
-        recon2.reconstruct(sk, 3)  # warm-up
-        times = []
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for _ in range(args.repeats):
-                t0 = time.perf_counter()
-                recon2.reconstruct(sk, 3)
-                times.append(time.perf_counter() - t0)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        med = statistics.median(times)
-        medians.append(med)
-        sys.stdout.write(f"{m},{med:.6f}\n")
-    ratios = [b / a for a, b in zip(medians, medians[1:])]
-    for (m, r) in zip(sizes[1:], ratios):
-        sys.stdout.write(f"# ratio at m={m}: {r:.2f}\n")
-    if len(medians) >= 2:
-        slope = statistics.mean(math.log2(r) for r in ratios)
-        sys.stdout.write(f"# log-log slope estimate: {slope:.3f}\n")
-    return 0
-
-
 # Option types: argparse names the option of a rejected value and exits 2.
 def _int(raw: str) -> int:
     try:
@@ -316,10 +278,6 @@ def _dims(raw: str) -> list[int]:
     if not dims:
         raise argparse.ArgumentTypeError(f"empty range: {raw!r}")
     return _at_least(_Q2.least_dim, dims, raw)  # verify builds q2(d)
-
-
-def _sizes(raw: str) -> list[int]:
-    return _at_least(3, _int_list(raw), raw)  # polygon_prism needs m >= 3
 
 
 def _int_at_least(low: int):
@@ -390,11 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the claim suite for a dimension range")
     v.add_argument("--dims", type=_dims, default="4..6", help="e.g. 4..6 or 4,5")
     v.set_defaults(fn=cmd_verify)
-
-    b = sub.add_parser("bench", help="prism scaling study")
-    b.add_argument("--sizes", type=_sizes, default="1024,2048,4096,8192,16384")
-    b.add_argument("--repeats", type=_int_at_least(1), default=5)
-    b.set_defaults(fn=cmd_bench)
     return p
 
 

@@ -121,7 +121,7 @@ def polygon_prism_skeleton(m: int) -> KSkeleton:
     """The 2-skeleton of polygon_prism(m) built directly, without a lattice.
 
     For d=3 the 2-faces are the facets, so this is cheap at any size; the
-    benchmark path uses it to reach prisms far beyond what intersection
+    scaling tests use it to reach prisms far beyond what intersection
     closure could build.
     """
     spec = polygon_prism(m)

@@ -92,7 +92,8 @@ class RepairAmbiguous(SkelreconError):
 
 
 class TooManyNonsimple(SkelreconError):
-    """A graph has more nonsimple vertices than its route handles."""
+    """A graph, or a facet that a 2-skeleton gives, has more nonsimple
+    vertices than its route handles."""
 
 
 class MethodsDisagree(SkelreconError):

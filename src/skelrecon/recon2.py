@@ -21,6 +21,11 @@ nonsimple set N with N inducing a complete graph is either two simplex-ish
 facets sharing the ridge N or a single merged facet with N as a missing
 internal ridge.  Both completions are reported; the parity of the facet
 count picks one.
+
+Beyond that the 2-skeleton need not determine the lattice, so from d = 4
+on a checked run refuses, with ``TooManyNonsimple``, a traced facet that
+holds more than d-2 nonsimple vertices and is not one of the ambiguous
+pair.  At d = 3 the traced facets are the input's 2-faces themselves.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import FrameNotInUniqueTwoFace, NotASkeleton
+from .errors import FrameNotInUniqueTwoFace, NotASkeleton, TooManyNonsimple
 from .graphs import is_feasible, mask_of
 from .lattice import KSkeleton, classify_vertices
 
@@ -365,6 +370,10 @@ def reconstruct(
     With exactly d-1 nonsimple vertices in total, the one recoverable
     ambiguity (see module docstring) is reported with both completions;
     parity_hint ("even"/"odd", the parity of the facet count) resolves it.
+    With ``check``, d >= 4 and more than d-2 nonsimple vertices in total,
+    a traced facet that holds more than d-2 of them and is not one of the
+    ambiguous pair raises ``TooManyNonsimple``, naming the first such
+    facet in sorted order and its count.
     Each facet is traced, collected and, unless ``check`` is False,
     checked in one pass: collecting it costs one stamp test per frame and
     one per nonsimple leaf, and checking it one stamp read per simple
@@ -450,6 +459,15 @@ def reconstruct(
                 merged=merged,
                 completions=(facets, merged_list),
             )
+
+    if check and d > 3 and len(nonsimple) > d - 2:
+        pair = (ambiguity.region_a, ambiguity.region_b) if ambiguity else ()
+        for r in facets:
+            held = len(nonsimple.intersection(r))
+            if held > d - 2 and r not in pair:
+                raise TooManyNonsimple(
+                    f"facet {r} holds {held} nonsimple vertices, more than d-2 = {d - 2}"
+                )
 
     if ambiguity is not None:
         if parity_hint is None:

@@ -58,6 +58,7 @@ from skelrecon.errors import (
     KindMismatch,
     NotASkeleton,
     NotGraded,
+    TooManyNonsimple,
 )
 from skelrecon.graphs import (
     Graph,
@@ -1083,6 +1084,18 @@ def reference_reconstruct(sk: KSkeleton, d: int, parity_hint=None, check=True):
                 merged=tuple(sorted(merged)),
                 completions=(split_list, merged_list),
             )
+
+    # Past d-2 nonsimple vertices in a facet the 2-skeleton need not fix
+    # the lattice; only the ambiguous pair may hold more.  At d = 3 the
+    # regions are the input's 2-faces.
+    if check and d >= 4:
+        exempt = set(pairs[0]) if ambiguity is not None else set()
+        for facet in sorted(tuple(sorted(r)) for r in regions):
+            held = sum(1 for v in facet if v in nonsimple)
+            if held > d - 2 and frozenset(facet) not in exempt:
+                raise TooManyNonsimple(
+                    f"facet {facet} holds {held} nonsimple vertices, more than d-2 = {d - 2}"
+                )
 
     if ambiguity is not None:
         if parity_hint is None:

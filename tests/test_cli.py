@@ -1,6 +1,7 @@
 import argparse
 import ast
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ import pytest
 from skelrecon import (
     Graph,
     build_face_lattice,
+    classify_vertices,
     cube,
     k_skeleton,
     multifold_pyramid,
@@ -183,6 +185,46 @@ def test_recon2_ambiguous_exit_code(tmp_path, capsys):
     assert "ambiguous" in out
     assert run_cli("recon2", str(skel), "--parity", "even", "-o", str(tmp_path / "r.poly")) == 0
     assert parse_spec((tmp_path / "r.poly").read_text()) == q1(5).spec
+
+
+def _gen_skeleton(tmp_path, name, *gen_args):
+    """gen with ``gen_args``, then its 2-skeleton: the two paths."""
+    poly, skel = tmp_path / f"{name}.poly", tmp_path / f"{name}.skel"
+    assert run_cli("gen", *gen_args, "-o", str(poly)) == 0
+    assert run_cli("skeleton", str(poly), "--rank", "2", "-o", str(skel)) == 0
+    return poly, skel
+
+
+def test_recon2_gives_back_the_triangular_bipyramid(tmp_path):
+    """d = 3: each facet holds two nonsimple vertices, more than d-2, yet
+    the 2-faces listed are the facets, so recon2 answers."""
+    poly, skel = _gen_skeleton(tmp_path, "bp", "--family", "bipyramid-simplex", "--dim", "3")
+    back = tmp_path / "bp.back"
+    assert run_cli("recon2", str(skel), "-o", str(back)) == 0
+    assert back.read_bytes() == poly.read_bytes()
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_recon2_refuses_a_pyramid_over_a_bipyramid(tmp_path, capsys, dim):
+    """pyramid(bipyramid(simplex(d-2))), d = dim + 1: every facet holds d-1
+    nonsimple vertices, where the 2-skeleton no longer fixes the facets,
+    so recon2 exits 1 and names a facet with its count."""
+    poly, skel = _gen_skeleton(
+        tmp_path, "pbp", "--family", "bipyramid-simplex", "--dim", str(dim), "--pyramid", "1"
+    )
+    back = tmp_path / "pbp.back"
+    assert run_cli("recon2", str(skel), "-o", str(back)) == 1
+    assert not back.exists()
+    d = dim + 1
+    err = capsys.readouterr().err
+    found = re.fullmatch(r"error: facet \(([\d, ]+)\) holds (\d+) nonsimple vertices, "
+                         r"more than d-2 = (\d+)\n", err)
+    assert found, err
+    facet = tuple(map(int, found[1].split(", ")))
+    lat = build_face_lattice(parse_spec(poly.read_text()))
+    nonsimple = classify_vertices(lat).nonsimple
+    assert int(found[2]) == len(nonsimple.intersection(facet)) == d - 1
+    assert int(found[3]) == d - 2
 
 
 def test_recon2_on_a_dense_skeleton_without_faces(tmp_path, capsys):
@@ -467,10 +509,7 @@ def test_short_line_exit_code(tmp_path, capsys, command, text, line):
         (("iso", "{poly}", "{poly}", "--rank", "x"), "--rank"),
         (("verify", "--dims", "x"), "--dims"),
         (("verify", "--dims", "5..4"), "--dims"),
-        (("bench", "--sizes", "64,x"), "--sizes"),
-        (("bench", "--repeats", "0"), "--repeats"),
         (("verify", "--dims", "3"), "--dims"),
-        (("bench", "--sizes", "2", "--repeats", "1"), "--sizes"),
         (("recong", "{edges}", "--dim", "0"), "--dim"),
         (("recong", "{edges}", "--dim", "1"), "--dim"),
         (("recong", "{edges}", "--dim", "2"), "--dim"),
@@ -481,12 +520,12 @@ def test_short_line_exit_code(tmp_path, capsys, command, text, line):
         (("skeleton", "{poly}", "--rank", "x"), "--rank"),
         (("skeleton", "{poly}", "--rank", "0"), "--rank"),
         (("iso", "{poly}", "{poly}", "--rank", "0"), "--rank"),
+        (("bench",), "cmd"),
     ],
-    ids=["iso-rank", "verify-dims", "verify-empty-range", "bench-sizes", "bench-repeats",
-         "verify-dims-below-4", "bench-sizes-below-3",
+    ids=["iso-rank", "verify-dims", "verify-empty-range", "verify-dims-below-4",
          "recong-dim-0", "recong-dim-1", "recong-dim-2",
          "gen-cube-dim-0", "gen-q1-dim-2", "gen-prism-m-2", "gen-pyramid-negative",
-         "skeleton-rank-x", "skeleton-rank-0", "iso-rank-0"],
+         "skeleton-rank-x", "skeleton-rank-0", "iso-rank-0", "unknown-subcommand"],
 )
 def test_bad_option_value_exit_code(tmp_path, capsys, argv, option):
     poly = tmp_path / "simplex.poly"
@@ -537,13 +576,6 @@ def test_verify_counts_a_failed_check(monkeypatch, capsys):
         "FAIL  truncation round trip at a cube vertex",
         "1 FAILURES",
     ]
-
-
-def test_bench_reports_csv_and_slope(capsys):
-    assert run_cli("bench", "--sizes", "64,128", "--repeats", "2") == 0
-    out = capsys.readouterr().out
-    assert out.startswith("m,median_seconds")
-    assert "# log-log slope estimate" in out
 
 
 def test_parser_is_built_at_most_once_per_process(monkeypatch, capsys):
@@ -604,11 +636,10 @@ def test_reused_parser_matches_a_fresh_parser_per_call(tmp_path, monkeypatch, ca
 
 
 # Run by a fresh interpreter (pytest's own process may hold hashlib
-# already), in the directory argv[1]: every subcommand but lattice and
-# bench, then bench, then lattice.  It writes the exit codes and, after
-# each of the three stages, which of hashlib, _hashlib, CPython's built-in
-# SHA-256 modules (_sha2 from 3.12, _sha256 before) and statistics are
-# loaded.
+# already), in the directory argv[1]: every subcommand but lattice, then
+# lattice.  It writes the exit codes and, after each of the two stages,
+# which of hashlib, _hashlib, CPython's built-in SHA-256 modules (_sha2
+# from 3.12, _sha256 before) and statistics are loaded.
 _IMPORTS_SCRIPT = r"""
 import os
 import sys
@@ -652,8 +683,6 @@ with open("bad.skel", "w") as fh:
     fh.write("nonsense\n")
 run("recon2", "bad.skel")
 stage("others")
-run("bench", "--sizes", "64,128", "--repeats", "1")
-stage("bench")
 run("lattice", "pc.poly")
 stage("lattice")
 with open("result", "w") as fh:
@@ -661,7 +690,7 @@ with open("result", "w") as fh:
 """
 
 
-def test_no_subcommand_loads_openssl_and_only_bench_statistics(tmp_path):
+def test_no_subcommand_loads_openssl_or_statistics(tmp_path):
     # -S: no site-packages .pth file imports anything first.
     proc = subprocess.run(
         [sys.executable, "-S", "-c", _IMPORTS_SCRIPT, str(tmp_path)],
@@ -672,13 +701,11 @@ def test_no_subcommand_loads_openssl_and_only_bench_statistics(tmp_path):
     assert proc.returncode == 0, proc.stderr
     codes, loaded = ast.literal_eval((tmp_path / "result").read_text())
     # recon2 on q1(5) is ambiguous; the last recon2 reads a bad file.
-    assert codes == [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0]
+    assert codes == [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0]
     assert proc.stderr.splitlines() == ["error: unexpected line: nonsense"]
     assert loaded["others"] == []
-    assert "statistics" in loaded["bench"]
     # lattice's digest comes from a built-in module, never from hashlib.
-    # (On 3.12, statistics imports random, which loads _sha2 itself.)
-    assert not {"hashlib", "_hashlib"} & {*loaded["bench"], *loaded["lattice"]}
+    assert not {"hashlib", "_hashlib", "statistics"} & {*loaded["lattice"]}
     assert {"_sha2", "_sha256"} & {*loaded["lattice"]}
 
 

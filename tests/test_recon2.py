@@ -15,6 +15,7 @@ from skelrecon import (
     KSkeleton,
     PolytopeSpec,
     ReconstructionOutcome,
+    bipyramid,
     build_frame_graph,
     classify_vertices,
     cube,
@@ -31,7 +32,12 @@ from skelrecon import (
     simplex,
     truncate,
 )
-from skelrecon.errors import FrameNotInUniqueTwoFace, NotASkeleton
+from skelrecon.errors import (
+    FrameNotInUniqueTwoFace,
+    NotASkeleton,
+    SkelreconError,
+    TooManyNonsimple,
+)
 from skelrecon.graphs import mask_of, vertices_of
 from skelrecon.lattice import build_face_lattice
 from skelrecon.recon2 import _regions
@@ -173,7 +179,8 @@ def test_frame_moves_kept_in_a_dict_match_the_reference():
     covered, but the 270 face entries are fewer than n*C(d, 2) = 540, so
     the moves go into a dict.  The build passes, and the moves and
     reconstruct, whole and tampered, give the reference's outcome or its
-    error."""
+    error.  Each of the 20 facets holds 9 > d-2 nonsimple vertices, so the
+    checked run refuses the whole skeleton."""
     n, d = 12, 10
     graph = Graph(n, [e for e in itertools.combinations(range(n), 2) if e != (0, 1)])
     faces = tuple(
@@ -187,7 +194,9 @@ def test_frame_moves_kept_in_a_dict_match_the_reference():
         for check in (True, False):
             got = _outcome(reconstruct, tsk, d, check=check)
             assert got == _outcome(reference_reconstruct, tsk, d, check=check), (kind, check)
-    assert len(reconstruct(sk, d).facets) == 2 * (n - 2)
+    assert len(reconstruct(sk, d, check=False).facets) == 2 * (n - 2)
+    with pytest.raises(TooManyNonsimple, match=r"holds 9 nonsimple vertices, more than d-2 = 8"):
+        reconstruct(sk, d)
 
 
 def _omitted_after_move(fg, w, x, y):
@@ -283,6 +292,18 @@ def test_reconstruct_truncated_fixture():
     spec, _ = truncate(base, (8,))
     lat = build_face_lattice(spec)
     out = reconstruct(k_skeleton(lat, 2), 4)
+    assert out.facets == lat.facets
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_pyramid_over_bipyramid_is_answered_right_or_refused(d):
+    """pyramid(bipyramid(simplex(d-2))): d nonsimple vertices, and every
+    facet holds d-1 of them, beyond what the 2-skeleton determines."""
+    lat = lattice_of(pyramid(bipyramid(simplex(d - 2))))
+    try:
+        out = reconstruct(k_skeleton(lat, 2), d)
+    except SkelreconError:
+        return
     assert out.facets == lat.facets
 
 
@@ -481,7 +502,9 @@ def test_checked_facets_hold_every_spec_invariant(name):
     ambiguity, is already what PolytopeSpec would make of it, on the
     corpus, NESTED_TRACES, their relabelings and their tamperings: its
     checks imply PolytopeSpec's, so the CLI need not run them again.
-    Without the region check NESTED_TRACES gives nested regions."""
+    Without the region check NESTED_TRACES gives nested regions.  Every
+    facet of bipyr_simplex3 and pyr_bipyr_triangle holds d-1 nonsimple
+    vertices, so reconstruct refuses them and returns no list."""
     rng = random.Random(f"frame-moves-{name}")
     if name == "nested_traces":
         base, d = NESTED_TRACES, 4
@@ -499,7 +522,12 @@ def test_checked_facets_hold_every_spec_invariant(name):
                 if facets:
                     assert PolytopeSpec(d, sk.n, facets).facets == facets, (kind, hint)
                     lists += 1
-    assert lists or name in ("skew_solid", "nested_traces")
+    if name in ("bipyr_simplex3", "pyr_bipyr_triangle"):
+        assert lists == 0
+        with pytest.raises(TooManyNonsimple, match=r"holds 3 nonsimple vertices"):
+            reconstruct(base, d)
+    else:
+        assert lists or name in ("skew_solid", "nested_traces")
 
 
 def _relabeled_outcomes_match_the_reference(base, d, seed):
