@@ -15,17 +15,19 @@ vertices in a list guarded by a per-vertex stamp and checks them: a
 simple vertex's omitted neighbour must lie outside (one stamp read), and
 a nonsimple vertex needs d-1 neighbours inside.
 
-With d-1 nonsimple vertices in total the sweep can leave one genuine
-two-way ambiguity: a pair of traced regions meeting exactly in the
-nonsimple set N with N inducing a complete graph is either two simplex-ish
-facets sharing the ridge N or a single merged facet with N as a missing
-internal ridge.  Both completions are reported; the parity of the facet
-count picks one.
+From d = 4 on, with d-1 nonsimple vertices in total, the sweep can leave
+one genuine two-way ambiguity: a pair of traced regions meeting exactly in
+the nonsimple set N with N inducing a complete graph is either two
+simplex-ish facets sharing the ridge N or a single merged facet with N as
+a missing internal ridge.  Both completions are reported; the parity of
+the facet count picks one.  Beyond that the 2-skeleton need not determine
+the lattice: one list of the traced facets holding more than d-2
+nonsimple vertices feeds the pair search, and a checked run refuses any
+other listed facet with ``TooManyNonsimple``.
 
-Beyond that the 2-skeleton need not determine the lattice, so from d = 4
-on a checked run refuses, with ``TooManyNonsimple``, a traced facet that
-holds more than d-2 nonsimple vertices and is not one of the ambiguous
-pair.  At d = 3 the traced facets are the input's 2-faces themselves.
+At d = 3 no pair is sought.  A checked trace is a whole 2-face, but one
+with no simple vertex roots no frame, so a checked run answers only when
+every listed 2-face is traced.
 """
 
 from __future__ import annotations
@@ -367,26 +369,27 @@ def reconstruct(
     """Recover the facet list of a d-polytope from its 2-skeleton.
 
     Complete whenever every facet contains at most d-2 nonsimple vertices.
-    With exactly d-1 nonsimple vertices in total, the one recoverable
-    ambiguity (see module docstring) is reported with both completions;
-    parity_hint ("even"/"odd", the parity of the facet count) resolves it.
-    With ``check``, d >= 4 and more than d-2 nonsimple vertices in total,
-    a traced facet that holds more than d-2 of them and is not one of the
-    ambiguous pair raises ``TooManyNonsimple``, naming the first such
-    facet in sorted order and its count.
+    From d = 4 on, with exactly d-1 nonsimple vertices in total, the one
+    recoverable ambiguity (see module docstring) is reported with both
+    completions; parity_hint ("even"/"odd", the parity of the facet count)
+    resolves it.  From d = 4 on, one scan lists the traced facets holding
+    more than d-2 nonsimple vertices: the pair search reads it, and with
+    ``check`` the least listed facet outside the pair raises
+    ``TooManyNonsimple`` with its count.  At d = 3 a checked run answers
+    only when every listed 2-face is traced (one length comparison), and
+    else names the least untraced one; with no simple vertex at all it
+    raises ``TooManyNonsimple`` too.
     Each facet is traced, collected and, unless ``check`` is False,
     checked in one pass: collecting it costs one stamp test per frame and
     one per nonsimple leaf, and checking it one stamp read per simple
     vertex and one set intersection per nonsimple vertex.  A facet that
     fails the check raises ``NotASkeleton`` naming its least failing
     vertex, and the first facet traced that fails is the one named.  Each
-    trace gives its facet's sorted tuple; the tuples are sorted once here, and
-    only the ambiguity test below, with d-1 nonsimple vertices, turns the
-    regions it tests into frozensets.  When each facet keeps at most d-2
-    nonsimple vertices, so does each 2-face, and with the costs of
-    :class:`FrameGraph` the whole run takes time linear in the size of the
-    2-face lines for fixed d, whatever the degrees of the nonsimple
-    vertices.
+    trace gives its facet's sorted tuple, and the tuples are sorted once
+    here.  When each facet keeps at most d-2 nonsimple vertices, so does
+    each 2-face, and with the costs of :class:`FrameGraph` the whole run
+    takes time linear in the size of the 2-face lines for fixed d,
+    whatever the degrees of the nonsimple vertices.
 
     With ``check`` the facet lists returned (``facets``, and both
     completions of an ambiguity) already hold every invariant of
@@ -417,7 +420,9 @@ def reconstruct(
     graph = sk.graph
     fg = FrameGraph(sk, d)
     if not fg.simple:
-        raise NotASkeleton("no simple vertex to seed the propagation")
+        raise TooManyNonsimple(
+            f"every vertex is nonsimple, so every facet holds more than d-2 = {d - 2} of them"
+        )
 
     regions = _regions(fg, check)
     if not check and len(set(regions)) != len(regions):
@@ -428,43 +433,41 @@ def reconstruct(
 
     nonsimple = fg.nonsimple
     ambiguity = None
-    if len(nonsimple) == d - 1:
-        ncomplete = all(
-            graph.has_edge(u, v)
-            for u in nonsimple
-            for v in nonsimple
-            if u < v
-        )
+    if check and d == 3 and len(regions) < len(sk.two_faces):
+        # A checked trace is a whole 2-face, and each 2-face with a simple
+        # vertex is traced from it; the 2-faces left over have none.
+        face = min({tuple(sorted(f)) for f in sk.two_faces}.difference(regions))
+        raise TooManyNonsimple(f"2-face {face} has no simple vertex, so no trace reaches it")
+    if d > 3 and len(nonsimple) > d - 2:
+        # The traced facets past d-2, in trace order: with d-1 nonsimple
+        # vertices, those that hold all of them.
+        past = [r for r in regions if len(nonsimple.intersection(r)) > d - 2]
         pairs = []
-        if ncomplete:
-            holders = [r for r in map(frozenset, regions) if nonsimple <= r]
+        if len(nonsimple) == d - 1 and all(
+            graph.has_edge(u, v) for u in nonsimple for v in nonsimple if u < v
+        ):
             simple_mask = mask_of(fg.simple)
-            for i, a in enumerate(holders):
-                for b in holders[i + 1 :]:
-                    if a & b == nonsimple and is_feasible(
-                        graph, mask_of(a | b), d, simple_mask
+            for i, a in enumerate(past):
+                for b in past[i + 1 :]:
+                    if set(a).intersection(b) == nonsimple and is_feasible(
+                        graph, mask_of(a + b), d, simple_mask
                     ):
                         pairs.append((a, b))
         if len(pairs) > 1:
             raise NotASkeleton(
                 "more than one candidate pair meets exactly in the nonsimple set"
             )
-        if pairs:
-            a, b = (tuple(sorted(r)) for r in pairs[0])
+        pair = pairs[0] if pairs else ()
+        if pair:
+            a, b = pair
             merged = tuple(sorted({*a, *b}))
             merged_list = tuple(sorted([r for r in facets if r != a and r != b] + [merged]))
-            ambiguity = Ambiguity(
-                region_a=a,
-                region_b=b,
-                merged=merged,
-                completions=(facets, merged_list),
-            )
-
-    if check and d > 3 and len(nonsimple) > d - 2:
-        pair = (ambiguity.region_a, ambiguity.region_b) if ambiguity else ()
-        for r in facets:
-            held = len(nonsimple.intersection(r))
-            if held > d - 2 and r not in pair:
+            ambiguity = Ambiguity(a, b, merged, completions=(facets, merged_list))
+        if check:
+            refused = [r for r in past if r not in pair]
+            if refused:
+                r = min(refused)
+                held = len(nonsimple.intersection(r))
                 raise TooManyNonsimple(
                     f"facet {r} holds {held} nonsimple vertices, more than d-2 = {d - 2}"
                 )

@@ -17,6 +17,8 @@ edge list   optional ``vertices`` / ``edge u v`` lines
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import islice
+from operator import length_hint
 
 from .graphs import Graph
 from .lattice import KSkeleton, PolytopeSpec
@@ -58,35 +60,12 @@ def _short_lines_first(read):
     return checked
 
 
-def _misfit(text: str, n: int, d: int | None) -> ValueError | None:
-    """The error of the first line of ``text`` that does not fit n vertices:
-    first the ``face<r>`` lines in order, whose ranks must lie in 2..d-1,
-    then the ``edge`` lines, which may not be loops; None if every line
-    fits.  :func:`_read` keeps no line's text, so it rescans it for the
-    line to name only after it has found that one does not fit."""
-    edges = []
-    for parts in filter(None, map(str.split, text.splitlines())):
-        key = parts[0]
-        if key == "edge":
-            edges.append(parts)
-        elif key.startswith("face"):
-            if not 2 <= int(key[4:]) <= d - 1:
-                return _bad(f"face rank outside 2..{d - 1}", parts)
-            try:
-                vs = sorted(map(int, parts[1:]))
-            except ValueError:
-                return _bad("non-integer field", parts)
-            if not vs:
-                return _bad("too few fields", parts)
-            if vs[0] < 0 or vs[-1] >= n:
-                return _bad(f"vertex outside 0..{n - 1}", parts)
-    for parts in edges:
-        u, v = int(parts[1]), int(parts[2])
-        if u == v:
-            return _bad("loop", parts)
-        if not (0 <= u < n and 0 <= v < n):
-            return _bad(f"vertex outside 0..{n - 1}", parts)
-    return None
+def _nth_line(text: str, is_key, k: int) -> list[str]:
+    """The fields of the k-th line of ``text``, from 0, whose key passes
+    ``is_key``.  :func:`_read` keeps no line's text, so it fetches the line
+    to name only once it has found that the line does not fit."""
+    keyed = (parts for parts in map(str.split, text.splitlines()) if parts and is_key(parts[0]))
+    return next(islice(keyed, k, None))
 
 
 @_short_lines_first
@@ -149,15 +128,28 @@ def _read(fmt: str, text: str):
     d, n = headers.get("d"), headers.get("vertices")
     if n is None:
         n = max((max(e) for e in edges), default=-1) + 1
+    # The first face line that does not fit comes first, then the first
+    # edge that Graph refuses, a loop or a vertex out of range.
     faces: dict[int, list[tuple[int, ...]]] = {}
     for r, vs in face_lines:
         if not (2 <= r < d and vs and vs[0] >= 0 and vs[-1] < n):
-            raise _misfit(text, n, d)
+            why = (f"face rank outside 2..{d - 1}" if not 2 <= r < d
+                   else "non-integer field" if vs is None
+                   else "too few fields" if not vs
+                   else f"vertex outside 0..{n - 1}")
+            # An equal face line earlier would have failed first.
+            i = face_lines.index((r, vs))
+            raise _bad(why, _nth_line(text, lambda key: key.startswith("face"), i))
         faces.setdefault(r, []).append(vs)
+    unread = iter(edges)
     try:
-        graph = Graph(n, edges) if add_edge else None
-    except ValueError as exc:
-        raise _misfit(text, n, d) or exc from None
+        graph = Graph(n, unread) if add_edge else None
+    except ValueError:
+        # Graph stops at the first edge it refuses.
+        i = len(edges) - 1 - length_hint(unread)
+        u, v = edges[i]
+        why = "loop" if u == v else f"vertex outside 0..{n - 1}"
+        raise _bad(why, _nth_line(text, "edge".__eq__, i)) from None
     return d, n, facets, graph, faces
 
 

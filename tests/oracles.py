@@ -1031,7 +1031,9 @@ def reference_reconstruct(sk: KSkeleton, d: int, parity_hint=None, check=True):
     graph = sk.graph
     fg = ReferenceFrameGraph(sk, d)
     if not fg.simple:
-        raise NotASkeleton("no simple vertex to seed the propagation")
+        raise TooManyNonsimple(
+            f"every vertex is nonsimple, so every facet holds more than d-2 = {d - 2} of them"
+        )
 
     n = graph.n
     visited: dict[int, int] = {}
@@ -1050,8 +1052,16 @@ def reference_reconstruct(sk: KSkeleton, d: int, parity_hint=None, check=True):
         raise NotASkeleton("two facet traces produced the same vertex set")
 
     nonsimple = fg.nonsimple
+    # At d = 3 each facet is a 2-face, and one with no simple vertex roots
+    # no trace.
+    if check and d == 3:
+        bare = [tuple(sorted(f)) for f in sk.two_faces if not fg.simple & set(f)]
+        if bare:
+            raise TooManyNonsimple(
+                f"2-face {min(bare)} has no simple vertex, so no trace reaches it"
+            )
     ambiguity = None
-    if len(nonsimple) == d - 1:
+    if d >= 4 and len(nonsimple) == d - 1:
         ncomplete = all(
             graph.has_edge(u, v) for u in nonsimple for v in nonsimple if u < v
         )
@@ -1086,8 +1096,7 @@ def reference_reconstruct(sk: KSkeleton, d: int, parity_hint=None, check=True):
             )
 
     # Past d-2 nonsimple vertices in a facet the 2-skeleton need not fix
-    # the lattice; only the ambiguous pair may hold more.  At d = 3 the
-    # regions are the input's 2-faces.
+    # the lattice; only the ambiguous pair may hold more.
     if check and d >= 4:
         exempt = set(pairs[0]) if ambiguity is not None else set()
         for facet in sorted(tuple(sorted(r)) for r in regions):

@@ -159,7 +159,8 @@ def test_reconstruct_builds_no_table_without_simple_vertices():
     """K_200 with d = 198 and no faces: every vertex has 199 > d
     neighbours, so no frame needs covering, and reconstruct ends in the
     typed error without allocating the 200 * 198 * 198 byte table
-    (7.8 MB) that the n*d*d slots would take."""
+    (7.8 MB) that the n*d*d slots would take.  With every vertex
+    nonsimple, every facet holds more than d-2 of them."""
     n = 200
     graph = Graph(n, itertools.combinations(range(n), 2))
     sk = KSkeleton(k=2, graph=graph, faces_by_dim={2: ()})
@@ -169,7 +170,8 @@ def test_reconstruct_builds_no_table_without_simple_vertices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got == (NotASkeleton, "no simple vertex to seed the propagation")
+    message = "every vertex is nonsimple, so every facet holds more than d-2 = 196 of them"
+    assert got == (TooManyNonsimple, message)
     assert peak < 1e6, peak
 
 
@@ -686,19 +688,74 @@ def test_region_check_names_the_least_failing_vertex():
     assert _outcome(reference_reconstruct, sk, 4) == (NotASkeleton, message)
 
 
-def test_two_tetrahedra_on_an_edge_give_more_than_one_candidate_pair():
-    """The 2-skeletons of two tetrahedra glued along the edge 01, at d = 3:
-    0 and 1 are the d - 1 nonsimple vertices, and each triangle through
-    both pairs with either such triangle of the other tetrahedron into a
-    feasible quadrilateral, so four pairs meet exactly in {0, 1}."""
-    edges = [(0, 1), *((x, y) for x in (0, 1) for y in range(2, 6)), (2, 3), (4, 5)]
-    faces = tuple(sorted(
-        f for t in ((0, 1, 2, 3), (0, 1, 4, 5)) for f in itertools.combinations(t, 3)
-    ))
-    sk = KSkeleton(k=2, graph=Graph(6, edges), faces_by_dim={2: faces})
+def test_two_simplices_on_a_triangle_give_more_than_one_candidate_pair():
+    """The 2-skeletons of two 4-simplices glued along the triangle 012, at
+    d = 4: 0, 1 and 2 are the d - 1 nonsimple vertices, and each
+    tetrahedron through all three pairs with either such tetrahedron of
+    the other simplex into a feasible region, so four pairs meet exactly
+    in {0, 1, 2}, with and without the checks."""
+    simplices = ((0, 1, 2, 3, 4), (0, 1, 2, 5, 6))
+    edges = sorted({e for t in simplices for e in itertools.combinations(t, 2)})
+    faces = tuple(sorted({f for t in simplices for f in itertools.combinations(t, 3)}))
+    sk = KSkeleton(k=2, graph=Graph(7, edges), faces_by_dim={2: faces})
     message = "more than one candidate pair meets exactly in the nonsimple set"
-    assert _outcome(reconstruct, sk, 3) == (NotASkeleton, message)
-    assert _outcome(reference_reconstruct, sk, 3) == (NotASkeleton, message)
+    for check in (True, False):
+        assert _outcome(reconstruct, sk, 4, check=check) == (NotASkeleton, message)
+        assert _outcome(reference_reconstruct, sk, 4, check=check) == (NotASkeleton, message)
+
+
+def truncated_octahedron():
+    """The octahedron bipyramid(cube(2)) truncated at vertex 0: 9 vertices
+    and 9 facets, four of them triangles whose vertices are all
+    nonsimple."""
+    return truncate(lattice_of(bipyramid(cube(2))), (0,))[0]
+
+
+def test_split_cube_is_complete_at_d3_whatever_the_parity():
+    """Two triangles and five squares, d = 3: the d-1 = 2 nonsimple
+    vertices 0 and 2 span the diagonal of the split square, yet the pair
+    search runs only from d = 4, so no merged square is offered and every
+    parity hint gives the lattice's 7 facets."""
+    lat = lattice_of(fixture_corpus()["split_cube"])
+    sk = k_skeleton(lat, 2)
+    assert len(classify_vertices(lat).nonsimple) == 2
+    for hint in (None, "even", "odd"):
+        for recon in (reconstruct, reference_reconstruct):
+            out = recon(sk, 3, parity_hint=hint)
+            assert (out.status, out.facets, out.ambiguity) == ("complete", lat.facets, None)
+
+
+def test_untraced_two_face_is_refused_at_d3():
+    """The truncated octahedron's 2-skeleton at d = 3: the triangles with
+    no simple vertex root no frame, so no trace reaches them, and a checked
+    run refuses, naming the least of them; unchecked, the five traced
+    facets come back."""
+    lat = lattice_of(truncated_octahedron())
+    sk = k_skeleton(lat, 2)
+    assert (lat.n, len(lat.facets)) == (9, 9)
+    message = "2-face (0, 2, 3) has no simple vertex, so no trace reaches it"
+    assert _outcome(reconstruct, sk, 3) == (TooManyNonsimple, message)
+    assert _outcome(reference_reconstruct, sk, 3) == (TooManyNonsimple, message)
+    unchecked = reconstruct(sk, 3, check=False).facets
+    assert len(unchecked) == 5 and set(unchecked) < set(lat.facets)
+
+
+@pytest.mark.parametrize("name", sorted(fixture_corpus()))
+def test_checked_reconstruct_gives_the_facets_or_refuses(name):
+    """On every corpus polytope a checked run gives the lattice's facets,
+    or, with d-1 nonsimple vertices from d = 4, lists them among its two
+    completions, or raises a typed error: it never answers wrong."""
+    lat = lattice_of(fixture_corpus()[name])
+    d = lat.d
+    try:
+        out = reconstruct(k_skeleton(lat, 2), d)
+    except SkelreconError:
+        return
+    if out.status == "complete":
+        assert out.facets == lat.facets
+    else:
+        assert d >= 4 and len(classify_vertices(lat).nonsimple) == d - 1
+        assert lat.facets in out.ambiguity.completions
 
 
 def _tampered_text(text, rng):
