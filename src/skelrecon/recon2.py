@@ -21,20 +21,20 @@ the nonsimple set N with N inducing a complete graph is either two
 simplex-ish facets sharing the ridge N or a single merged facet with N as
 a missing internal ridge.  Both completions are reported; the parity of
 the facet count picks one.  Beyond that the 2-skeleton need not determine
-the lattice: one list of the traced facets holding more than d-2
-nonsimple vertices feeds the pair search, and a checked run refuses any
-other listed facet with ``TooManyNonsimple``.
+the lattice, and a checked run refuses any other traced facet holding
+more than d-2 nonsimple vertices with ``TooManyNonsimple``.
 
 At d = 3 no pair is sought.  A checked trace is a whole 2-face, but one
 with no simple vertex roots no frame, so a checked run answers only when
-every listed 2-face is traced.
+every listed 2-face is traced and every edge lies in two of them.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from .errors import FrameNotInUniqueTwoFace, NotASkeleton, TooManyNonsimple
@@ -372,24 +372,21 @@ def reconstruct(
     From d = 4 on, with exactly d-1 nonsimple vertices in total, the one
     recoverable ambiguity (see module docstring) is reported with both
     completions; parity_hint ("even"/"odd", the parity of the facet count)
-    resolves it.  From d = 4 on, one scan lists the traced facets holding
-    more than d-2 nonsimple vertices: the pair search reads it, and with
-    ``check`` the least listed facet outside the pair raises
-    ``TooManyNonsimple`` with its count.  At d = 3 a checked run answers
-    only when every listed 2-face is traced (one length comparison), and
-    else names the least untraced one; with no simple vertex at all it
-    raises ``TooManyNonsimple`` too.
-    Each facet is traced, collected and, unless ``check`` is False,
-    checked in one pass: collecting it costs one stamp test per frame and
-    one per nonsimple leaf, and checking it one stamp read per simple
-    vertex and one set intersection per nonsimple vertex.  A facet that
-    fails the check raises ``NotASkeleton`` naming its least failing
-    vertex, and the first facet traced that fails is the one named.  Each
-    trace gives its facet's sorted tuple, and the tuples are sorted once
-    here.  When each facet keeps at most d-2 nonsimple vertices, so does
-    each 2-face, and with the costs of :class:`FrameGraph` the whole run
-    takes time linear in the size of the 2-face lines for fixed d,
-    whatever the degrees of the nonsimple vertices.
+    resolves it.  From d = 4 on ``check`` refuses any other traced facet
+    past d-2 nonsimple vertices with ``TooManyNonsimple``, naming the least;
+    at d = 3 it refuses the least listed 2-face no trace reaches the same
+    way, and an edge in other than two traced facets with ``NotASkeleton``.
+    No simple vertex at all raises ``TooManyNonsimple``.  Each facet is
+    traced, collected and, unless ``check`` is False, checked in one pass:
+    collecting it costs one stamp test per frame and one per nonsimple leaf,
+    and checking it one stamp read per simple vertex and one set
+    intersection per nonsimple vertex.  A facet that fails the check raises
+    ``NotASkeleton`` naming its least failing vertex, and the first facet
+    traced that fails is the one named.  When each facet keeps at most d-2
+    nonsimple vertices, so does each 2-face, and with the costs of
+    :class:`FrameGraph` the whole run takes time linear in the size of the
+    2-face lines for fixed d, whatever the degrees of the nonsimple
+    vertices.
 
     With ``check`` the facet lists returned (``facets``, and both
     completions of an ambiguity) already hold every invariant of
@@ -433,11 +430,22 @@ def reconstruct(
 
     nonsimple = fg.nonsimple
     ambiguity = None
-    if check and d == 3 and len(regions) < len(sk.two_faces):
-        # A checked trace is a whole 2-face, and each 2-face with a simple
-        # vertex is traced from it; the 2-faces left over have none.
-        face = min({tuple(sorted(f)) for f in sk.two_faces}.difference(regions))
-        raise TooManyNonsimple(f"2-face {face} has no simple vertex, so no trace reaches it")
+    if check and d == 3:
+        if len(regions) < len(sk.two_faces):
+            # A checked trace is a whole 2-face, and each 2-face with a
+            # simple vertex is traced from it; the 2-faces left over have none.
+            face = min({tuple(sorted(f)) for f in sk.two_faces}.difference(regions))
+            raise TooManyNonsimple(f"2-face {face} has no simple vertex, so no trace reaches it")
+        if len(nonsimple) > 1:
+            # Every 2-face is traced, so an edge with a simple end lies in
+            # two, one per other neighbour of that end; check the others.
+            count = Counter(
+                e for r in regions for e in combinations([v for v in r if v in nonsimple], 2)
+            )
+            for u in sorted(nonsimple):
+                for v in graph.adj[u]:
+                    if v > u and v in nonsimple and count[u, v] != 2:
+                        raise NotASkeleton(f"edge ({u}, {v}) lies in {count[u, v]} facets, not 2")
     if d > 3 and len(nonsimple) > d - 2:
         # The traced facets past d-2, in trace order: with d-1 nonsimple
         # vertices, those that hold all of them.
@@ -463,14 +471,13 @@ def reconstruct(
             merged = tuple(sorted({*a, *b}))
             merged_list = tuple(sorted([r for r in facets if r != a and r != b] + [merged]))
             ambiguity = Ambiguity(a, b, merged, completions=(facets, merged_list))
-        if check:
-            refused = [r for r in past if r not in pair]
-            if refused:
-                r = min(refused)
-                held = len(nonsimple.intersection(r))
-                raise TooManyNonsimple(
-                    f"facet {r} holds {held} nonsimple vertices, more than d-2 = {d - 2}"
-                )
+        refused = [r for r in past if r not in pair]
+        if check and refused:
+            r = min(refused)
+            held = len(nonsimple.intersection(r))
+            raise TooManyNonsimple(
+                f"facet {r} holds {held} nonsimple vertices, more than d-2 = {d - 2}"
+            )
 
     if ambiguity is not None:
         if parity_hint is None:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from itertools import islice
-from operator import length_hint
 
 from .graphs import Graph
 from .lattice import KSkeleton, PolytopeSpec
@@ -141,12 +140,10 @@ def _read(fmt: str, text: str):
             i = face_lines.index((r, vs))
             raise _bad(why, _nth_line(text, lambda key: key.startswith("face"), i))
         faces.setdefault(r, []).append(vs)
-    unread = iter(edges)
     try:
-        graph = Graph(n, unread) if add_edge else None
+        graph = Graph(n, edges) if add_edge else None
     except ValueError:
-        # Graph stops at the first edge it refuses.
-        i = len(edges) - 1 - length_hint(unread)
+        i = next(i for i, (u, v) in enumerate(edges) if u == v or not (0 <= u < n and 0 <= v < n))
         u, v = edges[i]
         why = "loop" if u == v else f"vertex outside 0..{n - 1}"
         raise _bad(why, _nth_line(text, "edge".__eq__, i)) from None

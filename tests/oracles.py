@@ -1060,6 +1060,11 @@ def reference_reconstruct(sk: KSkeleton, d: int, parity_hint=None, check=True):
             raise TooManyNonsimple(
                 f"2-face {min(bare)} has no simple vertex, so no trace reaches it"
             )
+        # Each edge of a 3-polytope lies in exactly two 2-faces.
+        for u, v in graph.edges:
+            held = sum(1 for r in regions if u in r and v in r)
+            if held != 2:
+                raise NotASkeleton(f"edge ({u}, {v}) lies in {held} facets, not 2")
     ambiguity = None
     if d >= 4 and len(nonsimple) == d - 1:
         ncomplete = all(

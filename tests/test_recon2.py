@@ -704,6 +704,24 @@ def test_two_simplices_on_a_triangle_give_more_than_one_candidate_pair():
         assert _outcome(reference_reconstruct, sk, 4, check=check) == (NotASkeleton, message)
 
 
+def test_two_tetrahedra_on_an_edge_are_refused_at_d3():
+    """The 2-skeletons of two tetrahedra glued along the edge 01, at d = 3:
+    no pair is sought there, and every 2-face is traced, but the edge 01
+    lies in four of them, so a checked run refuses; unchecked, the eight
+    triangles come back."""
+    edges = [(0, 1), *((x, y) for x in (0, 1) for y in range(2, 6)), (2, 3), (4, 5)]
+    faces = tuple(sorted(
+        f for t in ((0, 1, 2, 3), (0, 1, 4, 5)) for f in itertools.combinations(t, 3)
+    ))
+    sk = KSkeleton(k=2, graph=Graph(6, edges), faces_by_dim={2: faces})
+    message = "edge (0, 1) lies in 4 facets, not 2"
+    assert _outcome(reconstruct, sk, 3) == (NotASkeleton, message)
+    assert _outcome(reference_reconstruct, sk, 3) == (NotASkeleton, message)
+    for recon in (reconstruct, reference_reconstruct):
+        out = recon(sk, 3, check=False)
+        assert (out.status, out.facets) == ("complete", faces)
+
+
 def truncated_octahedron():
     """The octahedron bipyramid(cube(2)) truncated at vertex 0: 9 vertices
     and 9 facets, four of them triangles whose vertices are all
