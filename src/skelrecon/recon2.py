@@ -24,17 +24,20 @@ the facet count picks one.  Beyond that the 2-skeleton need not determine
 the lattice, and a checked run refuses any other traced facet holding
 more than d-2 nonsimple vertices with ``TooManyNonsimple``.
 
-At d = 3 no pair is sought.  A checked trace is a whole 2-face, but one
-with no simple vertex roots no frame, so a checked run answers only when
-every listed 2-face is traced and every edge lies in two of them.
+At d = 3 the facets are the 2-faces themselves, so nothing is traced:
+after :class:`FrameGraph` has checked the 2-faces, the listed ones are the
+answer.  A checked run asks that they close into a sphere: each edge
+lies in exactly two of them, the 2-faces through each nonsimple vertex
+close into one cycle around it, the graph is connected and
+n - |E| + |F| = 2.  On an input with no nonsimple vertex only the last
+two rules do any work: one walk of the graph and one count.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .errors import FrameNotInUniqueTwoFace, NotASkeleton, TooManyNonsimple
@@ -360,6 +363,90 @@ def _regions(fg: FrameGraph, check: bool) -> list[tuple[int, ...]]:
     return regions
 
 
+def _two_faces(fg: FrameGraph, check: bool) -> tuple[tuple[int, ...], ...]:
+    """The facets of a 3-polytope from its 2-skeleton: the listed 2-faces,
+    sorted tuples in lexicographic order.
+
+    :class:`FrameGraph` has checked that each 2-face is an induced cycle
+    and that each neighbour pair of a simple vertex lies in exactly one.
+    So a simple vertex lies in three 2-faces, one per pair, and each of its
+    edges in two.  With ``check`` the 2-faces must also close into a
+    sphere.  Each face F through a nonsimple vertex v gives the pair
+    N(v) & F, v's two neighbours on the cycle F: met as two sets, at the
+    cost of the smaller.  Those pairs are the edges of v's link, a graph on
+    N(v), in which w has one partner per 2-face through the edge vw.  So
+    the edge rule reads its counts off the links of the nonsimple ends,
+    and once every neighbour of v has two partners the link is a union of
+    cycles, walked once to see that it is one.  Both rules take the
+    nonsimple vertices in ascending order, each v's edges to greater
+    nonsimple vertices before its link.  Then the graph must be connected
+    and n - |E| + |F| = 2.  Each rule raises ``NotASkeleton``.
+    """
+    sk = fg.skeleton
+    facets = tuple(sorted([tuple(sorted(f)) for f in sk.two_faces]))
+    if not check:
+        return facets
+    graph = sk.graph
+    adj = graph.adj
+    nonsimple = fg.nonsimple
+    if nonsimple:
+        nsets = fg.neighbour_sets
+        links = {v: defaultdict(list) for v in nonsimple}
+        for f in facets:
+            through = [v for v in f if v in nonsimple]
+            if through:
+                fset = frozenset(f)
+                for v in through:
+                    nset = nsets.get(v)
+                    if nset is None:
+                        nset = nsets[v] = frozenset(adj[v])
+                    a, b = nset & fset
+                    link = links[v]
+                    link[a].append(b)
+                    link[b].append(a)
+        for v in sorted(nonsimple):
+            link = links[v]
+            # An edge to a simple vertex lies in two 2-faces, and one to a
+            # lesser nonsimple vertex was counted there.
+            for w in adj[v]:
+                if w > v and w in nonsimple and len(link[w]) != 2:
+                    raise NotASkeleton(f"edge ({v}, {w}) lies in {len(link[w])} facets, not 2")
+            # So every neighbour has two partners: walk the cycle through one.
+            start = w = adj[v][0]
+            prev = None
+            length = 0
+            while True:
+                a, b = link[w]
+                prev, w = w, (b if a == prev else a)
+                length += 1
+                if w == start:
+                    break
+            if length != len(adj[v]):
+                raise NotASkeleton(
+                    f"the 2-faces through vertex {v} close into more than one cycle around it"
+                )
+    n = graph.n
+    seen = bytearray(n)
+    reached = []
+    if n:
+        seen[0] = 1
+        reached.append(0)
+    for v in reached:  # also yields the vertices appended below
+        for w in adj[v]:
+            if not seen[w]:
+                seen[w] = 1
+                reached.append(w)
+    if len(reached) != n:
+        raise NotASkeleton(f"vertex {seen.index(0)} is not connected to vertex 0")
+    edges = sum(map(len, adj)) // 2
+    euler = n - edges + len(facets)
+    if euler != 2:
+        raise NotASkeleton(
+            f"n - |E| + |F| = {n} - {edges} + {len(facets)} = {euler}, not 2"
+        )
+    return facets
+
+
 def reconstruct(
     sk: KSkeleton,
     d: int,
@@ -368,15 +455,17 @@ def reconstruct(
 ) -> ReconstructionOutcome:
     """Recover the facet list of a d-polytope from its 2-skeleton.
 
-    Complete whenever every facet contains at most d-2 nonsimple vertices.
-    From d = 4 on, with exactly d-1 nonsimple vertices in total, the one
-    recoverable ambiguity (see module docstring) is reported with both
-    completions; parity_hint ("even"/"odd", the parity of the facet count)
-    resolves it.  From d = 4 on ``check`` refuses any other traced facet
-    past d-2 nonsimple vertices with ``TooManyNonsimple``, naming the least;
-    at d = 3 it refuses the least listed 2-face no trace reaches the same
-    way, and an edge in other than two traced facets with ``NotASkeleton``.
-    No simple vertex at all raises ``TooManyNonsimple``.  Each facet is
+    At d = 3 the facets are the listed 2-faces and nothing is traced; with
+    ``check`` they must close into a sphere (see :func:`_two_faces`), so
+    the run is complete whatever the nonsimple vertices.
+
+    From d = 4 the run is complete whenever every facet contains at most
+    d-2 nonsimple vertices.  With exactly d-1 nonsimple vertices in total,
+    the one recoverable ambiguity (see module docstring) is reported with
+    both completions; parity_hint ("even"/"odd", the parity of the facet
+    count) resolves it.  ``check`` refuses any other traced facet past d-2
+    nonsimple vertices with ``TooManyNonsimple``, naming the least, and no
+    simple vertex at all raises ``TooManyNonsimple``.  Each facet is
     traced, collected and, unless ``check`` is False, checked in one pass:
     collecting it costs one stamp test per frame and one per nonsimple leaf,
     and checking it one stamp read per simple vertex and one set
@@ -407,8 +496,16 @@ def reconstruct(
       among the leaves of its frame in r, inside a | b and so in b.  Then
       w has d neighbours in a | b, which ``degrees_fit`` in
       :func:`is_feasible` refused when the pair was found.
-    * Every region holds vertices of 0..n-1 (n >= 1, as there is a simple
-      vertex), d >= 3, and the lists are sorted tuples in sorted order.
+    * At d = 3 no 2-face holds another's vertices: each is an induced
+      cycle, and a proper subset of an induced cycle induces paths.  A
+      2-face listed twice has no simple vertex, whose frames would lie in
+      both; so the edge rule counts all its edges and keeps them out of
+      any third 2-face, and at each vertex v of it the link holds one pair
+      twice: a cycle of two, while N(v) has four vertices or more.  The
+      link rule refuses that.
+    * Every region holds vertices of 0..n-1 (n >= 1: there is a simple
+      vertex from d = 4, and n - |E| + |F| = 2 at d = 3), d >= 3, and the
+      lists are sorted tuples in sorted order.
     """
     if d < 3:
         raise ValueError("d must be at least 3")
@@ -416,6 +513,8 @@ def reconstruct(
         raise ValueError("parity_hint must be 'even' or 'odd'")
     graph = sk.graph
     fg = FrameGraph(sk, d)
+    if d == 3:
+        return ReconstructionOutcome(_two_faces(fg, check), "complete")
     if not fg.simple:
         raise TooManyNonsimple(
             f"every vertex is nonsimple, so every facet holds more than d-2 = {d - 2} of them"
@@ -430,23 +529,7 @@ def reconstruct(
 
     nonsimple = fg.nonsimple
     ambiguity = None
-    if check and d == 3:
-        if len(regions) < len(sk.two_faces):
-            # A checked trace is a whole 2-face, and each 2-face with a
-            # simple vertex is traced from it; the 2-faces left over have none.
-            face = min({tuple(sorted(f)) for f in sk.two_faces}.difference(regions))
-            raise TooManyNonsimple(f"2-face {face} has no simple vertex, so no trace reaches it")
-        if len(nonsimple) > 1:
-            # Every 2-face is traced, so an edge with a simple end lies in
-            # two, one per other neighbour of that end; check the others.
-            count = Counter(
-                e for r in regions for e in combinations([v for v in r if v in nonsimple], 2)
-            )
-            for u in sorted(nonsimple):
-                for v in graph.adj[u]:
-                    if v > u and v in nonsimple and count[u, v] != 2:
-                        raise NotASkeleton(f"edge ({u}, {v}) lies in {count[u, v]} facets, not 2")
-    if d > 3 and len(nonsimple) > d - 2:
+    if len(nonsimple) > d - 2:
         # The traced facets past d-2, in trace order: with d-1 nonsimple
         # vertices, those that hold all of them.
         past = [r for r in regions if len(nonsimple.intersection(r)) > d - 2]

@@ -1020,16 +1020,61 @@ def _reference_check_region(fg, graph: Graph, d, region, visited, trace_id):
             )
 
 
+def _reference_two_faces(sk: KSkeleton, check: bool):
+    """``recon2._two_faces`` by brute force: for each vertex in turn, every
+    edge to a greater vertex counted over every 2-face, then the link
+    built from sets and grown from the least neighbour; then the graph's
+    connectivity, taken from networkx, and Euler."""
+    graph = sk.graph
+    faces = [frozenset(f) for f in sk.two_faces]
+    facets = tuple(sorted(tuple(sorted(f)) for f in faces))
+    if not check:
+        return facets
+    for v in range(graph.n):
+        for w in graph.adj[v]:
+            if w > v:
+                held = sum(1 for f in faces if v in f and w in f)
+                if held != 2:
+                    raise NotASkeleton(f"edge ({v}, {w}) lies in {held} facets, not 2")
+        nbrs = set(graph.adj[v])
+        link = [nbrs & f for f in faces if v in f]
+        around = {min(nbrs)}
+        grown = True
+        while grown:
+            grown = False
+            for pair in link:
+                if pair & around and not pair <= around:
+                    around |= pair
+                    grown = True
+        if around != nbrs:
+            raise NotASkeleton(
+                f"the 2-faces through vertex {v} close into more than one cycle around it"
+            )
+    g = nx.Graph(graph.edges)
+    g.add_nodes_from(range(graph.n))
+    if graph.n and not nx.is_connected(g):
+        apart = min(set(range(graph.n)) - nx.node_connected_component(g, 0))
+        raise NotASkeleton(f"vertex {apart} is not connected to vertex 0")
+    n, e, f = graph.n, len(graph.edges), len(faces)
+    if n - e + f != 2:
+        raise NotASkeleton(f"n - |E| + |F| = {n} - {e} + {f} = {n - e + f}, not 2")
+    return facets
+
+
 def reference_reconstruct(sk: KSkeleton, d: int, parity_hint=None, check=True):
     """``recon2.reconstruct`` in three passes per facet on
     :class:`ReferenceFrameGraph`: trace the frames, rebuild the vertex set
-    from them, then count every vertex's neighbours inside it."""
+    from them, then count every vertex's neighbours inside it.  At d = 3
+    the facets are the listed 2-faces, checked by
+    :func:`_reference_two_faces`."""
     if d < 3:
         raise ValueError("d must be at least 3")
     if parity_hint not in (None, "even", "odd"):
         raise ValueError("parity_hint must be 'even' or 'odd'")
     graph = sk.graph
     fg = ReferenceFrameGraph(sk, d)
+    if d == 3:
+        return ReconstructionOutcome(_reference_two_faces(sk, check), "complete")
     if not fg.simple:
         raise TooManyNonsimple(
             f"every vertex is nonsimple, so every facet holds more than d-2 = {d - 2} of them"
@@ -1052,21 +1097,8 @@ def reference_reconstruct(sk: KSkeleton, d: int, parity_hint=None, check=True):
         raise NotASkeleton("two facet traces produced the same vertex set")
 
     nonsimple = fg.nonsimple
-    # At d = 3 each facet is a 2-face, and one with no simple vertex roots
-    # no trace.
-    if check and d == 3:
-        bare = [tuple(sorted(f)) for f in sk.two_faces if not fg.simple & set(f)]
-        if bare:
-            raise TooManyNonsimple(
-                f"2-face {min(bare)} has no simple vertex, so no trace reaches it"
-            )
-        # Each edge of a 3-polytope lies in exactly two 2-faces.
-        for u, v in graph.edges:
-            held = sum(1 for r in regions if u in r and v in r)
-            if held != 2:
-                raise NotASkeleton(f"edge ({u}, {v}) lies in {held} facets, not 2")
     ambiguity = None
-    if d >= 4 and len(nonsimple) == d - 1:
+    if len(nonsimple) == d - 1:
         ncomplete = all(
             graph.has_edge(u, v) for u in nonsimple for v in nonsimple if u < v
         )
@@ -1102,7 +1134,7 @@ def reference_reconstruct(sk: KSkeleton, d: int, parity_hint=None, check=True):
 
     # Past d-2 nonsimple vertices in a facet the 2-skeleton need not fix
     # the lattice; only the ambiguous pair may hold more.
-    if check and d >= 4:
+    if check:
         exempt = set(pairs[0]) if ambiguity is not None else set()
         for facet in sorted(tuple(sorted(r)) for r in regions):
             held = sum(1 for v in facet if v in nonsimple)

@@ -206,26 +206,21 @@ def test_recon2_gives_back_the_triangular_bipyramid(tmp_path):
     assert back.read_bytes() == poly.read_bytes()
 
 
-def test_recon2_gives_back_the_split_cube_and_refuses_the_truncated_octahedron(tmp_path, capsys):
-    """d = 3: the split cube comes back as its incidence file whatever
-    --parity says, as the pair search runs only from d = 4; the octahedron
-    truncated at a vertex has triangles with no simple vertex, which no
-    trace reaches, so recon2 exits 1 and names the least of them."""
+def test_recon2_gives_back_the_split_cube_and_the_octahedra(tmp_path):
+    """d = 3: the split cube, the octahedron and the octahedron truncated
+    at a vertex come back as their incidence files whatever --parity
+    says.  The facets are the listed 2-faces, so neither the d = 4 pair
+    search nor a 2-face with no simple vertex comes into it."""
     octahedron = build_face_lattice(bipyramid(cube(2)))
-    for name, spec in (("split", fixture_corpus()["split_cube"]),
-                       ("trunc", truncate(octahedron, (0,))[0])):
-        (tmp_path / f"{name}.poly").write_text(format_spec(spec))
-        skel = format_skeleton(k_skeleton(build_face_lattice(spec), 2), 3)
-        (tmp_path / f"{name}.skel").write_text(skel)
-    back = tmp_path / "split.back"
-    for parity in ((), ("--parity", "even"), ("--parity", "odd")):
-        assert run_cli("recon2", str(tmp_path / "split.skel"), *parity, "-o", str(back)) == 0
-        assert back.read_bytes() == (tmp_path / "split.poly").read_bytes()
-    capsys.readouterr()
-    assert run_cli("recon2", str(tmp_path / "trunc.skel")) == 1
-    assert capsys.readouterr().err == (
-        "error: 2-face (0, 2, 3) has no simple vertex, so no trace reaches it\n"
-    )
+    specs = {"split": fixture_corpus()["split_cube"], "octa": bipyramid(cube(2)),
+             "trunc": truncate(octahedron, (0,))[0]}
+    for name, spec in specs.items():
+        poly, skel, back = (tmp_path / f"{name}.{ext}" for ext in ("poly", "skel", "back"))
+        poly.write_text(format_spec(spec))
+        skel.write_text(format_skeleton(k_skeleton(build_face_lattice(spec), 2), 3))
+        for parity in ((), ("--parity", "even"), ("--parity", "odd")):
+            assert run_cli("recon2", str(skel), *parity, "-o", str(back)) == 0
+            assert back.read_bytes() == poly.read_bytes()
 
 
 @pytest.mark.parametrize("dim", [3, 4, 5, 6])

@@ -126,8 +126,8 @@ def golden_inputs() -> dict[str, str]:
     # Two opposite squares of the 4-cube, with no edge between them.
     cube4 = format_skeleton(k_skeleton(build_face_lattice(cube(4)), 2), 4)
     files["cube4_two_cycles.skel"] = cube4 + "face2 0 1 2 3 12 13 14 15\n"
-    # Vertex 0 is nonsimple, and the trace from 2 finds only one of its
-    # neighbours in the region.
+    # Two nonadjacent nonsimple vertices, 0 and 1: its 7 facets are its
+    # 2-faces, which a frame trace would have split.
     files["skew_solid.skel"] = format_skeleton(k_skeleton(build_face_lattice(SKEW_SOLID), 2), 3)
     # A triangle declared 3-dimensional: every vertex has degree below d.
     files["no_simple.skel"] = "d 3\nvertices 3\nedge 0 1\nedge 0 2\nedge 1 2\nface2 0 1 2\n"

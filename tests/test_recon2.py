@@ -704,22 +704,57 @@ def test_two_simplices_on_a_triangle_give_more_than_one_candidate_pair():
         assert _outcome(reference_reconstruct, sk, 4, check=check) == (NotASkeleton, message)
 
 
-def test_two_tetrahedra_on_an_edge_are_refused_at_d3():
-    """The 2-skeletons of two tetrahedra glued along the edge 01, at d = 3:
-    no pair is sought there, and every 2-face is traced, but the edge 01
-    lies in four of them, so a checked run refuses; unchecked, the eight
-    triangles come back."""
-    edges = [(0, 1), *((x, y) for x in (0, 1) for y in range(2, 6)), (2, 3), (4, 5)]
-    faces = tuple(sorted(
-        f for t in ((0, 1, 2, 3), (0, 1, 4, 5)) for f in itertools.combinations(t, 3)
-    ))
-    sk = KSkeleton(k=2, graph=Graph(6, edges), faces_by_dim={2: faces})
-    message = "edge (0, 1) lies in 4 facets, not 2"
+def _octahedron_faces(north, south, equator):
+    return [(pole, equator[i - 1], equator[i]) for pole in (north, south) for i in range(4)]
+
+
+def _torus_faces(offset):
+    """The 16 squares of the 4 x 4 grid on a torus, on offset..offset+15."""
+    at = lambda i, j: offset + 4 * (i % 4) + j % 4
+    return [(at(i, j), at(i + 1, j), at(i + 1, j + 1), at(i, j + 1))
+            for i in range(4) for j in range(4)]
+
+
+_CUBE_SQUARES = [(0, 1, 3, 2), (4, 5, 7, 6), (0, 1, 5, 4), (2, 3, 7, 6), (0, 2, 6, 4), (1, 3, 7, 5)]
+_LINK = "the 2-faces through vertex 0 close into more than one cycle around it"
+
+#: 2-skeletons at d = 3 that pass FrameGraph but do not close into a
+#: sphere: n, the 2-faces in cycle order, and the refusal.
+NOT_A_SPHERE = {
+    # The edge 01 lies in four 2-faces.
+    "tetrahedra_on_an_edge": (6, [f for t in ((0, 1, 2, 3), (0, 1, 4, 5))
+                                  for f in itertools.combinations(t, 3)],
+                              "edge (0, 1) lies in 4 facets, not 2"),
+    # The six 2-faces through 0 close into two triangles around it.
+    "tetrahedra_on_a_vertex": (7, [f for t in ((0, 1, 2, 3), (0, 4, 5, 6))
+                                   for f in itertools.combinations(t, 3)], _LINK),
+    # Glued at their poles 0 and 1: no vertex is simple, every edge lies in
+    # two 2-faces and n - |E| + |F| = 10 - 24 + 16 = 2, so only the link
+    # rule sees the two squares around 0.
+    "octahedra_on_two_opposite_vertices": (
+        10, _octahedron_faces(0, 1, (2, 3, 4, 5)) + _octahedron_faces(0, 1, (6, 7, 8, 9)), _LINK
+    ),
+    "torus": (16, _torus_faces(0), "n - |E| + |F| = 16 - 32 + 16 = 0, not 2"),
+    # Beside a cube the sum is 2, and only the connectivity refuses it.
+    "torus_beside_a_cube": (24, _CUBE_SQUARES + _torus_faces(8),
+                            "vertex 8 is not connected to vertex 0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_A_SPHERE))
+def test_d3_refuses_two_faces_that_do_not_close_into_a_sphere(name):
+    """A checked run, and the reference's, refuse each skeleton of
+    ``NOT_A_SPHERE`` with its message; unchecked, both give back its
+    2-faces."""
+    n, faces, message = NOT_A_SPHERE[name]
+    edges = sorted({tuple(sorted(e)) for f in faces for e in zip(f, f[1:] + f[:1])})
+    two_faces = tuple(sorted(tuple(sorted(f)) for f in faces))
+    sk = KSkeleton(k=2, graph=Graph(n, edges), faces_by_dim={2: two_faces})
     assert _outcome(reconstruct, sk, 3) == (NotASkeleton, message)
     assert _outcome(reference_reconstruct, sk, 3) == (NotASkeleton, message)
     for recon in (reconstruct, reference_reconstruct):
         out = recon(sk, 3, check=False)
-        assert (out.status, out.facets) == ("complete", faces)
+        assert (out.status, out.facets) == ("complete", two_faces)
 
 
 def truncated_octahedron():
@@ -731,9 +766,9 @@ def truncated_octahedron():
 
 def test_split_cube_is_complete_at_d3_whatever_the_parity():
     """Two triangles and five squares, d = 3: the d-1 = 2 nonsimple
-    vertices 0 and 2 span the diagonal of the split square, yet the pair
-    search runs only from d = 4, so no merged square is offered and every
-    parity hint gives the lattice's 7 facets."""
+    vertices 0 and 2 span the diagonal of the split square, yet at d = 3
+    the listed 2-faces are the answer, so no merged square is offered and
+    every parity hint gives the lattice's 7 facets."""
     lat = lattice_of(fixture_corpus()["split_cube"])
     sk = k_skeleton(lat, 2)
     assert len(classify_vertices(lat).nonsimple) == 2
@@ -743,19 +778,33 @@ def test_split_cube_is_complete_at_d3_whatever_the_parity():
             assert (out.status, out.facets, out.ambiguity) == ("complete", lat.facets, None)
 
 
-def test_untraced_two_face_is_refused_at_d3():
-    """The truncated octahedron's 2-skeleton at d = 3: the triangles with
-    no simple vertex root no frame, so no trace reaches them, and a checked
-    run refuses, naming the least of them; unchecked, the five traced
-    facets come back."""
-    lat = lattice_of(truncated_octahedron())
-    sk = k_skeleton(lat, 2)
-    assert (lat.n, len(lat.facets)) == (9, 9)
-    message = "2-face (0, 2, 3) has no simple vertex, so no trace reaches it"
-    assert _outcome(reconstruct, sk, 3) == (TooManyNonsimple, message)
-    assert _outcome(reference_reconstruct, sk, 3) == (TooManyNonsimple, message)
-    unchecked = reconstruct(sk, 3, check=False).facets
-    assert len(unchecked) == 5 and set(unchecked) < set(lat.facets)
+def test_octahedron_and_truncated_octahedron_give_their_facets_at_d3():
+    """The octahedron has no simple vertex, and the truncated octahedron
+    four triangles with none, which no frame trace reaches; at d = 3 the
+    listed 2-faces are the answer, so both come back whole, checked or
+    not."""
+    for spec, shape in ((bipyramid(cube(2)), (6, 8)), (truncated_octahedron(), (9, 9))):
+        lat = lattice_of(spec)
+        sk = k_skeleton(lat, 2)
+        assert (lat.n, len(lat.facets)) == shape
+        for recon in (reconstruct, reference_reconstruct):
+            for check in (True, False):
+                out = recon(sk, 3, check=check)
+                assert (out.status, out.facets) == ("complete", lat.facets)
+
+
+def test_d3_traces_no_frame(monkeypatch):
+    """At d = 3 the answer is read off the 2-faces: with the trace made to
+    fail, prism(8) still comes back, while pyramid(prism(8)) at d = 4
+    reaches the trace."""
+
+    def no_trace(fg, check):
+        raise AssertionError("traced")
+
+    monkeypatch.setattr("skelrecon.recon2._regions", no_trace)
+    assert len(reconstruct(polygon_prism_skeleton(8), 3).facets) == 10
+    with pytest.raises(AssertionError, match="traced"):
+        reconstruct(prism_pyramid_skeleton(8), 4)
 
 
 @pytest.mark.parametrize("name", sorted(fixture_corpus()))
