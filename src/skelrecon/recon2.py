@@ -29,15 +29,19 @@ after :class:`FrameGraph` has checked the 2-faces, the listed ones are the
 answer.  A checked run asks that they close into a sphere: each edge
 lies in exactly two of them, the 2-faces through each nonsimple vertex
 close into one cycle around it, the graph is connected and
-n - |E| + |F| = 2.  On an input with no nonsimple vertex only the last
-two rules do any work: one walk of the graph and one count.
+n - |E| + |F| = 2.  Then it asks that any two 2-faces meet in nothing,
+one vertex or one edge, which makes the sphere polyhedral and so, by
+Steinitz, the boundary of a 3-polytope.  On an input with no nonsimple
+vertex only the last three rules do any work: one walk of the graph, one
+count and one pass over the 2-faces of six vertices or more.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain, combinations
 from typing import Optional
 
 from .errors import FrameNotInUniqueTwoFace, NotASkeleton, TooManyNonsimple
@@ -363,40 +367,77 @@ def _regions(fg: FrameGraph, check: bool) -> list[tuple[int, ...]]:
     return regions
 
 
+def _meet(f: tuple[int, ...], g: tuple[int, ...]) -> NotASkeleton:
+    """The refusal of two 2-faces that meet in more than one vertex or edge."""
+    common = tuple(sorted(set(f).intersection(g)))
+    return NotASkeleton(f"2-faces {f} and {g} meet in {common}, not in one vertex or one edge")
+
+
 def _two_faces(fg: FrameGraph, check: bool) -> tuple[tuple[int, ...], ...]:
     """The facets of a 3-polytope from its 2-skeleton: the listed 2-faces,
-    sorted tuples in lexicographic order.
+    sorted tuples in lexicographic order, a 2-face listed twice once.
 
     :class:`FrameGraph` has checked that each 2-face is an induced cycle
     and that each neighbour pair of a simple vertex lies in exactly one.
     So a simple vertex lies in three 2-faces, one per pair, and each of its
     edges in two.  With ``check`` the 2-faces must also close into a
-    sphere.  Each face F through a nonsimple vertex v gives the pair
-    N(v) & F, v's two neighbours on the cycle F: met as two sets, at the
-    cost of the smaller.  Those pairs are the edges of v's link, a graph on
-    N(v), in which w has one partner per 2-face through the edge vw.  So
-    the edge rule reads its counts off the links of the nonsimple ends,
-    and once every neighbour of v has two partners the link is a union of
-    cycles, walked once to see that it is one.  Both rules take the
-    nonsimple vertices in ascending order, each v's edges to greater
-    nonsimple vertices before its link.  Then the graph must be connected
-    and n - |E| + |F| = 2.  Each rule raises ``NotASkeleton``.
+    sphere and meet as a polytope's do.  Each face F through a nonsimple
+    vertex v gives the pair N(v) & F, v's two neighbours on the cycle F:
+    met as two sets, at the cost of the smaller.  Those pairs are the
+    edges of v's link, a graph on N(v), in which w has one partner per
+    2-face through the edge vw.  So the edge rule reads its counts off the
+    links of the nonsimple ends, and once every neighbour of v has two
+    partners the link is a union of cycles, walked once to see that it is
+    one.  Both rules take the nonsimple vertices in ascending order, each
+    v's edges to greater nonsimple vertices before its link.  Then the
+    graph must be connected and n - |E| + |F| = 2.
+
+    Last, the face rule: two 2-faces meet in nothing, one vertex or one
+    edge.  A sphere map that keeps it is polyhedral, so its graph is
+    3-connected and, by Steinitz, a 3-polytope's, whose 2-faces these are.
+    Two induced cycles meet in their common edges and in vertices on no
+    common edge; a simple vertex they share lies on exactly one common
+    edge, as two of its three neighbour pairs share one neighbour.  So a
+    pair that breaks the rule either shares a nonsimple v and a vertex
+    outside N(v) and v (a vertex of N(v) would span a common edge, and
+    two of them a cycle of two in v's link), or meets in two edges with
+    simple ends.  The first is seen from v: for each nonsimple v in
+    ascending order, each vertex of each 2-face through v is filed under
+    the 2-faces that hold it, and the least pair filed together is named.
+    The second is seen from the simple vertices: such a pair holds six
+    vertices or more in each 2-face, and is filed together at four
+    simple vertices or more, while any other pair of 2-faces through a
+    simple vertex meets in one edge and is filed at two at most; the
+    least pair filed more often is named.  Each rule raises
+    ``NotASkeleton``.  The largest 2-face through v is met as a set
+    rather than filed, so the filing costs the sizes of the other 2-faces
+    through each nonsimple vertex, and the size of the 2-faces of six
+    vertices or more: linear in the 2-face lines when each 2-face holds
+    at most d-2 = 1 nonsimple vertex, or is the largest at each of its
+    nonsimple vertices but one, as on an antiprism.
     """
     sk = fg.skeleton
-    facets = tuple(sorted([tuple(sorted(f)) for f in sk.two_faces]))
+    listed = sorted([tuple(sorted(f)) for f in sk.two_faces])
     if not check:
-        return facets
+        return tuple(dict.fromkeys(listed))
+    # Checked, a 2-face listed twice stays, for the link rule to refuse.
+    facets = tuple(listed)
     graph = sk.graph
     adj = graph.adj
+    n = graph.n
     nonsimple = fg.nonsimple
+    nsets = fg.neighbour_sets
+    # The 2-faces through each nonsimple vertex, by index, and as sets.
+    through: dict[int, list[int]] = {v: [] for v in nonsimple}
+    fsets: dict[int, frozenset[int]] = {}
     if nonsimple:
-        nsets = fg.neighbour_sets
         links = {v: defaultdict(list) for v in nonsimple}
-        for f in facets:
-            through = [v for v in f if v in nonsimple]
-            if through:
-                fset = frozenset(f)
-                for v in through:
+        for fi, f in enumerate(facets):
+            inside = [v for v in f if v in nonsimple]
+            if inside:
+                fset = fsets[fi] = frozenset(f)
+                for v in inside:
+                    through[v].append(fi)
                     nset = nsets.get(v)
                     if nset is None:
                         nset = nsets[v] = frozenset(adj[v])
@@ -425,7 +466,6 @@ def _two_faces(fg: FrameGraph, check: bool) -> tuple[tuple[int, ...], ...]:
                 raise NotASkeleton(
                     f"the 2-faces through vertex {v} close into more than one cycle around it"
                 )
-    n = graph.n
     seen = bytearray(n)
     reached = []
     if n:
@@ -444,6 +484,50 @@ def _two_faces(fg: FrameGraph, check: bool) -> tuple[tuple[int, ...], ...]:
         raise NotASkeleton(
             f"n - |E| + |F| = {n} - {edges} + {len(facets)} = {euler}, not 2"
         )
+    # The face rule through each nonsimple v: the vertices outside N(v)
+    # and v of each 2-face through v are filed under the 2-faces that hold
+    # them, but the largest 2-face's, which is met as a set.
+    for v in sorted(nonsimple):
+        nset = nsets[v]
+        faces = through[v]
+        big = max(faces, key=lambda fi: len(facets[fi]))
+        holders = defaultdict(list)
+        for fi in faces:
+            if fi != big:
+                for w in facets[fi]:
+                    if w != v and w not in nset:
+                        holders[w].append(fi)
+        bset = fsets[big]
+        shared = []
+        for w, held in holders.items():
+            if w in bset:
+                held = sorted(held + [big])
+            if len(held) > 1:
+                shared.append(held[:2])
+        if shared:
+            fa, fb = min(shared)
+            raise _meet(facets[fa], facets[fb])
+    # Two 2-faces that meet in two edges with simple ends each hold six
+    # vertices or more: each of the two arcs between the edges holds a
+    # vertex, or a simple end of one edge would have the same two
+    # neighbours on both 2-faces.  Any two 2-faces through a simple
+    # vertex meet in an edge at it, so such a pair is filed together at
+    # four simple vertices or more, any other pair at two at most.  Only
+    # the simple vertices in two such long 2-faces or more are filed.
+    long = [fi for fi, f in enumerate(facets) if len(f) >= 6]
+    long_faces = [facets[fi] for fi in long]
+    if sum(map(len, long_faces)) != len(set().union(*long_faces)):
+        counts = Counter(chain.from_iterable(long_faces))
+        multi = {v for v, k in counts.items() if k > 1}.difference(nonsimple)
+        long_at = defaultdict(list)
+        for fi in long:
+            for v in multi.intersection(facets[fi]):
+                long_at[v].append(fi)
+        filed = Counter(pair for faces in long_at.values() for pair in combinations(faces, 2))
+        twice = [pair for pair, k in filed.items() if k > 2]
+        if twice:
+            fa, fb = min(twice)
+            raise _meet(facets[fa], facets[fb])
     return facets
 
 
@@ -456,8 +540,9 @@ def reconstruct(
     """Recover the facet list of a d-polytope from its 2-skeleton.
 
     At d = 3 the facets are the listed 2-faces and nothing is traced; with
-    ``check`` they must close into a sphere (see :func:`_two_faces`), so
-    the run is complete whatever the nonsimple vertices.
+    ``check`` they must be the 2-faces of a 3-polytope (see
+    :func:`_two_faces`), so the run is complete whatever the nonsimple
+    vertices.
 
     From d = 4 the run is complete whenever every facet contains at most
     d-2 nonsimple vertices.  With exactly d-1 nonsimple vertices in total,
@@ -502,7 +587,7 @@ def reconstruct(
       both; so the edge rule counts all its edges and keeps them out of
       any third 2-face, and at each vertex v of it the link holds one pair
       twice: a cycle of two, while N(v) has four vertices or more.  The
-      link rule refuses that.
+      link rule refuses that, and without ``check`` it comes back once.
     * Every region holds vertices of 0..n-1 (n >= 1: there is a simple
       vertex from d = 4, and n - |E| + |F| = 2 at d = 3), d >= 3, and the
       lists are sorted tuples in sorted order.

@@ -1024,12 +1024,15 @@ def _reference_two_faces(sk: KSkeleton, check: bool):
     """``recon2._two_faces`` by brute force: for each vertex in turn, every
     edge to a greater vertex counted over every 2-face, then the link
     built from sets and grown from the least neighbour; then the graph's
-    connectivity, taken from networkx, and Euler."""
+    connectivity, taken from networkx, and Euler; then the face rule,
+    every pair of 2-faces through each vertex of degree above 3 met as
+    sets, then every pair of 2-faces.  Unchecked, a 2-face listed twice
+    comes back once."""
     graph = sk.graph
     faces = [frozenset(f) for f in sk.two_faces]
     facets = tuple(sorted(tuple(sorted(f)) for f in faces))
     if not check:
-        return facets
+        return tuple(sorted(set(facets)))
     for v in range(graph.n):
         for w in graph.adj[v]:
             if w > v:
@@ -1058,6 +1061,24 @@ def _reference_two_faces(sk: KSkeleton, check: bool):
     n, e, f = graph.n, len(graph.edges), len(faces)
     if n - e + f != 2:
         raise NotASkeleton(f"n - |E| + |F| = {n} - {e} + {f} = {n - e + f}, not 2")
+
+    def meet(a, b):
+        common = tuple(sorted(set(a) & set(b)))
+        return NotASkeleton(f"2-faces {a} and {b} meet in {common}, not in one vertex or one edge")
+
+    # Through a vertex v of degree above 3 two 2-faces may share v and its
+    # neighbours only; then any two may share one vertex or one edge.
+    for v in range(graph.n):
+        if len(graph.adj[v]) > 3:
+            near = {v, *graph.adj[v]}
+            through = [a for a in facets if v in a]
+            for a, b in itertools.combinations(through, 2):
+                if (set(a) & set(b)) - near:
+                    raise meet(a, b)
+    for a, b in itertools.combinations(facets, 2):
+        common = set(a) & set(b)
+        if len(common) > 2 or (len(common) == 2 and not graph.has_edge(*common)):
+            raise meet(a, b)
     return facets
 
 

@@ -718,8 +718,19 @@ def _torus_faces(offset):
 _CUBE_SQUARES = [(0, 1, 3, 2), (4, 5, 7, 6), (0, 1, 5, 4), (2, 3, 7, 6), (0, 2, 6, 4), (1, 3, 7, 5)]
 _LINK = "the 2-faces through vertex 0 close into more than one cycle around it"
 
+
+def _cube_faces(labels):
+    """``_CUBE_SQUARES`` with vertex i named ``labels[i]``."""
+    return [tuple(labels[v] for v in f) for f in _CUBE_SQUARES]
+
+
+def _meet(f, g, common):
+    return f"2-faces {f} and {g} meet in {common}, not in one vertex or one edge"
+
+
 #: 2-skeletons at d = 3 that pass FrameGraph but do not close into a
-#: sphere: n, the 2-faces in cycle order, and the refusal.
+#: sphere, or close into one whose 2-faces no polytope has: n, the 2-faces
+#: in cycle order, and the refusal.
 NOT_A_SPHERE = {
     # The edge 01 lies in four 2-faces.
     "tetrahedra_on_an_edge": (6, [f for t in ((0, 1, 2, 3), (0, 1, 4, 5))
@@ -738,6 +749,22 @@ NOT_A_SPHERE = {
     # Beside a cube the sum is 2, and only the connectivity refuses it.
     "torus_beside_a_cube": (24, _CUBE_SQUARES + _torus_faces(8),
                             "vertex 8 is not connected to vertex 0"),
+    # Two cubes, their squares 0-1-3-2 and 0-8-3-9 cut along the diagonal
+    # 03 and joined crosswise: a sphere whose nonsimple vertices 0 and 3
+    # are not adjacent and cut the graph in two.  Only the face rule sees
+    # that the squares 0-1-3-8 and 0-2-3-9 meet in them.
+    "cubes_on_a_diagonal": (
+        14, _CUBE_SQUARES[1:] + _cube_faces((0, 8, 9, 3, 10, 11, 12, 13))[1:]
+        + [(0, 1, 3, 8), (0, 2, 3, 9)],
+        _meet((0, 1, 3, 8), (0, 2, 3, 9), (0, 3)),
+    ),
+    # Two cubes, each less an edge (01 and 89), joined by the edges 08 and
+    # 19: every vertex is simple, but the octagons meet in both new edges.
+    "cubes_joined_by_two_edges": (
+        16, [f for f in _CUBE_SQUARES + _cube_faces(range(8, 16)) if not {0, 1} <= set(f)
+             and not {8, 9} <= set(f)] + [(0, 2, 3, 1, 9, 11, 10, 8), (0, 4, 5, 1, 9, 13, 12, 8)],
+        _meet((0, 1, 2, 3, 8, 9, 10, 11), (0, 1, 4, 5, 8, 9, 12, 13), (0, 1, 8, 9)),
+    ),
 }
 
 
@@ -791,6 +818,23 @@ def test_octahedron_and_truncated_octahedron_give_their_facets_at_d3():
             for check in (True, False):
                 out = recon(sk, 3, check=check)
                 assert (out.status, out.facets) == ("complete", lat.facets)
+
+
+def test_d3_gives_a_two_face_listed_twice_once_unchecked():
+    """The octahedron's 2-skeleton with its least triangle listed again:
+    the edge rule refuses it, and unchecked both give back the 8
+    triangles, each once, as ``PolytopeSpec`` asks."""
+    lat = lattice_of(bipyramid(cube(2)))
+    sk = k_skeleton(lat, 2)
+    faces = sk.two_faces + (min(sk.two_faces),)
+    twice = KSkeleton(k=2, graph=sk.graph, faces_by_dim={2: faces})
+    assert min(sk.two_faces) == (0, 1, 4)
+    message = (NotASkeleton, "edge (0, 1) lies in 3 facets, not 2")
+    assert _outcome(reconstruct, twice, 3) == message
+    assert _outcome(reference_reconstruct, twice, 3) == message
+    for recon in (reconstruct, reference_reconstruct):
+        out = recon(twice, 3, check=False)
+        assert (out.status, out.facets) == ("complete", lat.facets)
 
 
 def test_d3_traces_no_frame(monkeypatch):

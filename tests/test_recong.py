@@ -49,7 +49,6 @@ from skelrecon.errors import (
     EmptyFamily,
     GraphMismatch,
     InconsistentCounts,
-    NotAnEdge,
     SkelreconError,
     TooLarge,
     TooManyNonsimple,
@@ -1270,17 +1269,14 @@ def test_truncation_route_answers_only_with_the_graphs_own_edges():
     assert sorted(map(vertices_of, lat.masks_of_rank(1))) == list(g.edges)
 
 
-@pytest.mark.xfail(
-    raises=NotAnEdge,
-    strict=True,
-    reason="ROADMAP item 2: the one-nonsimple route does not yet check its answer",
-)
 def test_reconstruct_answers_an_only_2_connected_graph_only_with_its_edges():
     """An 8-vertex graph that is only 2-connected, so no 3-polytope graph
     (Balinski): `reconstruct` at d = 3 must refuse it or return facets
-    whose lattice has exactly its edges as rank-1 faces.  Today it returns
-    six facets, among them (0, 3, 4, 5, 6, 7) and (1, 2, 3, 4, 6, 7), and
-    their lattice's graph() raises NotAnEdge on the rank-1 face (3, 4, 6, 7)."""
+    whose lattice has exactly its edges as rank-1 faces.  Its maximum
+    2-system holds (0, 3, 4, 5, 6, 7) and (1, 2, 3, 4, 6, 7), whose
+    lattice's graph() would raise NotAnEdge on the rank-1 face
+    (3, 4, 6, 7); recon2's face rule refuses the two 2-faces, as they
+    meet in two edges."""
     pairs = "0-1 0-6 0-7 1-6 1-7 2-3 2-4 2-5 3-5 3-6 4-5 4-7"
     g = Graph(8, [tuple(map(int, p.split("-"))) for p in pairs.split()])
     try:
