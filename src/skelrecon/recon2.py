@@ -24,14 +24,16 @@ the facet count picks one.  Beyond that the 2-skeleton need not determine
 the lattice, and a checked run refuses any other traced facet holding
 more than d-2 nonsimple vertices with ``TooManyNonsimple``.
 
-At d = 3 the facets are the 2-faces themselves, so nothing is traced:
-after :class:`FrameGraph` has checked the 2-faces, the listed ones are the
-answer.  A checked run asks that they close into a sphere: each edge
-lies in exactly two of them, the 2-faces through each nonsimple vertex
-close into one cycle around it, the graph is connected and
-n - |E| + |F| = 2.  Then it asks that any two 2-faces meet in nothing,
-one vertex or one edge, which makes the sphere polyhedral and so, by
-Steinitz, the boundary of a 3-polytope.  On an input with no nonsimple
+At d = 3 the facets are the 2-faces themselves, so nothing is traced and
+no :class:`FrameGraph` is built: one pass over the listed 2-faces checks
+what it would (each is an induced cycle, and each neighbour pair of a
+simple vertex lies in exactly one), and the listed ones are the answer.
+A checked run asks that they close into a sphere: each edge lies in
+exactly two of them, the 2-faces through each vertex close into one
+cycle around it, the graph is connected and n - |E| + |F| = 2.  Then
+it asks that any two 2-faces meet in nothing, one vertex or one edge,
+which makes the sphere polyhedral and so, by Steinitz, the boundary of a
+3-polytope.  On an input with no nonsimple
 vertex only the last three rules do any work: one walk of the graph, one
 count and one pass over the 2-faces of six vertices or more.
 """
@@ -81,7 +83,9 @@ class FrameGraph:
     and writes the two moves of each simple vertex on it, so each face is
     walked once.  A frame that an earlier face took is noted on the way
     and raises only after the length check, naming the first such vertex
-    in the face's own order.
+    in the face's own order.  When the skeleton is not ``canonical``, each
+    face is first checked to be nonempty, with its vertices in 0..n-1,
+    as the scratch indexed by vertex needs.
     """
 
     __slots__ = (
@@ -101,6 +105,7 @@ class FrameGraph:
         empty = 255 if d < 255 else 65535
         faces = skeleton.two_faces
         n = graph.n
+        canonical = skeleton.canonical
         if 2 * sum(map(len, faces)) >= n * d * (d - 1):
             table = bytearray(b"\xff") if d < 255 else array("H", [empty])
             step = table * (n * d * d)
@@ -122,6 +127,8 @@ class FrameGraph:
         taken: list[int] = []  # the current face's simple vertices whose frame was taken
         frames = 0  # the simple (vertex, face) pairs, each one frame written
         for fi, face in enumerate(faces):
+            if not canonical:
+                _check_face_vertices(face, n)
             for v in face:
                 mark[v] = fi
             size = len(face)
@@ -165,9 +172,7 @@ class FrameGraph:
                                 break
                     i = j = d
                 if b is None:
-                    raise NotASkeleton(
-                        f"2-face {tuple(sorted(face))} is not an induced cycle at {v}"
-                    )
+                    raise _not_a_cycle(face, v)
                 first[v] = a
                 second[v] = b
                 slot1[v] = i
@@ -367,30 +372,67 @@ def _regions(fg: FrameGraph, check: bool) -> list[tuple[int, ...]]:
     return regions
 
 
+def _check_face_vertices(face, n: int) -> None:
+    """Refuse a 2-face that is empty or holds a vertex outside 0..n-1,
+    naming the least such vertex.  A skeleton that is not ``canonical``
+    can list one, and the scratch indexed by vertex would read it wrong: a
+    vertex of n or more is out of its range, and a negative one stands
+    for another vertex.  Each 2-face is checked as its turn comes, so an
+    earlier 2-face's error comes first."""
+    if not face:
+        raise NotASkeleton("2-face () has no vertex")
+    if min(face) < 0 or max(face) >= n:
+        v = min(v for v in face if not 0 <= v < n)
+        raise NotASkeleton(f"2-face {tuple(sorted(face))} holds vertex {v} outside 0..{n - 1}")
+
+
+def _not_a_cycle(face, v: int) -> NotASkeleton:
+    return NotASkeleton(f"2-face {tuple(sorted(face))} is not an induced cycle at {v}")
+
+
 def _meet(f: tuple[int, ...], g: tuple[int, ...]) -> NotASkeleton:
     """The refusal of two 2-faces that meet in more than one vertex or edge."""
     common = tuple(sorted(set(f).intersection(g)))
     return NotASkeleton(f"2-faces {f} and {g} meet in {common}, not in one vertex or one edge")
 
 
-def _two_faces(fg: FrameGraph, check: bool) -> tuple[tuple[int, ...], ...]:
+def _two_faces(sk: KSkeleton, check: bool) -> tuple[tuple[int, ...], ...]:
     """The facets of a 3-polytope from its 2-skeleton: the listed 2-faces,
     sorted tuples in lexicographic order, a 2-face listed twice once.
 
-    :class:`FrameGraph` has checked that each 2-face is an induced cycle
-    and that each neighbour pair of a simple vertex lies in exactly one.
-    So a simple vertex lies in three 2-faces, one per pair, and each of its
-    edges in two.  With ``check`` the 2-faces must also close into a
-    sphere and meet as a polytope's do.  Each face F through a nonsimple
-    vertex v gives the pair N(v) & F, v's two neighbours on the cycle F:
-    met as two sets, at the cost of the smaller.  Those pairs are the
-    edges of v's link, a graph on N(v), in which w has one partner per
-    2-face through the edge vw.  So the edge rule reads its counts off the
-    links of the nonsimple ends, and once every neighbour of v has two
-    partners the link is a union of cycles, walked once to see that it is
-    one.  Both rules take the nonsimple vertices in ascending order, each
-    v's edges to greater nonsimple vertices before its link.  Then the
-    graph must be connected and n - |E| + |F| = 2.
+    One pass over the 2-faces, in the order listed, checks what
+    :class:`FrameGraph` checks at d = 3, with its flat per-vertex scratch:
+    a stamp, ``mark[v]``, the index of the last 2-face through v, and v's
+    two neighbours on the current 2-face.  A simple vertex finds them by
+    stamp among its 3 neighbours, and a nonsimple vertex scans whichever
+    side is smaller, its neighbours by stamp or the 2-face against its
+    neighbour set.  Each 2-face must be an induced cycle: each of its
+    vertices has two neighbours on it, and one walk around the cycle
+    through one of them meets them all (a 2-face of five distinct
+    vertices or fewer that passes the first test is one cycle, so a
+    ``canonical`` one is not walked).  A simple vertex's two neighbours
+    on the 2-face are a frame, marked in one byte per (vertex, neighbour
+    pair); a nonsimple vertex's are a link pair, kept for the rules below.
+    The errors are FrameGraph's, in its order: per 2-face, one that is
+    empty or holds a vertex outside 0..n-1 (only a skeleton that is not
+    ``canonical`` can list one), a vertex without two neighbours on it, a
+    union of cycles, then a frame that an earlier 2-face took, naming the
+    first such vertex in the 2-face's order; after the last 2-face, the
+    least frame that none took.
+
+    So at each simple vertex v the 2-faces through v hold each of its
+    three neighbour pairs once, and at each nonsimple v, with ``check``,
+    the link rule asks the same of its link pairs: in both cases the
+    2-faces through v close into one cycle around it.  Each edge then
+    lies in exactly two 2-faces.  The link pairs are the edges of v's link,
+    a graph on N(v), in which w has one partner per 2-face through the
+    edge vw.  So the edge rule reads its counts off the links of the
+    nonsimple ends (an edge with a simple end lies in two 2-faces, one
+    per frame at that end that holds the other), and once every neighbour
+    of v has two partners the link is a union of cycles, walked once to
+    see that it is one.  Both rules take the nonsimple vertices in
+    ascending order, each v's edges to greater nonsimple vertices before
+    its link.  Then the graph must be connected and n - |E| + |F| = 2.
 
     Last, the face rule: two 2-faces meet in nothing, one vertex or one
     edge.  A sphere map that keeps it is polyhedral, so its graph is
@@ -415,57 +457,138 @@ def _two_faces(fg: FrameGraph, check: bool) -> tuple[tuple[int, ...], ...]:
     vertices or more: linear in the 2-face lines when each 2-face holds
     at most d-2 = 1 nonsimple vertex, or is the largest at each of its
     nonsimple vertices but one, as on an antiprism.
+
+    The pass costs O(1) per simple (vertex, 2-face) pair and
+    O(min(deg, |F|)) per nonsimple one, and writes no move.  The 2-faces
+    are sorted only when the skeleton is not ``canonical``; when it is,
+    as ``parse_skeleton`` and ``k_skeleton`` give it, they are the answer
+    as listed.
     """
-    sk = fg.skeleton
-    listed = sorted([tuple(sorted(f)) for f in sk.two_faces])
-    if not check:
-        return tuple(dict.fromkeys(listed))
-    # Checked, a 2-face listed twice stays, for the link rule to refuse.
-    facets = tuple(listed)
     graph = sk.graph
     adj = graph.adj
     n = graph.n
-    nonsimple = fg.nonsimple
-    nsets = fg.neighbour_sets
-    # The 2-faces through each nonsimple vertex, by index, and as sets.
-    through: dict[int, list[int]] = {v: [] for v in nonsimple}
-    fsets: dict[int, frozenset[int]] = {}
-    if nonsimple:
-        links = {v: defaultdict(list) for v in nonsimple}
-        for fi, f in enumerate(facets):
-            inside = [v for v in f if v in nonsimple]
-            if inside:
-                fset = fsets[fi] = frozenset(f)
-                for v in inside:
-                    through[v].append(fi)
+    nonsimple = classify_vertices(graph, 3).nonsimple
+    listed = sk.two_faces
+    canonical = sk.canonical
+    mark = [-1] * n
+    first = [0] * n
+    second = [0] * n
+    # The frame at a simple v spanning its neighbours in slots i < j has
+    # the code 3v + i + j - 1; a nonsimple v roots none, so its codes are
+    # set from the start and the least unset code is the least gap.
+    covered = bytearray(3 * n)
+    nsets: dict[int, frozenset[int]] = {}
+    links: dict[int, defaultdict[int, list[int]]] = {}
+    through: dict[int, list[int]] = {}  # the 2-faces through each nonsimple v, by index
+    for v in nonsimple:
+        covered[3 * v : 3 * v + 3] = b"\x01\x01\x01"
+        links[v] = defaultdict(list)
+        through[v] = []
+    for fi, face in enumerate(listed):
+        if not canonical:
+            _check_face_vertices(face, n)
+        for v in face:
+            mark[v] = fi
+        size = len(face)
+        taken = None  # the face's first simple vertex whose frame was taken
+        for v in face:
+            nbrs = adj[v]
+            if len(nbrs) == 3:
+                x, y, z = nbrs
+                if mark[x] == fi:
+                    if mark[y] == fi:
+                        if mark[z] == fi:
+                            raise _not_a_cycle(face, v)
+                        a, b, code = x, y, 3 * v
+                    elif mark[z] == fi:
+                        a, b, code = x, z, 3 * v + 1
+                    else:
+                        raise _not_a_cycle(face, v)
+                elif mark[y] == fi and mark[z] == fi:
+                    a, b, code = y, z, 3 * v + 2
+                else:
+                    raise _not_a_cycle(face, v)
+                if covered[code]:
+                    if taken is None:
+                        taken = v
+                else:
+                    covered[code] = 1
+            else:
+                if len(nbrs) <= size:
+                    inside = [w for w in nbrs if mark[w] == fi]
+                else:
+                    # More neighbours than the face has vertices: a
+                    # repeated face vertex counts once, as it does by stamp.
                     nset = nsets.get(v)
                     if nset is None:
-                        nset = nsets[v] = frozenset(adj[v])
-                    a, b = nset & fset
-                    link = links[v]
-                    link[a].append(b)
-                    link[b].append(a)
-        for v in sorted(nonsimple):
-            link = links[v]
-            # An edge to a simple vertex lies in two 2-faces, and one to a
-            # lesser nonsimple vertex was counted there.
-            for w in adj[v]:
-                if w > v and w in nonsimple and len(link[w]) != 2:
-                    raise NotASkeleton(f"edge ({v}, {w}) lies in {len(link[w])} facets, not 2")
-            # So every neighbour has two partners: walk the cycle through one.
-            start = w = adj[v][0]
-            prev = None
-            length = 0
-            while True:
-                a, b = link[w]
-                prev, w = w, (b if a == prev else a)
+                        nset = nsets[v] = frozenset(nbrs)
+                    inside = list(dict.fromkeys([w for w in face if w in nset]))
+                if len(inside) != 2:
+                    raise _not_a_cycle(face, v)
+                a, b = inside
+                link = links[v]
+                link[a].append(b)
+                link[b].append(a)
+                through[v].append(fi)
+            first[v] = a
+            second[v] = b
+        # A 2-regular induced subgraph could still be a union of cycles,
+        # of six vertices or more, or list a vertex twice: walk the cycle
+        # through the last vertex and count its length.  A canonical face
+        # of five vertices or fewer lists each once, so it is one cycle.
+        if size > 5 or not canonical:
+            prev, w = v, first[v]
+            length = 1
+            while w != v:
+                a = first[w]
+                prev, w = w, (second[w] if a == prev else a)
                 length += 1
-                if w == start:
-                    break
-            if length != len(adj[v]):
-                raise NotASkeleton(
-                    f"the 2-faces through vertex {v} close into more than one cycle around it"
-                )
+            if length != size:
+                raise NotASkeleton(f"2-face {tuple(sorted(face))} is not a single cycle")
+        if taken is not None:
+            raise FrameNotInUniqueTwoFace(
+                f"2-frame ({taken}, {first[taken]}, {second[taken]}) lies in more than one 2-face"
+            )
+    gap = covered.find(0)
+    if gap >= 0:
+        v, pair = divmod(gap, 3)
+        a, b = (w for slot, w in enumerate(adj[v]) if slot != 2 - pair)
+        raise FrameNotInUniqueTwoFace(f"2-frame ({v}, {a}, {b}) lies in no 2-face")
+    if canonical:
+        facets = listed
+    else:
+        canon = [tuple(sorted(f)) for f in listed]
+        order = sorted(range(len(canon)), key=canon.__getitem__)
+        facets = tuple([canon[fi] for fi in order])
+        # The face rule reads the 2-faces through v by their sorted index.
+        index = [0] * len(order)
+        for k, fi in enumerate(order):
+            index[fi] = k
+        through = {v: sorted([index[fi] for fi in faces]) for v, faces in through.items()}
+    if not check:
+        return tuple(dict.fromkeys(facets))
+    # Checked, a 2-face listed twice stays, for the edge or link rule to refuse.
+    for v in sorted(nonsimple):
+        link = links[v]
+        # An edge to a simple vertex lies in two 2-faces, and one to a
+        # lesser nonsimple vertex was counted there.
+        for w in adj[v]:
+            if w > v and w in nonsimple and len(link[w]) != 2:
+                raise NotASkeleton(f"edge ({v}, {w}) lies in {len(link[w])} facets, not 2")
+        # So every neighbour has two partners: walk the cycle through one.
+        start = w = adj[v][0]
+        prev = None
+        length = 0
+        while True:
+            a, b = link[w]
+            prev, w = w, (b if a == prev else a)
+            length += 1
+            if w == start:
+                break
+        if length != len(adj[v]):
+            raise NotASkeleton(
+                f"the 2-faces through vertex {v} close into more than one cycle around it"
+            )
     seen = bytearray(n)
     reached = []
     if n:
@@ -488,7 +611,9 @@ def _two_faces(fg: FrameGraph, check: bool) -> tuple[tuple[int, ...], ...]:
     # and v of each 2-face through v are filed under the 2-faces that hold
     # them, but the largest 2-face's, which is met as a set.
     for v in sorted(nonsimple):
-        nset = nsets[v]
+        nset = nsets.get(v)
+        if nset is None:
+            nset = frozenset(adj[v])
         faces = through[v]
         big = max(faces, key=lambda fi: len(facets[fi]))
         holders = defaultdict(list)
@@ -497,7 +622,7 @@ def _two_faces(fg: FrameGraph, check: bool) -> tuple[tuple[int, ...], ...]:
                 for w in facets[fi]:
                     if w != v and w not in nset:
                         holders[w].append(fi)
-        bset = fsets[big]
+        bset = frozenset(facets[big])
         shared = []
         for w, held in holders.items():
             if w in bset:
@@ -539,10 +664,11 @@ def reconstruct(
 ) -> ReconstructionOutcome:
     """Recover the facet list of a d-polytope from its 2-skeleton.
 
-    At d = 3 the facets are the listed 2-faces and nothing is traced; with
-    ``check`` they must be the 2-faces of a 3-polytope (see
-    :func:`_two_faces`), so the run is complete whatever the nonsimple
-    vertices.
+    At d = 3 the facets are the listed 2-faces: nothing is traced and no
+    :class:`FrameGraph` is built, as :func:`_two_faces` checks the 2-faces
+    in one pass, with FrameGraph's errors in its order.  With ``check``
+    they must be the 2-faces of a 3-polytope, so the run is complete
+    whatever the nonsimple vertices.
 
     From d = 4 the run is complete whenever every facet contains at most
     d-2 nonsimple vertices.  With exactly d-1 nonsimple vertices in total,
@@ -597,9 +723,9 @@ def reconstruct(
     if parity_hint not in (None, "even", "odd"):
         raise ValueError("parity_hint must be 'even' or 'odd'")
     graph = sk.graph
-    fg = FrameGraph(sk, d)
     if d == 3:
-        return ReconstructionOutcome(_two_faces(fg, check), "complete")
+        return ReconstructionOutcome(_two_faces(sk, check), "complete")
+    fg = FrameGraph(sk, d)
     if not fg.simple:
         raise TooManyNonsimple(
             f"every vertex is nonsimple, so every facet holds more than d-2 = {d - 2} of them"

@@ -40,7 +40,7 @@ from skelrecon.errors import (
 )
 from skelrecon.graphs import mask_of, vertices_of
 from skelrecon.lattice import build_face_lattice
-from skelrecon.recon2 import _regions
+from skelrecon.recon2 import FrameGraph, _regions
 from skelrecon.textio import format_skeleton, parse_skeleton
 
 from conftest import fixture_corpus, lattice_of, pace, prism_pyramid_skeleton
@@ -71,6 +71,7 @@ def test_frame_graph_rejects_missing_two_face():
     broken = KSkeleton(k=2, graph=sk.graph, faces_by_dim={2: faces})
     with pytest.raises(FrameNotInUniqueTwoFace):
         build_frame_graph(broken, 3)
+    assert _outcome(reconstruct, broken, 3) == _outcome(build_frame_graph, broken, 3)
 
 
 def test_frame_graph_names_the_first_missing_frame():
@@ -85,6 +86,7 @@ def test_frame_graph_names_the_first_missing_frame():
         with pytest.raises(FrameNotInUniqueTwoFace) as exc:
             build_frame_graph(broken, 3)
         assert str(exc.value) == f"2-frame ({v}, {a}, {b}) lies in no 2-face"
+        assert _outcome(reconstruct, broken, 3) == (FrameNotInUniqueTwoFace, str(exc.value))
 
 
 def test_frame_graph_rejects_a_union_of_cycles():
@@ -95,6 +97,7 @@ def test_frame_graph_rejects_a_union_of_cycles():
     with pytest.raises(NotASkeleton) as exc:
         build_frame_graph(broken, 3)
     assert str(exc.value) == "2-face (0, 1, 2, 3, 4, 5) is not a single cycle"
+    assert _outcome(reconstruct, broken, 3) == (NotASkeleton, str(exc.value))
 
 
 def test_frame_graph_names_the_first_taken_frame_in_face_order():
@@ -113,6 +116,7 @@ def test_frame_graph_names_the_first_taken_frame_in_face_order():
     message = "2-frame (1, 2, 7) lies in more than one 2-face"
     assert _outcome(build_frame_graph, sk, 3) == (FrameNotInUniqueTwoFace, message)
     assert _outcome(PerFaceSetFrameGraph, sk, 3) == (FrameNotInUniqueTwoFace, message)
+    assert _outcome(reconstruct, sk, 3) == (FrameNotInUniqueTwoFace, message)
 
 
 def test_frame_graph_with_d_above_a_byte():
@@ -578,16 +582,17 @@ def test_relabeled_prism_pyramids_match_the_three_pass_reference(m):
 def test_reconstruct_peak_memory_on_the_m4096_prism():
     """Under tracemalloc, reconstruct on the relabeled m = 4096 prism
     2-skeleton peaks below 9.5 MB, the parsed skeleton it reads (2.2 MB)
-    included.  Measured on CPython 3.10-3.13: 3.98-4.01 MB with each
-    facet collected in a list under a per-vertex stamp and returned as a
-    sorted tuple, 4.96-5.00 MB with a set and a frozenset per facet.
-    Earlier, on CPython 3.11: 5.00 MB with the build's flat per-vertex
-    scratch (five lists of n entries), 4.97 MB with the set
-    and cycle dict per face it replaced, both with faces as vertex
-    tuples; 5.8-5.9 MB on CPython 3.10-3.13 while they were frozensets, and
-    6.6-6.7 MB while ``Graph`` kept a sorted edge tuple beside ``adj``.
-    The move table and the visited frames take one byte per slot; with an
-    int-keyed dict entry per move they peaked at 13.1 MB."""
+    included.  At d = 3 it builds no ``FrameGraph`` and traces no facet:
+    one pass over the 2-faces keeps three lists of n entries and one byte
+    per frame, and the answer is the parsed 2-faces.  Measured on CPython
+    3.11 and 3.13: 3.20 MB, and 4.17 MB while it built a ``FrameGraph``
+    (a byte per move slot, n*9, and five lists of n entries) before
+    reading off the 2-faces.  Earlier, while d = 3 traced its facets:
+    3.98-4.01 MB on CPython 3.10-3.13 with each facet collected in a list
+    under a per-vertex stamp, 4.96-5.00 MB with a set and a frozenset per
+    facet; 5.8-5.9 MB while faces were frozensets, 6.6-6.7 MB while
+    ``Graph`` kept a sorted edge tuple beside ``adj``, and 13.1 MB with an
+    int-keyed dict entry per move."""
     rng = random.Random("prism-memory")
     base = polygon_prism_skeleton(4096)
     perm = list(range(base.n))
@@ -849,6 +854,90 @@ def test_d3_traces_no_frame(monkeypatch):
     assert len(reconstruct(polygon_prism_skeleton(8), 3).facets) == 10
     with pytest.raises(AssertionError, match="traced"):
         reconstruct(prism_pyramid_skeleton(8), 4)
+
+
+def test_d3_builds_no_frame_graph(monkeypatch):
+    """At d = 3 the 2-faces are checked in one pass of their own: with
+    ``FrameGraph`` made to fail, prism(64), the octahedron, which has no
+    simple vertex, and skew_solid, with two nonadjacent nonsimple
+    vertices, still come back whole, checked or not, while pyramid(prism(8))
+    at d = 4 builds one."""
+
+    def no_frame_graph(self, skeleton, d):
+        raise AssertionError("FrameGraph built")
+
+    monkeypatch.setattr(FrameGraph, "__init__", no_frame_graph)
+    for spec in (polygon_prism(64), bipyramid(cube(2)), fixture_corpus()["skew_solid"]):
+        lat = lattice_of(spec)
+        for check in (True, False):
+            out = reconstruct(k_skeleton(lat, 2), 3, check=check)
+            assert (out.status, out.facets) == ("complete", lat.facets)
+    with pytest.raises(AssertionError, match="FrameGraph built"):
+        reconstruct(prism_pyramid_skeleton(8), 4)
+
+
+@pytest.mark.parametrize("name", ["cube3_open", "cube3_twice", "cube3_two_squares", "cube3_chord"])
+def test_d3_frame_errors_are_frame_graphs(name):
+    """The cube's 2-skeleton with a square dropped, listed twice, two
+    squares joined as one 2-face or a triangle across a diagonal, as the
+    CLI's golden files have them: ``reconstruct`` at d = 3, which builds no
+    ``FrameGraph``, raises the error that ``build_frame_graph`` raises,
+    parsed and with its faces relabeled as frozensets in shuffled order."""
+    from test_cli_recon2_golden import golden_inputs
+
+    sk, d = parse_skeleton(golden_inputs()[f"{name}.skel"])
+    assert d == 3
+    want = _outcome(build_frame_graph, sk, 3)
+    assert want[0] in (NotASkeleton, FrameNotInUniqueTwoFace)
+    assert _outcome(reconstruct, sk, 3) == want
+    rng = random.Random(f"frame-errors-{name}")
+    for _ in range(5):
+        faces = [frozenset(f) for f in sk.two_faces]
+        rng.shuffle(faces)
+        shuffled = KSkeleton(k=2, graph=sk.graph, faces_by_dim={2: tuple(faces)})
+        assert _outcome(reconstruct, shuffled, 3) == _outcome(build_frame_graph, shuffled, 3)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_a_two_face_off_the_vertices_is_refused(d):
+    """A hand-built skeleton of cube(d) with a 2-face that is empty or holds
+    a vertex outside 0..n-1 raises ``NotASkeleton`` naming it, both from
+    ``reconstruct`` and from ``build_frame_graph``, not ``StopIteration``,
+    ``IndexError`` or a read of another vertex through a negative index.
+    A 2-face listed before it that fails comes first."""
+    sk = skeleton_of(cube(d))
+    n = sk.n
+    cases = {
+        (): "2-face () has no vertex",
+        (0, 1, n): f"2-face (0, 1, {n}) holds vertex {n} outside 0..{n - 1}",
+        frozenset({n + 2, 1, 0}): f"2-face (0, 1, {n + 2}) holds vertex {n + 2} outside 0..{n - 1}",
+        (-1, 0, 1): f"2-face (-1, 0, 1) holds vertex -1 outside 0..{n - 1}",
+        (1, -2, 0, n): f"2-face (-2, 0, 1, {n}) holds vertex -2 outside 0..{n - 1}",
+    }
+    for face, message in cases.items():
+        bad = KSkeleton(k=2, graph=sk.graph, faces_by_dim={2: sk.two_faces + (face,)})
+        for fn in (reconstruct, build_frame_graph):
+            assert _outcome(fn, bad, d) == (NotASkeleton, message), (fn, face)
+        first = KSkeleton(k=2, graph=sk.graph, faces_by_dim={2: ((0, 1, 2),) + bad.two_faces})
+        earlier = (NotASkeleton, "2-face (0, 1, 2) is not an induced cycle at 1")
+        for fn in (reconstruct, build_frame_graph):
+            assert _outcome(fn, first, d) == earlier, (fn, face)
+
+
+def test_d3_answers_in_canonical_form_whatever_the_form_of_the_faces():
+    """The octahedron and skew_solid with their 2-faces listed as
+    frozensets or as unsorted tuples, in reverse order: checked or not, the
+    answer is the lattice's facets, sorted tuples in order."""
+    for spec in (bipyramid(cube(2)), fixture_corpus()["skew_solid"]):
+        lat = lattice_of(spec)
+        sk = k_skeleton(lat, 2)
+        for form in (frozenset, lambda f: tuple(reversed(f))):
+            faces = tuple(form(f) for f in reversed(sk.two_faces))
+            given_so = KSkeleton(k=2, graph=sk.graph, faces_by_dim={2: faces})
+            assert not given_so.canonical
+            for check in (True, False):
+                out = reconstruct(given_so, 3, check=check)
+                assert (out.status, out.facets) == ("complete", lat.facets)
 
 
 @pytest.mark.parametrize("name", sorted(fixture_corpus()))
