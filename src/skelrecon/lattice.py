@@ -199,17 +199,12 @@ class KSkeleton:
 
     ``faces_by_dim[r]`` holds the r-faces as sorted vertex tuples, in
     lexicographic order, as ``FaceLattice.layer`` and the text formats
-    give them.  ``canonical`` says that they are known to be so, each
-    vertex in 0..n-1: :func:`k_skeleton`, ``textio.parse_skeleton`` and
-    the constructions set it, and ``recon2`` then reads the faces as they
-    are.  A skeleton built with faces in any other form, frozensets or
-    unsorted, leaves it False, and ``recon2`` checks and sorts them.
+    give them.
     """
 
     k: int
     graph: Graph
     faces_by_dim: dict[int, tuple[tuple[int, ...], ...]] = field(default_factory=dict)
-    canonical: bool = field(default=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -342,8 +337,7 @@ def k_skeleton(lattice: FaceLattice, k: int) -> KSkeleton:
     """Restrict a lattice to the faces of dimension at most k."""
     edges = lattice.skeleton_masks(k)[1]
     faces_by_dim = {r: lattice.layer(r) for r in range(2, k + 1)}
-    graph = Graph(lattice.n, map(vertices_of, edges))
-    return KSkeleton(k=k, graph=graph, faces_by_dim=faces_by_dim, canonical=True)
+    return KSkeleton(k=k, graph=Graph(lattice.n, map(vertices_of, edges)), faces_by_dim=faces_by_dim)
 
 
 @dataclass(frozen=True)

@@ -83,9 +83,8 @@ class FrameGraph:
     and writes the two moves of each simple vertex on it, so each face is
     walked once.  A frame that an earlier face took is noted on the way
     and raises only after the length check, naming the first such vertex
-    in the face's own order.  When the skeleton is not ``canonical``, each
-    face is first checked to be nonempty, with its vertices in 0..n-1,
-    as the scratch indexed by vertex needs.
+    in the face's own order.  Each face is first checked to be nonempty,
+    with its vertices in 0..n-1, as the scratch indexed by vertex needs.
     """
 
     __slots__ = (
@@ -105,7 +104,6 @@ class FrameGraph:
         empty = 255 if d < 255 else 65535
         faces = skeleton.two_faces
         n = graph.n
-        canonical = skeleton.canonical
         if 2 * sum(map(len, faces)) >= n * d * (d - 1):
             table = bytearray(b"\xff") if d < 255 else array("H", [empty])
             step = table * (n * d * d)
@@ -127,8 +125,8 @@ class FrameGraph:
         taken: list[int] = []  # the current face's simple vertices whose frame was taken
         frames = 0  # the simple (vertex, face) pairs, each one frame written
         for fi, face in enumerate(faces):
-            if not canonical:
-                _check_face_vertices(face, n)
+            if not face or min(face) < 0 or max(face) >= n:
+                raise _off_the_vertices(face, n)
             for v in face:
                 mark[v] = fi
             size = len(face)
@@ -372,18 +370,17 @@ def _regions(fg: FrameGraph, check: bool) -> list[tuple[int, ...]]:
     return regions
 
 
-def _check_face_vertices(face, n: int) -> None:
-    """Refuse a 2-face that is empty or holds a vertex outside 0..n-1,
-    naming the least such vertex.  A skeleton that is not ``canonical``
-    can list one, and the scratch indexed by vertex would read it wrong: a
-    vertex of n or more is out of its range, and a negative one stands
-    for another vertex.  Each 2-face is checked as its turn comes, so an
+def _off_the_vertices(face, n: int) -> NotASkeleton:
+    """The refusal of a 2-face that is empty or holds a vertex outside
+    0..n-1, naming the least such vertex.  A hand-built skeleton can list
+    one, and the scratch indexed by vertex would read it wrong: a vertex
+    of n or more is out of its range, and a negative one stands for
+    another vertex.  Each 2-face is checked as its turn comes, so an
     earlier 2-face's error comes first."""
     if not face:
-        raise NotASkeleton("2-face () has no vertex")
-    if min(face) < 0 or max(face) >= n:
-        v = min(v for v in face if not 0 <= v < n)
-        raise NotASkeleton(f"2-face {tuple(sorted(face))} holds vertex {v} outside 0..{n - 1}")
+        return NotASkeleton("2-face () has no vertex")
+    v = min(v for v in face if not 0 <= v < n)
+    return NotASkeleton(f"2-face {tuple(sorted(face))} holds vertex {v} outside 0..{n - 1}")
 
 
 def _not_a_cycle(face, v: int) -> NotASkeleton:
@@ -408,14 +405,16 @@ def _two_faces(sk: KSkeleton, check: bool) -> tuple[tuple[int, ...], ...]:
     side is smaller, its neighbours by stamp or the 2-face against its
     neighbour set.  Each 2-face must be an induced cycle: each of its
     vertices has two neighbours on it, and one walk around the cycle
-    through one of them meets them all (a 2-face of five distinct
-    vertices or fewer that passes the first test is one cycle, so a
-    ``canonical`` one is not walked).  A simple vertex's two neighbours
-    on the 2-face are a frame, marked in one byte per (vertex, neighbour
-    pair); a nonsimple vertex's are a link pair, kept for the rules below.
-    The errors are FrameGraph's, in its order: per 2-face, one that is
-    empty or holds a vertex outside 0..n-1 (only a skeleton that is not
-    ``canonical`` can list one), a vertex without two neighbours on it, a
+    through one of them meets them all.  A 2-face of five vertices or
+    fewer that passes the first test is one cycle unless it lists a vertex
+    twice, and a simple vertex listed twice finds its frame taken the
+    second time; so such a 2-face is walked only when it has a nonsimple
+    vertex or a taken frame.  A simple vertex's two neighbours on the
+    2-face are a frame, marked in one byte per (vertex, neighbour pair);
+    a nonsimple vertex's are a link pair, kept for the rules below.  The
+    errors are FrameGraph's, in its order: per 2-face, one that is empty
+    or holds a vertex outside 0..n-1 (only a hand-built skeleton can list
+    one: the parser refuses it), a vertex without two neighbours on it, a
     union of cycles, then a frame that an earlier 2-face took, naming the
     first such vertex in the 2-face's order; after the last 2-face, the
     least frame that none took.
@@ -451,25 +450,26 @@ def _two_faces(sk: KSkeleton, check: bool) -> tuple[tuple[int, ...], ...]:
     simple vertices or more, while any other pair of 2-faces through a
     simple vertex meets in one edge and is filed at two at most; the
     least pair filed more often is named.  Each rule raises
-    ``NotASkeleton``.  The largest 2-face through v is met as a set
-    rather than filed, so the filing costs the sizes of the other 2-faces
-    through each nonsimple vertex, and the size of the 2-faces of six
-    vertices or more: linear in the 2-face lines when each 2-face holds
-    at most d-2 = 1 nonsimple vertex, or is the largest at each of its
-    nonsimple vertices but one, as on an antiprism.
+    ``NotASkeleton``.  The largest 2-face through v is met as a set, built
+    once per 2-face, rather than filed.  So the filing costs, at each
+    nonsimple v, the sizes of the other 2-faces through v, and among the
+    simple vertices the sizes of the 2-faces of six vertices or more.  On
+    an m-antiprism that is linear in m: each m-gon is the largest 2-face
+    at each of its vertices, and each triangle is filed at three.
 
     The pass costs O(1) per simple (vertex, 2-face) pair and
-    O(min(deg, |F|)) per nonsimple one, and writes no move.  The 2-faces
-    are sorted only when the skeleton is not ``canonical``; when it is,
-    as ``parse_skeleton`` and ``k_skeleton`` give it, they are the answer
-    as listed.
+    O(min(deg, |F|)) per nonsimple one, and writes no move.  Each 2-face
+    is sorted into a tuple once, before the pass: the range check reads
+    its least and greatest vertex there, and the answer is those tuples
+    in order.
     """
     graph = sk.graph
     adj = graph.adj
     n = graph.n
     nonsimple = classify_vertices(graph, 3).nonsimple
     listed = sk.two_faces
-    canonical = sk.canonical
+    # Each 2-face as a sorted tuple, in the order listed.
+    canon = [tuple(sorted(f)) for f in listed]
     mark = [-1] * n
     first = [0] * n
     second = [0] * n
@@ -485,12 +485,14 @@ def _two_faces(sk: KSkeleton, check: bool) -> tuple[tuple[int, ...], ...]:
         links[v] = defaultdict(list)
         through[v] = []
     for fi, face in enumerate(listed):
-        if not canonical:
-            _check_face_vertices(face, n)
+        cf = canon[fi]
+        if not cf or cf[0] < 0 or cf[-1] >= n:
+            raise _off_the_vertices(cf, n)
         for v in face:
             mark[v] = fi
         size = len(face)
         taken = None  # the face's first simple vertex whose frame was taken
+        walk = size > 5  # see below
         for v in face:
             nbrs = adj[v]
             if len(nbrs) == 3:
@@ -526,6 +528,7 @@ def _two_faces(sk: KSkeleton, check: bool) -> tuple[tuple[int, ...], ...]:
                 if len(inside) != 2:
                     raise _not_a_cycle(face, v)
                 a, b = inside
+                walk = True
                 link = links[v]
                 link[a].append(b)
                 link[b].append(a)
@@ -534,9 +537,10 @@ def _two_faces(sk: KSkeleton, check: bool) -> tuple[tuple[int, ...], ...]:
             second[v] = b
         # A 2-regular induced subgraph could still be a union of cycles,
         # of six vertices or more, or list a vertex twice: walk the cycle
-        # through the last vertex and count its length.  A canonical face
-        # of five vertices or fewer lists each once, so it is one cycle.
-        if size > 5 or not canonical:
+        # through the last vertex and count its length.  A simple vertex
+        # listed twice finds its frame taken the second time, so a face of
+        # five vertices or fewer, all simple and none taken, is one cycle.
+        if walk or taken is not None:
             prev, w = v, first[v]
             length = 1
             while w != v:
@@ -544,7 +548,7 @@ def _two_faces(sk: KSkeleton, check: bool) -> tuple[tuple[int, ...], ...]:
                 prev, w = w, (second[w] if a == prev else a)
                 length += 1
             if length != size:
-                raise NotASkeleton(f"2-face {tuple(sorted(face))} is not a single cycle")
+                raise NotASkeleton(f"2-face {cf} is not a single cycle")
         if taken is not None:
             raise FrameNotInUniqueTwoFace(
                 f"2-frame ({taken}, {first[taken]}, {second[taken]}) lies in more than one 2-face"
@@ -554,17 +558,7 @@ def _two_faces(sk: KSkeleton, check: bool) -> tuple[tuple[int, ...], ...]:
         v, pair = divmod(gap, 3)
         a, b = (w for slot, w in enumerate(adj[v]) if slot != 2 - pair)
         raise FrameNotInUniqueTwoFace(f"2-frame ({v}, {a}, {b}) lies in no 2-face")
-    if canonical:
-        facets = listed
-    else:
-        canon = [tuple(sorted(f)) for f in listed]
-        order = sorted(range(len(canon)), key=canon.__getitem__)
-        facets = tuple([canon[fi] for fi in order])
-        # The face rule reads the 2-faces through v by their sorted index.
-        index = [0] * len(order)
-        for k, fi in enumerate(order):
-            index[fi] = k
-        through = {v: sorted([index[fi] for fi in faces]) for v, faces in through.items()}
+    facets = tuple(sorted(canon))
     if not check:
         return tuple(dict.fromkeys(facets))
     # Checked, a 2-face listed twice stays, for the edge or link rule to refuse.
@@ -610,28 +604,30 @@ def _two_faces(sk: KSkeleton, check: bool) -> tuple[tuple[int, ...], ...]:
     # The face rule through each nonsimple v: the vertices outside N(v)
     # and v of each 2-face through v are filed under the 2-faces that hold
     # them, but the largest 2-face's, which is met as a set.
+    bsets: dict[int, frozenset[int]] = {}
     for v in sorted(nonsimple):
         nset = nsets.get(v)
         if nset is None:
             nset = frozenset(adj[v])
         faces = through[v]
-        big = max(faces, key=lambda fi: len(facets[fi]))
+        big = max(faces, key=lambda fi: len(canon[fi]))
         holders = defaultdict(list)
         for fi in faces:
             if fi != big:
-                for w in facets[fi]:
+                for w in canon[fi]:
                     if w != v and w not in nset:
-                        holders[w].append(fi)
-        bset = frozenset(facets[big])
+                        holders[w].append(canon[fi])
+        bset = bsets.get(big)
+        if bset is None:
+            bset = bsets[big] = frozenset(canon[big])
         shared = []
         for w, held in holders.items():
             if w in bset:
-                held = sorted(held + [big])
+                held = held + [canon[big]]
             if len(held) > 1:
-                shared.append(held[:2])
+                shared.append(sorted(held)[:2])
         if shared:
-            fa, fb = min(shared)
-            raise _meet(facets[fa], facets[fb])
+            raise _meet(*min(shared))
     # Two 2-faces that meet in two edges with simple ends each hold six
     # vertices or more: each of the two arcs between the edges holds a
     # vertex, or a simple end of one edge would have the same two

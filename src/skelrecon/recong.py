@@ -757,8 +757,7 @@ def reconstruct(
     nonsimple = sorted(classify_vertices(g, d).nonsimple)
     if len(nonsimple) <= 1:
         faces = max_two_system(g, d, nonsimple)
-        sk = KSkeleton(k=2, graph=g, faces_by_dim={2: faces}, canonical=True)
-        facets = recon2.reconstruct(sk, d).facets
+        facets = recon2.reconstruct(KSkeleton(k=2, graph=g, faces_by_dim={2: faces}), d).facets
         return GraphReconstruction(facets, (f"two-system size {len(faces)}",))
     if len(nonsimple) > 2:
         raise TooManyNonsimple(

@@ -198,8 +198,7 @@ def parse_skeleton(text: str) -> tuple[KSkeleton, int]:
     """Parse a skeleton file; returns (skeleton, polytope dimension)."""
     d, _, _, graph, faces = _read("skeleton", text)
     faces_by_dim = {r: tuple(sorted(fs)) for r, fs in faces.items()}
-    k = max(faces, default=1)
-    return KSkeleton(k=k, graph=graph, faces_by_dim=faces_by_dim, canonical=True), d
+    return KSkeleton(k=max(faces, default=1), graph=graph, faces_by_dim=faces_by_dim), d
 
 
 def format_edge_list(g: Graph) -> str:

@@ -584,10 +584,12 @@ def test_reconstruct_peak_memory_on_the_m4096_prism():
     2-skeleton peaks below 9.5 MB, the parsed skeleton it reads (2.2 MB)
     included.  At d = 3 it builds no ``FrameGraph`` and traces no facet:
     one pass over the 2-faces keeps three lists of n entries and one byte
-    per frame, and the answer is the parsed 2-faces.  Measured on CPython
-    3.11 and 3.13: 3.20 MB, and 4.17 MB while it built a ``FrameGraph``
-    (a byte per move slot, n*9, and five lists of n entries) before
-    reading off the 2-faces.  Earlier, while d = 3 traced its facets:
+    per frame, and the answer is the 2-faces sorted anew into tuples.
+    Measured on CPython 3.10-3.13: 3.62-3.63 MB; 3.20 MB on CPython 3.11
+    and 3.13 while the parsed 2-faces were given back as they are, and
+    4.17 MB while it built a ``FrameGraph`` (a byte per move slot, n*9,
+    and five lists of n entries) before reading off the 2-faces.
+    Earlier, while d = 3 traced its facets:
     3.98-4.01 MB on CPython 3.10-3.13 with each facet collected in a list
     under a per-vertex stamp, 4.96-5.00 MB with a set and a frozenset per
     facet; 5.8-5.9 MB while faces were frozensets, 6.6-6.7 MB while
@@ -777,7 +779,8 @@ NOT_A_SPHERE = {
 def test_d3_refuses_two_faces_that_do_not_close_into_a_sphere(name):
     """A checked run, and the reference's, refuse each skeleton of
     ``NOT_A_SPHERE`` with its message; unchecked, both give back its
-    2-faces."""
+    2-faces.  ``reconstruct`` does so too with the 2-faces listed as
+    frozensets in reverse order."""
     n, faces, message = NOT_A_SPHERE[name]
     edges = sorted({tuple(sorted(e)) for f in faces for e in zip(f, f[1:] + f[:1])})
     two_faces = tuple(sorted(tuple(sorted(f)) for f in faces))
@@ -787,6 +790,11 @@ def test_d3_refuses_two_faces_that_do_not_close_into_a_sphere(name):
     for recon in (reconstruct, reference_reconstruct):
         out = recon(sk, 3, check=False)
         assert (out.status, out.facets) == ("complete", two_faces)
+    reversed_sets = tuple(frozenset(f) for f in reversed(two_faces))
+    unsorted = KSkeleton(k=2, graph=sk.graph, faces_by_dim={2: reversed_sets})
+    assert _outcome(reconstruct, unsorted, 3) == (NotASkeleton, message)
+    out = reconstruct(unsorted, 3, check=False)
+    assert (out.status, out.facets) == ("complete", two_faces)
 
 
 def truncated_octahedron():
@@ -924,6 +932,70 @@ def test_a_two_face_off_the_vertices_is_refused(d):
             assert _outcome(fn, first, d) == earlier, (fn, face)
 
 
+@pytest.mark.parametrize("spec, face", [(polygon_prism(3), (0, 1, 2, 0)),
+                                        (bipyramid(cube(2)), (4, 0, 2, 4))])
+def test_d3_refuses_a_two_face_that_lists_a_vertex_twice(spec, face):
+    """A triangle of the triangular prism, all of whose vertices are
+    simple, or of the octahedron, none of whose vertices are, listed with
+    a vertex twice: each vertex has two neighbours on it, but its cycle is
+    shorter than the 2-face.  ``reconstruct`` at d = 3, checked or not,
+    raises what ``build_frame_graph`` raises."""
+    sk = k_skeleton(lattice_of(spec), 2)
+    triangle = tuple(sorted(set(face)))
+    faces = tuple(face if f == triangle else f for f in sk.two_faces)
+    assert faces != sk.two_faces
+    bad = KSkeleton(k=2, graph=sk.graph, faces_by_dim={2: faces})
+    want = (NotASkeleton, f"2-face {tuple(sorted(face))} is not a single cycle")
+    assert _outcome(build_frame_graph, bad, 3) == want
+    for check in (True, False):
+        assert _outcome(reconstruct, bad, 3, check=check) == want
+
+
+def _antiprism_skeleton(m: int) -> KSkeleton:
+    """The 2-skeleton of the m-antiprism: the m-gons 0..m-1 and m..2m-1
+    joined by a band of 2m triangles, every vertex of degree 4."""
+    edges = []
+    faces = [tuple(range(m)), tuple(range(m, 2 * m))]
+    for i in range(m):
+        j = (i + 1) % m
+        edges += [(i, j), (m + i, m + j), (i, m + i), (i, m + j)]
+        faces += [(i, j, m + j), (i, m + i, m + j)]
+    return KSkeleton(k=2, graph=Graph(2 * m, edges),
+                     faces_by_dim={2: tuple(sorted(tuple(sorted(f)) for f in faces))})
+
+
+def test_d3_is_linear_on_antiprisms():
+    """Relabeled 2-skeletons of the m-antiprism, m = 512..4096, d = 3:
+    every vertex is nonsimple, and each m-gon is the largest 2-face at
+    each of its m vertices.  The face rule meets that m-gon as a set built
+    once, so reconstruct is linear in m, and each doubling of m must scale
+    its pace-scaled median time by 1.3 to 2.7.  Building the set anew at
+    each vertex made the run quadratic."""
+    sizes = (512, 1024, 2048, 4096)
+    rng = random.Random("antiprism-scaling")
+    skeletons = [_relabeling(_antiprism_skeleton(m), rng) for m in sizes]
+    for sk in skeletons:
+        reconstruct(sk, 3)  # warm-up
+    times = [[] for _ in sizes]
+    gc.disable()
+    try:
+        before = pace()
+        for _ in range(5):
+            for m, sk, runs in zip(sizes, skeletons, times):
+                start = time.perf_counter()
+                out = reconstruct(sk, 3)
+                wall = time.perf_counter() - start
+                after = pace()
+                runs.append(wall / (before + after))
+                before = after
+                assert len(out.facets) == 2 * m + 2
+    finally:
+        gc.enable()
+    medians = [statistics.median(runs) for runs in times]
+    ratios = [b / a for a, b in zip(medians, medians[1:])]
+    assert all(1.3 <= r <= 2.7 for r in ratios), ratios
+
+
 def test_d3_answers_in_canonical_form_whatever_the_form_of_the_faces():
     """The octahedron and skew_solid with their 2-faces listed as
     frozensets or as unsorted tuples, in reverse order: checked or not, the
@@ -934,7 +1006,6 @@ def test_d3_answers_in_canonical_form_whatever_the_form_of_the_faces():
         for form in (frozenset, lambda f: tuple(reversed(f))):
             faces = tuple(form(f) for f in reversed(sk.two_faces))
             given_so = KSkeleton(k=2, graph=sk.graph, faces_by_dim={2: faces})
-            assert not given_so.canonical
             for check in (True, False):
                 out = reconstruct(given_so, 3, check=check)
                 assert (out.status, out.facets) == ("complete", lat.facets)
