@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from . import constructions as cons
 from . import recon2, recong, textio
@@ -46,13 +46,11 @@ def _emit(text: str, out: str | None):
 MAX_GEN_VERTICES = 1 << 16
 
 
-class _Family(NamedTuple):
+class _Family(namedtuple("_Family", "least_dim vertex_count build")):
     """A ``gen`` family: the least ``--dim`` it reads (None if it reads
     ``--m``), its vertex count found without building it, and its builder."""
 
-    least_dim: int | None
-    vertex_count: Callable[[argparse.Namespace], int]
-    build: Callable[[argparse.Namespace], cons.PolytopeSpec]
+    __slots__ = ()
 
 
 _GEN_FAMILIES = {

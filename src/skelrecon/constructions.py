@@ -14,7 +14,7 @@ pullback that inverts it on facet lists.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     CutFacetMissing,
@@ -26,16 +26,14 @@ from .graphs import Graph, mask_of, vertices_of
 from .lattice import FaceLattice, KSkeleton, PolytopeSpec
 
 
-@dataclass(frozen=True)
-class LabeledConstruction:
+class LabeledConstruction(namedtuple("LabeledConstruction", "spec x_set")):
     """A generated spec plus the labels its construction distinguishes.
 
     For the twin families, x_set is the set of even labels except 0; these
     are exactly the nonsimple vertices.
     """
 
-    spec: PolytopeSpec
-    x_set: frozenset[int]
+    __slots__ = ()
 
 
 def _twin(d: int, caps: list[set[int]]) -> LabeledConstruction:
@@ -167,8 +165,11 @@ def multifold_pyramid(base: PolytopeSpec, t: int) -> PolytopeSpec:
     return spec
 
 
-@dataclass(frozen=True)
-class TruncationMap:
+class TruncationMap(
+    namedtuple(
+        "TruncationMap", "face old_to_new new_from_edge face_was_facet", defaults=(False,)
+    )
+):
     """The labeling of one truncation, kept once for every caller.
 
     ``old_to_new`` relabels the surviving vertices, in their relative
@@ -179,10 +180,7 @@ class TruncationMap:
     it; ``face_was_facet`` records that.  The rest is read off these.
     """
 
-    face: tuple[int, ...]
-    old_to_new: dict[int, int]
-    new_from_edge: dict[tuple[int, int], int]
-    face_was_facet: bool = False
+    __slots__ = ()
 
     @property
     def n(self) -> int:

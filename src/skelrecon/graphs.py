@@ -1,4 +1,4 @@
-"""Undirected graphs, acyclic orientations, frames, and orientation costs.
+"""Undirected graphs, acyclic orientations, and orientation costs.
 
 A vertex set is an int bitmask, bit v for vertex v: adjacency, induced
 cycles, candidate facets and the sets of the DPs alike.  The two helpers
@@ -16,8 +16,8 @@ orientations never mutate after construction.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import EmptyFamily, TooLarge
 
@@ -69,8 +69,8 @@ class Graph:
             nbrs[v].append(u)
         self.n = n
         self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, map(sorted, map(set, nbrs))))
-        self._edges: Optional[tuple[tuple[int, int], ...]] = None
-        self._masks: Optional[tuple[int, ...]] = None
+        self._edges: tuple[tuple[int, int], ...] | None = None
+        self._masks: tuple[int, ...] | None = None
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -157,7 +157,7 @@ def check_enumeration_bound(n: int, force: bool = False) -> None:
 
 def enumerate_acyclic_orientations(
     g: Graph,
-    predicate: Optional[Callable[[Orientation], bool]] = None,
+    predicate: Callable[[Orientation], bool] | None = None,
     *,
     first: tuple[int, ...] = (),
     last: tuple[int, ...] = (),
@@ -415,7 +415,7 @@ def induced_cycles(g: Graph) -> list[int]:
     return sorted(found, key=lambda c: (c.bit_count(), vertices_of(c)))
 
 
-def shortest_frame_cycle(g: Graph, w: int, a: int, b: int) -> Optional[tuple[int, ...]]:
+def shortest_frame_cycle(g: Graph, w: int, a: int, b: int) -> tuple[int, ...] | None:
     """A shortest chordless cycle through the path a-w-b, as its vertices
     in the order they lie on it, from w and a to b; None when there is
     none.
@@ -463,7 +463,7 @@ def shortest_frame_cycle(g: Graph, w: int, a: int, b: int) -> Optional[tuple[int
 
 def two_face_witness(
     g: Graph, sources: tuple[int, ...], size: int
-) -> Optional[tuple[int, ...]]:
+) -> tuple[int, ...] | None:
     """A vertex order whose two-face score equals ``size``, the number of
     cycles of a cover, or None.
 

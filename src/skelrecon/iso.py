@@ -16,16 +16,14 @@ item 12).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from collections import namedtuple
 
 from .errors import KindMismatch
 from .graphs import Graph, mask_of, vertices_of
 from .lattice import FaceLattice, KSkeleton
 
 
-@dataclass(frozen=True)
-class IsoResult:
+class IsoResult(namedtuple("IsoResult", "isomorphic witness obstruction", defaults=(None, None))):
     """Outcome of an isomorphism test.
 
     ``witness`` maps vertex v of the first object to witness[v] in the
@@ -33,13 +31,11 @@ class IsoResult:
     the verdict is negative.
     """
 
-    isomorphic: bool
-    witness: Optional[tuple[int, ...]] = None
-    obstruction: Optional[str] = None
+    __slots__ = ()
 
 
 def _layers(
-    obj: Union[KSkeleton, FaceLattice], rank: Optional[int]
+    obj: KSkeleton | FaceLattice, rank: int | None
 ) -> tuple[tuple, int, dict[int, list[int]]]:
     """Normalise to (kind tag, n, {rank: face masks}) with rank >= 1 layers.
 
@@ -59,7 +55,7 @@ def _layers(
     raise KindMismatch(f"cannot compare objects of type {type(obj).__name__}")
 
 
-def _graph(obj: Union[KSkeleton, FaceLattice]) -> Graph:
+def _graph(obj: KSkeleton | FaceLattice) -> Graph:
     """The graph of a skeleton or lattice; NotAnEdge names a rank-1 face
     of a lattice that is not a vertex pair."""
     return obj.graph() if isinstance(obj, FaceLattice) else obj.graph
@@ -105,9 +101,9 @@ def _verified(faces_a, masks_b, mapping: tuple[int, ...]) -> bool:
 
 
 def isomorphic(
-    a: Union[KSkeleton, FaceLattice],
-    b: Union[KSkeleton, FaceLattice],
-    rank: Optional[int] = None,
+    a: KSkeleton | FaceLattice,
+    b: KSkeleton | FaceLattice,
+    rank: int | None = None,
 ) -> IsoResult:
     """Decide isomorphism exactly; returns a verified witness or an obstruction.
 

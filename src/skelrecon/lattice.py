@@ -21,11 +21,11 @@ checks read the masks and single layers, never the full views.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import defaultdict, namedtuple
+from collections.abc import Iterable
 from itertools import groupby
 from operator import eq
-from typing import Iterable, Optional, Union
+from types import MappingProxyType
 
 from .errors import DegreeBelowDimension, NotAnEdge, NotGraded, RankOutOfRange
 from .graphs import Graph, k_connected, mask_of, vertices_of
@@ -121,7 +121,7 @@ class FaceLattice:
         self.boolean = boolean
         self.covers = covers
         self.ranks = ranks
-        self._by_rank: Optional[dict[int, list[int]]] = None
+        self._by_rank: dict[int, list[int]] | None = None
         self._layers: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def is_face(self, mask: int) -> bool:
@@ -193,18 +193,17 @@ class FaceLattice:
         return f"FaceLattice(d={self.d}, n={self.n}, f={self.f_vector})"
 
 
-@dataclass(frozen=True)
-class KSkeleton:
+class KSkeleton(
+    namedtuple("KSkeleton", "k graph faces_by_dim", defaults=(MappingProxyType({}),))
+):
     """A graph together with all faces of dimension 2..k.
 
     ``faces_by_dim[r]`` holds the r-faces as sorted vertex tuples, in
     lexicographic order, as ``FaceLattice.layer`` and the text formats
-    give them.
+    give them.  It defaults to an empty read-only mapping.
     """
 
-    k: int
-    graph: Graph
-    faces_by_dim: dict[int, tuple[tuple[int, ...], ...]] = field(default_factory=dict)
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -340,13 +339,10 @@ def k_skeleton(lattice: FaceLattice, k: int) -> KSkeleton:
     return KSkeleton(k=k, graph=Graph(lattice.n, map(vertices_of, edges)), faces_by_dim=faces_by_dim)
 
 
-@dataclass(frozen=True)
-class VertexClasses:
-    simple: frozenset[int]
-    nonsimple: frozenset[int]
+VertexClasses = namedtuple("VertexClasses", "simple nonsimple")
 
 
-def classify_vertices(obj: Union[FaceLattice, Graph], d: Optional[int] = None) -> VertexClasses:
+def classify_vertices(obj: FaceLattice | Graph, d: int | None = None) -> VertexClasses:
     """Partition vertices into simple (degree d) and nonsimple (degree > d).
 
     Accepts a lattice (dimension taken from it) or a bare graph plus d.
@@ -376,28 +372,27 @@ def classify_vertices(obj: Union[FaceLattice, Graph], d: Optional[int] = None) -
     return VertexClasses(simple, nonsimple)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+CheckResult = namedtuple("CheckResult", "name passed detail")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(namedtuple("ValidationReport", "checks")):
     """Pass/fail results of the necessary-condition checks.
 
     These checks are necessary for polytopality, never sufficient; a clean
     report does not certify that the incidence comes from a polytope.
+    ``report[name]`` is the check of that name; an int or slice indexes
+    the tuple as usual.
     """
 
-    checks: tuple[CheckResult, ...]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def __getitem__(self, name: str) -> CheckResult:
+        if not isinstance(name, str):
+            return tuple.__getitem__(self, name)
         for c in self.checks:
             if c.name == name:
                 return c

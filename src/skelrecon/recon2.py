@@ -41,10 +41,8 @@ count and one pass over the 2-faces of six vertices or more.
 from __future__ import annotations
 
 from array import array
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import Counter, defaultdict, namedtuple
 from itertools import chain, combinations
-from typing import Optional
 
 from .errors import FrameNotInUniqueTwoFace, NotASkeleton, TooManyNonsimple
 from .graphs import is_feasible, mask_of
@@ -231,18 +229,15 @@ def build_frame_graph(sk: KSkeleton, d: int) -> FrameGraph:
     return FrameGraph(sk, d)
 
 
-@dataclass(frozen=True)
-class Ambiguity:
+class Ambiguity(namedtuple("Ambiguity", "region_a region_b merged completions")):
     """The two-way completion left open by a separating nonsimple set."""
 
-    region_a: tuple[int, ...]
-    region_b: tuple[int, ...]
-    merged: tuple[int, ...]
-    completions: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ReconstructionOutcome:
+class ReconstructionOutcome(
+    namedtuple("ReconstructionOutcome", "facets status ambiguity", defaults=(None,))
+):
     """Facet list plus completion status of one reconstruction run.
 
     When status is "ambiguous", ``facets`` is empty and both candidate
@@ -250,9 +245,7 @@ class ReconstructionOutcome:
     second).
     """
 
-    facets: tuple[tuple[int, ...], ...]
-    status: str
-    ambiguity: Optional[Ambiguity] = None
+    __slots__ = ()
 
 
 def _facet(fg: FrameGraph, root: int, slot: int, t: int, scratch, check) -> tuple[int, ...]:
@@ -655,7 +648,7 @@ def _two_faces(sk: KSkeleton, check: bool) -> tuple[tuple[int, ...], ...]:
 def reconstruct(
     sk: KSkeleton,
     d: int,
-    parity_hint: Optional[str] = None,
+    parity_hint: str | None = None,
     check: bool = True,
 ) -> ReconstructionOutcome:
     """Recover the facet list of a d-polytope from its 2-skeleton.

@@ -61,8 +61,8 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 
 from .constructions import TruncationMap, pullback_facets, truncation_map
 from .errors import (
@@ -99,8 +99,8 @@ from . import recon2
 
 
 def _exact_cover_of_size(
-    ncols: int, rows: list[tuple[int, ...]], target: int, max_nodes: Optional[int] = None
-) -> Optional[list[int]]:
+    ncols: int, rows: list[tuple[int, ...]], target: int, max_nodes: int | None = None
+) -> list[int] | None:
     """The first exact cover with at least ``target`` rows, as row indices;
     with ``target`` 0 that is the first exact cover.
 
@@ -230,7 +230,7 @@ def _cover_row(adj, first: list[int], cycle: tuple[int, ...]) -> tuple[int, ...]
 
 
 def max_two_system(
-    g: Graph, d: int, nonsimple: Optional[Iterable[int]] = None
+    g: Graph, d: int, nonsimple: Iterable[int] | None = None
 ) -> tuple[tuple[int, ...], ...]:
     """The maximum family of induced cycles covering each simple-rooted
     2-frame exactly once, as sorted vertex tuples in lexicographic order
@@ -542,19 +542,12 @@ def detect_uv_facets(g: Graph, d: int, known) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class FacetFamilies:
+class FacetFamilies(
+    namedtuple("FacetFamilies", "u v u_only v_only neither both min_u min_v min_both")
+):
     """The four facet families of a graph with nonsimple vertices u < v."""
 
-    u: int
-    v: int
-    u_only: tuple[tuple[int, ...], ...]
-    v_only: tuple[tuple[int, ...], ...]
-    neither: tuple[tuple[int, ...], ...]
-    both: tuple[tuple[int, ...], ...]
-    min_u: int
-    min_v: int
-    min_both: Optional[int]
+    __slots__ = ()
 
     @property
     def all_facets(self) -> tuple[tuple[int, ...], ...]:
@@ -714,17 +707,16 @@ def _via_truncation(g: Graph, d: int, u: int, v: int, u_only, v_only):
 # The entry point
 
 
-@dataclass(frozen=True)
-class GraphReconstruction:
+class GraphReconstruction(
+    namedtuple("GraphReconstruction", "facets certificate families", defaults=(None,))
+):
     """The facets :func:`reconstruct` recovers, as sorted vertex tuples in
     lexicographic order holding every ``lattice.PolytopeSpec`` invariant,
     and the certificate lines of the route taken: the 2-system size, or
     the claims route's family counts and minima (none for the truncation
     route alone).  ``families`` is set when the claims route ran."""
 
-    facets: tuple[tuple[int, ...], ...]
-    certificate: tuple[str, ...]
-    families: Optional[FacetFamilies] = None
+    __slots__ = ()
 
 
 def reconstruct(
@@ -782,7 +774,7 @@ def reconstruct(
             raise InconsistentCounts("family minima below family sizes")
         neither = find_facets_empty(g, d, u, v, u_only + v_only, expected_empty)
         both: tuple[tuple[int, ...], ...] = ()
-        min_both: Optional[int] = None
+        min_both: int | None = None
         if detect_uv_facets(g, d, u_only + v_only + neither):
             both, min_both = find_facets_avoiding(g, d, u, v, "uv")
             total = len(u_only) + len(v_only) + len(neither) + len(both)

@@ -658,7 +658,8 @@ def test_reused_parser_matches_a_fresh_parser_per_call(tmp_path, monkeypatch, ca
 # already), in the directory argv[1]: every subcommand but lattice, then
 # lattice.  It writes the exit codes and, after each of the two stages,
 # which of hashlib, _hashlib, CPython's built-in SHA-256 modules (_sha2
-# from 3.12, _sha256 before) and statistics are loaded.
+# from 3.12, _sha256 before), statistics, dataclasses, typing and inspect
+# are loaded.
 _IMPORTS_SCRIPT = r"""
 import os
 import sys
@@ -681,10 +682,11 @@ def edges(name):
     return f"{name}.edges"
 
 
+WATCHED = ("hashlib", "_hashlib", "_sha2", "_sha256", "statistics", "dataclasses", "typing", "inspect")
+
+
 def stage(name):
-    loaded[name] = [
-        m for m in ("hashlib", "_hashlib", "_sha2", "_sha256", "statistics") if m in sys.modules
-    ]
+    loaded[name] = [m for m in WATCHED if m in sys.modules]
 
 
 run("gen", "--family", "cube", "--dim", "3", "--pyramid", "1", "-o", "pc.poly")
@@ -726,6 +728,8 @@ def test_no_subcommand_loads_openssl_or_statistics(tmp_path):
     # lattice's digest comes from a built-in module, never from hashlib.
     assert not {"hashlib", "_hashlib", "statistics"} & {*loaded["lattice"]}
     assert {"_sha2", "_sha256"} & {*loaded["lattice"]}
+    # Nor does lattice load dataclasses, typing or inspect.
+    assert not {"dataclasses", "typing", "inspect"} & {*loaded["lattice"]}
 
 
 # Run by a fresh interpreter in the directory argv[1], with CPython's

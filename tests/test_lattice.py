@@ -10,23 +10,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skelrecon import (
+    KSkeleton,
     PolytopeSpec,
     bipyramid,
     build_face_lattice,
     classify_vertices,
     cube,
+    isomorphic,
     k_skeleton,
+    multifold_pyramid,
     polygon_prism,
     pyramid,
     q1,
     q2,
     simplex,
+    truncate,
     validate,
 )
 from skelrecon import recon2, recong
 from skelrecon.constructions import polygon_prism_skeleton
 from skelrecon.errors import DegreeBelowDimension, NotAnEdge, NotGraded, RankOutOfRange
-from skelrecon.graphs import vertices_of
+from skelrecon.graphs import Graph, vertices_of
 from skelrecon.lattice import CheckResult, _check_diamond
 from skelrecon.textio import parse_skeleton
 
@@ -362,6 +366,44 @@ def test_every_skeleton_producer_hands_over_sorted_tuples_in_order(monkeypatch):
         assert_tuple_faces(sk)
         # The 2-system goes to the 2-skeleton engine as it was returned.
         assert sk.faces_by_dim[2] is last_two_system
+
+
+def test_records_are_read_only_named_tuples():
+    """Every result record is a named tuple: no field can be assigned, it
+    equals the plain tuple of its fields, and a skeleton built without
+    faces gets an empty mapping that no one can write."""
+    g = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    sk = KSkeleton(k=1, graph=g)
+    assert sk.faces_by_dim == {} and sk.two_faces == ()
+    with pytest.raises(TypeError):
+        sk.faces_by_dim[2] = ((0, 1, 2),)
+    assert KSkeleton(k=1, graph=g).faces_by_dim == {}
+
+    lat = lattice_of(q1(5).spec)
+    report = validate(lat)
+    outcome = recon2.reconstruct(k_skeleton(lat, 2), 5)
+    found = recong.reconstruct(lattice_of(multifold_pyramid(cube(2), 2)).graph(), 4)
+    records = [
+        sk,
+        classify_vertices(g, 2),
+        report,
+        report["diamond"],
+        outcome,
+        outcome.ambiguity,
+        found,
+        found.families,
+        isomorphic(lat, lat),
+        q1(5),
+        truncate(lattice_of(cube(3)), (0,))[1],
+    ]
+    assert len({type(r) for r in records}) == 11
+    for record in records:
+        assert record == tuple(record)
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+    simple, nonsimple = classify_vertices(g, 2)
+    assert (simple, nonsimple) == (frozenset({0, 1, 2}), frozenset())
+    assert report[0] == report.checks
 
 
 def test_lattice_spec_round_trip():
