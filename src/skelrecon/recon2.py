@@ -10,10 +10,10 @@ with w simple, the entry for w's frame omitting x and for y's slot among
 w's neighbours gives z's slot among y's.  Sweeping every simple frame
 once traces every facet, one lookup per move, in time linear in the
 number of vertices (for fixed d), provided each facet keeps at most d-2
-nonsimple vertices.  One pass per facet traces its frames, collects its
-vertices in a list guarded by a per-vertex stamp and checks them: a
-simple vertex's omitted neighbour must lie outside (one stamp read), and
-a nonsimple vertex needs d-1 neighbours inside.
+nonsimple vertices.  At every d one pass over the listed 2-faces,
+:func:`_two_face_pass`, checks that each is an induced cycle and that
+each neighbour pair of a simple vertex, a 2-frame, lies in exactly one.
+One pass per facet then traces, collects and checks it (:func:`_facet`).
 
 From d = 4 on, with d-1 nonsimple vertices in total, the sweep can leave
 one genuine two-way ambiguity: a pair of traced regions meeting exactly in
@@ -25,15 +25,13 @@ the lattice, and a checked run refuses any other traced facet holding
 more than d-2 nonsimple vertices with ``TooManyNonsimple``.
 
 At d = 3 the facets are the 2-faces themselves, so nothing is traced and
-no :class:`FrameGraph` is built: one pass over the listed 2-faces checks
-what it would (each is an induced cycle, and each neighbour pair of a
-simple vertex lies in exactly one), and the listed ones are the answer.
-A checked run asks that they close into a sphere: each edge lies in
-exactly two of them, the 2-faces through each vertex close into one
-cycle around it, the graph is connected and n - |E| + |F| = 2.  Then
-it asks that any two 2-faces meet in nothing, one vertex or one edge,
-which makes the sphere polyhedral and so, by Steinitz, the boundary of a
-3-polytope.  On an input with no nonsimple
+no :class:`FrameGraph` is built: after the 2-face pass the listed
+2-faces are the answer.  A checked run asks that they close into
+a sphere: each edge lies in exactly two of them, the 2-faces through
+each vertex close into one cycle around it, the graph is connected and
+n - |E| + |F| = 2.  Then it asks that any two 2-faces meet in nothing,
+one vertex or one edge, which makes the sphere polyhedral and so, by
+Steinitz, the boundary of a 3-polytope.  On an input with no nonsimple
 vertex only the last three rules do any work: one walk of the graph, one
 count and one pass over the 2-faces of six vertices or more.
 """
@@ -42,11 +40,153 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter, defaultdict, namedtuple
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 
 from .errors import FrameNotInUniqueTwoFace, NotASkeleton, TooManyNonsimple
 from .graphs import is_feasible, mask_of
 from .lattice import KSkeleton, classify_vertices
+
+
+def _two_face_pass(graph, faces, d: int, nonsimple, nsets):
+    """Check the 2-faces ``faces`` of ``graph`` in the order listed.  Yield
+    first the scratch lists ``(first, second, pair)``, then each 2-face
+    that passes as its sorted vertex tuple; after the last, raise at the
+    least 2-frame, a neighbour pair of a simple vertex, that no 2-face
+    holds.  ``nonsimple`` holds the vertices of degree above d (none has
+    less), and ``nsets`` caches their neighbour sets.
+
+    The scratch is flat and per vertex, allocated once: a stamp
+    ``mark[v]``, the index of the last 2-face through v, so that w lies on
+    the current 2-face exactly when its stamp is that index; and the lists
+    yielded first, which hold for the 2-face just yielded v's two
+    neighbours on it, ``first[v]`` before ``second[v]`` in ``adj[v]``, and
+    ``pair[v]``, the index of their slots i < j among the pairs in
+    lexicographic order, or C(d,2) when v is nonsimple.  A simple vertex
+    finds its two by stamp among its d neighbours (unrolled at d = 3), in
+    O(d).  A nonsimple vertex scans whichever side is smaller, its
+    neighbours by stamp or the 2-face against its neighbour set, in
+    O(min(deg, |F|)).  A vertex listed twice counts once either way.
+
+    Each 2-face must be an induced cycle: each of its vertices has two
+    neighbours on it, and one walk around the cycle meets them all.  A
+    2-face of five vertices or fewer that passes the first test is one
+    cycle unless it lists a vertex twice (two cycles need six vertices),
+    and a simple vertex listed twice finds its frame taken the second
+    time; so such a 2-face is walked only when it has a nonsimple vertex
+    or a taken frame.  The frame at a simple v with pair index k has the
+    code v*C(d,2) + k, and ``covered`` holds a byte per code.  A nonsimple
+    vertex roots no frame, so its codes are set from the start and the
+    least gap is one ``find``.  Those bytes are only allocated when the
+    2-face lines hold n*C(d,2) vertex entries or more, as a d-polytope's
+    do; other inputs mark their frames in a dict, which grows with the
+    2-face lines alone.
+
+    The errors, per 2-face in turn: one that is empty or holds a vertex
+    outside 0..n-1 (see :func:`_off_the_vertices`); a vertex without two
+    neighbours on it; a union of cycles; then a frame that an earlier
+    2-face took, naming the first such vertex in the 2-face's order.
+    After the last 2-face, the least frame that none took.
+    """
+    adj = graph.adj
+    n = graph.n
+    first, second, pair = scratch = [[0] * n for _ in range(3)]
+    yield scratch
+    mark = [-1] * n
+    pairs = d * (d - 1) // 2
+    # The index of the slots i < j is offset[i] + j.
+    offset = [i * (2 * d - 3 - i) // 2 - 1 for i in range(d)]
+    if sum(map(len, faces)) >= n * pairs:
+        covered = bytearray(n * pairs)
+        for v in nonsimple:
+            covered[v * pairs : v * pairs + pairs] = b"\x01" * pairs
+    else:
+        covered = defaultdict(int)
+    for fi, face in enumerate(faces):
+        cf = tuple(sorted(face))
+        if not cf or cf[0] < 0 or cf[-1] >= n:
+            raise _off_the_vertices(cf, n)
+        for v in face:
+            mark[v] = fi
+        size = len(face)
+        walk = size > 5  # a shorter face: see the docstring
+        taken = None  # the face's first simple vertex whose frame was taken
+        for v in face:
+            nbrs = adj[v]
+            # v's two neighbours on the face, a before b in adj[v], at pair k.
+            if len(nbrs) == 3:  # simple at d = 3, as no vertex has fewer than d
+                x, y, z = nbrs  # unrolled, for speed at d = 3
+                if mark[z] != fi:
+                    if mark[x] != fi or mark[y] != fi:
+                        raise _not_a_cycle(face, v)
+                    a, b, k = x, y, 0
+                elif mark[x] == fi:
+                    if mark[y] == fi:
+                        raise _not_a_cycle(face, v)
+                    a, b, k = x, z, 1
+                elif mark[y] == fi:
+                    a, b, k = y, z, 2
+                else:
+                    raise _not_a_cycle(face, v)
+            elif len(nbrs) == d:
+                a = b = None  # b stays None unless exactly two are found
+                for w in nbrs:
+                    if mark[w] == fi:
+                        if a is None:
+                            a = w
+                        elif b is None:
+                            b = w
+                        else:
+                            b = None
+                            break
+                if b is None:
+                    raise _not_a_cycle(face, v)
+                k = offset[nbrs.index(a)] + nbrs.index(b)
+            else:
+                if len(nbrs) <= size:
+                    inside = [w for w in nbrs if mark[w] == fi]
+                else:
+                    if v not in nsets:
+                        nsets[v] = frozenset(nbrs)
+                    inside = nsets[v].intersection(face)
+                if len(inside) != 2:
+                    raise _not_a_cycle(face, v)
+                first[v], second[v] = inside
+                pair[v] = pairs
+                walk = True
+                continue
+            code = v * pairs + k
+            if covered[code]:
+                if taken is None:
+                    taken = v
+            else:
+                covered[code] = 1
+            first[v] = a
+            second[v] = b
+            pair[v] = k
+        if walk or taken is not None:
+            # Walk the cycle through the last vertex and count its length.
+            prev, w = v, first[v]
+            length = 1
+            while w != v:
+                a = first[w]
+                prev, w = w, (second[w] if a == prev else a)
+                length += 1
+            if length != size:
+                raise NotASkeleton(f"2-face {cf} is not a single cycle")
+        if taken is not None:
+            raise FrameNotInUniqueTwoFace(
+                f"2-frame ({taken}, {first[taken]}, {second[taken]}) lies in more than one 2-face"
+            )
+        yield cf
+    if type(covered) is bytearray:
+        gap = covered.find(0)
+    else:  # every code read was set to 1
+        codes = (range(v * pairs, v * pairs + pairs) for v in range(n) if len(adj[v]) == d)
+        gap = next((c for c in chain.from_iterable(codes) if c not in covered), -1)
+    if gap >= 0:
+        v, k = divmod(gap, pairs)
+        i, j = next(islice(combinations(range(d), 2), k, None))
+        raise FrameNotInUniqueTwoFace(f"2-frame ({v}, {adj[v][i]}, {adj[v][j]}) lies in no 2-face")
 
 
 class FrameGraph:
@@ -62,27 +202,13 @@ class FrameGraph:
     a full reconstruction visits each simple (d-1)-frame at constant cost.
     Slots no 2-face fills hold 255, or 65535 in the two-byte table that
     d >= 255 needs.  The n*d*d slots are only allocated when the 2-face
-    lines hold n*C(d,2) vertex entries or more, as a d-polytope's do (each
-    vertex lies in at least C(d,2) 2-faces); so the table takes at most
-    three slots per face entry.  Other inputs keep their moves in a dict,
-    which grows with the face lines alone.
+    lines hold n*C(d,2) vertex entries or more, as a d-polytope's do; so
+    the table takes at most three slots per face entry.  Other inputs keep
+    their moves in a dict, which grows with the face lines alone.
 
-    The build keeps flat per-vertex scratch, allocated once and reused by
-    every face: a stamp ``mark[v]``, the index of the last face through v,
-    so that w lies on the current face exactly when its stamp is that
-    index; and v's two neighbours on the current face with their slots in
-    ``adj[v]`` (d for a nonsimple v).  A simple vertex finds its face
-    neighbours by stamp among its d neighbours, so each (vertex, face)
-    pair costs O(d).  A nonsimple vertex scans whichever side is smaller:
-    its neighbours by stamp, or the face against its neighbour set; so it
-    costs O(min(deg, |F|)).  The neighbour sets, ``neighbour_sets``, are
-    built on first use and only for nonsimple vertices; :func:`_facet`
-    shares them.  Then one walk around the face's cycle counts its length
-    and writes the two moves of each simple vertex on it, so each face is
-    walked once.  A frame that an earlier face took is noted on the way
-    and raises only after the length check, naming the first such vertex
-    in the face's own order.  Each face is first checked to be nonempty,
-    with its vertices in 0..n-1, as the scratch indexed by vertex needs.
+    The build is :func:`_two_face_pass` plus the two moves of each simple
+    vertex on each 2-face, read off its scratch; ``neighbour_sets`` holds
+    its neighbour sets of nonsimple vertices, which :func:`_facet` shares.
     """
 
     __slots__ = (
@@ -91,137 +217,39 @@ class FrameGraph:
 
     def __init__(self, skeleton: KSkeleton, d: int):
         graph = skeleton.graph
-        classes = classify_vertices(graph, d)
         self.skeleton = skeleton
         self.d = d
-        self.simple = simple = classes.simple
-        self.nonsimple = classes.nonsimple
-        self.node_count = len(simple) * d * (d - 1) // 2
+        self.simple, self.nonsimple = classify_vertices(graph, d)
+        pairs = d * (d - 1) // 2
+        self.node_count = len(self.simple) * pairs
+        faces = skeleton.two_faces
+        n = graph.n
         # d >= 65535 would take over 2**31 edges (every vertex has d
         # neighbours or more), so two bytes always hold d and the sentinel.
         empty = 255 if d < 255 else 65535
-        faces = skeleton.two_faces
-        n = graph.n
-        if 2 * sum(map(len, faces)) >= n * d * (d - 1):
+        if sum(map(len, faces)) >= n * pairs:
             table = bytearray(b"\xff") if d < 255 else array("H", [empty])
             step = table * (n * d * d)
         else:
             step = defaultdict(lambda: empty)
         self.step = step
-        self.neighbour_sets: dict[int, frozenset[int]] = {}
-        nsets = self.neighbour_sets
-        adj = graph.adj
-        # The scratch: on the current face v's two neighbours are first[v]
-        # and second[v], at slots slot1[v] < slot2[v] of adj[v] when v is
-        # simple; d marks a nonsimple v.
-        degree = list(map(len, adj))
-        mark = [-1] * n
-        first = [0] * n
-        second = [0] * n
-        slot1 = [0] * n
-        slot2 = [0] * n
-        taken: list[int] = []  # the current face's simple vertices whose frame was taken
-        frames = 0  # the simple (vertex, face) pairs, each one frame written
-        for fi, face in enumerate(faces):
-            if not face or min(face) < 0 or max(face) >= n:
-                raise _off_the_vertices(face, n)
+        self.neighbour_sets = nsets = {}
+        # The slots i < j of each of the C(d,2) < |E| pairs, then d for nonsimple.
+        lo = [i for i in range(d) for _ in range(i + 1, d)] + [d]
+        hi = [j for i in range(d) for j in range(i + 1, d)] + [d]
+        passed = _two_face_pass(graph, faces, d, self.nonsimple, nsets)
+        first, second, pair = next(passed)
+        for face in passed:
             for v in face:
-                mark[v] = fi
-            size = len(face)
-            for v in face:
-                nbrs = adj[v]
-                deg = degree[v]
-                # v's two neighbours on the face, a and b; b is None when v
-                # has fewer or more, and that raises below.
-                a = b = None
-                if deg == d or deg <= size:
-                    # By stamp, in slot order.
-                    for w in nbrs:
-                        if mark[w] == fi:
-                            if a is None:
-                                a = w
-                            elif b is None:
-                                b = w
-                            else:
-                                b = None
-                                break
-                    if deg != d:
-                        i = j = d
-                    elif b is not None:
-                        i = nbrs.index(a)
-                        j = nbrs.index(b)
-                else:
-                    # A nonsimple v with more neighbours than the face has
-                    # vertices.  A repeated face vertex counts once, as it
-                    # does by stamp.
-                    nset = nsets.get(v)
-                    if nset is None:
-                        nset = nsets[v] = frozenset(nbrs)
-                    for w in face:
-                        if w in nset and w != a and w != b:
-                            if a is None:
-                                a = w
-                            elif b is None:
-                                b = w
-                            else:
-                                b = None
-                                break
-                    i = j = d
-                if b is None:
-                    raise _not_a_cycle(face, v)
-                first[v] = a
-                second[v] = b
-                slot1[v] = i
-                slot2[v] = j
-            # A 2-regular induced subgraph could still be a union of cycles:
-            # walk the cycle through one vertex, counting its length and
-            # writing the moves of each simple vertex on the way.  A frame
-            # that an earlier face took is only noted, as the length check
-            # comes first; a face that raises leaves its writes unused.
-            start = v = next(iter(face))
-            prev = second[start]
-            length = 0
-            while True:
-                a = first[v]
-                b = second[v]
-                i = slot1[v]
-                if i != d:
-                    j = slot2[v]
-                    key = (v * d + i) * d + j
-                    if step[key] != empty:
-                        taken.append(v)
-                    step[key] = slot2[b] if first[b] == v else slot1[b]
-                    step[(v * d + j) * d + i] = slot2[a] if first[a] == v else slot1[a]
-                else:
-                    frames -= 1  # a nonsimple vertex roots no frame
-                length += 1
-                prev, v = v, (b if a == prev else a)
-                if v == start:
-                    break
-            if length != size:
-                raise NotASkeleton(
-                    f"2-face {tuple(sorted(face))} is not a single cycle"
-                )
-            if taken:
-                # The error names the first such vertex in the face's order.
-                w = next(w for w in face if w in taken)
-                raise FrameNotInUniqueTwoFace(
-                    f"2-frame ({w}, {first[w]}, {second[w]}) lies in more than one 2-face"
-                )
-            frames += length
-        # Every neighbour pair of a simple root must span exactly one 2-face.
-        # No pair is counted twice, so the count falls short exactly when a
-        # frame is not covered; then scan in order for the first gap.
-        if frames != self.node_count:
-            for v, nbrs in enumerate(adj):
-                if len(nbrs) != d:
-                    continue
-                for i in range(d):
-                    for j in range(i + 1, d):
-                        if step[(v * d + i) * d + j] == empty:
-                            raise FrameNotInUniqueTwoFace(
-                                f"2-frame ({v}, {nbrs[i]}, {nbrs[j]}) lies in no 2-face"
-                            )
+                k = pair[v]
+                if k != pairs:
+                    # The slot in adj[b] of b's other neighbour on the face.
+                    a = first[v]
+                    b = second[v]
+                    i = lo[k]
+                    j = hi[k]
+                    step[(v * d + i) * d + j] = hi[pair[b]] if first[b] == v else lo[pair[b]]
+                    step[(v * d + j) * d + i] = hi[pair[a]] if first[a] == v else lo[pair[a]]
 
 
 def build_frame_graph(sk: KSkeleton, d: int) -> FrameGraph:
@@ -287,11 +315,11 @@ def _facet(fg: FrameGraph, root: int, slot: int, t: int, scratch, check) -> tupl
             put(w)
         base = (w * d + ex) * d
         for j in others[ex]:
-            # w is simple, so FrameGraph's coverage check put this move in;
-            # k == d marks a nonsimple leaf, which roots no frame.  Every
-            # move is undone by the move back: the 2-face F through
-            # ex-w-u2-u_hat is the only 2-face holding the 2-frame
-            # (u2; u_hat, w), as FrameGraph checked, so the move from
+            # w is simple, and the 2-face pass saw each of its frames in a
+            # 2-face, so this move is in; k == d marks a nonsimple leaf,
+            # which roots no frame.  Every move is undone by the move back:
+            # the 2-face F through ex-w-u2-u_hat is the only 2-face holding
+            # the 2-frame (u2; u_hat, w), as the pass checked, so the move from
             # (u2, u_hat) to w follows F back and gives (w, ex).  Each trace
             # is therefore a whole component of the move graph, disjoint
             # from earlier traces, and a simple u2's frame, pushed now or
@@ -368,8 +396,7 @@ def _off_the_vertices(face, n: int) -> NotASkeleton:
     0..n-1, naming the least such vertex.  A hand-built skeleton can list
     one, and the scratch indexed by vertex would read it wrong: a vertex
     of n or more is out of its range, and a negative one stands for
-    another vertex.  Each 2-face is checked as its turn comes, so an
-    earlier 2-face's error comes first."""
+    another vertex."""
     if not face:
         return NotASkeleton("2-face () has no vertex")
     v = min(v for v in face if not 0 <= v < n)
@@ -390,27 +417,9 @@ def _two_faces(sk: KSkeleton, check: bool) -> tuple[tuple[int, ...], ...]:
     """The facets of a 3-polytope from its 2-skeleton: the listed 2-faces,
     sorted tuples in lexicographic order, a 2-face listed twice once.
 
-    One pass over the 2-faces, in the order listed, checks what
-    :class:`FrameGraph` checks at d = 3, with its flat per-vertex scratch:
-    a stamp, ``mark[v]``, the index of the last 2-face through v, and v's
-    two neighbours on the current 2-face.  A simple vertex finds them by
-    stamp among its 3 neighbours, and a nonsimple vertex scans whichever
-    side is smaller, its neighbours by stamp or the 2-face against its
-    neighbour set.  Each 2-face must be an induced cycle: each of its
-    vertices has two neighbours on it, and one walk around the cycle
-    through one of them meets them all.  A 2-face of five vertices or
-    fewer that passes the first test is one cycle unless it lists a vertex
-    twice, and a simple vertex listed twice finds its frame taken the
-    second time; so such a 2-face is walked only when it has a nonsimple
-    vertex or a taken frame.  A simple vertex's two neighbours on the
-    2-face are a frame, marked in one byte per (vertex, neighbour pair);
-    a nonsimple vertex's are a link pair, kept for the rules below.  The
-    errors are FrameGraph's, in its order: per 2-face, one that is empty
-    or holds a vertex outside 0..n-1 (only a hand-built skeleton can list
-    one: the parser refuses it), a vertex without two neighbours on it, a
-    union of cycles, then a frame that an earlier 2-face took, naming the
-    first such vertex in the 2-face's order; after the last 2-face, the
-    least frame that none took.
+    First :func:`_two_face_pass`, whose sorted tuples are the answer.  It
+    adds one thing here: a nonsimple vertex's two neighbours on each
+    2-face are a link pair, kept for the rules below.
 
     So at each simple vertex v the 2-faces through v hold each of its
     three neighbour pairs once, and at each nonsimple v, with ``check``,
@@ -449,108 +458,25 @@ def _two_faces(sk: KSkeleton, check: bool) -> tuple[tuple[int, ...], ...]:
     simple vertices the sizes of the 2-faces of six vertices or more.  On
     an m-antiprism that is linear in m: each m-gon is the largest 2-face
     at each of its vertices, and each triangle is filed at three.
-
-    The pass costs O(1) per simple (vertex, 2-face) pair and
-    O(min(deg, |F|)) per nonsimple one, and writes no move.  Each 2-face
-    is sorted into a tuple once, before the pass: the range check reads
-    its least and greatest vertex there, and the answer is those tuples
-    in order.
     """
     graph = sk.graph
     adj = graph.adj
     n = graph.n
     nonsimple = classify_vertices(graph, 3).nonsimple
-    listed = sk.two_faces
-    # Each 2-face as a sorted tuple, in the order listed.
-    canon = [tuple(sorted(f)) for f in listed]
-    mark = [-1] * n
-    first = [0] * n
-    second = [0] * n
-    # The frame at a simple v spanning its neighbours in slots i < j has
-    # the code 3v + i + j - 1; a nonsimple v roots none, so its codes are
-    # set from the start and the least unset code is the least gap.
-    covered = bytearray(3 * n)
     nsets: dict[int, frozenset[int]] = {}
-    links: dict[int, defaultdict[int, list[int]]] = {}
-    through: dict[int, list[int]] = {}  # the 2-faces through each nonsimple v, by index
-    for v in nonsimple:
-        covered[3 * v : 3 * v + 3] = b"\x01\x01\x01"
-        links[v] = defaultdict(list)
-        through[v] = []
-    for fi, face in enumerate(listed):
-        cf = canon[fi]
-        if not cf or cf[0] < 0 or cf[-1] >= n:
-            raise _off_the_vertices(cf, n)
-        for v in face:
-            mark[v] = fi
-        size = len(face)
-        taken = None  # the face's first simple vertex whose frame was taken
-        walk = size > 5  # see below
-        for v in face:
-            nbrs = adj[v]
-            if len(nbrs) == 3:
-                x, y, z = nbrs
-                if mark[x] == fi:
-                    if mark[y] == fi:
-                        if mark[z] == fi:
-                            raise _not_a_cycle(face, v)
-                        a, b, code = x, y, 3 * v
-                    elif mark[z] == fi:
-                        a, b, code = x, z, 3 * v + 1
-                    else:
-                        raise _not_a_cycle(face, v)
-                elif mark[y] == fi and mark[z] == fi:
-                    a, b, code = y, z, 3 * v + 2
-                else:
-                    raise _not_a_cycle(face, v)
-                if covered[code]:
-                    if taken is None:
-                        taken = v
-                else:
-                    covered[code] = 1
-            else:
-                if len(nbrs) <= size:
-                    inside = [w for w in nbrs if mark[w] == fi]
-                else:
-                    # More neighbours than the face has vertices: a
-                    # repeated face vertex counts once, as it does by stamp.
-                    nset = nsets.get(v)
-                    if nset is None:
-                        nset = nsets[v] = frozenset(nbrs)
-                    inside = list(dict.fromkeys([w for w in face if w in nset]))
-                if len(inside) != 2:
-                    raise _not_a_cycle(face, v)
-                a, b = inside
-                walk = True
+    links = {v: defaultdict(list) for v in nonsimple}
+    through = {v: [] for v in nonsimple}  # the 2-faces through each nonsimple v, by index
+    passed = _two_face_pass(graph, sk.two_faces, 3, nonsimple, nsets)
+    first, second, _ = next(passed)
+    canon = []  # each 2-face as a sorted tuple, in the order listed
+    for face in passed:
+        if nonsimple:
+            for v in nonsimple.intersection(face):
                 link = links[v]
-                link[a].append(b)
-                link[b].append(a)
-                through[v].append(fi)
-            first[v] = a
-            second[v] = b
-        # A 2-regular induced subgraph could still be a union of cycles,
-        # of six vertices or more, or list a vertex twice: walk the cycle
-        # through the last vertex and count its length.  A simple vertex
-        # listed twice finds its frame taken the second time, so a face of
-        # five vertices or fewer, all simple and none taken, is one cycle.
-        if walk or taken is not None:
-            prev, w = v, first[v]
-            length = 1
-            while w != v:
-                a = first[w]
-                prev, w = w, (second[w] if a == prev else a)
-                length += 1
-            if length != size:
-                raise NotASkeleton(f"2-face {cf} is not a single cycle")
-        if taken is not None:
-            raise FrameNotInUniqueTwoFace(
-                f"2-frame ({taken}, {first[taken]}, {second[taken]}) lies in more than one 2-face"
-            )
-    gap = covered.find(0)
-    if gap >= 0:
-        v, pair = divmod(gap, 3)
-        a, b = (w for slot, w in enumerate(adj[v]) if slot != 2 - pair)
-        raise FrameNotInUniqueTwoFace(f"2-frame ({v}, {a}, {b}) lies in no 2-face")
+                link[first[v]].append(second[v])
+                link[second[v]].append(first[v])
+                through[v].append(len(canon))
+        canon.append(face)
     facets = tuple(sorted(canon))
     if not check:
         return tuple(dict.fromkeys(facets))
@@ -599,9 +525,7 @@ def _two_faces(sk: KSkeleton, check: bool) -> tuple[tuple[int, ...], ...]:
     # them, but the largest 2-face's, which is met as a set.
     bsets: dict[int, frozenset[int]] = {}
     for v in sorted(nonsimple):
-        nset = nsets.get(v)
-        if nset is None:
-            nset = frozenset(adj[v])
+        nset = nsets.get(v) or frozenset(adj[v])
         faces = through[v]
         big = max(faces, key=lambda fi: len(canon[fi]))
         holders = defaultdict(list)
@@ -654,10 +578,9 @@ def reconstruct(
     """Recover the facet list of a d-polytope from its 2-skeleton.
 
     At d = 3 the facets are the listed 2-faces: nothing is traced and no
-    :class:`FrameGraph` is built, as :func:`_two_faces` checks the 2-faces
-    in one pass, with FrameGraph's errors in its order.  With ``check``
-    they must be the 2-faces of a 3-polytope, so the run is complete
-    whatever the nonsimple vertices.
+    :class:`FrameGraph` is built, as the 2-face pass alone checks them
+    (see :func:`_two_faces`).  With ``check`` they must be the 2-faces of
+    a 3-polytope, so the run is complete whatever the nonsimple vertices.
 
     From d = 4 the run is complete whenever every facet contains at most
     d-2 nonsimple vertices.  With exactly d-1 nonsimple vertices in total,
@@ -666,16 +589,13 @@ def reconstruct(
     count) resolves it.  ``check`` refuses any other traced facet past d-2
     nonsimple vertices with ``TooManyNonsimple``, naming the least, and no
     simple vertex at all raises ``TooManyNonsimple``.  Each facet is
-    traced, collected and, unless ``check`` is False, checked in one pass:
-    collecting it costs one stamp test per frame and one per nonsimple leaf,
-    and checking it one stamp read per simple vertex and one set
-    intersection per nonsimple vertex.  A facet that fails the check raises
-    ``NotASkeleton`` naming its least failing vertex, and the first facet
-    traced that fails is the one named.  When each facet keeps at most d-2
-    nonsimple vertices, so does each 2-face, and with the costs of
-    :class:`FrameGraph` the whole run takes time linear in the size of the
-    2-face lines for fixed d, whatever the degrees of the nonsimple
-    vertices.
+    traced, collected and, unless ``check`` is False, checked in one pass
+    (see :func:`_facet`); one that fails raises ``NotASkeleton`` naming
+    its least failing vertex, and the first facet traced that fails is the
+    one named.  When each facet keeps at most d-2 nonsimple vertices, so
+    does each 2-face, and with the costs of :class:`FrameGraph` the whole
+    run takes time linear in the size of the 2-face lines for fixed d,
+    whatever the degrees of the nonsimple vertices.
 
     With ``check`` the facet lists returned (``facets``, and both
     completions of an ambiguity) already hold every invariant of

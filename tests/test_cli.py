@@ -353,6 +353,37 @@ def test_recong_truncation_refuses_an_ambiguous_repair(tmp_path, capsys):
         recong.reconstruct(K24_PLUS_MATCHING, 3, "truncation")
 
 
+@pytest.mark.parametrize(
+    "n, pairs, argv, text",
+    [
+        pytest.param(
+            8, "0-2 0-3 0-4 0-7 1-2 1-4 1-5 1-6 2-3 2-7 3-6 3-7 4-5 4-6 5-6 5-7 6-7",
+            ("--dim", "4"), "error: the facets found have no edge (6, 7), which the graph has",
+            id="eight",
+        ),
+        pytest.param(
+            11, "0-3 0-6 0-7 0-8 1-2 1-5 1-6 1-8 1-10 2-4 2-9 3-6 3-7 4-5 4-9 5-9 7-10 8-10",
+            ("--dim", "3", "--method", "truncation"),
+            "error: the 2-faces through vertex 0 close into more than one cycle around it",
+            id="eleven",
+        ),
+    ],
+)
+def test_recong_refusals_the_ci_pins(tmp_path, capsys, n, pairs, argv, text):
+    """The two graphs the CI step "The installed skelrecon script, and the
+    two-nonsimple bound" writes with its edge_list helper exit 1 with the
+    texts it pins.  The eight-vertex graph has two nonsimple vertices, and
+    the facets found lack one of its edges.  The eleven-vertex graph is
+    only 1-connected: vertex 1 cuts 0, 3, 6, 7, 8 and 10 from 2, 4, 5 and
+    9, so no 3-polytope has it.  The truncation route hands its 2-system
+    to recon2's d = 3 rules, and the link rule refuses it at vertex 0."""
+    edges = tmp_path / "g.edges"
+    lines = [f"vertices {n}"] + [f"edge {p.replace('-', ' ')}" for p in pairs.split()]
+    edges.write_text("\n".join(lines) + "\n")
+    assert run_cli("recong", str(edges), *argv) == 1
+    assert capsys.readouterr() == ("", text + "\n")
+
+
 def test_recong_reports_disagreeing_methods(tmp_path, capsys, monkeypatch):
     pullback = recong.pullback_facets
     monkeypatch.setattr(recong, "pullback_facets", lambda *args: pullback(*args)[1:])

@@ -865,7 +865,7 @@ def test_d3_traces_no_frame(monkeypatch):
 
 
 def test_d3_builds_no_frame_graph(monkeypatch):
-    """At d = 3 the 2-faces are checked in one pass of their own: with
+    """At d = 3 the 2-faces are checked by the 2-face pass alone: with
     ``FrameGraph`` made to fail, prism(64), the octahedron, which has no
     simple vertex, and skew_solid, with two nonadjacent nonsimple
     vertices, still come back whole, checked or not, while pyramid(prism(8))
@@ -1076,8 +1076,9 @@ def test_scratch_build_trace_and_parse_match_the_per_face_sets(data):
     m <= 32, and of the corpus, each whole, with a seeded tampering of its
     faces or with one face listing a vertex twice: the build with
     per-vertex scratch gives the step table (or the dict's items) of the
-    build with a set and a cycle dict per face, or its error text; the
-    traces give the same regions in the same order, or the same error;
+    build with a set and a cycle dict per face, or its error text, which
+    ``reconstruct`` at d = 3 gives too, checked or not; the traces give
+    the same regions in the same order, or the same error;
     and the parse of the skeleton's text, with one seeded line edit,
     gives the result or error of the reference parser, which checks every
     line before it reads any."""
@@ -1113,6 +1114,10 @@ def test_scratch_build_trace_and_parse_match_the_per_face_sets(data):
             assert got_regions == _outcome(_sorted_regions, per_face_set_regions, want, check)
     else:
         assert got == want
+        if d == 3:
+            # The d = 3 path builds no FrameGraph, yet refuses the same way.
+            for check in (True, False):
+                assert _outcome(reconstruct, sk, 3, check=check) == want
     text = _tampered_text(format_skeleton(sk, d), rng)
     reference = _outcome(_parsed, text, lambda t: reference_parse("skeleton", t))
     assert _outcome(_parsed, text, parse_skeleton) == reference
