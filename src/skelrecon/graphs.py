@@ -157,7 +157,6 @@ def check_enumeration_bound(n: int, force: bool = False) -> None:
 
 def enumerate_acyclic_orientations(
     g: Graph,
-    predicate: Callable[[Orientation], bool] | None = None,
     *,
     first: tuple[int, ...] = (),
     last: tuple[int, ...] = (),
@@ -200,9 +199,7 @@ def enumerate_acyclic_orientations(
     while stack:
         i, anc = stack.pop()
         if i == len(free):
-            o = Orientation(g, anc)
-            if predicate is None or predicate(o):
-                yield o
+            yield Orientation(g, anc)
             continue
         u, v = free[i]
         # Push v -> u first so u -> v is explored first.

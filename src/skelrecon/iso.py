@@ -23,15 +23,19 @@ from .graphs import Graph, mask_of, vertices_of
 from .lattice import FaceLattice, KSkeleton
 
 
-class IsoResult(namedtuple("IsoResult", "isomorphic witness obstruction", defaults=(None, None))):
+class IsoResult(namedtuple("IsoResult", "witness obstruction", defaults=(None, None))):
     """Outcome of an isomorphism test.
 
     ``witness`` maps vertex v of the first object to witness[v] in the
     second; ``obstruction`` names the first distinguishing invariant when
-    the verdict is negative.
+    the verdict is negative.  The verdict is whether there is a witness.
     """
 
     __slots__ = ()
+
+    @property
+    def isomorphic(self) -> bool:
+        return self.witness is not None
 
 
 def _layers(
@@ -116,23 +120,23 @@ def isomorphic(
     if kind_a != kind_b:
         raise KindMismatch(f"cannot compare {kind_a} with {kind_b}")
     if n_a != n_b:
-        return IsoResult(False, obstruction=f"vertex counts {n_a} != {n_b}")
+        return IsoResult(obstruction=f"vertex counts {n_a} != {n_b}")
     if set(layers_a) != set(layers_b):
-        return IsoResult(False, obstruction="different face ranks present")
+        return IsoResult(obstruction="different face ranks present")
     for r in sorted(layers_a):
         ca = len(layers_a[r])
         cb = len(layers_b[r])
         if ca != cb:
-            return IsoResult(False, obstruction=f"rank {r} face counts {ca} != {cb}")
+            return IsoResult(obstruction=f"rank {r} face counts {ca} != {cb}")
         sa = sorted(f.bit_count() for f in layers_a[r])
         sb = sorted(f.bit_count() for f in layers_b[r])
         if sa != sb:
-            return IsoResult(False, obstruction=f"rank {r} face sizes differ")
+            return IsoResult(obstruction=f"rank {r} face sizes differ")
 
     n = n_a
     masks_b = {r: set(faces) for r, faces in layers_b.items()}
     if all(set(faces) == masks_b[r] for r, faces in layers_a.items()):
-        return IsoResult(True, witness=tuple(range(n)))
+        return IsoResult(witness=tuple(range(n)))
 
     graph_a = _graph(a)
     graph_b = _graph(b)
@@ -142,7 +146,7 @@ def isomorphic(
     prof_a = _profiles(n, faces_a, graph_a)
     prof_b = _profiles(n, faces_b, graph_b)
     if sorted(prof_a) != sorted(prof_b):
-        return IsoResult(False, obstruction="vertex profile multisets differ")
+        return IsoResult(obstruction="vertex profile multisets differ")
 
     candidates = {
         v: [w for w in range(n) if prof_b[w] == prof_a[v]] for v in range(n)
@@ -154,8 +158,8 @@ def isomorphic(
     # all higher layers as well.
     for perm in _graph_isomorphisms(n, graph_a.masks, graph_b.masks, candidates, order):
         if _verified(faces_a, masks_b, perm):
-            return IsoResult(True, witness=perm)
-    return IsoResult(False, obstruction="search exhausted")
+            return IsoResult(witness=perm)
+    return IsoResult(obstruction="search exhausted")
 
 
 def _graph_isomorphisms(n, adj_a, adj_b, candidates, order):

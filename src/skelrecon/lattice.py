@@ -194,16 +194,22 @@ class FaceLattice:
 
 
 class KSkeleton(
-    namedtuple("KSkeleton", "k graph faces_by_dim", defaults=(MappingProxyType({}),))
+    namedtuple("KSkeleton", "graph faces_by_dim", defaults=(MappingProxyType({}),))
 ):
     """A graph together with all faces of dimension 2..k.
 
     ``faces_by_dim[r]`` holds the r-faces as sorted vertex tuples, in
     lexicographic order, as ``FaceLattice.layer`` and the text formats
-    give them.  It defaults to an empty read-only mapping.
+    give them.  It defaults to an empty read-only mapping.  The rank k is
+    not stored: it is the largest key of ``faces_by_dim``, or 1 when
+    there is none, so a layer listed empty still counts.
     """
 
     __slots__ = ()
+
+    @property
+    def k(self) -> int:
+        return max(self.faces_by_dim, default=1)
 
     @property
     def n(self) -> int:
@@ -336,7 +342,7 @@ def k_skeleton(lattice: FaceLattice, k: int) -> KSkeleton:
     """Restrict a lattice to the faces of dimension at most k."""
     edges = lattice.skeleton_masks(k)[1]
     faces_by_dim = {r: lattice.layer(r) for r in range(2, k + 1)}
-    return KSkeleton(k=k, graph=Graph(lattice.n, map(vertices_of, edges)), faces_by_dim=faces_by_dim)
+    return KSkeleton(graph=Graph(lattice.n, map(vertices_of, edges)), faces_by_dim=faces_by_dim)
 
 
 VertexClasses = namedtuple("VertexClasses", "simple nonsimple")

@@ -257,23 +257,34 @@ def build_frame_graph(sk: KSkeleton, d: int) -> FrameGraph:
     return FrameGraph(sk, d)
 
 
-class Ambiguity(namedtuple("Ambiguity", "region_a region_b merged completions")):
-    """The two-way completion left open by a separating nonsimple set."""
+class Ambiguity(namedtuple("Ambiguity", "region_a region_b completions")):
+    """The two-way completion left open by a separating nonsimple set:
+    the regions a and b either stay two facets (the first completion) or
+    make one, ``merged`` (the second)."""
 
     __slots__ = ()
+
+    @property
+    def merged(self) -> tuple[int, ...]:
+        return tuple(sorted({*self.region_a, *self.region_b}))
 
 
 class ReconstructionOutcome(
-    namedtuple("ReconstructionOutcome", "facets status ambiguity", defaults=(None,))
+    namedtuple("ReconstructionOutcome", "facets ambiguity", defaults=(None,))
 ):
-    """Facet list plus completion status of one reconstruction run.
+    """Facet list of one reconstruction run, with the ambiguity it met.
 
-    When status is "ambiguous", ``facets`` is empty and both candidate
-    facet lists sit in ``ambiguity.completions`` (split first, merged
-    second).
+    ``status`` is "ambiguous" when ``ambiguity`` is set and ``facets`` is
+    empty: no parity hint picked one of the two candidate facet lists in
+    ``ambiguity.completions`` (split first, merged second).  Otherwise it
+    is "complete".
     """
 
     __slots__ = ()
+
+    @property
+    def status(self) -> str:
+        return "ambiguous" if self.ambiguity is not None and not self.facets else "complete"
 
 
 def _facet(fg: FrameGraph, root: int, slot: int, t: int, scratch, check) -> tuple[int, ...]:
@@ -633,7 +644,7 @@ def reconstruct(
         raise ValueError("parity_hint must be 'even' or 'odd'")
     graph = sk.graph
     if d == 3:
-        return ReconstructionOutcome(_two_faces(sk, check), "complete")
+        return ReconstructionOutcome(_two_faces(sk, check))
     fg = FrameGraph(sk, d)
     if not fg.simple:
         raise TooManyNonsimple(
@@ -673,7 +684,7 @@ def reconstruct(
             a, b = pair
             merged = tuple(sorted({*a, *b}))
             merged_list = tuple(sorted([r for r in facets if r != a and r != b] + [merged]))
-            ambiguity = Ambiguity(a, b, merged, completions=(facets, merged_list))
+            ambiguity = Ambiguity(a, b, completions=(facets, merged_list))
         refused = [r for r in past if r not in pair]
         if check and refused:
             r = min(refused)
@@ -684,10 +695,10 @@ def reconstruct(
 
     if ambiguity is not None:
         if parity_hint is None:
-            return ReconstructionOutcome((), "ambiguous", ambiguity)
+            return ReconstructionOutcome((), ambiguity)
         want = 0 if parity_hint == "even" else 1
         # a | b replaces the two regions a and b, so the completions differ in parity.
         completion = next(c for c in ambiguity.completions if len(c) % 2 == want)
-        return ReconstructionOutcome(completion, "complete", ambiguity)
+        return ReconstructionOutcome(completion, ambiguity)
 
-    return ReconstructionOutcome(facets, "complete")
+    return ReconstructionOutcome(facets)

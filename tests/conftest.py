@@ -252,4 +252,4 @@ def prism_pyramid_skeleton(m: int) -> KSkeleton:
     edges = base.graph.edges
     graph = Graph(apex + 1, [*edges, *((v, apex) for v in range(apex))])
     faces = (*base.two_faces, *((u, v, apex) for u, v in edges))
-    return KSkeleton(k=2, graph=graph, faces_by_dim={2: tuple(sorted(faces))})
+    return KSkeleton(graph=graph, faces_by_dim={2: tuple(sorted(faces))})

@@ -785,7 +785,9 @@ def reference_sweep(g, *, first=(), last=(), family=None, objective, collect, fo
     pass over every orientation of the family."""
     best = None
     found: set[int] = set()
-    for o in enumerate_acyclic_orientations(g, family, first=first, last=last, force=force):
+    for o in enumerate_acyclic_orientations(g, first=first, last=last, force=force):
+        if family is not None and not family(o):
+            continue
         val = objective(o)
         if best is None or val < best:
             best = val
@@ -1095,7 +1097,7 @@ def reference_reconstruct(sk: KSkeleton, d: int, parity_hint=None, check=True):
     graph = sk.graph
     fg = ReferenceFrameGraph(sk, d)
     if d == 3:
-        return ReconstructionOutcome(_reference_two_faces(sk, check), "complete")
+        return ReconstructionOutcome(_reference_two_faces(sk, check))
     if not fg.simple:
         raise TooManyNonsimple(
             f"every vertex is nonsimple, so every facet holds more than d-2 = {d - 2} of them"
@@ -1149,7 +1151,6 @@ def reference_reconstruct(sk: KSkeleton, d: int, parity_hint=None, check=True):
             ambiguity = Ambiguity(
                 region_a=tuple(sorted(a)),
                 region_b=tuple(sorted(b)),
-                merged=tuple(sorted(merged)),
                 completions=(split_list, merged_list),
             )
 
@@ -1166,15 +1167,15 @@ def reference_reconstruct(sk: KSkeleton, d: int, parity_hint=None, check=True):
 
     if ambiguity is not None:
         if parity_hint is None:
-            return ReconstructionOutcome((), "ambiguous", ambiguity)
+            return ReconstructionOutcome((), ambiguity)
         want = 0 if parity_hint == "even" else 1
         for completion in ambiguity.completions:
             if len(completion) % 2 == want:
-                return ReconstructionOutcome(completion, "complete", ambiguity)
+                return ReconstructionOutcome(completion, ambiguity)
         raise NotASkeleton("no completion matches the parity hint")
 
     facets = tuple(sorted(tuple(sorted(r)) for r in regions))
-    return ReconstructionOutcome(facets, "complete")
+    return ReconstructionOutcome(facets)
 
 
 # -- frame moves and facet traces over per-face sets ----------------------------
@@ -1433,23 +1434,23 @@ def reference_isomorphic(a, b) -> IsoResult:
     if kind_a != kind_b:
         raise KindMismatch(f"cannot compare {kind_a} with {kind_b}")
     if n_a != n_b:
-        return IsoResult(False, obstruction=f"vertex counts {n_a} != {n_b}")
+        return IsoResult(obstruction=f"vertex counts {n_a} != {n_b}")
     if set(layers_a) != set(layers_b):
-        return IsoResult(False, obstruction="different face ranks present")
+        return IsoResult(obstruction="different face ranks present")
     for r in sorted(layers_a):
         ca, cb = len(layers_a[r]), len(layers_b[r])
         if ca != cb:
-            return IsoResult(False, obstruction=f"rank {r} face counts {ca} != {cb}")
+            return IsoResult(obstruction=f"rank {r} face counts {ca} != {cb}")
         if sorted(len(f) for f in layers_a[r]) != sorted(len(f) for f in layers_b[r]):
-            return IsoResult(False, obstruction=f"rank {r} face sizes differ")
+            return IsoResult(obstruction=f"rank {r} face sizes differ")
     n = n_a
     identity = tuple(range(n))
     if _reference_verified(layers_a, layers_b, identity):
-        return IsoResult(True, witness=identity)
+        return IsoResult(witness=identity)
     prof_a = _reference_profiles(n, layers_a)
     prof_b = _reference_profiles(n, layers_b)
     if sorted(prof_a) != sorted(prof_b):
-        return IsoResult(False, obstruction="vertex profile multisets differ")
+        return IsoResult(obstruction="vertex profile multisets differ")
     candidates = {v: [w for w in range(n) if prof_b[w] == prof_a[v]] for v in range(n)}
     order = sorted(range(n), key=lambda v: (len(candidates[v]), v))
     edges_a = [set() for _ in range(n)]
@@ -1461,8 +1462,8 @@ def reference_isomorphic(a, b) -> IsoResult:
             edges[v].add(u)
     for perm in _reference_graph_isomorphisms(n, edges_a, edges_b, candidates, order):
         if _reference_verified(layers_a, layers_b, perm):
-            return IsoResult(True, witness=perm)
-    return IsoResult(False, obstruction="search exhausted")
+            return IsoResult(witness=perm)
+    return IsoResult(obstruction="search exhausted")
 
 
 def reference_parse(fmt: str, text: str):
@@ -1534,4 +1535,4 @@ def reference_parse(fmt: str, text: str):
     if fmt == "edges":
         return graph
     faces_by_dim = {r: tuple(sorted(fs, key=sorted)) for r, fs in by_rank.items()}
-    return KSkeleton(k=max(by_rank, default=1), graph=graph, faces_by_dim=faces_by_dim), d
+    return KSkeleton(graph=graph, faces_by_dim=faces_by_dim), d

@@ -565,6 +565,10 @@ def test_short_line_exit_code(tmp_path, capsys, command, text, line):
         (("recong", "{edges}", "--dim", "2"), "--dim"),
         (("gen", "--family", "cube", "--dim", "0"), "--dim"),
         (("gen", "--family", "q1", "--dim", "2"), "--dim"),
+        (("gen", "--family", "q2", "--dim", "3"), "--dim"),
+        (("gen", "--family", "simplex", "--dim", "1"), "--dim"),
+        (("gen", "--family", "cube", "--dim", "1"), "--dim"),
+        (("gen", "--family", "bipyramid-simplex", "--dim", "2"), "--dim"),
         (("gen", "--family", "prism", "--m", "2"), "--m"),
         (("gen", "--family", "simplex", "--dim", "2", "--pyramid", "-1"), "--pyramid"),
         (("skeleton", "{poly}", "--rank", "x"), "--rank"),
@@ -574,7 +578,8 @@ def test_short_line_exit_code(tmp_path, capsys, command, text, line):
     ],
     ids=["iso-rank", "verify-dims", "verify-empty-range", "verify-dims-below-4",
          "recong-dim-0", "recong-dim-1", "recong-dim-2",
-         "gen-cube-dim-0", "gen-q1-dim-2", "gen-prism-m-2", "gen-pyramid-negative",
+         "gen-cube-dim-0", "gen-q1-dim-2", "gen-q2-dim-3", "gen-simplex-dim-1",
+         "gen-cube-dim-1", "gen-bipyramid-simplex-dim-2", "gen-prism-m-2", "gen-pyramid-negative",
          "skeleton-rank-x", "skeleton-rank-0", "iso-rank-0", "unknown-subcommand"],
 )
 def test_bad_option_value_exit_code(tmp_path, capsys, argv, option):

@@ -96,13 +96,13 @@ def golden_calls() -> list[tuple[str, ...]]:
 def run_calls(directory: Path, capsys, inputs=None, calls=None) -> list[dict]:
     """Exit code, stdout and stderr of every call, run inside ``directory``;
     the lattice commands' inputs and calls unless others are given."""
-    for name, text in (inputs or golden_inputs()).items():
+    for name, text in (golden_inputs() if inputs is None else inputs).items():
         (directory / name).write_text(text)
     cwd = os.getcwd()
     os.chdir(directory)
     try:
         outcomes = []
-        for argv in calls or golden_calls():
+        for argv in golden_calls() if calls is None else calls:
             code = main(list(argv))
             out, err = capsys.readouterr()
             outcomes.append({"argv": list(argv), "code": code, "stdout": out, "stderr": err})

@@ -249,8 +249,8 @@ def test_search_exhausted_when_the_profiles_cannot_tell():
     # Both graphs are 3-regular on six vertices, so counts, sizes and the
     # refined profiles agree; only the search finds that K3,3, which has no
     # triangle, is not the triangular prism's graph.
-    k33 = KSkeleton(k=1, graph=Graph(6, [(i, j) for i in range(3) for j in range(3, 6)]))
-    prism = KSkeleton(k=1, graph=Graph(
+    k33 = KSkeleton(graph=Graph(6, [(i, j) for i in range(3) for j in range(3, 6)]))
+    prism = KSkeleton(graph=Graph(
         6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
     ))
     assert _verdict(isomorphic(k33, prism)) == EXHAUSTED
@@ -263,8 +263,8 @@ def test_a_graph_isomorphism_that_misses_the_two_faces_is_rejected(monkeypatch):
     # is left to try.
     g = Graph(7, [(0, 1), (0, 3), (0, 4), (0, 6), (1, 3), (1, 5), (2, 3), (2, 5),
                   (3, 6), (4, 6), (5, 6)])
-    a = KSkeleton(k=2, graph=g, faces_by_dim={2: ((0, 3, 6), (0, 4, 6))})
-    b = KSkeleton(k=2, graph=g, faces_by_dim={2: ((0, 1, 3), (0, 4, 6))})
+    a = KSkeleton(graph=g, faces_by_dim={2: ((0, 3, 6), (0, 4, 6))})
+    b = KSkeleton(graph=g, faces_by_dim={2: ((0, 1, 3), (0, 4, 6))})
     real, verdicts = iso._verified, []
 
     def verified(*args):
@@ -281,7 +281,7 @@ def test_a_missing_face_rank_is_an_obstruction():
     """The 3-skeleton of the 4-simplex against the same graph with only its
     3-faces, built directly and read from text without the face2 lines."""
     sk = k_skeleton(build_face_lattice(simplex(4)), 3)
-    direct = KSkeleton(k=3, graph=sk.graph, faces_by_dim={3: sk.faces_by_dim[3]})
+    direct = KSkeleton(graph=sk.graph, faces_by_dim={3: sk.faces_by_dim[3]})
     lines = format_skeleton(sk, 4).splitlines(keepends=True)
     parsed, d = parse_skeleton("".join(x for x in lines if not x.startswith("face2 ")))
     assert (d, sorted(parsed.faces_by_dim)) == (4, [3])

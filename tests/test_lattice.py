@@ -371,13 +371,16 @@ def test_every_skeleton_producer_hands_over_sorted_tuples_in_order(monkeypatch):
 def test_records_are_read_only_named_tuples():
     """Every result record is a named tuple: no field can be assigned, it
     equals the plain tuple of its fields, and a skeleton built without
-    faces gets an empty mapping that no one can write."""
+    faces gets an empty mapping that no one can write.  A value the other
+    fields fix is a read-only property, not a field: a skeleton's rank
+    ``k``, an outcome's ``status``, an ambiguity's ``merged`` region and
+    an isomorphism test's verdict ``isomorphic``."""
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    sk = KSkeleton(k=1, graph=g)
+    sk = KSkeleton(graph=g)
     assert sk.faces_by_dim == {} and sk.two_faces == ()
     with pytest.raises(TypeError):
         sk.faces_by_dim[2] = ((0, 1, 2),)
-    assert KSkeleton(k=1, graph=g).faces_by_dim == {}
+    assert KSkeleton(graph=g).faces_by_dim == {}
 
     lat = lattice_of(q1(5).spec)
     report = validate(lat)
@@ -404,6 +407,22 @@ def test_records_are_read_only_named_tuples():
     simple, nonsimple = classify_vertices(g, 2)
     assert (simple, nonsimple) == (frozenset({0, 1, 2}), frozenset())
     assert report[0] == report.checks
+
+    amb = outcome.ambiguity
+    iso = isomorphic(lat, lat)
+    assert [type(r)._fields for r in (sk, outcome, amb, iso)] == [
+        ("graph", "faces_by_dim"),
+        ("facets", "ambiguity"),
+        ("region_a", "region_b", "completions"),
+        ("witness", "obstruction"),
+    ]
+    assert (sk.k, k_skeleton(lat, 3).k) == (1, 3)
+    assert (outcome.facets, outcome.status) == ((), "ambiguous")
+    assert amb.merged == tuple(sorted({*amb.region_a, *amb.region_b})) in amb.completions[1]
+    assert iso.isomorphic and not isomorphic(lat, lattice_of(q2(5).spec)).isomorphic
+    for record, name in ((sk, "k"), (outcome, "status"), (amb, "merged"), (iso, "isomorphic")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 def test_lattice_spec_round_trip():

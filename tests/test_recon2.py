@@ -68,7 +68,7 @@ def test_frame_graph_node_counts():
 def test_frame_graph_rejects_missing_two_face():
     sk = skeleton_of(cube(3))
     faces = sk.faces_by_dim[2][1:]
-    broken = KSkeleton(k=2, graph=sk.graph, faces_by_dim={2: faces})
+    broken = KSkeleton(graph=sk.graph, faces_by_dim={2: faces})
     with pytest.raises(FrameNotInUniqueTwoFace):
         build_frame_graph(broken, 3)
     assert _outcome(reconstruct, broken, 3) == _outcome(build_frame_graph, broken, 3)
@@ -80,7 +80,7 @@ def test_frame_graph_names_the_first_missing_frame():
     sk = skeleton_of(cube(3))
     for drop, square in enumerate(sk.faces_by_dim[2]):
         faces = sk.faces_by_dim[2][:drop] + sk.faces_by_dim[2][drop + 1:]
-        broken = KSkeleton(k=2, graph=sk.graph, faces_by_dim={2: faces})
+        broken = KSkeleton(graph=sk.graph, faces_by_dim={2: faces})
         v = min(square)
         a, b = (w for w in sk.graph.adj[v] if w in square)
         with pytest.raises(FrameNotInUniqueTwoFace) as exc:
@@ -93,7 +93,7 @@ def test_frame_graph_rejects_a_union_of_cycles():
     # Two triangles with an apex joined to all six: the six base vertices
     # induce a 2-regular graph that is not one cycle.
     g = Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)] + [(i, 6) for i in range(6)])
-    broken = KSkeleton(k=2, graph=g, faces_by_dim={2: (frozenset(range(6)),)})
+    broken = KSkeleton(graph=g, faces_by_dim={2: (frozenset(range(6)),)})
     with pytest.raises(NotASkeleton) as exc:
         build_frame_graph(broken, 3)
     assert str(exc.value) == "2-face (0, 1, 2, 3, 4, 5) is not a single cycle"
@@ -112,7 +112,7 @@ def test_frame_graph_names_the_first_taken_frame_in_face_order():
     edges = [(t[i], t[i - 1]) for i in range(6)] + [(b[i], b[i - 1]) for i in range(6)]
     graph = Graph(12, edges + list(zip(t, b)))
     faces = [t, [t[5], t[0], b[0], b[5]], t[:4] + [b[3], b[4], b[5], b[0]]]
-    sk = KSkeleton(k=2, graph=graph, faces_by_dim={2: tuple(tuple(sorted(f)) for f in faces)})
+    sk = KSkeleton(graph=graph, faces_by_dim={2: tuple(tuple(sorted(f)) for f in faces)})
     message = "2-frame (1, 2, 7) lies in more than one 2-face"
     assert _outcome(build_frame_graph, sk, 3) == (FrameNotInUniqueTwoFace, message)
     assert _outcome(PerFaceSetFrameGraph, sk, 3) == (FrameNotInUniqueTwoFace, message)
@@ -137,7 +137,7 @@ def test_frame_graph_with_d_above_a_byte():
         ((triangle,), "2-frame (0, 1, 3) lies in no 2-face"),
         ((triangle, triangle) + padding, "2-frame (0, 1, 2) lies in more than one 2-face"),
     ):
-        sk = KSkeleton(k=2, graph=graph, faces_by_dim={2: faces})
+        sk = KSkeleton(graph=graph, faces_by_dim={2: faces})
         assert _outcome(build_frame_graph, sk, d) == (FrameNotInUniqueTwoFace, message)
         assert _outcome(ReferenceFrameGraph, sk, d) == (FrameNotInUniqueTwoFace, message)
 
@@ -148,7 +148,7 @@ def test_frame_graph_builds_no_table_for_faces_too_few_to_cover_it():
     allocating the 200 * 199 * 199 byte table (7.9 MB)."""
     n = 200
     graph = Graph(n, itertools.combinations(range(n), 2))
-    sk = KSkeleton(k=2, graph=graph, faces_by_dim={2: (frozenset({0, 1, 2}),)})
+    sk = KSkeleton(graph=graph, faces_by_dim={2: (frozenset({0, 1, 2}),)})
     tracemalloc.start()
     try:
         got = _outcome(build_frame_graph, sk, n - 1)
@@ -167,7 +167,7 @@ def test_reconstruct_builds_no_table_without_simple_vertices():
     nonsimple, every facet holds more than d-2 of them."""
     n = 200
     graph = Graph(n, itertools.combinations(range(n), 2))
-    sk = KSkeleton(k=2, graph=graph, faces_by_dim={2: ()})
+    sk = KSkeleton(graph=graph, faces_by_dim={2: ()})
     tracemalloc.start()
     try:
         got = _outcome(reconstruct, sk, n - 2)
@@ -192,10 +192,10 @@ def test_frame_moves_kept_in_a_dict_match_the_reference():
     faces = tuple(
         frozenset({v, a, b}) for v in (0, 1) for a, b in itertools.combinations(range(2, n), 2)
     )
-    sk = KSkeleton(k=2, graph=graph, faces_by_dim={2: faces})
+    sk = KSkeleton(graph=graph, faces_by_dim={2: faces})
     assert isinstance(build_frame_graph(sk, d).step, dict)
     for kind, tampered in _tamperings(sk, random.Random("dict-moves")).items():
-        tsk = KSkeleton(k=2, graph=graph, faces_by_dim={2: tuple(tampered)})
+        tsk = KSkeleton(graph=graph, faces_by_dim={2: tuple(tampered)})
         _assert_moves_match_the_reference(tsk, d, kind)
         for check in (True, False):
             got = _outcome(reconstruct, tsk, d, check=check)
@@ -367,7 +367,7 @@ def test_not_a_skeleton_on_tampered_faces():
     sk = skeleton_of(cube(3))
     hexagons = [f for f in fixture_hexagons(sk)]
     faces = sk.faces_by_dim[2][:-1] + (hexagons[0],)
-    broken = KSkeleton(k=2, graph=sk.graph, faces_by_dim={2: faces})
+    broken = KSkeleton(graph=sk.graph, faces_by_dim={2: faces})
     with pytest.raises((NotASkeleton, FrameNotInUniqueTwoFace)):
         reconstruct(broken, 3)
 
@@ -413,7 +413,7 @@ def _relabeling(base, rng):
     rng.shuffle(perm)
     graph = Graph(base.n, [(perm[u], perm[v]) for u, v in base.graph.edges])
     return KSkeleton(
-        k=2, graph=graph,
+        graph=graph,
         faces_by_dim={2: tuple(frozenset(perm[v] for v in f) for f in base.two_faces)},
     )
 
@@ -424,7 +424,7 @@ def _tampered_relabelings(base, rng):
     for _ in range(5):
         relabeled = _relabeling(base, rng)
         for kind, faces in _tamperings(relabeled, rng).items():
-            yield kind, KSkeleton(k=2, graph=relabeled.graph, faces_by_dim={2: tuple(faces)})
+            yield kind, KSkeleton(graph=relabeled.graph, faces_by_dim={2: tuple(faces)})
 
 
 def _assert_moves_match_the_reference(sk, d, kind):
@@ -481,7 +481,6 @@ def test_frame_moves_match_the_face_index_reference(name):
 # (0, 1, 3, 4, 5, 6), (0, 1, 3, 5), (0, 2, 4, 5), (1, 2, 3, 5, 6) and
 # (2, 3, 4, 5, 6).
 NESTED_TRACES = KSkeleton(
-    k=2,
     graph=Graph(7, [
         (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 3), (1, 5), (1, 6),
         (2, 3), (2, 4), (2, 5), (2, 6), (3, 5), (3, 6), (4, 5), (4, 6),
@@ -554,7 +553,7 @@ def _relabeled_outcomes_match_the_reference(base, d, seed):
         ("union", faces[:i] + [faces[i] | faces[j]] + faces[i + 1:]),
         ("drop", faces[:i] + faces[i + 1:]),
     ):
-        sk = KSkeleton(k=2, graph=graph, faces_by_dim={2: tuple(tampered)})
+        sk = KSkeleton(graph=graph, faces_by_dim={2: tuple(tampered)})
         for check in (True, False):
             got = _outcome(reconstruct, sk, d, check=check)
             assert got == _outcome(reference_reconstruct, sk, d, check=check), (kind, check)
@@ -601,7 +600,7 @@ def test_reconstruct_peak_memory_on_the_m4096_prism():
     rng.shuffle(perm)
     graph = Graph(base.n, [(perm[u], perm[v]) for u, v in base.graph.edges])
     faces = tuple(frozenset(perm[v] for v in f) for f in base.two_faces)
-    text = format_skeleton(KSkeleton(k=2, graph=graph, faces_by_dim={2: faces}), 3)
+    text = format_skeleton(KSkeleton(graph=graph, faces_by_dim={2: faces}), 3)
     del base, graph, faces
     tracemalloc.start()
     try:
@@ -642,7 +641,7 @@ def twisted_torus_skeleton(p, q, s):
             helix.append(label(*x))
             x = up(*x)
         faces.append(frozenset(helix))
-    return KSkeleton(k=2, graph=Graph(p * q, sorted(edges)), faces_by_dim={2: tuple(faces)})
+    return KSkeleton(graph=Graph(p * q, sorted(edges)), faces_by_dim={2: tuple(faces)})
 
 
 def test_region_check_rejects_a_simple_vertex_with_all_neighbors_inside():
@@ -683,7 +682,6 @@ def test_region_check_names_the_least_failing_vertex():
     perm = list(range(44))
     random.Random(1).shuffle(perm)
     sk = KSkeleton(
-        k=2,
         graph=Graph(44, [(perm[u], perm[v]) for u, v in edges]),
         faces_by_dim={2: tuple(tuple(sorted(perm[v] for v in f)) for f in faces)},
     )
@@ -704,7 +702,7 @@ def test_two_simplices_on_a_triangle_give_more_than_one_candidate_pair():
     simplices = ((0, 1, 2, 3, 4), (0, 1, 2, 5, 6))
     edges = sorted({e for t in simplices for e in itertools.combinations(t, 2)})
     faces = tuple(sorted({f for t in simplices for f in itertools.combinations(t, 3)}))
-    sk = KSkeleton(k=2, graph=Graph(7, edges), faces_by_dim={2: faces})
+    sk = KSkeleton(graph=Graph(7, edges), faces_by_dim={2: faces})
     message = "more than one candidate pair meets exactly in the nonsimple set"
     for check in (True, False):
         assert _outcome(reconstruct, sk, 4, check=check) == (NotASkeleton, message)
@@ -784,14 +782,14 @@ def test_d3_refuses_two_faces_that_do_not_close_into_a_sphere(name):
     n, faces, message = NOT_A_SPHERE[name]
     edges = sorted({tuple(sorted(e)) for f in faces for e in zip(f, f[1:] + f[:1])})
     two_faces = tuple(sorted(tuple(sorted(f)) for f in faces))
-    sk = KSkeleton(k=2, graph=Graph(n, edges), faces_by_dim={2: two_faces})
+    sk = KSkeleton(graph=Graph(n, edges), faces_by_dim={2: two_faces})
     assert _outcome(reconstruct, sk, 3) == (NotASkeleton, message)
     assert _outcome(reference_reconstruct, sk, 3) == (NotASkeleton, message)
     for recon in (reconstruct, reference_reconstruct):
         out = recon(sk, 3, check=False)
         assert (out.status, out.facets) == ("complete", two_faces)
     reversed_sets = tuple(frozenset(f) for f in reversed(two_faces))
-    unsorted = KSkeleton(k=2, graph=sk.graph, faces_by_dim={2: reversed_sets})
+    unsorted = KSkeleton(graph=sk.graph, faces_by_dim={2: reversed_sets})
     assert _outcome(reconstruct, unsorted, 3) == (NotASkeleton, message)
     out = reconstruct(unsorted, 3, check=False)
     assert (out.status, out.facets) == ("complete", two_faces)
@@ -840,7 +838,7 @@ def test_d3_gives_a_two_face_listed_twice_once_unchecked():
     lat = lattice_of(bipyramid(cube(2)))
     sk = k_skeleton(lat, 2)
     faces = sk.two_faces + (min(sk.two_faces),)
-    twice = KSkeleton(k=2, graph=sk.graph, faces_by_dim={2: faces})
+    twice = KSkeleton(graph=sk.graph, faces_by_dim={2: faces})
     assert min(sk.two_faces) == (0, 1, 4)
     message = (NotASkeleton, "edge (0, 1) lies in 3 facets, not 2")
     assert _outcome(reconstruct, twice, 3) == message
@@ -902,7 +900,7 @@ def test_d3_frame_errors_are_frame_graphs(name):
     for _ in range(5):
         faces = [frozenset(f) for f in sk.two_faces]
         rng.shuffle(faces)
-        shuffled = KSkeleton(k=2, graph=sk.graph, faces_by_dim={2: tuple(faces)})
+        shuffled = KSkeleton(graph=sk.graph, faces_by_dim={2: tuple(faces)})
         assert _outcome(reconstruct, shuffled, 3) == _outcome(build_frame_graph, shuffled, 3)
 
 
@@ -923,10 +921,10 @@ def test_a_two_face_off_the_vertices_is_refused(d):
         (1, -2, 0, n): f"2-face (-2, 0, 1, {n}) holds vertex -2 outside 0..{n - 1}",
     }
     for face, message in cases.items():
-        bad = KSkeleton(k=2, graph=sk.graph, faces_by_dim={2: sk.two_faces + (face,)})
+        bad = KSkeleton(graph=sk.graph, faces_by_dim={2: sk.two_faces + (face,)})
         for fn in (reconstruct, build_frame_graph):
             assert _outcome(fn, bad, d) == (NotASkeleton, message), (fn, face)
-        first = KSkeleton(k=2, graph=sk.graph, faces_by_dim={2: ((0, 1, 2),) + bad.two_faces})
+        first = KSkeleton(graph=sk.graph, faces_by_dim={2: ((0, 1, 2),) + bad.two_faces})
         earlier = (NotASkeleton, "2-face (0, 1, 2) is not an induced cycle at 1")
         for fn in (reconstruct, build_frame_graph):
             assert _outcome(fn, first, d) == earlier, (fn, face)
@@ -944,7 +942,7 @@ def test_d3_refuses_a_two_face_that_lists_a_vertex_twice(spec, face):
     triangle = tuple(sorted(set(face)))
     faces = tuple(face if f == triangle else f for f in sk.two_faces)
     assert faces != sk.two_faces
-    bad = KSkeleton(k=2, graph=sk.graph, faces_by_dim={2: faces})
+    bad = KSkeleton(graph=sk.graph, faces_by_dim={2: faces})
     want = (NotASkeleton, f"2-face {tuple(sorted(face))} is not a single cycle")
     assert _outcome(build_frame_graph, bad, 3) == want
     for check in (True, False):
@@ -960,7 +958,7 @@ def _antiprism_skeleton(m: int) -> KSkeleton:
         j = (i + 1) % m
         edges += [(i, j), (m + i, m + j), (i, m + i), (i, m + j)]
         faces += [(i, j, m + j), (i, m + i, m + j)]
-    return KSkeleton(k=2, graph=Graph(2 * m, edges),
+    return KSkeleton(graph=Graph(2 * m, edges),
                      faces_by_dim={2: tuple(sorted(tuple(sorted(f)) for f in faces))})
 
 
@@ -1005,7 +1003,7 @@ def test_d3_answers_in_canonical_form_whatever_the_form_of_the_faces():
         sk = k_skeleton(lat, 2)
         for form in (frozenset, lambda f: tuple(reversed(f))):
             faces = tuple(form(f) for f in reversed(sk.two_faces))
-            given_so = KSkeleton(k=2, graph=sk.graph, faces_by_dim={2: faces})
+            given_so = KSkeleton(graph=sk.graph, faces_by_dim={2: faces})
             for check in (True, False):
                 out = reconstruct(given_so, 3, check=check)
                 assert (out.status, out.facets) == ("complete", lat.facets)
@@ -1099,7 +1097,7 @@ def test_scratch_build_trace_and_parse_match_the_per_face_sets(data):
     faces[i] = (*faces[i], rng.choice(sorted(faces[i])))
     tamperings["repeat"] = faces
     kind = data.draw(st.sampled_from(sorted(tamperings)))
-    sk = KSkeleton(k=2, graph=relabeled.graph, faces_by_dim={2: tuple(tamperings[kind])})
+    sk = KSkeleton(graph=relabeled.graph, faces_by_dim={2: tuple(tamperings[kind])})
     got = _outcome(build_frame_graph, sk, d)
     want = _outcome(PerFaceSetFrameGraph, sk, d)
     if isinstance(want, PerFaceSetFrameGraph):
@@ -1162,3 +1160,27 @@ def test_reconstruct_is_linear_at_a_nonsimple_apex():
     medians = [statistics.median(runs) for runs in times]
     ratios = [b / a for a, b in zip(medians, medians[1:])]
     assert all(1.3 <= r <= 2.7 for r in ratios), ratios
+
+
+def test_facet_check_builds_the_neighbour_set_the_2_face_pass_skipped():
+    """The 2-face pass builds a nonsimple vertex's neighbour set only on a
+    2-face with fewer vertices than its degree; otherwise the facet check
+    builds it on first use.  The twofold pyramid over a square, truncated
+    at every vertex but one apex, keeps that apex (vertex 0) nonsimple of
+    degree 5, and each of its eight triangles becomes a pentagon.  So
+    only the check builds its set.  The other nonsimple vertex, 17, is cut
+    from the edge between the apexes and lies on triangles."""
+    spec = multifold_pyramid(cube(2), 2)
+    # The square's vertices are 0..3 and the apexes 4 and 5; each cut
+    # relabels the survivors in order, so the apex 5 is vertex 1 at the end.
+    for face in [(0,)] * 4 + [(1,)]:
+        spec = truncate(build_face_lattice(spec), face)[0]
+    lat = build_face_lattice(spec)
+    sk = k_skeleton(lat, 2)
+    assert len(sk.graph.adj[0]) == 5
+    assert sorted(len(f) for f in sk.two_faces if 0 in f) == [5] * 8
+    fg = FrameGraph(sk, 4)
+    assert fg.nonsimple == {0, 17} and set(fg.neighbour_sets) == {17}
+    assert tuple(sorted(_regions(fg, True))) == lat.facets
+    assert fg.neighbour_sets[0] == frozenset(sk.graph.adj[0])
+    assert reconstruct(sk, 4) == (lat.facets, None)

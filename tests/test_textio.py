@@ -54,7 +54,7 @@ def skeletons(draw):
         faces = draw(st.lists(st.frozensets(st.integers(0, graph.n - 1), min_size=1), max_size=4))
         if faces:
             faces_by_dim[r] = tuple(sorted(faces, key=sorted))
-    return KSkeleton(k=max(faces_by_dim, default=1), graph=graph, faces_by_dim=faces_by_dim), d
+    return KSkeleton(graph=graph, faces_by_dim=faces_by_dim), d
 
 
 def _shape(value):
@@ -102,7 +102,7 @@ def labelled_skeletons(draw):
     d = draw(st.integers(2, 6))
     faces = st.lists(st.lists(vertex, min_size=1, max_size=8).map(tuple), max_size=5)
     faces_by_dim = {r: tuple(draw(faces)) for r in range(2, d)}
-    return KSkeleton(k=max(faces_by_dim, default=1), graph=graph, faces_by_dim=faces_by_dim), d
+    return KSkeleton(graph=graph, faces_by_dim=faces_by_dim), d
 
 
 @settings(max_examples=150, deadline=None)
